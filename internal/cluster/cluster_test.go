@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -106,6 +107,59 @@ func TestSnapshotFailover(t *testing.T) {
 	}
 }
 
+// Primary runs once per shuffled delta and once per scanned row: it must
+// not allocate, and walking the ring in place must agree with its
+// definition over Owners — the first alive owner, else the first alive
+// node in ring order — for any set of dead nodes.
+func TestSnapshotPrimaryAllocFreeAndEqualsOwners(t *testing.T) {
+	r := NewRing(5, 16, 3)
+	snap := NewSnapshot(r, r.Nodes()).Without(1)
+	var sink NodeID
+	if allocs := testing.AllocsPerRun(200, func() {
+		n, _ := snap.Primary(0x9e3779b97f4a7c15)
+		sink += n
+	}); allocs != 0 {
+		t.Fatalf("Primary allocates %v times per call", allocs)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		var alive []NodeID
+		for _, n := range r.Nodes() {
+			if rng.Intn(3) > 0 {
+				alive = append(alive, n)
+			}
+		}
+		s := NewSnapshot(r, alive)
+		h := rng.Uint64()
+		got, err := s.Primary(h)
+		if len(alive) == 0 {
+			if err == nil {
+				t.Fatal("Primary over an empty snapshot must fail")
+			}
+			continue
+		}
+		want := NodeID(-1)
+		for _, o := range r.Owners(h) {
+			if s.Alive(o) {
+				want = o
+				break
+			}
+		}
+		if want < 0 {
+			all := NewRing(5, 16, 5).Owners(h) // every node, in ring order from h
+			for _, o := range all {
+				if s.Alive(o) {
+					want = o
+					break
+				}
+			}
+		}
+		if err != nil || got != want {
+			t.Fatalf("hash %x alive %v: Primary = %v, %v; want %v", h, alive, got, err, want)
+		}
+	}
+}
+
 // Property: every key has exactly min(replication, n) distinct owners and
 // the primary is always among them.
 func TestRingOwnersProperty(t *testing.T) {
@@ -189,10 +243,21 @@ func TestMailboxConcurrent(t *testing.T) {
 	}
 }
 
+// sendData ships a row batch along a plan edge the way a sender does:
+// encode, then Send. It returns the encoded payload size.
+func sendData(tr Transport, from, to NodeID, edge, stratum int, batch []types.Delta) int {
+	payload := EncodeDeltas(batch)
+	tr.Send(Message{
+		From: from, To: to, Edge: edge, Stratum: stratum,
+		Kind: MsgData, Payload: payload, Count: len(batch),
+	})
+	return len(payload)
+}
+
 func TestTransportAccountingAndFailure(t *testing.T) {
 	tr := NewInProcTransport(3)
 	batch := types.Inserts(types.NewTuple(int64(1), 2.5))
-	n := tr.SendData(0, 1, 7, 0, 0, batch)
+	n := sendData(tr, 0, 1, 7, 0, batch)
 	if n <= 0 {
 		t.Fatal("encoded size must be positive")
 	}
@@ -210,7 +275,7 @@ func TestTransportAccountingAndFailure(t *testing.T) {
 		t.Fatalf("byte accounting: sent=%d payload=%d", sent, n)
 	}
 	// Loopback is free.
-	tr.SendData(2, 2, 1, 0, 0, batch)
+	sendData(tr, 2, 2, 1, 0, batch)
 	if tr.Metrics().BytesSent[2].Load() != 0 {
 		t.Fatal("self-send must not count as network traffic")
 	}
@@ -227,7 +292,7 @@ func TestTransportAccountingAndFailure(t *testing.T) {
 		t.Fatalf("failure notification: %+v", fail)
 	}
 	before := tr.Metrics().BytesSent[1].Load()
-	tr.SendData(1, 0, 1, 0, 0, batch) // from dead node: dropped
+	sendData(tr, 1, 0, 1, 0, batch) // from dead node: dropped
 	if tr.Metrics().BytesSent[1].Load() != before {
 		t.Fatal("dead node must not send")
 	}

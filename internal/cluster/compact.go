@@ -2,9 +2,11 @@ package cluster
 
 import "github.com/rex-data/rex/internal/types"
 
-// Compactor coalesces a buffered delta stream bound for one destination
-// before it is encoded and shipped — the DBToaster insight applied to the
-// shuffle path: the win is compacting the delta stream, not the link.
+// Compactor coalesces a buffered row-form delta stream — the DBToaster
+// insight: the win is compacting the delta stream, not the link. It
+// serves the ingest paths (session and standing-query staging, the server
+// pool's fan-out), which hold rows; the shuffle applies the same rules
+// lane-wise in DeltaStore, and the two are tested against each other.
 //
 // Rules (per routing key, in arrival order):
 //

@@ -140,7 +140,7 @@ func TestKillReviveWithInFlightBatches(t *testing.T) {
 	)
 	// Queue several encoded batches at node 1 without consuming them.
 	for i := 0; i < 4; i++ {
-		tr.SendData(0, 1, 5, i, 0, batch)
+		sendData(tr, 0, 1, 5, i, batch)
 	}
 	if got := tr.InboxLen(1); got != 4 {
 		t.Fatalf("in-flight frames = %d, want 4", got)
@@ -153,7 +153,7 @@ func TestKillReviveWithInFlightBatches(t *testing.T) {
 	// Dead destination: sends must not panic; sender still pays the bytes
 	// (the network drops the frame, the NIC already shipped it).
 	before := tr.Metrics().BytesSent[0].Load()
-	tr.SendData(0, 1, 5, 9, 0, batch)
+	sendData(tr, 0, 1, 5, 9, batch)
 	if tr.Metrics().BytesSent[0].Load() <= before {
 		t.Fatal("sender must account bytes even to a dead destination")
 	}
@@ -167,7 +167,7 @@ func TestKillReviveWithInFlightBatches(t *testing.T) {
 	if got := tr.InboxLen(1); got != 0 {
 		t.Fatalf("revived inbox has %d leaked frames", got)
 	}
-	tr.SendData(0, 1, 5, 10, 0, batch)
+	sendData(tr, 0, 1, 5, 10, batch)
 	msg, ok := tr.Inbox(1).Get()
 	if !ok || msg.Kind != MsgData || msg.Stratum != 10 {
 		t.Fatalf("post-revive delivery: %+v %v", msg, ok)

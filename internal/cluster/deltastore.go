@@ -1,0 +1,256 @@
+package cluster
+
+import "github.com/rex-data/rex/internal/types"
+
+// DeltaStore is the rehash send side's pending store for one destination:
+// a columnar types.DeltaBatch under construction that drains as one
+// columnar wire frame. Without compaction it is a plain append buffer.
+// With compaction it is the combining shuffle of §3.2/§5.2: an
+// open-addressed index from routing key to the key's latest row lets
+// every arriving delta meet its key's previous delta, and the Compactor's
+// five rules (annihilation, upsert fold, chain fold, retraction, δ-merge)
+// are applied in place in the typed lanes — no row is boxed, keyed into a
+// map, or cloned to be folded.
+//
+// The same soundness condition as Compactor applies: folding moves a
+// delta's effect to its key's previous position, so deltas of different
+// keys may reorder; same-key order is preserved.
+type DeltaStore struct {
+	b       *types.DeltaBatch
+	key     []int        // routing-key columns; nil = the whole tuple (broadcast edges)
+	folds   []types.Fold // declared δ-merge per column; nil when none
+	compact bool
+
+	// The index: linear-probed slots holding row+1 of the key's latest
+	// row (0 = empty), a power of two sized to keep load ≤ 1/2. A slot
+	// whose row was annihilated stays put — the key just has no live
+	// delta to fold into until its next arrival overwrites the slot.
+	slots  []int32
+	keys   int      // occupied slots
+	hashes []uint64 // index hash per row
+	dead   []bool   // rows annihilated in place, reclaimed by Drain
+	nDead  int
+
+	added, annihilated, folded int
+	addedAtReset               int
+}
+
+// NewDeltaStore creates an empty store. key lists the routing-key columns
+// (nil on keyless broadcast edges, where the whole tuple is the key);
+// merge declares, per column index, the aggregate ("sum", "min", "max")
+// two same-key δ() deltas fold with — exec.OpSpec.CompactMerge. With
+// compact false the store only appends.
+func NewDeltaStore(key []int, merge map[int]string, compact bool) *DeltaStore {
+	s := &DeltaStore{b: types.GetBatch(), key: key, compact: compact}
+	if len(key) == 0 {
+		s.key = nil
+	}
+	if compact {
+		for col, name := range merge {
+			f, ok := types.ParseFold(name)
+			if !ok || s.isKey(col) {
+				// Key columns are equal by construction; with nothing else
+				// declared folds stays nil and δ() deltas never merge.
+				continue
+			}
+			for len(s.folds) <= col {
+				s.folds = append(s.folds, types.FoldNone)
+			}
+			s.folds[col] = f
+		}
+	}
+	return s
+}
+
+// Len reports the store's physical row count: live deltas plus annihilated
+// rows not yet reclaimed by Drain. Flush triggers key off it, so heavy
+// annihilation cannot grow the store unboundedly.
+func (s *DeltaStore) Len() int { return s.b.Len() }
+
+// Folded reports whether any delta added since the last Reset was
+// absorbed by a compaction rule — the stream repeats keys, so holding the
+// window open keeps paying.
+func (s *DeltaStore) Folded() bool { return s.added-s.addedAtReset > s.b.Len() }
+
+// Pending reports how many deltas were added since the last Reset.
+func (s *DeltaStore) Pending() int { return s.added - s.addedAtReset }
+
+// Stats reports cumulative counters: deltas added, deltas removed by
+// +/− annihilation, and deltas absorbed by folding or δ-merging.
+func (s *DeltaStore) Stats() (added, annihilated, folded int) {
+	return s.added, s.annihilated, s.folded
+}
+
+// Append adds a row-form delta whose routing key hashes to h — the hash
+// the sender routed it by (Tuple.HashKey over the key columns, Tuple.Hash
+// on keyless edges), reused here as the index hash. It reports false,
+// adding nothing, when the delta's arity diverges from the pending rows':
+// drain and retry.
+func (s *DeltaStore) Append(d types.Delta, h uint64) bool {
+	if !s.b.CanAppend(d) {
+		return false
+	}
+	s.b.Append(d)
+	s.settle(h)
+	return true
+}
+
+// AppendRowFrom is Append for row i of a columnar batch (routing hash off
+// HashKeyAt, or HashAt on keyless edges), copied lane to lane.
+func (s *DeltaStore) AppendRowFrom(src *types.DeltaBatch, i int, h uint64) bool {
+	if !s.b.CanAppendRowFrom(src, i) {
+		return false
+	}
+	s.b.AppendRowFrom(src, i)
+	s.settle(h)
+	return true
+}
+
+// settle runs the compaction rules for the row just appended against its
+// key's previous live delta; a row the rules absorb is popped again. Keys
+// equal under ColsEqual hash alike except in corners (−0.0 against 0 in a
+// multi-column key) where the miss merely forgoes a fold.
+func (s *DeltaStore) settle(h uint64) {
+	s.added++
+	if !s.compact {
+		return
+	}
+	n := s.b.Len() - 1
+	if 2*(s.keys+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := len(s.slots) - 1
+	p := int(h) & mask
+	for ; s.slots[p] != 0; p = (p + 1) & mask {
+		r := int(s.slots[p]) - 1
+		if s.hashes[r] != h || !s.b.ColsEqual(r, n, s.key) {
+			continue
+		}
+		if !s.dead[r] && s.fold(r, n) {
+			s.b.Truncate(n)
+			return
+		}
+		break
+	}
+	if s.slots[p] == 0 {
+		s.keys++
+	}
+	s.slots[p] = int32(n + 1)
+	s.hashes = append(s.hashes, h)
+	s.dead = append(s.dead, false)
+}
+
+// fold applies the first matching rule to previous row p and arriving row
+// n, reporting whether n was absorbed.
+func (s *DeltaStore) fold(p, n int) bool {
+	b := s.b
+	switch pop, op := b.Op(p), b.Op(n); {
+	case pop == types.OpUpdate && op == types.OpUpdate && s.folds != nil:
+		if s.merge(p, n) {
+			s.folded++
+			return true
+		}
+	case pop == types.OpInsert && op == types.OpDelete && b.ColsEqual(p, n, nil):
+		s.dead[p] = true
+		s.nDead++
+		s.annihilated += 2
+		return true
+	case pop == types.OpInsert && op == types.OpReplace && b.NewEqualsOld(p, n),
+		pop == types.OpReplace && op == types.OpReplace && b.NewEqualsOld(p, n):
+		// +(t) then →(t⇒t') is +(t'); →(a⇒b) then →(b⇒c) is →(a⇒c).
+		b.CopyRow(p, n)
+		s.folded++
+		return true
+	case pop == types.OpReplace && op == types.OpDelete && b.ColsEqual(p, n, nil):
+		b.RetractRow(p)
+		s.folded++
+		return true
+	}
+	return false
+}
+
+// merge δ-merges row n into row p: declared columns fold, key columns are
+// equal by construction, every other column must already be equal.
+func (s *DeltaStore) merge(p, n int) bool {
+	b := s.b
+	for c := 0; c < b.NumCols(); c++ {
+		if f := s.foldOf(c); f != types.FoldNone {
+			if !b.CanFoldAt(c, p, n, f) {
+				return false
+			}
+		} else if !s.isKey(c) && !b.ColsEqual(p, n, []int{c}) {
+			return false
+		}
+	}
+	for c := 0; c < b.NumCols(); c++ {
+		if f := s.foldOf(c); f != types.FoldNone {
+			b.FoldAt(c, p, n, f)
+		}
+	}
+	return true
+}
+
+func (s *DeltaStore) foldOf(c int) types.Fold {
+	if c < len(s.folds) {
+		return s.folds[c]
+	}
+	return types.FoldNone
+}
+
+func (s *DeltaStore) isKey(c int) bool {
+	for _, k := range s.key {
+		if k == c {
+			return true
+		}
+	}
+	return false
+}
+
+// grow doubles the index and re-seats every occupied slot.
+func (s *DeltaStore) grow() {
+	old := s.slots
+	s.slots = make([]int32, max(64, 2*len(old)))
+	mask := len(s.slots) - 1
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		p := int(s.hashes[e-1]) & mask
+		for s.slots[p] != 0 {
+			p = (p + 1) & mask
+		}
+		s.slots[p] = e
+	}
+}
+
+// Drain reclaims annihilated rows and returns the pending batch. The
+// batch is the store's own: it is valid until the next Append or Reset,
+// and the caller Resets the store once the batch is shipped.
+func (s *DeltaStore) Drain() *types.DeltaBatch {
+	if s.nDead > 0 {
+		s.b.DropRows(s.dead)
+		s.nDead = 0
+	}
+	return s.b
+}
+
+// Reset empties the store for the next window, keeping batch and index
+// capacity. Cumulative stats survive.
+func (s *DeltaStore) Reset() {
+	s.b.Reset()
+	if s.keys > 0 {
+		clear(s.slots)
+		s.keys = 0
+	}
+	s.hashes = s.hashes[:0]
+	s.dead = s.dead[:0]
+	s.nDead = 0
+	s.addedAtReset = s.added
+}
+
+// Release returns the store's batch to the pool; the store must not be
+// used afterwards.
+func (s *DeltaStore) Release() {
+	types.PutBatch(s.b)
+	s.b = nil
+}

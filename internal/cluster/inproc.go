@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-
-	"github.com/rex-data/rex/internal/types"
 )
 
 // InProcTransport is the in-process Transport backend: every worker is an
@@ -157,20 +155,6 @@ func (t *InProcTransport) Send(msg Message) {
 	// install send windows, start/round barriers reset them.
 	t.credits.observe(msg)
 	inbox.Put(msg)
-}
-
-// SendData encodes and ships a delta batch along a plan edge using the
-// dictionary wire format; it is the shuffle path's send primitive. It
-// returns the encoded payload size — note Metrics.BytesSent records the
-// full frame (payload plus header), so do not add the return value to
-// those counters.
-func (t *InProcTransport) SendData(from, to NodeID, edge, stratum, epoch int, batch []types.Delta) int {
-	payload := EncodeDeltas(batch)
-	t.Send(Message{
-		From: from, To: to, Edge: edge, Stratum: stratum,
-		Kind: MsgData, Payload: payload, Count: len(batch), Epoch: epoch,
-	})
-	return len(payload)
 }
 
 // InboxLen reports the queue depth of worker n's mailbox (0 for dead or

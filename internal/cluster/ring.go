@@ -98,16 +98,18 @@ func (r *Ring) Owners(h uint64) []NodeID {
 // cluster changes; recovery installs a new snapshot.
 type Snapshot struct {
 	ring  *Ring
-	alive map[NodeID]bool
+	alive []bool // indexed by NodeID over the ring's nodes
 	// aliveList caches alive node ids in order.
 	aliveList []NodeID
 }
 
 // NewSnapshot captures the ring with the given live nodes.
 func NewSnapshot(r *Ring, alive []NodeID) *Snapshot {
-	s := &Snapshot{ring: r, alive: map[NodeID]bool{}}
+	s := &Snapshot{ring: r, alive: make([]bool, len(r.nodes))}
 	for _, n := range alive {
-		s.alive[n] = true
+		if n >= 0 && int(n) < len(s.alive) {
+			s.alive[n] = true
+		}
 	}
 	s.aliveList = append(s.aliveList, alive...)
 	sort.Slice(s.aliveList, func(i, j int) bool { return s.aliveList[i] < s.aliveList[j] })
@@ -115,7 +117,7 @@ func NewSnapshot(r *Ring, alive []NodeID) *Snapshot {
 }
 
 // Alive reports whether node n is alive in this snapshot.
-func (s *Snapshot) Alive(n NodeID) bool { return s.alive[n] }
+func (s *Snapshot) Alive(n NodeID) bool { return n >= 0 && int(n) < len(s.alive) && s.alive[n] }
 
 // AliveNodes lists the alive nodes in ascending order.
 func (s *Snapshot) AliveNodes() []NodeID { return s.aliveList }
@@ -124,20 +126,21 @@ func (s *Snapshot) AliveNodes() []NodeID { return s.aliveList }
 func (s *Snapshot) Ring() *Ring { return s.ring }
 
 // Primary returns the first alive owner of hash h — the node a rehash
-// routes the key to under this snapshot.
+// routes the key to under this snapshot. It runs once per shuffled delta
+// and once per scanned row, so it walks the ring entries in place instead
+// of materializing Owners: the first alive node met is the answer whether
+// it is one of the replication-many owners or, with every owner dead, the
+// next alive node past them in ring order.
 func (s *Snapshot) Primary(h uint64) (NodeID, error) {
-	for _, n := range s.ring.Owners(h) {
-		if s.alive[n] {
-			return n, nil
+	entries := s.ring.entries
+	idx := sort.Search(len(entries), func(i int) bool { return entries[i].hash >= h })
+	for i := 0; i < len(entries); i++ {
+		j := idx + i
+		if j >= len(entries) {
+			j -= len(entries)
 		}
-	}
-	// All configured replicas dead: fall back to any alive node in ring
-	// order past the owners so the query can still complete.
-	idx := sort.Search(len(s.ring.entries), func(i int) bool { return s.ring.entries[i].hash >= h })
-	for i := 0; i < len(s.ring.entries); i++ {
-		e := s.ring.entries[(idx+i)%len(s.ring.entries)]
-		if s.alive[e.node] {
-			return e.node, nil
+		if n := entries[j].node; s.alive[n] {
+			return n, nil
 		}
 	}
 	return 0, fmt.Errorf("cluster: no alive node for hash %d", h)

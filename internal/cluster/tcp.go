@@ -8,8 +8,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"github.com/rex-data/rex/internal/types"
 )
 
 // TCPTransport is the socket-backed Transport: workers are separate OS
@@ -415,17 +413,6 @@ func (t *TCPTransport) Send(msg Message) {
 	// analogue of a dropped frame. The sender already paid the bytes;
 	// the requestor learns about real failures via its own channels.
 	_ = t.write(addr, frame)
-}
-
-// SendData encodes and ships a delta batch along a plan edge; see
-// InProcTransport.SendData for the metrics contract.
-func (t *TCPTransport) SendData(from, to NodeID, edge, stratum, epoch int, batch []types.Delta) int {
-	payload := EncodeDeltas(batch)
-	t.Send(Message{
-		From: from, To: to, Edge: edge, Stratum: stratum,
-		Kind: MsgData, Payload: payload, Count: len(batch), Epoch: epoch,
-	})
-	return len(payload)
 }
 
 // SendToRequestor delivers a control frame to the requestor: locally on

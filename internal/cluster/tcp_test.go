@@ -81,7 +81,7 @@ func TestTCPRoundTripAndAccounting(t *testing.T) {
 
 	// Loopback data skips socket and counters; the batch still arrives.
 	batch := types.Inserts(types.NewTuple(int64(7), "x"))
-	node.SendData(0, 0, 5, 1, 0, batch)
+	sendData(node, 0, 0, 5, 1, batch)
 	data := getTimeout(t, node.Inbox(0), "loopback batch")
 	if data.Kind != MsgData || data.Edge != 5 {
 		t.Fatalf("loopback: %+v", data)

@@ -1,9 +1,5 @@
 package cluster
 
-import (
-	"github.com/rex-data/rex/internal/types"
-)
-
 // MsgKind discriminates transport messages.
 type MsgKind uint8
 
@@ -190,9 +186,6 @@ type Transport interface {
 	// wire-encoded and their measured size accounted; loopback
 	// self-sends skip the wire and the counters.
 	Send(msg Message)
-	// SendData encodes and ships a delta batch along a plan edge,
-	// returning the encoded payload size.
-	SendData(from, to NodeID, edge, stratum, epoch int, batch []types.Delta) int
 	// SendToRequestor delivers a control frame to the requestor.
 	SendToRequestor(msg Message)
 	// Broadcast sends msg to every alive worker (used for decisions).

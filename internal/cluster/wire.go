@@ -20,10 +20,10 @@ import (
 //     (header fields varint-packed, payload length-prefixed).
 //   - Batch layer: two delta payload formats, discriminated by their
 //     leading tag byte. EncodeDeltas/DecodeDeltas is the row format with
-//     a per-batch dictionary for repeated column values (the compactor's
-//     output ships through it, where the dictionary wins on the highly
-//     repetitive coalesced streams). EncodeDeltaBatch is the columnar
-//     format: the encoded frame IS the in-memory DeltaBatch layout, so
+//     a per-batch dictionary for repeated column values (ingest staging,
+//     checkpoints, job specs and client result frames ship through it).
+//     EncodeDeltaBatch is the columnar format every shuffle frame uses:
+//     the encoded frame IS the in-memory DeltaBatch layout, so
 //     DecodeDeltaBatch only parses the O(columns) header and aliases the
 //     op vector and column payloads out of the frame buffer — values
 //     materialize lazily, on first operator access.

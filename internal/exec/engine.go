@@ -50,11 +50,13 @@ type Options struct {
 	// RecoveryIncremental; adds measurable but small overhead otherwise).
 	Checkpoint bool
 	// Compaction enables delta-batch compaction in the shuffle path:
-	// per-(edge, destination) buffers coalesce same-key deltas
-	// (insert+delete annihilation, replace-chain folding, and
-	// aggregate-delta merging where the plan declares merge functions)
-	// before encoding, shrinking wire volume at the cost of cross-key
-	// reordering inside a batch (sound for keyed consumers).
+	// the per-(edge, destination) columnar stores fold same-key deltas
+	// in place (insert+delete annihilation, replace-chain folding, and
+	// aggregate-delta merging where the plan declares merge functions —
+	// the RQL binder derives them for sum/min/max recursions) before
+	// encoding, shrinking wire volume and the downstream group-by's
+	// input at the cost of cross-key reordering inside a batch (sound
+	// for keyed consumers).
 	Compaction bool
 	// CompactionHighWater is the destination-mailbox depth above which a
 	// compacting sender defers its flush — holding deltas back for
@@ -71,12 +73,12 @@ type Options struct {
 	// Streaming runs do not support failure recovery.
 	Stream bool
 	// NoVectorize disables the columnar batch path: operators exchange
-	// row-form delta slices end to end and the shuffle ships dictionary
-	// frames only. The zero value runs vectorized — eligible operators
-	// move whole columnar batches and the wire carries the columnar
-	// format. Both sides of a multi-process run must agree on this field
-	// — it changes the frames workers emit — so it travels in the job
-	// spec.
+	// row-form delta slices end to end. The zero value runs vectorized —
+	// eligible operators move whole columnar batches. Either way the
+	// shuffle pends its deltas in columnar stores and the wire carries
+	// columnar frames; receivers hand non-vectorized operators rows. Both
+	// sides of a multi-process run must agree on this field — it changes
+	// worker behavior — so it travels in the job spec.
 	NoVectorize bool
 	// TermFn, when set, is an explicit termination condition evaluated by
 	// the requestor after each stratum over the global new-tuple count
@@ -124,9 +126,9 @@ type Result struct {
 	// bytes shipped between workers (loopback excluded). Over TCP this
 	// is measured socket bytes, length prefixes included.
 	BytesSent int64
-	// CompactIn/CompactOut count deltas entering and leaving the shuffle
-	// compactors (both zero when Options.Compaction is off); their ratio
-	// is the compaction win.
+	// CompactIn/CompactOut count deltas entering and leaving the shuffle's
+	// compacting stores (both zero when Options.Compaction is off); their
+	// ratio is the compaction win.
 	CompactIn, CompactOut int64
 	// Recoveries counts failures survived during the run.
 	Recoveries int

@@ -25,6 +25,13 @@ type hashJoinOp struct {
 	// versions tracks handler-bucket versions to detect mutation.
 	// dirty records bucket keys mutated in the current stratum, per side.
 	dirty [2]map[types.Value]bool
+
+	// out collects results and goes downstream every batch of them (0:
+	// once per input batch), so one input batch — a whole stratum's Δ set
+	// on fixpointOp.Advance — never materializes its entire join result.
+	// The slice is reused across sends; see outputs.send.
+	out   []types.Delta
+	batch int
 }
 
 func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler) *hashJoinOp {
@@ -58,15 +65,38 @@ func (j *hashJoinOp) Push(port int, batch []types.Delta) error {
 	if port != 0 && port != 1 {
 		return fmt.Errorf("exec: join port %d out of range", port)
 	}
-	var out []types.Delta
 	for _, d := range batch {
 		res, err := j.processDelta(port, d)
 		if err != nil {
 			return err
 		}
-		out = append(out, res...)
+		if err := j.emit(res); err != nil {
+			return err
+		}
 	}
-	return j.outs.send(out)
+	return j.flushOut()
+}
+
+// emit queues one delta's results, sending downstream once a batch of
+// them is pending.
+func (j *hashJoinOp) emit(res []types.Delta) error {
+	j.out = append(j.out, res...)
+	if j.batch > 0 && len(j.out) >= j.batch {
+		return j.flushOut()
+	}
+	return nil
+}
+
+// flushOut sends the queued results and reclaims the slice. It is detached
+// while downstream runs, so a re-entrant push cannot scribble on a batch
+// in flight.
+func (j *hashJoinOp) flushOut() error {
+	out := j.out
+	j.out = nil
+	err := j.outs.send(out)
+	clear(out)
+	j.out = out[:0]
+	return err
 }
 
 // PushBatch is the columnar join path: rows are processed straight off the
@@ -81,15 +111,16 @@ func (j *hashJoinOp) PushBatch(port int, b *types.DeltaBatch) error {
 	if j.handler != nil {
 		return j.Push(port, b.Deltas())
 	}
-	var out []types.Delta
 	for i := 0; i < b.Len(); i++ {
 		res, err := j.processDelta(port, b.Delta(i))
 		if err != nil {
 			return err
 		}
-		out = append(out, res...)
+		if err := j.emit(res); err != nil {
+			return err
+		}
 	}
-	return j.outs.send(out)
+	return j.flushOut()
 }
 
 func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error) {

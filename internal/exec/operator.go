@@ -109,6 +109,11 @@ type output struct {
 }
 
 // outputs is the fan-out of one operator to its local consumers.
+//
+// Ownership: a slice handed to send is lent for the duration of the call.
+// A consumer may keep the tuples it was pushed — tuples are immutable once
+// emitted — but never the slice itself, which the sender may overwrite and
+// send again (hashJoinOp does). sendBatch lends under BatchOperator's rule.
 type outputs []output
 
 // send pushes a batch to every consumer.

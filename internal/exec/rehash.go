@@ -10,21 +10,25 @@ import (
 // rehashOp re-partitions a delta stream across worker nodes by key hash
 // (§3.2: "a physical level operator called rehash that is responsible for
 // shipping state from one node to another by key"). The send side (port 0)
-// buffers batched messages per destination; the receive side (port 1) is
-// fed by the worker loop from the transport and aligns punctuation from
-// all alive senders before forwarding downstream (§4.2).
+// accumulates deltas per destination in one columnar cluster.DeltaStore —
+// row-form and batch-form pushes land in the same store, so same-key delta
+// order is preserved — and every flush ships a columnar wire frame; the
+// receive side (port 1) is fed by the worker loop from the transport and
+// aligns punctuation from all alive senders before forwarding downstream
+// (§4.2).
 //
-// With Options.Compaction on, the per-destination buffers are
-// cluster.Compactors that coalesce same-key deltas before encoding, and
-// flushes observe a credit-based flow-control rule: every shipped batch
-// spends one credit from the sender's window to that destination, and a
-// flush with an exhausted window is deferred — deltas keep coalescing
-// locally instead of flooding a backlogged peer. Receivers size the
-// windows from their own inbox depth and piggyback the grants on the
-// punctuation frames they already send every stratum, so the same signal
-// works in-process and across sockets (where a peer's queue depth is
-// unobservable). Punctuation always flushes, and a hard cap bounds
-// deferral.
+// With Options.Compaction on, the stores fold same-key deltas in place
+// before encoding (see cluster.DeltaStore), and flushes follow two rules.
+// While a window has folded nothing, a full store flushes under
+// credit-based flow control: every shipped batch spends one credit from
+// the sender's window to that destination, and a flush with an exhausted
+// window is deferred instead of flooding a backlogged peer. Once a window
+// has folded something the stream repeats keys, so the store keeps folding
+// until the hard cap. Receivers size the credit windows from their own
+// inbox depth and piggyback the grants on the punctuation frames they
+// already send every stratum, so the same signal works in-process and
+// across sockets (where a peer's queue depth is unobservable). Punctuation
+// always flushes.
 //
 // OpBroadcast is the same operator with every batch delivered to every
 // node (used when one side of a computation — e.g. K-means centroids —
@@ -34,23 +38,9 @@ type rehashOp struct {
 	ctx  *Context
 	outs outputs
 
-	broadcast  bool
-	buffers    map[cluster.NodeID][]types.Delta
-	compactors map[cluster.NodeID]*cluster.Compactor
-	mergeFn    cluster.MergeFunc
-	allCols    []int // cached 0..n-1 index for keyless (broadcast) edges
-	// vecBuffers are the per-destination pending batches of the columnar
-	// path (Vectorize on, compaction off): rows accumulate column-wise in
-	// pooled batches and ship as columnar wire frames, so the shuffle hot
-	// loop never materializes row deltas. The row and columnar pending
-	// stores are mutually exclusive per mode — in vec mode even row-form
-	// pushes append into vecBuffers, preserving same-key delta order.
-	vecBuffers map[cluster.NodeID]*types.DeltaBatch
-	scratch    types.Tuple // reused by multi-column HashKeyAt calls
-	// flushedIn tracks each compactor's cumulative added-count at its
-	// last flush, so CompactIn/CompactOut metrics are accounted together
-	// at flush time (deltas a Reset discards count toward neither).
-	flushedIn map[cluster.NodeID]int
+	broadcast bool
+	stores    map[cluster.NodeID]*cluster.DeltaStore
+	scratch   types.Tuple // reused by multi-column HashKeyAt calls
 
 	// receive-side punctuation alignment
 	punctCount  map[int]int
@@ -59,43 +49,29 @@ type rehashOp struct {
 	closedFwd   bool
 }
 
-// compactionOverflow bounds backpressure deferral: once a compactor holds
-// this many batches' worth of deltas it flushes regardless of the
-// destination's mailbox depth.
+// compactionOverflow bounds how long a compacting store stays open: once
+// it holds this many batches' worth of rows it flushes regardless of
+// folding or the destination's credit window.
 const compactionOverflow = 8
 
 func newRehashOp(spec *OpSpec, ctx *Context, broadcast bool) *rehashOp {
-	r := &rehashOp{
+	return &rehashOp{
 		spec:        spec,
 		ctx:         ctx,
 		broadcast:   broadcast,
-		buffers:     map[cluster.NodeID][]types.Delta{},
+		stores:      map[cluster.NodeID]*cluster.DeltaStore{},
 		punctCount:  map[int]int{},
 		closedCount: map[int]int{},
 		nSenders:    len(ctx.Snap.AliveNodes()),
 	}
-	if ctx.Compaction {
-		r.compactors = map[cluster.NodeID]*cluster.Compactor{}
-		r.flushedIn = map[cluster.NodeID]int{}
-		r.mergeFn = compactMergeFn(spec)
-	} else if ctx.Vectorize {
-		r.vecBuffers = map[cluster.NodeID]*types.DeltaBatch{}
-	}
-	return r
 }
-
-// vec reports whether this rehash runs the columnar send path. Compaction
-// wins when both are requested: the compactor coalesces same-key deltas
-// row-wise, and a coalesced dictionary frame beats a columnar one on the
-// workloads compaction exists for.
-func (r *rehashOp) vec() bool { return r.vecBuffers != nil }
 
 func (r *rehashOp) Push(port int, batch []types.Delta) error {
 	switch port {
 	case 0:
 		return r.route(batch)
 	case 1:
-		// Batch received from a peer (or loopback): hand downstream.
+		// Batch received from a peer: hand downstream.
 		return r.outs.send(batch)
 	default:
 		return fmt.Errorf("exec: rehash port %d out of range", port)
@@ -104,15 +80,11 @@ func (r *rehashOp) Push(port int, batch []types.Delta) error {
 
 // PushBatch is the columnar rehash path. Send side: rows are routed by
 // key hash computed straight off the typed vectors (no boxing) and copied
-// column-wise into per-destination pending batches. Receive side: the
-// batch passes downstream as-is. With compaction on, the send side
-// materializes rows once and takes the compactor path.
+// lane to lane into the per-destination stores. Receive side: the batch
+// passes downstream as-is.
 func (r *rehashOp) PushBatch(port int, b *types.DeltaBatch) error {
 	switch port {
 	case 0:
-		if !r.vec() {
-			return r.route(b.Deltas())
-		}
 		return r.routeBatch(b)
 	case 1:
 		return r.outs.sendBatch(b)
@@ -127,8 +99,9 @@ func (r *rehashOp) routeBatch(b *types.DeltaBatch) error {
 	}
 	for i := 0; i < b.Len(); i++ {
 		if r.broadcast {
+			h := b.HashAt(i)
 			for _, n := range r.ctx.Snap.AliveNodes() {
-				if err := r.enqueueVecRow(n, b, i); err != nil {
+				if err := r.enqueueRow(n, b, i, h); err != nil {
 					return err
 				}
 			}
@@ -148,242 +121,179 @@ func (r *rehashOp) routeBatch(b *types.DeltaBatch) error {
 			if oldDest != dest {
 				// Cross-partition replace: split into a deletion at the
 				// old home and an insertion at the new one. The scratch
-				// rows are copied value-wise by enqueueVecDelta, never
-				// retained.
+				// rows are copied value-wise by the store, never retained.
 				r.scratch = b.OldRow(i, r.scratch)
-				if err := r.enqueueVecDelta(oldDest, types.Delete(r.scratch)); err != nil {
+				if err := r.enqueue(oldDest, types.Delete(r.scratch), oh); err != nil {
 					return err
 				}
 				r.scratch = b.Row(i, r.scratch)
-				if err := r.enqueueVecDelta(dest, types.Insert(r.scratch)); err != nil {
+				if err := r.enqueue(dest, types.Insert(r.scratch), h); err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		if err := r.enqueueVecRow(dest, b, i); err != nil {
+		if err := r.enqueueRow(dest, b, i, h); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// enqueueVecRow appends row i of src to dest's pending columnar batch,
-// flushing first when the batch is full or the row's arity diverges.
-func (r *rehashOp) enqueueVecRow(dest cluster.NodeID, src *types.DeltaBatch, i int) error {
-	vb := r.vecBuffer(dest)
-	if !vb.CanAppendRowFrom(src, i) {
-		if err := r.flushVec(dest); err != nil {
-			return err
-		}
-	}
-	vb.AppendRowFrom(src, i)
-	if vb.Len() >= r.ctx.BatchSize {
-		return r.flushVec(dest)
-	}
-	return nil
-}
-
-// enqueueVecDelta is enqueueVecRow for a row-form delta (the vec-mode
-// landing point of Push and of the replace split).
-func (r *rehashOp) enqueueVecDelta(dest cluster.NodeID, d types.Delta) error {
-	vb := r.vecBuffer(dest)
-	if !vb.CanAppend(d) {
-		if err := r.flushVec(dest); err != nil {
-			return err
-		}
-	}
-	vb.Append(d)
-	if vb.Len() >= r.ctx.BatchSize {
-		return r.flushVec(dest)
-	}
-	return nil
-}
-
-func (r *rehashOp) vecBuffer(dest cluster.NodeID) *types.DeltaBatch {
-	vb := r.vecBuffers[dest]
-	if vb == nil {
-		vb = types.GetBatch()
-		r.vecBuffers[dest] = vb
-	}
-	return vb
-}
-
-// flushVec ships dest's pending columnar batch: loopback hands it straight
-// downstream; remote destinations encode the columnar wire format into a
-// pooled payload buffer (returned to the pool once Send has copied it into
-// the frame) and keep the batch for reuse.
-func (r *rehashOp) flushVec(dest cluster.NodeID) error {
-	vb := r.vecBuffers[dest]
-	if vb == nil || vb.Len() == 0 {
-		return nil
-	}
-	if dest == r.ctx.Node {
-		err := r.outs.sendBatch(vb)
-		vb.Reset()
-		return err
-	}
-	buf := cluster.GetPayloadBuf()
-	payload := cluster.EncodeDeltaBatch(buf, vb)
-	r.ctx.Transport.Send(cluster.Message{
-		From: r.ctx.Node, To: dest, Edge: edgeID(r.spec.ID, 1),
-		Stratum: r.ctx.Stratum, Kind: cluster.MsgData,
-		Payload: payload, Count: vb.Len(), Epoch: r.ctx.Epoch,
-	})
-	cluster.PutPayloadBuf(payload)
-	vb.Reset()
-	return nil
-}
-
+// route is routeBatch for row-form deltas (handler joins and other
+// non-vector upstreams).
 func (r *rehashOp) route(batch []types.Delta) error {
 	for _, d := range batch {
 		if r.broadcast {
+			h := d.Tup.Hash()
 			for _, n := range r.ctx.Snap.AliveNodes() {
-				if err := r.enqueue(n, d); err != nil {
+				if err := r.enqueue(n, d, h); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		dest, err := r.destFor(d.Tup)
+		h := d.Tup.HashKey(r.spec.HashKey)
+		dest, err := r.ctx.Snap.Primary(h)
 		if err != nil {
 			return err
 		}
 		if d.Op == types.OpReplace {
-			oldDest, err := r.destFor(d.Old)
+			oh := d.Old.HashKey(r.spec.HashKey)
+			oldDest, err := r.ctx.Snap.Primary(oh)
 			if err != nil {
 				return err
 			}
 			if oldDest != dest {
-				// The replacement moves the tuple across partitions:
-				// split into a deletion at the old home and an insertion
-				// at the new one.
-				if err := r.enqueue(oldDest, types.Delete(d.Old)); err != nil {
+				if err := r.enqueue(oldDest, types.Delete(d.Old), oh); err != nil {
 					return err
 				}
-				if err := r.enqueue(dest, types.Insert(d.Tup)); err != nil {
+				if err := r.enqueue(dest, types.Insert(d.Tup), h); err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		if err := r.enqueue(dest, d); err != nil {
+		if err := r.enqueue(dest, d, h); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (r *rehashOp) destFor(t types.Tuple) (cluster.NodeID, error) {
-	h := t.HashKey(r.spec.HashKey)
-	return r.ctx.Snap.Primary(h)
+func (r *rehashOp) store(dest cluster.NodeID) *cluster.DeltaStore {
+	st := r.stores[dest]
+	if st == nil {
+		st = cluster.NewDeltaStore(r.spec.HashKey, r.spec.CompactMerge, r.ctx.Compaction)
+		r.stores[dest] = st
+	}
+	return st
 }
 
-// routingKey is the compactor's same-key test: the rehash key columns, or
-// the whole tuple for broadcast edges (which have no hash key).
-func (r *rehashOp) routingKey(t types.Tuple) types.Value {
-	if len(r.spec.HashKey) > 0 {
-		return t.Key(r.spec.HashKey)
+// enqueueRow appends row i of src (routing hash h) to dest's store,
+// flushing first when the row's arity diverges from the pending rows'.
+func (r *rehashOp) enqueueRow(dest cluster.NodeID, src *types.DeltaBatch, i int, h uint64) error {
+	st := r.store(dest)
+	before := st.Len()
+	if !st.AppendRowFrom(src, i, h) {
+		if err := r.flush(dest); err != nil {
+			return err
+		}
+		before = 0
+		st.AppendRowFrom(src, i, h)
 	}
-	for len(r.allCols) < len(t) {
-		r.allCols = append(r.allCols, len(r.allCols))
-	}
-	return t.Key(r.allCols[:len(t)])
+	return r.appended(dest, st, before)
 }
 
-func (r *rehashOp) enqueue(dest cluster.NodeID, d types.Delta) error {
-	if r.vec() {
-		// Row-form deltas reaching a vectorized rehash (a non-vector
-		// upstream, or the replace split) land in the same per-dest
-		// columnar batches so same-key delta order is preserved.
-		return r.enqueueVecDelta(dest, d)
+// enqueue is enqueueRow for a row-form delta.
+func (r *rehashOp) enqueue(dest cluster.NodeID, d types.Delta, h uint64) error {
+	st := r.store(dest)
+	before := st.Len()
+	if !st.Append(d, h) {
+		if err := r.flush(dest); err != nil {
+			return err
+		}
+		before = 0
+		st.Append(d, h)
 	}
-	if r.compactors != nil {
-		c := r.compactors[dest]
-		if c == nil {
-			c = cluster.NewCompactor(r.routingKey, r.mergeFn)
-			r.compactors[dest] = c
-		}
-		c.Add(d)
-		// Probe the flush condition only when the buffer crosses a batch
-		// boundary: under backpressure deferral the buffer sits above
-		// BatchSize for a while, and per-delta credit probes would
-		// serialize every sender on the credit-book mutex.
-		if b := c.Buffered(); b >= r.ctx.BatchSize && b%r.ctx.BatchSize == 0 && r.shouldFlush(dest, b) {
-			return r.flush(dest)
-		}
+	return r.appended(dest, st, before)
+}
+
+// appended applies the flush rule after an append. Only an append that
+// grew the store crosses a batch boundary, so a folding stream (and a
+// store deferred above BatchSize) does not probe the credit book — whose
+// mutex every sender shares — once per delta.
+func (r *rehashOp) appended(dest cluster.NodeID, st *cluster.DeltaStore, before int) error {
+	n := st.Len()
+	if n == before || n%r.ctx.BatchSize != 0 {
 		return nil
 	}
-	r.buffers[dest] = append(r.buffers[dest], d)
-	if len(r.buffers[dest]) >= r.ctx.BatchSize {
-		return r.flush(dest)
+	if r.ctx.Compaction && !r.shouldFlush(dest, st) {
+		return nil
 	}
-	return nil
+	return r.flush(dest)
 }
 
-// shouldFlush is the flow-control rule: a full buffer flushes while the
-// sender still holds send credits for the destination; with the window
-// exhausted it holds back (coalescing more) until the next grant or the
-// hard cap.
-func (r *rehashOp) shouldFlush(dest cluster.NodeID, buffered int) bool {
-	if dest == r.ctx.Node {
-		return true // loopback: no flow control
-	}
-	if buffered >= r.ctx.BatchSize*compactionOverflow {
+// shouldFlush is the compacting sender's rule at a batch boundary: the
+// hard cap always flushes; below it a window that is folding stays open,
+// and one that is not flushes while the sender still holds send credits
+// for the destination (loopback needs none).
+func (r *rehashOp) shouldFlush(dest cluster.NodeID, st *cluster.DeltaStore) bool {
+	if st.Len() >= r.ctx.BatchSize*compactionOverflow {
 		return true
 	}
-	return r.ctx.Transport.Credits(r.ctx.Node, dest) > 0
+	if st.Folded() {
+		return false
+	}
+	return dest == r.ctx.Node || r.ctx.Transport.Credits(r.ctx.Node, dest) > 0
 }
 
+// flush ships dest's pending deltas. Loopback hands the batch straight
+// downstream; remote destinations encode the columnar wire format into a
+// pooled payload buffer (returned to the pool once Send has copied it into
+// the frame). The store and its index are kept for the next window.
 func (r *rehashOp) flush(dest cluster.NodeID) error {
-	var batch []types.Delta
-	if r.compactors != nil {
-		c := r.compactors[dest]
-		if c == nil {
-			return nil
-		}
-		batch = c.Drain()
-		added, _, _ := c.Stats()
-		m := r.ctx.Transport.Metrics()
-		m.CompactIn[r.ctx.Node].Add(int64(added - r.flushedIn[dest]))
-		m.CompactOut[r.ctx.Node].Add(int64(len(batch)))
-		r.flushedIn[dest] = added
-	} else {
-		batch = r.buffers[dest]
-		r.buffers[dest] = nil
+	st := r.stores[dest]
+	if st == nil || st.Pending() == 0 {
+		return nil
 	}
-	if len(batch) == 0 {
+	b := st.Drain()
+	defer st.Reset()
+	if r.ctx.Compaction {
+		m := r.ctx.Transport.Metrics()
+		m.CompactIn[r.ctx.Node].Add(int64(st.Pending()))
+		m.CompactOut[r.ctx.Node].Add(int64(b.Len()))
+	}
+	if b.Len() == 0 {
 		return nil
 	}
 	if dest == r.ctx.Node {
-		// Loopback: deliver synchronously, skipping the wire.
-		return r.Push(1, batch)
+		if r.ctx.Vectorize {
+			return r.outs.sendBatch(b)
+		}
+		return r.outs.send(b.Deltas())
 	}
-	if r.compactors != nil {
+	if r.ctx.Compaction {
 		// Every shipped batch spends one credit from this sender's window
-		// to the destination (an overflow-forced flush may overdraw to
-		// zero). Only compacting senders gate on credits, so the plain
-		// path skips the book entirely.
+		// to the destination (a cap-forced flush may overdraw to zero).
+		// Only compacting senders gate on credits, so the plain path
+		// skips the book entirely.
 		r.ctx.Transport.SpendCredits(r.ctx.Node, dest, 1)
 	}
-	r.ctx.Transport.SendData(r.ctx.Node, dest, edgeID(r.spec.ID, 1),
-		r.ctx.Stratum, r.ctx.Epoch, batch)
+	buf := cluster.GetPayloadBuf()
+	payload := cluster.EncodeDeltaBatch(buf, b)
+	r.ctx.Transport.Send(cluster.Message{
+		From: r.ctx.Node, To: dest, Edge: edgeID(r.spec.ID, 1),
+		Stratum: r.ctx.Stratum, Kind: cluster.MsgData,
+		Payload: payload, Count: b.Len(), Epoch: r.ctx.Epoch,
+	})
+	cluster.PutPayloadBuf(payload)
 	return nil
 }
 
 func (r *rehashOp) flushAll() error {
-	for dest := range r.buffers {
+	for dest := range r.stores {
 		if err := r.flush(dest); err != nil {
-			return err
-		}
-	}
-	for dest := range r.compactors {
-		if err := r.flush(dest); err != nil {
-			return err
-		}
-	}
-	for dest := range r.vecBuffers {
-		if err := r.flushVec(dest); err != nil {
 			return err
 		}
 	}
@@ -453,85 +363,12 @@ func (r *rehashOp) Punct(port, stratum int, closed bool) error {
 }
 
 func (r *rehashOp) Reset() {
-	r.buffers = map[cluster.NodeID][]types.Delta{}
-	if r.ctx.Compaction {
-		r.compactors = map[cluster.NodeID]*cluster.Compactor{}
-		r.flushedIn = map[cluster.NodeID]int{}
+	for _, st := range r.stores {
+		st.Release()
 	}
-	if r.vecBuffers != nil {
-		for _, vb := range r.vecBuffers {
-			types.PutBatch(vb)
-		}
-		r.vecBuffers = map[cluster.NodeID]*types.DeltaBatch{}
-	}
+	r.stores = map[cluster.NodeID]*cluster.DeltaStore{}
 	r.punctCount = map[int]int{}
 	r.closedCount = map[int]int{}
 	r.nSenders = len(r.ctx.Snap.AliveNodes())
 	r.closedFwd = false
-}
-
-// compactMergeFn builds the compactor's δ-merge function from the spec's
-// CompactMerge declarations, or nil when none are declared.
-func compactMergeFn(spec *OpSpec) cluster.MergeFunc {
-	if len(spec.CompactMerge) == 0 {
-		return nil
-	}
-	isKey := map[int]bool{}
-	for _, c := range spec.HashKey {
-		isKey[c] = true
-	}
-	return func(a, b types.Delta) (types.Delta, bool) {
-		if len(a.Tup) != len(b.Tup) {
-			return a, false
-		}
-		out := a.Tup.Clone()
-		for i := range out {
-			if isKey[i] {
-				continue // same routing key by construction
-			}
-			fn, declared := spec.CompactMerge[i]
-			if !declared {
-				if !types.ValueEq(a.Tup[i], b.Tup[i]) {
-					return a, false
-				}
-				continue
-			}
-			m, ok := mergeColumn(fn, a.Tup[i], b.Tup[i])
-			if !ok {
-				return a, false
-			}
-			out[i] = m
-		}
-		return types.Update(out), true
-	}
-}
-
-// mergeColumn folds two column values with the declared aggregate.
-func mergeColumn(fn string, a, b types.Value) (types.Value, bool) {
-	switch fn {
-	case "sum":
-		if ai, ok := a.(int64); ok {
-			if bi, ok := b.(int64); ok {
-				return ai + bi, true
-			}
-		}
-		af, aok := types.AsFloat(a)
-		bf, bok := types.AsFloat(b)
-		if !aok || !bok {
-			return nil, false
-		}
-		return af + bf, true
-	case "min":
-		if types.ValueCompare(a, b) <= 0 {
-			return a, true
-		}
-		return b, true
-	case "max":
-		if types.ValueCompare(a, b) >= 0 {
-			return a, true
-		}
-		return b, true
-	default:
-		return nil, false
-	}
 }

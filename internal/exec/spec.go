@@ -100,13 +100,15 @@ type OpSpec struct {
 
 	// Rehash / Broadcast
 	HashKey []int
-	// CompactMerge declares, per non-key column index, how the shuffle
-	// compactor may merge two same-key δ() deltas ("sum", "min", "max").
-	// Columns absent from the map must be value-equal for a merge to
-	// apply. Declaring a function is only sound when the downstream
+	// CompactMerge declares, per non-key column index, how the shuffle's
+	// compacting store may merge two same-key δ() deltas ("sum", "min",
+	// "max"). Columns absent from the map must be value-equal for a merge
+	// to apply. Declaring a function is only sound when the downstream
 	// consumer folds that column with the same function (e.g. a rehash
 	// feeding a group-by's sum) — the plan builder asserts that, not the
-	// executor. Ignored unless Options.Compaction is on.
+	// executor: the RQL binder derives it from the group-by (see
+	// rql.compactMergeFor), hand-built plans state it. Ignored unless
+	// Options.Compaction is on.
 	CompactMerge map[int]string
 
 	// Fixpoint

@@ -132,11 +132,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		checkpoints: opts.Checkpoint,
 		compaction:  opts.Compaction, highWater: opts.CompactionHighWater,
 		stream: opts.Stream,
-		// Operator vectorization now composes with the shuffle
-		// compactor: rehash converts to rows at the compactor boundary
-		// (see rehashOp.PushBatch), so the scan→filter→project chain keeps
-		// its compiled column kernels while the wire still gets the
-		// compaction byte savings.
+		// Vectorization composes with shuffle compaction: the rehash
+		// folds batches lane to lane in its columnar store, so the
+		// scan→filter→project chain keeps its compiled column kernels
+		// and the wire still gets the compaction byte savings.
 		vectorize: !opts.NoVectorize,
 		drain:     &cluster.DrainMeter{},
 	}
@@ -777,7 +776,9 @@ func (w *Worker) instantiate(spec *OpSpec, ctx *Context) (Operator, error) {
 			}
 			handler = h
 		}
-		return newHashJoinOp(spec, handler), nil
+		j := newHashJoinOp(spec, handler)
+		j.batch = ctx.BatchSize
+		return j, nil
 	case OpGroupBy:
 		var agg uda.Aggregator
 		if spec.UDAName != "" {

@@ -114,9 +114,11 @@ type binder struct {
 	cat   *catalog.Catalog
 	model *plan.Model
 	prep  *Prepared
-	// inRecursive disables pre-aggregation: recursive streams carry
-	// non-insert deltas, which combiners cannot fold (§5.2 applies to
-	// insert-only inputs).
+	// inRecursive marks the recursive case's aggregation. Its input is a
+	// stream of δ() deltas, which the insert-only pre-aggregation operator
+	// (§5.2) cannot fold; the partial aggregation happens in the shuffle
+	// instead, through the δ-merge the binder declares on the rehash (see
+	// compactMergeFor).
 	inRecursive bool
 }
 
@@ -385,6 +387,9 @@ func (b *binder) bindAggregate(p *exec.PlanSpec, s *SelectStmt, cur int, schema 
 	}
 
 	rehash := p.Add(&exec.OpSpec{Kind: exec.OpRehash, Inputs: []int{cur}, HashKey: keyIdx})
+	if b.inRecursive {
+		rehash.CompactMerge = compactMergeFor(aggSpecs, len(keyIdx))
+	}
 	gby := p.Add(&exec.OpSpec{
 		Kind: exec.OpGroupBy, Inputs: []int{rehash.ID}, GroupKey: keyIdx, Aggs: reboundAggs,
 	})
@@ -405,6 +410,31 @@ func (b *binder) bindAggregate(p *exec.PlanSpec, s *SelectStmt, cur int, schema 
 	}
 	final := p.Add(&exec.OpSpec{Kind: exec.OpProject, Inputs: []int{gby.ID}, Exprs: exprs, Out: outSchema})
 	return final.ID, outSchema, nil
+}
+
+// compactMergeFor derives the δ-merge a recursive case's rehash may apply
+// (exec.OpSpec.CompactMerge) from the group-by it feeds: when every
+// aggregate is sum, min or max over a bare column, two same-key δ() deltas
+// fold into one with the same function the group-by would apply to both —
+// Listing 1's partial PageRank sums combine before the wire. Any other
+// aggregate (count and avg need the row count, argmin its companion
+// column) or an expression argument declares nothing. The pre-group-by
+// projection lays agg i's argument at column nkeys+i.
+func compactMergeFor(aggs []exec.AggSpec, nkeys int) map[int]string {
+	merge := map[int]string{}
+	for i, as := range aggs {
+		if as.Fn != "sum" && as.Fn != "min" && as.Fn != "max" {
+			return nil
+		}
+		if len(as.Args) != 1 {
+			return nil
+		}
+		if _, bare := as.Args[0].(*expr.Col); !bare {
+			return nil
+		}
+		merge[nkeys+i] = as.Fn
+	}
+	return merge
 }
 
 func (b *binder) bindProjection(items []SelectItem, schema *types.Schema) ([]expr.Expr, *types.Schema, error) {

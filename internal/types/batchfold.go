@@ -1,0 +1,341 @@
+package types
+
+// In-place row primitives over a builder-owned DeltaBatch. They are the
+// vocabulary the shuffle's combining store (cluster.DeltaStore) folds
+// same-key deltas with: compare two rows, overwrite one row's image with
+// another's, fold one value into another, drop rows — all directly in the
+// typed lanes, boxing a value only when a lane is mixed-kind. None of
+// them is valid on a decoded (borrowed) batch.
+
+// Fold names how two same-key δ() values combine into one — the
+// aggregate-delta merge ⊕ of §3.2.
+type Fold uint8
+
+const (
+	FoldNone Fold = iota
+	FoldSum
+	FoldMin
+	FoldMax
+)
+
+// ParseFold resolves an aggregate name ("sum", "min", "max") to its fold.
+func ParseFold(name string) (Fold, bool) {
+	switch name {
+	case "sum":
+		return FoldSum, true
+	case "min":
+		return FoldMin, true
+	case "max":
+		return FoldMax, true
+	}
+	return FoldNone, false
+}
+
+// FoldValues folds two boxed values: the reference semantics the typed
+// lanes of FoldAt reproduce. NULLs, non-numeric sums, and min/max across
+// incomparable kinds do not fold.
+func FoldValues(f Fold, a, b Value) (Value, bool) {
+	ka, kb := KindOf(a), KindOf(b)
+	if ka == KindNull || kb == KindNull {
+		return nil, false
+	}
+	numeric := func(k Kind) bool { return k == KindInt || k == KindFloat }
+	switch f {
+	case FoldSum:
+		if !numeric(ka) || !numeric(kb) {
+			return nil, false
+		}
+		if ka == KindInt && kb == KindInt {
+			return a.(int64) + b.(int64), true
+		}
+		af, _ := AsFloat(a)
+		bf, _ := AsFloat(b)
+		return af + bf, true
+	case FoldMin, FoldMax:
+		if ka != kb && !(numeric(ka) && numeric(kb)) {
+			return nil, false
+		}
+		c := ValueCompare(a, b)
+		if (f == FoldMin && c <= 0) || (f == FoldMax && c >= 0) {
+			return a, true
+		}
+		return b, true
+	}
+	return nil, false
+}
+
+func (c *Column) clearNull(i int) {
+	if i>>3 < len(c.nulls) {
+		c.nulls[i>>3] &^= 1 << (i & 7)
+	}
+}
+
+// typed reports whether row reads can go straight to a typed vector.
+func (c *Column) typed() bool { return c.anys == nil && c.kind != KindNull }
+
+// copyWithin overwrites row dst with row src of the same column.
+func (c *Column) copyWithin(dst, src int) {
+	if c.IsNull(src) {
+		c.setNull(dst)
+	} else {
+		c.clearNull(dst)
+	}
+	if c.anys != nil {
+		c.anys[dst] = c.anys[src]
+		return
+	}
+	switch c.kind {
+	case KindInt:
+		c.ints[dst] = c.ints[src]
+	case KindFloat:
+		c.floats[dst] = c.floats[src]
+	case KindString:
+		c.strs[dst] = c.strs[src]
+	case KindBool:
+		c.bools[dst] = c.bools[src]
+	}
+}
+
+// set overwrites row i with a boxed value, demoting the column to the
+// mixed representation when v does not fit its typed vector.
+func (c *Column) set(i int, v Value) {
+	if v == nil {
+		c.setNull(i)
+		return
+	}
+	c.clearNull(i)
+	if c.anys == nil {
+		switch x := v.(type) {
+		case int64:
+			if c.kind == KindInt {
+				c.ints[i] = x
+				return
+			}
+		case float64:
+			if c.kind == KindFloat {
+				c.floats[i] = x
+				return
+			}
+		case string:
+			if c.kind == KindString {
+				c.strs[i] = x
+				return
+			}
+		case bool:
+			if c.kind == KindBool {
+				c.bools[i] = x
+				return
+			}
+		}
+		c.demote()
+	}
+	c.anys[i] = v
+}
+
+// colEq reports ValueEq(x.Value(i), y.Value(j)) without boxing when both
+// lanes are typed alike.
+func colEq(x *Column, i int, y *Column, j int) bool {
+	xn, yn := x.IsNull(i), y.IsNull(j)
+	if xn || yn {
+		return xn && yn
+	}
+	if x.typed() && y.typed() && x.kind == y.kind {
+		switch x.kind {
+		case KindInt:
+			return x.ints[i] == y.ints[j]
+		case KindFloat:
+			return x.floats[i] == y.floats[j]
+		case KindString:
+			return x.strs[i] == y.strs[j]
+		case KindBool:
+			return x.bools[i] == y.bools[j]
+		}
+	}
+	return ValueEq(x.Value(i), y.Value(j))
+}
+
+// truncate drops rows n and beyond, clearing their validity bits so rows
+// appended later do not read as NULL.
+func (c *Column) truncate(n int) {
+	for i := n; i < c.n; i++ {
+		c.clearNull(i)
+	}
+	c.n = n
+	if c.anys != nil {
+		c.anys = c.anys[:n]
+		return
+	}
+	switch c.kind {
+	case KindInt:
+		c.ints = c.ints[:n]
+	case KindFloat:
+		c.floats = c.floats[:n]
+	case KindString:
+		c.strs = c.strs[:n]
+	case KindBool:
+		c.bools = c.bools[:n]
+	}
+}
+
+// SetOp overwrites the annotation of row i.
+func (b *DeltaBatch) SetOp(i int, op Op) { b.ops[i] = byte(op) }
+
+// HashAt returns Row(i).Hash() — the whole-tuple hash — straight off the
+// typed lanes.
+func (b *DeltaBatch) HashAt(i int) uint64 {
+	h := uint64(1469598103934665603)
+	for j := range b.cols {
+		h = h*1099511628211 ^ b.cols[j].hashAt(i)
+	}
+	return h
+}
+
+// ColsEqual reports whether rows i and j agree (ValueEq) on cols — on
+// every column when cols is nil, which is Tuple.Equal.
+func (b *DeltaBatch) ColsEqual(i, j int, cols []int) bool {
+	if cols == nil {
+		for k := range b.cols {
+			if !colEq(&b.cols[k], i, &b.cols[k], j) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, k := range cols {
+		if !colEq(&b.cols[k], i, &b.cols[k], j) {
+			return false
+		}
+	}
+	return true
+}
+
+// NewEqualsOld reports whether the new image of row i equals the old
+// image of replace row j.
+func (b *DeltaBatch) NewEqualsOld(i, j int) bool {
+	if len(b.old) != len(b.cols) {
+		return false
+	}
+	for k := range b.cols {
+		if !colEq(&b.cols[k], i, &b.old[k], j) {
+			return false
+		}
+	}
+	return true
+}
+
+// CopyRow overwrites the new image of row dst with that of row src; the
+// annotation and old image of dst are untouched.
+func (b *DeltaBatch) CopyRow(dst, src int) {
+	for k := range b.cols {
+		b.cols[k].copyWithin(dst, src)
+	}
+}
+
+// RetractRow turns replace row i, →(a⇒b), into −(a).
+func (b *DeltaBatch) RetractRow(i int) {
+	for k := range b.cols {
+		b.cols[k].set(i, b.old[k].Value(i))
+		b.old[k].setNull(i)
+	}
+	b.ops[i] = byte(OpDelete)
+}
+
+// CanFoldAt reports whether FoldAt(col, dst, src, f) would fold; it lets
+// a multi-column merge decide before it mutates anything.
+func (b *DeltaBatch) CanFoldAt(col, dst, src int, f Fold) bool {
+	c := &b.cols[col]
+	if c.IsNull(dst) || c.IsNull(src) {
+		return false
+	}
+	if c.typed() && (c.kind == KindInt || c.kind == KindFloat) {
+		return f != FoldNone
+	}
+	_, ok := FoldValues(f, c.Value(dst), c.Value(src))
+	return ok
+}
+
+// FoldAt folds row src of column col into row dst with f, in the typed
+// lane when the column is numeric. It reports false, leaving dst
+// untouched, exactly when FoldValues would.
+func (b *DeltaBatch) FoldAt(col, dst, src int, f Fold) bool {
+	c := &b.cols[col]
+	if c.IsNull(dst) || c.IsNull(src) {
+		return false
+	}
+	if c.typed() {
+		switch c.kind {
+		case KindInt:
+			x, y := c.ints[dst], c.ints[src]
+			switch f {
+			case FoldSum:
+				c.ints[dst] = x + y
+			case FoldMin:
+				c.ints[dst] = min(x, y)
+			case FoldMax:
+				c.ints[dst] = max(x, y)
+			default:
+				return false
+			}
+			return true
+		case KindFloat:
+			x, y := c.floats[dst], c.floats[src]
+			switch f {
+			case FoldSum:
+				c.floats[dst] = x + y
+			case FoldMin:
+				if compareFloat(x, y) > 0 {
+					c.floats[dst] = y
+				}
+			case FoldMax:
+				if compareFloat(x, y) < 0 {
+					c.floats[dst] = y
+				}
+			default:
+				return false
+			}
+			return true
+		}
+	}
+	v, ok := FoldValues(f, c.Value(dst), c.Value(src))
+	if ok {
+		c.set(dst, v)
+	}
+	return ok
+}
+
+// Truncate drops rows n and beyond.
+func (b *DeltaBatch) Truncate(n int) {
+	if n >= b.n {
+		return
+	}
+	b.n = n
+	b.ops = b.ops[:n]
+	for k := range b.cols {
+		b.cols[k].truncate(n)
+	}
+	for k := range b.old {
+		b.old[k].truncate(n)
+	}
+}
+
+// DropRows removes every row i with dead[i] set, keeping the order of the
+// survivors. len(dead) must equal Len.
+func (b *DeltaBatch) DropRows(dead []bool) {
+	w := 0
+	for r := 0; r < b.n; r++ {
+		if dead[r] {
+			continue
+		}
+		if w != r {
+			b.ops[w] = b.ops[r]
+			for k := range b.cols {
+				b.cols[k].copyWithin(w, r)
+			}
+			for k := range b.old {
+				b.old[k].copyWithin(w, r)
+			}
+		}
+		w++
+	}
+	b.Truncate(w)
+}

@@ -35,8 +35,8 @@ func WithTenant(id string) QueryOption {
 }
 
 // WithNoVectorize disables the columnar batch path for this query:
-// operators exchange row-form delta slices and the shuffle ships
-// dictionary frames only.
+// operators exchange row-form delta slices. The shuffle still pends and
+// ships its deltas columnar; it hands rows to the operators either side.
 func WithNoVectorize() QueryOption {
 	return func(o *Options) { o.NoVectorize = true }
 }
