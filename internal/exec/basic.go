@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/rex-data/rex/internal/catalog"
 	"github.com/rex-data/rex/internal/cluster"
@@ -17,8 +16,25 @@ type scanOp struct {
 	ctx   *Context
 	id    int
 	table string
+	keyEq expr.Expr // OpSpec.KeyEq
 	outs  outputs
 	batch int
+}
+
+// read streams this node's share of the table into emit: the rows under
+// one partition key when the plan pushed an equality into the scan,
+// otherwise the whole owned partition. The pushed expression is evaluated
+// here, after the statement's parameters are bound. A value that cannot
+// address the index (evaluation failed, or its kind is not the key
+// column's, so equal values need not hash alike) falls back to the full
+// scan; the plan's filter gives the same answer either way.
+func (s *scanOp) read(emit func(types.Tuple) error) error {
+	if s.keyEq != nil {
+		if v, err := s.keyEq.Eval(nil); err == nil && types.KindOf(v) == s.keyEq.Kind() {
+			return s.ctx.Store.LookupOwned(s.table, types.HashValue(v), s.ctx.Snap, emit)
+		}
+	}
+	return s.ctx.Store.ScanOwned(s.table, s.ctx.Snap, emit)
 }
 
 func (s *scanOp) Start() error {
@@ -34,7 +50,7 @@ func (s *scanOp) Start() error {
 		buf = buf[:0]
 		return err
 	}
-	err := s.ctx.Store.ScanOwned(s.table, s.ctx.Snap, func(t types.Tuple) error {
+	err := s.read(func(t types.Tuple) error {
 		buf = append(buf, types.Insert(t))
 		if len(buf) >= s.batch {
 			return flush()
@@ -62,7 +78,7 @@ func (s *scanOp) startVec() error {
 		b.Reset()
 		return err
 	}
-	err := s.ctx.Store.ScanOwned(s.table, s.ctx.Snap, func(t types.Tuple) error {
+	err := s.read(func(t types.Tuple) error {
 		b.AppendInsert(t)
 		if b.Len() >= s.batch {
 			return flush()
@@ -637,13 +653,4 @@ func (o *outputOp) Punct(port, stratum int, closed bool) error {
 		})
 	}
 	return nil
-}
-
-// describeExprs renders expressions for EXPLAIN.
-func describeExprs(es []expr.Expr) string {
-	parts := make([]string, len(es))
-	for i, e := range es {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ", ")
 }

@@ -68,6 +68,14 @@ type OpSpec struct {
 
 	// Scan
 	Table string
+	// KeyEq, when set, is a row-free expression (a literal or $n) that the
+	// scanned table's partition key must equal: the scan evaluates it once
+	// and reads the key's rows through the store's keyed lookup instead of
+	// walking the table. It narrows what the scan reads, never what the
+	// query means — the plan keeps the equality as a filter, so rows that
+	// merely share the key's hash, and deltas injected into a standing
+	// query, are still filtered exactly.
+	KeyEq expr.Expr
 
 	// Filter
 	Pred expr.Expr
@@ -122,6 +130,19 @@ type OpSpec struct {
 	// just the Δ set) into every stratum — the paper's "REX no-delta"
 	// baseline strategy (§6 Configurations).
 	NoDelta bool
+}
+
+// String describes the operator for plan listings. A scan with a pushed
+// key equality reads `Scan lineitem [key = $1]`, "key" being the table's
+// partition key.
+func (o *OpSpec) String() string {
+	switch {
+	case o.Kind != OpScan:
+		return o.Kind.String()
+	case o.KeyEq != nil:
+		return fmt.Sprintf("Scan %s [key = %s]", o.Table, o.KeyEq)
+	}
+	return "Scan " + o.Table
 }
 
 // PlanSpec is a complete physical plan: a DAG of OpSpecs (plus one cycle

@@ -756,7 +756,7 @@ func (w *Worker) inputKinds(spec *OpSpec) []types.Kind {
 func (w *Worker) instantiate(spec *OpSpec, ctx *Context) (Operator, error) {
 	switch spec.Kind {
 	case OpScan:
-		return &scanOp{ctx: ctx, table: spec.Table, batch: ctx.BatchSize}, nil
+		return &scanOp{ctx: ctx, table: spec.Table, keyEq: spec.KeyEq, batch: ctx.BatchSize}, nil
 	case OpFilter:
 		return newFilterOp(spec.Pred, w.inputKinds(spec)), nil
 	case OpProject:

@@ -49,8 +49,11 @@ type Node struct {
 	dataDir   string
 	poolPages int
 	storeMu   sync.Mutex
-	store     storage.Durable // nil when running in-memory
-	ckpts     *storage.CheckpointStore
+	// closedPool holds the pool counters of the store closeStore last shut,
+	// so PoolStats still answers after the daemon saw its driver leave.
+	closedPool storage.PoolStats
+	store      storage.Durable // nil when running in-memory
+	ckpts      *storage.CheckpointStore
 
 	// current job state, kept across kill/revive so a revived node can
 	// rejoin the next run of the same job.
@@ -98,6 +101,9 @@ func (n *Node) closeStore() {
 	n.storeMu.Lock()
 	store, ckpts := n.store, n.ckpts
 	n.store, n.ckpts = nil, nil
+	if ps, ok := store.(storage.PoolStatter); ok {
+		n.closedPool = ps.PoolStats()
+	}
 	n.storeMu.Unlock()
 	if store != nil {
 		if err := store.Close(); err != nil {
@@ -111,15 +117,16 @@ func (n *Node) closeStore() {
 	}
 }
 
-// PoolStats reports the durable store's cumulative buffer-pool counters
-// (zero when running in-memory).
+// PoolStats reports the buffer-pool counters of the durable store the
+// daemon runs over, or of the one it last closed (zero when running
+// in-memory).
 func (n *Node) PoolStats() storage.PoolStats {
 	n.storeMu.Lock()
 	defer n.storeMu.Unlock()
 	if ps, ok := n.store.(storage.PoolStatter); ok {
 		return ps.PoolStats()
 	}
-	return storage.PoolStats{}
+	return n.closedPool
 }
 
 // Serve processes daemon control traffic until MsgQuit (or Close). Engine

@@ -343,6 +343,39 @@ func (s *Store) applyLocked(tableName string, d types.Delta) error {
 // tuple is decoded, so replica copies cost a hash compare, not a
 // materialization.
 func (s *Store) ScanOwned(tableName string, snap *cluster.Snapshot, emit func(types.Tuple) error) error {
+	return s.scanWhere(tableName, func(hash uint64) (bool, error) {
+		primary, err := snap.Primary(hash)
+		return primary == s.node, err
+	}, emit)
+}
+
+// LookupOwned streams the tuples whose partition-key hash is keyHash, if
+// this node primarily owns that hash under snap. The paged store keeps no
+// key directory: the lookup is a page walk that compares each record's
+// stored hash and decodes only the matches — the same filter Delete uses.
+func (s *Store) LookupOwned(tableName string, keyHash uint64, snap *cluster.Snapshot, emit func(types.Tuple) error) error {
+	primary, err := snap.Primary(keyHash)
+	if err != nil {
+		return err
+	}
+	if primary != s.node {
+		// Not ours to answer; an unknown table is still an error, as it is
+		// for ScanOwned on a node that owns nothing.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if _, ok := s.tables[tableName]; !ok {
+			return fmt.Errorf("pagestore: node %d: unknown table %q", s.node, tableName)
+		}
+		return nil
+	}
+	return s.scanWhere(tableName, func(hash uint64) (bool, error) {
+		return hash == keyHash, nil
+	}, emit)
+}
+
+// scanWhere walks every page of a table, decoding and emitting the records
+// whose stored key hash satisfies keep.
+func (s *Store) scanWhere(tableName string, keep func(hash uint64) (bool, error), emit func(types.Tuple) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tab, ok := s.tables[tableName]
@@ -356,17 +389,12 @@ func (s *Store) ScanOwned(tableName string, snap *cluster.Snapshot, emit func(ty
 		}
 		for slot := 0; slot < pageSlots(f.buf); slot++ {
 			rec := pageRecord(f.buf, slot)
-			primary, err := snap.Primary(recordHash(rec))
-			if err != nil {
-				s.pool.unpin(f, false)
-				return err
-			}
-			if primary != s.node {
-				continue
-			}
-			tup, err := recordTuple(rec)
-			if err == nil {
-				err = emit(tup)
+			ok, err := keep(recordHash(rec))
+			if err == nil && ok {
+				var tup types.Tuple
+				if tup, err = recordTuple(rec); err == nil {
+					err = emit(tup)
+				}
 			}
 			if err != nil {
 				s.pool.unpin(f, false)

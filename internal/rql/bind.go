@@ -187,6 +187,13 @@ func (b *binder) bindSelect(p *exec.PlanSpec, s *SelectStmt) (int, *types.Schema
 			bound[i] = e
 			infos[i] = b.predInfo(c)
 		}
+		if from := &s.From[0]; from.Sub == nil {
+			tab, err := b.cat.Table(from.Table)
+			if err != nil {
+				return 0, nil, err
+			}
+			p.Op(srcID).KeyEq = keyEquality(bound, tab.PartitionKey)
+		}
 		for _, idx := range plan.OrderPredicates(infos) {
 			f := p.Add(&exec.OpSpec{Kind: exec.OpFilter, Inputs: []int{cur}, Pred: bound[idx]})
 			cur = f.ID
@@ -600,6 +607,41 @@ func (b *binder) predInfo(e Expr) plan.PredInfo {
 	}
 	walk(e)
 	return info
+}
+
+// keyEquality finds a conjunct of the shape `partition key = <row-free
+// expression>` (either way round) and returns that expression, for the
+// scan to look the key up instead of walking the table; nil when there is
+// none. The operand must have exactly the key column's kind: the index is
+// addressed by value hash, and values of different kinds can compare equal
+// without hashing alike. The conjunct stays in the plan as a filter.
+func keyEquality(conjuncts []expr.Expr, keyCol int) expr.Expr {
+	for _, c := range conjuncts {
+		cmp, ok := c.(*expr.Cmp)
+		if !ok || cmp.Op != expr.OpEq {
+			continue
+		}
+		for _, side := range [2][2]expr.Expr{{cmp.L, cmp.R}, {cmp.R, cmp.L}} {
+			col, ok := side[0].(*expr.Col)
+			if ok && col.Idx == keyCol && rowFree(side[1]) &&
+				side[1].Kind() == col.K && col.K != types.KindNull {
+				return side[1]
+			}
+		}
+	}
+	return nil
+}
+
+// rowFree reports whether e is built only from literals and parameters,
+// so it has one value per execution (-7 parses as 0 - 7).
+func rowFree(e expr.Expr) bool {
+	switch v := e.(type) {
+	case *expr.Const, *expr.Param:
+		return true
+	case *expr.Arith:
+		return rowFree(v.L) && rowFree(v.R)
+	}
+	return false
 }
 
 func splitConjuncts(e Expr) []Expr {

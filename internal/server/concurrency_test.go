@@ -337,3 +337,109 @@ func mustSubmit(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuotaOneSequentialNeverBusy: a request's admission slot is back in
+// the gate before its reply is on the wire, so a quota-1 tenant that waits
+// for each answer before sending the next request is never refused by its
+// own previous one — on the query, prepared-exec and ingest paths alike.
+func TestQuotaOneSequentialNeverBusy(t *testing.T) {
+	ctx := context.Background()
+	srv, addr := startServer(t, Config{Nodes: 2, TenantQuotas: map[string]int{"solo": 1}})
+	stage(t, dial(t, addr))
+
+	s, err := rex.Open(ctx, rex.WithServer(addr), rex.WithServerTenant("solo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	stmt, err := s.Prepare(`SELECT destId FROM graph WHERE srcId = $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		switch i % 4 {
+		case 0:
+			_, err = s.QueryCtx(ctx, `SELECT destId FROM graph WHERE srcId > 25`)
+		case 3:
+			err = s.Insert("feed", rex.NewTuple(int64(i), int64(i)))
+		default:
+			_, err = stmt.QueryCtx(ctx, rex.Options{}, int64(i%40))
+		}
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	st, err := s.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Server.QuotaRejections != 0 || st.Server.Rejected != 0 {
+		t.Fatalf("sequential quota-1 client collected %d quota rejections, %d busy rejections",
+			st.Server.QuotaRejections, st.Server.Rejected)
+	}
+	if !srv.gate.idle() {
+		t.Fatal("gate not idle after the client read its last reply")
+	}
+}
+
+// TestSharedPlanDistinctKeys: two clients execute one cached prepared plan
+// concurrently, each binding its own $1. The plan's scan looks the key up
+// through the parameter, so every execution must read the value its own
+// request bound — each answer is checked against the unpushable range
+// form of the same predicate.
+func TestSharedPlanDistinctKeys(t *testing.T) {
+	ctx := context.Background()
+	_, addr := startServer(t, Config{Nodes: 2, SubPools: 2})
+	admin := dial(t, addr)
+	stage(t, admin)
+
+	const verts = 40
+	want := make([]string, verts)
+	for k := range want {
+		res, err := admin.QueryCtx(ctx, fmt.Sprintf(`SELECT destId FROM graph WHERE srcId >= %d AND srcId <= %d`, k, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) == 0 {
+			t.Fatalf("key %d has no rows", k)
+		}
+		want[k] = bench.ResultHash(res.Tuples)
+	}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, 2)
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			s, err := rex.Open(ctx, rex.WithServer(addr))
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer s.Close()
+			stmt, err := s.Prepare(`SELECT destId FROM graph WHERE srcId = $1`)
+			if err != nil {
+				errc <- err
+				return
+			}
+			for i := 0; i < 150; i++ {
+				k := (i*2 + c) % verts // the two clients never ask for the same key at once
+				res, err := stmt.QueryCtx(ctx, rex.Options{}, int64(k))
+				if err != nil {
+					errc <- err
+					return
+				}
+				if h := bench.ResultHash(res.Tuples); h != want[k] {
+					errc <- fmt.Errorf("client %d key %d: got %v", c, k, res.Tuples)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+}

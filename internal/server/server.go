@@ -455,49 +455,59 @@ func ptr[T any](v T) *T { return &v }
 
 // admit runs task through the admission gate and the tenant-fair
 // scheduler, blocking until it completes on a runner (whose sub-pool
-// index it receives).
-func (s *Server) admit(c *srvConn, ctx context.Context, id int, tenant string, prio int, task func(pool int)) bool {
+// index it receives). The task does not write its own last frame: it
+// returns the closing trailer or the error, and admit writes it only
+// after the admission slot is back in the gate — a client that has read
+// its answer must never find its own finished request still counted
+// against its quota. (nil, nil) means there is nothing more to write.
+func (s *Server) admit(c *srvConn, ctx context.Context, id int, tenant string, prio int, task func(pool int) (*srvproto.Trailer, error)) {
 	sl, err := s.gate.acquire(ctx, tenant)
 	if err != nil {
 		if errors.Is(err, srvproto.ErrServerBusy) {
 			s.stRejected.Add(1)
 		}
 		c.writeErr(id, err)
-		return false
+		return
 	}
-	defer sl.release()
-	done := make(chan struct{})
-	err = s.sched.submitQuery(tenant, prio, func(pool int) {
-		defer close(done)
-		task(pool)
-	})
-	if err != nil {
+	tr, err := func() (*srvproto.Trailer, error) {
+		defer sl.release()
+		var tr *srvproto.Trailer
+		var taskErr error
+		done := make(chan struct{})
+		err := s.sched.submitQuery(tenant, prio, func(pool int) {
+			defer close(done)
+			tr, taskErr = task(pool)
+		})
+		if err != nil {
+			return nil, err
+		}
+		<-done
+		return tr, taskErr
+	}()
+	switch {
+	case err != nil:
 		c.writeErr(id, err)
-		return false
+	case tr != nil:
+		c.writeClosed(id, tr)
 	}
-	<-done
-	return true
 }
 
 // doStream executes an ad-hoc query on the runner's sub-pool and streams
 // its delta batches back.
 func (s *Server) doStream(c *srvConn, ctx context.Context, id int, req srvproto.Request, tenant string, prio int) {
-	s.admit(c, ctx, id, tenant, prio, func(pool int) {
+	s.admit(c, ctx, id, tenant, prio, func(pool int) (*srvproto.Trailer, error) {
 		args, err := srvproto.DecodeArgs(req.Args)
 		if err != nil {
-			c.writeErr(id, err)
-			return
+			return nil, err
 		}
 		stmt, _, err := s.cache.get(req.Src, pool)
 		if err != nil {
-			c.writeErr(id, err)
-			return
+			return nil, err
 		}
 		s.stQueries.Add(1)
 		st, err := stmt.StreamCtx(ctx, execOpts(req.Opts), args...)
 		if err != nil {
-			c.writeErr(id, err)
-			return
+			return nil, err
 		}
 		var sent int64
 		for {
@@ -509,19 +519,18 @@ func (s *Server) doStream(c *srvConn, ctx context.Context, id int, req srvproto.
 			sent += n
 			if werr != nil {
 				st.Close()
-				return // connection gone
+				return nil, nil // connection gone
 			}
 		}
 		if err := st.Err(); err != nil {
-			c.writeErr(id, err)
-			return
+			return nil, err
 		}
 		res := *st.Result()
 		res.Tuples = nil // the tuples travelled as delta frames
 		if res.BytesSent == 0 {
 			res.BytesSent = sent
 		}
-		c.writeClosed(id, &srvproto.Trailer{Result: &res})
+		return &srvproto.Trailer{Result: &res}, nil
 	})
 }
 
@@ -530,14 +539,10 @@ func (s *Server) doStream(c *srvConn, ctx context.Context, id int, req srvproto.
 // fixpoint streams as round 0, and the pump stays live until cancelled
 // (or its connection drops), fed staged deltas by covering ingests.
 func (s *Server) doSubscribe(c *srvConn, ctx context.Context, id int, req srvproto.Request, tenant string, prio int) {
-	s.admit(c, ctx, id, tenant, prio, func(int) {
+	s.admit(c, ctx, id, tenant, prio, func(int) (*srvproto.Trailer, error) {
 		opts := execOpts(req.Opts)
 		sub := newSrvSub(s, c, id, req.Src, opts)
 		snap := s.be.register(sub)
-		fail := func(err error) {
-			sub.kill()
-			c.writeErr(id, err)
-		}
 		// Bridge the request context into the flow's lifetime during
 		// bring-up only: a client cancel aborts the initial fixpoint, but
 		// once resident the flow outlives the subscribe request.
@@ -552,8 +557,8 @@ func (s *Server) doSubscribe(c *srvConn, ctx context.Context, id int, req srvpro
 		flow, err := s.be.newFlowSession(sub.ctx, snap)
 		if err != nil {
 			close(bootDone)
-			fail(err)
-			return
+			sub.kill()
+			return nil, err
 		}
 		sub.mu.Lock()
 		sub.flow = flow
@@ -562,8 +567,8 @@ func (s *Server) doSubscribe(c *srvConn, ctx context.Context, id int, req srvpro
 		fsub, err := flow.Subscribe(sub.ctx, req.Src, rex.WithOptions(opts))
 		close(bootDone)
 		if err != nil {
-			fail(err)
-			return
+			sub.kill()
+			return nil, err
 		}
 		sub.mu.Lock()
 		sub.fsub = fsub
@@ -593,11 +598,12 @@ func (s *Server) doSubscribe(c *srvConn, ctx context.Context, id int, req srvpro
 		}
 		if werr != nil {
 			sub.kill() // connection gone; silent teardown
-			return
+			return nil, nil
 		}
 		sub.activate(flow, fsub, &rs)
 		c.addSub(id, sub)
 		s.stSubs.Add(1)
+		return nil, nil // resident: the round-0 boundary was its reply
 	})
 }
 
@@ -633,19 +639,26 @@ func (s *Server) doIngest(c *srvConn, ctx context.Context, id int, req srvproto.
 		c.writeErr(id, err)
 		return
 	}
-	defer sl.release()
-	targets, err := s.be.ingest(batches)
+	// As in admit, the slot is released before the reply is written.
+	reqRound, err := func() (*rex.RoundStats, error) {
+		defer sl.release()
+		targets, err := s.be.ingest(batches)
+		if err != nil {
+			return nil, err
+		}
+		s.stIngests.Add(1)
+		var reqRound *rex.RoundStats
+		for _, w := range targets {
+			rs := w.sub.await(w.target)
+			if w.sub.conn == c && rs != nil {
+				reqRound = rs
+			}
+		}
+		return reqRound, nil
+	}()
 	if err != nil {
 		c.writeErr(id, err)
 		return
-	}
-	s.stIngests.Add(1)
-	var reqRound *rex.RoundStats
-	for _, w := range targets {
-		rs := w.sub.await(w.target)
-		if w.sub.conn == c && rs != nil {
-			reqRound = rs
-		}
 	}
 	c.writeClosed(id, &srvproto.Trailer{Round: reqRound})
 }

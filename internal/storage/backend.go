@@ -18,12 +18,18 @@ type Backend interface {
 	// Insert stores a tuple copy locally (callers decide replica placement).
 	Insert(table string, t types.Tuple) error
 	// Delete removes one stored copy equal to t, reporting whether a copy
-	// was found.
+	// was found. It is directed by t's partition key: only rows sharing
+	// the key's hash are compared.
 	Delete(table string, t types.Tuple) bool
 	// ApplyDelta applies one base-table change to this node's local copies.
 	ApplyDelta(table string, d types.Delta) error
 	// ScanOwned streams the tuples this node primarily owns under snap.
 	ScanOwned(table string, snap *cluster.Snapshot, emit func(types.Tuple) error) error
+	// LookupOwned streams the tuples whose partition-key hash is keyHash,
+	// if this node primarily owns that hash under snap: ScanOwned filtered
+	// by key hash, without the scan. Hash collisions are the caller's to
+	// filter.
+	LookupOwned(table string, keyHash uint64, snap *cluster.Snapshot, emit func(types.Tuple) error) error
 	// CountOwned reports how many tuples this node primarily owns under snap.
 	CountOwned(table string, snap *cluster.Snapshot) (int, error)
 	// CountLocal reports all local copies (primary + replica) of a table.
