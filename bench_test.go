@@ -145,7 +145,8 @@ func BenchmarkAblationRing(b *testing.B) {
 }
 
 // BenchmarkCodec measures the wire codec (every cross-node byte passes
-// through it).
+// through it): a row batch encoded to a delta payload and decoded back to
+// rows.
 func BenchmarkCodec(b *testing.B) {
 	batch := make([]types.Delta, 256)
 	for i := range batch {
@@ -153,8 +154,8 @@ func BenchmarkCodec(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := types.EncodeBatch(batch)
-		if _, err := types.DecodeBatch(buf); err != nil {
+		buf := cluster.EncodeDeltas(batch)
+		if _, err := cluster.DecodeDeltas(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,8 +26,9 @@ import (
 // dataset: buffer-pool hit rate, evictions, bytes spilled, rows/sec);
 // 6 = adds the kernel section (filter microloop: compiled column kernel
 // vs scratch-tuple bridge, speedup_vs_bridged) and the filter-heavy rql
-// suite workload.
-const CISchemaVersion = 6
+// suite workload; 7 drops the inner loop's row mode (its mode and
+// speedup_vs_row fields) with the row-dictionary codec it measured.
+const CISchemaVersion = 7
 
 // CIRecord is the top-level JSON document.
 type CIRecord struct {
@@ -50,9 +51,8 @@ type CIRecord struct {
 	// Standing holds the standing-query (incremental view maintenance)
 	// measurements; result hashes must also agree across transports.
 	Standing []CIStanding `json:"standing,omitempty"`
-	// InnerLoop holds the shuffle inner-loop measurements (row vs
-	// columnar); CI gates on the vector/row rows_per_sec ratio and on
-	// steady-state heap growth staying at zero.
+	// InnerLoop holds the shuffle inner-loop measurements; CI gates on a
+	// rows_per_sec floor and on steady-state heap growth staying at zero.
 	InnerLoop []CIInnerLoop `json:"inner_loop,omitempty"`
 	// Spill holds the paged-store workload rows (dataset larger than the
 	// buffer pool); CI gates on hash equality with the in-RAM run, on

@@ -1,12 +1,15 @@
 package cluster
 
-// Wire-codec microbenchmarks: encode/decode round trips of the same delta
-// stream through the dictionary row codec and the columnar batch codec
-// (whose decode aliases the frame and materializes lazily). Compare B/op
-// and allocs/op between the Row/Columnar pairs; CI's bench-micro step
-// uploads the output.
+// Wire-codec microbenchmarks over the one delta payload format. The Row
+// legs enter and leave in row form (EncodeDeltas builds the columnar runs
+// from tuples, DecodeDeltas materializes fresh tuples); the Columnar legs
+// stay columnar (the decode checks the lanes and aliases the frame, values
+// materialize lazily). BenchmarkRoundTrip sizes the row-form round trip
+// from a one-row argument frame up to a PageRank-sized result. CI's
+// bench-micro step uploads the output.
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/rex-data/rex/internal/types"
@@ -68,8 +71,9 @@ func BenchmarkDecodeRow(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeColumnar is the near-zero-copy path: the decode parses
-// the O(columns) header and aliases the payload without touching rows.
+// BenchmarkDecodeColumnar is the data-edge decode: header parse plus one
+// bounds-checked walk over the varint lane (the float lane is checked by
+// length), aliasing the payload without materializing rows.
 func BenchmarkDecodeColumnar(b *testing.B) {
 	cb, ok := types.FromDeltas(codecStream(4096))
 	if !ok {
@@ -114,5 +118,36 @@ func BenchmarkDecodeColumnarHashRoute(b *testing.B) {
 	}
 	if sum == 42 {
 		b.Log(sum) // keep the loop observable
+	}
+}
+
+// roundTripRows is an (int, int, float) result stream: vertex, degree and
+// rank, the shape PageRank's result and checkpoint frames carry.
+func roundTripRows(n int) []types.Delta {
+	ds := make([]types.Delta, n)
+	for i := range ds {
+		ds[i] = types.Insert(types.NewTuple(int64(i), int64(1+i%9), 0.15+float64(i%1000)/997))
+	}
+	return ds
+}
+
+// BenchmarkRoundTrip is EncodeDeltas + DecodeDeltas at the sizes the
+// row-form call sites ship: a prepared statement's argument tuple (1),
+// a point lookup's result (4), a small result or ingest chunk (170), and
+// a PageRank-sized result (7000).
+func BenchmarkRoundTrip(b *testing.B) {
+	for _, n := range []int{1, 4, 170, 7000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			rows := roundTripRows(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := DecodeDeltas(EncodeDeltas(rows))
+				if err != nil || len(got) != n {
+					b.Fatalf("round trip: %d rows, %v", len(got), err)
+				}
+			}
+			b.ReportMetric(float64(len(EncodeDeltas(rows))), "payload_B")
+		})
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/rex-data/rex/internal/types"
@@ -18,15 +17,16 @@ import (
 //
 //   - Frame layer: EncodeFrame/DecodeFrame serialize a whole Message
 //     (header fields varint-packed, payload length-prefixed).
-//   - Batch layer: two delta payload formats, discriminated by their
-//     leading tag byte. EncodeDeltas/DecodeDeltas is the row format with
-//     a per-batch dictionary for repeated column values (ingest staging,
-//     checkpoints, job specs and client result frames ship through it).
-//     EncodeDeltaBatch is the columnar format every shuffle frame uses:
-//     the encoded frame IS the in-memory DeltaBatch layout, so
-//     DecodeDeltaBatch only parses the O(columns) header and aliases the
-//     op vector and column payloads out of the frame buffer — values
-//     materialize lazily, on first operator access.
+//   - Batch layer: one delta payload format, columnar. A payload is the
+//     tag byte 0xC3, a uvarint run count, then that many schema-uniform
+//     runs in the types.AppendDeltaBatch layout. Shuffle, result, ingest
+//     and argument payloads are one run; ragged row batches (checkpoint
+//     entries mix tombstone and full arities) split into several. The
+//     encoded run IS the in-memory DeltaBatch layout, so decode checks
+//     the payload once and aliases the op vector and column payloads out
+//     of the frame buffer — values materialize lazily, on first operator
+//     access. EncodeDeltaBatch ships a batch; EncodeDeltas ships rows.
+//     Every payload decodes through decodeRuns.
 
 // wireVersion leads every frame; decoders reject unknown versions.
 // History: 1 = PR 1 layout; 2 adds the optional credit-grant field
@@ -55,7 +55,8 @@ const (
 )
 
 // EncodeFrame serializes msg to its wire representation. The payload is
-// treated as opaque bytes; batch payloads are produced by EncodeDeltas.
+// treated as opaque bytes; batch payloads are produced by EncodeDeltas or
+// EncodeDeltaBatch.
 func EncodeFrame(msg Message) []byte {
 	buf := make([]byte, 0, 24+len(msg.Table)+len(msg.Payload))
 	buf = append(buf, wireVersion, byte(msg.Kind))
@@ -187,12 +188,9 @@ func DecodeFrame(buf []byte) (Message, error) {
 	return msg, nil
 }
 
-// deltaFormatDict tags a dictionary-compressed delta batch; it is outside
-// the value-kind range so corrupted or legacy payloads fail loudly.
-const deltaFormatDict = 0xD1
-
-// deltaFormatCol tags a columnar delta batch (types.AppendDeltaBatch
-// layout after the tag byte).
+// deltaFormatCol tags a delta payload. Any other leading byte — a corrupt
+// payload, or a row-dictionary (0xD1) one from an older build — fails
+// loudly.
 const deltaFormatCol = 0xC3
 
 // payloadBufPool recycles encode buffers for delta payloads. The frame
@@ -221,214 +219,113 @@ func PutPayloadBuf(buf []byte) {
 	payloadBufPool.Put(&buf)
 }
 
-// EncodeDeltaBatch appends the columnar wire encoding of b to buf.
+// EncodeDeltaBatch appends the one-run payload encoding of b to buf.
 func EncodeDeltaBatch(buf []byte, b *types.DeltaBatch) []byte {
-	buf = append(buf, deltaFormatCol)
+	buf = append(buf, deltaFormatCol, 1)
 	return types.AppendDeltaBatch(buf, b)
 }
 
-// DecodeDeltasAny decodes a delta payload of either format. Columnar
-// payloads return a lazily-materializing batch (aliasing buf) and a nil
-// row slice; dictionary payloads return rows and a nil batch. The worker
-// hot path uses this so columnar frames reach vector-capable operators
-// without ever materializing row tuples.
-func DecodeDeltasAny(buf []byte) ([]types.Delta, *types.DeltaBatch, error) {
-	if len(buf) > 0 && buf[0] == deltaFormatCol {
-		b, used, err := types.DecodeDeltaBatch(buf[1:])
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: decode delta batch: %w", err)
-		}
-		if used != len(buf)-1 {
-			return nil, nil, fmt.Errorf("cluster: decode delta batch: %d trailing bytes", len(buf)-1-used)
-		}
-		return nil, b, nil
+// maxPooledRows is the largest row set whose builder batch goes back to
+// the pool: one grown for a checkpoint image's table would park megabytes
+// of column vectors there.
+const maxPooledRows = 1024
+
+// EncodeDeltas encodes row-form deltas as a payload: one run per
+// schema-uniform stretch of ds, each built in a pooled batch and encoded
+// into a pooled buffer. The returned payload is an exact-size copy the
+// caller owns.
+func EncodeDeltas(ds []types.Delta) []byte {
+	runs := 0
+	for rest := ds; len(rest) > 0; rest = rest[types.UniformRun(rest):] {
+		runs++
 	}
-	rows, err := DecodeDeltas(buf)
-	return rows, nil, err
+	pooled := payloadBufPool.Get().(*[]byte)
+	buf := append((*pooled)[:0], deltaFormatCol)
+	buf = binary.AppendUvarint(buf, uint64(runs))
+	b := types.GetBatch()
+	for rest := ds; len(rest) > 0; {
+		n := types.UniformRun(rest)
+		for _, d := range rest[:n] {
+			b.Append(d)
+		}
+		buf = types.AppendDeltaBatch(buf, b)
+		b.Reset()
+		rest = rest[n:]
+	}
+	if len(ds) <= maxPooledRows {
+		types.PutBatch(b)
+	}
+	out := append([]byte(nil), buf...)
+	*pooled = buf
+	payloadBufPool.Put(pooled)
+	return out
 }
 
-// dictRefBase splits the per-value token space: tokens below it are inline
-// type-kind bytes (the types codec's own first byte), tokens at or above it
-// reference dictionary entry token-dictRefBase. Kinds today occupy 0..4;
-// the gap leaves room for new kinds without a format bump.
-const dictRefBase = 8
-
-// dictMinSize is the smallest encoded value worth dictionary-encoding: a
-// reference costs 1-2 bytes, so 2-byte values (small ints, bools) never
-// profit from the indirection.
-const dictMinSize = 3
-
-// EncodeDeltas serializes a delta batch to the wire format: a per-batch
-// dictionary of repeated column values followed by the deltas, each value
-// either inline (types codec) or a dictionary reference. Entries are
-// ordered by descending occurrence so the hottest values get 1-byte
-// references.
-func EncodeDeltas(batch []types.Delta) []byte {
-	counts := map[types.Value]int{}
-	countTuple := func(t types.Tuple) {
-		for _, v := range t {
-			if v == nil {
-				continue
-			}
-			if types.ValueSize(v) >= dictMinSize {
-				counts[v]++
-			}
-		}
-	}
-	for _, d := range batch {
-		countTuple(d.Tup)
-		if d.Op == types.OpReplace {
-			countTuple(d.Old)
-		}
-	}
-	var dict []types.Value
-	for v, n := range counts {
-		if n >= 2 {
-			dict = append(dict, v)
-		}
-	}
-	// Deterministic order: hottest first (1-byte refs), ties broken by
-	// kind then value so identical batches encode identically. The kind
-	// tiebreak matters: ValueCompare treats int64(3) and float64(3.0) as
-	// equal, which would leave their order to map iteration.
-	sort.Slice(dict, func(i, j int) bool {
-		if counts[dict[i]] != counts[dict[j]] {
-			return counts[dict[i]] > counts[dict[j]]
-		}
-		ki, kj := types.KindOf(dict[i]), types.KindOf(dict[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return types.ValueCompare(dict[i], dict[j]) < 0
-	})
-	index := make(map[types.Value]int, len(dict))
-	for i, v := range dict {
-		index[v] = i
-	}
-
-	buf := make([]byte, 0, 16+8*len(batch))
-	buf = append(buf, deltaFormatDict)
-	buf = binary.AppendUvarint(buf, uint64(len(dict)))
-	for _, v := range dict {
-		buf = types.AppendValue(buf, v)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(batch)))
-	appendTuple := func(t types.Tuple) {
-		buf = binary.AppendUvarint(buf, uint64(len(t)))
-		for _, v := range t {
-			if v != nil {
-				if i, ok := index[v]; ok {
-					buf = binary.AppendUvarint(buf, uint64(dictRefBase+i))
-					continue
-				}
-			}
-			buf = types.AppendValue(buf, v)
-		}
-	}
-	for _, d := range batch {
-		buf = append(buf, byte(d.Op))
-		appendTuple(d.Tup)
-		if d.Op == types.OpReplace {
-			appendTuple(d.Old)
-		}
-	}
-	return buf
-}
-
-// DecodeDeltas decodes a delta payload of either format to row form.
-// Columnar payloads are fully materialized (fresh tuples, safe to
-// retain); callers that can consume vectors use DecodeDeltasAny instead.
-func DecodeDeltas(buf []byte) ([]types.Delta, error) {
+// decodeRuns is the one delta payload decoder: it checks the tag and the
+// run count, then hands each run — checked by types.DecodeDeltaBatch and
+// aliasing buf — to each, in order.
+func decodeRuns(buf []byte, each func(*types.DeltaBatch)) error {
 	if len(buf) == 0 {
-		return nil, fmt.Errorf("cluster: decode deltas: empty buffer")
+		return fmt.Errorf("cluster: decode deltas: empty payload")
 	}
-	if buf[0] == deltaFormatCol {
-		b, used, err := types.DecodeDeltaBatch(buf[1:])
+	if buf[0] != deltaFormatCol {
+		return fmt.Errorf("cluster: decode deltas: unknown format 0x%02X", buf[0])
+	}
+	// Every run costs at least its three counts, so a forged run count
+	// errors before any work.
+	runs, n := binary.Uvarint(buf[1:])
+	if n <= 0 || runs > uint64(len(buf)-1-n)/3 {
+		return fmt.Errorf("cluster: decode deltas: bad run count")
+	}
+	off := 1 + n
+	for r := uint64(0); r < runs; r++ {
+		b, used, err := types.DecodeDeltaBatch(buf[off:])
 		if err != nil {
-			return nil, fmt.Errorf("cluster: decode delta batch: %w", err)
+			return fmt.Errorf("cluster: decode deltas: run %d: %w", r, err)
 		}
-		if used != len(buf)-1 {
-			return nil, fmt.Errorf("cluster: decode delta batch: %d trailing bytes", len(buf)-1-used)
-		}
-		return b.Deltas(), nil
-	}
-	if buf[0] != deltaFormatDict {
-		return nil, fmt.Errorf("cluster: decode deltas: unknown format 0x%02X", buf[0])
-	}
-	off := 1
-	// Counts are bounded by the remaining bytes (every entry costs at
-	// least one byte) before any allocation, so forged counts error out
-	// instead of panicking in makeslice.
-	nd, n := binary.Uvarint(buf[off:])
-	if n <= 0 || nd > uint64(len(buf)-off-n) {
-		return nil, fmt.Errorf("cluster: decode deltas: bad dictionary count")
-	}
-	off += n
-	dict := make([]types.Value, nd)
-	for i := range dict {
-		v, used, err := types.DecodeValue(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("cluster: decode deltas: dictionary entry %d: %w", i, err)
-		}
-		dict[i] = v
 		off += used
-	}
-	nb, n := binary.Uvarint(buf[off:])
-	if n <= 0 || nb > uint64(len(buf)-off-n) {
-		return nil, fmt.Errorf("cluster: decode deltas: bad batch count")
-	}
-	off += n
-	readTuple := func() (types.Tuple, error) {
-		arity, n := binary.Uvarint(buf[off:])
-		if n <= 0 || arity > uint64(len(buf)-off-n) {
-			return nil, fmt.Errorf("cluster: decode deltas: bad arity")
-		}
-		off += n
-		t := make(types.Tuple, arity)
-		for i := range t {
-			tok, n := binary.Uvarint(buf[off:])
-			if n <= 0 {
-				return nil, fmt.Errorf("cluster: decode deltas: bad value token")
-			}
-			if tok >= dictRefBase {
-				ref := int(tok - dictRefBase)
-				if ref >= len(dict) {
-					return nil, fmt.Errorf("cluster: decode deltas: dictionary ref %d out of range", ref)
-				}
-				t[i] = dict[ref]
-				off += n
-				continue
-			}
-			// Inline value: the token byte is the types codec's kind byte.
-			v, used, err := types.DecodeValue(buf[off:])
-			if err != nil {
-				return nil, err
-			}
-			t[i] = v
-			off += used
-		}
-		return t, nil
-	}
-	out := make([]types.Delta, 0, nb)
-	for i := uint64(0); i < nb; i++ {
-		if off >= len(buf) {
-			return nil, fmt.Errorf("cluster: decode deltas: truncated at delta %d", i)
-		}
-		d := types.Delta{Op: types.Op(buf[off])}
-		off++
-		var err error
-		if d.Tup, err = readTuple(); err != nil {
-			return nil, fmt.Errorf("cluster: decode deltas: delta %d: %w", i, err)
-		}
-		if d.Op == types.OpReplace {
-			if d.Old, err = readTuple(); err != nil {
-				return nil, fmt.Errorf("cluster: decode deltas: delta %d old: %w", i, err)
-			}
-		}
-		out = append(out, d)
+		each(b)
 	}
 	if off != len(buf) {
-		return nil, fmt.Errorf("cluster: decode deltas: %d trailing bytes", len(buf)-off)
+		return fmt.Errorf("cluster: decode deltas: %d trailing bytes", len(buf)-off)
+	}
+	return nil
+}
+
+// DecodeDeltasAny decodes a one-run payload — what every data edge
+// carries — to a lazily-materializing batch aliasing buf, so columnar
+// frames reach vector-capable operators without materializing row
+// tuples. The row result is always nil; it stays in the signature for
+// callers written when rows had a format of their own.
+func DecodeDeltasAny(buf []byte) ([]types.Delta, *types.DeltaBatch, error) {
+	var batch *types.DeltaBatch
+	runs := 0
+	err := decodeRuns(buf, func(b *types.DeltaBatch) {
+		batch = b
+		runs++
+	})
+	if err == nil && runs != 1 {
+		err = fmt.Errorf("cluster: decode delta batch: %d runs, want 1", runs)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return nil, batch, nil
+}
+
+// DecodeDeltas decodes a payload to row form: fresh tuples, safe to
+// retain. Callers that can consume vectors use DecodeDeltasAny instead.
+func DecodeDeltas(buf []byte) ([]types.Delta, error) {
+	var out []types.Delta
+	err := decodeRuns(buf, func(b *types.DeltaBatch) {
+		if out == nil {
+			out = b.Deltas()
+		} else {
+			out = append(out, b.Deltas()...)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

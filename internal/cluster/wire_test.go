@@ -99,8 +99,9 @@ func randDelta(r *rand.Rand) types.Delta {
 	return d
 }
 
-// Property: random delta batches — mixed-kind columns, NULLs, replace
-// deltas, repeated values — round-trip the dictionary wire format exactly.
+// Property: random ragged delta batches — arities 1–5, mixed-kind
+// columns, NULLs, replace deltas, repeated values — round-trip the wire
+// format exactly.
 func TestDeltaBatchRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(20260729))
 	for iter := 0; iter < 300; iter++ {
@@ -157,31 +158,76 @@ func TestDeltaBatchPreservesKinds(t *testing.T) {
 	}
 }
 
-// The dictionary must beat the plain per-value encoding on repetitive
-// batches (the shape recursive delta streams actually have) and stay
-// deterministic.
-func TestDeltaBatchDictionaryCompresses(t *testing.T) {
-	var batch []types.Delta
-	for i := 0; i < 200; i++ {
-		batch = append(batch, types.Insert(types.NewTuple(
-			int64(i), "a-repeated-column-value", 1.0)))
+// checkpointBatch is the ragged shape checkpoint replicas ship: tombstone
+// entries (h, "S", key) beside full entries (h, "S", key, fields...).
+func checkpointBatch() []types.Delta {
+	return types.Inserts(
+		types.NewTuple(int64(11), "S", int64(1), 0.5, int64(3)),
+		types.NewTuple(int64(12), "S", int64(2), 0.25, int64(4)),
+		types.NewTuple(int64(13), "S", int64(3)),
+		types.NewTuple(int64(14), "S", int64(4), 1.5, int64(1)),
+	)
+}
+
+// A ragged batch splits into one run per schema-uniform stretch; uniform
+// batches and EncodeDeltaBatch payloads are a single run, which is all
+// DecodeDeltasAny (the data-edge decoder) accepts.
+func TestEncodeDeltasRuns(t *testing.T) {
+	ragged := checkpointBatch()
+	payload := EncodeDeltas(ragged)
+	if payload[0] != deltaFormatCol || payload[1] != 3 {
+		t.Fatalf("ragged payload header % x, want c3 03", payload[:2])
 	}
-	wire := EncodeDeltas(batch)
-	plain := types.EncodeBatch(batch)
-	if len(wire) >= len(plain) {
-		t.Fatalf("dictionary format %dB not smaller than plain %dB", len(wire), len(plain))
+	got, err := DecodeDeltas(payload)
+	if err != nil || len(got) != len(ragged) {
+		t.Fatalf("ragged round trip: %v %v", got, err)
 	}
-	again := EncodeDeltas(batch)
-	if string(wire) != string(again) {
-		t.Fatal("encoding must be deterministic")
+	for i := range got {
+		if !got[i].Tup.Equal(ragged[i].Tup) {
+			t.Fatalf("delta %d: %v != %v", i, got[i], ragged[i])
+		}
+	}
+	if _, _, err := DecodeDeltasAny(payload); err == nil {
+		t.Fatal("a ragged payload must not decode as one batch")
+	}
+
+	uniform := ragged[:2]
+	if p := EncodeDeltas(uniform); p[1] != 1 {
+		t.Fatalf("uniform payload has %d runs, want 1", p[1])
+	}
+	cb, _ := types.FromDeltas(uniform)
+	_, dec, err := DecodeDeltasAny(EncodeDeltaBatch(nil, cb))
+	if err != nil || dec.Len() != 2 {
+		t.Fatalf("one-run batch decode: %v %v", dec, err)
+	}
+	if p := EncodeDeltas(nil); len(p) != 2 || p[1] != 0 {
+		t.Fatalf("empty payload % x, want c3 00", p)
+	}
+	if got, err := DecodeDeltas(EncodeDeltas(nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty round trip: %v %v", got, err)
 	}
 }
 
-// Truncated or corrupt buffers must error, never panic.
+// Decoded tuples own their storage: appending to one must never overwrite
+// the next row's values.
+func TestDecodeDeltasTuplesIndependent(t *testing.T) {
+	got, err := DecodeDeltas(EncodeDeltas(types.Inserts(
+		types.NewTuple(int64(1), "a"), types.NewTuple(int64(2), "b"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(got[0].Tup, "clobber")
+	if got[1].Tup[0] != int64(2) {
+		t.Fatalf("append to tuple 0 overwrote tuple 1: %v", got[1].Tup)
+	}
+}
+
+// Truncated, corrupt and forged buffers must error, never panic.
 func TestDecodeDeltasCorrupt(t *testing.T) {
 	batch := []types.Delta{
 		types.Insert(types.NewTuple(int64(1), "hello", 2.5)),
 		types.Replace(types.NewTuple(int64(1), "hello", 2.5), types.NewTuple(int64(1), "world", 3.5)),
+		types.Insert(types.NewTuple(int64(2))),
 	}
 	wire := EncodeDeltas(batch)
 	for cut := 0; cut < len(wire); cut++ {
@@ -195,23 +241,51 @@ func TestDecodeDeltasCorrupt(t *testing.T) {
 	if _, err := DecodeDeltas([]byte{0x42}); err == nil {
 		t.Fatal("unknown format byte must fail")
 	}
+	if _, err := DecodeDeltas([]byte{0xD1, 0, 1, 0, 1, byte(types.KindInt), 2}); err == nil {
+		t.Fatal("a row-dictionary payload must fail")
+	}
 	if _, err := DecodeFrame([]byte{9, 9}); err == nil {
 		t.Fatal("short frame must fail")
 	}
-	// Forged (huge) length fields must error, not panic in makeslice or
-	// slicing: dictionary count, batch count, arity, string length, and
-	// the frame's table/payload lengths.
+	// Forged (huge) counts and lengths must error, not panic in makeslice
+	// or slicing: runs, rows, columns, old columns, a column payload
+	// length and a string length inside a string lane.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
-	forged := [][]byte{
-		append([]byte{deltaFormatDict}, huge...),                // dict count
-		append([]byte{deltaFormatDict, 0}, huge...),             // batch count
-		append([]byte{deltaFormatDict, 0, 1, 0}, huge...),       // arity
-		append([]byte{deltaFormatDict, 1, 3}, huge...),          // dict string len
-		append([]byte{deltaFormatDict, 0, 1, 0, 1, 3}, huge...), // value string len
+	c := byte(deltaFormatCol)
+	forged := map[string][]byte{
+		"runs":        append([]byte{c}, huge...),
+		"rows":        append([]byte{c, 1}, huge...),
+		"columns":     append([]byte{c, 1, 0}, huge...),
+		"old columns": append([]byte{c, 1, 0, 0}, huge...),
+		"payload":     append([]byte{c, 1, 1, 1, 0, 0, 1}, huge...),
+		"string":      append(append([]byte{c, 1, 1, 1, 0, 0, 3, 10}, huge...), 0),
 	}
-	for i, buf := range forged {
-		if _, err := DecodeDeltas(buf); err == nil {
-			t.Fatalf("forged buffer %d must fail", i)
+	// Well-framed runs whose lanes lie: the checks DecodeDeltaBatch makes
+	// so that materializing a column can no longer fail. The first two
+	// hold a truncated varint in an int lane, which panicked the process
+	// before decode checked lanes (a hostile ingest or argument frame
+	// crashed rexd).
+	crafted := map[string][]byte{
+		"crasher":             {c, 1, 1, 1, 0, 0, 1, 0x81, 0x80, 0x80, 0, 0x80},
+		"crasher, old layout": {c, 1, 1, 0, 0, 1, 0x81, 0x80, 0x80, 0, 0x80},
+		"op byte":             {c, 1, 1, 0, 0, 9},
+		"repr":                {c, 1, 1, 1, 0, 0, 6, 0},
+		"short floats":        {c, 1, 1, 1, 0, 0, 2, 4, 1, 2, 3, 4},
+		"long bools":          {c, 1, 1, 1, 0, 0, 4, 2, 1, 1},
+		"extra varint":        {c, 1, 1, 1, 0, 0, 1, 2, 2, 2},
+		"null lane payload":   {c, 1, 1, 1, 0, 0, 0, 1, 0},
+		"any lane kind":       {c, 1, 1, 1, 0, 0, 5, 1, 99},
+		"any lane string":     {c, 1, 1, 1, 0, 0, 5, 3, byte(types.KindString), 5, 'a'},
+		"old lane":            {c, 1, 1, 0, 1, 2, 1, 1, 0x80},
+	}
+	for name, cases := range map[string]map[string][]byte{"forged": forged, "crafted": crafted} {
+		for what, buf := range cases {
+			if _, err := DecodeDeltas(buf); err == nil {
+				t.Errorf("%s %s: DecodeDeltas must fail", name, what)
+			}
+			if _, _, err := DecodeDeltasAny(buf); err == nil {
+				t.Errorf("%s %s: DecodeDeltasAny must fail", name, what)
+			}
 		}
 	}
 	frame := EncodeFrame(Message{From: 0, To: 1, Kind: MsgData, Table: "t", Payload: []byte{1}})
@@ -224,30 +298,5 @@ func TestDecodeDeltasCorrupt(t *testing.T) {
 	bad := append(frame[:len(frame)-5:len(frame)-5], huge...)
 	if _, err := DecodeFrame(bad); err == nil {
 		t.Fatal("forged frame length must fail")
-	}
-}
-
-// Cross-kind numeric ties (int64(300) vs float64(300.0) compare equal)
-// must still encode deterministically.
-func TestDeltaBatchDeterministicUnderTies(t *testing.T) {
-	var batch []types.Delta
-	for i := 0; i < 4; i++ {
-		batch = append(batch, types.Insert(types.NewTuple(int64(300), 300.0, int64(301), 301.0)))
-	}
-	first := EncodeDeltas(batch)
-	for i := 0; i < 20; i++ {
-		if string(EncodeDeltas(batch)) != string(first) {
-			t.Fatal("encoding varies across runs for tied dictionary entries")
-		}
-	}
-	got, err := DecodeDeltas(first)
-	if err != nil || len(got) != len(batch) {
-		t.Fatalf("round trip: %v %v", got, err)
-	}
-	if _, ok := got[0].Tup[0].(int64); !ok {
-		t.Fatalf("kind lost on tied entries: %T", got[0].Tup[0])
-	}
-	if _, ok := got[0].Tup[1].(float64); !ok {
-		t.Fatalf("kind lost on tied entries: %T", got[0].Tup[1])
 	}
 }

@@ -25,8 +25,9 @@ const (
 	// RecoveryRestart re-runs the query from scratch on the survivors —
 	// the "Restart" baseline of §6.6.
 	RecoveryRestart
-	// RecoveryIncremental resumes from the last completed stratum using
-	// the replicated Δᵢ checkpoints — the paper's hybrid scheme (§4.3).
+	// RecoveryIncremental resumes from the replicated Δᵢ checkpoints —
+	// the paper's hybrid scheme (§4.3) — one stratum behind the last
+	// completed one, the newest whose replicas are certain to have landed.
 	RecoveryIncremental
 )
 
@@ -390,6 +391,7 @@ func (e *Engine) coordinate(ctx context.Context, spec *PlanSpec, opts Options, q
 	resume := 0
 	incremental := false
 	completed := -1 // last globally completed stratum
+	emitted := -1   // last stratum handed to the sink
 
 	alive := e.Transport.AliveNodes()
 	broadcastStart := func() {
@@ -446,9 +448,21 @@ func (e *Engine) coordinate(ctx context.Context, spec *PlanSpec, opts Options, q
 			votes = map[int]map[cluster.NodeID]int{}
 			done = map[cluster.NodeID]bool{}
 			acc = newResultSet()
-			if opts.Recovery == RecoveryIncremental && spec.Recursive() && opts.Checkpoint && completed >= 0 {
+			// Resume one stratum behind the last completed one. A worker
+			// replicates stratum s's checkpoints before voting, but the
+			// replicas travel peer to peer while the vote, and then this
+			// MsgStart, travel through the requestor: a survivor can start
+			// the new epoch before the last stratum's replicas reach it and
+			// drop them as stale. Stratum s-1's replicas cannot be missing:
+			// each node sent them ahead of its stratum-s punctuation on the
+			// same FIFO link, and every survivor processed that punctuation
+			// before voting s.
+			if opts.Recovery == RecoveryIncremental && spec.Recursive() && opts.Checkpoint && completed >= 1 {
 				incremental = true
-				resume = completed
+				resume = completed - 1
+				for len(res.Strata) > 0 && res.Strata[len(res.Strata)-1].Stratum > resume {
+					res.Strata = res.Strata[:len(res.Strata)-1]
+				}
 			} else {
 				incremental = false
 				resume = 0
@@ -488,9 +502,11 @@ func (e *Engine) coordinate(ctx context.Context, spec *PlanSpec, opts Options, q
 				// Every node ships its stream batch before its vote on the
 				// same ordered channel, so vote completion means stratum
 				// s's deltas are all buffered: the stratum is closed, emit.
-				if batch := sbuf[s]; len(batch) > 0 {
+				// A stratum re-run after recovery was emitted already.
+				if batch := sbuf[s]; len(batch) > 0 && s > emitted {
 					sink(s, batch)
 				}
+				emitted = max(emitted, s)
 				delete(sbuf, s)
 			}
 			terminate := total == 0 || s+1 >= maxStrata

@@ -48,8 +48,9 @@ func benchPipeline(b *testing.B) (*filterOp, *preAggOp) {
 }
 
 // The data-path pair measures what a worker does with an arriving MsgData
-// frame: decode the payload (materializing row tuples in row mode,
-// aliasing the frame in vector mode) and push it through the pipeline.
+// frame: decode the one columnar payload format — materializing row
+// tuples for the row operator path, aliasing the frame for the vector
+// path — and push it through the pipeline.
 func BenchmarkDataPathFilterPreAggRow(b *testing.B) {
 	f, _ := benchPipeline(b)
 	payload := cluster.EncodeDeltas(benchStream(8192))

@@ -219,22 +219,18 @@ func (w *Worker) handle(msg cluster.Message) error {
 			return fmt.Errorf("exec: node %d: data for unknown op %d", w.node, op)
 		}
 		// Columnar frames stay columnar all the way into a vectorized
-		// operator: decode parses the header and aliases column payloads
+		// operator: decode checks the frame and aliases column payloads
 		// out of the frame buffer, and values materialize only where an
 		// operator actually touches them.
-		rows, cb, err := cluster.DecodeDeltasAny(msg.Payload)
+		_, cb, err := cluster.DecodeDeltasAny(msg.Payload)
 		if err != nil {
 			return err
 		}
-		if cb != nil {
-			w.drain.Observe(cb.Len())
-			if bo, ok := inst.(BatchOperator); ok && w.vectorize {
-				return bo.PushBatch(port, cb)
-			}
-			return inst.Push(port, cb.Deltas())
+		w.drain.Observe(cb.Len())
+		if bo, ok := inst.(BatchOperator); ok && w.vectorize {
+			return bo.PushBatch(port, cb)
 		}
-		w.drain.Observe(len(rows))
-		return inst.Push(port, rows)
+		return inst.Push(port, cb.Deltas())
 	case cluster.MsgPunct:
 		if w.triage(msg) {
 			return nil
@@ -816,16 +812,16 @@ func encodeNodeList(nodes []cluster.NodeID) []byte {
 	for i, n := range nodes {
 		t[i] = int64(n)
 	}
-	return types.EncodeBatch([]types.Delta{types.Insert(t)})
+	return types.AppendTuple(nil, t)
 }
 
 func decodeNodeList(payload []byte) ([]cluster.NodeID, error) {
-	batch, err := types.DecodeBatch(payload)
-	if err != nil || len(batch) != 1 {
+	t, used, err := types.DecodeTuple(payload)
+	if err != nil || used != len(payload) {
 		return nil, fmt.Errorf("exec: bad node list payload")
 	}
-	out := make([]cluster.NodeID, len(batch[0].Tup))
-	for i, v := range batch[0].Tup {
+	out := make([]cluster.NodeID, len(t))
+	for i, v := range t {
 		n, _ := types.AsInt(v)
 		out[i] = cluster.NodeID(n)
 	}

@@ -5,25 +5,21 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/rex-data/rex/internal/cluster"
 	"github.com/rex-data/rex/internal/types"
 )
 
 // A checkpoint image is the durable full-state snapshot a node restarts
-// from: every table's local tuples (primary and replica copies alike),
-// payload-encoded with the columnar delta-batch codec when the table's
-// shape allows it and the row codec otherwise. The image is written to a
-// temp file, fsynced, and atomically renamed over the previous one, so a
-// crash mid-checkpoint leaves the old image intact.
+// from: every table's local tuples (primary and replica copies alike), as
+// one cluster delta payload per table — the same columnar format the wire
+// uses, split into runs where a table's tuples differ in arity. The image
+// is written to a temp file, fsynced, and atomically renamed over the
+// previous one, so a crash mid-checkpoint leaves the old image intact.
 //
 // Layout: magic, varint committedRound, uvarint table count, then per
-// table: name, uvarint keyCol, format byte (0 = row batch, 1 = columnar
-// batch), uvarint payload length, payload.
-var imageMagic = []byte("REXIMG01")
-
-const (
-	imageFormatRow = 0
-	imageFormatCol = 1
-)
+// table: name, uvarint keyCol, uvarint payload length, payload. Version 01
+// images (a per-table format byte, row or columnar) are refused by magic.
+var imageMagic = []byte("REXIMG02")
 
 type imageTable struct {
 	name   string
@@ -38,19 +34,7 @@ func writeImage(path string, committedRound int64, tables []imageTable) error {
 	for _, t := range tables {
 		buf = encodeString(buf, t.name)
 		buf = binary.AppendUvarint(buf, uint64(t.keyCol))
-		ds := make([]types.Delta, len(t.tuples))
-		for i, tup := range t.tuples {
-			ds[i] = types.Insert(tup)
-		}
-		var payload []byte
-		format := byte(imageFormatRow)
-		if cb, ok := types.FromDeltas(ds); ok {
-			format = imageFormatCol
-			payload = types.AppendDeltaBatch(nil, cb)
-		} else {
-			payload = types.EncodeBatch(ds)
-		}
-		buf = append(buf, format)
+		payload := cluster.EncodeDeltas(types.Inserts(t.tuples...))
 		buf = binary.AppendUvarint(buf, uint64(len(payload)))
 		buf = append(buf, payload...)
 	}
@@ -79,7 +63,7 @@ func readImage(path string) (committedRound int64, tables []imageTable, err erro
 		return -1, nil, err
 	}
 	if len(buf) < len(imageMagic)+1 || string(buf[:len(imageMagic)]) != string(imageMagic) {
-		return -1, nil, fmt.Errorf("pagestore: %s: not a checkpoint image", path)
+		return -1, nil, fmt.Errorf("pagestore: %s: not a %s checkpoint image", path, imageMagic)
 	}
 	buf = buf[len(imageMagic):]
 	round, n := binary.Varint(buf)
@@ -103,33 +87,15 @@ func readImage(path string) (committedRound int64, tables []imageTable, err erro
 			return -1, nil, fmt.Errorf("pagestore: %s: bad key column", path)
 		}
 		buf = buf[n:]
-		if len(buf) == 0 {
-			return -1, nil, fmt.Errorf("pagestore: %s: truncated", path)
-		}
-		format := buf[0]
-		buf = buf[1:]
 		plen, n := binary.Uvarint(buf)
 		if n <= 0 || plen > uint64(len(buf)-n) {
 			return -1, nil, fmt.Errorf("pagestore: %s: bad payload length", path)
 		}
 		payload := buf[n : n+int(plen)]
 		buf = buf[n+int(plen):]
-		var ds []types.Delta
-		switch format {
-		case imageFormatCol:
-			cb, _, err := types.DecodeDeltaBatch(payload)
-			if err != nil {
-				return -1, nil, fmt.Errorf("pagestore: %s: table %s: %w", path, name, err)
-			}
-			ds = cb.Deltas()
-		case imageFormatRow:
-			var err error
-			ds, err = types.DecodeBatch(payload)
-			if err != nil {
-				return -1, nil, fmt.Errorf("pagestore: %s: table %s: %w", path, name, err)
-			}
-		default:
-			return -1, nil, fmt.Errorf("pagestore: %s: table %s: unknown format %d", path, name, format)
+		ds, err := cluster.DecodeDeltas(payload)
+		if err != nil {
+			return -1, nil, fmt.Errorf("pagestore: %s: table %s: %w", path, name, err)
 		}
 		tuples := make([]types.Tuple, len(ds))
 		for j, d := range ds {

@@ -305,6 +305,8 @@ func TestCheckpointImageRoundtrip(t *testing.T) {
 		{name: "a", keyCol: 0, tuples: []types.Tuple{tup(1, "x"), tup(2, "y")}},
 		{name: "b", keyCol: 1, tuples: []types.Tuple{tup(3.5, 4), tup(1.25, 9)}},
 		{name: "empty", keyCol: 0},
+		// Mixed arities and kinds: the payload splits into runs.
+		{name: "ragged", keyCol: 0, tuples: []types.Tuple{tup(1, "S"), tup(2, "S", 0.5), types.NewTuple(int64(3), nil, "x"), tup(4)}},
 	}
 	if err := writeImage(path, 42, in); err != nil {
 		t.Fatal(err)

@@ -360,7 +360,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		}
 		var req srvproto.Request
 		if err := json.Unmarshal(m.Payload, &req); err != nil {
-			c.writeErr(m.Edge, fmt.Errorf("server: bad request: %w", err))
+			c.writeErr(m.Edge, fmt.Errorf("%w: %w", srvproto.ErrBadRequest, err))
 			continue
 		}
 		if req.Op == srvproto.OpCancel {
@@ -626,7 +626,7 @@ func (s *Server) doIngest(c *srvConn, ctx context.Context, id int, req srvproto.
 	for table, enc := range req.Tables {
 		ds, err := cluster.DecodeDeltas(enc)
 		if err != nil {
-			c.writeErr(id, fmt.Errorf("server: ingest %s: %w", table, err))
+			c.writeErr(id, fmt.Errorf("%w: ingest %s: %w", srvproto.ErrBadRequest, table, err))
 			return
 		}
 		batches[table] = ds

@@ -231,6 +231,9 @@ var (
 	// ErrTenantBusy rejects work past the requesting tenant's inflight
 	// quota; other tenants' capacity is unaffected.
 	ErrTenantBusy = errors.New("rex: tenant quota exhausted")
+	// ErrBadRequest rejects a request the server cannot parse: a malformed
+	// body, or an ingest batch or argument tuple that does not decode.
+	ErrBadRequest = errors.New("rex: bad request")
 )
 
 // CodeFor classifies an error as a wire code. ErrTenantBusy is checked
@@ -242,6 +245,8 @@ func CodeFor(err error) int {
 		return CodeTenantBusy
 	case errors.Is(err, ErrServerBusy):
 		return CodeBusy
+	case errors.Is(err, ErrBadRequest):
+		return CodeBadRequest
 	case errors.Is(err, catalog.ErrUnknownTable):
 		return CodeUnknownTable
 	case errors.Is(err, ErrSessionClosed):
@@ -271,6 +276,8 @@ func Rehydrate(code int, msg string) error {
 		base = ErrServerBusy
 	case CodeTenantBusy:
 		base = ErrTenantBusy
+	case CodeBadRequest:
+		base = ErrBadRequest
 	case CodeUnknownTable:
 		base = catalog.ErrUnknownTable
 	case CodeSessionClosed:
@@ -318,8 +325,8 @@ func ReadMsg(r io.Reader) (cluster.Message, error) {
 	return cluster.DecodeFrame(buf)
 }
 
-// EncodeArgs packs bound parameter values as one encoded tuple; nil for
-// no arguments.
+// EncodeArgs packs bound parameter values as a one-row delta payload; nil
+// for no arguments.
 func EncodeArgs(args []types.Value) []byte {
 	if len(args) == 0 {
 		return nil
@@ -334,10 +341,10 @@ func DecodeArgs(b []byte) ([]types.Value, error) {
 	}
 	ds, err := cluster.DecodeDeltas(b)
 	if err != nil {
-		return nil, fmt.Errorf("srvproto: decode args: %w", err)
+		return nil, fmt.Errorf("%w: decode args: %w", ErrBadRequest, err)
 	}
 	if len(ds) != 1 {
-		return nil, fmt.Errorf("srvproto: decode args: %d deltas, want 1", len(ds))
+		return nil, fmt.Errorf("%w: decode args: %d deltas, want 1", ErrBadRequest, len(ds))
 	}
 	return []types.Value(ds[0].Tup), nil
 }

@@ -563,13 +563,55 @@ func rowTuple(cols []Column, i int) Tuple {
 
 // Deltas materializes the whole batch as row-form deltas. Every tuple is
 // freshly allocated, so the result is safe to retain even when the batch
-// itself is pooled or aliases a frame buffer.
+// itself is pooled or aliases a frame buffer, and a retained row never
+// pins the rest of its batch. Values are boxed a column at a time,
+// straight off the lanes.
 func (b *DeltaBatch) Deltas() []Delta {
 	out := make([]Delta, b.n)
 	for i := range out {
-		out[i] = b.Delta(i)
+		out[i] = Delta{Op: b.Op(i), Tup: make(Tuple, len(b.cols))}
+		if out[i].Op == OpReplace && b.old != nil {
+			out[i].Old = rowTuple(b.old, i)
+		}
+	}
+	for j := range b.cols {
+		b.cols[j].boxInto(out, j)
 	}
 	return out
+}
+
+// boxInto writes row i's boxed value to rows[i].Tup[j] for every row. A
+// lazy column is boxed straight off its payload and stays lazy.
+func (c *Column) boxInto(rows []Delta, j int) {
+	switch {
+	case c.raw != nil:
+		boxPayload(c.rawRepr, c.raw, rows, j)
+	case c.anys != nil:
+		for i, v := range c.anys[:c.n] {
+			rows[i].Tup[j] = v
+		}
+	case c.kind == KindInt:
+		for i, v := range c.ints[:c.n] {
+			rows[i].Tup[j] = v
+		}
+	case c.kind == KindFloat:
+		for i, v := range c.floats[:c.n] {
+			rows[i].Tup[j] = v
+		}
+	case c.kind == KindString:
+		for i, v := range c.strs[:c.n] {
+			rows[i].Tup[j] = v
+		}
+	case c.kind == KindBool:
+		for i, v := range c.bools[:c.n] {
+			rows[i].Tup[j] = v
+		}
+	}
+	for i := 0; i < c.n && i>>3 < len(c.nulls); i++ {
+		if c.IsNull(i) {
+			rows[i].Tup[j] = nil
+		}
+	}
 }
 
 // HashKeyAt returns Tuple.HashKey(key) for row i without materializing
@@ -596,26 +638,36 @@ func (b *DeltaBatch) OldHashKeyAt(i int, key []int, scratch Tuple) uint64 {
 	return scratch.HashKey(key)
 }
 
-// FromDeltas converts a row batch to columnar form. It reports ok=false
-// (and returns nil) for ragged batches — rows with differing arities, or
-// replaces whose old arities differ — which callers keep on the row path.
-func FromDeltas(ds []Delta) (*DeltaBatch, bool) {
+// UniformRun reports the length of the longest prefix of ds that one
+// DeltaBatch can hold: rows of one arity whose replaces share one old
+// arity. The wire codec splits ragged row batches into such runs.
+func UniformRun(ds []Delta) int {
 	if len(ds) == 0 {
-		return &DeltaBatch{}, true
+		return 0
 	}
 	arity := len(ds[0].Tup)
 	oldArity := -1
-	for _, d := range ds {
+	for i, d := range ds {
 		if len(d.Tup) != arity {
-			return nil, false
+			return i
 		}
 		if d.Op == OpReplace {
 			if oldArity < 0 {
 				oldArity = len(d.Old)
 			} else if len(d.Old) != oldArity {
-				return nil, false
+				return i
 			}
 		}
+	}
+	return len(ds)
+}
+
+// FromDeltas converts a row batch to columnar form. It reports ok=false
+// (and returns nil) for ragged batches — rows with differing arities, or
+// replaces whose old arities differ — which callers keep on the row path.
+func FromDeltas(ds []Delta) (*DeltaBatch, bool) {
+	if UniformRun(ds) != len(ds) {
+		return nil, false
 	}
 	b := &DeltaBatch{}
 	for _, d := range ds {

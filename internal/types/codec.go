@@ -42,41 +42,57 @@ func AppendValue(buf []byte, v Value) []byte {
 
 // DecodeValue decodes one value from buf, returning it and the bytes read.
 func DecodeValue(buf []byte) (Value, int, error) {
-	if len(buf) == 0 {
-		return nil, 0, fmt.Errorf("types: decode value: empty buffer")
+	n, err := valueLen(buf)
+	if err != nil {
+		return nil, 0, err
 	}
-	k := Kind(buf[0])
-	rest := buf[1:]
-	switch k {
-	case KindNull:
-		return nil, 1, nil
+	switch Kind(buf[0]) {
 	case KindInt:
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("types: decode int: bad varint")
-		}
-		return v, 1 + n, nil
+		v, _ := binary.Varint(buf[1:])
+		return v, n, nil
 	case KindFloat:
-		if len(rest) < 8 {
-			return nil, 0, fmt.Errorf("types: decode float: short buffer")
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(rest)), 9, nil
+		return math.Float64frombits(binary.BigEndian.Uint64(buf[1:])), n, nil
 	case KindString:
-		l, n := binary.Uvarint(rest)
+		_, k := binary.Uvarint(buf[1:])
+		return string(buf[1+k : n]), n, nil
+	case KindBool:
+		return buf[1] != 0, n, nil
+	default:
+		return nil, n, nil
+	}
+}
+
+// valueLen reports the encoded size of the value at the head of buf
+// without decoding it (no string copy), or why DecodeValue would fail.
+func valueLen(buf []byte) (int, error) {
+	if len(buf) == 0 {
+		return 0, fmt.Errorf("types: decode value: empty buffer")
+	}
+	switch Kind(buf[0]) {
+	case KindNull:
+		return 1, nil
+	case KindInt:
+		if _, n := binary.Varint(buf[1:]); n > 0 {
+			return 1 + n, nil
+		}
+	case KindFloat:
+		if len(buf) >= 9 {
+			return 9, nil
+		}
+	case KindString:
 		// uint64 comparison so a forged huge length cannot overflow int
 		// and slip past the bounds check.
-		if n <= 0 || l > uint64(len(rest)-n) {
-			return nil, 0, fmt.Errorf("types: decode string: short buffer")
+		if l, n := binary.Uvarint(buf[1:]); n > 0 && l <= uint64(len(buf)-1-n) {
+			return 1 + n + int(l), nil
 		}
-		return string(rest[n : n+int(l)]), 1 + n + int(l), nil
 	case KindBool:
-		if len(rest) < 1 {
-			return nil, 0, fmt.Errorf("types: decode bool: short buffer")
+		if len(buf) >= 2 {
+			return 2, nil
 		}
-		return rest[0] != 0, 2, nil
 	default:
-		return nil, 0, fmt.Errorf("types: decode: unknown kind %d", k)
+		return 0, fmt.Errorf("types: decode: unknown kind %d", buf[0])
 	}
+	return 0, fmt.Errorf("types: decode %v: short buffer", Kind(buf[0]))
 }
 
 // AppendTuple encodes t (field count + values).
@@ -143,36 +159,9 @@ func DecodeDelta(buf []byte) (Delta, int, error) {
 	return d, off, nil
 }
 
-// EncodeBatch encodes a batch of deltas with a leading count. This is the
-// wire format of one transport message.
-func EncodeBatch(ds []Delta) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(ds)))
-	for _, d := range ds {
-		buf = AppendDelta(buf, d)
-	}
-	return buf
-}
-
-// DecodeBatch decodes a batch encoded by EncodeBatch.
-func DecodeBatch(buf []byte) ([]Delta, error) {
-	n64, n := binary.Uvarint(buf)
-	if n <= 0 || n64 > uint64(len(buf)-n) {
-		return nil, fmt.Errorf("types: decode batch: bad count")
-	}
-	off := n
-	out := make([]Delta, 0, n64)
-	for i := uint64(0); i < n64; i++ {
-		d, used, err := DecodeDelta(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("types: decode batch item %d: %w", i, err)
-		}
-		out = append(out, d)
-		off += used
-	}
-	return out, nil
-}
-
-// EncodedSize reports the wire size of a batch without materializing it.
+// EncodedSize reports the size of a count-prefixed run of AppendDelta
+// records without materializing it — the per-record codec's cost of a
+// batch.
 func EncodedSize(ds []Delta) int {
 	n := uvarintLen(uint64(len(ds)))
 	for _, d := range ds {
@@ -187,15 +176,14 @@ func EncodedSize(ds []Delta) int {
 func tupleSize(t Tuple) int {
 	n := uvarintLen(uint64(len(t)))
 	for _, v := range t {
-		n += ValueSize(v)
+		n += valueSize(v)
 	}
 	return n
 }
 
-// ValueSize reports the encoded size of one value without materializing
-// it. Wire-level codecs use it to decide when dictionary-encoding a
-// repeated value pays for itself.
-func ValueSize(v Value) int {
+// valueSize reports the encoded size of one value without materializing
+// it.
+func valueSize(v Value) int {
 	switch x := v.(type) {
 	case nil:
 		return 1

@@ -1,9 +1,10 @@
 // Columnar wire codec for DeltaBatch. The encoded layout IS the in-memory
 // layout: a row count, the Op vector as raw bytes, then each column as a
 // repr byte, optional validity bitmap, and a length-prefixed payload.
-// DecodeDeltaBatch therefore only parses the O(columns) header and aliases
-// the ops/bitmap/payload spans out of the input buffer; column values
-// materialize lazily, on first access, via Column.mat.
+// DecodeDeltaBatch aliases the ops/bitmap/payload spans out of the input
+// buffer after one bounds-checked walk over each payload, so column values
+// materialize lazily, on first access, via Column.mat — which can then no
+// longer fail.
 package types
 
 import (
@@ -127,10 +128,12 @@ func putUvarint4(dst []byte, v uint64) {
 }
 
 // DecodeDeltaBatch decodes a batch encoded by AppendDeltaBatch, aliasing
-// the Op vector, validity bitmaps, and column payloads out of buf. The
-// returned batch is borrowed: it must not outlive buf's owner past the
-// usual message lifetime, must not be pooled, and materializing accessors
-// (Delta, Deltas, Row) always copy out of it.
+// the Op vector, validity bitmaps, and column payloads out of buf. Every
+// op byte and column payload is checked here, so a hostile buffer errors
+// instead of panicking later in an operator. The returned batch is
+// borrowed: it must not outlive buf's owner past the usual message
+// lifetime, must not be pooled, and materializing accessors (Delta,
+// Deltas, Row) always copy out of it.
 func DecodeDeltaBatch(buf []byte) (*DeltaBatch, int, error) {
 	n64, n := binary.Uvarint(buf)
 	if n <= 0 || n64 > uint64(len(buf)-n) {
@@ -153,27 +156,28 @@ func DecodeDeltaBatch(buf []byte) (*DeltaBatch, int, error) {
 	}
 	b := &DeltaBatch{n: rows, borrowed: true}
 	b.ops = buf[off : off+rows : off+rows]
+	for i, op := range b.ops {
+		if op > byte(OpUpdate) {
+			return nil, 0, fmt.Errorf("types: decode delta batch: unknown op %d at row %d", op, i)
+		}
+	}
 	off += rows
-	decodeGroup := func(k int) ([]Column, error) {
-		if k == 0 {
-			return nil, nil
-		}
-		cols := make([]Column, k)
-		for j := 0; j < k; j++ {
-			used, err := decodeColumn(&cols[j], buf[off:], rows)
-			if err != nil {
-				return nil, fmt.Errorf("types: decode delta batch: column %d: %w", j, err)
-			}
-			off += used
-		}
-		return cols, nil
+	// A column costs at least its head and length bytes; bounding the
+	// count first keeps a forged header from buying a huge allocation.
+	if 2*(ncols+nold) > uint64(len(buf)-off) {
+		return nil, 0, fmt.Errorf("types: decode delta batch: %d columns overrun the payload", ncols+nold)
 	}
-	var err error
-	if b.cols, err = decodeGroup(int(ncols)); err != nil {
-		return nil, 0, err
+	cols := make([]Column, ncols+nold) // both groups, one allocation
+	for j := range cols {
+		used, err := decodeColumn(&cols[j], buf[off:], rows)
+		if err != nil {
+			return nil, 0, fmt.Errorf("types: decode delta batch: column %d: %w", j, err)
+		}
+		off += used
 	}
-	if b.old, err = decodeGroup(int(nold)); err != nil {
-		return nil, 0, err
+	b.cols = cols[:ncols:ncols]
+	if nold > 0 {
+		b.old = cols[ncols:]
 	}
 	return b, off, nil
 }
@@ -205,12 +209,56 @@ func decodeColumn(c *Column, buf []byte, rows int) (int, error) {
 	c.rawRepr = repr
 	c.raw = buf[off : off+int(pl) : off+int(pl)]
 	off += int(pl)
+	if err := checkPayload(repr, c.raw, rows); err != nil {
+		return 0, err
+	}
 	return off, nil
+}
+
+// checkPayload walks a column payload once, so that mat can trust it: the
+// payload must hold exactly rows values of its repr, each inside bounds.
+func checkPayload(repr byte, raw []byte, rows int) error {
+	used := 0 // bytes the rows' values occupy
+	switch repr {
+	case colFloats:
+		used = 8 * rows
+	case colBools:
+		used = (rows + 7) / 8
+	case colInts:
+		for i := 0; i < rows; i++ {
+			_, n := binary.Varint(raw[used:])
+			if n <= 0 {
+				return fmt.Errorf("bad varint at row %d", i)
+			}
+			used += n
+		}
+	case colStrs:
+		for i := 0; i < rows; i++ {
+			l, n := binary.Uvarint(raw[used:])
+			if n <= 0 || l > uint64(len(raw)-used-n) {
+				return fmt.Errorf("bad string at row %d", i)
+			}
+			used += n + int(l)
+		}
+	case colAnys:
+		for i := 0; i < rows; i++ {
+			n, err := valueLen(raw[used:])
+			if err != nil {
+				return fmt.Errorf("row %d: %w", i, err)
+			}
+			used += n
+		}
+	}
+	if used != len(raw) {
+		return fmt.Errorf("payload is %d bytes, its %d rows need %d", len(raw), rows, used)
+	}
+	return nil
 }
 
 // mat materializes a lazy column: decodes raw into the typed vector and
 // drops the alias. Materialized values (including strings, which copy
-// out of the payload) own their storage.
+// out of the payload) own their storage. DecodeDeltaBatch checked the
+// payload, so the loops below read it without error paths.
 func (c *Column) mat() {
 	if c.raw == nil {
 		return
@@ -226,18 +274,12 @@ func (c *Column) mat() {
 		off := 0
 		for i := 0; i < c.n; i++ {
 			v, n := binary.Varint(raw[off:])
-			if n <= 0 {
-				panic(fmt.Sprintf("types: column payload: bad varint at row %d", i))
-			}
 			c.ints[i] = v
 			off += n
 		}
 	case colFloats:
 		c.kind = KindFloat
 		c.floats = growZero(c.floats, c.n)
-		if len(raw) < 8*c.n {
-			panic("types: column payload: short float vector")
-		}
 		for i := 0; i < c.n; i++ {
 			c.floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
@@ -247,9 +289,6 @@ func (c *Column) mat() {
 		off := 0
 		for i := 0; i < c.n; i++ {
 			l, n := binary.Uvarint(raw[off:])
-			if n <= 0 || l > uint64(len(raw)-off-n) {
-				panic(fmt.Sprintf("types: column payload: bad string at row %d", i))
-			}
 			off += n
 			c.strs[i] = string(raw[off : off+int(l)])
 			off += int(l)
@@ -257,9 +296,6 @@ func (c *Column) mat() {
 	case colBools:
 		c.kind = KindBool
 		c.bools = growZero(c.bools, c.n)
-		if len(raw) < (c.n+7)/8 {
-			panic("types: column payload: short bool vector")
-		}
 		for i := 0; i < c.n; i++ {
 			c.bools[i] = raw[i>>3]&(1<<(i&7)) != 0
 		}
@@ -267,12 +303,37 @@ func (c *Column) mat() {
 		c.anys = make([]Value, c.n)
 		off := 0
 		for i := 0; i < c.n; i++ {
-			v, used, err := DecodeValue(raw[off:])
-			if err != nil {
-				panic(fmt.Sprintf("types: column payload: row %d: %v", i, err))
-			}
+			v, n, _ := DecodeValue(raw[off:])
 			c.anys[i] = v
-			off += used
+			off += n
 		}
+	}
+}
+
+// boxPayload writes the values of a checked payload into column j of
+// rows' tuples, boxed straight off the bytes — the row-form decode, which
+// never builds the typed vector. NULL rows get whatever the payload holds
+// there; the caller applies the validity bitmap.
+func boxPayload(repr byte, raw []byte, rows []Delta, j int) {
+	off := 0
+	for i := range rows {
+		var v Value
+		switch repr {
+		case colInts:
+			x, k := binary.Varint(raw[off:])
+			v, off = x, off+k
+		case colFloats:
+			v = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		case colStrs:
+			l, k := binary.Uvarint(raw[off:])
+			off += k
+			v, off = string(raw[off:off+int(l)]), off+int(l)
+		case colBools:
+			v = raw[i>>3]&(1<<(i&7)) != 0
+		case colAnys:
+			x, k, _ := DecodeValue(raw[off:])
+			v, off = x, off+k
+		}
+		rows[i].Tup[j] = v
 	}
 }

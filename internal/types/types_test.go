@@ -1,6 +1,8 @@
 package types
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -181,11 +183,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		Replace(NewTuple("old"), NewTuple("new")),
 		Update(NewTuple(int64(1), -0.01)),
 	}
-	buf := EncodeBatch(ds)
+	buf := appendRecords(ds)
 	if len(buf) != EncodedSize(ds) {
 		t.Fatalf("EncodedSize=%d, actual=%d", EncodedSize(ds), len(buf))
 	}
-	got, err := DecodeBatch(buf)
+	got, err := decodeRecords(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +214,11 @@ func TestCodecErrors(t *testing.T) {
 	if _, _, err := DecodeValue([]byte{99}); err == nil {
 		t.Error("unknown kind should fail")
 	}
-	if _, err := DecodeBatch([]byte{}); err == nil {
-		t.Error("empty batch should fail")
+	if _, _, err := DecodeDelta(nil); err == nil {
+		t.Error("empty delta should fail")
+	}
+	if _, _, err := DecodeTuple([]byte{5, byte(KindInt)}); err == nil {
+		t.Error("short tuple should fail")
 	}
 }
 
@@ -232,8 +237,39 @@ func TestCodecSpecialFloats(t *testing.T) {
 	}
 }
 
-// Property: any batch of random tuples round-trips through the codec and
-// EncodedSize always matches the encoded length.
+// appendRecords lays ds out the way EncodedSize counts it: a uvarint
+// count, then one AppendDelta record per delta (the WAL's per-record
+// codec, batched).
+func appendRecords(ds []Delta) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(ds)))
+	for _, d := range ds {
+		buf = AppendDelta(buf, d)
+	}
+	return buf
+}
+
+func decodeRecords(buf []byte) ([]Delta, error) {
+	n, off := binary.Uvarint(buf)
+	if off <= 0 {
+		return nil, fmt.Errorf("bad count")
+	}
+	var out []Delta
+	for i := uint64(0); i < n; i++ {
+		d, used, err := DecodeDelta(buf[off:])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, d)
+		off += used
+	}
+	if off != len(buf) {
+		return nil, fmt.Errorf("%d trailing bytes", len(buf)-off)
+	}
+	return out, nil
+}
+
+// Property: any batch of random tuples round-trips through the per-record
+// codec and EncodedSize always matches the encoded length.
 func TestCodecRoundTripProperty(t *testing.T) {
 	gen := func(r *rand.Rand) Delta {
 		n := r.Intn(5)
@@ -272,11 +308,11 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		for i := range ds {
 			ds[i] = gen(r)
 		}
-		buf := EncodeBatch(ds)
+		buf := appendRecords(ds)
 		if len(buf) != EncodedSize(ds) {
 			return false
 		}
-		got, err := DecodeBatch(buf)
+		got, err := decodeRecords(buf)
 		if err != nil || len(got) != len(ds) {
 			return false
 		}
