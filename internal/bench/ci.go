@@ -21,7 +21,7 @@ import (
 // scenario's coalescing fields (ingests, staged/folded deltas,
 // coalesce_ratio, sequential_bytes); 4 = adds the inner_loop section
 // (rows_per_sec, allocs_per_round, heap_growth_bytes), the suite rows'
-// row_path_hash (vectorization off), and the churn row's rows_per_sec;
+// row_path_hash (compiled kernels off), and the churn row's rows_per_sec;
 // 5 = adds the spill section (paged stores with a larger-than-pool
 // dataset: buffer-pool hit rate, evictions, bytes spilled, rows/sec);
 // 6 = adds the kernel section (filter microloop: compiled column kernel
@@ -124,10 +124,12 @@ type CIWire struct {
 	ResultRows int    `json:"result_rows"`
 	Strata     int    `json:"strata,omitempty"`
 	ResultHash string `json:"result_hash,omitempty"`
-	// RowPathHash is the same workload re-run with vectorization off
-	// (NoVectorize); it must equal ResultHash — the vector operators and
-	// columnar wire path change nothing observable. RowPathMillis is that
-	// run's wall time, the end-to-end A/B against Millis.
+	// RowPathHash is the same workload re-run with compiled kernels off
+	// (NoVectorize: every expression through the interpreter); it must
+	// equal ResultHash — the kernels change nothing observable.
+	// RowPathMillis is that run's wall time, the end-to-end A/B against
+	// Millis. The row_path_* JSON names stay so trend tooling keeps
+	// comparing records across commits.
 	RowPathHash   string  `json:"row_path_hash,omitempty"`
 	RowPathMillis float64 `json:"row_path_ms,omitempty"`
 	Millis        float64 `json:"ms"`

@@ -55,7 +55,7 @@ func SuiteSpecs(sc Scale) []*job.Spec {
 func TransportSuite(w io.Writer, sc Scale, transport string, run Runner) ([]CIWire, error) {
 	rep := &Report{
 		Title: fmt.Sprintf("Transport suite (%s)", transport),
-		Notes: "same plans + seeds on every transport; result_hash must match across backends and with vectorization off",
+		Notes: "same plans + seeds on every transport; result_hash must match across backends and with compiled kernels off",
 		Headers: []string{"workload", "rows", "strata", "wire_bytes", "deltas_in", "deltas_out",
 			"result_hash", "row_path_hash", "ms", "row_path_ms"},
 	}
@@ -72,21 +72,21 @@ func TransportSuite(w io.Writer, sc Scale, transport string, run Runner) ([]CIWi
 		row.ResultHash = ResultHash(res.Tuples)
 		row.Millis = float64(time.Since(start)) / float64(time.Millisecond)
 
-		// Re-run the identical spec with vectorization off: the row
-		// operator paths and row wire codec must produce the same result
-		// set. NoVectorize travels in the spec so multi-process workers
-		// agree with the driver.
+		// Re-run the identical spec with compiled kernels off: the
+		// interpreter must produce the same result set. NoVectorize
+		// travels in the spec so multi-process workers agree with the
+		// driver.
 		rowSpec := *spec
 		rowSpec.NoVectorize = true
 		rowStart := time.Now()
 		rowRes, err := run(&rowSpec, nil)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s (vectorization off) on %s: %w", spec.Workload, transport, err)
+			return nil, fmt.Errorf("bench: %s (kernels off) on %s: %w", spec.Workload, transport, err)
 		}
 		row.RowPathMillis = float64(time.Since(rowStart)) / float64(time.Millisecond)
 		row.RowPathHash = ResultHash(rowRes.Tuples)
 		if row.RowPathHash != row.ResultHash {
-			return nil, fmt.Errorf("bench: %s on %s: vectorized hash %s != row-path hash %s",
+			return nil, fmt.Errorf("bench: %s on %s: kernel hash %s != interpreter hash %s",
 				spec.Workload, transport, row.ResultHash, row.RowPathHash)
 		}
 

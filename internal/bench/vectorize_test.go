@@ -1,9 +1,10 @@
 package bench
 
-// Vector-vs-row equivalence: every workload of the transport suite must
-// produce the identical result hash with vectorization on and off, with
-// and without the shuffle compactor. This is the engine-level property
-// behind the columnar fast paths — they change throughput, never results.
+// Kernel-vs-interpreter equivalence over the {compaction} × {kernels}
+// matrix: every workload of the transport suite must produce the
+// identical result hash with compiled expression kernels on and off
+// (NoVectorize runs every expression through the interpreter), with and
+// without the shuffle compactor. Kernels change throughput, never results.
 
 import (
 	"fmt"

@@ -37,40 +37,10 @@ func (s *scanOp) read(emit func(types.Tuple) error) error {
 	return s.ctx.Store.ScanOwned(s.table, s.ctx.Snap, emit)
 }
 
-func (s *scanOp) Start() error {
-	if s.ctx.Vectorize {
-		return s.startVec()
-	}
-	buf := make([]types.Delta, 0, s.batch)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		err := s.outs.send(buf)
-		buf = buf[:0]
-		return err
-	}
-	err := s.read(func(t types.Tuple) error {
-		buf = append(buf, types.Insert(t))
-		if len(buf) >= s.batch {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	return s.outs.punct(0, true)
-}
-
-// startVec is Start on the columnar path: the partition scan fills one
-// pooled batch per BatchSize rows and hands it downstream as a unit, so a
-// vectorized pipeline runs the whole base stratum without materializing
+// Start scans the partition into one pooled batch per BatchSize rows and
+// hands each downstream as a unit, so the base stratum never materializes
 // per-row deltas.
-func (s *scanOp) startVec() error {
+func (s *scanOp) Start() error {
 	b := types.GetBatch()
 	defer types.PutBatch(b)
 	flush := func() error {
@@ -102,20 +72,6 @@ func (s *scanOp) startVec() error {
 // the node has injected, preserving the data-before-punctuation discipline
 // across tables.
 func (s *scanOp) Inject(batch []types.Delta) error {
-	if s.ctx.Vectorize {
-		b := types.GetBatch()
-		defer types.PutBatch(b)
-		for _, d := range batch {
-			if !b.CanAppend(d) || b.Len() >= s.batch {
-				if err := s.outs.sendBatch(b); err != nil {
-					return err
-				}
-				b.Reset()
-			}
-			b.Append(d)
-		}
-		return s.outs.sendBatch(b)
-	}
 	for len(batch) > 0 {
 		n := min(s.batch, len(batch))
 		if err := s.outs.send(batch[:n]); err != nil {
@@ -133,8 +89,8 @@ func (s *scanOp) punctRound(stratum int) error {
 	return s.outs.punct(stratum, true)
 }
 
-func (s *scanOp) Push(int, []types.Delta) error { return fmt.Errorf("exec: scan has no inputs") }
-func (s *scanOp) Punct(int, int, bool) error    { return fmt.Errorf("exec: scan has no inputs") }
+func (s *scanOp) Push(int, *types.DeltaBatch) error { return fmt.Errorf("exec: scan has no inputs") }
+func (s *scanOp) Punct(int, int, bool) error        { return fmt.Errorf("exec: scan has no inputs") }
 
 // filterOp applies a predicate with proper delta semantics: a replacement
 // whose old and new tuples fall on different sides of the predicate
@@ -154,11 +110,14 @@ type filterOp struct {
 	oldRows []int32
 }
 
-// newFilterOp builds the operator and compiles the predicate kernel when
-// the expression shape allows it (schema may be nil when the plan did
-// not record the input schema).
-func newFilterOp(pred expr.Expr, schema []types.Kind) *filterOp {
+// newFilterOp builds the operator and, with kernels on, compiles the
+// predicate kernel when the expression shape allows it (schema may be nil
+// when the plan did not record the input schema).
+func newFilterOp(pred expr.Expr, schema []types.Kind, kernels bool) *filterOp {
 	f := &filterOp{pred: pred}
+	if !kernels {
+		return f
+	}
 	if k, ok := expr.Compile(pred, schema); ok {
 		f.kern = k
 		kernelCompiled.Add(1)
@@ -166,46 +125,12 @@ func newFilterOp(pred expr.Expr, schema []types.Kind) *filterOp {
 	return f
 }
 
-func (f *filterOp) Push(port int, batch []types.Delta) error {
-	out := make([]types.Delta, 0, len(batch))
-	for _, d := range batch {
-		switch d.Op {
-		case types.OpReplace:
-			oldOK, err := expr.EvalBool(f.pred, d.Old)
-			if err != nil {
-				return err
-			}
-			newOK, err := expr.EvalBool(f.pred, d.Tup)
-			if err != nil {
-				return err
-			}
-			switch {
-			case oldOK && newOK:
-				out = append(out, d)
-			case oldOK:
-				out = append(out, types.Delete(d.Old))
-			case newOK:
-				out = append(out, types.Insert(d.Tup))
-			}
-		default:
-			ok, err := expr.EvalBool(f.pred, d.Tup)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, d)
-			}
-		}
-	}
-	return f.outs.send(out)
-}
-
-// PushBatch is the columnar filter path. With a compiled kernel the
-// predicate runs column-wise over the whole batch (one pass for new
-// images, one over the old images of replace rows); without one — or
-// when the kernel declines the batch — rows bridge through the scratch-
-// tuple row path below, which is the semantic ground truth.
-func (f *filterOp) PushBatch(port int, b *types.DeltaBatch) error {
+// Push filters a batch. With a compiled kernel the predicate runs
+// column-wise over the whole batch (one pass for new images, one over the
+// old images of replace rows); without one — or when the kernel declines
+// the batch — rows go through the scratch-tuple interpreter below, which
+// is the semantic ground truth.
+func (f *filterOp) Push(port int, b *types.DeltaBatch) error {
 	if b.Len() > 0 {
 		if f.kern != nil {
 			if done, err := f.pushKernel(b); done {
@@ -303,8 +228,9 @@ func growBools(s []bool, n int) []bool {
 // pushBridged is the scratch-tuple bridge: rows are evaluated against a
 // reused scratch tuple (no per-row allocation) and survivors are copied
 // column-wise into a pooled output batch, so typed vectors never round-
-// trip through boxed deltas. Replace degradation matches Push exactly.
-// This is a documented expr.EvalBool fallback site.
+// trip through boxed deltas. A replace whose images fall on different
+// sides of the predicate degrades to a bare delete or insert. This is a
+// documented expr.EvalBool fallback site.
 func (f *filterOp) pushBridged(b *types.DeltaBatch) error {
 	out := types.GetBatch()
 	defer types.PutBatch(out)
@@ -392,14 +318,14 @@ type projectOp struct {
 
 	// kerns holds one compiled kernel per output expression; nil unless
 	// every expression compiled and no per-batch UDF machinery (memo,
-	// typecheck) needs the row path.
+	// typecheck) needs the interpreter.
 	kerns   []*expr.Kernel
 	newVecs []*types.Vec
 	oldVecs []*types.Vec
 	oldRows []int32
 }
 
-func newProjectOp(exprs []expr.Expr, argKinds [][]types.Kind, schema []types.Kind) *projectOp {
+func newProjectOp(exprs []expr.Expr, argKinds [][]types.Kind, schema []types.Kind, kernels bool) *projectOp {
 	p := &projectOp{exprs: exprs, argKinds: argKinds}
 	p.memoable = true
 	for _, e := range exprs {
@@ -417,9 +343,9 @@ func newProjectOp(exprs []expr.Expr, argKinds [][]types.Kind, schema []types.Kin
 		p.memo = map[string]types.Tuple{}
 	}
 	// Kernels apply only to pure column expressions: a UDF anywhere (it
-	// would not compile, and memoization/typechecking live on the row
-	// path) keeps the whole operator bridged.
-	if p.memo == nil && p.argKinds == nil && !hasCall {
+	// would not compile, and memoization/typechecking live in the
+	// interpreter path) keeps the whole operator bridged.
+	if kernels && p.memo == nil && p.argKinds == nil && !hasCall {
 		kerns := make([]*expr.Kernel, len(exprs))
 		all := true
 		for i, e := range exprs {
@@ -489,41 +415,13 @@ func (p *projectOp) typecheck(t types.Tuple) error {
 	return nil
 }
 
-func (p *projectOp) Push(port int, batch []types.Delta) error {
-	if p.argKinds != nil && len(batch) > 0 {
-		if err := p.typecheck(batch[0].Tup); err != nil {
-			return err
-		}
-	}
-	out := make([]types.Delta, 0, len(batch))
-	for _, d := range batch {
-		nt, err := p.apply(d.Tup)
-		if err != nil {
-			return err
-		}
-		nd := d.WithTuple(nt)
-		if d.Op == types.OpReplace {
-			ot, err := p.apply(d.Old)
-			if err != nil {
-				return err
-			}
-			if nt.Equal(ot) {
-				continue // replacement invisible after projection
-			}
-			nd.Old = ot
-		}
-		out = append(out, nd)
-	}
-	return p.outs.send(out)
-}
-
-// PushBatch is the columnar projection path: output batches are built
+// Push projects a batch. With compiled kernels, output batches are built
 // column-at-a-time from kernel result vectors (new images in one pass,
 // old images of replace rows in a second), with no-op replacements
 // dropped by a typed row-equality check. Batches the kernels decline —
-// and operators whose expressions never compiled — materialize rows and
-// run the Push path, the semantic ground truth.
-func (p *projectOp) PushBatch(port int, b *types.DeltaBatch) error {
+// and operators whose expressions never compiled — run the interpreter
+// path, the semantic ground truth.
+func (p *projectOp) Push(port int, b *types.DeltaBatch) error {
 	if b.Len() > 0 {
 		if p.kerns != nil {
 			if done, err := p.pushKernel(b); done {
@@ -534,7 +432,53 @@ func (p *projectOp) PushBatch(port int, b *types.DeltaBatch) error {
 			kernelBridgedBatches.Add(1)
 		}
 	}
-	return p.Push(port, b.Deltas())
+	return p.pushBridged(b)
+}
+
+// pushBridged interprets the expressions row by row against a reused
+// scratch tuple and appends the projected deltas to a pooled output
+// batch; UDF memoization and argument typechecking happen here. This is
+// a documented expr fallback site.
+func (p *projectOp) pushBridged(b *types.DeltaBatch) error {
+	var scratch types.Tuple
+	if p.argKinds != nil && b.Len() > 0 {
+		if err := p.typecheck(b.Row(0, scratch)); err != nil {
+			return err
+		}
+	}
+	out := types.GetBatch()
+	defer types.PutBatch(out)
+	for i := 0; i < b.Len(); i++ {
+		scratch = b.Row(i, scratch)
+		nt, err := p.apply(scratch)
+		if err != nil {
+			return err
+		}
+		d := types.Delta{Op: b.Op(i), Tup: nt}
+		if d.Op == types.OpReplace {
+			var old types.Tuple
+			if b.HasOld() {
+				scratch = b.OldRow(i, scratch)
+				old = scratch
+			}
+			ot, err := p.apply(old)
+			if err != nil {
+				return err
+			}
+			if nt.Equal(ot) {
+				continue // replacement invisible after projection
+			}
+			d.Old = ot
+		}
+		if !out.CanAppend(d) {
+			if err := p.outs.sendBatch(out); err != nil {
+				return err
+			}
+			out.Reset()
+		}
+		out.Append(d)
+	}
+	return p.outs.sendBatch(out)
 }
 
 func (p *projectOp) pushKernel(b *types.DeltaBatch) (bool, error) {
@@ -546,7 +490,7 @@ func (p *projectOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 		}
 	}
 	if len(p.oldRows) > 0 && !b.HasOld() {
-		return false, nil // degenerate replace without old images: row path arbitrates
+		return false, nil // degenerate replace without old images: the interpreter arbitrates
 	}
 	if p.newVecs == nil {
 		p.newVecs = make([]*types.Vec, len(p.kerns))
@@ -598,10 +542,10 @@ type tvfOp struct {
 	outs outputs
 }
 
-func (o *tvfOp) Push(port int, batch []types.Delta) error {
+func (o *tvfOp) Push(port int, b *types.DeltaBatch) error {
 	var out []types.Delta
-	for _, d := range batch {
-		res, err := o.fn.Fn(d)
+	for i := 0; i < b.Len(); i++ {
+		res, err := o.fn.Fn(b.Delta(i))
 		if err != nil {
 			return fmt.Errorf("exec: TVF %s: %w", o.fn.Name, err)
 		}
@@ -623,20 +567,10 @@ type outputOp struct {
 // resultEdge is the reserved transport edge for result traffic.
 const resultEdge = -1
 
-func (o *outputOp) Push(port int, batch []types.Delta) error {
-	payload := cluster.EncodeDeltas(batch)
-	o.ctx.Transport.SendToRequestor(cluster.Message{
-		From: o.ctx.Node, Kind: cluster.MsgData, Edge: resultEdge,
-		Payload: payload, Count: len(batch), Epoch: o.ctx.Epoch,
-	})
-	return nil
-}
-
-// PushBatch ships a result batch in the columnar wire format without
-// materializing rows. The payload buffer is freshly allocated, not pooled:
-// requestor-bound messages are delivered by reference in-process, so the
-// payload outlives this call.
-func (o *outputOp) PushBatch(port int, b *types.DeltaBatch) error {
+// Push ships a result batch in the columnar wire format. The payload
+// buffer is freshly allocated, not pooled: requestor-bound messages are
+// delivered by reference in-process, so the payload outlives this call.
+func (o *outputOp) Push(port int, b *types.DeltaBatch) error {
 	payload := cluster.EncodeDeltaBatch(nil, b)
 	o.ctx.Transport.SendToRequestor(cluster.Message{
 		From: o.ctx.Node, Kind: cluster.MsgData, Edge: resultEdge,

@@ -73,13 +73,12 @@ type Options struct {
 	// changes worker behavior — so it travels in the job spec.
 	// Streaming runs do not support failure recovery.
 	Stream bool
-	// NoVectorize disables the columnar batch path: operators exchange
-	// row-form delta slices end to end. The zero value runs vectorized —
-	// eligible operators move whole columnar batches. Either way the
-	// shuffle pends its deltas in columnar stores and the wire carries
-	// columnar frames; receivers hand non-vectorized operators rows. Both
-	// sides of a multi-process run must agree on this field — it changes
-	// worker behavior — so it travels in the job spec.
+	// NoVectorize turns the compiled expression kernels off: filter,
+	// project, group-by and pre-aggregation evaluate every expression
+	// through the interpreter, the reference implementation the kernels
+	// are tested against. Operators exchange columnar batches either way.
+	// Both sides of a multi-process run must agree on this field — it
+	// changes worker behavior — so it travels in the job spec.
 	NoVectorize bool
 	// TermFn, when set, is an explicit termination condition evaluated by
 	// the requestor after each stratum over the global new-tuple count

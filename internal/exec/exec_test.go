@@ -20,9 +20,15 @@ type collector struct {
 	}
 }
 
-func (c *collector) Push(port int, batch []types.Delta) error {
-	c.deltas = append(c.deltas, batch...)
+func (c *collector) Push(port int, b *types.DeltaBatch) error {
+	c.deltas = append(c.deltas, b.Deltas()...)
 	return nil
+}
+
+// push feeds row deltas to op through the row adapter, as an upstream
+// per-row operator would.
+func push(op Operator, port int, ds []types.Delta) error {
+	return outputs{{op: op, port: port}}.send(ds)
 }
 
 func (c *collector) Punct(port, stratum int, closed bool) error {
@@ -47,7 +53,7 @@ func TestFilterDeltaSemantics(t *testing.T) {
 		types.Replace(types.NewTuple(int64(3)), types.NewTuple(int64(6))), // enters: insert(6)
 		types.Replace(types.NewTuple(int64(1)), types.NewTuple(int64(2))), // invisible
 	}
-	if err := f.Push(0, in); err != nil {
+	if err := push(f, 0, in); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.deltas) != 4 {
@@ -71,14 +77,14 @@ func TestProjectReplaceCollapse(t *testing.T) {
 	c := &collector{}
 	// Project onto column 0 only: a replacement that changes only column 1
 	// becomes invisible.
-	p := newProjectOp([]expr.Expr{expr.NewCol(0, types.KindInt, "k")}, nil, nil)
+	p := newProjectOp([]expr.Expr{expr.NewCol(0, types.KindInt, "k")}, nil, nil, false)
 	p.outs = outputs{{op: c, port: 0}}
 	in := []types.Delta{
 		types.Replace(types.NewTuple(int64(1), int64(10)), types.NewTuple(int64(1), int64(11))),
 		types.Replace(types.NewTuple(int64(1), int64(10)), types.NewTuple(int64(2), int64(10))),
 		types.Update(types.NewTuple(int64(3), int64(4))),
 	}
-	if err := p.Push(0, in); err != nil {
+	if err := push(p, 0, in); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.deltas) != 2 {
@@ -102,14 +108,14 @@ func TestProjectMemoization(t *testing.T) {
 	c := &collector{}
 	p := newProjectOp([]expr.Expr{
 		expr.NewCall("dbl", fn, types.KindInt, true, expr.NewCol(0, types.KindInt, "x")),
-	}, nil, nil)
+	}, nil, nil, true)
 	p.outs = outputs{{op: c, port: 0}}
 	batch := []types.Delta{
 		types.Insert(types.NewTuple(int64(4))),
 		types.Insert(types.NewTuple(int64(4))),
 		types.Insert(types.NewTuple(int64(4))),
 	}
-	if err := p.Push(0, batch); err != nil {
+	if err := push(p, 0, batch); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -127,31 +133,31 @@ func TestJoinDefaultDeltaRules(t *testing.T) {
 	j.outs = outputs{{op: c, port: 0}}
 
 	// Left insert with empty right: no output.
-	must(t, j.Push(0, []types.Delta{types.Insert(types.NewTuple(int64(1), "a"))}))
+	must(t, push(j, 0, []types.Delta{types.Insert(types.NewTuple(int64(1), "a"))}))
 	if len(c.deltas) != 0 {
 		t.Fatal("no matches expected")
 	}
 	// Right insert matching: one joined insert.
-	must(t, j.Push(1, []types.Delta{types.Insert(types.NewTuple(int64(1), "x"))}))
+	must(t, push(j, 1, []types.Delta{types.Insert(types.NewTuple(int64(1), "x"))}))
 	if len(c.deltas) != 1 || !c.deltas[0].Tup.Equal(types.NewTuple(int64(1), "a", int64(1), "x")) {
 		t.Fatalf("joined tuple wrong: %v", c.deltas)
 	}
 	// Right delete: emits delete of the joined tuple.
-	must(t, j.Push(1, []types.Delta{types.Delete(types.NewTuple(int64(1), "x"))}))
+	must(t, push(j, 1, []types.Delta{types.Delete(types.NewTuple(int64(1), "x"))}))
 	if c.deltas[1].Op != types.OpDelete {
 		t.Fatal("delete propagation")
 	}
 	// Replacement on left with same key: replacement of joined tuples.
-	must(t, j.Push(1, []types.Delta{types.Insert(types.NewTuple(int64(1), "y"))}))
+	must(t, push(j, 1, []types.Delta{types.Insert(types.NewTuple(int64(1), "y"))}))
 	c.deltas = nil
-	must(t, j.Push(0, []types.Delta{types.Replace(types.NewTuple(int64(1), "a"), types.NewTuple(int64(1), "b"))}))
+	must(t, push(j, 0, []types.Delta{types.Replace(types.NewTuple(int64(1), "a"), types.NewTuple(int64(1), "b"))}))
 	if len(c.deltas) != 1 || c.deltas[0].Op != types.OpReplace ||
 		!c.deltas[0].Tup.Equal(types.NewTuple(int64(1), "b", int64(1), "y")) {
 		t.Fatalf("replace propagation wrong: %v", c.deltas)
 	}
 	// Replacement that changes the key splits into delete + insert.
 	c.deltas = nil
-	must(t, j.Push(0, []types.Delta{types.Replace(types.NewTuple(int64(1), "b"), types.NewTuple(int64(2), "b"))}))
+	must(t, push(j, 0, []types.Delta{types.Replace(types.NewTuple(int64(1), "b"), types.NewTuple(int64(2), "b"))}))
 	if len(c.deltas) != 1 || c.deltas[0].Op != types.OpDelete {
 		t.Fatalf("key-changing replace: %v", c.deltas)
 	}
@@ -183,7 +189,7 @@ func TestGroupByDeltaFlush(t *testing.T) {
 	must(t, err)
 	g.outs = outputs{{op: c, port: 0}}
 
-	must(t, g.Push(0, []types.Delta{
+	must(t, push(g, 0, []types.Delta{
 		types.Insert(types.NewTuple(int64(1), 2.0)),
 		types.Insert(types.NewTuple(int64(1), 3.0)),
 		types.Insert(types.NewTuple(int64(2), 1.0)),
@@ -199,7 +205,7 @@ func TestGroupByDeltaFlush(t *testing.T) {
 	}
 	// Second stratum: a δ adjustment to group 1 only → one replace.
 	c.deltas = nil
-	must(t, g.Push(0, []types.Delta{types.Update(types.NewTuple(int64(1), -1.0))}))
+	must(t, push(g, 0, []types.Delta{types.Update(types.NewTuple(int64(1), -1.0))}))
 	must(t, g.Punct(0, 1, false))
 	if len(c.deltas) != 1 || c.deltas[0].Op != types.OpReplace {
 		t.Fatalf("second flush: %v", c.deltas)
@@ -227,7 +233,7 @@ func TestGroupByCheckpointRoundTrip(t *testing.T) {
 	must(t, err)
 	c1 := &collector{}
 	g1.outs = outputs{{op: c1, port: 0}}
-	must(t, g1.Push(0, []types.Delta{
+	must(t, push(g1, 0, []types.Delta{
 		types.Insert(types.NewTuple(int64(1), 5.0)),
 		types.Insert(types.NewTuple(int64(1), 3.0)),
 	}))
@@ -244,7 +250,7 @@ func TestGroupByCheckpointRoundTrip(t *testing.T) {
 	must(t, g2.Restore([][]types.Tuple{entries}))
 	// After restore, a new delta must produce a replace against the
 	// restored last-emitted value.
-	must(t, g2.Push(0, []types.Delta{types.Insert(types.NewTuple(int64(1), 1.0))}))
+	must(t, push(g2, 0, []types.Delta{types.Insert(types.NewTuple(int64(1), 1.0))}))
 	must(t, g2.Punct(0, 1, false))
 	if len(c2.deltas) != 1 || c2.deltas[0].Op != types.OpReplace {
 		t.Fatalf("restored flush: %v", c2.deltas)
@@ -257,6 +263,76 @@ func TestGroupByCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// Checkpoint entries arrive from peers and from the log on disk: a
+// truncated or malformed one must be an error, never a panic.
+func TestGroupByRestoreRejectsTruncatedEntries(t *testing.T) {
+	spec := &OpSpec{
+		ID: 0, Kind: OpGroupBy, GroupKey: []int{0},
+		Aggs: []AggSpec{{Fn: "sum", Args: []expr.Expr{expr.NewCol(1, types.KindFloat, "v")}}},
+	}
+	h := int64(1)
+	for _, c := range []struct {
+		name  string
+		entry types.Tuple
+	}{
+		{"key length past end", types.NewTuple(h, int64(5))},
+		{"negative key length", types.NewTuple(h, int64(-1), int64(7))},
+		{"missing last-result flag", types.NewTuple(h, int64(1), int64(7))},
+		{"non-bool last-result flag", types.NewTuple(h, int64(1), int64(7), int64(1), nil, nil, int64(0))},
+		{"last result shorter than output", types.NewTuple(h, int64(1), int64(7), true, int64(7))},
+		{"missing state length", types.NewTuple(h, int64(1), int64(7), false, nil, nil)},
+		{"negative state length", types.NewTuple(h, int64(1), int64(7), false, nil, nil, int64(-3))},
+		{"state length past end", types.NewTuple(h, int64(1), int64(7), false, nil, nil, int64(3), 1.0)},
+	} {
+		g, err := newGroupByOp(spec, 1, nil, nil)
+		must(t, err)
+		if err := g.Restore([][]types.Tuple{{c.entry}}); err == nil {
+			t.Errorf("%s: Restore(%v) accepted a malformed entry", c.name, c.entry)
+		}
+	}
+}
+
+// A checkpointed pending Δ set must come back exactly: a set-semantics
+// fixpoint's pending replace carries the old image downstream operators
+// index.
+func TestFixpointRestorePendingRoundTrip(t *testing.T) {
+	spec := &OpSpec{ID: 0, Kind: OpFixpoint, FixpointKey: []int{0}, RecursiveOut: 1}
+	f := newFixpointOp(spec, &Context{}, nil)
+	f.pending = []types.Delta{
+		types.Insert(types.NewTuple(int64(1), "a")),
+		types.Delete(types.NewTuple(int64(2), "b")),
+		types.Replace(types.NewTuple(int64(3), "c"), types.NewTuple(int64(3), "d")),
+		types.Update(types.NewTuple(int64(4), 0.5)),
+	}
+	want := append([]types.Delta(nil), f.pending...)
+	entries := f.DirtyState()
+
+	g := newFixpointOp(spec, &Context{}, nil)
+	must(t, g.Restore([][]types.Tuple{entries}))
+	if len(g.pending) != len(want) {
+		t.Fatalf("restored %d pending deltas, want %d: %v", len(g.pending), len(want), g.pending)
+	}
+	for i, d := range g.pending {
+		w := want[i]
+		if d.Op != w.Op || !d.Tup.Equal(w.Tup) || !d.Old.Equal(w.Old) {
+			t.Errorf("pending %d: restored %v, want %v", i, d, w)
+		}
+	}
+
+	for _, bad := range []types.Tuple{
+		types.NewTuple(int64(0), "P", int64(9), int64(1), int64(1)),         // unknown op
+		types.NewTuple(int64(0), "P", int64(types.OpInsert)),                // missing length
+		types.NewTuple(int64(0), "P", int64(types.OpInsert), int64(3), 1.0), // length past end
+		types.NewTuple(int64(0), "P", int64(types.OpInsert), int64(-1)),     // negative length
+		types.NewTuple(int64(0), "P", int64(types.OpDelete), int64(1), 1.0, 2.0),
+	} {
+		g := newFixpointOp(spec, &Context{}, nil)
+		if err := g.Restore([][]types.Tuple{{bad}}); err == nil {
+			t.Errorf("Restore(%v) accepted a malformed pending entry", bad)
+		}
+	}
+}
+
 func TestFixpointDefaultDedup(t *testing.T) {
 	spec := &OpSpec{ID: 0, Kind: OpFixpoint, FixpointKey: []int{0}, RecursiveOut: 1}
 	ctx := &Context{}
@@ -264,7 +340,7 @@ func TestFixpointDefaultDedup(t *testing.T) {
 	votes := []int{}
 	f.onStratumEnd = func(stratum, count int) { votes = append(votes, count) }
 
-	must(t, f.Push(0, []types.Delta{
+	must(t, push(f, 0, []types.Delta{
 		types.Insert(types.NewTuple(int64(1), "a")),
 		types.Insert(types.NewTuple(int64(1), "a")), // duplicate: dropped
 		types.Insert(types.NewTuple(int64(2), "b")),
@@ -280,7 +356,7 @@ func TestFixpointDefaultDedup(t *testing.T) {
 		t.Fatalf("advance emitted %v", rec.deltas)
 	}
 	// Same-key different value propagates as replace.
-	must(t, f.Push(1, []types.Delta{types.Insert(types.NewTuple(int64(1), "c"))}))
+	must(t, push(f, 1, []types.Delta{types.Insert(types.NewTuple(int64(1), "c"))}))
 	must(t, f.Punct(1, 1, false))
 	if votes[1] != 1 {
 		t.Fatalf("votes = %v", votes)
@@ -597,6 +673,57 @@ func TestPreAggReducesTraffic(t *testing.T) {
 	}
 	if bytesPre >= bytesPlain {
 		t.Fatalf("pre-aggregation must cut traffic: %d vs %d", bytesPre, bytesPlain)
+	}
+}
+
+// A TVF may emit rows of several arities from one push; the row adapter
+// splits them into uniform batches, and every row must reach the rehash
+// and the output intact and in emission order.
+func TestTVFRaggedOutputKeepsOrder(t *testing.T) {
+	cat := newTestCatalog(t)
+	must(t, cat.RegisterTVF(&catalog.TVFDef{
+		Name: "ragged",
+		Fn: func(d types.Delta) ([]types.Delta, error) {
+			k := d.Tup[0]
+			return []types.Delta{types.Insert(types.NewTuple(k)), types.Insert(types.NewTuple(k, "tail"))}, nil
+		},
+	}))
+	eng := NewEngine(2, 32, 1, cat)
+	const n = 300
+	var tuples []types.Tuple
+	for i := 0; i < n; i++ {
+		tuples = append(tuples, types.NewTuple(int64(i), float64(i)))
+	}
+	must(t, eng.Load("items", 0, tuples))
+	p := NewPlanSpec()
+	scan := p.Add(&OpSpec{Kind: OpScan, Table: "items"})
+	tvf := p.Add(&OpSpec{Kind: OpTVF, Inputs: []int{scan.ID}, TVFName: "ragged"})
+	rehash := p.Add(&OpSpec{Kind: OpRehash, Inputs: []int{tvf.ID}, HashKey: []int{0}})
+	p.RootID = rehash.ID
+	res, err := eng.Run(p, Options{BatchSize: 16})
+	must(t, err)
+
+	// Each key's rows travel one sender→receiver link, so its short row
+	// must still precede its long one.
+	short, long := map[int64]int{}, map[int64]int{}
+	for i, tup := range res.Tuples {
+		k, _ := types.AsInt(tup[0])
+		switch {
+		case len(tup) == 1:
+			short[k] = i
+		case len(tup) == 2 && tup[1] == "tail":
+			long[k] = i
+		default:
+			t.Fatalf("row %d mangled: %v", i, tup)
+		}
+	}
+	if len(res.Tuples) != 2*n || len(short) != n || len(long) != n {
+		t.Fatalf("got %d rows (%d short, %d long keys), want %d", len(res.Tuples), len(short), len(long), 2*n)
+	}
+	for k, i := range short {
+		if long[k] < i {
+			t.Fatalf("key %d: long row at %d precedes short row at %d", k, long[k], i)
+		}
 	}
 }
 

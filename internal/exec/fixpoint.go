@@ -59,8 +59,11 @@ func newFixpointOp(spec *OpSpec, ctx *Context, handler uda.WhileHandler) *fixpoi
 	}
 }
 
-func (f *fixpointOp) Push(port int, batch []types.Delta) error {
-	for _, d := range batch {
+// Push folds the batch row by row into the mutable relation. State keeps
+// the tuples, so each row is materialized fresh via Delta.
+func (f *fixpointOp) Push(port int, b *types.DeltaBatch) error {
+	for i := 0; i < b.Len(); i++ {
+		d := b.Delta(i)
 		key := d.Tup.Key(f.spec.FixpointKey)
 		if f.handler != nil {
 			b, ok := f.buckets[key]
@@ -287,7 +290,10 @@ func (f *fixpointOp) Reset() {
 // stratum. Layouts:
 //
 //	state:   [keyHash, "S", key, fields...]   (tombstone: no fields)
-//	pending: [keyHash, "P", op, fields...]
+//	pending: [keyHash, "P", op, len(fields), fields..., oldFields...]
+//
+// A pending replace carries its old image after the new one; downstream
+// operators index it.
 func (f *fixpointOp) DirtyState() []types.Tuple {
 	var out []types.Tuple
 	for key := range f.dirty {
@@ -313,7 +319,8 @@ func (f *fixpointOp) DirtyState() []types.Tuple {
 	f.dirty = map[types.Value]bool{}
 	for _, d := range f.pending {
 		h := int64(d.Tup.HashKey(f.spec.FixpointKey))
-		out = append(out, append(types.NewTuple(h, "P", int64(d.Op)), d.Tup...))
+		e := append(types.NewTuple(h, "P", int64(d.Op), int64(len(d.Tup))), d.Tup...)
+		out = append(out, append(e, d.Old...))
 	}
 	return out
 }
@@ -352,8 +359,11 @@ func (f *fixpointOp) Restore(strata [][]types.Tuple) error {
 				if !last {
 					continue
 				}
-				op, _ := types.AsInt(e[2])
-				f.pending = append(f.pending, types.Delta{Op: types.Op(op), Tup: e[3:].Clone()})
+				d, err := pendingEntry(e)
+				if err != nil {
+					return err
+				}
+				f.pending = append(f.pending, d)
 			default:
 				return fmt.Errorf("exec: fixpoint restore: unknown tag %v", e[1])
 			}
@@ -361,4 +371,29 @@ func (f *fixpointOp) Restore(strata [][]types.Tuple) error {
 	}
 	f.newCount = len(f.pending)
 	return nil
+}
+
+// pendingEntry decodes a checkpointed pending delta (a "P" entry of at
+// least three fields), checking every field.
+func pendingEntry(e types.Tuple) (types.Delta, error) {
+	op, ok := types.AsInt(e[2])
+	if !ok || op < int64(types.OpInsert) || op > int64(types.OpUpdate) {
+		return types.Delta{}, fmt.Errorf("exec: fixpoint restore: bad pending op in %v", e)
+	}
+	if len(e) < 4 {
+		return types.Delta{}, fmt.Errorf("exec: fixpoint restore: missing pending length in %v", e)
+	}
+	n, ok := types.AsInt(e[3])
+	tup, inBounds := entrySpan(e, 4, n)
+	if !ok || !inBounds {
+		return types.Delta{}, fmt.Errorf("exec: fixpoint restore: bad pending length in %v", e)
+	}
+	d := types.Delta{Op: types.Op(op), Tup: tup.Clone()}
+	old := e[4+len(tup):]
+	if d.Op == types.OpReplace {
+		d.Old = old.Clone()
+	} else if len(old) > 0 {
+		return types.Delta{}, fmt.Errorf("exec: fixpoint restore: old image on a %v delta in %v", d.Op, e)
+	}
+	return d, nil
 }

@@ -173,25 +173,13 @@ func batchKeyTuple(b *types.DeltaBatch, i int, key []int, old bool) types.Tuple 
 	return out
 }
 
-func (g *groupByOp) Push(port int, batch []types.Delta) error {
+// Push folds a batch into group state. With compiled argument kernels,
+// keys come columnar off KeyAt and arguments off typed result vectors —
+// no scratch-tuple materialization at all; otherwise rows fold through
+// reused scratch tuples. UDA mode hands each row to the aggregator.
+func (g *groupByOp) Push(port int, b *types.DeltaBatch) error {
 	if g.udaAgg != nil {
-		return g.pushUDA(batch)
-	}
-	for _, d := range batch {
-		if err := g.apply(d.Op, d.Tup, d.Old); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PushBatch is the columnar group-by path. With compiled argument
-// kernels, keys come columnar off KeyAt and arguments off typed result
-// vectors — no scratch-tuple materialization at all; otherwise rows fold
-// through reused scratch tuples. UDA mode falls back to the row path.
-func (g *groupByOp) PushBatch(port int, b *types.DeltaBatch) error {
-	if g.udaAgg != nil {
-		return g.Push(port, b.Deltas())
+		return g.pushUDA(b)
 	}
 	if b.Len() > 0 {
 		if g.argKerns != nil {
@@ -218,8 +206,8 @@ func (g *groupByOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 		}
 	}
 	if len(g.oldRows) > 0 && !b.HasOld() {
-		// Row-path replace handling without an old image differs per
-		// aggregate; let the bridge reproduce it.
+		// The interpreter's replace handling without an old image
+		// differs per aggregate; let the bridge reproduce it.
 		return false, nil
 	}
 	g.rows = identityRows(g.rows, n)
@@ -261,7 +249,7 @@ func (g *groupByOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 // pushBridged folds batch rows through reused scratch tuples —
 // everything retained from a row (the map key, the projected key tuple,
 // evaluated arguments) is freshly built by apply, so no per-row delta
-// materialization is needed. This is a documented expr row-path
+// materialization is needed. This is a documented expr interpreter
 // fallback site.
 func (g *groupByOp) pushBridged(b *types.DeltaBatch) error {
 	var scratch, oldScratch types.Tuple
@@ -314,9 +302,12 @@ func (g *groupByOp) apply(op types.Op, tup, old types.Tuple) error {
 	return nil
 }
 
-func (g *groupByOp) pushUDA(batch []types.Delta) error {
+// pushUDA feeds each row to the aggregator's AGGSTATE handler; rows are
+// materialized fresh because handlers may retain them.
+func (g *groupByOp) pushUDA(b *types.DeltaBatch) error {
 	var out []types.Delta
-	for _, d := range batch {
+	for i := 0; i < b.Len(); i++ {
+		d := b.Delta(i)
 		key := d.Tup.Key(g.spec.GroupKey)
 		st, ok := g.udaStates[key]
 		if !ok {
@@ -453,41 +444,57 @@ func (g *groupByOp) DirtyState() []types.Tuple {
 }
 
 // Restore rebuilds group state from checkpointed entries in stratum order
-// (later strata override earlier ones for the same key).
+// (later strata override earlier ones for the same key). Every field is
+// bounds-checked.
 func (g *groupByOp) Restore(strata [][]types.Tuple) error {
 	outLen := len(g.spec.GroupKey) + len(g.aggs)
 	for _, entries := range strata {
 		for _, e := range entries {
+			bad := func(what string) error {
+				return fmt.Errorf("exec: group-by restore: %s in entry %v", what, e)
+			}
 			if len(e) < 2 {
-				return fmt.Errorf("exec: group-by restore: bad entry %v", e)
+				return bad("missing key length")
 			}
-			nKey, _ := types.AsInt(e[1])
-			pos := 2
-			keyTuple := e[pos : pos+int(nKey)].Clone()
-			pos += int(nKey)
-			hasLast, _ := types.AsBool(e[pos])
-			pos++
-			var last types.Tuple
+			nKey, ok := types.AsInt(e[1])
+			keyTuple, inBounds := entrySpan(e, 2, nKey)
+			if !ok || !inBounds {
+				return bad("bad key length")
+			}
+			pos := 2 + len(keyTuple)
+			if pos >= len(e) {
+				return bad("missing last-result flag")
+			}
+			hasLast, ok := types.AsBool(e[pos])
+			if !ok {
+				return bad("bad last-result flag")
+			}
+			last, ok := entrySpan(e, pos+1, int64(outLen))
+			if !ok {
+				return bad("truncated last result")
+			}
+			pos += 1 + outLen
+			gs := &groupState{keyTuple: keyTuple.Clone(), states: make([]uda.State, len(g.aggs))}
 			if hasLast {
-				last = e[pos : pos+outLen].Clone()
+				gs.last = last.Clone()
 			}
-			pos += outLen
-			gs := &groupState{keyTuple: keyTuple, last: last, states: make([]uda.State, len(g.aggs))}
 			for i, a := range g.aggs {
 				if pos >= len(e) {
-					return fmt.Errorf("exec: group-by restore: truncated entry")
+					return bad("missing aggregate state")
 				}
-				n, _ := types.AsInt(e[pos])
-				pos++
-				st, err := a.Load(e[pos : pos+int(n)])
+				n, ok := types.AsInt(e[pos])
+				st, inBounds := entrySpan(e, pos+1, n)
+				if !ok || !inBounds {
+					return bad("bad aggregate state length")
+				}
+				state, err := a.Load(st)
 				if err != nil {
 					return err
 				}
-				gs.states[i] = st
-				pos += int(n)
+				gs.states[i] = state
+				pos += 1 + len(st)
 			}
-			key := keyIndex(keyTuple)
-			g.groups[key] = gs
+			g.groups[keyIndex(gs.keyTuple)] = gs
 		}
 	}
 	return nil
@@ -548,42 +555,11 @@ func newPreAggOp(spec *OpSpec, nin int, schema []types.Kind) (*preAggOp, error) 
 	return p, nil
 }
 
-func (p *preAggOp) Push(port int, batch []types.Delta) error {
-	for _, d := range batch {
-		switch d.Op {
-		case types.OpInsert, types.OpUpdate:
-			if err := p.fold(d.Op, d.Tup); err != nil {
-				return err
-			}
-		case types.OpDelete:
-			if !p.invertible {
-				return fmt.Errorf("exec: pre-aggregation over non-insert delta %v (aggregate is not invertible)", d.Op)
-			}
-			if err := p.fold(d.Op, d.Tup); err != nil {
-				return err
-			}
-		case types.OpReplace:
-			if !p.invertible {
-				return fmt.Errorf("exec: pre-aggregation over non-insert delta %v (aggregate is not invertible)", d.Op)
-			}
-			// Old and new may land in different groups: net them apart.
-			if err := p.fold(types.OpDelete, d.Old); err != nil {
-				return err
-			}
-			if err := p.fold(types.OpInsert, d.Tup); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("exec: pre-aggregation over delta %v", d.Op)
-		}
-	}
-	return nil
-}
-
-// PushBatch is the columnar combiner path. With compiled argument
-// kernels, keys and arguments stay columnar; otherwise rows stream
-// through reused scratch tuples (fold retains nothing from its tuple).
-func (p *preAggOp) PushBatch(port int, b *types.DeltaBatch) error {
+// Push folds a batch into the stratum's partial state. With compiled
+// argument kernels, keys and arguments stay columnar; otherwise rows
+// stream through reused scratch tuples (fold retains nothing from its
+// tuple).
+func (p *preAggOp) Push(port int, b *types.DeltaBatch) error {
 	if b.Len() > 0 {
 		if p.argKerns != nil {
 			if done, err := p.pushKernel(b); done {
@@ -600,7 +576,7 @@ func (p *preAggOp) PushBatch(port int, b *types.DeltaBatch) error {
 // pushKernel folds the batch through compiled argument kernels. It
 // declines (false) before touching group state — including for the
 // non-invertible-delta error cases, where pushBridged reproduces the
-// row path's fold-then-error ordering exactly.
+// interpreter's fold-then-error ordering exactly.
 func (p *preAggOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 	n := b.Len()
 	p.oldRows = p.oldRows[:0]
@@ -682,7 +658,7 @@ func (p *preAggOp) foldKeyed(op types.Op, b *types.DeltaBatch, i int, old bool) 
 }
 
 // pushBridged streams batch rows through reused scratch tuples. This is
-// a documented expr row-path fallback site.
+// a documented expr interpreter fallback site.
 func (p *preAggOp) pushBridged(b *types.DeltaBatch) error {
 	var scratch, oldScratch types.Tuple
 	for i := 0; i < b.Len(); i++ {

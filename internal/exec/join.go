@@ -29,7 +29,7 @@ type hashJoinOp struct {
 	// out collects results and goes downstream every batch of them (0:
 	// once per input batch), so one input batch — a whole stratum's Δ set
 	// on fixpointOp.Advance — never materializes its entire join result.
-	// The slice is reused across sends; see outputs.send.
+	// The slice is reused across sends.
 	out   []types.Delta
 	batch int
 }
@@ -61,12 +61,15 @@ func (j *hashJoinOp) keyOf(port int, t types.Tuple) types.Value {
 	return t.Key(j.spec.RightKey)
 }
 
-func (j *hashJoinOp) Push(port int, batch []types.Delta) error {
+// Push processes the batch row by row. Bucket inserts and handlers retain
+// tuples, so each row is materialized fresh via Delta (never a reused
+// scratch).
+func (j *hashJoinOp) Push(port int, b *types.DeltaBatch) error {
 	if port != 0 && port != 1 {
 		return fmt.Errorf("exec: join port %d out of range", port)
 	}
-	for _, d := range batch {
-		res, err := j.processDelta(port, d)
+	for i := 0; i < b.Len(); i++ {
+		res, err := j.processDelta(port, b.Delta(i))
 		if err != nil {
 			return err
 		}
@@ -97,30 +100,6 @@ func (j *hashJoinOp) flushOut() error {
 	clear(out)
 	j.out = out[:0]
 	return err
-}
-
-// PushBatch is the columnar join path: rows are processed straight off the
-// batch without building an intermediate delta slice. Bucket inserts
-// retain their tuples, so each row is materialized fresh via Delta (never
-// a reused scratch). Handler mode falls back to the row path — handlers
-// see exactly the batches they always did.
-func (j *hashJoinOp) PushBatch(port int, b *types.DeltaBatch) error {
-	if port != 0 && port != 1 {
-		return fmt.Errorf("exec: join port %d out of range", port)
-	}
-	if j.handler != nil {
-		return j.Push(port, b.Deltas())
-	}
-	for i := 0; i < b.Len(); i++ {
-		res, err := j.processDelta(port, b.Delta(i))
-		if err != nil {
-			return err
-		}
-		if err := j.emit(res); err != nil {
-			return err
-		}
-	}
-	return j.flushOut()
 }
 
 func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error) {

@@ -154,7 +154,7 @@ func TestFilterKernelMatchesBridge(t *testing.T) {
 	kernelled := 0
 	for iter := 0; iter < 800; iter++ {
 		pred := kpPred(r, 2)
-		kf := newFilterOp(pred, kpSchema)
+		kf := newFilterOp(pred, kpSchema, true)
 		bf := &filterOp{pred: pred} // no kernel: pure bridge
 		if kf.kern != nil {
 			kernelled++
@@ -163,8 +163,8 @@ func TestFilterKernelMatchesBridge(t *testing.T) {
 		kf.outs = outputs{{op: ck, port: 0}}
 		bf.outs = outputs{{op: cb, port: 0}}
 		b := kpBatch(r, 1+r.Intn(20))
-		kerr := kf.PushBatch(0, b)
-		berr := bf.PushBatch(0, b)
+		kerr := kf.Push(0, b)
+		berr := bf.Push(0, b)
 		kpSameErr(t, pred.String(), kerr, berr)
 		if kerr == nil {
 			kpSameDeltas(t, pred.String(), ck.deltas, cb.deltas)
@@ -183,9 +183,8 @@ func TestProjectKernelMatchesBridge(t *testing.T) {
 		for i := range exprs {
 			exprs[i] = kpExpr(r, r.Intn(3))
 		}
-		kp := newProjectOp(exprs, nil, kpSchema)
-		bp := newProjectOp(exprs, nil, nil)
-		bp.kerns = nil // force the row-interpreter bridge
+		kp := newProjectOp(exprs, nil, kpSchema, true)
+		bp := newProjectOp(exprs, nil, nil, false) // interpreter only
 		if kp.kerns != nil {
 			kernelled++
 		}
@@ -193,8 +192,8 @@ func TestProjectKernelMatchesBridge(t *testing.T) {
 		kp.outs = outputs{{op: ck, port: 0}}
 		bp.outs = outputs{{op: cb, port: 0}}
 		b := kpBatch(r, 1+r.Intn(20))
-		kerr := kp.PushBatch(0, b)
-		berr := bp.PushBatch(0, b)
+		kerr := kp.Push(0, b)
+		berr := bp.Push(0, b)
 		label := ""
 		for _, e := range exprs {
 			label += e.String() + "; "
@@ -250,8 +249,8 @@ func TestGroupByKernelMatchesBridge(t *testing.T) {
 		kg.outs = outputs{{op: ck, port: 0}}
 		bg.outs = outputs{{op: cb, port: 0}}
 		b := kpBatch(r, 1+r.Intn(20))
-		kerr := kg.PushBatch(0, b)
-		berr := bg.PushBatch(0, b)
+		kerr := kg.Push(0, b)
+		berr := bg.Push(0, b)
 		kpSameErr(t, spec.Aggs[0].Fn, kerr, berr)
 		if kerr != nil {
 			continue
@@ -289,8 +288,8 @@ func TestPreAggKernelMatchesBridge(t *testing.T) {
 		kp.outs = outputs{{op: ck, port: 0}}
 		bp.outs = outputs{{op: cb, port: 0}}
 		b := kpBatch(r, 1+r.Intn(20))
-		kerr := kp.PushBatch(0, b)
-		berr := bp.PushBatch(0, b)
+		kerr := kp.Push(0, b)
+		berr := bp.Push(0, b)
 		kpSameErr(t, spec.Aggs[0].Fn, kerr, berr)
 		if kerr != nil {
 			continue

@@ -14,28 +14,16 @@ import (
 // free of locks.
 type Operator interface {
 	// Push processes a batch of deltas arriving on the given input port.
-	Push(port int, batch []types.Delta) error
+	// The batch is borrowed for the duration of the call: an operator must
+	// not retain it or any slice derived from it (decoded batches alias
+	// transport frame buffers, built ones return to a pool). Anything kept
+	// past the call is materialized via Delta/Row/Value, which yield fresh
+	// tuples.
+	Push(port int, b *types.DeltaBatch) error
 	// Punct signals the end of the current stratum on the given port.
 	// closed marks the port's final punctuation: no data will ever arrive
 	// on it again (base-case inputs close after stratum 0).
 	Punct(port, stratum int, closed bool) error
-}
-
-// BatchOperator is implemented by operators with a columnar fast path:
-// PushBatch consumes a whole types.DeltaBatch without materializing its
-// rows as []types.Delta first. The worker and upstream operators probe for
-// it with a type assertion and fall back to Push for everything else, so
-// implementing it is purely an optimization — semantics must be identical
-// to Push(port, b.Deltas()).
-//
-// Ownership: a pushed batch is borrowed for the duration of the call. An
-// implementation must not retain the batch or any slice derived from it
-// (decoded batches alias transport frame buffers); anything kept past the
-// call must be materialized via Delta/Row/Value, which always yield fresh
-// tuples.
-type BatchOperator interface {
-	Operator
-	PushBatch(port int, b *types.DeltaBatch) error
 }
 
 // starter is implemented by source operators that produce data when the
@@ -68,8 +56,18 @@ type checkpointer interface {
 	// used for replica placement; the rest is operator-specific.
 	DirtyState() []types.Tuple
 	// Restore applies checkpointed entries; strata[i] holds the entries
-	// of stratum i, applied in ascending order.
+	// of stratum i, applied in ascending order. Entries arrive from peers
+	// and from the checkpoint log on disk, so a malformed one is an error.
 	Restore(strata [][]types.Tuple) error
+}
+
+// entrySpan returns the n fields of checkpoint entry e starting at pos,
+// or false when the entry does not hold them.
+func entrySpan(e types.Tuple, pos int, n int64) (types.Tuple, bool) {
+	if pos > len(e) || n < 0 || n > int64(len(e)-pos) {
+		return nil, false
+	}
+	return e[pos : pos+int(n)], true
 }
 
 // Context carries the per-node runtime a worker exposes to its operators.
@@ -93,10 +91,6 @@ type Context struct {
 	CompactionHighWater int
 	// Stratum is the stratum currently executing on this node.
 	Stratum int
-	// Vectorize routes eligible edges through the columnar batch path
-	// (PushBatch) instead of row-at-a-time Push. Operators that cannot
-	// vectorize (UDF/handler modes) fall back transparently.
-	Vectorize bool
 	// Drain is this node's delta drain-rate meter; credit grants are sized
 	// from it (Drain.Window) instead of the static high-water constant.
 	Drain *cluster.DrainMeter
@@ -109,46 +103,42 @@ type output struct {
 }
 
 // outputs is the fan-out of one operator to its local consumers.
-//
-// Ownership: a slice handed to send is lent for the duration of the call.
-// A consumer may keep the tuples it was pushed — tuples are immutable once
-// emitted — but never the slice itself, which the sender may overwrite and
-// send again (hashJoinOp does). sendBatch lends under BatchOperator's rule.
 type outputs []output
 
-// send pushes a batch to every consumer.
-func (o outputs) send(batch []types.Delta) error {
-	if len(batch) == 0 {
+// send is the row adapter for operators whose logic is per-row (join
+// results, fixpoint Δ sets, group-by flushes, TVF output, ingest
+// injection): the rows are packed into a pooled batch and pushed through
+// sendBatch. Rows of differing arity go out as consecutive batches, one
+// per types.UniformRun, so ragged output keeps its order. The rows are
+// copied, so the caller may reuse the slice once send returns.
+func (o outputs) send(rows []types.Delta) error {
+	if len(rows) == 0 || len(o) == 0 {
 		return nil
 	}
-	for _, out := range o {
-		if err := out.op.Push(out.port, batch); err != nil {
+	b := types.GetBatch()
+	defer types.PutBatch(b)
+	for len(rows) > 0 {
+		n := types.UniformRun(rows)
+		for _, d := range rows[:n] {
+			b.Append(d)
+		}
+		if err := o.sendBatch(b); err != nil {
 			return err
 		}
+		b.Reset()
+		rows = rows[n:]
 	}
 	return nil
 }
 
-// sendBatch pushes a columnar batch to every consumer, using the
-// vectorized path for consumers that implement it and materializing the
-// batch's rows at most once for those that do not. The batch is borrowed:
+// sendBatch pushes a batch to every consumer. The batch is borrowed:
 // consumers must not retain it past their call.
 func (o outputs) sendBatch(b *types.DeltaBatch) error {
 	if b == nil || b.Len() == 0 {
 		return nil
 	}
-	var rows []types.Delta
 	for _, out := range o {
-		if bo, ok := out.op.(BatchOperator); ok {
-			if err := bo.PushBatch(out.port, b); err != nil {
-				return err
-			}
-			continue
-		}
-		if rows == nil {
-			rows = b.Deltas()
-		}
-		if err := out.op.Push(out.port, rows); err != nil {
+		if err := out.op.Push(out.port, b); err != nil {
 			return err
 		}
 	}

@@ -10,12 +10,10 @@ import (
 // rehashOp re-partitions a delta stream across worker nodes by key hash
 // (§3.2: "a physical level operator called rehash that is responsible for
 // shipping state from one node to another by key"). The send side (port 0)
-// accumulates deltas per destination in one columnar cluster.DeltaStore —
-// row-form and batch-form pushes land in the same store, so same-key delta
-// order is preserved — and every flush ships a columnar wire frame; the
-// receive side (port 1) is fed by the worker loop from the transport and
-// aligns punctuation from all alive senders before forwarding downstream
-// (§4.2).
+// accumulates deltas per destination in one columnar cluster.DeltaStore
+// and every flush ships a columnar wire frame; the receive side (port 1)
+// is fed by the worker loop from the transport and aligns punctuation
+// from all alive senders before forwarding downstream (§4.2).
 //
 // With Options.Compaction on, the stores fold same-key deltas in place
 // before encoding (see cluster.DeltaStore), and flushes follow two rules.
@@ -46,7 +44,6 @@ type rehashOp struct {
 	punctCount  map[int]int
 	closedCount map[int]int
 	nSenders    int
-	closedFwd   bool
 }
 
 // compactionOverflow bounds how long a compacting store stays open: once
@@ -66,23 +63,11 @@ func newRehashOp(spec *OpSpec, ctx *Context, broadcast bool) *rehashOp {
 	}
 }
 
-func (r *rehashOp) Push(port int, batch []types.Delta) error {
-	switch port {
-	case 0:
-		return r.route(batch)
-	case 1:
-		// Batch received from a peer: hand downstream.
-		return r.outs.send(batch)
-	default:
-		return fmt.Errorf("exec: rehash port %d out of range", port)
-	}
-}
-
-// PushBatch is the columnar rehash path. Send side: rows are routed by
-// key hash computed straight off the typed vectors (no boxing) and copied
-// lane to lane into the per-destination stores. Receive side: the batch
-// passes downstream as-is.
-func (r *rehashOp) PushBatch(port int, b *types.DeltaBatch) error {
+// Push routes or delivers a batch. Send side: rows are routed by key hash
+// computed straight off the typed vectors (no boxing) and copied lane to
+// lane into the per-destination stores. Receive side: the batch passes
+// downstream as-is.
+func (r *rehashOp) Push(port int, b *types.DeltaBatch) error {
 	switch port {
 	case 0:
 		return r.routeBatch(b)
@@ -140,47 +125,6 @@ func (r *rehashOp) routeBatch(b *types.DeltaBatch) error {
 	return nil
 }
 
-// route is routeBatch for row-form deltas (handler joins and other
-// non-vector upstreams).
-func (r *rehashOp) route(batch []types.Delta) error {
-	for _, d := range batch {
-		if r.broadcast {
-			h := d.Tup.Hash()
-			for _, n := range r.ctx.Snap.AliveNodes() {
-				if err := r.enqueue(n, d, h); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		h := d.Tup.HashKey(r.spec.HashKey)
-		dest, err := r.ctx.Snap.Primary(h)
-		if err != nil {
-			return err
-		}
-		if d.Op == types.OpReplace {
-			oh := d.Old.HashKey(r.spec.HashKey)
-			oldDest, err := r.ctx.Snap.Primary(oh)
-			if err != nil {
-				return err
-			}
-			if oldDest != dest {
-				if err := r.enqueue(oldDest, types.Delete(d.Old), oh); err != nil {
-					return err
-				}
-				if err := r.enqueue(dest, types.Insert(d.Tup), h); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		if err := r.enqueue(dest, d, h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (r *rehashOp) store(dest cluster.NodeID) *cluster.DeltaStore {
 	st := r.stores[dest]
 	if st == nil {
@@ -205,7 +149,8 @@ func (r *rehashOp) enqueueRow(dest cluster.NodeID, src *types.DeltaBatch, i int,
 	return r.appended(dest, st, before)
 }
 
-// enqueue is enqueueRow for a row-form delta.
+// enqueue is enqueueRow for a row-form delta (the halves of a split
+// cross-partition replace).
 func (r *rehashOp) enqueue(dest cluster.NodeID, d types.Delta, h uint64) error {
 	st := r.store(dest)
 	before := st.Len()
@@ -268,10 +213,7 @@ func (r *rehashOp) flush(dest cluster.NodeID) error {
 		return nil
 	}
 	if dest == r.ctx.Node {
-		if r.ctx.Vectorize {
-			return r.outs.sendBatch(b)
-		}
-		return r.outs.send(b.Deltas())
+		return r.outs.sendBatch(b)
 	}
 	if r.ctx.Compaction {
 		// Every shipped batch spends one credit from this sender's window
@@ -370,5 +312,4 @@ func (r *rehashOp) Reset() {
 	r.punctCount = map[int]int{}
 	r.closedCount = map[int]int{}
 	r.nSenders = len(r.ctx.Snap.AliveNodes())
-	r.closedFwd = false
 }

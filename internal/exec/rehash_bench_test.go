@@ -8,8 +8,9 @@ package exec
 //
 // The folding stream repeats 997 keys (PageRank-shaped: most deltas merge
 // into a pending row); the distinct stream never repeats one (every delta
-// becomes a row, the index only costs). Row-form input is what handler
-// joins push, batch-form what vectorized operators push.
+// becomes a row, the index only costs). Row-form input is what per-row
+// operators (handler joins) emit through the outputs.send adapter,
+// batch-form what an arriving frame or a kernel operator pushes.
 
 import (
 	"testing"
@@ -39,7 +40,7 @@ func newCombineRehash(tb testing.TB) (*rehashOp, *cluster.InProcTransport) {
 	ctx := &Context{
 		Node: 0, Snap: cluster.NewSnapshot(ring, ring.Nodes()), Transport: tr,
 		BatchSize: defaultBatchSize, Compaction: true, CompactionHighWater: defaultHighWater,
-		Vectorize: true, Drain: &cluster.DrainMeter{},
+		Drain: &cluster.DrainMeter{},
 	}
 	r := newRehashOp(&OpSpec{ID: 1, Kind: OpRehash, HashKey: []int{0}, CompactMerge: map[int]string{1: "sum"}}, ctx, false)
 	r.outs = outputs{{op: &batchCountSink{}, port: 0}}
@@ -52,9 +53,9 @@ func newCombineRehash(tb testing.TB) (*rehashOp, *cluster.InProcTransport) {
 func shuffleStratum(tb testing.TB, r *rehashOp, tr *cluster.InProcTransport, rows []types.Delta, batch *types.DeltaBatch, stratum int) {
 	var err error
 	if batch != nil {
-		err = r.PushBatch(0, batch)
+		err = r.Push(0, batch)
 	} else {
-		err = r.Push(0, rows)
+		err = outputs{{op: r, port: 0}}.send(rows)
 	}
 	if err == nil {
 		err = r.Punct(0, stratum, false)

@@ -1117,7 +1117,7 @@ func (sq *StandingQuery) routeAll(tables map[string][]types.Delta) (frames []clu
 	sort.Strings(names)
 	for _, table := range names {
 		deltas := tables[table]
-		byNode, err := sq.route(table, deltas)
+		byNode, err := sq.routeIngest(table, deltas)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -1261,10 +1261,10 @@ func errAsNodeFailure(err error) (nodeFailureErr, bool) {
 	return nodeFailureErr{}, false
 }
 
-// route partitions one table's deltas by ring owner (primary plus
+// routeIngest partitions one table's deltas by ring owner (primary plus
 // replicas — workers store every copy and inject only primarily-owned
 // keys).
-func (sq *StandingQuery) route(table string, deltas []types.Delta) (map[cluster.NodeID][]types.Delta, error) {
+func (sq *StandingQuery) routeIngest(table string, deltas []types.Delta) (map[cluster.NodeID][]types.Delta, error) {
 	tab, err := sq.eng.Catalog.Table(table)
 	if err != nil {
 		return nil, fmt.Errorf("exec: ingest: %w", err)

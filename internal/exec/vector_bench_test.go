@@ -1,8 +1,8 @@
 package exec
 
 // Microbenchmarks for the operator inner loop: the identical delta stream
-// pushed through filter→preAgg as materialized rows (Push) and as a
-// columnar batch (PushBatch). Run with
+// pushed through filter→preAgg as rows through the outputs.send adapter
+// and as a decoded columnar frame. Run with
 //
 //	go test -run '^$' -bench 'Vector|Row' -benchmem ./internal/exec
 //
@@ -47,21 +47,18 @@ func benchPipeline(b *testing.B) (*filterOp, *preAggOp) {
 	return f, agg
 }
 
-// The data-path pair measures what a worker does with an arriving MsgData
-// frame: decode the one columnar payload format — materializing row
-// tuples for the row operator path, aliasing the frame for the vector
-// path — and push it through the pipeline.
+// The data-path pair measures the two ways deltas reach the pipeline:
+// rows emitted by a per-row operator (join, fixpoint, group-by flush),
+// packed into pooled batches by the outputs.send adapter, and an arriving
+// MsgData frame, decoded by aliasing the frame buffer.
 func BenchmarkDataPathFilterPreAggRow(b *testing.B) {
 	f, _ := benchPipeline(b)
-	payload := cluster.EncodeDeltas(benchStream(8192))
+	rows := benchStream(8192)
+	outs := outputs{{op: f, port: 0}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := cluster.DecodeDeltas(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Push(0, rows); err != nil {
+		if err := outs.send(rows); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,35 +78,7 @@ func BenchmarkDataPathFilterPreAggVector(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := f.PushBatch(0, dec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The row sink mirrors a non-batch-capable consumer so the row benchmark
-// measures the materializing path end to end.
-type countSink struct{ rows int }
-
-func (c *countSink) Push(port int, batch []types.Delta) error { c.rows += len(batch); return nil }
-func (c *countSink) Punct(port, stratum int, closed bool) error {
-	return nil
-}
-
-// BenchmarkBatchMaterialize measures outputs.sendBatch's fallback: a
-// columnar batch delivered to a row-only consumer (the cost vectorized
-// producers pay when a UDF operator sits downstream).
-func BenchmarkBatchMaterialize(b *testing.B) {
-	cb, ok := types.FromDeltas(benchStream(8192))
-	if !ok {
-		b.Fatal("stream not batchable")
-	}
-	sink := &countSink{}
-	outs := outputs{{op: sink, port: 0}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := outs.sendBatch(cb); err != nil {
+		if err := f.Push(0, dec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,11 +92,7 @@ var benchSchema = []types.Kind{types.KindInt, types.KindFloat}
 // delivery.
 type batchCountSink struct{ rows int }
 
-func (c *batchCountSink) Push(port int, batch []types.Delta) error {
-	c.rows += len(batch)
-	return nil
-}
-func (c *batchCountSink) PushBatch(port int, b *types.DeltaBatch) error {
+func (c *batchCountSink) Push(port int, b *types.DeltaBatch) error {
 	c.rows += b.Len()
 	return nil
 }
@@ -152,14 +117,14 @@ func benchFilter4k(b *testing.B, f *filterOp) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := f.PushBatch(0, cb); err != nil {
+		if err := f.Push(0, cb); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFilter4kKernel(b *testing.B) {
-	f := newFilterOp(expr.NewCmp(expr.OpLt, expr.NewCol(1, types.KindFloat, "d"), expr.NewConst(float64(25))), benchSchema)
+	f := newFilterOp(expr.NewCmp(expr.OpLt, expr.NewCol(1, types.KindFloat, "d"), expr.NewConst(float64(25))), benchSchema, true)
 	if f.kern == nil {
 		b.Fatal("predicate must compile")
 	}
@@ -189,14 +154,14 @@ func benchProject4k(b *testing.B, p *projectOp) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.PushBatch(0, cb); err != nil {
+		if err := p.Push(0, cb); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkProject4kKernel(b *testing.B) {
-	p := newProjectOp(benchProjectExprs(), nil, benchSchema)
+	p := newProjectOp(benchProjectExprs(), nil, benchSchema, true)
 	if p.kerns == nil {
 		b.Fatal("projection must compile")
 	}
@@ -204,7 +169,6 @@ func BenchmarkProject4kKernel(b *testing.B) {
 }
 
 func BenchmarkProject4kBridged(b *testing.B) {
-	p := newProjectOp(benchProjectExprs(), nil, nil)
-	p.kerns = nil // force the row-interpreter bridge
+	p := newProjectOp(benchProjectExprs(), nil, nil, false)
 	benchProject4k(b, p)
 }

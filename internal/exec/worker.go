@@ -30,7 +30,11 @@ type Worker struct {
 	compaction  bool
 	highWater   int
 	stream      bool
-	vectorize   bool
+	// kernels compiles expression kernels for filter, project, group-by
+	// and pre-aggregation; off (Options.NoVectorize) every expression runs
+	// through the interpreter, the reference the kernels are tested
+	// against.
+	kernels bool
 
 	// drain meters this worker's delta-application rate between
 	// punctuation marks; credit grants (shuffle punctuation and MsgIngest
@@ -131,13 +135,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		spec: cfg.Plan, queryID: cfg.QueryID, batchSize: opts.BatchSize,
 		checkpoints: opts.Checkpoint,
 		compaction:  opts.Compaction, highWater: opts.CompactionHighWater,
-		stream: opts.Stream,
-		// Vectorization composes with shuffle compaction: the rehash
-		// folds batches lane to lane in its columnar store, so the
-		// scan→filter→project chain keeps its compiled column kernels
-		// and the wire still gets the compaction byte savings.
-		vectorize: !opts.NoVectorize,
-		drain:     &cluster.DrainMeter{},
+		stream: opts.Stream, kernels: !opts.NoVectorize,
+		drain: &cluster.DrainMeter{},
 	}
 }
 
@@ -218,19 +217,16 @@ func (w *Worker) handle(msg cluster.Message) error {
 		if !ok {
 			return fmt.Errorf("exec: node %d: data for unknown op %d", w.node, op)
 		}
-		// Columnar frames stay columnar all the way into a vectorized
-		// operator: decode checks the frame and aliases column payloads
-		// out of the frame buffer, and values materialize only where an
-		// operator actually touches them.
+		// Columnar frames stay columnar all the way into the operator:
+		// decode checks the frame and aliases column payloads out of the
+		// frame buffer, and values materialize only where an operator
+		// actually touches them.
 		_, cb, err := cluster.DecodeDeltasAny(msg.Payload)
 		if err != nil {
 			return err
 		}
 		w.drain.Observe(cb.Len())
-		if bo, ok := inst.(BatchOperator); ok && w.vectorize {
-			return bo.PushBatch(port, cb)
-		}
-		return inst.Push(port, cb.Deltas())
+		return inst.Push(port, cb)
 	case cluster.MsgPunct:
 		if w.triage(msg) {
 			return nil
@@ -620,7 +616,7 @@ func (w *Worker) build(snap *cluster.Snapshot) error {
 		Store: w.store, Catalog: w.cat, QueryID: w.queryID,
 		Epoch: w.epoch, BatchSize: w.batchSize,
 		Compaction: w.compaction, CompactionHighWater: w.highWater,
-		Vectorize: w.vectorize, Drain: w.drain,
+		Drain: w.drain,
 	}
 	w.ctx = ctx
 	w.ops = map[int]Operator{}
@@ -731,11 +727,12 @@ func (w *Worker) setOuts(inst Operator, outs outputs) {
 
 // inputKinds resolves the column kinds feeding an expression operator's
 // first input (filter and project are single-input), used to compile
-// typed column kernels. It returns nil — kernels stay off, operators
-// bridge through scratch tuples — when the plan carries no upstream
-// schema, as hand-built test plans may.
+// typed column kernels. It returns nil when kernels are disabled or the
+// plan carries no upstream schema, as hand-built plans may; group-by and
+// pre-aggregation then bridge through scratch tuples, while filter and
+// project compile against declared column kinds unless kernels are off.
 func (w *Worker) inputKinds(spec *OpSpec) []types.Kind {
-	if len(spec.Inputs) == 0 {
+	if !w.kernels || len(spec.Inputs) == 0 {
 		return nil
 	}
 	in := w.spec.Op(spec.Inputs[0])
@@ -754,9 +751,9 @@ func (w *Worker) instantiate(spec *OpSpec, ctx *Context) (Operator, error) {
 	case OpScan:
 		return &scanOp{ctx: ctx, table: spec.Table, keyEq: spec.KeyEq, batch: ctx.BatchSize}, nil
 	case OpFilter:
-		return newFilterOp(spec.Pred, w.inputKinds(spec)), nil
+		return newFilterOp(spec.Pred, w.inputKinds(spec), w.kernels), nil
 	case OpProject:
-		return newProjectOp(spec.Exprs, spec.UDFArgKinds, w.inputKinds(spec)), nil
+		return newProjectOp(spec.Exprs, spec.UDFArgKinds, w.inputKinds(spec), w.kernels), nil
 	case OpTVF:
 		fn, err := ctx.Catalog.TVF(spec.TVFName)
 		if err != nil {

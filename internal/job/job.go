@@ -78,8 +78,9 @@ type Spec struct {
 	// state changes as it closes instead of flushing the final relation
 	// (both sides must agree — it changes fixpoint behavior).
 	Stream bool `json:"stream,omitempty"`
-	// NoVectorize disables the columnar batch path (both sides must agree
-	// — it changes the wire frames workers emit).
+	// NoVectorize turns the compiled expression kernels off, so workers
+	// run the interpreter (both sides must agree — it changes how every
+	// worker evaluates expressions).
 	NoVectorize bool `json:"no_vectorize,omitempty"`
 
 	// BufferPoolPages sizes the page-store buffer pool on daemons running

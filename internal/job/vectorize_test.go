@@ -1,10 +1,11 @@
 package job_test
 
-// Vectorization equivalence over real sockets: with compaction off the
-// shuffle actually ships columnar frames, so these runs exercise the
+// Kernel equivalence over real sockets: with compaction off the shuffle
+// ships every delta as a columnar frame, so these runs exercise the
 // near-zero-copy wire path end to end across OS-process boundaries. The
-// result hash must be identical with vectorization on and off, and both
-// must match the in-process run of the same spec.
+// result hash must be identical with compiled kernels on and off
+// (NoVectorize travels in the spec and runs the interpreter on every
+// daemon), and both must match the in-process run of the same spec.
 
 import (
 	"testing"
@@ -31,20 +32,20 @@ func TestVectorizeTCPEquivalence(t *testing.T) {
 
 		vecRes, err := cl.Run(clone(spec), nil)
 		if err != nil {
-			t.Fatalf("tcp %s (vectorized): %v", spec.Workload, err)
+			t.Fatalf("tcp %s (kernels): %v", spec.Workload, err)
 		}
 		if got := bench.ResultHash(vecRes.Tuples); got != want {
-			t.Errorf("%s: tcp vectorized hash %s != inproc %s", spec.Workload, got, want)
+			t.Errorf("%s: tcp kernel hash %s != inproc %s", spec.Workload, got, want)
 		}
 
 		rowSpec := clone(spec)
 		rowSpec.NoVectorize = true
 		rowRes, err := cl.Run(rowSpec, nil)
 		if err != nil {
-			t.Fatalf("tcp %s (row path): %v", spec.Workload, err)
+			t.Fatalf("tcp %s (interpreter): %v", spec.Workload, err)
 		}
 		if got := bench.ResultHash(rowRes.Tuples); got != want {
-			t.Errorf("%s: tcp row-path hash %s != inproc %s", spec.Workload, got, want)
+			t.Errorf("%s: tcp interpreter hash %s != inproc %s", spec.Workload, got, want)
 		}
 	}
 }

@@ -664,7 +664,7 @@ func UniformRun(ds []Delta) int {
 
 // FromDeltas converts a row batch to columnar form. It reports ok=false
 // (and returns nil) for ragged batches — rows with differing arities, or
-// replaces whose old arities differ — which callers keep on the row path.
+// replaces whose old arities differ — which callers split with UniformRun.
 func FromDeltas(ds []Delta) (*DeltaBatch, bool) {
 	if UniformRun(ds) != len(ds) {
 		return nil, false

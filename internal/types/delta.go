@@ -56,14 +56,6 @@ func Replace(old, new Tuple) Delta { return Delta{Op: OpReplace, Tup: new, Old: 
 // Update builds a δ(E) delta; the update payload travels as tuple fields.
 func Update(t Tuple) Delta { return Delta{Op: OpUpdate, Tup: t} }
 
-// WithTuple returns a copy of d carrying tup, preserving the annotation.
-// Stateless operators use this to propagate annotations unchanged (§3.3).
-func (d Delta) WithTuple(tup Tuple) Delta {
-	out := d
-	out.Tup = tup
-	return out
-}
-
 // String renders the delta in paper notation, e.g. "+(1, 0.85)".
 func (d Delta) String() string {
 	if d.Op == OpReplace {

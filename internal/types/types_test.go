@@ -171,9 +171,6 @@ func TestDeltaConstructors(t *testing.T) {
 	if Replace(tp, tp).String() == "" || Insert(tp).String() == "" {
 		t.Error("String rendering")
 	}
-	if d := Insert(tp).WithTuple(NewTuple(int64(5))); d.Tup[0].(int64) != 5 || d.Op != OpInsert {
-		t.Error("WithTuple must preserve annotation")
-	}
 }
 
 func TestCodecRoundTrip(t *testing.T) {

@@ -78,6 +78,8 @@ func checkKeyedEquivalence(t *testing.T, sess *Session, probes []int64, opts Opt
 func TestKeyLookupMatchesRangeScan(t *testing.T) {
 	ctx := context.Background()
 	dataset := WithDataset("lineitem", 3000, 4)
+	// One session per backend, plus "novectorize": compiled kernels off,
+	// every expression through the interpreter.
 	sessions := []struct {
 		name string
 		opts []Option

@@ -34,9 +34,9 @@ func WithTenant(id string) QueryOption {
 	return func(o *Options) { o.Tenant = id }
 }
 
-// WithNoVectorize disables the columnar batch path for this query:
-// operators exchange row-form delta slices. The shuffle still pends and
-// ships its deltas columnar; it hands rows to the operators either side.
+// WithNoVectorize turns the compiled expression kernels off for this
+// query: every expression runs through the interpreter, the reference
+// implementation the kernels are tested against. Results are identical.
 func WithNoVectorize() QueryOption {
 	return func(o *Options) { o.NoVectorize = true }
 }

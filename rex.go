@@ -25,7 +25,8 @@
 // Per-query knobs are variadic QueryOptions, accepted uniformly by
 // QueryCtx, Stream, Prepare, and Subscribe — WithPriority and WithTenant
 // address the rexd server's tenant-aware scheduler (see below),
-// WithNoVectorize forces the row-at-a-time paths, WithBatchSize,
+// WithNoVectorize runs the expression interpreter instead of compiled
+// kernels, WithBatchSize,
 // WithMaxStrata, and friends tune execution:
 //
 //	res, err := s.QueryCtx(ctx, query,
@@ -76,10 +77,11 @@
 //
 // Internally the engine executes columnar: delta batches flow between
 // operators as typed column vectors, travel the wire in a near-zero-copy
-// frame layout, and recycle through per-round allocation pools. This is
+// frame layout, and recycle through per-round allocation pools; per-row
+// operators (handlers, UDAs, TVFs) read rows off the batch. This is
 // transparent — results are bit-identical with Options.NoVectorize, which
-// forces the row-at-a-time paths (handler and UDF operators always run
-// row-at-a-time; the engine bridges automatically).
+// evaluates expressions through the interpreter instead of compiled
+// column kernels.
 //
 // See the examples/ directory for PageRank, shortest-path, and K-means.
 package rex

@@ -342,6 +342,46 @@ func TestPreparedStatements(t *testing.T) {
 	})
 }
 
+// WithNoVectorize runs every expression through the interpreter: no batch
+// is kernel-evaluated, and the answer hashes equal to the kernel run.
+func TestNoVectorizeRunsInterpreter(t *testing.T) {
+	ctx := context.Background()
+	const q = `SELECT linenumber, sum(tax), count(*) FROM lineitem WHERE linenumber > 2 GROUP BY linenumber`
+	sess, err := Open(ctx, WithInProc(2), WithDataset("lineitem", 2000, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	// run reports the query's result hash and the kernel-evaluated
+	// batches it added to the process-wide counter.
+	run := func(opts ...QueryOption) (string, int64) {
+		before, err := sess.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.QueryCtx(ctx, q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := sess.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bench.ResultHash(res.Tuples), after.Kernel.VectorBatches - before.Kernel.VectorBatches
+	}
+	want, kernelBatches := run()
+	if kernelBatches == 0 {
+		t.Fatal("default run evaluated no batch with a kernel")
+	}
+	got, kernelBatches := run(WithNoVectorize())
+	if kernelBatches != 0 {
+		t.Errorf("WithNoVectorize run kernel-evaluated %d batches, want 0", kernelBatches)
+	}
+	if got != want {
+		t.Errorf("WithNoVectorize hash %s, default %s", got, want)
+	}
+}
+
 // openChainSession opens a 2-node in-process session staged with a
 // 64-vertex chain graph and the handlers for a recursive shortest-path
 // query that runs ~64 strata — long enough that a streaming producer
