@@ -17,24 +17,24 @@ import (
 
 // ServerStats is the rexd server's counter snapshot: sessions admitted,
 // queries run and rejected, plan-cache hits/misses/compiles, standing
-// rounds. Reported by Session.ServerStats on server sessions and by the
-// server's /stats HTTP endpoint.
+// rounds. Reported in Stats.Server on server sessions and by the server's
+// /stats HTTP endpoint.
 type ServerStats = srvproto.ServerStats
 
 // handshakeTimeout bounds the hello exchange when the dialing context
 // carries no deadline of its own.
 const handshakeTimeout = 30 * time.Second
 
-// serverConn is a client session's connection to a rexd server: one
-// socket multiplexing every request the session issues. A write mutex
-// serializes outgoing frames; a demux read loop routes incoming frames
-// to their request by the echoed id. Data-carrying requests feed a
-// remote ResultStream (so Query/Stream/Subscribe hand back the same
-// stream type an in-process run does); single-reply requests park on a
-// buffered channel.
+// serverConn is a client session's connection to a rexd server, and the
+// backend of a WithServer session: one socket multiplexing every request
+// the session issues. A write mutex serializes outgoing frames; a demux
+// read loop routes incoming frames to their request by the echoed id.
+// Data-carrying requests feed a remote ResultStream (so QueryCtx, Stream
+// and Subscribe hand back the same stream type an in-process run does);
+// single-reply requests park on a buffered channel.
 type serverConn struct {
 	nc       net.Conn
-	nodes    int
+	n        int // the server pool's worker count
 	readDone chan struct{}
 
 	wmu sync.Mutex // serializes frame writes
@@ -94,7 +94,7 @@ func dialServer(ctx context.Context, addr, tenant string) (*serverConn, error) {
 	_ = nc.SetDeadline(time.Time{})
 	c := &serverConn{
 		nc:       nc,
-		nodes:    w.Nodes,
+		n:        w.Nodes,
 		readDone: make(chan struct{}),
 		pending:  map[int]*srvPending{},
 	}
@@ -327,9 +327,9 @@ func (c *serverConn) openStream(ctx context.Context, req srvproto.Request, onRou
 	return st, nil
 }
 
-// ingest applies base-table delta batches server-side, returning after
+// sendIngest applies base-table delta batches server-side, returning after
 // every covering standing-query round completed.
-func (c *serverConn) ingest(ctx context.Context, batches map[string][]types.Delta) (*srvproto.Trailer, error) {
+func (c *serverConn) sendIngest(ctx context.Context, batches map[string][]types.Delta) (*srvproto.Trailer, error) {
 	tables := make(map[string][]byte, len(batches))
 	for table, deltas := range batches {
 		tables[table] = cluster.EncodeDeltas(deltas)
@@ -341,7 +341,7 @@ func (c *serverConn) ingest(ctx context.Context, batches map[string][]types.Delt
 // server: recovery is a driver-side protocol and the hook callbacks are
 // Go closures.
 func serverUnsupported(opts Options) error {
-	if opts.Recovery != RecoveryNone {
+	if opts.Recovery != RecoveryNone || opts.Recover != nil {
 		return fmt.Errorf("rex: server sessions do not support failure-recovery options (the server owns recovery)")
 	}
 	if opts.TermFn != nil || opts.OnStratum != nil {
@@ -368,44 +368,207 @@ func wireOpts(opts Options) *srvproto.QueryOpts {
 	}
 }
 
-// serverStream opens a streaming execution over the server connection,
-// holding the session lock for the stream's life like every other
-// transport (released through unlockWhenDone).
-func (s *Session) serverStream(ctx context.Context, src string, args []Value, opts Options) (*DeltaStream, error) {
+// The backend methods: the server owns the catalog, datasets, engine and
+// pool, so everything but RQL, table declarations and ingestion is refused.
+
+func (c *serverConn) nodes() int { return c.n }
+
+func (c *serverConn) stats(ctx context.Context, st *Stats) error {
+	st.Transport = "server"
+	tr, err := c.roundTrip(ctx, srvproto.Request{Op: srvproto.OpStats})
+	if err != nil {
+		return err
+	}
+	if tr.Stats == nil {
+		return fmt.Errorf("rex: server sent a stats reply without stats")
+	}
+	st.Server = tr.Stats
+	return nil
+}
+
+// catalogVersion is 0: the server tracks its own (see Stats.Server).
+func (c *serverConn) catalogVersion() int64 { return 0 }
+
+func (c *serverConn) local(what string) (*inprocBackend, error) {
+	return nil, fmt.Errorf("rex: %s is not available on a server session (the rexd server owns the catalog and engine)", what)
+}
+
+func (c *serverConn) transport(what string) (cluster.Transport, error) {
+	return nil, fmt.Errorf("rex: %s is not available on a server session", what)
+}
+
+// createTable lands the declaration in the server's shared catalog (and
+// bumps its version, invalidating cached plans).
+func (c *serverConn) createTable(name string, schema *types.Schema, partitionKey int) error {
+	fields := make([]string, schema.Len())
+	for i, f := range schema.Fields {
+		fields[i] = f.Name + ":" + f.Kind.String()
+	}
+	_, err := c.roundTrip(context.Background(), srvproto.Request{
+		Op: srvproto.OpCreateTable, Table: name, Fields: fields, Key: partitionKey,
+	})
+	return err
+}
+
+func (c *serverConn) load(table string, tuples []Tuple, locked lockFunc) error {
+	return loadAsInserts(c, table, tuples, locked)
+}
+
+// ingest ships the change: the server applies it to the shared pool, fans
+// it out to standing queries, and replies once every covering round
+// completed, so the returned ack is already resolved. It takes no session
+// lock — the server serializes.
+func (c *serverConn) ingest(tables map[string][]Delta, _ lockFunc) (*IngestAck, error) {
+	tr, err := c.sendIngest(context.Background(), tables)
+	if err != nil {
+		return nil, err
+	}
+	return exec.ResolvedAck(tr.Round, nil), nil
+}
+
+func (c *serverConn) query(src string, opts Options) (query, error) {
 	if err := serverUnsupported(opts); err != nil {
 		return nil, err
 	}
-	req := srvproto.Request{Op: srvproto.OpStream, Src: src, Args: srvproto.EncodeArgs(args), Opts: wireOpts(opts)}
-	if err := s.lock(); err != nil {
-		return nil, err
-	}
-	st, err := s.srv.openStream(ctx, req, nil)
-	return s.unlockWhenDone(st, err)
+	return &serverReq{c: c, src: src, opts: opts}, nil
 }
 
-// serverQuery is the buffered form: stream and drain, mirroring how the
-// other transports execute without recovery.
-func (s *Session) serverQuery(ctx context.Context, src string, args []Value, opts Options) (*Result, error) {
-	st, err := s.serverStream(ctx, src, args, opts)
+// prepare compiles src into the server's shared plan cache. The cached
+// plan is keyed by the text alone, so every execution of the statement,
+// whatever its arguments, reuses it.
+func (c *serverConn) prepare(src string) (statement, error) {
+	tr, err := c.roundTrip(context.Background(), srvproto.Request{Op: srvproto.OpPrepare, Src: src})
 	if err != nil {
 		return nil, err
 	}
-	return st.Drain()
+	return &remoteStmt{c: c, src: src, nparams: tr.NumParams}, nil
 }
 
-// ServerStats reports the rexd server's counters — plan-cache hits and
-// misses included. Server sessions only.
-//
-// Deprecated: use Session.Stats — the unified snapshot; its Server field
-// carries the same record plus the scheduler counters. ServerStats is a
-// thin wrapper kept for source compatibility.
-func (s *Session) ServerStats(ctx context.Context) (*ServerStats, error) {
-	if s.srv == nil {
-		return nil, fmt.Errorf("rex: ServerStats requires a server session (rex.WithServer)")
-	}
-	st, err := s.Stats(ctx)
+func (c *serverConn) workload(what string, _ *Workload, _ func(*Options)) (execution, error) {
+	return nil, fmt.Errorf("rex: %s is not available on a server session (submit RQL; the server owns the pool)", what)
+}
+
+// serverReq is one RQL request: the text, bound argument values, and
+// options ship to the server, which executes from its plan cache.
+type serverReq struct {
+	c    *serverConn
+	src  string
+	args []Value
+	opts Options
+}
+
+func (r *serverReq) request(op string) srvproto.Request {
+	return srvproto.Request{Op: op, Src: r.src, Args: srvproto.EncodeArgs(r.args), Opts: wireOpts(r.opts)}
+}
+
+func (r *serverReq) run(ctx context.Context) (*Result, error) { return drain(r.stream(ctx)) }
+
+func (r *serverReq) stream(ctx context.Context) (*exec.ResultStream, error) {
+	return r.c.openStream(ctx, r.request(srvproto.OpStream), nil)
+}
+
+// subscribe installs a standing query on the server and returns once the
+// server finished the initial round (its batches are buffered on Stream
+// by then) — compile errors and unknown tables surface here, not on first
+// read.
+func (r *serverReq) subscribe(ctx context.Context) (standing, error) {
+	sub := &remoteSub{c: r.c, ready: make(chan error, 1)}
+	st, err := r.c.openStream(ctx, r.request(srvproto.OpSubscribe), sub.addRound)
 	if err != nil {
 		return nil, err
 	}
-	return st.Server, nil
+	sub.st = st
+	go func() {
+		<-st.Done()
+		sub.signalReady(st.Err())
+	}()
+	select {
+	case err := <-sub.ready:
+		if err != nil {
+			st.Close()
+			return nil, err
+		}
+	case <-ctx.Done():
+		st.Close() // cancels the request; the server tears the sub down
+		return nil, ctx.Err()
+	}
+	return sub, nil
 }
+
+// remoteStmt is a statement in the server's plan cache; nparams is the
+// parameter count the server reported (argument kinds are checked
+// server-side when the cached plan binds them).
+type remoteStmt struct {
+	c       *serverConn
+	src     string
+	nparams int
+}
+
+func (st *remoteStmt) numParams() int { return st.nparams }
+
+func (st *remoteStmt) bind(args []Value, opts Options) (execution, error) {
+	if len(args) != st.nparams {
+		return nil, fmt.Errorf("rex: statement wants %d parameters, got %d", st.nparams, len(args))
+	}
+	if err := serverUnsupported(opts); err != nil {
+		return nil, err
+	}
+	return &serverReq{c: st.c, src: st.src, args: args, opts: opts}, nil
+}
+
+// remoteSub is a standing query living in the server: the round-tagged
+// delta stream fed by the connection's read loop, and the round stats its
+// boundary frames carried.
+type remoteSub struct {
+	c         *serverConn
+	st        *exec.ResultStream
+	roundsMu  sync.Mutex
+	rounds    []RoundStats
+	ready     chan error
+	readyOnce sync.Once
+}
+
+// addRound records a round's statistics (the read loop calls it on
+// round-boundary frames); the first round readies subscribe.
+func (sub *remoteSub) addRound(rs RoundStats) {
+	sub.roundsMu.Lock()
+	sub.rounds = append(sub.rounds, rs)
+	sub.roundsMu.Unlock()
+	sub.signalReady(nil)
+}
+
+func (sub *remoteSub) signalReady(err error) {
+	sub.readyOnce.Do(func() { sub.ready <- err })
+}
+
+func (sub *remoteSub) Stream() *exec.ResultStream { return sub.st }
+
+func (sub *remoteSub) Rounds() []RoundStats {
+	sub.roundsMu.Lock()
+	defer sub.roundsMu.Unlock()
+	return append([]RoundStats(nil), sub.rounds...)
+}
+
+func (sub *remoteSub) Done() <-chan struct{} { return sub.st.Done() }
+
+func (sub *remoteSub) Err() error { return sub.st.Err() }
+
+func (sub *remoteSub) Ingest(ctx context.Context, tables map[string][]types.Delta) (*RoundStats, error) {
+	tr, err := sub.c.sendIngest(ctx, tables)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Round, nil
+}
+
+// IngestAsync travels synchronously; the returned ack is already resolved
+// (coalescing happens server-side, across clients).
+func (sub *remoteSub) IngestAsync(tables map[string][]types.Delta) (*IngestAck, error) {
+	return sub.c.ingest(tables, nil)
+}
+
+// Close cancels the request, which unsubscribes server-side; the server
+// answers with a clean final frame, which ends the stream. Detach (not
+// Close) keeps the already-streamed rounds readable for a post-close fold,
+// matching the in-process standing-query contract.
+func (sub *remoteSub) Close() error { return sub.st.Detach() }

@@ -170,6 +170,7 @@ func TestIngestLogBoundedUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	tcp := sess.be.(*tcpBackend)
 
 	// 150 insert+delete cycles of the same tuples: 300 raw log appends
 	// whose net effect is zero.
@@ -184,10 +185,10 @@ func TestIngestLogBoundedUnderChurn(t *testing.T) {
 	}
 	// The threshold fold keeps the retained log within one fold window of
 	// the net size (zero) at all times — 300 appends never accumulate.
-	if n := sess.ingestLogLen(); n >= 2*ingestLogFoldEvery {
+	if n := tcp.ingestLogLen(); n >= 2*ingestLogFoldEvery {
 		t.Fatalf("log retains %d deltas after zero-net churn (fold threshold %d)", n, ingestLogFoldEvery)
 	}
-	if snap := sess.ingestSnapshot(); len(snap) != 0 {
+	if snap := tcp.ingestSnapshot(); len(snap) != 0 {
 		t.Fatalf("snapshot after zero-net churn: %d entries, want 0", len(snap))
 	}
 
@@ -201,7 +202,7 @@ func TestIngestLogBoundedUnderChurn(t *testing.T) {
 	if err := sess.Insert("graph", live...); err != nil {
 		t.Fatal(err)
 	}
-	snap := sess.ingestSnapshot()
+	snap := tcp.ingestSnapshot()
 	if len(snap) != 1 {
 		t.Fatalf("snapshot entries = %d, want 1", len(snap))
 	}

@@ -14,8 +14,8 @@ const (
 //
 //	res, err := s.QueryCtx(ctx, src, rex.WithTenant("acme"), rex.WithPriority(rex.PriorityHigh))
 //
-// Options compose left to right; WithOptions bridges from the legacy
-// Options struct. Prepare accepts the same set as statement defaults.
+// Options compose left to right; WithOptions bridges from an Options
+// struct. Prepare accepts the same set as statement defaults.
 type QueryOption func(*Options)
 
 // WithPriority sets the query's scheduling priority (PriorityLow,
@@ -70,8 +70,8 @@ func WithRecovery(strategy RecoveryStrategy) QueryOption {
 }
 
 // WithOptions overlays a full Options struct — the bridge for callers
-// holding pre-built option state (the deprecated struct-taking entry
-// points are thin wrappers over it). Fields set by earlier QueryOptions
+// holding pre-built option state, and the only way to set the driver-side
+// hooks (TermFn, OnStratum, Recover). Fields set by earlier QueryOptions
 // are replaced wholesale.
 func WithOptions(opts Options) QueryOption {
 	return func(o *Options) { *o = opts }

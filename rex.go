@@ -131,8 +131,8 @@ type (
 	// It is the unit of multi-process execution (Session.RunWorkload).
 	Workload = job.Spec
 	// PoolStats is buffer-pool traffic for paged (spill-to-disk) stores:
-	// hits, misses, evictions, and bytes spilled. Reported by
-	// Session.PoolStats on in-process sessions opened with WithSpillDir.
+	// hits, misses, evictions, and bytes spilled. Reported in Stats.Pool
+	// on in-process sessions opened with WithSpillDir.
 	PoolStats = storage.PoolStats
 )
 

@@ -8,15 +8,36 @@ import (
 	"github.com/rex-data/rex/internal/types"
 )
 
+// openTest opens an in-process session closed at the end of the test.
+func openTest(t *testing.T, opts ...Option) *Session {
+	t.Helper()
+	s, err := Open(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// mustLoad declares a table and loads its rows.
+func mustLoad(t *testing.T, s *Session, table string, schema *types.Schema, rows []Tuple) {
+	t.Helper()
+	if err := s.CreateTable(table, schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(table, rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestClusterQuickstart(t *testing.T) {
-	c := NewCluster(ClusterConfig{Nodes: 3})
-	c.MustCreateTable("items", Schema("k:Integer", "v:Double"), 0)
+	c := openTest(t, WithInProc(3))
 	var rows []Tuple
 	for i := 0; i < 100; i++ {
 		rows = append(rows, NewTuple(int64(i), float64(i)))
 	}
-	c.MustLoad("items", rows)
-	res, err := c.Session().QueryCtx(context.Background(), `SELECT sum(v), count(*) FROM items WHERE k >= 50`)
+	mustLoad(t, c, "items", Schema("k:Integer", "v:Double"), rows)
+	res, err := c.QueryCtx(context.Background(), `SELECT sum(v), count(*) FROM items WHERE k >= 50`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +54,10 @@ func TestClusterQuickstart(t *testing.T) {
 func TestClusterCustomHandlersRecursive(t *testing.T) {
 	// Connected reachability via custom while handler through the public
 	// API only.
-	c := NewCluster(ClusterConfig{Nodes: 2})
-	c.MustCreateTable("graph", Schema("srcId:Integer", "destId:Integer"), 0)
-	c.MustCreateTable("seed", Schema("srcId:Integer", "dist:Double"), 0)
+	c := openTest(t, WithInProc(2))
 	g := datagen.DBPediaGraph(100, 5)
-	c.MustLoad("graph", g.Edges)
-	c.MustLoad("seed", []Tuple{NewTuple(int64(0), 0.0)})
+	mustLoad(t, c, "graph", Schema("srcId:Integer", "destId:Integer"), g.Edges)
+	mustLoad(t, c, "seed", Schema("srcId:Integer", "dist:Double"), []Tuple{NewTuple(int64(0), 0.0)})
 
 	err := c.JoinHandler("hops", Schema("nbr:Integer", "d:Double"),
 		func(left, right *TupleSet, d Delta, fromLeft bool) ([]Delta, error) {
@@ -73,7 +92,7 @@ func TestClusterCustomHandlersRecursive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c.Session().QueryCtx(context.Background(), `
+	res, err := c.QueryCtx(context.Background(), `
 WITH SP (srcId, dist) AS (
   SELECT srcId, dist FROM seed
 ) UNION ALL UNTIL FIXPOINT BY srcId USING keepmin (
@@ -90,9 +109,8 @@ WITH SP (srcId, dist) AS (
 }
 
 func TestRegisterFuncAndUse(t *testing.T) {
-	c := NewCluster(ClusterConfig{})
-	c.MustCreateTable("t", Schema("x:Integer"), 0)
-	c.MustLoad("t", []Tuple{NewTuple(int64(2)), NewTuple(int64(5))})
+	c := openTest(t)
+	mustLoad(t, c, "t", Schema("x:Integer"), []Tuple{NewTuple(int64(2)), NewTuple(int64(5))})
 	err := c.RegisterFunc("sq", []types.Kind{types.KindInt}, types.KindInt, true,
 		func(args []Value) (Value, error) {
 			n, _ := types.AsInt(args[0])
@@ -101,7 +119,7 @@ func TestRegisterFuncAndUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Session().QueryCtx(context.Background(), `SELECT sq(x) FROM t`)
+	res, err := c.QueryCtx(context.Background(), `SELECT sq(x) FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +131,4 @@ func TestRegisterFuncAndUse(t *testing.T) {
 	if !got[4] || !got[25] {
 		t.Fatalf("got %v", got)
 	}
-}
-
-func TestKillPanicsOnBadNode(t *testing.T) {
-	c := NewCluster(ClusterConfig{Nodes: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Kill(99) must panic")
-		}
-	}()
-	c.Kill(99)
 }

@@ -3,8 +3,7 @@ package rex
 import (
 	"context"
 	"fmt"
-	"os"
-	"sort"
+	"io"
 	"sync"
 	"time"
 
@@ -13,9 +12,6 @@ import (
 	"github.com/rex-data/rex/internal/exec"
 	"github.com/rex-data/rex/internal/expr"
 	"github.com/rex-data/rex/internal/job"
-	"github.com/rex-data/rex/internal/rql"
-	"github.com/rex-data/rex/internal/srvproto"
-	"github.com/rex-data/rex/internal/storage"
 	"github.com/rex-data/rex/internal/types"
 	"github.com/rex-data/rex/internal/uda"
 )
@@ -107,8 +103,8 @@ func WithDataset(name string, size int, seed int64) Option {
 }
 
 // WithServer connects the session to a running rexd query server
-// (cmd/rexd) instead of owning an engine: Query/Stream/Prepare/Subscribe
-// and the ingestion APIs route transparently over one multiplexed
+// (cmd/rexd) instead of owning an engine: QueryCtx, Stream, Prepare,
+// Subscribe and the ingestion APIs route transparently over one multiplexed
 // connection, and the server schedules the work on its shared worker
 // pool alongside every other client session. The server owns the
 // catalog, datasets, and handler bundles, so WithServer cannot be
@@ -159,81 +155,25 @@ func WithHandlers(bundle string) Option {
 }
 
 // Session is a running REX deployment: a catalog plus worker nodes with
-// partitioned, replicated storage — in this process (WithInProc) or as
-// rexnode daemons over TCP (WithTCPPeers, WithAutoSpawn). One session runs
-// queries sequentially; concurrent calls serialize on an internal lock.
+// partitioned, replicated storage — in this process (WithInProc), as
+// rexnode daemons over TCP (WithTCPPeers, WithAutoSpawn), or behind a rexd
+// server (WithServer). One session runs queries sequentially; concurrent
+// calls serialize on an internal lock.
 type Session struct {
-	mu  sync.Mutex
-	cfg config
+	mu sync.Mutex
+	be backend
 
-	// in-process deployments
-	cat *catalog.Catalog
-	eng *exec.Engine
-
-	// TCP deployments
-	jc *job.Cluster
-	// schemaCat mirrors the staged dataset's schemas (plus the handler
-	// bundle) for driver-side validation — built once at Open; the daemons
-	// rebuild their real catalogs per job.
-	schemaCat *catalog.Catalog
-
-	// server sessions (WithServer): the multiplexed rexd connection.
-	srv *serverConn
-
-	// streamMu guards stream and sub — whichever currently holds mu (see
-	// unlockWhenDone / adoptStanding). Close cancels them so an abandoned
-	// stream or subscription cannot park the session lock forever.
-	streamMu sync.Mutex
-	stream   *exec.ResultStream
-	sub      *Subscription
-
-	// logMu guards ingestLog, the TCP session's base-table change log:
-	// every accepted Insert/Delete/LoadDeltas is appended and replayed into
-	// each subsequent job spec, so daemons — which regenerate data per
-	// job — rebuild the revised tables. The log is kept compacted: each
-	// table's deltas fold to their net effect (insert+delete annihilation,
-	// replace-chain folding) whenever a fold threshold of raw appends
-	// accumulates, and again at snapshot time, so the log — and with it
-	// every job spec — stays bounded by the net change under churn.
-	logMu     sync.Mutex
-	ingestLog map[string]*tableLog
-	logOrder  []string
+	// liveMu guards live, the stream or subscription currently holding mu
+	// (see handOff). Close cancels it so an abandoned stream or
+	// subscription cannot park the session lock forever.
+	liveMu sync.Mutex
+	live   io.Closer
 
 	closed bool
 }
 
-// tableLog is one table's slice of the session change log.
-type tableLog struct {
-	keyCol    int
-	deltas    []types.Delta
-	sinceFold int
-}
-
-// ingestLogFoldEvery is the raw-append count after which a table's log
-// refolds. Folding is O(appends since last fold + live entries), so the
-// amortized cost per append is O(1) while the retained length stays within
-// one threshold of the net change.
-const ingestLogFoldEvery = 64
-
-// fold compacts the table's log to its net effect via the shuffle
-// compactor's same-key rules.
-func (tl *tableLog) fold() {
-	key := tl.keyCol
-	c := cluster.NewCompactor(func(t types.Tuple) types.Value {
-		if key < len(t) {
-			return t[key]
-		}
-		return nil
-	}, nil)
-	for _, d := range tl.deltas {
-		c.Add(d)
-	}
-	tl.deltas = c.Drain()
-	tl.sinceFold = 0
-}
-
 // Open boots a session. With no options it is an in-process 4-node
-// cluster, the modern equivalent of NewCluster:
+// cluster:
 //
 //	s, err := rex.Open(ctx, rex.WithInProc(4))
 //	defer s.Close()
@@ -251,13 +191,14 @@ func Open(ctx context.Context, opts ...Option) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	tcp := len(cfg.peers) > 0 || cfg.autospawn > 0
 	if len(cfg.peers) > 0 && cfg.autospawn > 0 {
 		return nil, fmt.Errorf("rex: WithTCPPeers and WithAutoSpawn are mutually exclusive")
 	}
-	if cfg.inproc && (len(cfg.peers) > 0 || cfg.autospawn > 0) {
+	if cfg.inproc && tcp {
 		return nil, fmt.Errorf("rex: WithInProc cannot be combined with WithTCPPeers/WithAutoSpawn")
 	}
-	if cfg.serverAddr != "" && (cfg.inproc || len(cfg.peers) > 0 || cfg.autospawn > 0 || cfg.dataset != "" || cfg.handlers != "") {
+	if cfg.serverAddr != "" && (cfg.inproc || tcp || cfg.dataset != "" || cfg.handlers != "") {
 		return nil, fmt.Errorf("rex: WithServer cannot be combined with engine options (the rexd server owns the pool, datasets, and handlers)")
 	}
 	if cfg.spawnBin != "" && cfg.autospawn == 0 {
@@ -266,7 +207,7 @@ func Open(ctx context.Context, opts ...Option) (*Session, error) {
 	if cfg.serverTenant != "" && cfg.serverAddr == "" {
 		return nil, fmt.Errorf("rex: WithServerTenant requires WithServer (tenancy is a rexd scheduling concept)")
 	}
-	if cfg.spillDir != "" && (cfg.serverAddr != "" || len(cfg.peers) > 0 || cfg.autospawn > 0) {
+	if cfg.spillDir != "" && (cfg.serverAddr != "" || tcp) {
 		return nil, fmt.Errorf("rex: WithSpillDir is in-process only (rexnode daemons page under their own -data-dir)")
 	}
 	if cfg.handlers != "" {
@@ -276,75 +217,28 @@ func Open(ctx context.Context, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 	}
-	s := &Session{cfg: cfg}
+	var be backend
+	var err error
 	switch {
 	case cfg.serverAddr != "":
-		srv, err := dialServer(ctx, cfg.serverAddr, cfg.serverTenant)
-		if err != nil {
-			return nil, err
-		}
-		s.srv = srv
-	case len(cfg.peers) > 0:
-		jc, err := job.Connect(cfg.peers)
-		if err != nil {
-			return nil, err
-		}
-		s.jc = jc
-		if err := s.buildSchemaCat(); err != nil {
-			jc.Close()
-			return nil, err
-		}
-	case cfg.autospawn > 0:
-		bin, args := cfg.spawnBin, cfg.spawnArgs
-		if bin == "" {
-			bin, args = os.Args[0], []string{"-node"}
-		}
-		jc, err := job.SpawnLocal(cfg.autospawn, bin, args)
-		if err != nil {
-			return nil, err
-		}
-		s.jc = jc
-		if err := s.buildSchemaCat(); err != nil {
-			jc.Close()
-			return nil, err
-		}
+		be, err = dialServer(ctx, cfg.serverAddr, cfg.serverTenant)
+	case tcp:
+		be, err = openTCP(cfg)
 	default:
-		if cfg.nodes <= 0 {
-			cfg.nodes = 4
-		}
-		s.cfg = cfg
-		s.cat = catalog.New()
-		s.eng = exec.NewEngine(cfg.nodes, cfg.vnodes, cfg.replication, s.cat)
-		if cfg.spillDir != "" {
-			if err := s.eng.UseSpill(cfg.spillDir, cfg.poolPages); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.handlers != "" {
-			if err := job.RegisterBundle(s.cat, cfg.handlers); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.dataset != "" {
-			tables, err := job.StageDataset(s.cat, cfg.dataset, cfg.datasetSize, cfg.datasetSeed)
-			if err != nil {
-				return nil, err
-			}
-			for _, tb := range tables {
-				if err := s.loadLocked(tb.Name, tb.Tuples); err != nil {
-					return nil, err
-				}
-			}
-		}
+		be, err = openInProc(cfg)
 	}
-	return s, nil
+	if err != nil {
+		return nil, err
+	}
+	return &Session{be: be}, nil
 }
 
 // Close tears the session down: in-process mailboxes are closed; TCP
 // connections are shut and daemons the session spawned are terminated and
-// reaped. Close waits for an in-flight query to finish; a live DeltaStream
-// (consumed or abandoned) is cancelled first, so Close never deadlocks
-// behind a stream nobody is draining.
+// reaped. A live DeltaStream (consumed, abandoned, or one QueryCtx is
+// draining) or Subscription is cancelled first, so Close never deadlocks
+// behind a stream nobody is draining; a buffered run (RunPlan,
+// RunWorkload, a query with a recovery strategy) is waited out.
 func (s *Session) Close() error {
 	// Win s.mu without ever parking on it: the lock is held for a
 	// stream's whole life, and a Stream call racing us registers its
@@ -352,15 +246,11 @@ func (s *Session) Close() error {
 	// wait forever behind a stream we looked for too early. Re-check and
 	// cancel until TryLock succeeds — once it does, no stream is live.
 	for {
-		s.streamMu.Lock()
-		st, sub := s.stream, s.sub
-		s.streamMu.Unlock()
-		if st != nil {
-			st.Close() // cancel + drain + wait; releases s.mu via unlockWhenDone
-			continue
-		}
-		if sub != nil {
-			sub.Close() // tear the standing dataflow down; releases s.mu
+		s.liveMu.Lock()
+		live := s.live
+		s.liveMu.Unlock()
+		if live != nil {
+			live.Close() // cancel and wait for teardown, which releases s.mu
 			continue
 		}
 		if s.mu.TryLock() {
@@ -373,36 +263,7 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	switch {
-	case s.srv != nil:
-		return s.srv.close()
-	case s.jc != nil:
-		s.jc.Close()
-		return nil
-	default:
-		err := s.eng.Transport.Close()
-		// Flush after the workers are gone: dirty pages are sealed into
-		// each paged store's checkpoint image (no-op without WithSpillDir).
-		if serr := s.eng.CloseStores(); err == nil {
-			err = serr
-		}
-		return err
-	}
-}
-
-// PoolStats aggregates buffer-pool traffic across an in-process session's
-// paged stores: hits, misses, evictions, and bytes spilled to page files.
-// All-zero without WithSpillDir, and on TCP/server sessions (daemon pools
-// are reported by their own processes).
-//
-// Deprecated: use Session.Stats — the unified snapshot; its Pool field
-// carries the same record. PoolStats is a thin wrapper kept for source
-// compatibility.
-func (s *Session) PoolStats() PoolStats {
-	if s.eng == nil {
-		return PoolStats{}
-	}
-	return s.eng.PoolStats()
+	return s.be.close()
 }
 
 // lock acquires the session for one query, rejecting closed sessions
@@ -416,43 +277,35 @@ func (s *Session) lock() error {
 	return nil
 }
 
+// locked runs fn holding the session lock (the backends' lockFunc).
+func (s *Session) locked(fn func() error) error {
+	if err := s.lock(); err != nil {
+		return err
+	}
+	defer s.mu.Unlock()
+	return fn()
+}
+
 // Nodes reports the worker count (the server's pool size on a server
 // session).
-func (s *Session) Nodes() int {
-	if s.srv != nil {
-		return s.srv.nodes
-	}
-	if s.jc != nil {
-		return len(s.jc.Addrs())
-	}
-	return s.cfg.nodes
-}
-
-// transport returns the session's cluster transport.
-func (s *Session) transport() cluster.Transport {
-	if s.jc != nil {
-		return s.jc.Transport()
-	}
-	return s.eng.Transport
-}
+func (s *Session) Nodes() int { return s.be.nodes() }
 
 // Catalog exposes the catalog for registering user-defined functions,
-// aggregators, and delta handlers. Nil on TCP sessions — remote daemons
-// rebuild their catalogs from job specs, so Go closures registered here
-// could never reach them.
-func (s *Session) Catalog() *catalog.Catalog { return s.cat }
+// aggregators, and delta handlers. Nil on TCP and server sessions — remote
+// daemons rebuild their catalogs from job specs, so Go closures registered
+// here could never reach them.
+func (s *Session) Catalog() *catalog.Catalog {
+	if b, err := s.be.local("Catalog"); err == nil {
+		return b.cat
+	}
+	return nil
+}
 
 // Engine exposes the underlying executor of an in-process session (nil on
-// TCP sessions).
-func (s *Session) Engine() *exec.Engine { return s.eng }
-
-// inprocOnly guards the APIs that need local storage and a local catalog.
-func (s *Session) inprocOnly(what string) error {
-	if s.srv != nil {
-		return fmt.Errorf("rex: %s is not available on a server session (the rexd server owns the catalog and engine)", what)
-	}
-	if s.jc != nil {
-		return fmt.Errorf("rex: %s is not available on a TCP session (workers rebuild state from job specs; stage data with WithDataset or run a Workload)", what)
+// TCP and server sessions).
+func (s *Session) Engine() *exec.Engine {
+	if b, err := s.be.local("Engine"); err == nil {
+		return b.eng
 	}
 	return nil
 }
@@ -461,51 +314,26 @@ func (s *Session) inprocOnly(what string) error {
 // a server session the declaration lands in the server's shared catalog
 // (and bumps its version, invalidating cached plans).
 func (s *Session) CreateTable(name string, schema *types.Schema, partitionKey int) error {
-	if s.srv != nil {
-		fields := make([]string, schema.Len())
-		for i, f := range schema.Fields {
-			fields[i] = f.Name + ":" + f.Kind.String()
-		}
-		_, err := s.srv.roundTrip(context.Background(), srvproto.Request{
-			Op: srvproto.OpCreateTable, Table: name, Fields: fields, Key: partitionKey,
-		})
-		return err
-	}
-	if err := s.inprocOnly("CreateTable"); err != nil {
-		return err
-	}
-	return s.cat.AddTable(&catalog.Table{Name: name, Schema: schema, PartitionKey: partitionKey})
+	return s.be.createTable(name, schema, partitionKey)
 }
 
 // CatalogVersion reports the session's schema version: the catalog's on
 // an in-process session, the staged schema catalog's over TCP, 0 on a
-// server session (the server tracks its own; see ServerStats). Plan
+// server session (the server tracks its own; see Stats.Server). Plan
 // caches key on it.
-func (s *Session) CatalogVersion() int64 {
-	switch {
-	case s.cat != nil:
-		return s.cat.Version()
-	case s.schemaCat != nil:
-		return s.schemaCat.Version()
-	default:
-		return 0
-	}
-}
+func (s *Session) CatalogVersion() int64 { return s.be.catalogVersion() }
 
 // Load distributes tuples into the table's replicated partitions. It works
 // on every transport: in-process the tuples go straight to the replicated
 // stores; on a TCP session the load joins the session's change log, which
 // every subsequent job replays into the daemons' regenerated tables; with
 // a live subscription the load runs as an incremental ingestion round.
+// Every tuple must match the table's schema width.
 func (s *Session) Load(table string, tuples []Tuple) error {
-	if s.jc == nil && s.srv == nil && s.liveSub() == nil {
-		if err := s.lock(); err != nil {
-			return err
-		}
-		defer s.mu.Unlock()
-		return s.loadLocked(table, tuples)
+	if s.liveSub() != nil {
+		return s.LoadDeltas(table, types.Inserts(tuples...))
 	}
-	return s.LoadDeltas(table, types.Inserts(tuples...))
+	return s.be.load(table, tuples, s.locked)
 }
 
 // Insert ingests tuples as base-table insertions — delta-mode Load. A thin
@@ -552,8 +380,9 @@ func (s *Session) LoadDeltas(table string, deltas []Delta) error {
 // into a single follow-up round, and the returned ack resolves when that
 // round's fixpoint completes (its output deltas are on the subscription
 // stream by then). Without a subscription the change applies synchronously
-// (store revision in-process, change-log append over TCP) and the ack is
-// already resolved. Safe for concurrent callers.
+// (store revision in-process, change-log append over TCP, the server's
+// reply on a server session) and the ack is already resolved. Safe for
+// concurrent callers.
 func (s *Session) IngestAsync(table string, deltas []Delta) (*IngestAck, error) {
 	return s.Ingests(map[string][]Delta{table: deltas})
 }
@@ -561,233 +390,25 @@ func (s *Session) IngestAsync(table string, deltas []Delta) (*IngestAck, error) 
 // Ingests is the multi-table batched form of IngestAsync: every table's
 // deltas ride the same covering round (or the same synchronous apply).
 func (s *Session) Ingests(batches map[string][]Delta) (*IngestAck, error) {
-	names := make([]string, 0, len(batches))
-	total := 0
-	for table, deltas := range batches {
-		if len(deltas) == 0 {
-			continue
-		}
-		names = append(names, table)
-		total += len(deltas)
-	}
-	if total == 0 {
+	m := nonEmpty(batches)
+	if len(m) == 0 {
 		return exec.ResolvedAck(nil, nil), nil
-	}
-	sort.Strings(names)
-	if s.srv != nil {
-		// Server sessions ship every ingest over the wire — the server
-		// applies it to the shared pool, fans it out to standing queries,
-		// and replies once every covering round completed, so the returned
-		// ack is already resolved (with the requester's own covering round
-		// stats when it holds a subscription).
-		m := make(map[string][]types.Delta, len(names))
-		for _, table := range names {
-			m[table] = batches[table]
-		}
-		tr, err := s.srv.ingest(context.Background(), m)
-		if err != nil {
-			return nil, err
-		}
-		return exec.ResolvedAck(tr.Round, nil), nil
 	}
 	if sub := s.liveSub(); sub != nil {
-		m := make(map[string][]types.Delta, len(names))
-		for _, table := range names {
-			m[table] = batches[table]
-		}
-		return sub.sq.IngestAsync(m)
+		return sub.q.IngestAsync(m)
 	}
-	if s.jc != nil {
-		for _, table := range names {
-			if err := s.validateIngest(table, batches[table]); err != nil {
-				return nil, err
-			}
-		}
-		// Serialize on the session lock like the in-process path: a closed
-		// session must reject the change, not silently log it.
-		if err := s.lock(); err != nil {
-			return nil, err
-		}
-		defer s.mu.Unlock()
-		for _, table := range names {
-			s.appendIngestLog(table, batches[table])
-		}
-		return exec.ResolvedAck(nil, nil), nil
-	}
-	if err := s.lock(); err != nil {
-		return nil, err
-	}
-	defer s.mu.Unlock()
-	// Validate every table before touching any store so a bad batch cannot
-	// apply partially.
-	for _, table := range names {
-		tab, err := s.cat.Table(table)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkDeltaArity(table, tab.Schema.Len(), batches[table]); err != nil {
-			return nil, err
-		}
-	}
-	loader := &storage.Loader{Ring: s.eng.Ring, Stores: s.eng.Stores}
-	for _, table := range names {
-		tab, _ := s.cat.Table(table)
-		if err := loader.Apply(table, tab.PartitionKey, batches[table]); err != nil {
-			return nil, err
-		}
-		s.bumpStats(table, batches[table])
-	}
-	return exec.ResolvedAck(nil, nil), nil
+	return s.be.ingest(m, s.locked)
 }
 
-func checkDeltaArity(table string, arity int, deltas []Delta) error {
-	for _, d := range deltas {
-		if len(d.Tup) != arity || (d.Op == types.OpReplace && len(d.Old) != arity) {
-			return fmt.Errorf("rex: ingest into %s: tuple %v does not match the %d-column schema", table, d.Tup, arity)
-		}
-	}
-	return nil
-}
-
-// buildSchemaCat stages the dataset's schemas (and the handler bundle)
-// into a driver-side validation catalog, once per session.
-func (s *Session) buildSchemaCat() error {
-	if s.cfg.dataset == "" {
-		return nil
-	}
-	cat := catalog.New()
-	if err := job.StageSchemas(cat, s.cfg.dataset, s.cfg.datasetSize); err != nil {
-		return err
-	}
-	if s.cfg.handlers != "" {
-		if err := job.RegisterBundle(cat, s.cfg.handlers); err != nil {
-			return err
-		}
-	}
-	s.schemaCat = cat
-	return nil
-}
-
-// validateIngest checks a TCP-session ingest against the staged dataset's
-// schemas before it enters the replayed change log.
-func (s *Session) validateIngest(table string, deltas []Delta) error {
-	if s.schemaCat == nil {
-		return fmt.Errorf("rex: TCP sessions need WithDataset before ingesting (tables are staged from it)")
-	}
-	tab, err := s.schemaCat.Table(table)
-	if err != nil {
-		return err
-	}
-	return checkDeltaArity(table, tab.Schema.Len(), deltas)
-}
-
-// appendIngestLog records an accepted change for replay into future jobs,
-// refolding the table's slice whenever the fold threshold of raw appends
-// accumulates so the retained log tracks the net change, not the churn.
-func (s *Session) appendIngestLog(table string, deltas []Delta) {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	if s.ingestLog == nil {
-		s.ingestLog = map[string]*tableLog{}
-	}
-	tl := s.ingestLog[table]
-	if tl == nil {
-		keyCol := 0
-		if s.schemaCat != nil {
-			if tab, err := s.schemaCat.Table(table); err == nil {
-				keyCol = tab.PartitionKey
-			}
-		}
-		tl = &tableLog{keyCol: keyCol}
-		s.ingestLog[table] = tl
-		s.logOrder = append(s.logOrder, table)
-	}
-	tl.deltas = append(tl.deltas, deltas...)
-	tl.sinceFold += len(deltas)
-	if tl.sinceFold >= ingestLogFoldEvery {
-		tl.fold()
-	}
-}
-
-// ingestSnapshot folds and encodes the change log for a job spec: at most
-// one entry per table (first-touch order), carrying the net effect of
-// every accepted change.
-func (s *Session) ingestSnapshot() []job.IngestedTable {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	var out []job.IngestedTable
-	for _, table := range s.logOrder {
-		tl := s.ingestLog[table]
-		if tl.sinceFold > 0 {
-			tl.fold()
-		}
-		if len(tl.deltas) == 0 {
-			continue
-		}
-		out = append(out, job.IngestedTable{Table: table, Deltas: cluster.EncodeDeltas(tl.deltas)})
-	}
-	return out
-}
-
-// ingestLogLen reports the change log's retained delta count (tests assert
-// boundedness under churn).
-func (s *Session) ingestLogLen() int {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	n := 0
-	for _, tl := range s.ingestLog {
-		n += len(tl.deltas)
-	}
-	return n
-}
-
-// bumpStats revises the catalog's row-count estimate after an ingest (the
-// estimate steers costing, never correctness).
-func (s *Session) bumpStats(table string, deltas []Delta) {
-	if s.cat == nil {
-		return
-	}
-	tab, err := s.cat.Table(table)
-	if err != nil {
-		return
-	}
-	var net int64
-	for _, d := range deltas {
-		switch d.Op {
-		case types.OpInsert, types.OpUpdate:
-			net++
-		case types.OpDelete:
-			net--
-		}
-	}
-	stats := tab.Stats
-	stats.RowCount += net
-	if stats.RowCount < 0 {
-		stats.RowCount = 0
-	}
-	_ = s.cat.SetStats(table, stats)
-}
-
-func (s *Session) loadLocked(table string, tuples []Tuple) error {
-	tab, err := s.cat.Table(table)
-	if err != nil {
-		return err
-	}
-	stats := tab.Stats
-	stats.RowCount += int64(len(tuples))
-	if err := s.eng.Load(table, tab.PartitionKey, tuples); err != nil {
-		return err
-	}
-	return s.cat.SetStats(table, stats)
-}
-
-// RegisterFunc registers a scalar UDF callable from RQL.
+// RegisterFunc registers a scalar UDF callable from RQL (in-process
+// sessions only).
 func (s *Session) RegisterFunc(name string, argKinds []types.Kind, ret types.Kind,
 	deterministic bool, fn func(args []Value) (Value, error)) error {
-	if err := s.inprocOnly("RegisterFunc"); err != nil {
+	b, err := s.be.local("RegisterFunc")
+	if err != nil {
 		return err
 	}
-	return s.cat.RegisterFunc(&catalog.FuncDef{
+	return b.cat.RegisterFunc(&catalog.FuncDef{
 		Name: name, ArgKinds: argKinds, RetKind: ret,
 		Fn: expr.ScalarFn(fn), Deterministic: deterministic,
 	})
@@ -797,10 +418,11 @@ func (s *Session) RegisterFunc(name string, argKinds []types.Kind, ret types.Kin
 // join buckets for a delta's key; revises them and returns output deltas.
 func (s *Session) JoinHandler(name string, out *types.Schema,
 	fn func(left, right *TupleSet, d Delta, fromLeft bool) ([]Delta, error)) error {
-	if err := s.inprocOnly("JoinHandler"); err != nil {
+	b, err := s.be.local("JoinHandler")
+	if err != nil {
 		return err
 	}
-	return s.cat.RegisterJoinHandler(&uda.FuncJoinHandler{HName: name, Out: out, Fn: fn})
+	return b.cat.RegisterJoinHandler(&uda.FuncJoinHandler{HName: name, Out: out, Fn: fn})
 }
 
 // WhileHandler registers a while-state delta handler (§3.3): called by the
@@ -808,18 +430,11 @@ func (s *Session) JoinHandler(name string, out *types.Schema,
 // feed the next stratum.
 func (s *Session) WhileHandler(name string,
 	fn func(rel *TupleSet, d Delta) ([]Delta, error)) error {
-	if err := s.inprocOnly("WhileHandler"); err != nil {
+	b, err := s.be.local("WhileHandler")
+	if err != nil {
 		return err
 	}
-	return s.cat.RegisterWhileHandler(&uda.FuncWhileHandler{HName: name, Fn: fn})
-}
-
-// Query compiles and executes an RQL query with default options.
-//
-// Deprecated: use QueryCtx — the canonical, context-first entry point.
-// Query is a thin wrapper kept for source compatibility.
-func (s *Session) Query(src string) (*Result, error) {
-	return s.QueryCtx(context.Background(), src)
+	return b.cat.RegisterWhileHandler(&uda.FuncWhileHandler{HName: name, Fn: fn})
 }
 
 // QueryCtx compiles and executes an RQL query under a context: cancelling
@@ -835,92 +450,43 @@ func (s *Session) Query(src string) (*Result, error) {
 //	s.QueryCtx(ctx, src, rex.WithTenant("acme"), rex.WithPriority(rex.PriorityHigh))
 func (s *Session) QueryCtx(ctx context.Context, src string, qopts ...QueryOption) (*Result, error) {
 	opts := buildOptions(qopts)
-	if s.srv != nil {
-		return s.serverQuery(ctx, src, nil, opts)
-	}
-	if s.jc != nil {
-		spec, err := s.rqlSpec(src, opts)
-		if err != nil {
-			return nil, err
-		}
-		return s.runTCP(ctx, spec, driverTune(opts))
-	}
-	plan, err := rql.Compile(src, s.cat, s.cfg.nodes)
+	q, err := s.be.query(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.lock(); err != nil {
-		return nil, err
-	}
-	defer s.mu.Unlock()
-	return s.runInProcLocked(ctx, plan, opts)
-}
-
-// QueryWithOptions is QueryCtx with a background context and a struct
-// options form.
-//
-// Deprecated: use QueryCtx with QueryOptions (WithOptions bridges an
-// existing Options value). QueryWithOptions is a thin wrapper kept for
-// source compatibility.
-func (s *Session) QueryWithOptions(src string, opts Options) (*Result, error) {
-	return s.QueryCtx(context.Background(), src, WithOptions(opts))
+	return s.execute(ctx, q, opts)
 }
 
 // RunPlan executes a hand-built physical plan (the plan-level API used by
 // the algorithm library and benchmarks) on an in-process session.
 func (s *Session) RunPlan(ctx context.Context, plan *exec.PlanSpec, opts Options) (*Result, error) {
-	if err := s.inprocOnly("RunPlan"); err != nil {
+	b, err := s.be.local("RunPlan")
+	if err != nil {
 		return nil, err
 	}
-	if err := s.lock(); err != nil {
-		return nil, err
-	}
-	defer s.mu.Unlock()
-	return s.eng.RunCtx(ctx, plan, opts)
+	return s.run(ctx, &planRun{b: b, plan: plan, opts: opts})
 }
 
 // Stream compiles src and executes it in streaming-result mode: the
 // returned DeltaStream yields each stratum's state-change batch as
 // punctuation closes the stratum on every node, instead of buffering the
-// full result set. Works on both transports. The stream must be consumed
+// full result set. Works on every transport. The stream must be consumed
 // or Closed; QueryCtx is the convenience wrapper that drains it.
 func (s *Session) Stream(ctx context.Context, src string, qopts ...QueryOption) (*DeltaStream, error) {
-	opts := buildOptions(qopts)
-	if s.srv != nil {
-		return s.serverStream(ctx, src, nil, opts)
-	}
-	if s.jc != nil {
-		spec, err := s.rqlSpec(src, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.lock(); err != nil {
-			return nil, err
-		}
-		st, err := s.jc.StreamCtx(ctx, spec, driverTune(opts))
-		return s.unlockWhenDone(st, err)
-	}
-	plan, err := rql.Compile(src, s.cat, s.cfg.nodes)
+	q, err := s.be.query(src, buildOptions(qopts))
 	if err != nil {
 		return nil, err
 	}
-	if err := s.lock(); err != nil {
-		return nil, err
-	}
-	st, err := s.eng.Stream(ctx, plan, opts)
-	return s.unlockWhenDone(st, err)
+	return s.startStream(ctx, q)
 }
 
 // StreamPlan is Stream for a hand-built physical plan (in-process only).
 func (s *Session) StreamPlan(ctx context.Context, plan *exec.PlanSpec, opts Options) (*DeltaStream, error) {
-	if err := s.inprocOnly("StreamPlan"); err != nil {
+	b, err := s.be.local("StreamPlan")
+	if err != nil {
 		return nil, err
 	}
-	if err := s.lock(); err != nil {
-		return nil, err
-	}
-	st, err := s.eng.Stream(ctx, plan, opts)
-	return s.unlockWhenDone(st, err)
+	return s.startStream(ctx, &planRun{b: b, plan: plan, opts: opts})
 }
 
 // RunWorkload executes a self-contained workload description. On a TCP
@@ -931,159 +497,125 @@ func (s *Session) StreamPlan(ctx context.Context, plan *exec.PlanSpec, opts Opti
 // directly comparable across transports. tune, when non-nil, adjusts the
 // driver-side options (recovery strategy, stratum hooks) before the run.
 func (s *Session) RunWorkload(ctx context.Context, w *Workload, tune func(*Options)) (*Result, error) {
-	if s.srv != nil {
-		return nil, fmt.Errorf("rex: RunWorkload is not available on a server session (submit RQL; the server owns the pool)")
-	}
-	if err := s.lock(); err != nil {
+	x, err := s.be.workload("RunWorkload", w, tune)
+	if err != nil {
 		return nil, err
 	}
-	defer s.mu.Unlock()
-	if s.jc != nil {
-		return s.jc.RunCtx(ctx, w, tune)
-	}
-	clone := *w // the runner normalizes its copy; keep the caller's spec pristine
-	return job.RunInProcCtx(ctx, &clone, tune)
+	return s.run(ctx, x)
 }
 
 // StreamWorkload is RunWorkload in streaming-result mode.
 func (s *Session) StreamWorkload(ctx context.Context, w *Workload, tune func(*Options)) (*DeltaStream, error) {
-	if s.srv != nil {
-		return nil, fmt.Errorf("rex: StreamWorkload is not available on a server session (submit RQL; the server owns the pool)")
-	}
-	if err := s.lock(); err != nil {
+	x, err := s.be.workload("StreamWorkload", w, tune)
+	if err != nil {
 		return nil, err
 	}
-	if s.jc != nil {
-		st, err := s.jc.StreamCtx(ctx, w, tune)
-		return s.unlockWhenDone(st, err)
-	}
-	st, err := job.StreamInProc(ctx, w, tune)
-	return s.unlockWhenDone(st, err)
+	return s.startStream(ctx, x)
 }
 
 // Kill injects a node failure (for testing recovery). On TCP sessions the
 // remote daemon is told to drop traffic and pushes a final stats frame so
 // the dead node's traffic stays in the byte accounting.
 func (s *Session) Kill(node int) error {
-	if s.srv != nil {
-		return fmt.Errorf("rex: Kill is not available on a server session")
+	tr, err := s.nodeTransport("Kill", node)
+	if err == nil {
+		tr.Kill(cluster.NodeID(node))
 	}
-	if node < 0 || node >= s.Nodes() {
-		return fmt.Errorf("rex: no node %d (cluster has %d)", node, s.Nodes())
-	}
-	s.transport().Kill(cluster.NodeID(node))
-	return nil
+	return err
 }
 
 // Revive restores a killed node so successive runs can reuse the session.
 func (s *Session) Revive(node int) error {
-	if s.srv != nil {
-		return fmt.Errorf("rex: Revive is not available on a server session")
+	tr, err := s.nodeTransport("Revive", node)
+	if err == nil {
+		tr.Revive(cluster.NodeID(node))
+	}
+	return err
+}
+
+func (s *Session) nodeTransport(what string, node int) (cluster.Transport, error) {
+	tr, err := s.be.transport(what)
+	if err != nil {
+		return nil, err
 	}
 	if node < 0 || node >= s.Nodes() {
-		return fmt.Errorf("rex: no node %d (cluster has %d)", node, s.Nodes())
+		return nil, fmt.Errorf("rex: no node %d (cluster has %d)", node, s.Nodes())
 	}
-	s.transport().Revive(cluster.NodeID(node))
-	return nil
+	return tr, nil
 }
 
 // BytesShipped reports the total bytes sent between workers — measured
 // wire bytes on both transports (socket bytes over TCP, after the
-// end-of-run metrics sync).
+// end-of-run metrics sync); 0 on a server session, whose pool does the
+// shipping.
 func (s *Session) BytesShipped() int64 {
-	if s.srv != nil {
-		return 0 // the server's pool does the shipping; see ServerStats
+	tr, err := s.be.transport("BytesShipped")
+	if err != nil {
+		return 0
 	}
-	return s.transport().Metrics().TotalBytesSent()
+	return tr.Metrics().TotalBytesSent()
 }
 
-// runInProcLocked executes a compiled plan, streaming internally when the
-// options allow it (recovery needs the buffered requestor path).
-func (s *Session) runInProcLocked(ctx context.Context, plan *exec.PlanSpec, opts Options) (*Result, error) {
+// execute runs x to completion: streamed and folded, or buffered when a
+// recovery strategy needs the buffered requestor path.
+func (s *Session) execute(ctx context.Context, x execution, opts Options) (*Result, error) {
 	if opts.Recovery != RecoveryNone {
-		return s.eng.RunCtx(ctx, plan, opts)
+		return s.run(ctx, x)
 	}
-	st, err := s.eng.Stream(ctx, plan, opts)
+	return drain(s.startStream(ctx, x))
+}
+
+// drain folds a started stream into its Result.
+func drain(st *exec.ResultStream, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
 	return st.Drain()
 }
 
-// runTCP executes a job spec over the session's daemon cluster, streaming
-// internally when the options allow it.
-func (s *Session) runTCP(ctx context.Context, spec *job.Spec, tune func(*Options)) (*Result, error) {
+// run executes x buffered under the session lock.
+func (s *Session) run(ctx context.Context, x execution) (*Result, error) {
 	if err := s.lock(); err != nil {
 		return nil, err
 	}
 	defer s.mu.Unlock()
-	if hasRecovery(tune) {
-		return s.jc.RunCtx(ctx, spec, tune)
-	}
-	st, err := s.jc.StreamCtx(ctx, spec, tune)
-	if err != nil {
+	return x.run(ctx)
+}
+
+// startStream starts x in streaming mode, handing the session lock to the
+// stream.
+func (s *Session) startStream(ctx context.Context, x execution) (*DeltaStream, error) {
+	if err := s.lock(); err != nil {
 		return nil, err
 	}
-	return st.Drain()
+	return s.unlockWhenDone(x.stream(ctx))
 }
 
-// hasRecovery reports whether tune installs a recovery strategy.
-func hasRecovery(tune func(*Options)) bool {
-	if tune == nil {
-		return false
-	}
-	var o Options
-	tune(&o)
-	return o.Recovery != RecoveryNone
-}
-
-// rqlSpec shapes an RQL query as a job spec for the daemon cluster.
-func (s *Session) rqlSpec(src string, opts Options) (*job.Spec, error) {
-	if s.cfg.dataset == "" {
-		return nil, fmt.Errorf("rex: TCP sessions need WithDataset to stage data for RQL queries (or run a self-contained Workload)")
-	}
-	return &job.Spec{
-		Workload: "rql",
-		Dataset:  s.cfg.dataset, Size: s.cfg.datasetSize, Seed: s.cfg.datasetSeed,
-		Query:  src,
-		VNodes: s.cfg.vnodes, Replication: s.cfg.replication,
-		BatchSize: opts.BatchSize, Compaction: opts.Compaction,
-		Checkpoint: opts.Checkpoint, CompactionHighWater: opts.CompactionHighWater,
-		MaxStrata: opts.MaxStrata, NoVectorize: opts.NoVectorize,
-		Handlers:        s.cfg.handlers,
-		Ingest:          s.ingestSnapshot(),
-		BufferPoolPages: s.cfg.poolPages,
-	}, nil
-}
-
-// driverTune carries the driver-side (non-wire) options into a TCP run.
-func driverTune(opts Options) func(*Options) {
-	return func(o *Options) {
-		o.Recovery = opts.Recovery
-		o.TermFn = opts.TermFn
-		o.OnStratum = opts.OnStratum
-	}
-}
-
-// unlockWhenDone hands the session lock to a running stream: it is
-// released when the stream's query fully tears down. The stream is
-// recorded so Close can cancel it if the caller abandons it.
+// unlockWhenDone hands the session lock to a running stream, released
+// when the stream's query fully tears down.
 func (s *Session) unlockWhenDone(st *exec.ResultStream, err error) (*DeltaStream, error) {
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	s.streamMu.Lock()
-	s.stream = st
-	s.streamMu.Unlock()
+	s.handOff(st, st.Done())
+	return st, nil
+}
+
+// handOff gives the held session lock to a live stream or subscription:
+// it is recorded so Close can cancel it if the caller abandons it, and
+// the lock is released once done closes.
+func (s *Session) handOff(live io.Closer, done <-chan struct{}) {
+	s.liveMu.Lock()
+	s.live = live
+	s.liveMu.Unlock()
 	go func() {
-		<-st.Done()
-		s.streamMu.Lock()
-		if s.stream == st {
-			s.stream = nil
+		<-done
+		s.liveMu.Lock()
+		if s.live == live {
+			s.live = nil
 		}
-		s.streamMu.Unlock()
+		s.liveMu.Unlock()
 		s.mu.Unlock()
 	}()
-	return st, nil
 }

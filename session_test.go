@@ -279,7 +279,11 @@ func TestDeadNodeByteAccounting(t *testing.T) {
 	// The victim sent shuffle traffic in strata 0–2; its counter must be
 	// present in the driver's metrics even though it was dead at the
 	// end-of-run sync.
-	victim := sess.transport().Metrics().BytesSent[1].Load()
+	tr, err := sess.be.transport("Metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := tr.Metrics().BytesSent[1].Load()
 	if victim <= 0 {
 		t.Fatalf("dead node's BytesSent = %d, want > 0 (final stats frame lost?)", victim)
 	}

@@ -2,10 +2,8 @@ package rex
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/rex-data/rex/internal/exec"
-	"github.com/rex-data/rex/internal/srvproto"
 )
 
 // KernelStats snapshots the expression-kernel counters: kernels compiled
@@ -14,11 +12,11 @@ import (
 // kernel declined back to the row interpreter.
 type KernelStats = exec.KernelStats
 
-// Stats is the unified session snapshot: one call covers what the
-// deprecated per-surface getters (ServerStats, PoolStats) and
-// Subscription.Rounds reported separately. Fields that do not apply to
-// the session's transport are zero — an in-process session has no
-// Server block, a server session's pool counters live inside it.
+// Stats is the unified session snapshot: buffer pool, wire bytes, kernel
+// counters, the rexd server's counters, and the live subscription's
+// rounds in one call. Fields that do not apply to the session's transport
+// are zero — an in-process session has no Server block, a server
+// session's pool counters live inside it.
 type Stats struct {
 	// Transport names the session's backend: "inproc", "tcp", or
 	// "server". Nodes is the worker count (the server pool's size on a
@@ -49,27 +47,9 @@ type Stats struct {
 // session it round-trips to the server for the scheduler and plan-cache
 // counters; elsewhere it assembles locally and the error is always nil.
 func (s *Session) Stats(ctx context.Context) (*Stats, error) {
-	st := &Stats{Nodes: s.Nodes()}
-	switch {
-	case s.srv != nil:
-		st.Transport = "server"
-		tr, err := s.srv.roundTrip(ctx, srvproto.Request{Op: srvproto.OpStats})
-		if err != nil {
-			return nil, err
-		}
-		if tr.Stats == nil {
-			return nil, fmt.Errorf("rex: server sent a stats reply without stats")
-		}
-		st.Server = tr.Stats
-	case s.jc != nil:
-		st.Transport = "tcp"
-		st.BytesShipped = s.BytesShipped()
-		st.Kernel = exec.ReadKernelStats()
-	default:
-		st.Transport = "inproc"
-		st.Pool = s.eng.PoolStats()
-		st.BytesShipped = s.BytesShipped()
-		st.Kernel = exec.ReadKernelStats()
+	st := &Stats{Nodes: s.Nodes(), BytesShipped: s.BytesShipped()}
+	if err := s.be.stats(ctx, st); err != nil {
+		return nil, err
 	}
 	if sub := s.liveSub(); sub != nil {
 		st.SubscriptionRounds = sub.Rounds()

@@ -3,13 +3,8 @@ package rex
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"github.com/rex-data/rex/internal/exec"
-	"github.com/rex-data/rex/internal/rql"
-	"github.com/rex-data/rex/internal/srvproto"
-	"github.com/rex-data/rex/internal/types"
 )
 
 // RoundStats reports one round of a standing query (round 0 is the initial
@@ -41,17 +36,7 @@ type IngestAck = exec.IngestAck
 // A subscription owns the session while live: other queries on the session
 // wait (or fail at Close) until the subscription is closed.
 type Subscription struct {
-	sess *Session
-	sq   *exec.StandingQuery
-
-	// server-session (remote) form: the round-tagged delta stream fed by
-	// the connection's read loop, and the round stats its boundary frames
-	// carried.
-	st        *exec.ResultStream
-	roundsMu  sync.Mutex
-	rounds    []RoundStats
-	ready     chan error
-	readyOnce sync.Once
+	q standing
 }
 
 // Subscribe compiles src, executes its initial fixpoint, and returns the
@@ -62,145 +47,34 @@ type Subscription struct {
 // each round back. Standing queries reject failure-recovery and
 // checkpoint options.
 func (s *Session) Subscribe(ctx context.Context, src string, qopts ...QueryOption) (*Subscription, error) {
-	opts := buildOptions(qopts)
-	if s.srv != nil {
-		return s.subscribeServer(ctx, src, opts)
-	}
-	if s.jc != nil {
-		spec, err := s.rqlSpec(src, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.lock(); err != nil {
-			return nil, err
-		}
-		sq, err := s.jc.StandingCtx(ctx, spec, driverTune(opts))
-		return s.adoptStanding(sq, err)
-	}
-	plan, err := rql.Compile(src, s.cat, s.cfg.nodes)
+	q, err := s.be.query(src, buildOptions(qopts))
 	if err != nil {
 		return nil, err
 	}
 	if err := s.lock(); err != nil {
 		return nil, err
 	}
-	sq, err := s.eng.Standing(ctx, plan, opts)
-	return s.adoptStanding(sq, err)
+	return s.adopt(q.subscribe(ctx))
 }
 
-// subscribeServer installs a standing query on the rexd server. The call
-// returns once the server finished the initial round (its batches are
-// buffered on Stream by then) — compile errors and unknown tables
-// surface here, not on first read.
-func (s *Session) subscribeServer(ctx context.Context, src string, opts Options) (*Subscription, error) {
-	if err := serverUnsupported(opts); err != nil {
-		return nil, err
-	}
-	req := srvproto.Request{Op: srvproto.OpSubscribe, Src: src, Opts: wireOpts(opts)}
-	if err := s.lock(); err != nil {
-		return nil, err
-	}
-	sub := &Subscription{sess: s, ready: make(chan error, 1)}
-	st, err := s.srv.openStream(ctx, req, sub.addRound)
+// adopt hands the session lock to a live subscription, released at its
+// teardown; while live, Insert/Delete/LoadDeltas route through it.
+func (s *Session) adopt(q standing, err error) (*Subscription, error) {
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	sub.st = st
-	go func() {
-		<-st.Done()
-		sub.signalReady(st.Err())
-	}()
-	select {
-	case err := <-sub.ready:
-		if err != nil {
-			st.Close()
-			s.mu.Unlock()
-			return nil, err
-		}
-	case <-ctx.Done():
-		st.Close() // cancels the request; the server tears the sub down
-		s.mu.Unlock()
-		return nil, ctx.Err()
-	}
-	// Initial round done: hand the session lock to the live subscription,
-	// exactly like adoptStanding.
-	s.streamMu.Lock()
-	s.sub = sub
-	s.streamMu.Unlock()
-	go func() {
-		<-st.Done()
-		s.streamMu.Lock()
-		if s.sub == sub {
-			s.sub = nil
-		}
-		s.streamMu.Unlock()
-		s.mu.Unlock()
-	}()
-	return sub, nil
-}
-
-// addRound records a remote round's statistics (the connection read loop
-// calls it on round-boundary frames); the first round readies Subscribe.
-func (sub *Subscription) addRound(rs RoundStats) {
-	sub.roundsMu.Lock()
-	sub.rounds = append(sub.rounds, rs)
-	sub.roundsMu.Unlock()
-	sub.signalReady(nil)
-}
-
-func (sub *Subscription) signalReady(err error) {
-	sub.readyOnce.Do(func() { sub.ready <- err })
-}
-
-// adoptStanding hands the session lock to a live subscription (released at
-// its teardown) and registers it so Session.Close can cancel it and
-// Insert/Delete/LoadDeltas route through it. The standing query's applied
-// hook keeps the session's own view of the base data consistent, once per
-// coalesced round, with the FOLDED deltas the workers actually absorbed:
-// TCP sessions log the net change for job replay (daemon stores die with
-// the job), in-process sessions only bump the catalog's row estimates (the
-// workers already revised the stores).
-func (s *Session) adoptStanding(sq *exec.StandingQuery, err error) (*Subscription, error) {
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	sq.SetOnRoundApplied(func(tables map[string][]types.Delta) {
-		names := make([]string, 0, len(tables))
-		for t := range tables {
-			names = append(names, t)
-		}
-		sort.Strings(names)
-		for _, table := range names {
-			if s.jc != nil {
-				s.appendIngestLog(table, tables[table])
-			} else {
-				s.bumpStats(table, tables[table])
-			}
-		}
-	})
-	sub := &Subscription{sess: s, sq: sq}
-	s.streamMu.Lock()
-	s.sub = sub
-	s.streamMu.Unlock()
-	go func() {
-		<-sq.Done()
-		s.streamMu.Lock()
-		if s.sub == sub {
-			s.sub = nil
-		}
-		s.streamMu.Unlock()
-		s.mu.Unlock()
-	}()
+	sub := &Subscription{q: q}
+	s.handOff(sub, q.Done())
 	return sub, nil
 }
 
 // liveSub returns the session's active subscription, if any.
 func (s *Session) liveSub() *Subscription {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	return s.sub
+	s.liveMu.Lock()
+	defer s.liveMu.Unlock()
+	sub, _ := s.live.(*Subscription)
+	return sub
 }
 
 // Stream returns the subscription's delta stream: the initial fixpoint's
@@ -209,24 +83,12 @@ func (s *Session) liveSub() *Subscription {
 // unbounded, so one goroutine may alternate ingestion and consumption
 // (TryNext drains exactly what a completed round buffered). The stream
 // ends when the subscription closes.
-func (sub *Subscription) Stream() *DeltaStream {
-	if sub.sq != nil {
-		return sub.sq.Stream()
-	}
-	return sub.st
-}
+func (sub *Subscription) Stream() *DeltaStream { return sub.q.Stream() }
 
 // Rounds returns per-round statistics, the initial fixpoint included:
 // strata run, deltas emitted, and — the serving metric — the round's
 // measured wire bytes, to hold against a from-scratch recompute's.
-func (sub *Subscription) Rounds() []RoundStats {
-	if sub.sq != nil {
-		return sub.sq.Rounds()
-	}
-	sub.roundsMu.Lock()
-	defer sub.roundsMu.Unlock()
-	return append([]RoundStats(nil), sub.rounds...)
-}
+func (sub *Subscription) Rounds() []RoundStats { return sub.q.Rounds() }
 
 // Ingest applies base-table deltas and runs (or joins) one incremental
 // round, returning its stats once the fixpoint closes (all of the round's
@@ -237,14 +99,7 @@ func (sub *Subscription) Ingest(ctx context.Context, table string, deltas []Delt
 	if len(deltas) == 0 {
 		return nil, fmt.Errorf("rex: ingest into %s: empty delta batch", table)
 	}
-	if sub.sq == nil {
-		tr, err := sub.sess.srv.ingest(ctx, map[string][]types.Delta{table: deltas})
-		if err != nil {
-			return nil, err
-		}
-		return tr.Round, nil
-	}
-	return sub.sq.Ingest(ctx, map[string][]types.Delta{table: deltas})
+	return sub.q.Ingest(ctx, map[string][]Delta{table: deltas})
 }
 
 // IngestAsync enqueues base-table deltas and returns immediately; the ack
@@ -258,61 +113,26 @@ func (sub *Subscription) IngestAsync(table string, deltas []Delta) (*IngestAck, 
 	if len(deltas) == 0 {
 		return nil, fmt.Errorf("rex: ingest into %s: empty delta batch", table)
 	}
-	return sub.ingestAsync(map[string][]types.Delta{table: deltas})
+	return sub.q.IngestAsync(map[string][]Delta{table: deltas})
 }
 
 // Ingests is the multi-table batched form of IngestAsync: every table's
 // deltas ride the same covering round.
 func (sub *Subscription) Ingests(batches map[string][]Delta) (*IngestAck, error) {
-	m := make(map[string][]types.Delta, len(batches))
-	for table, deltas := range batches {
-		if len(deltas) > 0 {
-			m[table] = deltas
-		}
-	}
+	m := nonEmpty(batches)
 	if len(m) == 0 {
 		return nil, fmt.Errorf("rex: ingest: empty delta batch")
 	}
-	return sub.ingestAsync(m)
-}
-
-func (sub *Subscription) ingestAsync(m map[string][]types.Delta) (*IngestAck, error) {
-	if sub.sq == nil {
-		tr, err := sub.sess.srv.ingest(context.Background(), m)
-		if err != nil {
-			return nil, err
-		}
-		return exec.ResolvedAck(tr.Round, nil), nil
-	}
-	return sub.sq.IngestAsync(m)
+	return sub.q.IngestAsync(m)
 }
 
 // Err reports the subscription's terminal error once it is closed; a
 // deliberate Close reports nil.
-func (sub *Subscription) Err() error {
-	if sub.sq != nil {
-		return sub.sq.Err()
-	}
-	return sub.st.Err()
-}
+func (sub *Subscription) Err() error { return sub.q.Err() }
 
 // Done is closed when the subscription has fully torn down.
-func (sub *Subscription) Done() <-chan struct{} {
-	if sub.sq != nil {
-		return sub.sq.Done()
-	}
-	return sub.st.Done()
-}
+func (sub *Subscription) Done() <-chan struct{} { return sub.q.Done() }
 
 // Close tears the standing dataflow down and releases the session for
 // other queries. The stream ends after its buffered batches are consumed.
-func (sub *Subscription) Close() error {
-	if sub.sq != nil {
-		return sub.sq.Close()
-	}
-	// Cancelling the request unsubscribes server-side; the server answers
-	// with a clean final frame, which ends the stream. Detach (not Close)
-	// keeps the already-streamed rounds readable for a post-close fold,
-	// matching the in-process standing-query contract.
-	return sub.st.Detach()
-}
+func (sub *Subscription) Close() error { return sub.q.Close() }
