@@ -39,14 +39,14 @@ func RegisterKMeans(cat *catalog.Catalog, cfg KMeansConfig) (joinName, whileName
 	join := &uda.FuncJoinHandler{
 		HName: joinName,
 		Out:   types.MustSchema("cid:Integer", "xDiff:Double", "yDiff:Double", "nDiff:Integer"),
-		Fn: func(nodeBucket, centrBucket *uda.TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error) {
+		Fn: func(nodeBucket, centrBucket *uda.TupleSet, d types.Delta, fromLeft bool, out *uda.Emitter) error {
 			if fromLeft {
 				// Point insert (key, pid, x, y). Base data arrives exactly
 				// once per run: K-means recovers via the restart strategy
 				// (its assignment state is join-handler-local), so no
 				// duplicate-insert guard is needed on this hot path.
 				nodeBucket.Add(types.NewTuple(d.Tup[1], d.Tup[2], d.Tup[3], int64(-1), math.Inf(1)))
-				return nil, nil
+				return nil
 			}
 			// Centroid delta (key, cid, cx, cy).
 			cid, _ := types.AsInt(d.Tup[1])
@@ -57,7 +57,6 @@ func RegisterKMeans(cat *catalog.Catalog, cfg KMeansConfig) (joinName, whileName
 			})
 			centrBucket.Put(0, cid, 2, cy, nil)
 
-			var out []types.Delta
 			for i, p := range nodeBucket.Tuples {
 				px, _ := types.AsFloat(p[kmX])
 				py, _ := types.AsFloat(p[kmY])
@@ -89,12 +88,16 @@ func RegisterKMeans(cat *catalog.Catalog, cfg KMeansConfig) (joinName, whileName
 				np[kmCid] = newCid
 				np[kmDist] = newDist
 				nodeBucket.Set(i, np)
-				out = append(out, types.Update(types.NewTuple(newCid, px, py, int64(1))))
+				if err := emitMove(out, newCid, px, py, 1); err != nil {
+					return err
+				}
 				if curCid >= 0 {
-					out = append(out, types.Update(types.NewTuple(curCid, -px, -py, int64(-1))))
+					if err := emitMove(out, curCid, -px, -py, -1); err != nil {
+						return err
+					}
 				}
 			}
-			return out, nil
+			return nil
 		},
 	}
 	if err := cat.RegisterJoinHandler(join); err != nil {
@@ -105,30 +108,44 @@ func RegisterKMeans(cat *catalog.Catalog, cfg KMeansConfig) (joinName, whileName
 	// a recomputed centroid is propagated only when it actually moved.
 	while := &uda.FuncWhileHandler{
 		HName: whileName,
-		Fn: func(rel *uda.TupleSet, d types.Delta) ([]types.Delta, error) {
+		Fn: func(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) error {
 			cid := d.Tup[0]
 			cx, okx := types.AsFloat(d.Tup[1])
 			cy, oky := types.AsFloat(d.Tup[2])
 			if !okx || !oky || math.IsNaN(cx) || math.IsNaN(cy) || math.IsInf(cx, 0) || math.IsInf(cy, 0) {
-				return nil, nil // empty cluster: keep the old centroid
+				return nil // empty cluster: keep the old centroid
 			}
 			if rel.Len() == 0 {
 				rel.Add(types.NewTuple(cid, cx, cy))
-				return []types.Delta{types.Update(types.NewTuple(cid, cx, cy))}, nil
+			} else {
+				ox, _ := types.AsFloat(rel.Tuples[0][1])
+				oy, _ := types.AsFloat(rel.Tuples[0][2])
+				if ox == cx && oy == cy {
+					return nil
+				}
+				rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(cid, cx, cy))
 			}
-			ox, _ := types.AsFloat(rel.Tuples[0][1])
-			oy, _ := types.AsFloat(rel.Tuples[0][2])
-			if ox == cx && oy == cy {
-				return nil, nil
-			}
-			rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(cid, cx, cy))
-			return []types.Delta{types.Update(types.NewTuple(cid, cx, cy))}, nil
+			out.Begin(types.OpUpdate)
+			out.Value(cid)
+			out.Float(cx)
+			out.Float(cy)
+			return out.End()
 		},
 	}
 	if err := cat.RegisterWhileHandler(while); err != nil {
 		return "", "", err
 	}
 	return joinName, whileName, nil
+}
+
+// emitMove writes KMAgg's δ(cid, x, y, n) coordinate and count adjustment.
+func emitMove(out *uda.Emitter, cid int64, x, y float64, n int64) error {
+	out.Begin(types.OpUpdate)
+	out.Int(cid)
+	out.Float(x)
+	out.Float(y)
+	out.Int(n)
+	return out.End()
 }
 
 func nearestCentroid(centroids *uda.TupleSet, px, py float64) (int64, float64) {

@@ -50,24 +50,16 @@ func RegisterPageRank(cat *catalog.Catalog, cfg PageRankConfig) (joinName, while
 	join := &uda.FuncJoinHandler{
 		HName: joinName,
 		Out:   types.MustSchema("nbr:Integer", "prDiff:Double"),
-		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error) {
+		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool, out *uda.Emitter) error {
 			if fromLeft {
 				left.Add(d.Tup)
-				return nil, nil
+				return nil
 			}
 			v, ok := types.AsFloat(d.Tup[1])
 			if !ok {
-				return nil, fmt.Errorf("algos: PageRank delta with non-numeric value %v", d.Tup[1])
+				return fmt.Errorf("algos: PageRank delta with non-numeric value %v", d.Tup[1])
 			}
-			deg := float64(left.Len())
-			if deg == 0 {
-				return nil, nil
-			}
-			out := make([]types.Delta, 0, left.Len())
-			for _, e := range left.Tuples {
-				out = append(out, types.Update(types.NewTuple(e[1], v/deg)))
-			}
-			return out, nil
+			return emitNeighbors(out, left, v/float64(left.Len()))
 		},
 	}
 	if err := cat.RegisterJoinHandler(join); err != nil {
@@ -82,14 +74,14 @@ func RegisterPageRank(cat *catalog.Catalog, cfg PageRankConfig) (joinName, while
 	delta := cfg.Delta
 	while := &uda.FuncWhileHandler{
 		HName: whileName,
-		Fn: func(rel *uda.TupleSet, d types.Delta) ([]types.Delta, error) {
+		Fn: func(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) error {
 			newPr, ok := types.AsFloat(d.Tup[1])
 			if !ok || math.IsNaN(newPr) || math.IsInf(newPr, 0) {
-				return nil, nil
+				return nil
 			}
 			if rel.Len() == 0 {
 				rel.Add(types.NewTuple(d.Tup[0], newPr))
-				return []types.Delta{types.Update(types.NewTuple(d.Tup[0], newPr))}, nil
+				return emitUpdate(out, d.Tup[0], newPr)
 			}
 			old, _ := types.AsFloat(rel.Tuples[0][1])
 			diff := newPr - old
@@ -98,29 +90,47 @@ func RegisterPageRank(cat *catalog.Catalog, cfg PageRankConfig) (joinName, while
 				// re-feeds the whole relation each stratum, so emissions
 				// only signal "still changing" for implicit termination.
 				if diff == 0 {
-					return nil, nil
+					return nil
 				}
 				rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], newPr))
 				if math.Abs(diff) > eps {
-					return []types.Delta{types.Update(types.NewTuple(d.Tup[0], newPr))}, nil
+					return emitUpdate(out, d.Tup[0], newPr)
 				}
-				return nil, nil
+				return nil
 			}
 			// Delta mode: refine the state only when the change is worth
 			// propagating; otherwise the stored value keeps marking the
 			// last propagated rank, so sub-ε changes accumulate until
 			// they cross the threshold instead of being silently lost.
 			if math.Abs(diff) <= eps {
-				return nil, nil
+				return nil
 			}
 			rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], newPr))
-			return []types.Delta{types.Update(types.NewTuple(d.Tup[0], diff))}, nil
+			return emitUpdate(out, d.Tup[0], diff)
 		},
 	}
 	if err := cat.RegisterWhileHandler(while); err != nil {
 		return "", "", err
 	}
 	return joinName, whileName, nil
+}
+
+// emitUpdate writes the δ(key, v) row every graph handler propagates.
+func emitUpdate(out *uda.Emitter, key types.Value, v float64) error {
+	out.Begin(types.OpUpdate)
+	out.Value(key)
+	out.Float(v)
+	return out.End()
+}
+
+// emitNeighbors writes δ(nbr, v) for every out-edge (src, nbr) in edges.
+func emitNeighbors(out *uda.Emitter, edges *uda.TupleSet, v float64) error {
+	for _, e := range edges.Tuples {
+		if err := emitUpdate(out, e[1], v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PageRankPlan builds the physical plan of Figure 1 for the graph table

@@ -37,51 +37,45 @@ func RegisterSSSP(cat *catalog.Catalog, cfg SSSPConfig) (joinName, whileName str
 	join := &uda.FuncJoinHandler{
 		HName: joinName,
 		Out:   types.MustSchema("nbr:Integer", "distOut:Double"),
-		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error) {
+		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool, out *uda.Emitter) error {
 			if fromLeft {
 				left.Add(d.Tup)
-				return nil, nil
+				return nil
 			}
 			dist, ok := types.AsFloat(d.Tup[1])
 			if !ok {
-				return nil, nil
+				return nil
 			}
-			out := make([]types.Delta, 0, left.Len())
-			for _, e := range left.Tuples {
-				out = append(out, types.Update(types.NewTuple(e[1], dist+1)))
-			}
-			return out, nil
+			return emitNeighbors(out, left, dist+1)
 		},
 	}
 	if err := cat.RegisterJoinHandler(join); err != nil {
 		return "", "", err
 	}
-
-	// While handler: the mutable relation maps vertex → minimum distance;
-	// the Δᵢ set is exactly the vertices whose minimum improved (Fig. 3).
-	while := &uda.FuncWhileHandler{
-		HName: whileName,
-		Fn: func(rel *uda.TupleSet, d types.Delta) ([]types.Delta, error) {
-			nd, ok := types.AsFloat(d.Tup[1])
-			if !ok || math.IsInf(nd, 0) {
-				return nil, nil
-			}
-			if rel.Len() > 0 {
-				cur, _ := types.AsFloat(rel.Tuples[0][1])
-				if nd >= cur {
-					return nil, nil
-				}
-				rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], nd))
-			} else {
-				rel.Add(types.NewTuple(d.Tup[0], nd))
-			}
-			return []types.Delta{types.Update(types.NewTuple(d.Tup[0], nd))}, nil
-		},
-	}
-	if err := cat.RegisterWhileHandler(while); err != nil {
+	if err := cat.RegisterWhileHandler(&uda.FuncWhileHandler{HName: whileName, Fn: keepMin}); err != nil {
 		return "", "", err
 	}
 	return joinName, whileName, nil
+}
+
+// keepMin is the shortest-path while handler: the mutable relation maps
+// vertex → minimum distance; the Δᵢ set is exactly the vertices whose
+// minimum improved (Fig. 3).
+func keepMin(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) error {
+	nd, ok := types.AsFloat(d.Tup[1])
+	if !ok || math.IsInf(nd, 0) {
+		return nil
+	}
+	if rel.Len() > 0 {
+		cur, _ := types.AsFloat(rel.Tuples[0][1])
+		if nd >= cur {
+			return nil
+		}
+		rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], nd))
+	} else {
+		rel.Add(types.NewTuple(d.Tup[0], nd))
+	}
+	return emitUpdate(out, d.Tup[0], nd)
 }
 
 // RegisterIncSSSP installs the standing-query variant of the SSSP handlers
@@ -97,7 +91,7 @@ func RegisterIncSSSP(cat *catalog.Catalog) error {
 	join := &uda.FuncJoinHandler{
 		HName: "spinc",
 		Out:   types.MustSchema("nbr:Integer", "distOut:Double"),
-		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error) {
+		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool, out *uda.Emitter) error {
 			if fromLeft {
 				// Edge delta. Inserts join against the source's current
 				// best distance; deletes only retire the edge (min
@@ -105,24 +99,24 @@ func RegisterIncSSSP(cat *catalog.Catalog) error {
 				switch d.Op {
 				case types.OpDelete:
 					left.Remove(d.Tup)
-					return nil, nil
+					return nil
 				default:
 					left.Add(d.Tup)
 					if right.Len() == 0 {
-						return nil, nil // source unreached so far
+						return nil // source unreached so far
 					}
 					dist, ok := types.AsFloat(right.Tuples[0][1])
 					if !ok {
-						return nil, nil
+						return nil
 					}
-					return []types.Delta{types.Update(types.NewTuple(d.Tup[1], dist+1))}, nil
+					return emitUpdate(out, d.Tup[1], dist+1)
 				}
 			}
 			// Distance delta δ(srcId, d): remember the best distance for
 			// future edge inserts, emit d+1 to every out-neighbor.
 			dist, ok := types.AsFloat(d.Tup[1])
 			if !ok {
-				return nil, nil
+				return nil
 			}
 			if right.Len() > 0 {
 				cur, _ := types.AsFloat(right.Tuples[0][1])
@@ -132,35 +126,13 @@ func RegisterIncSSSP(cat *catalog.Catalog) error {
 			} else {
 				right.Add(d.Tup.Clone())
 			}
-			out := make([]types.Delta, 0, left.Len())
-			for _, e := range left.Tuples {
-				out = append(out, types.Update(types.NewTuple(e[1], dist+1)))
-			}
-			return out, nil
+			return emitNeighbors(out, left, dist+1)
 		},
 	}
 	if err := cat.RegisterJoinHandler(join); err != nil {
 		return err
 	}
-	return cat.RegisterWhileHandler(&uda.FuncWhileHandler{
-		HName: "spmin",
-		Fn: func(rel *uda.TupleSet, d types.Delta) ([]types.Delta, error) {
-			nd, ok := types.AsFloat(d.Tup[1])
-			if !ok || math.IsInf(nd, 0) {
-				return nil, nil
-			}
-			if rel.Len() > 0 {
-				cur, _ := types.AsFloat(rel.Tuples[0][1])
-				if nd >= cur {
-					return nil, nil
-				}
-				rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], nd))
-			} else {
-				rel.Add(types.NewTuple(d.Tup[0], nd))
-			}
-			return []types.Delta{types.Update(types.NewTuple(d.Tup[0], nd))}, nil
-		},
-	})
+	return cat.RegisterWhileHandler(&uda.FuncWhileHandler{HName: "spmin", Fn: keepMin})
 }
 
 // IncSSSPQuery is the standing shortest-path RQL text over the "sssp"

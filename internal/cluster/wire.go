@@ -225,11 +225,6 @@ func EncodeDeltaBatch(buf []byte, b *types.DeltaBatch) []byte {
 	return types.AppendDeltaBatch(buf, b)
 }
 
-// maxPooledRows is the largest row set whose builder batch goes back to
-// the pool: one grown for a checkpoint image's table would park megabytes
-// of column vectors there.
-const maxPooledRows = 1024
-
 // EncodeDeltas encodes row-form deltas as a payload: one run per
 // schema-uniform stretch of ds, each built in a pooled batch and encoded
 // into a pooled buffer. The returned payload is an exact-size copy the
@@ -252,7 +247,7 @@ func EncodeDeltas(ds []types.Delta) []byte {
 		b.Reset()
 		rest = rest[n:]
 	}
-	if len(ds) <= maxPooledRows {
+	if len(ds) <= types.MaxPooledRows {
 		types.PutBatch(b)
 	}
 	out := append([]byte(nil), buf...)

@@ -583,18 +583,17 @@ type resultSet struct {
 	tuples []types.Tuple // append-ordered; nil entries are tombstones
 	index  map[uint64][]int
 	dead   int
-	cols   []int // cached 0..n-1 column index for whole-tuple hashing
 }
 
 func newResultSet() *resultSet {
 	return &resultSet{}
 }
 
+// hash agrees with Tuple.Equal on result columns, which hold one kind or
+// mix only numbers (integral floats hash like ints), and allocates
+// nothing.
 func (rs *resultSet) hash(t types.Tuple) uint64 {
-	for len(rs.cols) < len(t) {
-		rs.cols = append(rs.cols, len(rs.cols))
-	}
-	return t.HashKey(rs.cols[:len(t)])
+	return t.Hash()
 }
 
 // ensureIndex builds the tuple-hash index on first delete/replace.

@@ -129,7 +129,7 @@ func TestProjectMemoization(t *testing.T) {
 func TestJoinDefaultDeltaRules(t *testing.T) {
 	c := &collector{}
 	spec := &OpSpec{ID: 0, Kind: OpHashJoin, LeftKey: []int{0}, RightKey: []int{0}, ImmutablePort: -1}
-	j := newHashJoinOp(spec, nil)
+	j := newHashJoinOp(spec, nil, 0)
 	j.outs = outputs{{op: c, port: 0}}
 
 	// Left insert with empty right: no output.
@@ -298,21 +298,24 @@ func TestGroupByRestoreRejectsTruncatedEntries(t *testing.T) {
 func TestFixpointRestorePendingRoundTrip(t *testing.T) {
 	spec := &OpSpec{ID: 0, Kind: OpFixpoint, FixpointKey: []int{0}, RecursiveOut: 1}
 	f := newFixpointOp(spec, &Context{}, nil)
-	f.pending = []types.Delta{
+	want := []types.Delta{
 		types.Insert(types.NewTuple(int64(1), "a")),
 		types.Delete(types.NewTuple(int64(2), "b")),
 		types.Replace(types.NewTuple(int64(3), "c"), types.NewTuple(int64(3), "d")),
 		types.Update(types.NewTuple(int64(4), 0.5)),
 	}
-	want := append([]types.Delta(nil), f.pending...)
+	for _, d := range want {
+		must(t, f.pending.Emit(d))
+	}
 	entries := f.DirtyState()
 
 	g := newFixpointOp(spec, &Context{}, nil)
 	must(t, g.Restore([][]types.Tuple{entries}))
-	if len(g.pending) != len(want) {
-		t.Fatalf("restored %d pending deltas, want %d: %v", len(g.pending), len(want), g.pending)
+	pending := g.pending.Batch().Deltas()
+	if len(pending) != len(want) {
+		t.Fatalf("restored %d pending deltas, want %d: %v", len(pending), len(want), pending)
 	}
-	for i, d := range g.pending {
+	for i, d := range pending {
 		w := want[i]
 		if d.Op != w.Op || !d.Tup.Equal(w.Tup) || !d.Old.Equal(w.Old) {
 			t.Errorf("pending %d: restored %v, want %v", i, d, w)
@@ -394,35 +397,39 @@ func newTestCatalog(t *testing.T) *catalog.Catalog {
 	must(t, cat.RegisterJoinHandler(&uda.FuncJoinHandler{
 		HName: "sssp_join",
 		Out:   types.MustSchema("nbr:Integer", "distOut:Double"),
-		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error) {
+		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool, out *uda.Emitter) error {
 			if fromLeft {
 				left.Add(d.Tup)
-				return nil, nil
+				return nil
 			}
 			dist, _ := types.AsFloat(d.Tup[1])
-			out := make([]types.Delta, 0, left.Len())
 			for _, e := range left.Tuples {
-				out = append(out, types.Update(types.NewTuple(e[1], dist+1)))
+				out.Begin(types.OpUpdate)
+				out.Value(e[1])
+				out.Float(dist + 1)
+				if err := out.End(); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		},
 	}))
 	// SSSP while handler: keep the minimum distance per node; emit the
 	// improvement as the next Δ set.
 	must(t, cat.RegisterWhileHandler(&uda.FuncWhileHandler{
 		HName: "sssp_while",
-		Fn: func(rel *uda.TupleSet, d types.Delta) ([]types.Delta, error) {
+		Fn: func(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) error {
 			nd, _ := types.AsFloat(d.Tup[1])
 			if rel.Len() > 0 {
 				cur, _ := types.AsFloat(rel.Tuples[0][1])
 				if nd >= cur {
-					return nil, nil
+					return nil
 				}
 				rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], nd))
 			} else {
 				rel.Add(types.NewTuple(d.Tup[0], nd))
 			}
-			return []types.Delta{types.Update(types.NewTuple(d.Tup[0], nd))}, nil
+			return out.Emit(types.Update(types.NewTuple(d.Tup[0], nd)))
 		},
 	}))
 	return cat

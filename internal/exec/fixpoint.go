@@ -31,8 +31,13 @@ type fixpointOp struct {
 	// state holds the mutable relation in default set-semantics mode.
 	state map[types.Value]types.Tuple
 
-	pending  []types.Delta
-	newCount int
+	// pending is the next stratum's Δ set: the while handler and the
+	// set-semantics path both emit into its builder-owned batch, and its
+	// row count is the stratum's vote. Advance flushes it into the
+	// recursive sub-plan.
+	pending *uda.Emitter
+	// rows is eachRow's scratch.
+	rows []types.Delta
 
 	dirty map[types.Value]bool
 
@@ -49,7 +54,7 @@ type fixpointOp struct {
 }
 
 func newFixpointOp(spec *OpSpec, ctx *Context, handler uda.WhileHandler) *fixpointOp {
-	return &fixpointOp{
+	f := &fixpointOp{
 		spec:    spec,
 		ctx:     ctx,
 		handler: handler,
@@ -57,35 +62,33 @@ func newFixpointOp(spec *OpSpec, ctx *Context, handler uda.WhileHandler) *fixpoi
 		state:   map[types.Value]types.Tuple{},
 		dirty:   map[types.Value]bool{},
 	}
+	f.pending = uda.NewEmitter(0) // the relation's first row sets the width
+	f.pending.FlushEvery(0, func(b *types.DeltaBatch) error { return f.recursiveOuts.sendBatch(b) })
+	return f
 }
 
-// Push folds the batch row by row into the mutable relation. State keeps
-// the tuples, so each row is materialized fresh via Delta.
+// Push folds the batch row by row into the mutable relation, which keeps
+// the rows' tuples.
 func (f *fixpointOp) Push(port int, b *types.DeltaBatch) error {
-	for i := 0; i < b.Len(); i++ {
-		d := b.Delta(i)
-		key := d.Tup.Key(f.spec.FixpointKey)
-		if f.handler != nil {
-			b, ok := f.buckets[key]
-			if !ok {
-				b = &uda.TupleSet{}
-				f.buckets[key] = b
-			}
-			v0 := b.Version()
-			res, err := f.handler.Update(b, d)
-			if err != nil {
-				return fmt.Errorf("exec: while handler %s: %w", f.handler.Name(), err)
-			}
-			if b.Version() != v0 {
-				f.dirty[key] = true
-			}
-			f.pending = append(f.pending, res...)
-			f.newCount += len(res)
-			continue
-		}
-		if err := f.defaultUpdate(key, d); err != nil {
-			return err
-		}
+	return eachRow(b, &f.rows, f.update)
+}
+
+func (f *fixpointOp) update(d types.Delta) error {
+	key := d.Tup.Key(f.spec.FixpointKey)
+	if f.handler == nil {
+		return f.defaultUpdate(key, d)
+	}
+	b, ok := f.buckets[key]
+	if !ok {
+		b = &uda.TupleSet{}
+		f.buckets[key] = b
+	}
+	v0 := b.Version()
+	if err := f.handler.Update(b, d, f.pending); err != nil {
+		return fmt.Errorf("exec: while handler %s: %w", f.handler.Name(), err)
+	}
+	if b.Version() != v0 {
+		f.dirty[key] = true
 	}
 	return nil
 }
@@ -105,17 +108,14 @@ func (f *fixpointOp) defaultUpdate(key types.Value, d types.Delta) error {
 		f.state[key] = d.Tup
 		f.dirty[key] = true
 		if ok {
-			f.pending = append(f.pending, types.Replace(existing, d.Tup))
-		} else {
-			f.pending = append(f.pending, types.Insert(d.Tup))
+			return f.pending.Emit(types.Replace(existing, d.Tup))
 		}
-		f.newCount++
+		return f.pending.Emit(types.Insert(d.Tup))
 	case types.OpDelete:
 		if ok {
 			delete(f.state, key)
 			f.dirty[key] = true
-			f.pending = append(f.pending, types.Delete(existing))
-			f.newCount++
+			return f.pending.Emit(types.Delete(existing))
 		}
 	case types.OpReplace:
 		if ok && existing.Equal(d.Tup) {
@@ -124,11 +124,9 @@ func (f *fixpointOp) defaultUpdate(key types.Value, d types.Delta) error {
 		f.state[key] = d.Tup
 		f.dirty[key] = true
 		if ok {
-			f.pending = append(f.pending, types.Replace(existing, d.Tup))
-		} else {
-			f.pending = append(f.pending, types.Insert(d.Tup))
+			return f.pending.Emit(types.Replace(existing, d.Tup))
 		}
-		f.newCount++
+		return f.pending.Emit(types.Insert(d.Tup))
 	}
 	return nil
 }
@@ -140,7 +138,7 @@ func (f *fixpointOp) Punct(port, stratum int, closed bool) error {
 		return fmt.Errorf("exec: fixpoint punct port %d out of range", port)
 	}
 	if f.onStratumEnd != nil {
-		f.onStratumEnd(stratum, f.newCount)
+		f.onStratumEnd(stratum, f.PendingCount())
 	}
 	return nil
 }
@@ -148,27 +146,30 @@ func (f *fixpointOp) Punct(port, stratum int, closed bool) error {
 // Advance starts stratum next: the buffered Δ set flows into the recursive
 // sub-plan followed by its punctuation. In NoDelta mode the entire mutable
 // relation is re-fed instead — re-processing all mutable data each
-// iteration, like the non-incremental systems of §6.
+// iteration, like the non-incremental systems of §6. The Δ batch is
+// detached while it goes downstream and empty by the time the
+// punctuation runs, which re-enters Push with the next stratum's Δ.
 func (f *fixpointOp) Advance(next int) error {
-	batch := f.pending
 	if f.spec.NoDelta {
-		batch = batch[:0]
+		f.pending.Batch().Reset()
 		if f.handler != nil {
 			for _, b := range f.buckets {
 				for _, t := range b.Tuples {
-					batch = append(batch, types.Update(t))
+					if err := f.pending.Emit(types.Update(t)); err != nil {
+						return err
+					}
 				}
 			}
 		} else {
 			for _, t := range f.state {
-				batch = append(batch, types.Update(t))
+				if err := f.pending.Emit(types.Update(t)); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	f.pending = nil
-	f.newCount = 0
 	f.ctx.Stratum = next
-	if err := f.recursiveOuts.send(batch); err != nil {
+	if err := f.pending.Flush(); err != nil {
 		return err
 	}
 	return f.recursiveOuts.punct(next, false)
@@ -206,7 +207,7 @@ func (f *fixpointOp) Finish() error {
 
 // PendingCount reports the buffered Δ set size (the restored vote count
 // after incremental recovery).
-func (f *fixpointOp) PendingCount() int { return len(f.pending) }
+func (f *fixpointOp) PendingCount() int { return f.pending.Batch().Len() }
 
 // StreamDelta computes the stratum's state-change batch: for every key
 // dirtied this stratum, the deltas that revise what the stream has emitted
@@ -279,8 +280,7 @@ func tuplesEqual(a, b []types.Tuple) bool {
 func (f *fixpointOp) Reset() {
 	f.buckets = map[types.Value]*uda.TupleSet{}
 	f.state = map[types.Value]types.Tuple{}
-	f.pending = nil
-	f.newCount = 0
+	f.pending.Batch().Reset()
 	f.dirty = map[types.Value]bool{}
 	f.emitted = nil
 }
@@ -317,10 +317,16 @@ func (f *fixpointOp) DirtyState() []types.Tuple {
 		out = append(out, append(types.NewTuple(h, "S", key), t...))
 	}
 	f.dirty = map[types.Value]bool{}
-	for _, d := range f.pending {
-		h := int64(d.Tup.HashKey(f.spec.FixpointKey))
-		e := append(types.NewTuple(h, "P", int64(d.Op), int64(len(d.Tup))), d.Tup...)
-		out = append(out, append(e, d.Old...))
+	pb := f.pending.Batch()
+	var row types.Tuple
+	for i := 0; i < pb.Len(); i++ {
+		row = pb.Row(i, row)
+		h := int64(row.HashKey(f.spec.FixpointKey))
+		e := append(types.NewTuple(h, "P", int64(pb.Op(i)), int64(len(row))), row...)
+		if pb.Op(i) == types.OpReplace {
+			e = append(e, pb.OldRow(i, row)...)
+		}
+		out = append(out, e)
 	}
 	return out
 }
@@ -363,18 +369,19 @@ func (f *fixpointOp) Restore(strata [][]types.Tuple) error {
 				if err != nil {
 					return err
 				}
-				f.pending = append(f.pending, d)
+				if err := f.pending.Emit(d); err != nil {
+					return fmt.Errorf("exec: fixpoint restore: %w", err)
+				}
 			default:
 				return fmt.Errorf("exec: fixpoint restore: unknown tag %v", e[1])
 			}
 		}
 	}
-	f.newCount = len(f.pending)
 	return nil
 }
 
 // pendingEntry decodes a checkpointed pending delta (a "P" entry of at
-// least three fields), checking every field.
+// least three fields), checking every field. The delta aliases e.
 func pendingEntry(e types.Tuple) (types.Delta, error) {
 	op, ok := types.AsInt(e[2])
 	if !ok || op < int64(types.OpInsert) || op > int64(types.OpUpdate) {
@@ -388,10 +395,10 @@ func pendingEntry(e types.Tuple) (types.Delta, error) {
 	if !ok || !inBounds {
 		return types.Delta{}, fmt.Errorf("exec: fixpoint restore: bad pending length in %v", e)
 	}
-	d := types.Delta{Op: types.Op(op), Tup: tup.Clone()}
+	d := types.Delta{Op: types.Op(op), Tup: tup}
 	old := e[4+len(tup):]
 	if d.Op == types.OpReplace {
-		d.Old = old.Clone()
+		d.Old = old
 	} else if len(old) > 0 {
 		return types.Delta{}, fmt.Errorf("exec: fixpoint restore: old image on a %v delta in %v", d.Op, e)
 	}

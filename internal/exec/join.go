@@ -22,20 +22,22 @@ type hashJoinOp struct {
 	handler uda.JoinHandler
 
 	left, right map[types.Value]*uda.TupleSet
-	// versions tracks handler-bucket versions to detect mutation.
 	// dirty records bucket keys mutated in the current stratum, per side.
 	dirty [2]map[types.Value]bool
 
-	// out collects results and goes downstream every batch of them (0:
-	// once per input batch), so one input batch — a whole stratum's Δ set
-	// on fixpointOp.Advance — never materializes its entire join result.
-	// The slice is reused across sends.
-	out   []types.Delta
-	batch int
+	// out is where the handler and the plain probe both write results: a
+	// pooled batch that goes downstream every batchSize rows (0: once per
+	// input batch) — mid-handler for a hub key — and at the end of each
+	// Push, so one input batch (a whole stratum's Δ set on
+	// fixpointOp.Advance) never materializes its entire join result. The
+	// batch is detached while it goes downstream.
+	out *uda.Emitter
+	// rows is eachRow's scratch.
+	rows []types.Delta
 }
 
-func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler) *hashJoinOp {
-	return &hashJoinOp{
+func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler, batchSize int) *hashJoinOp {
+	j := &hashJoinOp{
 		spec:    spec,
 		tracker: newPortTracker(2),
 		handler: handler,
@@ -43,6 +45,13 @@ func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler) *hashJoinOp {
 		right:   map[types.Value]*uda.TupleSet{},
 		dirty:   [2]map[types.Value]bool{{}, {}},
 	}
+	width := 0 // the plain probe's rows: left arity + right arity
+	if handler != nil && handler.OutSchema() != nil {
+		width = handler.OutSchema().Len()
+	}
+	j.out = uda.NewEmitter(width)
+	j.out.FlushEvery(batchSize, func(b *types.DeltaBatch) error { return j.outs.sendBatch(b) })
+	return j
 }
 
 func (j *hashJoinOp) bucket(side map[types.Value]*uda.TupleSet, key types.Value) *uda.TupleSet {
@@ -61,63 +70,29 @@ func (j *hashJoinOp) keyOf(port int, t types.Tuple) types.Value {
 	return t.Key(j.spec.RightKey)
 }
 
-// Push processes the batch row by row. Bucket inserts and handlers retain
-// tuples, so each row is materialized fresh via Delta (never a reused
-// scratch).
+// Push processes the batch row by row; bucket inserts and handlers retain
+// the rows' tuples.
 func (j *hashJoinOp) Push(port int, b *types.DeltaBatch) error {
 	if port != 0 && port != 1 {
 		return fmt.Errorf("exec: join port %d out of range", port)
 	}
-	for i := 0; i < b.Len(); i++ {
-		res, err := j.processDelta(port, b.Delta(i))
-		if err != nil {
-			return err
-		}
-		if err := j.emit(res); err != nil {
-			return err
-		}
+	if err := eachRow(b, &j.rows, func(d types.Delta) error { return j.processDelta(port, d) }); err != nil {
+		return err
 	}
-	return j.flushOut()
+	return j.out.Flush()
 }
 
-// emit queues one delta's results, sending downstream once a batch of
-// them is pending.
-func (j *hashJoinOp) emit(res []types.Delta) error {
-	j.out = append(j.out, res...)
-	if j.batch > 0 && len(j.out) >= j.batch {
-		return j.flushOut()
-	}
-	return nil
-}
-
-// flushOut sends the queued results and reclaims the slice. It is detached
-// while downstream runs, so a re-entrant push cannot scribble on a batch
-// in flight.
-func (j *hashJoinOp) flushOut() error {
-	out := j.out
-	j.out = nil
-	err := j.outs.send(out)
-	clear(out)
-	j.out = out[:0]
-	return err
-}
-
-func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error) {
+func (j *hashJoinOp) processDelta(port int, d types.Delta) error {
 	key := j.keyOf(port, d.Tup)
 	if d.Op == types.OpReplace {
 		// A replacement whose key changed must be split into a deletion at
 		// the old key and an insertion at the new key.
 		oldKey := j.keyOf(port, d.Old)
 		if !types.ValueEq(key, oldKey) {
-			del, err := j.processDelta(port, types.Delete(d.Old))
-			if err != nil {
-				return nil, err
+			if err := j.processDelta(port, types.Delete(d.Old)); err != nil {
+				return err
 			}
-			ins, err := j.processDelta(port, types.Insert(d.Tup))
-			if err != nil {
-				return nil, err
-			}
-			return append(del, ins...), nil
+			return j.processDelta(port, types.Insert(d.Tup))
 		}
 	}
 	lb := j.bucket(j.left, key)
@@ -125,9 +100,8 @@ func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error
 
 	if j.handler != nil {
 		lv, rv := lb.Version(), rb.Version()
-		res, err := j.handler.Update(lb, rb, d, port == 0)
-		if err != nil {
-			return nil, fmt.Errorf("exec: join handler %s: %w", j.handler.Name(), err)
+		if err := j.handler.Update(lb, rb, d, port == 0, j.out); err != nil {
+			return fmt.Errorf("exec: join handler %s: %w", j.handler.Name(), err)
 		}
 		if lb.Version() != lv {
 			j.dirty[0][key] = true
@@ -135,62 +109,58 @@ func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error
 		if rb.Version() != rv {
 			j.dirty[1][key] = true
 		}
-		return res, nil
+		return nil
 	}
 
 	mine, opp := lb, rb
 	if port == 1 {
 		mine, opp = rb, lb
 	}
-	var out []types.Delta
-	probe := func(op types.Op, t types.Tuple) {
-		for _, o := range opp.Tuples {
-			joined := joinTuples(port, t, o)
-			out = append(out, types.Delta{Op: op, Tup: joined})
-		}
-	}
 	switch d.Op {
-	case types.OpInsert:
-		mine.Add(d.Tup)
-		j.dirty[port][key] = true
-		probe(types.OpInsert, d.Tup)
-	case types.OpDelete:
-		if mine.Remove(d.Tup) {
-			j.dirty[port][key] = true
-		}
-		probe(types.OpDelete, d.Tup)
-	case types.OpReplace:
-		// Same-key replacement: revise the bucket, emit replacements for
-		// every matching opposite tuple.
-		if mine.ReplaceFirst(d.Old, d.Tup) {
-			j.dirty[port][key] = true
-		} else {
-			mine.Add(d.Tup)
-			j.dirty[port][key] = true
-		}
-		for _, o := range opp.Tuples {
-			out = append(out, types.Replace(joinTuples(port, d.Old, o), joinTuples(port, d.Tup, o)))
-		}
-	case types.OpUpdate:
+	case types.OpInsert, types.OpUpdate:
 		// Without a handler, δ() has no special semantics: the annotation
 		// rides along as a hidden attribute (§3.3). The tuple behaves like
 		// an insertion for state purposes and output deltas keep δ.
 		mine.Add(d.Tup)
 		j.dirty[port][key] = true
-		probe(types.OpUpdate, d.Tup)
+	case types.OpDelete:
+		if mine.Remove(d.Tup) {
+			j.dirty[port][key] = true
+		}
+	case types.OpReplace:
+		// Same-key replacement: revise the bucket, emit replacements for
+		// every matching opposite tuple.
+		if !mine.ReplaceFirst(d.Old, d.Tup) {
+			mine.Add(d.Tup)
+		}
+		j.dirty[port][key] = true
 	}
-	return out, nil
+	for _, o := range opp.Tuples {
+		j.out.Begin(d.Op)
+		j.joined(port, d.Tup, o)
+		if d.Op == types.OpReplace {
+			j.joined(port, d.Old, o)
+		}
+		if err := j.out.End(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// joinTuples concatenates left fields then right fields regardless of which
-// side the delta arrived on.
-func joinTuples(port int, mine, opposite types.Tuple) types.Tuple {
-	if port == 0 {
-		out := make(types.Tuple, 0, len(mine)+len(opposite))
-		return append(append(out, mine...), opposite...)
+// joined supplies the open output row's columns: left fields then right
+// fields, whichever side the delta arrived on.
+func (j *hashJoinOp) joined(port int, mine, opposite types.Tuple) {
+	left, right := mine, opposite
+	if port == 1 {
+		left, right = opposite, mine
 	}
-	out := make(types.Tuple, 0, len(mine)+len(opposite))
-	return append(append(out, opposite...), mine...)
+	for _, v := range left {
+		j.out.Value(v)
+	}
+	for _, v := range right {
+		j.out.Value(v)
+	}
 }
 
 func (j *hashJoinOp) Punct(port, stratum int, closed bool) error {

@@ -17,8 +17,8 @@ type Operator interface {
 	// The batch is borrowed for the duration of the call: an operator must
 	// not retain it or any slice derived from it (decoded batches alias
 	// transport frame buffers, built ones return to a pool). Anything kept
-	// past the call is materialized via Delta/Row/Value, which yield fresh
-	// tuples.
+	// past the call is materialized via Delta/AppendDeltas/Value, which
+	// yield fresh tuples.
 	Push(port int, b *types.DeltaBatch) error
 	// Punct signals the end of the current stratum on the given port.
 	// closed marks the port's final punctuation: no data will ever arrive
@@ -105,9 +105,9 @@ type output struct {
 // outputs is the fan-out of one operator to its local consumers.
 type outputs []output
 
-// send is the row adapter for operators whose logic is per-row (join
-// results, fixpoint Δ sets, group-by flushes, TVF output, ingest
-// injection): the rows are packed into a pooled batch and pushed through
+// send is the row adapter for operators whose logic is per-row (group-by
+// flushes, TVF output, the fixpoint's final relation, ingest injection;
+// delta handlers write through a uda.Emitter instead): the rows are packed into a pooled batch and pushed through
 // sendBatch. Rows of differing arity go out as consecutive batches, one
 // per types.UniformRun, so ragged output keeps its order. The rows are
 // copied, so the caller may reuse the slice once send returns.
@@ -139,6 +139,34 @@ func (o outputs) sendBatch(b *types.DeltaBatch) error {
 	}
 	for _, out := range o {
 		if err := out.op.Push(out.port, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rowChunk is how many rows eachRow materializes at a time: it bounds
+// both the reused row slice and what one retained value can keep alive
+// (AppendDeltas shares arrays across the rows of a call).
+const rowChunk = 1024
+
+// eachRow calls fn on every row of b, materialized fresh (AppendDeltas)
+// rowChunk rows at a time into *scratch, whose storage is reused across
+// calls. The rows stay safe to retain. The slice is detached while fn
+// runs, so a re-entrant push cannot overwrite it.
+func eachRow(b *types.DeltaBatch, scratch *[]types.Delta, fn func(types.Delta) error) error {
+	for lo := 0; lo < b.Len(); lo += rowChunk {
+		rows := b.AppendDeltas((*scratch)[:0], lo, min(lo+rowChunk, b.Len()))
+		*scratch = nil
+		var err error
+		for _, d := range rows {
+			if err = fn(d); err != nil {
+				break
+			}
+		}
+		clear(rows)
+		*scratch = rows[:0]
+		if err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/rex-data/rex/internal/catalog"
@@ -52,6 +53,63 @@ func TestResultSetDuplicatesDeleteOne(t *testing.T) {
 	rs.apply([]types.Delta{types.Delete(tup), types.Delete(tup)})
 	if got := len(rs.materialize()); got != 0 {
 		t.Fatalf("after deleting all duplicates: %d rows", got)
+	}
+}
+
+// The fold equals a multiset model under random inserts, deletes and
+// replaces over values where 1 and 1.0 are Equal while NULL and the empty
+// string are not, so the index hash must agree with Tuple.Equal.
+func TestResultSetFoldMatchesModel(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	vals := []types.Value{int64(1), 1.0, int64(2), 2.0, 2.5, "x", "", nil}
+	tuple := func() types.Tuple {
+		return types.NewTuple(vals[r.Intn(len(vals))], vals[r.Intn(len(vals))])
+	}
+	var model []types.Tuple
+	remove := func(ts []types.Tuple, t types.Tuple) ([]types.Tuple, bool) {
+		for i, m := range ts {
+			if m.Equal(t) {
+				return append(ts[:i], ts[i+1:]...), true
+			}
+		}
+		return ts, false
+	}
+	rs := newResultSet()
+	for step := 0; step < 4000; step++ {
+		var d types.Delta
+		switch r.Intn(3) {
+		case 0:
+			d = types.Insert(tuple())
+		case 1:
+			d = types.Delete(tuple())
+			model, _ = remove(model, d.Tup)
+		default:
+			d = types.Replace(tuple(), tuple())
+			model, _ = remove(model, d.Old)
+		}
+		if d.Op != types.OpDelete {
+			model = append(model, d.Tup)
+		}
+		rs.apply([]types.Delta{d})
+	}
+	rest := append([]types.Tuple(nil), model...)
+	for _, g := range rs.materialize() {
+		var ok bool
+		if rest, ok = remove(rest, g); !ok {
+			t.Fatalf("fold holds %v beyond the model's multiset", g)
+		}
+	}
+	if len(rest) != 0 {
+		t.Fatalf("fold lacks %v", rest)
+	}
+}
+
+// Hashing a result tuple for the delete/replace index allocates nothing.
+func TestResultSetHashAllocs(t *testing.T) {
+	rs := newResultSet()
+	tup := types.NewTuple(int64(12345), 0.15, "vertex", nil, true)
+	if n := testing.AllocsPerRun(100, func() { _ = rs.hash(tup) }); n != 0 {
+		t.Fatalf("resultSet.hash: %.1f allocations per tuple, want 0", n)
 	}
 }
 

@@ -769,9 +769,7 @@ func (w *Worker) instantiate(spec *OpSpec, ctx *Context) (Operator, error) {
 			}
 			handler = h
 		}
-		j := newHashJoinOp(spec, handler)
-		j.batch = ctx.BatchSize
-		return j, nil
+		return newHashJoinOp(spec, handler, ctx.BatchSize), nil
 	case OpGroupBy:
 		var agg uda.Aggregator
 		if spec.UDAName != "" {

@@ -356,11 +356,17 @@ func (b *binder) bindAggregate(p *exec.PlanSpec, s *SelectStmt, cur int, schema 
 				expr.NewCol(col, arg.Kind(), preFields[col].Name))
 		}
 	}
-	proj := p.Add(&exec.OpSpec{
-		Kind: exec.OpProject, Inputs: []int{cur},
-		Exprs: preExprs, Out: &types.Schema{Fields: preFields},
-	})
-	cur = proj.ID
+	// An identity projection (Listing 1's `GROUP BY nbr … sum(prDiff)` over
+	// (nbr, prDiff)) would only copy every row, so the input feeds the
+	// group-by as is — when it declares its schema, which a pre-aggregate's
+	// argument kernels compile against (a filter declares none).
+	if !isIdentity(preExprs, schema.Len()) || p.Op(cur).Out == nil {
+		proj := p.Add(&exec.OpSpec{
+			Kind: exec.OpProject, Inputs: []int{cur},
+			Exprs: preExprs, Out: &types.Schema{Fields: preFields},
+		})
+		cur = proj.ID
+	}
 	keyIdx := make([]int, len(groupExprs))
 	for i := range keyIdx {
 		keyIdx[i] = i
@@ -417,6 +423,19 @@ func (b *binder) bindAggregate(p *exec.PlanSpec, s *SelectStmt, cur int, schema 
 	}
 	final := p.Add(&exec.OpSpec{Kind: exec.OpProject, Inputs: []int{gby.ID}, Exprs: exprs, Out: outSchema})
 	return final.ID, outSchema, nil
+}
+
+// isIdentity reports whether exprs are exactly Col(0) … Col(width-1).
+func isIdentity(exprs []expr.Expr, width int) bool {
+	if len(exprs) != width {
+		return false
+	}
+	for i, e := range exprs {
+		if c, ok := e.(*expr.Col); !ok || c.Idx != i {
+			return false
+		}
+	}
+	return true
 }
 
 // compactMergeFor derives the δ-merge a recursive case's rehash may apply

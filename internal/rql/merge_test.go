@@ -10,6 +10,7 @@ import (
 	"github.com/rex-data/rex/internal/catalog"
 	"github.com/rex-data/rex/internal/datagen"
 	"github.com/rex-data/rex/internal/exec"
+	"github.com/rex-data/rex/internal/expr"
 	"github.com/rex-data/rex/internal/types"
 	"github.com/rex-data/rex/internal/uda"
 )
@@ -25,8 +26,8 @@ func mergeCatalog(t *testing.T) *catalog.Catalog {
 	must(t, cat.RegisterJoinHandler(&uda.FuncJoinHandler{
 		HName: "spread",
 		Out:   types.MustSchema("nbr:Integer", "a:Double", "b:Double"),
-		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error) {
-			return nil, nil
+		Fn: func(left, right *uda.TupleSet, d types.Delta, fromLeft bool, out *uda.Emitter) error {
+			return nil
 		},
 	}))
 	must(t, cat.RegisterFunc(&catalog.FuncDef{
@@ -135,9 +136,8 @@ func TestBinderDeclaresCompactMerge(t *testing.T) {
 	}
 }
 
-// runGraphQuery runs an RQL recursion over a two-node engine staged with
-// the "sssp" dataset shape (graph + one-row seed).
-func runGraphQuery(t *testing.T, g *datagen.Graph, register func(*catalog.Catalog) string, opts exec.Options, strip bool) *exec.Result {
+// graphCatalog holds the "sssp" dataset shape: graph + one-row seed.
+func graphCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
 	must(t, cat.AddTable(&catalog.Table{
@@ -146,13 +146,19 @@ func runGraphQuery(t *testing.T, g *datagen.Graph, register func(*catalog.Catalo
 	must(t, cat.AddTable(&catalog.Table{
 		Name: "spseed", Schema: types.MustSchema("srcId:Integer", "dist:Double"), PartitionKey: 0,
 	}))
+	return cat
+}
+
+// runGraphQuery runs an RQL recursion over a two-node engine staged with
+// the "sssp" dataset, after edit (if any) revises the compiled plan.
+func runGraphQuery(t *testing.T, g *datagen.Graph, register func(*catalog.Catalog) string, opts exec.Options, edit func(*exec.PlanSpec)) *exec.Result {
+	t.Helper()
+	cat := graphCatalog(t)
 	text := register(cat)
 	spec, err := Compile(text, cat, 2)
 	must(t, err)
-	if strip {
-		for _, op := range spec.Ops {
-			op.CompactMerge = nil
-		}
+	if edit != nil {
+		edit(spec)
 	}
 	eng := exec.NewEngine(2, 64, 1, cat)
 	must(t, eng.Load("graph", 0, g.Edges))
@@ -169,40 +175,75 @@ func sortedByVertex(ts []types.Tuple) []types.Tuple {
 	return out
 }
 
+// pageRankRQL is Listing 1 over the handlers RegisterPageRank installs,
+// summing agg (sum(prDiff) in the listing).
+func pageRankRQL(t *testing.T, agg string) func(*catalog.Catalog) string {
+	return func(cat *catalog.Catalog) string {
+		jn, wn, err := algos.RegisterPageRank(cat, algos.PageRankConfig{Epsilon: 0.001, Delta: true})
+		must(t, err)
+		return `
+WITH PR (srcId, pr) AS (
+  SELECT srcId, 1.0 AS pr FROM graph
+) UNION UNTIL FIXPOINT BY srcId USING ` + wn + ` (
+  SELECT nbr, 0.15 + 0.85 * ` + agg + `
+  FROM (SELECT ` + jn + `(srcId, pr).{nbr, prDiff}
+        FROM graph, PR WHERE graph.srcId = PR.srcId GROUP BY srcId)
+  GROUP BY nbr)`
+	}
+}
+
+func incSSSPRQL(t *testing.T) func(*catalog.Catalog) string {
+	return func(cat *catalog.Catalog) string {
+		must(t, algos.RegisterIncSSSP(cat))
+		return algos.IncSSSPQuery
+	}
+}
+
+func stripMerges(p *exec.PlanSpec) {
+	for _, op := range p.Ops {
+		op.CompactMerge = nil
+	}
+}
+
+// sameResult fails t unless two runs hold the same rows, vertex for
+// vertex, with values within 1e-9 relative: delta PageRank's float sums
+// are never bit-identical between runs.
+func sameResult(t *testing.T, got, want *exec.Result, what string) {
+	t.Helper()
+	g, w := sortedByVertex(got.Tuples), sortedByVertex(want.Tuples)
+	if len(g) != len(w) {
+		t.Fatalf("result rows: %d %s", len(g), what)
+	}
+	for i := range g {
+		x, _ := types.AsFloat(g[i][1])
+		y, _ := types.AsFloat(w[i][1])
+		if g[i][0] != w[i][0] || math.Abs(x-y) > 1e-9*math.Max(1, math.Abs(y)) {
+			t.Fatalf("row %d: %v, %v %s", i, g[i], w[i], what)
+		}
+	}
+}
+
 // Listing 1 and the incremental SSSP query, written in RQL, actually fold
 // in the shuffle: with compaction on, the deltas entering the shuffle are
 // exactly those of a run whose merges were stripped from the plan
 // (declaring a merge changes what leaves the store, never what enters),
 // at most a quarter of them leave it, and strata and result equal a
 // compaction-off run's.
+
 func TestRecursiveRQLFoldsInShuffle(t *testing.T) {
 	g := datagen.DBPediaGraph(1500, 1)
 	queries := []struct {
 		name     string
 		register func(*catalog.Catalog) string
 	}{
-		{"pagerank", func(cat *catalog.Catalog) string {
-			jn, wn, err := algos.RegisterPageRank(cat, algos.PageRankConfig{Epsilon: 0.001, Delta: true})
-			must(t, err)
-			return `
-WITH PR (srcId, pr) AS (
-  SELECT srcId, 1.0 AS pr FROM graph
-) UNION UNTIL FIXPOINT BY srcId USING ` + wn + ` (
-  SELECT nbr, 0.15 + 0.85 * sum(prDiff)
-  FROM (SELECT ` + jn + `(srcId, pr).{nbr, prDiff}
-        FROM graph, PR WHERE graph.srcId = PR.srcId GROUP BY srcId)
-  GROUP BY nbr)`
-		}},
-		{"sssp", func(cat *catalog.Catalog) string {
-			must(t, algos.RegisterIncSSSP(cat))
-			return algos.IncSSSPQuery
-		}},
+		{"pagerank", pageRankRQL(t, "sum(prDiff)")},
+		{"sssp", incSSSPRQL(t)},
 	}
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			off := runGraphQuery(t, g, q.register, exec.Options{}, false)
-			stripped := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, true)
-			on := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, false)
+			off := runGraphQuery(t, g, q.register, exec.Options{}, nil)
+			stripped := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, stripMerges)
+			on := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, nil)
 
 			if off.CompactIn != 0 || off.CompactOut != 0 {
 				t.Fatalf("compaction-off run counted compactor traffic %d/%d", off.CompactIn, off.CompactOut)
@@ -225,17 +266,66 @@ WITH PR (srcId, pr) AS (
 					t.Errorf("stratum %d: Δ size %d with compaction, %d without", i, on.Strata[i].NewTuples, off.Strata[i].NewTuples)
 				}
 			}
-			got, want := sortedByVertex(on.Tuples), sortedByVertex(off.Tuples)
-			if len(got) != len(want) {
-				t.Fatalf("result rows: %d with compaction, %d without", len(got), len(want))
-			}
-			for i := range got {
-				x, _ := types.AsFloat(got[i][1])
-				y, _ := types.AsFloat(want[i][1])
-				if got[i][0] != want[i][0] || math.Abs(x-y) > 1e-9*math.Max(1, math.Abs(y)) {
-					t.Fatalf("row %d: %v with compaction, %v without", i, got[i], want[i])
-				}
-			}
+			sameResult(t, on, off, "with compaction, without")
 		})
+	}
+}
+
+// Listing 1 and the incremental SSSP query group their handler join's
+// output as it is, so the binder feeds the join straight into the rehash:
+// the pre-group-by projection would be the identity. An aggregate over an
+// expression still gets one, and splicing the identity projection back in
+// changes no result.
+func TestBinderDropsIdentityPreGroupByProjection(t *testing.T) {
+	rehashInput := func(register func(*catalog.Catalog) string) *exec.OpSpec {
+		cat := graphCatalog(t)
+		p, err := Compile(register(cat), cat, 2)
+		must(t, err)
+		for _, op := range p.Ops {
+			if op.Kind == exec.OpRehash {
+				return p.Op(op.Inputs[0])
+			}
+		}
+		t.Fatal("recursion has no rehash")
+		return nil
+	}
+	queries := []struct {
+		name     string
+		register func(*catalog.Catalog) string
+	}{
+		{"pagerank", pageRankRQL(t, "sum(prDiff)")},
+		{"sssp", incSSSPRQL(t)},
+	}
+	for _, q := range queries {
+		if in := rehashInput(q.register); in.Kind != exec.OpHashJoin {
+			t.Errorf("%s: the rehash reads a %v, want the handler join", q.name, in.Kind)
+		}
+	}
+	if in := rehashInput(pageRankRQL(t, "sum(prDiff * 2)")); in.Kind != exec.OpProject {
+		t.Errorf("sum(prDiff * 2): the rehash reads a %v, want the pre-group-by projection", in.Kind)
+	}
+
+	spliceIdentity := func(p *exec.PlanSpec) {
+		for _, op := range p.Ops {
+			if op.Kind != exec.OpRehash {
+				continue
+			}
+			join := p.Op(op.Inputs[0])
+			var cols []expr.Expr
+			for i, f := range join.Out.Fields {
+				cols = append(cols, expr.NewCol(i, f.Kind, f.Name))
+			}
+			op.Inputs[0] = p.Add(&exec.OpSpec{Kind: exec.OpProject, Inputs: []int{join.ID}, Exprs: cols, Out: join.Out}).ID
+			return
+		}
+	}
+	g := datagen.DBPediaGraph(1500, 1)
+	for _, q := range queries {
+		without := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, nil)
+		with := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, spliceIdentity)
+		if len(without.Strata) != len(with.Strata) {
+			t.Errorf("%s: %d strata without the identity projection, %d with it", q.name, len(without.Strata), len(with.Strata))
+		}
+		sameResult(t, without, with, "without the identity projection, with it")
 	}
 }

@@ -491,6 +491,81 @@ func (b *DeltaBatch) AppendRowFrom(src *DeltaBatch, i int) {
 	b.n++
 }
 
+// Scalar is a Value held unboxed so a row builder can stage it without
+// allocating: K names the field that carries it (KindInt: I, KindFloat: F,
+// KindString: S); for any other K the value travels boxed in V, nil for
+// NULL.
+type Scalar struct {
+	K Kind
+	I int64
+	F float64
+	S string
+	V Value
+}
+
+// boxed returns the scalar as a Value.
+func (s *Scalar) boxed() Value {
+	switch s.K {
+	case KindInt:
+		return s.I
+	case KindFloat:
+		return s.F
+	case KindString:
+		return s.S
+	}
+	return s.V
+}
+
+// appendScalar appends s with AppendValue's kind rules, without boxing
+// when the column already holds (or adopts) s's kind.
+func (c *Column) appendScalar(s *Scalar) {
+	c.mat()
+	switch {
+	case c.anys != nil:
+		c.AppendValue(s.boxed())
+		return
+	case s.K == KindInt && c.adopt(KindInt):
+		c.ints = append(c.ints, s.I)
+	case s.K == KindFloat && c.adopt(KindFloat):
+		c.floats = append(c.floats, s.F)
+	case s.K == KindString && c.adopt(KindString):
+		c.strs = append(c.strs, s.S)
+	default:
+		c.AppendValue(s.boxed())
+		return
+	}
+	c.n++
+}
+
+// AppendScalars appends one row: annotation op, the new image row and,
+// for OpReplace, the old image old. Like Append, arity is uniform across
+// a batch and a mismatch panics.
+func (b *DeltaBatch) AppendScalars(op Op, row, old []Scalar) {
+	if b.n == 0 {
+		b.cols = ensureCols(b.cols, len(row))
+	} else if len(row) != len(b.cols) {
+		panic("types: DeltaBatch.AppendScalars: arity mismatch")
+	}
+	b.ops = append(b.ops, byte(op))
+	for j := range b.cols {
+		b.cols[j].appendScalar(&row[j])
+	}
+	if op == OpReplace {
+		if b.old == nil {
+			b.old = ensureCols(nil, len(old))
+			padCols(b.old, b.n)
+		} else if len(old) != len(b.old) {
+			panic("types: DeltaBatch.AppendScalars: old arity mismatch")
+		}
+		for j := range b.old {
+			b.old[j].appendScalar(&old[j])
+		}
+	} else if b.old != nil {
+		padCols(b.old, b.n+1)
+	}
+	b.n++
+}
+
 // Row fills scratch with the new-image values of row i and returns it.
 // The scratch tuple is reused by callers across rows; it must not be
 // retained (clone before storing).

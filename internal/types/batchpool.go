@@ -9,6 +9,11 @@ import "sync"
 // back, so steady-state rounds allocate O(1) instead of O(deltas).
 var batchPool = sync.Pool{New: func() any { return new(DeltaBatch) }}
 
+// MaxPooledRows is the most rows a batch may have held and still go back
+// to the pool: one grown for a checkpoint image's table or a whole
+// stratum's Δ set would park megabytes of column vectors there.
+const MaxPooledRows = 1024
+
 // GetBatch returns an empty builder-owned batch from the pool.
 func GetBatch() *DeltaBatch {
 	return batchPool.Get().(*DeltaBatch)

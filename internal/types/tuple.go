@@ -1,7 +1,9 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -61,19 +63,17 @@ func (t Tuple) Project(cols []int) Tuple {
 
 // Key renders the projection of t onto cols as a comparable map key.
 // Scalars are comparable in Go, so single columns use the raw value and
-// multi-column keys use a rendered composite.
+// multi-column keys use an encoded composite (see appendKeyPart).
 func (t Tuple) Key(cols []int) Value {
 	if len(cols) == 1 {
 		return normKey(t[cols[0]])
 	}
-	var b strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte(0x1f)
-		}
-		b.WriteString(AsString(t[c]))
+	var arr [64]byte
+	buf := arr[:0]
+	for _, c := range cols {
+		buf = appendKeyPart(buf, t[c])
 	}
-	return b.String()
+	return string(buf)
 }
 
 // normKey folds integral floats onto int64 so keys compare consistently.
@@ -84,6 +84,35 @@ func normKey(v Value) Value {
 		}
 	}
 	return v
+}
+
+// appendKeyPart appends one column of a composite key: a kind tag, then
+// the value in fixed width or, for strings, behind a length prefix, so
+// distinct tuples never encode alike (NULL differs from the empty string,
+// and no byte inside a string can shift a column boundary). Integral
+// floats fold onto int64 first, as normKey does, so 1 and 1.0 still share
+// a key.
+func appendKeyPart(buf []byte, v Value) []byte {
+	switch x := normKey(v).(type) {
+	case nil:
+		return append(buf, 0)
+	case int64:
+		return binary.LittleEndian.AppendUint64(append(buf, 1), uint64(x))
+	case float64:
+		return binary.LittleEndian.AppendUint64(append(buf, 2), math.Float64bits(x))
+	case string:
+		buf = binary.AppendUvarint(append(buf, 3), uint64(len(x)))
+		return append(buf, x...)
+	case bool:
+		if x {
+			return append(buf, 4, 1)
+		}
+		return append(buf, 4, 0)
+	default:
+		s := fmt.Sprint(x)
+		buf = binary.AppendUvarint(append(buf, 5), uint64(len(s)))
+		return append(buf, s...)
+	}
 }
 
 // String renders the tuple for diagnostics.

@@ -104,8 +104,8 @@ func TestTupleBasics(t *testing.T) {
 	if tp.Key([]int{0}) != int64(1) {
 		t.Error("single-column Key should be the raw value")
 	}
-	if tp.Key([]int{0, 1}) != "1\x1fa" {
-		t.Errorf("composite Key = %q", tp.Key([]int{0, 1}))
+	if k := tp.Key([]int{0, 1}); k != NewTuple(1.0, "a").Key([]int{0, 1}) || k == NewTuple("1", "a").Key([]int{0, 1}) {
+		t.Errorf("composite Key = %q: must fold 1.0 onto 1 and keep \"1\" apart", k)
 	}
 	// Integral float keys fold to int so groupings match across kinds.
 	if NewTuple(3.0).Key([]int{0}) != int64(3) {
@@ -331,6 +331,51 @@ func randString(r *rand.Rand) string {
 		b[i] = byte('a' + r.Intn(26))
 	}
 	return string(b)
+}
+
+// Property: over multi-column rows full of NULLs, empty strings, separator
+// bytes and 1 vs 1.0, the columnar KeyAt equals Tuple.Key, HashKeyAt
+// equals the row's HashKey, and two rows share a composite key exactly
+// when their key columns are Equal.
+func TestCompositeKeyProperty(t *testing.T) {
+	strs := []Value{nil, "", "\x1f", "a", "a\x1fb", "b\x1fc", "1", "c"}
+	mixed := append([]Value{int64(1), 1.0, 1.5, int64(-1), true}, strs...)
+	r := rand.New(rand.NewSource(41))
+	owner := map[Value]Tuple{} // composite key → the key columns that made it
+	for trial := 0; trial < 400; trial++ {
+		arity := 2 + r.Intn(3)
+		pools := make([][]Value, arity)
+		for j := range pools {
+			pools[j] = strs // a typed string lane, NULLs aside
+			if r.Intn(2) == 0 {
+				pools[j] = mixed
+			}
+		}
+		rows := make([]Delta, 1+r.Intn(20))
+		for i := range rows {
+			tup := make(Tuple, arity)
+			for j := range tup {
+				tup[j] = pools[j][r.Intn(len(pools[j]))]
+			}
+			rows[i] = Insert(tup)
+		}
+		b, _ := FromDeltas(rows)
+		key := r.Perm(arity)[:2+r.Intn(arity-1)]
+		for i, d := range rows {
+			k := d.Tup.Key(key)
+			if got := b.KeyAt(i, key); got != k {
+				t.Fatalf("row %v key %v: KeyAt %q != Key %q", d.Tup, key, got, k)
+			}
+			if got, want := b.HashKeyAt(i, key, nil), b.Row(i, nil).HashKey(key); got != want {
+				t.Fatalf("row %v key %v: HashKeyAt %#x != Row().HashKey %#x", d.Tup, key, got, want)
+			}
+			cols := d.Tup.Project(key)
+			if prev, ok := owner[k]; ok && !prev.Equal(cols) {
+				t.Fatalf("key columns %v and %v share composite key %q", prev, cols, k)
+			}
+			owner[k] = cols
+		}
+	}
 }
 
 // Property: HashKey is invariant under changes to non-key columns.

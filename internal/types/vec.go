@@ -1,7 +1,5 @@
 package types
 
-import "strings"
-
 // Vec is one kernel-computed column vector: a typed data slice selected
 // by K plus a validity bitmap, indexed by absolute batch row number. It
 // is the currency between compiled expression kernels (internal/expr)
@@ -274,7 +272,7 @@ func (b *DeltaBatch) AppendVecRow(op Op, cols []*Vec, oldCols []*Vec, i int) {
 // KeyAt renders Tuple.Key(key) for row i of the new-image group without
 // materializing the row: single-column keys box one value straight off
 // the typed vector (with normKey's integral-float fold), multi-column
-// keys render the composite string column-wise. This is the group-by key
+// keys encode the composite column-wise. This is the group-by key
 // kernel — the map key it produces is identical to the row path's.
 func (b *DeltaBatch) KeyAt(i int, key []int) Value {
 	return keyAtCols(b.cols, i, key)
@@ -296,12 +294,10 @@ func keyAtCols(cols []Column, i int, key []int) Value {
 		}
 		return normKey(c.Value(i))
 	}
-	var sb strings.Builder
-	for j, k := range key {
-		if j > 0 {
-			sb.WriteByte(0x1f)
-		}
-		sb.WriteString(AsString(cols[k].Value(i)))
+	var arr [64]byte
+	buf := arr[:0]
+	for _, k := range key {
+		buf = appendKeyPart(buf, cols[k].Value(i))
 	}
-	return sb.String()
+	return string(buf)
 }

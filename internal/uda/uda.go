@@ -157,29 +157,30 @@ func (s *TupleSet) Clone() *TupleSet {
 // DELTA[] UPDATE(TUPLESET LEFTBUCKET, TUPLESET RIGHTBUCKET, DELTA D).
 // It is invoked by the join operator with the buckets for the delta's join
 // key; fromLeft reports which input produced d. The handler may revise the
-// buckets and returns the deltas to propagate.
+// buckets (d's tuples are its to keep) and writes the deltas to propagate,
+// rows of OutSchema's width, to out.
 type JoinHandler interface {
 	Name() string
 	// OutSchema declares the fields of emitted deltas.
 	OutSchema() *types.Schema
-	Update(left, right *TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error)
+	Update(left, right *TupleSet, d types.Delta, fromLeft bool, out *Emitter) error
 }
 
 // WhileHandler is the paper's while-state delta handler:
 // DELTA[] UPDATE(TUPLESET WHILERELATION, DELTA D).
 // It is invoked by the while/fixpoint operator with the state bucket for the
-// delta's fixpoint key and returns the (possibly empty) set of new deltas to
-// feed to the next stratum.
+// delta's fixpoint key and writes the (possibly empty) set of new deltas to
+// feed to the next stratum to out.
 type WhileHandler interface {
 	Name() string
-	Update(rel *TupleSet, d types.Delta) ([]types.Delta, error)
+	Update(rel *TupleSet, d types.Delta, out *Emitter) error
 }
 
 // FuncJoinHandler adapts a function to JoinHandler.
 type FuncJoinHandler struct {
 	HName string
 	Out   *types.Schema
-	Fn    func(left, right *TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error)
+	Fn    func(left, right *TupleSet, d types.Delta, fromLeft bool, out *Emitter) error
 }
 
 // Name returns the handler name.
@@ -189,22 +190,22 @@ func (h *FuncJoinHandler) Name() string { return h.HName }
 func (h *FuncJoinHandler) OutSchema() *types.Schema { return h.Out }
 
 // Update invokes the wrapped function.
-func (h *FuncJoinHandler) Update(l, r *TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error) {
-	return h.Fn(l, r, d, fromLeft)
+func (h *FuncJoinHandler) Update(l, r *TupleSet, d types.Delta, fromLeft bool, out *Emitter) error {
+	return h.Fn(l, r, d, fromLeft, out)
 }
 
 // FuncWhileHandler adapts a function to WhileHandler.
 type FuncWhileHandler struct {
 	HName string
-	Fn    func(rel *TupleSet, d types.Delta) ([]types.Delta, error)
+	Fn    func(rel *TupleSet, d types.Delta, out *Emitter) error
 }
 
 // Name returns the handler name.
 func (h *FuncWhileHandler) Name() string { return h.HName }
 
 // Update invokes the wrapped function.
-func (h *FuncWhileHandler) Update(rel *TupleSet, d types.Delta) ([]types.Delta, error) {
-	return h.Fn(rel, d)
+func (h *FuncWhileHandler) Update(rel *TupleSet, d types.Delta, out *Emitter) error {
+	return h.Fn(rel, d, out)
 }
 
 // ErrUnsupportedDelta is returned by built-in aggregates for annotations

@@ -214,23 +214,24 @@ func TestFuncHandlers(t *testing.T) {
 	jh := &FuncJoinHandler{
 		HName: "h",
 		Out:   types.MustSchema("x:Integer"),
-		Fn: func(l, r *TupleSet, d types.Delta, fromLeft bool) ([]types.Delta, error) {
-			return []types.Delta{d}, nil
+		Fn: func(l, r *TupleSet, d types.Delta, fromLeft bool, out *Emitter) error {
+			return out.Emit(d)
 		},
 	}
 	if jh.Name() != "h" || jh.OutSchema().Len() != 1 {
 		t.Fatal("join handler metadata")
 	}
-	out, err := jh.Update(nil, nil, types.Insert(types.NewTuple(int64(1))), true)
-	if err != nil || len(out) != 1 {
+	out := NewEmitter(1)
+	err := jh.Update(nil, nil, types.Insert(types.NewTuple(int64(1))), true, out)
+	if err != nil || out.Batch().Len() != 1 {
 		t.Fatal("join handler update")
 	}
-	wh := &FuncWhileHandler{HName: "w", Fn: func(rel *TupleSet, d types.Delta) ([]types.Delta, error) {
+	wh := &FuncWhileHandler{HName: "w", Fn: func(rel *TupleSet, d types.Delta, out *Emitter) error {
 		rel.Add(d.Tup)
-		return nil, nil
+		return nil
 	}}
 	rel := &TupleSet{}
-	if _, err := wh.Update(rel, types.Insert(types.NewTuple(int64(1)))); err != nil || rel.Len() != 1 {
+	if err := wh.Update(rel, types.Insert(types.NewTuple(int64(1))), NewEmitter(0)); err != nil || rel.Len() != 1 {
 		t.Fatal("while handler update")
 	}
 	if wh.Name() != "w" {

@@ -32,19 +32,18 @@ func IterativeJobPlan(cat *catalog.Catalog, job *mapred.Job, stateTable string, 
 	// The while handler stores the latest (k, v) state record per key.
 	err := cat.RegisterWhileHandler(&uda.FuncWhileHandler{
 		HName: whileName,
-		Fn: func(rel *uda.TupleSet, d types.Delta) ([]types.Delta, error) {
+		Fn: func(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) error {
 			if len(d.Tup) < 2 {
-				return nil, fmt.Errorf("wrap: state tuples must be (k, v)")
+				return fmt.Errorf("wrap: state tuples must be (k, v)")
 			}
 			if rel.Len() == 0 {
 				rel.Add(d.Tup.Clone())
-				return []types.Delta{d}, nil
+			} else if rel.Tuples[0].Equal(d.Tup) {
+				return nil
+			} else {
+				rel.ReplaceFirst(rel.Tuples[0], d.Tup.Clone())
 			}
-			if rel.Tuples[0].Equal(d.Tup) {
-				return nil, nil
-			}
-			rel.ReplaceFirst(rel.Tuples[0], d.Tup.Clone())
-			return []types.Delta{d}, nil
+			return out.Emit(d)
 		},
 	})
 	if err != nil {

@@ -116,10 +116,10 @@ func TestBackendRefusals(t *testing.T) {
 		}},
 		{"JoinHandler", remote, func(s *rex.Session) error {
 			return s.JoinHandler("j", rex.Schema("x:Integer"),
-				func(l, r *rex.TupleSet, d rex.Delta, fromLeft bool) ([]rex.Delta, error) { return nil, nil })
+				func(l, r *rex.TupleSet, d rex.Delta, fromLeft bool, out *rex.Emitter) error { return nil })
 		}},
 		{"WhileHandler", remote, func(s *rex.Session) error {
-			return s.WhileHandler("w", func(rel *rex.TupleSet, d rex.Delta) ([]rex.Delta, error) { return nil, nil })
+			return s.WhileHandler("w", func(rel *rex.TupleSet, d rex.Delta, out *rex.Emitter) error { return nil })
 		}},
 		{"RunPlan", remote, func(s *rex.Session) error {
 			_, err := s.RunPlan(ctx, plan, rex.Options{})

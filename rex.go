@@ -75,10 +75,30 @@
 //
 //	WITH R (cols) AS (base) UNION UNTIL FIXPOINT BY key [USING handler] (recursive)
 //
+// whose delta handlers (Session.JoinHandler, Session.WhileHandler) write
+// their output through an Emitter, straight into the operator's typed
+// output lanes:
+//
+//	s.WhileHandler("keepmin", func(rel *rex.TupleSet, d rex.Delta, out *rex.Emitter) error {
+//		dist, _ := d.Tup[1].(float64)
+//		if rel.Len() == 0 {
+//			rel.Add(d.Tup)
+//		} else if rel.Tuples[0][1].(float64) > dist {
+//			rel.Set(0, d.Tup)
+//		} else {
+//			return nil // no improvement: nothing to propagate
+//		}
+//		out.Begin(rex.OpUpdate)
+//		out.Value(d.Tup[0])
+//		out.Float(dist)
+//		return out.End()
+//	})
+//
 // Internally the engine executes columnar: delta batches flow between
 // operators as typed column vectors, travel the wire in a near-zero-copy
 // frame layout, and recycle through per-round allocation pools; per-row
-// operators (handlers, UDAs, TVFs) read rows off the batch. This is
+// operators (handlers, UDAs, TVFs) read rows off the batch, and handlers
+// emit into one. This is
 // transparent — results are bit-identical with Options.NoVectorize, which
 // evaluates expressions through the interpreter instead of compiled
 // column kernels.
@@ -109,6 +129,13 @@ type (
 	Delta = types.Delta
 	// TupleSet is a mutable bucket of tuples passed to delta handlers.
 	TupleSet = uda.TupleSet
+	// Emitter is where a delta handler writes its output deltas: straight
+	// into the operator's output batch, one typed column at a time
+	// (Begin, Int / Float / Str / Value per column, End) or a whole Delta
+	// at a time (Emit). See Session.JoinHandler.
+	Emitter = uda.Emitter
+	// Op is a delta's annotation (Definition 1 of the paper).
+	Op = types.Op
 	// Result is a completed query execution with per-stratum statistics.
 	Result = exec.Result
 	// StratumStats reports one recursive stratum (its Δᵢ size and time).
@@ -141,6 +168,14 @@ const (
 	RecoveryNone        = exec.RecoveryNone
 	RecoveryRestart     = exec.RecoveryRestart
 	RecoveryIncremental = exec.RecoveryIncremental
+)
+
+// Delta annotations (Definition 1 of the paper).
+const (
+	OpInsert  = types.OpInsert
+	OpDelete  = types.OpDelete
+	OpReplace = types.OpReplace
+	OpUpdate  = types.OpUpdate
 )
 
 // Delta constructors (Definition 1 of the paper).

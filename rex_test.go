@@ -51,6 +51,31 @@ func TestClusterQuickstart(t *testing.T) {
 	}
 }
 
+// A multi-column GROUP BY keeps NULL apart from the empty string, and a
+// 0x1f byte inside a string apart from a column boundary: five distinct
+// (a, b) pairs are five groups.
+func TestGroupByCompositeKeysStayDistinct(t *testing.T) {
+	c := openTest(t, WithInProc(2))
+	rows := []Tuple{
+		NewTuple("x", nil), NewTuple("x", ""),
+		NewTuple("a\x1fb", "c"), NewTuple("a", "b\x1fc"),
+		NewTuple("1", "z"),
+	}
+	mustLoad(t, c, "g", Schema("a:String", "b:String"), rows)
+	res, err := c.QueryCtx(context.Background(), `SELECT a, b, count(*) FROM g GROUP BY a, b`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != len(rows) {
+		t.Fatalf("%d groups %v, want %d", len(res.Tuples), res.Tuples, len(rows))
+	}
+	for _, g := range res.Tuples {
+		if n, _ := types.AsInt(g[2]); n != 1 {
+			t.Errorf("group %v counts %d rows, want 1", g, n)
+		}
+	}
+}
+
 func TestClusterCustomHandlersRecursive(t *testing.T) {
 	// Connected reachability via custom while handler through the public
 	// API only.
@@ -60,33 +85,37 @@ func TestClusterCustomHandlersRecursive(t *testing.T) {
 	mustLoad(t, c, "seed", Schema("srcId:Integer", "dist:Double"), []Tuple{NewTuple(int64(0), 0.0)})
 
 	err := c.JoinHandler("hops", Schema("nbr:Integer", "d:Double"),
-		func(left, right *TupleSet, d Delta, fromLeft bool) ([]Delta, error) {
+		func(left, right *TupleSet, d Delta, fromLeft bool, out *Emitter) error {
 			if fromLeft {
 				left.Add(d.Tup)
-				return nil, nil
+				return nil
 			}
 			dist, _ := types.AsFloat(d.Tup[1])
-			var out []Delta
 			for _, e := range left.Tuples {
-				out = append(out, Update(NewTuple(e[1], dist+1)))
+				out.Begin(OpUpdate)
+				out.Value(e[1])
+				out.Float(dist + 1)
+				if err := out.End(); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.WhileHandler("keepmin", func(rel *TupleSet, d Delta) ([]Delta, error) {
+	err = c.WhileHandler("keepmin", func(rel *TupleSet, d Delta, out *Emitter) error {
 		nd, _ := types.AsFloat(d.Tup[1])
 		if rel.Len() > 0 {
 			cur, _ := types.AsFloat(rel.Tuples[0][1])
 			if nd >= cur {
-				return nil, nil
+				return nil
 			}
 			rel.ReplaceFirst(rel.Tuples[0], NewTuple(d.Tup[0], nd))
 		} else {
 			rel.Add(NewTuple(d.Tup[0], nd))
 		}
-		return []Delta{Update(NewTuple(d.Tup[0], nd))}, nil
+		return out.Emit(Update(NewTuple(d.Tup[0], nd)))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -415,9 +415,27 @@ func (s *Session) RegisterFunc(name string, argKinds []types.Kind, ret types.Kin
 }
 
 // JoinHandler registers a join-state delta handler (§3.3): called with the
-// join buckets for a delta's key; revises them and returns output deltas.
+// join buckets for a delta's key; revises them and writes output deltas,
+// rows of the out schema, to the Emitter. Listing 1's PRAgg:
+//
+//	func(left, right *rex.TupleSet, d rex.Delta, fromLeft bool, out *rex.Emitter) error {
+//		if fromLeft {
+//			left.Add(d.Tup) // an edge (srcId, destId)
+//			return nil
+//		}
+//		diff, _ := d.Tup[1].(float64)
+//		for _, e := range left.Tuples {
+//			out.Begin(rex.OpUpdate)
+//			out.Value(e[1])
+//			out.Float(diff / float64(left.Len()))
+//			if err := out.End(); err != nil {
+//				return err
+//			}
+//		}
+//		return nil
+//	}
 func (s *Session) JoinHandler(name string, out *types.Schema,
-	fn func(left, right *TupleSet, d Delta, fromLeft bool) ([]Delta, error)) error {
+	fn func(left, right *TupleSet, d Delta, fromLeft bool, out *Emitter) error) error {
 	b, err := s.be.local("JoinHandler")
 	if err != nil {
 		return err
@@ -426,10 +444,23 @@ func (s *Session) JoinHandler(name string, out *types.Schema,
 }
 
 // WhileHandler registers a while-state delta handler (§3.3): called by the
-// fixpoint with the state bucket for a delta's key; returns the Δ set to
-// feed the next stratum.
+// fixpoint with the state bucket for a delta's key; writes the Δ set to
+// feed the next stratum to the Emitter — typed (Begin, one call per
+// column, End) or as a whole delta:
+//
+//	func(rel *rex.TupleSet, d rex.Delta, out *rex.Emitter) error {
+//		switch {
+//		case rel.Len() == 0:
+//			rel.Add(d.Tup)
+//		case rel.Tuples[0].Equal(d.Tup):
+//			return nil // no change: nothing to propagate
+//		default:
+//			rel.Set(0, d.Tup)
+//		}
+//		return out.Emit(d)
+//	}
 func (s *Session) WhileHandler(name string,
-	fn func(rel *TupleSet, d Delta) ([]Delta, error)) error {
+	fn func(rel *TupleSet, d Delta, out *Emitter) error) error {
 	b, err := s.be.local("WhileHandler")
 	if err != nil {
 		return err

@@ -407,33 +407,34 @@ func openChainSession(t *testing.T) (*Session, string) {
 	if err := sess.Load("graph", edges); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.WhileHandler("keepmin", func(rel *TupleSet, d Delta) ([]Delta, error) {
+	if err := sess.WhileHandler("keepmin", func(rel *TupleSet, d Delta, out *Emitter) error {
 		nd, _ := types.AsFloat(d.Tup[1])
 		if rel.Len() > 0 {
 			cur, _ := types.AsFloat(rel.Tuples[0][1])
 			if nd >= cur {
-				return nil, nil
+				return nil
 			}
 			rel.ReplaceFirst(rel.Tuples[0], NewTuple(d.Tup[0], nd))
 		} else {
 			rel.Add(NewTuple(d.Tup[0], nd))
 		}
-		return []Delta{Update(NewTuple(d.Tup[0], nd))}, nil
+		return out.Emit(Update(NewTuple(d.Tup[0], nd)))
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.JoinHandler("hops", Schema("nbr:Integer", "d:Double"),
-		func(left, right *TupleSet, d Delta, fromLeft bool) ([]Delta, error) {
+		func(left, right *TupleSet, d Delta, fromLeft bool, out *Emitter) error {
 			if fromLeft {
 				left.Add(d.Tup)
-				return nil, nil
+				return nil
 			}
 			dist, _ := types.AsFloat(d.Tup[1])
-			var out []Delta
 			for _, e := range left.Tuples {
-				out = append(out, Update(NewTuple(e[1], dist+1)))
+				if err := out.Emit(Update(NewTuple(e[1], dist+1))); err != nil {
+					return err
+				}
 			}
-			return out, nil
+			return nil
 		}); err != nil {
 		t.Fatal(err)
 	}
