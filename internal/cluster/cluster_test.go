@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -176,6 +178,68 @@ func TestRingOwnersProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Owners runs per loaded row and per ingested delta: its only allocation
+// is the result slice.
+func TestRingOwnersAllocatesOnlyItsResult(t *testing.T) {
+	r := NewRing(5, 16, 3)
+	var sink int
+	if allocs := testing.AllocsPerRun(200, func() {
+		sink += len(r.Owners(0x9e3779b97f4a7c15))
+	}); allocs > 1 {
+		t.Fatalf("Owners allocates %v times per call, want at most 1", allocs)
+	}
+}
+
+// Owners' linear distinctness check answers exactly what a seen-set walk
+// of the ring does, over random ring shapes and hashes.
+func TestRingOwnersEqualsSeenSetWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		r := NewRing(1+rng.Intn(5), 1+rng.Intn(24), 1+rng.Intn(3))
+		for k := 0; k < 50; k++ {
+			h := rng.Uint64()
+			idx := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].hash >= h })
+			var want []NodeID
+			seen := map[NodeID]bool{}
+			for i := 0; len(want) < r.replication && i < len(r.entries); i++ {
+				e := r.entries[(idx+i)%len(r.entries)]
+				if !seen[e.node] {
+					seen[e.node] = true
+					want = append(want, e.node)
+				}
+			}
+			if got := r.Owners(h); !slices.Equal(got, want) {
+				t.Fatalf("ring %d nodes rep %d hash %x: Owners = %v, want %v", len(r.nodes), r.replication, h, got, want)
+			}
+		}
+	}
+}
+
+// The per-segment ownership table agrees with Primary: every hash in a
+// segment has the segment's primary, and SegmentOf places every ring entry
+// in its own segment (entries sharing a position leave the later ones'
+// segments empty).
+func TestSegmentPrimaryMatchesPrimary(t *testing.T) {
+	r := NewRing(4, 8, 2)
+	snap := NewSnapshot(r, r.Nodes()).Without(2)
+	for i, e := range r.entries {
+		if got := r.SegmentOf(e.hash); got != i && (got > i || r.entries[got].hash != e.hash) {
+			t.Fatalf("entry %d hash %x: SegmentOf = %d", i, e.hash, got)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 5000; k++ {
+		h := rng.Uint64()
+		p, err := snap.Primary(h)
+		if err != nil || p != snap.SegmentPrimary(r.SegmentOf(h)) {
+			t.Fatalf("hash %x: Primary %v, %v; segment %d primary %v", h, p, err, r.SegmentOf(h), snap.SegmentPrimary(r.SegmentOf(h)))
+		}
+	}
+	if none := NewSnapshot(r, nil); none.SegmentPrimary(0) != -1 {
+		t.Fatal("a snapshot with no alive node has a segment primary")
 	}
 }
 

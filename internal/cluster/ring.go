@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -76,17 +77,42 @@ func (r *Ring) Replication() int { return r.replication }
 // Nodes reports all physical nodes on the ring.
 func (r *Ring) Nodes() []NodeID { return r.nodes }
 
+// Segments reports how many ring segments partition the hash space: one
+// per ring entry, segment i being the hash range that ends at entry i (the
+// first segment also takes the wrap-around past the last entry).
+func (r *Ring) Segments() int { return len(r.entries) }
+
+// SegmentOf returns the segment holding hash h: the index of the first
+// ring entry at or after h, wrapping to 0 past the last.
+func (r *Ring) SegmentOf(h uint64) int {
+	lo, hi := 0, len(r.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.entries[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(r.entries) {
+		return 0
+	}
+	return lo
+}
+
 // Owners returns the replication-many distinct nodes responsible for hash h,
-// in ring order (the first is the primary owner).
+// in ring order (the first is the primary owner). The distinctness check is
+// a scan of the owners found so far: there are at most replication of them.
 func (r *Ring) Owners(h uint64) []NodeID {
-	idx := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].hash >= h })
+	idx := r.SegmentOf(h)
 	owners := make([]NodeID, 0, r.replication)
-	seen := map[NodeID]bool{}
 	for i := 0; len(owners) < r.replication && i < len(r.entries); i++ {
-		e := r.entries[(idx+i)%len(r.entries)]
-		if !seen[e.node] {
-			seen[e.node] = true
-			owners = append(owners, e.node)
+		j := idx + i
+		if j >= len(r.entries) {
+			j -= len(r.entries)
+		}
+		if n := r.entries[j].node; !slices.Contains(owners, n) {
+			owners = append(owners, n)
 		}
 	}
 	return owners
@@ -101,9 +127,15 @@ type Snapshot struct {
 	alive []bool // indexed by NodeID over the ring's nodes
 	// aliveList caches alive node ids in order.
 	aliveList []NodeID
+	// primary holds each ring segment's owner under this snapshot: the
+	// first alive node met walking the ring from the segment's entry, or
+	// -1 when no node is alive. It is the one ownership table: rehash
+	// routes a delta by it and a scan decides a stored segment by it.
+	primary []NodeID
 }
 
-// NewSnapshot captures the ring with the given live nodes.
+// NewSnapshot captures the ring with the given live nodes and computes the
+// primary of every ring segment, once.
 func NewSnapshot(r *Ring, alive []NodeID) *Snapshot {
 	s := &Snapshot{ring: r, alive: make([]bool, len(r.nodes))}
 	for _, n := range alive {
@@ -113,6 +145,18 @@ func NewSnapshot(r *Ring, alive []NodeID) *Snapshot {
 	}
 	s.aliveList = append(s.aliveList, alive...)
 	sort.Slice(s.aliveList, func(i, j int) bool { return s.aliveList[i] < s.aliveList[j] })
+	// Walk the ring backwards twice: the second lap sees, at every entry,
+	// the nearest alive entry at or after it, wrap-around included.
+	s.primary = make([]NodeID, len(r.entries))
+	next := NodeID(-1)
+	for lap := 0; lap < 2; lap++ {
+		for i := len(r.entries) - 1; i >= 0; i-- {
+			if n := r.entries[i].node; s.alive[n] {
+				next = n
+			}
+			s.primary[i] = next
+		}
+	}
 	return s
 }
 
@@ -125,23 +169,17 @@ func (s *Snapshot) AliveNodes() []NodeID { return s.aliveList }
 // Ring exposes the underlying ring.
 func (s *Snapshot) Ring() *Ring { return s.ring }
 
+// SegmentPrimary returns the primary owner of ring segment seg (see
+// Ring.SegmentOf) under this snapshot, or -1 when no node is alive.
+func (s *Snapshot) SegmentPrimary(seg int) NodeID { return s.primary[seg] }
+
 // Primary returns the first alive owner of hash h — the node a rehash
-// routes the key to under this snapshot. It runs once per shuffled delta
-// and once per scanned row, so it walks the ring entries in place instead
-// of materializing Owners: the first alive node met is the answer whether
-// it is one of the replication-many owners or, with every owner dead, the
-// next alive node past them in ring order.
+// routes the key to under this snapshot: one of the replication-many
+// owners or, with every owner dead, the next alive node past them in ring
+// order. It is a lookup in the snapshot's per-segment table.
 func (s *Snapshot) Primary(h uint64) (NodeID, error) {
-	entries := s.ring.entries
-	idx := sort.Search(len(entries), func(i int) bool { return entries[i].hash >= h })
-	for i := 0; i < len(entries); i++ {
-		j := idx + i
-		if j >= len(entries) {
-			j -= len(entries)
-		}
-		if n := entries[j].node; s.alive[n] {
-			return n, nil
-		}
+	if n := s.primary[s.ring.SegmentOf(h)]; n >= 0 {
+		return n, nil
 	}
 	return 0, fmt.Errorf("cluster: no alive node for hash %d", h)
 }

@@ -21,47 +21,33 @@ type scanOp struct {
 	batch int
 }
 
-// read streams this node's share of the table into emit: the rows under
-// one partition key when the plan pushed an equality into the scan,
-// otherwise the whole owned partition. The pushed expression is evaluated
-// here, after the statement's parameters are bound. A value that cannot
-// address the index (evaluation failed, or its kind is not the key
-// column's, so equal values need not hash alike) falls back to the full
-// scan; the plan's filter gives the same answer either way.
-func (s *scanOp) read(emit func(types.Tuple) error) error {
-	if s.keyEq != nil {
-		if v, err := s.keyEq.Eval(nil); err == nil && types.KindOf(v) == s.keyEq.Kind() {
-			return s.ctx.Store.LookupOwned(s.table, types.HashValue(v), s.ctx.Snap, emit)
-		}
-	}
-	return s.ctx.Store.ScanOwned(s.table, s.ctx.Snap, emit)
-}
-
-// Start scans the partition into one pooled batch per BatchSize rows and
-// hands each downstream as a unit, so the base stratum never materializes
-// per-row deltas.
+// Start sends this node's share of the table downstream, then closes the
+// edge: the rows under one partition key when the plan pushed an equality
+// into the scan, otherwise the whole owned partition, as the chunks the
+// store holds it in. The pushed expression is evaluated here, after the
+// statement's parameters are bound. A value that cannot address the index
+// (evaluation failed, or its kind is not the key column's, so equal values
+// need not hash alike) falls back to the full scan; the plan's filter
+// gives the same answer either way.
 func (s *scanOp) Start() error {
-	b := types.GetBatch()
-	defer types.PutBatch(b)
-	flush := func() error {
-		err := s.outs.sendBatch(b)
-		b.Reset()
-		return err
-	}
-	err := s.read(func(t types.Tuple) error {
-		b.AppendInsert(t)
-		if b.Len() >= s.batch {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := flush(); err != nil {
+	if err := s.read(); err != nil {
 		return err
 	}
 	return s.outs.punct(0, true)
+}
+
+func (s *scanOp) read() error {
+	if s.keyEq != nil {
+		if v, err := s.keyEq.Eval(nil); err == nil && types.KindOf(v) == s.keyEq.Kind() {
+			b := types.GetBatch()
+			defer types.PutBatch(b)
+			if err := s.ctx.Store.LookupOwned(s.table, types.HashValue(v), s.ctx.Snap, b); err != nil {
+				return err
+			}
+			return s.outs.sendBatch(b)
+		}
+	}
+	return s.ctx.Store.ScanBatches(s.table, s.ctx.Snap, s.outs.sendBatch)
 }
 
 // Inject feeds a base-table delta batch through this scan's edge during a
@@ -103,11 +89,13 @@ type filterOp struct {
 	kern *expr.Kernel
 	outs outputs
 
-	// kernel scratch: per-row verdicts over new and old images, and the
-	// replace-row selection, reused across batches.
+	// kernel scratch: per-row verdicts over new and old images, the
+	// replace-row selection and the survivor selection, reused across
+	// batches.
 	selNew  []bool
 	selOld  []bool
 	oldRows []int32
+	sel     []int32
 }
 
 // newFilterOp builds the operator and, with kernels on, compiles the
@@ -173,6 +161,17 @@ func (f *filterOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 	kernelVectorBatches.Add(1)
 	out := types.GetBatch()
 	defer types.PutBatch(out)
+	if !hasOld || len(f.oldRows) == 0 {
+		// No replace rows: the survivors are one gather over the selection.
+		f.sel = f.sel[:0]
+		for i, ok := range f.selNew[:n] {
+			if ok {
+				f.sel = append(f.sel, int32(i))
+			}
+		}
+		out.Gather(b, f.sel)
+		return true, f.outs.sendBatch(out)
+	}
 	var scratch types.Tuple
 	for i := 0; i < n; i++ {
 		if b.Op(i) == types.OpReplace && hasOld {

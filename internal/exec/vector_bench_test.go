@@ -136,6 +136,45 @@ func BenchmarkFilter4kBridged(b *testing.B) {
 	benchFilter4k(b, f)
 }
 
+// The survivor-copy pair isolates the filter kernel's output assembly:
+// the rows passing dist < 25 gathered a column at a time (what
+// pushKernel does for batches without replace rows) vs copied row by row
+// with AppendRowFrom.
+func benchSurvivors(b *testing.B) (*types.DeltaBatch, []int32) {
+	cb := benchBatch4k(b)
+	var sel []int32
+	for i := 0; i < cb.Len(); i++ {
+		if d, _ := cb.Col(1).Float(i); d < 25 {
+			sel = append(sel, int32(i))
+		}
+	}
+	return cb, sel
+}
+
+func BenchmarkFilter4kGather(b *testing.B) {
+	cb, sel := benchSurvivors(b)
+	out := types.GetBatch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Gather(cb, sel)
+		out.Reset()
+	}
+}
+
+func BenchmarkFilter4kRowCopy(b *testing.B) {
+	cb, sel := benchSurvivors(b)
+	out := types.GetBatch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range sel {
+			out.AppendRowFrom(cb, int(r))
+		}
+		out.Reset()
+	}
+}
+
 // The project pair measures column-at-a-time output assembly vs per-row
 // interpretation: (vertex, dist*0.5+1) over the same 4096-row batch.
 func benchProjectExprs() []expr.Expr {

@@ -30,9 +30,9 @@ func (r *refStore) delete(t types.Tuple) {
 	}
 }
 
-// owned lists the rows node primarily owns under snap — what ScanOwned
+// owned lists the rows node primarily owns under snap — what ScanBatches
 // must emit — optionally narrowed to one key hash, which is what
-// LookupOwned must emit.
+// LookupOwned must append.
 func (r *refStore) owned(t *testing.T, node cluster.NodeID, snap *cluster.Snapshot, onlyHash *uint64) []string {
 	var out []string
 	for _, row := range r.rows {
@@ -49,12 +49,41 @@ func (r *refStore) owned(t *testing.T, node cluster.NodeID, snap *cluster.Snapsh
 	return out
 }
 
-func emitted(t *testing.T, read func(emit func(types.Tuple) error) error) []string {
+// rowsOf renders a batch's rows, which must all be insertions.
+func rowsOf(t *testing.T, b *types.DeltaBatch, out []string) []string {
+	t.Helper()
+	for i := 0; i < b.Len(); i++ {
+		d := b.Delta(i)
+		if d.Op != types.OpInsert {
+			t.Fatalf("stored row %v carries op %v", d.Tup, d.Op)
+		}
+		out = append(out, fmt.Sprint(d.Tup))
+	}
+	return out
+}
+
+// scanned is the multiset ScanBatches emits, sorted.
+func scanned(t *testing.T, st storage.Backend, table string, snap *cluster.Snapshot) []string {
 	t.Helper()
 	var out []string
-	if err := read(func(row types.Tuple) error { out = append(out, fmt.Sprint(row)); return nil }); err != nil {
+	if err := st.ScanBatches(table, snap, func(b *types.DeltaBatch) error {
+		out = rowsOf(t, b, out)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	sort.Strings(out)
+	return out
+}
+
+// lookedUp is the multiset LookupOwned appends, sorted.
+func lookedUp(t *testing.T, st storage.Backend, table string, h uint64, snap *cluster.Snapshot) []string {
+	t.Helper()
+	var b types.DeltaBatch
+	if err := st.LookupOwned(table, h, snap, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := rowsOf(t, &b, nil)
 	sort.Strings(out)
 	return out
 }
@@ -72,15 +101,23 @@ func oracleKey(r *rand.Rand, domain int) types.Value {
 }
 
 // runStoreOracle drives a random insert/delete/replace schedule into three
-// stores of one backend (ring of three, replication two) and into the
-// reference model, checking after every burst that the two agree — under
-// the full snapshot and with node 1 dead, its ranges promoted to replicas.
+// stores of one backend (ring of three, replication 1–3 by seed) and into
+// the reference model, checking after every burst that the two agree —
+// under the full snapshot, with each node dead in turn (its ranges
+// promoted to replicas), and under snapshots of a second ring, which makes
+// the RAM store re-place its rows (and the next write re-place them back).
 func runStoreOracle(t *testing.T, seed int64, ops int, pad string, open func(node cluster.NodeID) storage.Backend) {
 	const table, keyCol, nodes = "t", 1, 3
 	r := rand.New(rand.NewSource(seed))
-	ring := cluster.NewRing(nodes, 16, 2)
+	replication := 1 + int(seed%3)
+	ring := cluster.NewRing(nodes, 16, replication)
 	full := cluster.NewSnapshot(ring, ring.Nodes())
-	snaps := []*cluster.Snapshot{full, full.Without(1)}
+	other := cluster.NewRing(nodes, 11, replication)
+	otherFull := cluster.NewSnapshot(other, other.Nodes())
+	snaps := []*cluster.Snapshot{full, otherFull, otherFull.Without(2)}
+	for n := 0; n < nodes; n++ {
+		snaps = append(snaps, full.Without(cluster.NodeID(n)))
+	}
 
 	stores := make([]storage.Backend, nodes)
 	refs := make([]*refStore, nodes)
@@ -139,9 +176,12 @@ func runStoreOracle(t *testing.T, seed int64, ops int, pad string, open func(nod
 				if !snap.Alive(node) {
 					continue
 				}
-				got := emitted(t, func(emit func(types.Tuple) error) error { return st.ScanOwned(table, snap, emit) })
+				got := scanned(t, st, table, snap)
 				if want := refs[n].owned(t, node, snap, nil); strings.Join(got, "\n") != strings.Join(want, "\n") {
-					t.Fatalf("seed %d step %d node %d snap %d: ScanOwned has %d rows, model %d", seed, step, n, si, len(got), len(want))
+					t.Fatalf("seed %d step %d node %d snap %d: ScanBatches has %d rows, model %d", seed, step, n, si, len(got), len(want))
+				}
+				if c, err := st.CountOwned(table, snap); err != nil || c != len(got) {
+					t.Fatalf("seed %d step %d node %d snap %d: CountOwned = %d, %v; scan has %d", seed, step, n, si, c, err, len(got))
 				}
 				// Every key present anywhere, plus keys present nowhere.
 				probes := map[uint64]types.Value{}
@@ -152,7 +192,7 @@ func runStoreOracle(t *testing.T, seed int64, ops int, pad string, open func(nod
 					probes[types.HashValue(absent)] = absent
 				}
 				for h, key := range probes {
-					got := emitted(t, func(emit func(types.Tuple) error) error { return st.LookupOwned(table, h, snap, emit) })
+					got := lookedUp(t, st, table, h, snap)
 					if want := refs[n].owned(t, node, snap, &h); strings.Join(got, "\n") != strings.Join(want, "\n") {
 						t.Fatalf("seed %d step %d node %d snap %d key %v: LookupOwned = %v, model %v", seed, step, n, si, key, got, want)
 					}
@@ -260,14 +300,16 @@ func BenchmarkPagedLookup(b *testing.B) {
 	s, rows, snap := pagedBenchStore(b)
 	r := rand.New(rand.NewSource(1))
 	n := 0
-	emit := func(types.Tuple) error { n++; return nil }
+	out := new(types.DeltaBatch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := types.HashValue(rows[r.Intn(len(rows))][0])
-		if err := s.LookupOwned("t", h, snap, emit); err != nil {
+		if err := s.LookupOwned("t", h, snap, out); err != nil {
 			b.Fatal(err)
 		}
+		n += out.Len()
+		out.Reset()
 	}
 	if n < b.N {
 		b.Fatalf("%d lookups emitted %d rows", b.N, n)

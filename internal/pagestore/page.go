@@ -2,7 +2,7 @@
 // fixed-size slotted pages behind a buffer pool with clock eviction, one
 // page file per table under a node data directory, a write-ahead log with
 // round-commit marks, and durable checkpoint images. It exposes the same
-// Insert/Delete/ApplyDelta/ScanOwned surface as storage.Store (the
+// Insert/Delete/ApplyDelta/ScanBatches surface as storage.Store (the
 // storage.Backend interface), so the executor runs against it
 // transparently; the Durable capability set on top is what lets a
 // SIGKILLed node rejoin a standing query from its last committed round.

@@ -338,46 +338,78 @@ func (s *Store) applyLocked(tableName string, d types.Delta) error {
 	return nil
 }
 
-// ScanOwned streams the tuples this node primarily owns under snap.
-// Ownership is checked against the record's stored key hash before the
-// tuple is decoded, so replica copies cost a hash compare, not a
-// materialization.
-func (s *Store) ScanOwned(tableName string, snap *cluster.Snapshot, emit func(types.Tuple) error) error {
-	return s.scanWhere(tableName, func(hash uint64) (bool, error) {
+// owns is the ownership filter of a scan under snap. It is checked against
+// a record's stored key hash before the tuple is decoded, so replica
+// copies cost a hash compare, not a materialization.
+func (s *Store) owns(snap *cluster.Snapshot) func(hash uint64) (bool, error) {
+	return func(hash uint64) (bool, error) {
 		primary, err := snap.Primary(hash)
 		return primary == s.node, err
-	}, emit)
+	}
 }
 
-// LookupOwned streams the tuples whose partition-key hash is keyHash, if
-// this node primarily owns that hash under snap. The paged store keeps no
-// key directory: the lookup is a page walk that compares each record's
+// ScanBatches emits the rows this node primarily owns under snap, decoded
+// page by page into one pooled all-insert batch of at most
+// types.MaxPooledRows rows. The store mutex is held while emit runs.
+func (s *Store) ScanBatches(tableName string, snap *cluster.Snapshot, emit func(*types.DeltaBatch) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := types.GetBatch()
+	defer types.PutBatch(b)
+	err := s.walkLocked(tableName, s.owns(snap), func(t types.Tuple) error {
+		b.AppendInsert(t)
+		if b.Len() < types.MaxPooledRows {
+			return nil
+		}
+		err := emit(b)
+		b.Reset()
+		return err
+	})
+	if err == nil && b.Len() > 0 {
+		err = emit(b)
+	}
+	return err
+}
+
+// ScanOwned streams the owned rows as decoded tuples. It is kept for the
+// paged replay leg of the load benchmark (benchmark/layers.go); the
+// executor scans batches.
+func (s *Store) ScanOwned(tableName string, snap *cluster.Snapshot, emit func(types.Tuple) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.walkLocked(tableName, s.owns(snap), emit)
+}
+
+// LookupOwned appends to out the rows whose partition-key hash is keyHash,
+// if this node primarily owns that hash under snap. The paged store keeps
+// no key directory: the lookup is a page walk that compares each record's
 // stored hash and decodes only the matches — the same filter Delete uses.
-func (s *Store) LookupOwned(tableName string, keyHash uint64, snap *cluster.Snapshot, emit func(types.Tuple) error) error {
+func (s *Store) LookupOwned(tableName string, keyHash uint64, snap *cluster.Snapshot, out *types.DeltaBatch) error {
 	primary, err := snap.Primary(keyHash)
 	if err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if primary != s.node {
 		// Not ours to answer; an unknown table is still an error, as it is
-		// for ScanOwned on a node that owns nothing.
-		s.mu.Lock()
-		defer s.mu.Unlock()
+		// for a scan on a node that owns nothing.
 		if _, ok := s.tables[tableName]; !ok {
 			return fmt.Errorf("pagestore: node %d: unknown table %q", s.node, tableName)
 		}
 		return nil
 	}
-	return s.scanWhere(tableName, func(hash uint64) (bool, error) {
+	return s.walkLocked(tableName, func(hash uint64) (bool, error) {
 		return hash == keyHash, nil
-	}, emit)
+	}, func(t types.Tuple) error {
+		out.AppendInsert(t)
+		return nil
+	})
 }
 
-// scanWhere walks every page of a table, decoding and emitting the records
-// whose stored key hash satisfies keep.
-func (s *Store) scanWhere(tableName string, keep func(hash uint64) (bool, error), emit func(types.Tuple) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// walkLocked walks every page of a table, decoding and emitting the
+// records whose stored key hash satisfies keep. The caller holds s.mu.
+func (s *Store) walkLocked(tableName string, keep func(hash uint64) (bool, error), emit func(types.Tuple) error) error {
 	tab, ok := s.tables[tableName]
 	if !ok {
 		return fmt.Errorf("pagestore: node %d: unknown table %q", s.node, tableName)
@@ -406,10 +438,20 @@ func (s *Store) scanWhere(tableName string, keep func(hash uint64) (bool, error)
 	return nil
 }
 
-// CountOwned reports how many tuples this node primarily owns under snap.
+// CountOwned reports how many tuples this node primarily owns under snap,
+// from the records' stored hashes (nothing is decoded).
 func (s *Store) CountOwned(tableName string, snap *cluster.Snapshot) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
-	err := s.ScanOwned(tableName, snap, func(types.Tuple) error { n++; return nil })
+	owns := s.owns(snap)
+	err := s.walkLocked(tableName, func(hash uint64) (bool, error) {
+		ok, err := owns(hash)
+		if ok {
+			n++
+		}
+		return false, err
+	}, nil)
 	return n, err
 }
 

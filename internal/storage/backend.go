@@ -10,6 +10,13 @@ import (
 // internal/pagestore. Workers, the standing-query pump, and the Loader
 // only ever see this interface, so a node's storage can live entirely in
 // RAM or behind a buffer pool transparently.
+//
+// Concurrency: every method is safe for concurrent use. ScanBatches holds
+// the table's read lock (the paged store: its mutex) while emit runs, so a
+// writer waits for a running scan and a scan never sees half a mutation.
+// emit must therefore not write to the same backend. Writers are
+// serialized against a session's queries anyway, by the session lock and
+// the worker loop.
 type Backend interface {
 	// Node reports the owning node.
 	Node() cluster.NodeID
@@ -23,13 +30,15 @@ type Backend interface {
 	Delete(table string, t types.Tuple) bool
 	// ApplyDelta applies one base-table change to this node's local copies.
 	ApplyDelta(table string, d types.Delta) error
-	// ScanOwned streams the tuples this node primarily owns under snap.
-	ScanOwned(table string, snap *cluster.Snapshot, emit func(types.Tuple) error) error
-	// LookupOwned streams the tuples whose partition-key hash is keyHash,
-	// if this node primarily owns that hash under snap: ScanOwned filtered
-	// by key hash, without the scan. Hash collisions are the caller's to
-	// filter.
-	LookupOwned(table string, keyHash uint64, snap *cluster.Snapshot, emit func(types.Tuple) error) error
+	// ScanBatches emits the rows this node primarily owns under snap as
+	// all-insert batches, read-only and borrowed for the emit call (the
+	// Operator.Push contract).
+	ScanBatches(table string, snap *cluster.Snapshot, emit func(*types.DeltaBatch) error) error
+	// LookupOwned appends to out the rows whose partition-key hash is
+	// keyHash, if this node primarily owns that hash under snap:
+	// ScanBatches filtered by key hash, without the scan. Hash collisions
+	// are the caller's to filter.
+	LookupOwned(table string, keyHash uint64, snap *cluster.Snapshot, out *types.DeltaBatch) error
 	// CountOwned reports how many tuples this node primarily owns under snap.
 	CountOwned(table string, snap *cluster.Snapshot) (int, error)
 	// CountLocal reports all local copies (primary + replica) of a table.

@@ -74,21 +74,23 @@ func TestKeyedOpsExamineAChainNotTheTable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	const ops = 5000
 	emitted := 0
+	out := new(types.DeltaBatch)
 	for i := 0; i < ops; i++ {
 		key := rows[r.Intn(len(rows))][0]
-		err := s.LookupOwned("t", types.HashValue(key), snap, func(types.Tuple) error { emitted++; return nil })
-		if err != nil {
+		if err := s.LookupOwned("t", types.HashValue(key), snap, out); err != nil {
 			t.Fatal(err)
 		}
+		emitted += out.Len()
+		out.Reset()
 	}
 	hit := mean(ops) - float64(emitted)/ops
 	for i := 0; i < ops; i++ {
 		absent := int64(1_000_000 + i)
-		if err := s.LookupOwned("t", types.HashValue(absent), snap, func(types.Tuple) error {
-			t.Fatalf("lookup of absent key %d emitted a row", absent)
-			return nil
-		}); err != nil {
+		if err := s.LookupOwned("t", types.HashValue(absent), snap, out); err != nil {
 			t.Fatal(err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("lookup of absent key %d found %d rows", absent, out.Len())
 		}
 	}
 	miss := mean(ops)
@@ -114,11 +116,13 @@ func TestLookupHitDoesNotAllocate(t *testing.T) {
 	s, snap := keyedStore(t, rows)
 	h := types.HashValue(rows[len(rows)/2][0])
 	n := 0
-	emit := func(types.Tuple) error { n++; return nil }
+	out := new(types.DeltaBatch)
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := s.LookupOwned("t", h, snap, emit); err != nil {
+		if err := s.LookupOwned("t", h, snap, out); err != nil {
 			t.Fatal(err)
 		}
+		n += out.Len()
+		out.Reset()
 	})
 	if n == 0 {
 		t.Fatal("lookup found no rows")
@@ -140,8 +144,12 @@ func TestIndexStaysWithinSixBytesPerRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := s.tables["t"]
-		if bytes := 4 * (len(p.heads) + len(p.next)); len(p.next) != i || i > 4*minBuckets && bytes > 6*i {
-			t.Fatalf("%d rows: index links %d rows in %d bytes, want all rows in at most 6 bytes each", i, len(p.next), bytes)
+		links := 0
+		for j := range p.segs {
+			links += len(p.segs[j].next)
+		}
+		if bytes := 4 * (len(p.heads) + links); links != i || i > 4*minBuckets && bytes > 6*i {
+			t.Fatalf("%d rows: index links %d rows in %d bytes, want all rows in at most 6 bytes each", i, links, bytes)
 		}
 	}
 }
@@ -160,17 +168,22 @@ func TestIndexBuiltOnFirstKeyedUse(t *testing.T) {
 	if n, err := s.CountOwned("t", snap); err != nil || n != len(rows) {
 		t.Fatalf("CountOwned = %d, %v", n, err)
 	}
-	if p := s.tables["t"]; p.heads != nil || p.next != nil {
-		t.Fatal("a table that was only loaded and scanned carries an index")
+	p := s.tables["t"]
+	for i := range p.segs {
+		if p.heads != nil || p.segs[i].next != nil {
+			t.Fatal("a table that was only loaded and scanned carries an index")
+		}
 	}
+	out := new(types.DeltaBatch)
 	for key, want := range perKey {
+		err := s.LookupOwned("t", types.HashValue(key), snap, out)
 		got := 0
-		err := s.LookupOwned("t", types.HashValue(key), snap, func(row types.Tuple) error {
-			if row[0].(int64) == key {
+		for i := 0; i < out.Len(); i++ {
+			if k, _ := out.Col(0).Int(i); k == key {
 				got++
 			}
-			return nil
-		})
+		}
+		out.Reset()
 		if err != nil || got != want {
 			t.Fatalf("key %d: lookup found %d rows (%v), want %d", key, got, err, want)
 		}
@@ -195,13 +208,15 @@ func BenchmarkStoreLookup(b *testing.B) {
 	for i := range hashes {
 		hashes[i] = types.HashValue(rows[r.Intn(len(rows))][0])
 	}
-	emit := func(types.Tuple) error { sink++; return nil }
+	out := new(types.DeltaBatch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.LookupOwned("t", hashes[i%len(hashes)], snap, emit); err != nil {
+		if err := s.LookupOwned("t", hashes[i%len(hashes)], snap, out); err != nil {
 			b.Fatal(err)
 		}
+		sink += out.Len()
+		out.Reset()
 	}
 }
 
@@ -228,15 +243,117 @@ func BenchmarkStoreDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreScan times a full-snapshot ScanBatches of a 50 000-row
+// table, reported per row.
 func BenchmarkStoreScan(b *testing.B) {
 	rows := keyedRows(50_000)
 	s, snap := keyedStore(b, rows)
-	emit := func(types.Tuple) error { sink++; return nil }
+	emit := func(c *types.DeltaBatch) error { sink += c.Len(); return nil }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.ScanOwned("t", snap, emit); err != nil {
+		if err := s.ScanBatches("t", snap, emit); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+}
+
+// The scan's complexity gate, in counts: a full-snapshot scan of 50 000
+// rows decides ownership at most once per ring segment, and allocates
+// nothing per row.
+func TestScanDecidesPerSegment(t *testing.T) {
+	rows := keyedRows(50_000)
+	s, snap := keyedStore(t, rows)
+	decided, emitted := 0, 0
+	s.decided = func(n int) { decided += n }
+	emit := func(c *types.DeltaBatch) error { emitted += c.Len(); return nil }
+	if err := s.ScanBatches("t", snap, emit); err != nil {
+		t.Fatal(err)
+	}
+	if emitted != len(rows) {
+		t.Fatalf("scan emitted %d rows, want %d", emitted, len(rows))
+	}
+	if segs := snap.Ring().Segments(); decided > segs {
+		t.Fatalf("scan made %d ownership decisions over %d segments", decided, segs)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := s.ScanBatches("t", snap, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a %d-row scan allocates %.1f times, want at most 1", len(rows), allocs)
+	}
+}
+
+// ScanBatches holds the table's read lock while it emits, so a scan that
+// races writers still sees one consistent table. Every write is a replace
+// (a delete that swap-removes, then an insert) moving one unit between a
+// row's two payload columns, so a+b stays fixed: every scan must see each
+// key exactly once with its invariant intact. Run it under -race.
+func TestScanSeesConsistentTableUnderApply(t *testing.T) {
+	const keys, total = 3000, 100
+	ring := cluster.NewRing(1, 16, 1)
+	snap := cluster.NewSnapshot(ring, ring.Nodes())
+	s := NewStore(0)
+	rows := make([]types.Tuple, keys)
+	for k := range rows {
+		rows[k] = types.NewTuple(int64(k), int64(total), int64(0))
+	}
+	l := &Loader{Ring: ring, Stores: []Backend{s}}
+	if err := l.Load("t", 0, rows); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	werr := make(chan error, 1)
+	go func() {
+		defer close(werr)
+		r := rand.New(rand.NewSource(5))
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			k := r.Intn(keys)
+			old := rows[k]
+			next := types.NewTuple(old[0], old[1].(int64)-1, old[2].(int64)+1)
+			if next[1].(int64) < 0 {
+				next = types.NewTuple(old[0], int64(total), int64(0))
+			}
+			if err := s.ApplyDelta("t", types.Replace(old, next)); err != nil {
+				werr <- err
+				return
+			}
+			rows[k] = next
+		}
+	}()
+	for scan := 0; scan < 200; scan++ {
+		seen := make([]bool, keys)
+		n := 0
+		err := s.ScanBatches("t", snap, func(b *types.DeltaBatch) error {
+			for i := 0; i < b.Len(); i++ {
+				k, _ := b.Col(0).Int(i)
+				a, _ := b.Col(1).Int(i)
+				c, _ := b.Col(2).Int(i)
+				if seen[k] || a+c != total {
+					t.Errorf("scan %d: row %d (%d, %d) seen twice or torn", scan, k, a, c)
+				}
+				seen[k] = true
+				n++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != keys {
+			t.Fatalf("scan %d saw %d rows, want %d", scan, n, keys)
+		}
+	}
+	close(done)
+	if err := <-werr; err != nil {
+		t.Fatal(err)
 	}
 }

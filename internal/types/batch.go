@@ -491,6 +491,189 @@ func (b *DeltaBatch) AppendRowFrom(src *DeltaBatch, i int) {
 	b.n++
 }
 
+// Gather appends the rows of src listed in sel, in order: the result is
+// AppendRowFrom(src, i) for each i of sel, built a column at a time. Typed
+// lanes copy with one loop per column; NULLs, mixed lanes and columns
+// whose kinds disagree take the per-row copy.
+func (b *DeltaBatch) Gather(src *DeltaBatch, sel []int32) {
+	if len(sel) == 0 {
+		return
+	}
+	if b.n == 0 {
+		b.cols = ensureCols(b.cols, len(src.cols))
+	} else if len(b.cols) != len(src.cols) {
+		panic("types: DeltaBatch.Gather: arity mismatch")
+	}
+	for _, i := range sel {
+		b.ops = append(b.ops, src.ops[i])
+	}
+	for j := range b.cols {
+		b.cols[j].gather(&src.cols[j], sel)
+	}
+	if src.old != nil && b.old == nil {
+		for _, i := range sel {
+			if src.Op(int(i)) == OpReplace {
+				b.old = ensureCols(nil, len(src.old))
+				padCols(b.old, b.n)
+				break
+			}
+		}
+	}
+	if b.old != nil {
+		if src.old == nil {
+			padCols(b.old, b.n+len(sel))
+		} else {
+			// A source batch's old group is NULL on its non-replace rows,
+			// which is what AppendRowFrom pads them with.
+			for j := range b.old {
+				b.old[j].gather(&src.old[j], sel)
+			}
+		}
+	}
+	b.n += len(sel)
+}
+
+// gather appends rows sel of src (see DeltaBatch.Gather).
+func (c *Column) gather(src *Column, sel []int32) {
+	src.mat()
+	c.mat()
+	typed := c.anys == nil && src.anys == nil && src.kind != KindNull &&
+		(c.kind == KindNull || c.kind == src.kind)
+	if typed && src.HasNulls() {
+		// Adopting the lane's kind is right only once a selected row is
+		// valid, as it is for appendFrom.
+		typed = false
+		for _, i := range sel {
+			if !src.IsNull(int(i)) {
+				typed = true
+				break
+			}
+		}
+	}
+	if !typed {
+		for _, i := range sel {
+			c.appendFrom(src, int(i))
+		}
+		return
+	}
+	base := c.n
+	c.adopt(src.kind)
+	switch src.kind {
+	case KindInt:
+		for _, i := range sel {
+			c.ints = append(c.ints, src.ints[i])
+		}
+	case KindFloat:
+		for _, i := range sel {
+			c.floats = append(c.floats, src.floats[i])
+		}
+	case KindString:
+		for _, i := range sel {
+			c.strs = append(c.strs, src.strs[i])
+		}
+	case KindBool:
+		for _, i := range sel {
+			c.bools = append(c.bools, src.bools[i])
+		}
+	}
+	c.n += len(sel)
+	if len(src.nulls) > 0 {
+		for k, i := range sel {
+			if src.IsNull(int(i)) {
+				c.setNull(base + k)
+			}
+		}
+	}
+}
+
+// CopyRowFrom overwrites row i of b with row j of src, op and new image.
+// Both batches have the same arity and no old-image group: it is the
+// in-place half of a swap-remove over stored chunks.
+func (b *DeltaBatch) CopyRowFrom(i int, src *DeltaBatch, j int) {
+	if len(b.cols) != len(src.cols) || b.old != nil || src.old != nil {
+		panic("types: DeltaBatch.CopyRowFrom: shape mismatch")
+	}
+	b.ops[i] = src.ops[j]
+	for k := range b.cols {
+		b.cols[k].setFrom(i, &src.cols[k], j)
+	}
+}
+
+// setFrom overwrites row i with row j of src, demoting to the mixed lane
+// when the kinds disagree.
+func (c *Column) setFrom(i int, src *Column, j int) {
+	src.mat()
+	c.mat()
+	if src.IsNull(j) {
+		c.setNull(i)
+		return
+	}
+	c.clearNull(i)
+	if c.anys == nil && src.anys == nil && c.adopt(src.kind) {
+		switch src.kind {
+		case KindInt:
+			c.ints[i] = src.ints[j]
+		case KindFloat:
+			c.floats[i] = src.floats[j]
+		case KindString:
+			c.strs[i] = src.strs[j]
+		case KindBool:
+			c.bools[i] = src.bools[j]
+		}
+		return
+	}
+	v := src.Value(j)
+	c.demote()
+	c.anys[i] = v
+}
+
+// RowEqual reports whether the new image of row i equals t under
+// Tuple.Equal, reading typed lanes without boxing them.
+func (b *DeltaBatch) RowEqual(i int, t Tuple) bool {
+	if len(t) != len(b.cols) {
+		return false
+	}
+	for j := range b.cols {
+		c := &b.cols[j]
+		c.mat()
+		if c.IsNull(i) {
+			if t[j] != nil {
+				return false
+			}
+			continue
+		}
+		if c.anys == nil {
+			switch x := t[j].(type) {
+			case int64:
+				if c.kind == KindInt {
+					if c.ints[i] != x {
+						return false
+					}
+					continue
+				}
+			case float64:
+				if c.kind == KindFloat {
+					if c.floats[i] != x {
+						return false
+					}
+					continue
+				}
+			case string:
+				if c.kind == KindString {
+					if c.strs[i] != x {
+						return false
+					}
+					continue
+				}
+			}
+		}
+		if !ValueEq(c.Value(i), t[j]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Scalar is a Value held unboxed so a row builder can stage it without
 // allocating: K names the field that carries it (KindInt: I, KindFloat: F,
 // KindString: S); for any other K the value travels boxed in V, nil for

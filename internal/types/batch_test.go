@@ -285,3 +285,117 @@ func TestBatchQuickEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// colShapes renders each column's lane shape (kind, mixed) for comparing
+// how two batches store equal values.
+func colShapes(b *DeltaBatch) string {
+	s := ""
+	for j := 0; j < b.NumCols(); j++ {
+		s += fmt.Sprintf("%v/%v ", b.Col(j).Kind(), b.Col(j).Mixed())
+	}
+	for j := 0; j < b.NumOldCols(); j++ {
+		s += fmt.Sprintf("old %v/%v ", b.OldCol(j).Kind(), b.OldCol(j).Mixed())
+	}
+	return s
+}
+
+// TestGatherMatchesAppendRowFrom: a gather is AppendRowFrom row by row —
+// same rows, ops and old images, and the same lane shapes — over random
+// batches with NULLs, strings, mixed lanes and replace rows, onto empty
+// and partly filled destinations, with selections in any order.
+func TestGatherMatchesAppendRowFrom(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 500; trial++ {
+		arity := 1 + r.Intn(4)
+		src, _ := FromDeltas(randBatch(r, 1+r.Intn(40), arity))
+		var pre *DeltaBatch
+		if r.Intn(2) == 0 {
+			pre, _ = FromDeltas(randBatch(r, 1+r.Intn(10), arity))
+		}
+		var sel []int32
+		for i := 0; i < src.Len(); i++ {
+			if r.Intn(3) > 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+		if r.Intn(4) == 0 {
+			r.Shuffle(len(sel), func(i, j int) { sel[i], sel[j] = sel[j], sel[i] })
+		}
+		got, want := &DeltaBatch{}, &DeltaBatch{}
+		for _, b := range []*DeltaBatch{got, want} {
+			if pre != nil {
+				for i := 0; i < pre.Len(); i++ {
+					b.AppendRowFrom(pre, i)
+				}
+			}
+		}
+		got.Gather(src, sel)
+		for _, i := range sel {
+			want.AppendRowFrom(src, int(i))
+		}
+		if got.Len() != want.Len() || !deltasEqual(got.Deltas(), want.Deltas()) {
+			t.Fatalf("trial %d: gather rows\n got %v\nwant %v", trial, got.Deltas(), want.Deltas())
+		}
+		if got.HasOld() != want.HasOld() || colShapes(got) != colShapes(want) {
+			t.Fatalf("trial %d: gather lanes %q (old %v), row copies %q (old %v)", trial, colShapes(got), got.HasOld(), colShapes(want), want.HasOld())
+		}
+	}
+}
+
+// TestSwapRemoveMatchesRowModel: CopyRowFrom, Truncate and RowEqual — the
+// stored-chunk edits — keep an all-insert batch equal to a row list under
+// random swap-removes, across NULLs, mixed lanes and kind changes.
+func TestSwapRemoveMatchesRowModel(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 300; trial++ {
+		arity := 1 + r.Intn(4)
+		var rows []Tuple
+		for _, d := range randBatch(r, 1+r.Intn(30), arity) {
+			rows = append(rows, d.Tup)
+		}
+		b, other := &DeltaBatch{}, &DeltaBatch{}
+		for _, row := range rows {
+			b.AppendInsert(row)
+		}
+		for _, d := range randBatch(r, 1+r.Intn(5), arity) {
+			other.AppendInsert(d.Tup) // a second chunk, whose rows move in
+		}
+		for len(rows) > 0 {
+			i := r.Intn(len(rows))
+			if !b.RowEqual(i, rows[i]) {
+				t.Fatalf("trial %d: RowEqual(%d, %v) = false on %v", trial, i, rows[i], b.Delta(i).Tup)
+			}
+			if j := r.Intn(len(rows)); b.RowEqual(i, rows[j]) != rows[i].Equal(rows[j]) {
+				t.Fatalf("trial %d: RowEqual(%d, %v) on %v disagrees with Tuple.Equal", trial, i, rows[j], rows[i])
+			}
+			if r.Intn(3) == 0 && other.Len() > 0 {
+				j := other.Len() - 1
+				b.CopyRowFrom(i, other, j)
+				rows[i] = other.Delta(j).Tup
+				other.Truncate(j)
+			} else {
+				last := len(rows) - 1
+				b.CopyRowFrom(i, b, last)
+				rows[i] = rows[last]
+				rows = rows[:last]
+				b.Truncate(last)
+			}
+			for k, row := range rows {
+				if d := b.Delta(k); d.Op != OpInsert || !d.Tup.Equal(row) {
+					t.Fatalf("trial %d: row %d = %v, model %v", trial, k, d, row)
+				}
+			}
+			if b.Len() != len(rows) {
+				t.Fatalf("trial %d: %d rows, model %d", trial, b.Len(), len(rows))
+			}
+		}
+		regrown := make(Tuple, arity)
+		for j := range regrown {
+			regrown[j] = int64(j) // regrowth reads no stale NULL bits
+		}
+		b.AppendInsert(regrown)
+		if d := b.Delta(0); !d.Tup.Equal(regrown) {
+			t.Fatalf("trial %d: regrown row %v, want %v", trial, d.Tup, regrown)
+		}
+	}
+}
