@@ -15,8 +15,9 @@ import (
 // cumulative across strata — that is exactly what lets recursive queries
 // refine aggregates instead of recomputing them.
 //
-// Two modes: scalar mode evaluates built-in aggregates (sum, count, min,
-// max, avg, argmin) with automatic delta rules; UDA mode delegates to a
+// Two modes: scalar mode keeps built-in aggregates (sum, count, min, max,
+// avg, argmin) in a types.GroupTable and folds each batch into it with
+// the aggregates' typed delta rules; UDA mode delegates to a
 // user-defined aggregator's AGGSTATE/AGGRESULT handlers and resets per
 // stratum (the MapReduce-reduce semantics the wrappers need).
 type groupByOp struct {
@@ -26,66 +27,90 @@ type groupByOp struct {
 	tracker *portTracker
 
 	// scalar mode
-	aggs     []uda.ScalarAgg
-	argExprs [][]expr.Expr
-	groups   map[types.Value]*groupState
-	// dirty marks groups revised since the last flush; ckptDirty marks
-	// groups revised since the last checkpoint collection.
-	dirty     map[types.Value]bool
-	ckptDirty map[types.Value]bool
+	aggs []uda.TypedAgg
+	aggArgs
+	tab      *types.GroupTable
+	gids     []int32
+	flushing []int32        // the dirty groups being flushed
+	row      []types.Scalar // flush scratch: key columns, then results
+	old      []types.Scalar
 
 	// UDA mode
 	udaAgg    uda.Aggregator
 	udaStates map[types.Value]uda.State
 	udaKeys   map[types.Value]types.Tuple
-
-	// kernel path (scalar mode): per-agg, per-arg compiled kernels. nil
-	// unless the plan carried an input schema and every argument
-	// compiled; key extraction then runs columnar through KeyAt and the
-	// scratch-tuple bridge is skipped entirely.
-	argKerns [][]*expr.Kernel
-	argVecs  [][]*types.Vec
-	oldVecs  [][]*types.Vec
-	rows     []int32
-	oldRows  []int32
-}
-
-type groupState struct {
-	keyTuple types.Tuple
-	states   []uda.State
-	last     types.Tuple // last emitted result; nil before first emission
 }
 
 func newGroupByOp(spec *OpSpec, nin int, agg uda.Aggregator, schema []types.Kind) (*groupByOp, error) {
-	g := &groupByOp{
-		spec:      spec,
-		tracker:   newPortTracker(nin),
-		groups:    map[types.Value]*groupState{},
-		dirty:     map[types.Value]bool{},
-		ckptDirty: map[types.Value]bool{},
-	}
+	g := &groupByOp{spec: spec, tracker: newPortTracker(nin)}
 	if agg != nil {
 		g.udaAgg = agg
 		g.udaStates = map[types.Value]uda.State{}
 		g.udaKeys = map[types.Value]types.Tuple{}
 		return g, nil
 	}
-	for _, as := range spec.Aggs {
-		a, err := uda.NewScalarAgg(as.Fn)
-		if err != nil {
-			return nil, err
-		}
-		g.aggs = append(g.aggs, a)
-		g.argExprs = append(g.argExprs, as.Args)
+	aggs, tab, err := newAggTable(spec)
+	if err != nil {
+		return nil, err
 	}
-	g.argKerns = compileArgKernels(g.argExprs, schema)
+	g.aggs, g.tab = aggs, tab
+	g.aggArgs = newAggArgs(spec.Aggs, schema)
+	width := len(spec.GroupKey) + len(aggs)
+	g.row, g.old = make([]types.Scalar, width), make([]types.Scalar, width)
 	return g, nil
+}
+
+// newAggTable resolves the typed aggregates of spec and builds their
+// keyed state table.
+func newAggTable(spec *OpSpec) ([]uda.TypedAgg, *types.GroupTable, error) {
+	aggs := make([]uda.TypedAgg, len(spec.Aggs))
+	lanes := make([]types.AccLanes, len(spec.Aggs))
+	for i, as := range spec.Aggs {
+		a, err := uda.NewTypedAgg(as.Fn)
+		if err != nil {
+			return nil, nil, err
+		}
+		aggs[i], lanes[i] = a, a.Lanes()
+	}
+	return aggs, types.NewGroupTable(len(spec.GroupKey), lanes), nil
+}
+
+// aggArgs evaluates every aggregate argument of a batch into one result
+// vector per argument — new images for every row, old images for the
+// replacement rows — either through compiled kernels or through the
+// expression interpreter. The fold reads both the same way.
+type aggArgs struct {
+	exprs [][]expr.Expr
+	nargs int
+	// argKerns holds per-aggregate, per-argument compiled kernels; nil
+	// unless the plan carried an input schema and every argument
+	// compiled.
+	argKerns [][]*expr.Kernel
+	argVecs  [][]*types.Vec
+	oldVecs  [][]*types.Vec
+	rows     []int32
+	oldRows  []int32
+
+	// interpreter scratch
+	vals, oldVals [][][]types.Value
+	tup, oldTup   types.Tuple
+}
+
+func newAggArgs(specs []AggSpec, schema []types.Kind) aggArgs {
+	a := aggArgs{exprs: make([][]expr.Expr, len(specs))}
+	for i, as := range specs {
+		a.exprs[i] = as.Args
+		a.nargs += len(as.Args)
+	}
+	a.argKerns = compileArgKernels(a.exprs, schema)
+	a.argVecs, a.oldVecs = vecGrid(a.exprs), vecGrid(a.exprs)
+	return a
 }
 
 // compileArgKernels compiles every aggregate argument against the input
 // schema, all-or-nothing: one uncompilable argument keeps the whole
-// operator on the scratch-tuple bridge (mixing kernel and interpreted
-// arguments per row would forfeit the win).
+// operator on the interpreter (mixing kernel and interpreted arguments
+// per row would forfeit the win).
 func compileArgKernels(argExprs [][]expr.Expr, schema []types.Kind) [][]*expr.Kernel {
 	if schema == nil {
 		return nil
@@ -107,33 +132,113 @@ func compileArgKernels(argExprs [][]expr.Expr, schema []types.Kind) [][]*expr.Ke
 	return kerns
 }
 
-// vecGrid allocates caller-owned result vectors shaped like the kernel
-// grid.
-func vecGrid(kerns [][]*expr.Kernel) [][]*types.Vec {
-	out := make([][]*types.Vec, len(kerns))
-	for i, ks := range kerns {
-		out[i] = make([]*types.Vec, len(ks))
-		for j := range ks {
+// vecGrid allocates result vectors shaped like the argument grid.
+func vecGrid(exprs [][]expr.Expr) [][]*types.Vec {
+	out := make([][]*types.Vec, len(exprs))
+	for i, es := range exprs {
+		out[i] = make([]*types.Vec, len(es))
+		for j := range es {
 			out[i][j] = new(types.Vec)
 		}
 	}
 	return out
 }
 
-// evalArgKernels evaluates a kernel grid over the batch — new images for
-// every row, old images for the given replace rows — declining as a unit.
-func evalArgKernels(kerns [][]*expr.Kernel, vecs, oldVecs [][]*types.Vec, b *types.DeltaBatch, rows, oldRows []int32) bool {
-	for i, ks := range kerns {
+// replaceRows lists the batch's replacement rows in a.oldRows.
+func (a *aggArgs) replaceRows(b *types.DeltaBatch) {
+	a.oldRows = a.oldRows[:0]
+	for i := 0; i < b.Len(); i++ {
+		if b.Op(i) == types.OpReplace {
+			a.oldRows = append(a.oldRows, int32(i))
+		}
+	}
+}
+
+// kernels evaluates the argument grid through the compiled kernels,
+// declining as a unit (false) — including for replacement rows without
+// an old image, whose arguments only the interpreter defines.
+func (a *aggArgs) kernels(b *types.DeltaBatch) bool {
+	if len(a.oldRows) > 0 && !b.HasOld() {
+		return false
+	}
+	a.rows = identityRows(a.rows, b.Len())
+	for i, ks := range a.argKerns {
 		for j, k := range ks {
-			if !k.EvalInto(b, false, rows, vecs[i][j]) {
+			if !k.EvalInto(b, false, a.rows, a.argVecs[i][j]) {
 				return false
 			}
-			if len(oldRows) > 0 && !k.EvalInto(b, true, oldRows, oldVecs[i][j]) {
+			if len(a.oldRows) > 0 && !k.EvalInto(b, true, a.oldRows, a.oldVecs[i][j]) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// interpret evaluates the argument grid row by row through the
+// expression interpreter, boxed, and lays the values out as vectors.
+// This is the documented expr interpreter fallback site of the group-by
+// and pre-aggregation.
+func (a *aggArgs) interpret(b *types.DeltaBatch) error {
+	if a.nargs == 0 {
+		return nil // count(*) only: no row to evaluate against
+	}
+	n := b.Len()
+	if a.vals == nil {
+		a.vals, a.oldVals = make([][][]types.Value, len(a.exprs)), make([][][]types.Value, len(a.exprs))
+		for i, es := range a.exprs {
+			a.vals[i], a.oldVals[i] = make([][]types.Value, len(es)), make([][]types.Value, len(es))
+		}
+	}
+	for i := range a.exprs {
+		for j := range a.exprs[i] {
+			a.vals[i][j] = resize(a.vals[i][j], n)
+			a.oldVals[i][j] = resize(a.oldVals[i][j], n)
+		}
+	}
+	for r := 0; r < n; r++ {
+		a.tup = b.Row(r, a.tup)
+		replace := b.Op(r) == types.OpReplace
+		if replace {
+			a.oldTup = b.OldRow(r, a.oldTup)
+		}
+		for i, es := range a.exprs {
+			for j, e := range es {
+				v, err := e.Eval(a.tup)
+				if err != nil {
+					return err
+				}
+				a.vals[i][j][r] = v
+			}
+			if !replace {
+				continue
+			}
+			for j, e := range es {
+				v, err := e.Eval(a.oldTup)
+				if err != nil {
+					return err
+				}
+				a.oldVals[i][j][r] = v
+			}
+		}
+	}
+	for i := range a.exprs {
+		for j := range a.exprs[i] {
+			a.argVecs[i][j].SetValues(a.vals[i][j])
+			a.oldVecs[i][j].SetValues(a.oldVals[i][j])
+		}
+	}
+	return nil
+}
+
+// resize returns s cleared to length n, reusing its capacity.
+func resize(s []types.Value, n int) []types.Value {
+	if cap(s) < n {
+		return make([]types.Value, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // identityRows returns the dense selection [0, n), reusing rows.
@@ -145,160 +250,52 @@ func identityRows(rows []int32, n int) []int32 {
 	return rows
 }
 
-// vecArgs boxes one row's evaluated arguments. The slice is freshly
-// allocated per row because aggregate Update may retain it.
-func vecArgs(vecs []*types.Vec, i int) []types.Value {
-	if len(vecs) == 0 {
-		return nil
-	}
-	out := make([]types.Value, len(vecs))
-	for j, v := range vecs {
-		out[j] = v.Value(i)
-	}
-	return out
-}
-
-// batchKeyTuple projects the group-key columns of row i (new or old
-// image) into a fresh tuple — the retained keyTuple of a new group,
-// matching Tuple.Project on the materialized row.
-func batchKeyTuple(b *types.DeltaBatch, i int, key []int, old bool) types.Tuple {
-	out := make(types.Tuple, len(key))
-	for j, c := range key {
-		if old {
-			out[j] = b.OldCol(c).Value(i)
-		} else {
-			out[j] = b.Col(c).Value(i)
-		}
-	}
-	return out
-}
-
-// Push folds a batch into group state. With compiled argument kernels,
-// keys come columnar off KeyAt and arguments off typed result vectors —
-// no scratch-tuple materialization at all; otherwise rows fold through
-// reused scratch tuples. UDA mode hands each row to the aggregator.
+// Push folds a batch into group state: arguments through the compiled
+// kernels when they take the batch, else through the interpreter, then
+// one fold into the table. UDA mode hands each row to the aggregator.
 func (g *groupByOp) Push(port int, b *types.DeltaBatch) error {
 	if g.udaAgg != nil {
 		return g.pushUDA(b)
 	}
-	if b.Len() > 0 {
-		if g.argKerns != nil {
-			if done, err := g.pushKernel(b); done {
-				return err
-			}
-			kernelFallbackEvals.Add(1)
-		} else {
-			kernelBridgedBatches.Add(1)
-		}
+	if b.Len() == 0 {
+		return nil
 	}
-	return g.pushBridged(b)
+	g.replaceRows(b)
+	if g.argKerns != nil {
+		if done, err := g.pushKernel(b); done {
+			return err
+		}
+		kernelFallbackEvals.Add(1)
+	} else {
+		kernelBridgedBatches.Add(1)
+	}
+	if err := g.interpret(b); err != nil {
+		return err
+	}
+	return g.fold(b)
 }
 
-// pushKernel folds the batch through compiled argument kernels and
-// columnar key extraction. It declines (false) before touching group
-// state, so pushBridged can re-run the whole batch from scratch.
+// pushKernel folds the batch with its arguments from the compiled
+// kernels. It declines (false) before touching group state, so the
+// interpreter can evaluate the whole batch instead.
 func (g *groupByOp) pushKernel(b *types.DeltaBatch) (bool, error) {
-	n := b.Len()
-	g.oldRows = g.oldRows[:0]
-	for i := 0; i < n; i++ {
-		if b.Op(i) == types.OpReplace {
-			g.oldRows = append(g.oldRows, int32(i))
-		}
-	}
-	if len(g.oldRows) > 0 && !b.HasOld() {
-		// The interpreter's replace handling without an old image
-		// differs per aggregate; let the bridge reproduce it.
-		return false, nil
-	}
-	g.rows = identityRows(g.rows, n)
-	if g.argVecs == nil {
-		g.argVecs = vecGrid(g.argKerns)
-		g.oldVecs = vecGrid(g.argKerns)
-	}
-	if !evalArgKernels(g.argKerns, g.argVecs, g.oldVecs, b, g.rows, g.oldRows) {
+	if !g.kernels(b) {
 		return false, nil
 	}
 	kernelVectorBatches.Add(1)
-	for i := 0; i < n; i++ {
-		op := b.Op(i)
-		key := b.KeyAt(i, g.spec.GroupKey)
-		gs, ok := g.groups[key]
-		if !ok {
-			gs = &groupState{keyTuple: batchKeyTuple(b, i, g.spec.GroupKey, false)}
-			gs.states = make([]uda.State, len(g.aggs))
-			for j, a := range g.aggs {
-				gs.states[j] = a.NewState()
-			}
-			g.groups[key] = gs
-		}
-		for j, a := range g.aggs {
-			var oldArgs []types.Value
-			if op == types.OpReplace {
-				oldArgs = vecArgs(g.oldVecs[j], i)
-			}
-			if err := a.Update(gs.states[j], op, vecArgs(g.argVecs[j], i), oldArgs); err != nil {
-				return true, fmt.Errorf("exec: group-by %s: %w", a.Name(), err)
-			}
-		}
-		g.dirty[key] = true
-		g.ckptDirty[key] = true
-	}
-	return true, nil
+	return true, g.fold(b)
 }
 
-// pushBridged folds batch rows through reused scratch tuples —
-// everything retained from a row (the map key, the projected key tuple,
-// evaluated arguments) is freshly built by apply, so no per-row delta
-// materialization is needed. This is a documented expr interpreter
-// fallback site.
-func (g *groupByOp) pushBridged(b *types.DeltaBatch) error {
-	var scratch, oldScratch types.Tuple
-	for i := 0; i < b.Len(); i++ {
-		op := b.Op(i)
-		scratch = b.Row(i, scratch)
-		var old types.Tuple
-		if op == types.OpReplace && b.HasOld() {
-			oldScratch = b.OldRow(i, oldScratch)
-			old = oldScratch
-		}
-		if err := g.apply(op, scratch, old); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// apply folds one delta into scalar aggregate state. It retains nothing
-// from tup or old (Key and Project copy; evaluated args are fresh), so
-// callers may pass reused scratch tuples.
-func (g *groupByOp) apply(op types.Op, tup, old types.Tuple) error {
-	key := tup.Key(g.spec.GroupKey)
-	gs, ok := g.groups[key]
-	if !ok {
-		gs = &groupState{keyTuple: tup.Project(g.spec.GroupKey)}
-		gs.states = make([]uda.State, len(g.aggs))
-		for i, a := range g.aggs {
-			gs.states[i] = a.NewState()
-		}
-		g.groups[key] = gs
-	}
-	for i, a := range g.aggs {
-		args, err := evalArgs(g.argExprs[i], tup)
-		if err != nil {
-			return err
-		}
-		var oldArgs []types.Value
-		if op == types.OpReplace {
-			if oldArgs, err = evalArgs(g.argExprs[i], old); err != nil {
-				return err
-			}
-		}
-		if err := a.Update(gs.states[i], op, args, oldArgs); err != nil {
+// fold applies the evaluated batch to the table: every row to the group
+// of its new image's key, aggregate by aggregate.
+func (g *groupByOp) fold(b *types.DeltaBatch) error {
+	g.gids = g.tab.Groups(b, g.spec.GroupKey, false, nil, g.gids)
+	for j, a := range g.aggs {
+		if err := a.Fold(&g.tab.Accs[j], b, g.gids, nil, g.argVecs[j], g.oldVecs[j]); err != nil {
 			return fmt.Errorf("exec: group-by %s: %w", a.Name(), err)
 		}
 	}
-	g.dirty[key] = true
-	g.ckptDirty[key] = true
+	g.tab.Touch(g.gids)
 	return nil
 }
 
@@ -324,21 +321,6 @@ func (g *groupByOp) pushUDA(b *types.DeltaBatch) error {
 	return g.outs.send(out)
 }
 
-func evalArgs(exprs []expr.Expr, t types.Tuple) ([]types.Value, error) {
-	if len(exprs) == 0 {
-		return nil, nil
-	}
-	out := make([]types.Value, len(exprs))
-	for i, e := range exprs {
-		v, err := e.Eval(t)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // Punct flushes dirty groups once all inputs have punctuated the stratum.
 func (g *groupByOp) Punct(port, stratum int, closed bool) error {
 	done, err := g.tracker.mark(port, stratum, closed)
@@ -352,33 +334,59 @@ func (g *groupByOp) Punct(port, stratum int, closed bool) error {
 		if err := g.flushUDA(); err != nil {
 			return err
 		}
-	} else if err := g.flushScalar(); err != nil {
+	} else if err := g.flush(); err != nil {
 		return err
 	}
 	return g.outs.punct(stratum, g.tracker.allClosed())
 }
 
-func (g *groupByOp) flushScalar() error {
-	var out []types.Delta
-	for key := range g.dirty {
-		gs := g.groups[key]
-		cur := make(types.Tuple, 0, len(gs.keyTuple)+len(g.aggs))
-		cur = append(cur, gs.keyTuple...)
-		for i, a := range g.aggs {
-			cur = append(cur, a.Result(gs.states[i]))
+// flush emits the dirty groups, in the order they were first revised,
+// written lane to lane into pooled batches of at most MaxPooledRows rows:
+// an insertion for a group's first result, a replacement of the last
+// emitted result when it moved, and nothing when it did not.
+func (g *groupByOp) flush() error {
+	// The dirty set is emptied before anything is sent, so a revision a
+	// consumer causes while a batch is out is kept for the next flush.
+	g.flushing = append(g.flushing[:0], g.tab.Dirty()...)
+	g.tab.ClearDirty()
+	out := types.GetBatch()
+	defer types.PutBatch(out)
+	nkey := len(g.spec.GroupKey)
+	for _, gid := range g.flushing {
+		if out.Len() == types.MaxPooledRows {
+			if err := g.outs.sendBatch(out); err != nil {
+				return err
+			}
+			out.Reset()
 		}
-		if gs.last == nil {
-			out = append(out, types.Insert(cur))
-		} else if !gs.last.Equal(cur) {
-			out = append(out, types.Replace(gs.last, cur))
+		for k := 0; k < nkey; k++ {
+			g.tab.Key(gid, k, &g.row[k])
 		}
-		gs.last = cur
+		emitted, moved := g.tab.Emitted(gid), false
+		for j, a := range g.aggs {
+			a.ResultAt(&g.tab.Accs[j], gid, &g.row[nkey+j])
+			if emitted && !g.tab.LastEqual(gid, j, &g.row[nkey+j]) {
+				moved = true
+			}
+		}
+		switch {
+		case !emitted:
+			out.AppendScalars(types.OpInsert, g.row, nil)
+		case moved:
+			copy(g.old[:nkey], g.row[:nkey])
+			for j := range g.aggs {
+				g.tab.Last(gid, j, &g.old[nkey+j])
+			}
+			out.AppendScalars(types.OpReplace, g.row, g.old)
+		}
+		for j := range g.aggs {
+			g.tab.SetLast(gid, j, &g.row[nkey+j])
+		}
 	}
-	g.dirty = map[types.Value]bool{}
 	if g.spec.ResetPerStratum {
-		g.groups = map[types.Value]*groupState{}
+		g.tab.Reset()
 	}
-	return g.outs.send(out)
+	return g.outs.sendBatch(out)
 }
 
 func (g *groupByOp) flushUDA() error {
@@ -401,53 +409,58 @@ func (g *groupByOp) flushUDA() error {
 func (g *groupByOp) ReopenRound() { g.tracker.reopen() }
 
 func (g *groupByOp) Reset() {
-	g.groups = map[types.Value]*groupState{}
-	g.dirty = map[types.Value]bool{}
-	g.ckptDirty = map[types.Value]bool{}
 	if g.udaAgg != nil {
 		g.udaStates = map[types.Value]uda.State{}
 		g.udaKeys = map[types.Value]types.Tuple{}
+	} else {
+		g.tab.Reset()
 	}
 	g.tracker.reset()
 }
 
-// DirtyState checkpoints groups revised during the stratum. Entry layout:
-// [keyHash, nKey, key..., hasLast, last...(outLen), per-agg: stateLen, fields...].
+// DirtyState checkpoints groups revised since the last checkpoint. Entry
+// layout: [keyHash, nKey, key..., hasLast, last...(outLen), per-agg:
+// stateLen, fields...], with each aggregate's fields in its ScalarAgg
+// Save layout.
 func (g *groupByOp) DirtyState() []types.Tuple {
 	if g.udaAgg != nil {
 		return nil // UDA groups reset per stratum; nothing to restore
 	}
-	outLen := len(g.spec.GroupKey) + len(g.aggs)
+	nkey := len(g.spec.GroupKey)
 	var out []types.Tuple
-	for key := range g.ckptDirty {
-		gs := g.groups[key]
-		e := types.NewTuple(int64(types.HashValue(key)), int64(len(gs.keyTuple)))
-		e = append(e, gs.keyTuple...)
-		if gs.last == nil {
-			e = append(e, false)
-			for i := 0; i < outLen; i++ {
-				e = append(e, nil)
+	for _, gid := range g.tab.CkptDirty() {
+		e := types.NewTuple(int64(g.tab.KeyHash(gid)), int64(nkey))
+		for k := 0; k < nkey; k++ {
+			e = append(e, g.tab.KeyValue(gid, k))
+		}
+		emitted := g.tab.Emitted(gid)
+		e = append(e, emitted)
+		if emitted {
+			e = append(e, e[2:2+nkey]...) // the last result's key columns
+			for j := range g.aggs {
+				e = append(e, g.tab.LastValue(gid, j))
 			}
 		} else {
-			e = append(e, true)
-			e = append(e, gs.last...)
+			e = append(e, make(types.Tuple, nkey+len(g.aggs))...)
 		}
-		for i, a := range g.aggs {
-			st := a.Save(gs.states[i])
-			e = append(e, int64(len(st)))
-			e = append(e, st...)
+		for j, a := range g.aggs {
+			at := len(e)
+			e = a.SaveAt(&g.tab.Accs[j], gid, append(e, nil))
+			e[at] = int64(len(e) - at - 1)
 		}
 		out = append(out, e)
 	}
-	g.ckptDirty = map[types.Value]bool{}
+	g.tab.ClearCkptDirty()
 	return out
 }
 
 // Restore rebuilds group state from checkpointed entries in stratum order
 // (later strata override earlier ones for the same key). Every field is
-// bounds-checked.
+// bounds-checked before the entry touches the table.
 func (g *groupByOp) Restore(strata [][]types.Tuple) error {
-	outLen := len(g.spec.GroupKey) + len(g.aggs)
+	nkey := len(g.spec.GroupKey)
+	outLen := nkey + len(g.aggs)
+	states := make([]types.Tuple, len(g.aggs))
 	for _, entries := range strata {
 		for _, e := range entries {
 			bad := func(what string) error {
@@ -456,12 +469,12 @@ func (g *groupByOp) Restore(strata [][]types.Tuple) error {
 			if len(e) < 2 {
 				return bad("missing key length")
 			}
-			nKey, ok := types.AsInt(e[1])
-			keyTuple, inBounds := entrySpan(e, 2, nKey)
-			if !ok || !inBounds {
+			n, ok := types.AsInt(e[1])
+			key, inBounds := entrySpan(e, 2, n)
+			if !ok || !inBounds || len(key) != nkey {
 				return bad("bad key length")
 			}
-			pos := 2 + len(keyTuple)
+			pos := 2 + nkey
 			if pos >= len(e) {
 				return bad("missing last-result flag")
 			}
@@ -474,11 +487,7 @@ func (g *groupByOp) Restore(strata [][]types.Tuple) error {
 				return bad("truncated last result")
 			}
 			pos += 1 + outLen
-			gs := &groupState{keyTuple: keyTuple.Clone(), states: make([]uda.State, len(g.aggs))}
-			if hasLast {
-				gs.last = last.Clone()
-			}
-			for i, a := range g.aggs {
+			for i := range g.aggs {
 				if pos >= len(e) {
 					return bad("missing aggregate state")
 				}
@@ -487,26 +496,24 @@ func (g *groupByOp) Restore(strata [][]types.Tuple) error {
 				if !ok || !inBounds {
 					return bad("bad aggregate state length")
 				}
-				state, err := a.Load(st)
-				if err != nil {
-					return err
-				}
-				gs.states[i] = state
+				states[i] = st
 				pos += 1 + len(st)
 			}
-			g.groups[keyIndex(gs.keyTuple)] = gs
+			gid := g.tab.Group(key)
+			g.tab.ClearLast(gid)
+			if hasLast {
+				for j := range g.aggs {
+					g.tab.SetLastValue(gid, j, last[nkey+j])
+				}
+			}
+			for i, a := range g.aggs {
+				if err := a.LoadAt(&g.tab.Accs[i], gid, states[i]); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
-}
-
-// keyIndex rebuilds the map key for a stored key tuple.
-func keyIndex(keyTuple types.Tuple) types.Value {
-	idx := make([]int, len(keyTuple))
-	for i := range idx {
-		idx[i] = i
-	}
-	return keyTuple.Key(idx)
 }
 
 // preAggOp is the combiner-style partial aggregation of §5.2: it
@@ -522,21 +529,16 @@ type preAggOp struct {
 	outs outputs
 
 	tracker    *portTracker
-	aggs       []uda.ScalarAgg
-	argExprs   [][]expr.Expr
-	groups     map[types.Value]*groupState
+	aggs       []uda.TypedAgg
 	invertible bool
-
-	// kernel path: see groupByOp.argKerns.
-	argKerns [][]*expr.Kernel
-	argVecs  [][]*types.Vec
-	oldVecs  [][]*types.Vec
-	rows     []int32
-	oldRows  []int32
+	aggArgs
+	tab           *types.GroupTable
+	gids, oldGids []int32
+	row           []types.Scalar
 }
 
 func newPreAggOp(spec *OpSpec, nin int, schema []types.Kind) (*preAggOp, error) {
-	p := &preAggOp{spec: spec, tracker: newPortTracker(nin), groups: map[types.Value]*groupState{}, invertible: true}
+	p := &preAggOp{spec: spec, tracker: newPortTracker(nin), invertible: true}
 	for _, as := range spec.Aggs {
 		if as.Fn == "avg" || as.Fn == "argmin" {
 			return nil, fmt.Errorf("exec: pre-aggregation of %s must be decomposed by the optimizer", as.Fn)
@@ -544,173 +546,74 @@ func newPreAggOp(spec *OpSpec, nin int, schema []types.Kind) (*preAggOp, error) 
 		if as.Fn != "sum" && as.Fn != "count" {
 			p.invertible = false
 		}
-		a, err := uda.NewScalarAgg(as.Fn)
-		if err != nil {
-			return nil, err
-		}
-		p.aggs = append(p.aggs, a)
-		p.argExprs = append(p.argExprs, as.Args)
 	}
-	p.argKerns = compileArgKernels(p.argExprs, schema)
+	aggs, tab, err := newAggTable(spec)
+	if err != nil {
+		return nil, err
+	}
+	p.aggs, p.tab = aggs, tab
+	p.aggArgs = newAggArgs(spec.Aggs, schema)
+	p.row = make([]types.Scalar, len(spec.GroupKey)+len(aggs))
 	return p, nil
 }
 
-// Push folds a batch into the stratum's partial state. With compiled
-// argument kernels, keys and arguments stay columnar; otherwise rows
-// stream through reused scratch tuples (fold retains nothing from its
-// tuple).
+// Push folds a batch into the stratum's partial state, with arguments
+// from the compiled kernels or, when they decline, the interpreter.
 func (p *preAggOp) Push(port int, b *types.DeltaBatch) error {
-	if b.Len() > 0 {
-		if p.argKerns != nil {
-			if done, err := p.pushKernel(b); done {
-				return err
-			}
-			kernelFallbackEvals.Add(1)
-		} else {
-			kernelBridgedBatches.Add(1)
-		}
+	if b.Len() == 0 {
+		return nil
 	}
-	return p.pushBridged(b)
-}
-
-// pushKernel folds the batch through compiled argument kernels. It
-// declines (false) before touching group state — including for the
-// non-invertible-delta error cases, where pushBridged reproduces the
-// interpreter's fold-then-error ordering exactly.
-func (p *preAggOp) pushKernel(b *types.DeltaBatch) (bool, error) {
-	n := b.Len()
 	p.oldRows = p.oldRows[:0]
-	for i := 0; i < n; i++ {
-		switch b.Op(i) {
-		case types.OpInsert, types.OpUpdate:
-		case types.OpDelete:
-			if !p.invertible {
-				return false, nil
-			}
-		case types.OpReplace:
-			if !p.invertible {
-				return false, nil
-			}
-			p.oldRows = append(p.oldRows, int32(i))
-		default:
-			return false, nil
-		}
-	}
-	if len(p.oldRows) > 0 && !b.HasOld() {
-		return false, nil
-	}
-	p.rows = identityRows(p.rows, n)
-	if p.argVecs == nil {
-		p.argVecs = vecGrid(p.argKerns)
-		p.oldVecs = vecGrid(p.argKerns)
-	}
-	if !evalArgKernels(p.argKerns, p.argVecs, p.oldVecs, b, p.rows, p.oldRows) {
-		return false, nil
-	}
-	kernelVectorBatches.Add(1)
-	for i := 0; i < n; i++ {
-		op := b.Op(i)
-		if op == types.OpReplace {
-			// Old and new may land in different groups: net them apart.
-			if err := p.foldKeyed(types.OpDelete, b, i, true); err != nil {
-				return true, err
-			}
-			if err := p.foldKeyed(types.OpInsert, b, i, false); err != nil {
-				return true, err
-			}
-			continue
-		}
-		if err := p.foldKeyed(op, b, i, false); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
-// foldKeyed is fold over one image (old or new) of batch row i, with the
-// key extracted columnar and arguments read off the kernel result grid.
-func (p *preAggOp) foldKeyed(op types.Op, b *types.DeltaBatch, i int, old bool) error {
-	var key types.Value
-	if old {
-		key = b.OldKeyAt(i, p.spec.GroupKey)
-	} else {
-		key = b.KeyAt(i, p.spec.GroupKey)
-	}
-	gs, ok := p.groups[key]
-	if !ok {
-		gs = &groupState{keyTuple: batchKeyTuple(b, i, p.spec.GroupKey, old)}
-		gs.states = make([]uda.State, len(p.aggs))
-		for j, a := range p.aggs {
-			gs.states[j] = a.NewState()
-		}
-		p.groups[key] = gs
-	}
-	vecs := p.argVecs
-	if old {
-		vecs = p.oldVecs
-	}
-	for j, a := range p.aggs {
-		if err := a.Update(gs.states[j], op, vecArgs(vecs[j], i), nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pushBridged streams batch rows through reused scratch tuples. This is
-// a documented expr interpreter fallback site.
-func (p *preAggOp) pushBridged(b *types.DeltaBatch) error {
-	var scratch, oldScratch types.Tuple
 	for i := 0; i < b.Len(); i++ {
-		op := b.Op(i)
-		scratch = b.Row(i, scratch)
-		switch op {
+		switch op := b.Op(i); op {
 		case types.OpInsert, types.OpUpdate:
-			if err := p.fold(op, scratch); err != nil {
-				return err
-			}
-		case types.OpDelete:
+		case types.OpDelete, types.OpReplace:
 			if !p.invertible {
 				return fmt.Errorf("exec: pre-aggregation over non-insert delta %v (aggregate is not invertible)", op)
 			}
-			if err := p.fold(op, scratch); err != nil {
-				return err
-			}
-		case types.OpReplace:
-			if !p.invertible {
-				return fmt.Errorf("exec: pre-aggregation over non-insert delta %v (aggregate is not invertible)", op)
-			}
-			oldScratch = b.OldRow(i, oldScratch)
-			if err := p.fold(types.OpDelete, oldScratch); err != nil {
-				return err
-			}
-			if err := p.fold(types.OpInsert, scratch); err != nil {
-				return err
+			if op == types.OpReplace {
+				p.oldRows = append(p.oldRows, int32(i))
 			}
 		default:
 			return fmt.Errorf("exec: pre-aggregation over delta %v", op)
 		}
 	}
-	return nil
-}
-
-func (p *preAggOp) fold(op types.Op, t types.Tuple) error {
-	key := t.Key(p.spec.GroupKey)
-	gs, ok := p.groups[key]
-	if !ok {
-		gs = &groupState{keyTuple: t.Project(p.spec.GroupKey)}
-		gs.states = make([]uda.State, len(p.aggs))
-		for i, a := range p.aggs {
-			gs.states[i] = a.NewState()
-		}
-		p.groups[key] = gs
-	}
-	for i, a := range p.aggs {
-		args, err := evalArgs(p.argExprs[i], t)
-		if err != nil {
+	if p.argKerns != nil {
+		if done, err := p.pushKernel(b); done {
 			return err
 		}
-		if err := a.Update(gs.states[i], op, args, nil); err != nil {
+		kernelFallbackEvals.Add(1)
+	} else {
+		kernelBridgedBatches.Add(1)
+	}
+	if err := p.interpret(b); err != nil {
+		return err
+	}
+	return p.fold(b)
+}
+
+// pushKernel folds the batch with its arguments from the compiled
+// kernels, declining (false) before touching partial state.
+func (p *preAggOp) pushKernel(b *types.DeltaBatch) (bool, error) {
+	if !p.kernels(b) {
+		return false, nil
+	}
+	kernelVectorBatches.Add(1)
+	return true, p.fold(b)
+}
+
+// fold applies the evaluated batch: each row to its new image's group,
+// except that a replacement nets its old image out of the old image's
+// group first (the two may differ).
+func (p *preAggOp) fold(b *types.DeltaBatch) error {
+	p.gids = p.tab.Groups(b, p.spec.GroupKey, false, nil, p.gids)
+	var oldGids []int32
+	if len(p.oldRows) > 0 {
+		p.oldGids = p.tab.Groups(b, p.spec.GroupKey, true, p.oldRows, p.oldGids)
+		oldGids = p.oldGids
+	}
+	for j, a := range p.aggs {
+		if err := a.Fold(&p.tab.Accs[j], b, p.gids, oldGids, p.argVecs[j], p.oldVecs[j]); err != nil {
 			return err
 		}
 	}
@@ -725,17 +628,26 @@ func (p *preAggOp) Punct(port, stratum int, closed bool) error {
 	if !done {
 		return nil
 	}
-	var out []types.Delta
-	for key, gs := range p.groups {
-		t := make(types.Tuple, 0, len(gs.keyTuple)+len(p.aggs))
-		t = append(t, gs.keyTuple...)
-		for i, a := range p.aggs {
-			t = append(t, a.Result(gs.states[i]))
+	out := types.GetBatch()
+	defer types.PutBatch(out)
+	nkey := len(p.spec.GroupKey)
+	for gid := int32(0); int(gid) < p.tab.Len(); gid++ {
+		if out.Len() == types.MaxPooledRows {
+			if err := p.outs.sendBatch(out); err != nil {
+				return err
+			}
+			out.Reset()
 		}
-		out = append(out, types.Update(t))
-		delete(p.groups, key)
+		for k := 0; k < nkey; k++ {
+			p.tab.Key(gid, k, &p.row[k])
+		}
+		for j, a := range p.aggs {
+			a.ResultAt(&p.tab.Accs[j], gid, &p.row[nkey+j])
+		}
+		out.AppendScalars(types.OpUpdate, p.row, nil)
 	}
-	if err := p.outs.send(out); err != nil {
+	p.tab.Reset()
+	if err := p.outs.sendBatch(out); err != nil {
 		return err
 	}
 	return p.outs.punct(stratum, p.tracker.allClosed())
@@ -746,6 +658,6 @@ func (p *preAggOp) Punct(port, stratum int, closed bool) error {
 func (p *preAggOp) ReopenRound() { p.tracker.reopen() }
 
 func (p *preAggOp) Reset() {
-	p.groups = map[types.Value]*groupState{}
+	p.tab.Reset()
 	p.tracker.reset()
 }

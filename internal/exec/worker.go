@@ -729,7 +729,7 @@ func (w *Worker) setOuts(inst Operator, outs outputs) {
 // first input (filter and project are single-input), used to compile
 // typed column kernels. It returns nil when kernels are disabled or the
 // plan carries no upstream schema, as hand-built plans may; group-by and
-// pre-aggregation then bridge through scratch tuples, while filter and
+// pre-aggregation then interpret their arguments, while filter and
 // project compile against declared column kinds unless kernels are off.
 func (w *Worker) inputKinds(spec *OpSpec) []types.Kind {
 	if !w.kernels || len(spec.Inputs) == 0 {

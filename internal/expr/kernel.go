@@ -32,6 +32,17 @@ type Kernel struct {
 	vecs []*types.Vec // scratch vector pool, reset per Eval* call
 	used int
 	all  []int32 // dense identity selection cache
+
+	// kc is the current Eval* call's context, kept here so it does not
+	// escape to the heap through the node interface on every call.
+	kc kctx
+}
+
+// begin sets up an Eval* call's context and scratch.
+func (k *Kernel) begin(b *types.DeltaBatch, old bool) *kctx {
+	k.kc = kctx{b: b, old: old, n: b.Len(), kern: k}
+	k.used = 0
+	return &k.kc
 }
 
 // Compile compiles e against the input schema (column kinds; nil when
@@ -60,9 +71,8 @@ func (k *Kernel) EvalBools(b *types.DeltaBatch, old bool, rows []int32, out []bo
 	if k.k != types.KindBool {
 		return false
 	}
-	kc := kctx{b: b, old: old, n: b.Len(), kern: k}
-	k.used = 0
-	v, ok := k.root.eval(&kc, rows)
+	v, ok := k.root.eval(k.begin(b, old), rows)
+	k.kc.b = nil
 	if !ok || v.K != types.KindBool || hasNullAt(v, rows) {
 		return false
 	}
@@ -77,13 +87,12 @@ func (k *Kernel) EvalBools(b *types.DeltaBatch, old bool, rows []int32, out []bo
 // passes of one kernel (new images, then old images) can coexist.
 // ok=false declines the batch.
 func (k *Kernel) EvalInto(b *types.DeltaBatch, old bool, rows []int32, dst *types.Vec) bool {
-	kc := kctx{b: b, old: old, n: b.Len(), kern: k}
-	k.used = 0
-	v, ok := k.root.eval(&kc, rows)
+	v, ok := k.root.eval(k.begin(b, old), rows)
+	k.kc.b = nil
 	if !ok {
 		return false
 	}
-	dst.Reset(v.K, kc.n)
+	dst.Reset(v.K, b.Len())
 	for _, i := range rows {
 		dst.CopyRow(v, int(i))
 	}

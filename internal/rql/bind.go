@@ -383,8 +383,13 @@ func (b *binder) bindAggregate(p *exec.PlanSpec, s *SelectStmt, cur int, schema 
 	}
 	tabRows := 1e6
 	if preAggOK && !b.inRecursive && b.model.PreAggDecision(tabRows, 1000, true) {
+		preOut := append([]types.Field{}, groupFields...)
+		for _, as := range reboundAggs {
+			preOut = append(preOut, types.Field{Name: as.OutName, Kind: as.OutKind})
+		}
 		pre := p.Add(&exec.OpSpec{
 			Kind: exec.OpPreAgg, Inputs: []int{cur}, GroupKey: keyIdx, Aggs: reboundAggs,
+			Out: &types.Schema{Fields: preOut},
 		})
 		cur = pre.ID
 		// Downstream count must fold partial counts, which arrive as a
@@ -399,7 +404,9 @@ func (b *binder) bindAggregate(p *exec.PlanSpec, s *SelectStmt, cur int, schema 
 		reboundAggs = rb
 	}
 
-	rehash := p.Add(&exec.OpSpec{Kind: exec.OpRehash, Inputs: []int{cur}, HashKey: keyIdx})
+	// The rehash declares its input's schema so the group-by behind it
+	// compiles its argument kernels.
+	rehash := p.Add(&exec.OpSpec{Kind: exec.OpRehash, Inputs: []int{cur}, HashKey: keyIdx, Out: p.Op(cur).Out})
 	if b.inRecursive {
 		rehash.CompactMerge = compactMergeFor(aggSpecs, len(keyIdx))
 	}

@@ -361,10 +361,20 @@ func TestCompositeKeyProperty(t *testing.T) {
 		}
 		b, _ := FromDeltas(rows)
 		key := r.Perm(arity)[:2+r.Intn(arity-1)]
+		// The group table keys rows from their lanes: two rows share a
+		// group exactly when they share a composite key, and the group's
+		// hash is the key's.
+		tab := NewGroupTable(len(key), nil)
+		gids := tab.Groups(b, key, false, nil, nil)
+		group := map[Value]int32{}
 		for i, d := range rows {
 			k := d.Tup.Key(key)
-			if got := b.KeyAt(i, key); got != k {
-				t.Fatalf("row %v key %v: KeyAt %q != Key %q", d.Tup, key, got, k)
+			if g, ok := group[k]; ok && g != gids[i] {
+				t.Fatalf("row %v key %v: group %d, but key %q is group %d", d.Tup, key, gids[i], k, g)
+			}
+			group[k] = gids[i]
+			if got, want := tab.KeyHash(gids[i]), HashValue(k); got != want {
+				t.Fatalf("row %v key %v: group hash %#x != HashValue(Key) %#x", d.Tup, key, got, want)
 			}
 			if got, want := b.HashKeyAt(i, key, nil), b.Row(i, nil).HashKey(key); got != want {
 				t.Fatalf("row %v key %v: HashKeyAt %#x != Row().HashKey %#x", d.Tup, key, got, want)
@@ -375,7 +385,18 @@ func TestCompositeKeyProperty(t *testing.T) {
 			}
 			owner[k] = cols
 		}
+		if len(group) != len(distinct(gids)) {
+			t.Fatalf("key %v: %d composite keys in %d groups", key, len(group), len(distinct(gids)))
+		}
 	}
+}
+
+func distinct(gids []int32) map[int32]bool {
+	out := map[int32]bool{}
+	for _, g := range gids {
+		out[g] = true
+	}
+	return out
 }
 
 // Property: HashKey is invariant under changes to non-key columns.

@@ -15,6 +15,10 @@ type Vec struct {
 	Floats []float64
 	Strs   []string
 	Bools  []bool
+	// Anys is the mixed-kind lane the expression interpreter fills when
+	// one expression's values differ in kind from row to row (SetValues).
+	// Non-nil takes precedence over the typed lanes; K is then KindNull.
+	Anys []Value
 
 	// nulls is the validity bitmap (bit set = NULL), sized to cover n
 	// rows on owned Vecs; on borrowed Vecs it aliases the column's lazy
@@ -32,6 +36,7 @@ func (v *Vec) Reset(k Kind, n int) {
 		v.borrowed = false
 	}
 	v.K = k
+	v.Anys = nil
 	v.Ints, v.Floats, v.Strs, v.Bools = v.Ints[:0], v.Floats[:0], v.Strs[:0], v.Bools[:0]
 	switch k {
 	case KindInt:
@@ -64,7 +69,7 @@ func (v *Vec) BorrowColumn(c *Column) bool {
 		return false
 	}
 	v.K = c.kind
-	v.Ints, v.Floats, v.Strs, v.Bools = nil, nil, nil, nil
+	v.Ints, v.Floats, v.Strs, v.Bools, v.Anys = nil, nil, nil, nil, nil
 	switch c.kind {
 	case KindInt:
 		v.Ints = c.ints
@@ -113,6 +118,9 @@ func (v *Vec) Value(i int) Value {
 	if v.Null(i) {
 		return nil
 	}
+	if v.Anys != nil {
+		return v.Anys[i]
+	}
 	switch v.K {
 	case KindInt:
 		return v.Ints[i]
@@ -124,6 +132,49 @@ func (v *Vec) Value(i int) Value {
 		return v.Bools[i]
 	default:
 		return nil
+	}
+}
+
+// SetValues fills v with one boxed value per row, as the expression
+// interpreter produces them: a typed lane when every non-NULL value has
+// one kind, the mixed Anys lane otherwise.
+func (v *Vec) SetValues(vals []Value) {
+	k, mixed := KindNull, false
+	for _, x := range vals {
+		if x == nil {
+			continue
+		}
+		xk := KindOf(x)
+		if xk == KindNull || (k != KindNull && xk != k) {
+			mixed = true
+			break
+		}
+		k = xk
+	}
+	if mixed {
+		v.Reset(KindNull, len(vals))
+		v.Anys = append(make([]Value, 0, len(vals)), vals...)
+		for i, x := range vals {
+			if x == nil {
+				v.SetNull(i)
+			}
+		}
+		return
+	}
+	v.Reset(k, len(vals))
+	for i, x := range vals {
+		switch x := x.(type) {
+		case nil:
+			v.SetNull(i)
+		case int64:
+			v.Ints[i] = x
+		case float64:
+			v.Floats[i] = x
+		case string:
+			v.Strs[i] = x
+		case bool:
+			v.Bools[i] = x
+		}
 	}
 }
 
@@ -267,37 +318,4 @@ func (b *DeltaBatch) AppendVecRow(op Op, cols []*Vec, oldCols []*Vec, i int) {
 		padCols(b.old, b.n+1)
 	}
 	b.n++
-}
-
-// KeyAt renders Tuple.Key(key) for row i of the new-image group without
-// materializing the row: single-column keys box one value straight off
-// the typed vector (with normKey's integral-float fold), multi-column
-// keys encode the composite column-wise. This is the group-by key
-// kernel — the map key it produces is identical to the row path's.
-func (b *DeltaBatch) KeyAt(i int, key []int) Value {
-	return keyAtCols(b.cols, i, key)
-}
-
-// OldKeyAt is KeyAt over the old-image group of a replace row.
-func (b *DeltaBatch) OldKeyAt(i int, key []int) Value {
-	return keyAtCols(b.old, i, key)
-}
-
-func keyAtCols(cols []Column, i int, key []int) Value {
-	if len(key) == 1 {
-		c := &cols[key[0]]
-		c.mat()
-		if c.anys == nil && c.kind == KindFloat && !c.IsNull(i) {
-			if f := c.floats[i]; float64(int64(f)) == f {
-				return int64(f)
-			}
-		}
-		return normKey(c.Value(i))
-	}
-	var arr [64]byte
-	buf := arr[:0]
-	for _, k := range key {
-		buf = appendKeyPart(buf, cols[k].Value(i))
-	}
-	return string(buf)
 }
