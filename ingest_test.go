@@ -185,8 +185,8 @@ func TestIngestLogBoundedUnderChurn(t *testing.T) {
 	}
 	// The threshold fold keeps the retained log within one fold window of
 	// the net size (zero) at all times — 300 appends never accumulate.
-	if n := tcp.ingestLogLen(); n >= 2*ingestLogFoldEvery {
-		t.Fatalf("log retains %d deltas after zero-net churn (fold threshold %d)", n, ingestLogFoldEvery)
+	if n := tcp.ingestLogLen(); n >= 2*cluster.ChangeLogFoldEvery {
+		t.Fatalf("log retains %d deltas after zero-net churn (fold threshold %d)", n, cluster.ChangeLogFoldEvery)
 	}
 	if snap := tcp.ingestSnapshot(); len(snap) != 0 {
 		t.Fatalf("snapshot after zero-net churn: %d entries, want 0", len(snap))

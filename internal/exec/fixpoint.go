@@ -8,11 +8,11 @@ import (
 )
 
 // fixpointOp is the while/fixpoint operator of §3.2/§4.2: it maintains the
-// recursive query's mutable relation keyed by the FIXPOINT BY columns,
-// feeds each stratum's Δ set back into the recursive sub-plan, removes
-// duplicate derivations (set semantics), and — with a while-state delta
-// handler installed — lets user code refine the state in place rather than
-// accumulate it (§3.3).
+// recursive query's mutable relation keyed by the FIXPOINT BY columns and
+// feeds each stratum's Δ set back into the recursive sub-plan. Each delta
+// is handed, with the relation's bucket for its key, to the while-state
+// handler (§3.3): the plan's own, which refines the state in place, or
+// setSemantics, which removes duplicate derivations, when it names none.
 //
 // Port 0 receives the base case, port 1 the recursive case. At the end of
 // each stratum the operator reports its new-tuple count to the worker,
@@ -26,20 +26,14 @@ type fixpointOp struct {
 	finalOuts     outputs
 
 	handler uda.WhileHandler
-	// buckets holds handler-managed state per key (handler mode).
-	buckets map[types.Value]*uda.TupleSet
-	// state holds the mutable relation in default set-semantics mode.
-	state map[types.Value]types.Tuple
+	state   *keyedBuckets
 
-	// pending is the next stratum's Δ set: the while handler and the
-	// set-semantics path both emit into its builder-owned batch, and its
-	// row count is the stratum's vote. Advance flushes it into the
-	// recursive sub-plan.
+	// pending is the next stratum's Δ set: the handler emits into its
+	// builder-owned batch, and its row count is the stratum's vote.
+	// Advance flushes it into the recursive sub-plan.
 	pending *uda.Emitter
 	// rows is eachRow's scratch.
 	rows []types.Delta
-
-	dirty map[types.Value]bool
 
 	// stream enables per-stratum state-change emission: StreamDelta
 	// produces each stratum's changelog against emitted (the per-key
@@ -53,15 +47,13 @@ type fixpointOp struct {
 	onStratumEnd func(stratum, newCount int)
 }
 
+// newFixpointOp builds a fixpoint that runs handler, the plan's named
+// while handler, or set semantics when the plan names none.
 func newFixpointOp(spec *OpSpec, ctx *Context, handler uda.WhileHandler) *fixpointOp {
-	f := &fixpointOp{
-		spec:    spec,
-		ctx:     ctx,
-		handler: handler,
-		buckets: map[types.Value]*uda.TupleSet{},
-		state:   map[types.Value]types.Tuple{},
-		dirty:   map[types.Value]bool{},
+	if spec.WhileHandlerName == "" {
+		handler = setSemantics{}
 	}
+	f := &fixpointOp{spec: spec, ctx: ctx, handler: handler, state: newKeyedBuckets("S")}
 	f.pending = uda.NewEmitter(0) // the relation's first row sets the width
 	f.pending.FlushEvery(0, func(b *types.DeltaBatch) error { return f.recursiveOuts.sendBatch(b) })
 	return f
@@ -75,60 +67,46 @@ func (f *fixpointOp) Push(port int, b *types.DeltaBatch) error {
 
 func (f *fixpointOp) update(d types.Delta) error {
 	key := d.Tup.Key(f.spec.FixpointKey)
-	if f.handler == nil {
-		return f.defaultUpdate(key, d)
-	}
-	b, ok := f.buckets[key]
-	if !ok {
-		b = &uda.TupleSet{}
-		f.buckets[key] = b
-	}
+	b := f.state.get(key)
 	v0 := b.Version()
 	if err := f.handler.Update(b, d, f.pending); err != nil {
 		return fmt.Errorf("exec: while handler %s: %w", f.handler.Name(), err)
 	}
-	if b.Version() != v0 {
-		f.dirty[key] = true
+	f.state.touched(key, b, v0)
+	if b.Len() == 0 {
+		delete(f.state.buckets, key) // a deleted key holds no memory
 	}
 	return nil
 }
 
-// defaultUpdate implements the handler-less semantics: the fixpoint
-// "removes duplicate tuples according to a query-specified key, by
-// maintaining a set of processed tuples" (§4.2). A tuple whose key exists
-// with an identical value is a duplicate derivation and is dropped; a
-// different value replaces the stored one and propagates.
-func (f *fixpointOp) defaultUpdate(key types.Value, d types.Delta) error {
-	existing, ok := f.state[key]
-	switch d.Op {
-	case types.OpInsert, types.OpUpdate:
-		if ok && existing.Equal(d.Tup) {
-			return nil // duplicate derivation
-		}
-		f.state[key] = d.Tup
-		f.dirty[key] = true
-		if ok {
-			return f.pending.Emit(types.Replace(existing, d.Tup))
-		}
-		return f.pending.Emit(types.Insert(d.Tup))
-	case types.OpDelete:
-		if ok {
-			delete(f.state, key)
-			f.dirty[key] = true
-			return f.pending.Emit(types.Delete(existing))
-		}
-	case types.OpReplace:
-		if ok && existing.Equal(d.Tup) {
+// setSemantics is the while-state handler of a plan that names none: the
+// fixpoint "removes duplicate tuples according to a query-specified key,
+// by maintaining a set of processed tuples" (§4.2). A key's bucket holds
+// its one current tuple. A derivation equal to it is a duplicate and is
+// dropped; a different one replaces it and propagates; a delete removes
+// it, whatever its value.
+type setSemantics struct{}
+
+func (setSemantics) Name() string { return "set-semantics" }
+
+func (setSemantics) Update(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) error {
+	if rel.Len() == 0 {
+		if d.Op == types.OpDelete {
 			return nil
 		}
-		f.state[key] = d.Tup
-		f.dirty[key] = true
-		if ok {
-			return f.pending.Emit(types.Replace(existing, d.Tup))
-		}
-		return f.pending.Emit(types.Insert(d.Tup))
+		rel.Add(d.Tup)
+		return out.Emit(types.Insert(d.Tup))
 	}
-	return nil
+	cur := rel.Tuples[0]
+	switch {
+	case d.Op == types.OpDelete:
+		rel.RemoveAt(0)
+		return out.Emit(types.Delete(cur))
+	case cur.Equal(d.Tup):
+		return nil // duplicate derivation
+	}
+	rel.Set(0, d.Tup)
+	return out.Emit(types.Replace(cur, d.Tup))
 }
 
 // Punct ends the stratum: base-case punctuation closes stratum 0, and the
@@ -152,19 +130,9 @@ func (f *fixpointOp) Punct(port, stratum int, closed bool) error {
 func (f *fixpointOp) Advance(next int) error {
 	if f.spec.NoDelta {
 		f.pending.Batch().Reset()
-		if f.handler != nil {
-			for _, b := range f.buckets {
-				for _, t := range b.Tuples {
-					if err := f.pending.Emit(types.Update(t)); err != nil {
-						return err
-					}
-				}
-			}
-		} else {
-			for _, t := range f.state {
-				if err := f.pending.Emit(types.Update(t)); err != nil {
-					return err
-				}
+		for t := range f.state.all {
+			if err := f.pending.Emit(types.Update(t)); err != nil {
+				return err
 			}
 		}
 	}
@@ -183,16 +151,8 @@ func (f *fixpointOp) Finish() error {
 		return f.finalOuts.punct(f.ctx.Stratum, true)
 	}
 	var out []types.Delta
-	if f.handler != nil {
-		for _, b := range f.buckets {
-			for _, t := range b.Tuples {
-				out = append(out, types.Insert(t))
-			}
-		}
-	} else {
-		for _, t := range f.state {
-			out = append(out, types.Insert(t))
-		}
+	for t := range f.state.all {
+		out = append(out, types.Insert(t))
 	}
 	const flushChunk = 4096
 	for len(out) > 0 {
@@ -220,14 +180,10 @@ func (f *fixpointOp) StreamDelta() []types.Delta {
 		f.emitted = map[types.Value][]types.Tuple{}
 	}
 	var out []types.Delta
-	for key := range f.dirty {
+	for key := range f.state.dirty {
 		var cur []types.Tuple
-		if f.handler != nil {
-			if b := f.buckets[key]; b != nil {
-				cur = b.Tuples
-			}
-		} else if t, ok := f.state[key]; ok {
-			cur = []types.Tuple{t}
+		if b := f.state.buckets[key]; b != nil {
+			cur = b.Tuples
 		}
 		prev := f.emitted[key]
 		if tuplesEqual(prev, cur) {
@@ -259,11 +215,7 @@ func (f *fixpointOp) StreamDelta() []types.Delta {
 
 // ClearDirty resets the per-stratum dirty-key set (streaming path; the
 // checkpoint path clears it through DirtyState).
-func (f *fixpointOp) ClearDirty() {
-	if len(f.dirty) > 0 {
-		f.dirty = map[types.Value]bool{}
-	}
-}
+func (f *fixpointOp) ClearDirty() { f.state.clearDirty() }
 
 func tuplesEqual(a, b []types.Tuple) bool {
 	if len(a) != len(b) {
@@ -278,10 +230,8 @@ func tuplesEqual(a, b []types.Tuple) bool {
 }
 
 func (f *fixpointOp) Reset() {
-	f.buckets = map[types.Value]*uda.TupleSet{}
-	f.state = map[types.Value]types.Tuple{}
+	f.state = newKeyedBuckets("S")
 	f.pending.Batch().Reset()
-	f.dirty = map[types.Value]bool{}
 	f.emitted = nil
 }
 
@@ -295,28 +245,7 @@ func (f *fixpointOp) Reset() {
 // A pending replace carries its old image after the new one; downstream
 // operators index it.
 func (f *fixpointOp) DirtyState() []types.Tuple {
-	var out []types.Tuple
-	for key := range f.dirty {
-		h := int64(types.HashValue(key))
-		if f.handler != nil {
-			b := f.buckets[key]
-			if b == nil || b.Len() == 0 {
-				out = append(out, types.NewTuple(h, "S", key))
-				continue
-			}
-			for _, t := range b.Tuples {
-				out = append(out, append(types.NewTuple(h, "S", key), t...))
-			}
-			continue
-		}
-		t, ok := f.state[key]
-		if !ok {
-			out = append(out, types.NewTuple(h, "S", key))
-			continue
-		}
-		out = append(out, append(types.NewTuple(h, "S", key), t...))
-	}
-	f.dirty = map[types.Value]bool{}
+	out := f.state.appendDirty(nil)
 	pb := f.pending.Batch()
 	var row types.Tuple
 	for i := 0; i < pb.Len(); i++ {
@@ -337,7 +266,7 @@ func (f *fixpointOp) DirtyState() []types.Tuple {
 func (f *fixpointOp) Restore(strata [][]types.Tuple) error {
 	for si, entries := range strata {
 		last := si == len(strata)-1
-		seen := map[types.Value]bool{}
+		fresh := map[types.Value]bool{}
 		for _, e := range entries {
 			if len(e) < 3 {
 				return fmt.Errorf("exec: fixpoint restore: bad entry %v", e)
@@ -345,27 +274,12 @@ func (f *fixpointOp) Restore(strata [][]types.Tuple) error {
 			tag, _ := e[1].(string)
 			switch tag {
 			case "S":
-				key := e[2]
-				if f.handler != nil {
-					if !seen[key] {
-						seen[key] = true
-						f.buckets[key] = &uda.TupleSet{}
-					}
-					if len(e) > 3 {
-						f.buckets[key].Add(e[3:].Clone())
-					}
-				} else {
-					if len(e) > 3 {
-						f.state[key] = e[3:].Clone()
-					} else {
-						delete(f.state, key)
-					}
-				}
+				f.state.restore(e, fresh)
 			case "P":
 				if !last {
 					continue
 				}
-				d, err := pendingEntry(e)
+				d, err := pendingEntry(e, f.spec.FixpointKey)
 				if err != nil {
 					return err
 				}
@@ -381,8 +295,9 @@ func (f *fixpointOp) Restore(strata [][]types.Tuple) error {
 }
 
 // pendingEntry decodes a checkpointed pending delta (a "P" entry of at
-// least three fields), checking every field. The delta aliases e.
-func pendingEntry(e types.Tuple) (types.Delta, error) {
+// least three fields), checking every field and that the tuple holds the
+// key columns. The delta aliases e.
+func pendingEntry(e types.Tuple, key []int) (types.Delta, error) {
 	op, ok := types.AsInt(e[2])
 	if !ok || op < int64(types.OpInsert) || op > int64(types.OpUpdate) {
 		return types.Delta{}, fmt.Errorf("exec: fixpoint restore: bad pending op in %v", e)
@@ -394,6 +309,11 @@ func pendingEntry(e types.Tuple) (types.Delta, error) {
 	tup, inBounds := entrySpan(e, 4, n)
 	if !ok || !inBounds {
 		return types.Delta{}, fmt.Errorf("exec: fixpoint restore: bad pending length in %v", e)
+	}
+	for _, c := range key {
+		if c >= len(tup) {
+			return types.Delta{}, fmt.Errorf("exec: fixpoint restore: pending tuple lacks key column %d in %v", c, e)
+		}
 	}
 	d := types.Delta{Op: types.Op(op), Tup: tup}
 	old := e[4+len(tup):]

@@ -38,7 +38,6 @@ type groupByOp struct {
 	// UDA mode
 	udaAgg    uda.Aggregator
 	udaStates map[types.Value]uda.State
-	udaKeys   map[types.Value]types.Tuple
 }
 
 func newGroupByOp(spec *OpSpec, nin int, agg uda.Aggregator, schema []types.Kind) (*groupByOp, error) {
@@ -46,7 +45,6 @@ func newGroupByOp(spec *OpSpec, nin int, agg uda.Aggregator, schema []types.Kind
 	if agg != nil {
 		g.udaAgg = agg
 		g.udaStates = map[types.Value]uda.State{}
-		g.udaKeys = map[types.Value]types.Tuple{}
 		return g, nil
 	}
 	aggs, tab, err := newAggTable(spec)
@@ -309,7 +307,6 @@ func (g *groupByOp) pushUDA(b *types.DeltaBatch) error {
 		st, ok := g.udaStates[key]
 		if !ok {
 			st = g.udaAgg.NewState()
-			g.udaKeys[key] = d.Tup.Project(g.spec.GroupKey)
 		}
 		nst, intermediate, err := g.udaAgg.AggState(st, d)
 		if err != nil {
@@ -398,7 +395,6 @@ func (g *groupByOp) flushUDA() error {
 		}
 		out = append(out, res...)
 		delete(g.udaStates, key)
-		delete(g.udaKeys, key)
 	}
 	return g.outs.send(out)
 }
@@ -411,7 +407,6 @@ func (g *groupByOp) ReopenRound() { g.tracker.reopen() }
 func (g *groupByOp) Reset() {
 	if g.udaAgg != nil {
 		g.udaStates = map[types.Value]uda.State{}
-		g.udaKeys = map[types.Value]types.Tuple{}
 	} else {
 		g.tab.Reset()
 	}

@@ -8,12 +8,11 @@ import (
 )
 
 // hashJoinOp is REX's pipelined hash join extended with delta propagation
-// (§3.3): insertions/deletions/replacements follow the Gupta-Mumick rules;
-// δ() value-updates are interpreted by a user-supplied join-state handler
-// when one is installed (the paper's UPDATE(LEFTBUCKET, RIGHTBUCKET, D)).
-//
-// Each input tuple is accumulated into its side's bucket and immediately
-// probed against the opposite bucket — the pipelined form of §3.2.
+// (§3.3). Each input delta is handed, with the buckets for its join key, to
+// the join-state handler — the paper's UPDATE(LEFTBUCKET, RIGHTBUCKET, D):
+// the plan's own, or the Gupta-Mumick rules (guptaMumick) when it names
+// none. The handler accumulates the delta into its side's bucket and
+// probes the opposite one — the pipelined form of §3.2.
 type hashJoinOp struct {
 	spec *OpSpec
 	outs outputs
@@ -21,32 +20,30 @@ type hashJoinOp struct {
 	tracker *portTracker
 	handler uda.JoinHandler
 
-	left, right map[types.Value]*uda.TupleSet
-	// dirty records bucket keys mutated in the current stratum, per side.
-	dirty [2]map[types.Value]bool
+	// sides holds the left (port 0) and right (port 1) buckets.
+	sides [2]*keyedBuckets
 
-	// out is where the handler and the plain probe both write results: a
-	// pooled batch that goes downstream every batchSize rows (0: once per
-	// input batch) — mid-handler for a hub key — and at the end of each
-	// Push, so one input batch (a whole stratum's Δ set on
-	// fixpointOp.Advance) never materializes its entire join result. The
-	// batch is detached while it goes downstream.
+	// out is where the handler writes results: a pooled batch that goes
+	// downstream every batchSize rows (0: once per input batch) —
+	// mid-handler for a hub key — and at the end of each Push, so one
+	// input batch (a whole stratum's Δ set on fixpointOp.Advance) never
+	// materializes its entire join result. The batch is detached while it
+	// goes downstream.
 	out *uda.Emitter
 	// rows is eachRow's scratch.
 	rows []types.Delta
 }
 
+// newHashJoinOp builds a join that runs handler, the plan's named join
+// handler, or the Gupta-Mumick rules when the plan names none.
 func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler, batchSize int) *hashJoinOp {
-	j := &hashJoinOp{
-		spec:    spec,
-		tracker: newPortTracker(2),
-		handler: handler,
-		left:    map[types.Value]*uda.TupleSet{},
-		right:   map[types.Value]*uda.TupleSet{},
-		dirty:   [2]map[types.Value]bool{{}, {}},
+	if spec.JoinHandlerName == "" {
+		handler = guptaMumick{}
 	}
-	width := 0 // the plain probe's rows: left arity + right arity
-	if handler != nil && handler.OutSchema() != nil {
+	j := &hashJoinOp{spec: spec, tracker: newPortTracker(2), handler: handler}
+	j.resetBuckets()
+	width := 0 // no schema: the first row sets the width
+	if handler.OutSchema() != nil {
 		width = handler.OutSchema().Len()
 	}
 	j.out = uda.NewEmitter(width)
@@ -54,13 +51,8 @@ func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler, batchSize int) *hashJo
 	return j
 }
 
-func (j *hashJoinOp) bucket(side map[types.Value]*uda.TupleSet, key types.Value) *uda.TupleSet {
-	b, ok := side[key]
-	if !ok {
-		b = &uda.TupleSet{}
-		side[key] = b
-	}
-	return b
+func (j *hashJoinOp) resetBuckets() {
+	j.sides = [2]*keyedBuckets{newKeyedBuckets(int64(0)), newKeyedBuckets(int64(1))}
 }
 
 func (j *hashJoinOp) keyOf(port int, t types.Tuple) types.Value {
@@ -70,8 +62,7 @@ func (j *hashJoinOp) keyOf(port int, t types.Tuple) types.Value {
 	return t.Key(j.spec.RightKey)
 }
 
-// Push processes the batch row by row; bucket inserts and handlers retain
-// the rows' tuples.
+// Push processes the batch row by row; handlers retain the rows' tuples.
 func (j *hashJoinOp) Push(port int, b *types.DeltaBatch) error {
 	if port != 0 && port != 1 {
 		return fmt.Errorf("exec: join port %d out of range", port)
@@ -95,53 +86,53 @@ func (j *hashJoinOp) processDelta(port int, d types.Delta) error {
 			return j.processDelta(port, types.Insert(d.Tup))
 		}
 	}
-	lb := j.bucket(j.left, key)
-	rb := j.bucket(j.right, key)
-
-	if j.handler != nil {
-		lv, rv := lb.Version(), rb.Version()
-		if err := j.handler.Update(lb, rb, d, port == 0, j.out); err != nil {
-			return fmt.Errorf("exec: join handler %s: %w", j.handler.Name(), err)
-		}
-		if lb.Version() != lv {
-			j.dirty[0][key] = true
-		}
-		if rb.Version() != rv {
-			j.dirty[1][key] = true
-		}
-		return nil
+	left, right := j.sides[0], j.sides[1]
+	lb, rb := left.get(key), right.get(key)
+	lv, rv := lb.Version(), rb.Version()
+	if err := j.handler.Update(lb, rb, d, port == 0, j.out); err != nil {
+		return fmt.Errorf("exec: join handler %s: %w", j.handler.Name(), err)
 	}
+	left.touched(key, lb, lv)
+	right.touched(key, rb, rv)
+	return nil
+}
 
-	mine, opp := lb, rb
-	if port == 1 {
-		mine, opp = rb, lb
+// guptaMumick is the join-state handler of a plan that names none: the
+// Gupta-Mumick delta rules. A delta revises its own side's bucket and
+// joins with every opposite tuple under its annotation; a same-key
+// replacement emits the replacement of every joined row. δ() has no
+// special semantics: the annotation rides along as a hidden attribute
+// (§3.3), so the tuple is an insertion for state purposes and the output
+// keeps δ.
+type guptaMumick struct{}
+
+func (guptaMumick) Name() string { return "gupta-mumick" }
+
+// OutSchema is nil: rows are the left fields then the right fields.
+func (guptaMumick) OutSchema() *types.Schema { return nil }
+
+func (guptaMumick) Update(left, right *uda.TupleSet, d types.Delta, fromLeft bool, out *uda.Emitter) error {
+	mine, opp := left, right
+	if !fromLeft {
+		mine, opp = right, left
 	}
 	switch d.Op {
 	case types.OpInsert, types.OpUpdate:
-		// Without a handler, δ() has no special semantics: the annotation
-		// rides along as a hidden attribute (§3.3). The tuple behaves like
-		// an insertion for state purposes and output deltas keep δ.
 		mine.Add(d.Tup)
-		j.dirty[port][key] = true
 	case types.OpDelete:
-		if mine.Remove(d.Tup) {
-			j.dirty[port][key] = true
-		}
+		mine.Remove(d.Tup)
 	case types.OpReplace:
-		// Same-key replacement: revise the bucket, emit replacements for
-		// every matching opposite tuple.
 		if !mine.ReplaceFirst(d.Old, d.Tup) {
 			mine.Add(d.Tup)
 		}
-		j.dirty[port][key] = true
 	}
 	for _, o := range opp.Tuples {
-		j.out.Begin(d.Op)
-		j.joined(port, d.Tup, o)
+		out.Begin(d.Op)
+		joined(out, fromLeft, d.Tup, o)
 		if d.Op == types.OpReplace {
-			j.joined(port, d.Old, o)
+			joined(out, fromLeft, d.Old, o)
 		}
-		if err := j.out.End(); err != nil {
+		if err := out.End(); err != nil {
 			return err
 		}
 	}
@@ -150,16 +141,16 @@ func (j *hashJoinOp) processDelta(port int, d types.Delta) error {
 
 // joined supplies the open output row's columns: left fields then right
 // fields, whichever side the delta arrived on.
-func (j *hashJoinOp) joined(port int, mine, opposite types.Tuple) {
+func joined(out *uda.Emitter, fromLeft bool, mine, opposite types.Tuple) {
 	left, right := mine, opposite
-	if port == 1 {
+	if !fromLeft {
 		left, right = opposite, mine
 	}
 	for _, v := range left {
-		j.out.Value(v)
+		out.Value(v)
 	}
 	for _, v := range right {
-		j.out.Value(v)
+		out.Value(v)
 	}
 }
 
@@ -179,41 +170,21 @@ func (j *hashJoinOp) Punct(port, stratum int, closed bool) error {
 func (j *hashJoinOp) ReopenRound() { j.tracker.reopen() }
 
 func (j *hashJoinOp) Reset() {
-	j.left = map[types.Value]*uda.TupleSet{}
-	j.right = map[types.Value]*uda.TupleSet{}
-	j.dirty = [2]map[types.Value]bool{{}, {}}
+	j.resetBuckets()
 	j.tracker.reset()
 }
 
-// DirtyState checkpoints the buckets mutated this stratum. Buckets on a
-// purely immutable input (rebuilt from base scans during recovery) are
-// skipped. Entry layout: [keyHash, side, key, fields...], one entry per
-// bucket tuple; an empty dirty bucket still emits a tombstone entry
-// [keyHash, side, key] so recovery clears it.
+// DirtyState checkpoints the buckets mutated this stratum, tagged with
+// their side (int64 0 or 1). Buckets on a purely immutable input (rebuilt
+// from base scans during recovery) are skipped.
 func (j *hashJoinOp) DirtyState() []types.Tuple {
 	var out []types.Tuple
-	for side := 0; side < 2; side++ {
+	for side, b := range j.sides {
 		if j.spec.ImmutablePort == side {
-			j.dirty[side] = map[types.Value]bool{}
+			b.clearDirty()
 			continue
 		}
-		buckets := j.left
-		if side == 1 {
-			buckets = j.right
-		}
-		for key := range j.dirty[side] {
-			h := int64(types.HashValue(key))
-			b := buckets[key]
-			if b == nil || b.Len() == 0 {
-				out = append(out, types.NewTuple(h, int64(side), key))
-				continue
-			}
-			for _, t := range b.Tuples {
-				entry := types.NewTuple(h, int64(side), key)
-				out = append(out, append(entry, t...))
-			}
-		}
-		j.dirty[side] = map[types.Value]bool{}
+		out = b.appendDirty(out)
 	}
 	return out
 }
@@ -223,29 +194,16 @@ func (j *hashJoinOp) DirtyState() []types.Tuple {
 // bucket.
 func (j *hashJoinOp) Restore(strata [][]types.Tuple) error {
 	for _, entries := range strata {
-		type sk struct {
-			side int64
-			key  types.Value
-		}
-		seen := map[sk]bool{}
+		fresh := [2]map[types.Value]bool{{}, {}}
 		for _, e := range entries {
 			if len(e) < 3 {
-				return fmt.Errorf("exec: join restore: bad entry %v", e)
+				return fmt.Errorf("exec: join restore: short entry %v", e)
 			}
-			side, _ := types.AsInt(e[1])
-			key := e[2]
-			buckets := j.left
-			if side == 1 {
-				buckets = j.right
+			side, ok := e[1].(int64)
+			if !ok || side < 0 || side > 1 {
+				return fmt.Errorf("exec: join restore: bad side in %v", e)
 			}
-			id := sk{side, key}
-			if !seen[id] {
-				seen[id] = true
-				buckets[key] = &uda.TupleSet{}
-			}
-			if len(e) > 3 {
-				buckets[key].Add(e[3:].Clone())
-			}
+			j.sides[side].restore(e, fresh[side])
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -153,45 +152,5 @@ func TestRecursiveEstimateCapsDivergence(t *testing.T) {
 	}
 	if est.Res.CPU > 21 {
 		t.Fatalf("cost must be capped near linear growth: %v", est.Res.CPU)
-	}
-}
-
-func TestJoinEnumerationPicksSelectiveOrder(t *testing.T) {
-	m := model(4)
-	e := &Enumerator{
-		Model: m,
-		Rels: []JoinRel{
-			{Name: "big", Rows: 1e6, AvgBytes: 32},
-			{Name: "mid", Rows: 1e4, AvgBytes: 32},
-			{Name: "small", Rows: 10, AvgBytes: 32},
-		},
-		Edges: []JoinGraphEdge{
-			{A: 0, B: 1, Selectivity: 1e-6},
-			{A: 1, B: 2, Selectivity: 1e-4},
-		},
-	}
-	est, tree := e.BestOrder()
-	if est.Runtime() <= 0 {
-		t.Fatal("estimate must be positive")
-	}
-	// The chosen tree must join along graph edges (no cross product of
-	// big × small).
-	if !strings.Contains(tree, "⋈") {
-		t.Fatalf("tree = %q", tree)
-	}
-	if strings.Contains(tree, "(big ⋈ small)") || strings.Contains(tree, "(small ⋈ big)") {
-		t.Fatalf("picked cross product: %s", tree)
-	}
-}
-
-func TestJoinEnumerationSingle(t *testing.T) {
-	e := &Enumerator{Model: model(2), Rels: []JoinRel{{Name: "t", Rows: 100, AvgBytes: 8}}}
-	est, tree := e.BestOrder()
-	if tree != "t" || est.Rows != 100 {
-		t.Fatalf("single rel: %v %q", est, tree)
-	}
-	empty := &Enumerator{Model: model(2)}
-	if _, tree := empty.BestOrder(); tree != "" {
-		t.Fatal("empty enumeration")
 	}
 }

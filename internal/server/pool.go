@@ -36,7 +36,7 @@ type backend struct {
 	// so a flow session never misses or double-applies a batch.
 	mu      sync.Mutex
 	creates []createOp
-	ingests map[string]*replayLog
+	ingests map[string]*cluster.ChangeLog
 	logOrd  []string
 	subs    map[*srvSub]struct{}
 }
@@ -48,33 +48,6 @@ type createOp struct {
 	key    int
 }
 
-// replayLog is one table's folded server-side ingest history (same
-// fold-at-threshold compaction the TCP session's change log uses).
-type replayLog struct {
-	keyCol    int
-	deltas    []types.Delta
-	sinceFold int
-}
-
-// replayFoldEvery is the raw-append count after which a table's log
-// refolds to its net effect.
-const replayFoldEvery = 64
-
-func (rl *replayLog) fold() {
-	key := rl.keyCol
-	c := cluster.NewCompactor(func(t types.Tuple) types.Value {
-		if key < len(t) {
-			return t[key]
-		}
-		return nil
-	}, nil)
-	for _, d := range rl.deltas {
-		c.Add(d)
-	}
-	rl.deltas = c.Drain()
-	rl.sinceFold = 0
-}
-
 // subTarget pairs a standing flow with the staged sequence number an
 // ingest reply must await.
 type subTarget struct {
@@ -84,7 +57,7 @@ type subTarget struct {
 
 // newBackend boots the sub-pools.
 func newBackend(ctx context.Context, cfg Config) (*backend, error) {
-	b := &backend{cfg: cfg, ingests: map[string]*replayLog{}, subs: map[*srvSub]struct{}{}}
+	b := &backend{cfg: cfg, ingests: map[string]*cluster.ChangeLog{}, subs: map[*srvSub]struct{}{}}
 	for i := 0; i < cfg.SubPools; i++ {
 		var opts []rex.Option
 		if len(cfg.Peers) > 0 {
@@ -170,15 +143,11 @@ func (b *backend) ingest(batches map[string][]rex.Delta) ([]subTarget, error) {
 	for table, deltas := range batches {
 		rl := b.ingests[table]
 		if rl == nil {
-			rl = &replayLog{keyCol: b.partitionKeyLocked(table)}
+			rl = cluster.NewChangeLog(b.partitionKeyLocked(table))
 			b.ingests[table] = rl
 			b.logOrd = append(b.logOrd, table)
 		}
-		rl.deltas = append(rl.deltas, deltas...)
-		rl.sinceFold += len(deltas)
-		if rl.sinceFold >= replayFoldEvery {
-			rl.fold()
-		}
+		rl.Append(deltas)
 	}
 	targets := make([]subTarget, 0, len(b.subs))
 	for sub := range b.subs {
@@ -225,17 +194,14 @@ func (b *backend) register(sub *srvSub) replaySnapshot {
 	var snap replaySnapshot
 	snap.creates = append(snap.creates, b.creates...)
 	for _, table := range b.logOrd {
-		rl := b.ingests[table]
-		if rl.sinceFold > 0 {
-			rl.fold()
-		}
-		if len(rl.deltas) == 0 {
+		net := b.ingests[table].Net()
+		if len(net) == 0 {
 			continue
 		}
 		snap.ingests = append(snap.ingests, struct {
 			table  string
 			deltas []types.Delta
-		}{table, append([]types.Delta(nil), rl.deltas...)})
+		}{table, append([]types.Delta(nil), net...)})
 	}
 	b.subs[sub] = struct{}{}
 	return snap

@@ -101,9 +101,11 @@ func (e *Emitter) Emit(d types.Delta) error {
 }
 
 // fit checks a row of n columns against the width, adopting n as the
-// width when none is set: every row of the batch has the width.
+// width when none is set: every row of the batch has the width. A width
+// of 0 stays unset only while the batch is empty, so a zero-column first
+// row still fixes it.
 func (e *Emitter) fit(n int) error {
-	if e.width == 0 {
+	if e.width == 0 && (e.b == nil || e.b.Len() == 0) {
 		e.width = n
 	}
 	if n != e.width {

@@ -102,6 +102,12 @@ func TestEmitterWrongColumnCount(t *testing.T) {
 	if err := free.Emit(types.Insert(types.NewTuple(int64(1)))); err == nil {
 		t.Error("a row narrower than the first was accepted")
 	}
+	// A zero-column first row sets the width too.
+	empty := NewEmitter(0)
+	must(t, empty.Emit(types.Insert(types.NewTuple())))
+	if err := empty.Emit(types.Insert(types.NewTuple(int64(1)))); err == nil {
+		t.Error("a 1-column row after a 0-column one was accepted")
+	}
 }
 
 // Kinds adopt and demote exactly as Column.AppendValue does.

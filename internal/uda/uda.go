@@ -87,12 +87,17 @@ func (s *TupleSet) Add(t types.Tuple) {
 func (s *TupleSet) Remove(t types.Tuple) bool {
 	for i, x := range s.Tuples {
 		if x.Equal(t) {
-			s.Tuples = append(s.Tuples[:i], s.Tuples[i+1:]...)
-			s.version++
+			s.RemoveAt(i)
 			return true
 		}
 	}
 	return false
+}
+
+// RemoveAt deletes the tuple at index i.
+func (s *TupleSet) RemoveAt(i int) {
+	s.Tuples = append(s.Tuples[:i], s.Tuples[i+1:]...)
+	s.version++
 }
 
 // Set overwrites the tuple at index i (bumping the mutation counter, so

@@ -34,7 +34,7 @@ type tcpBackend struct {
 	// accumulates, and again at snapshot time, so the log — and with it
 	// every job spec — stays bounded by the net change under churn.
 	logMu     sync.Mutex
-	ingestLog map[string]*tableLog
+	ingestLog map[string]*cluster.ChangeLog
 	logOrder  []string
 }
 
@@ -260,44 +260,14 @@ func (st *tcpStmt) bind(args []Value, opts Options) (execution, error) {
 	return st.b.query(src, opts)
 }
 
-// tableLog is one table's slice of the change log.
-type tableLog struct {
-	keyCol    int
-	deltas    []types.Delta
-	sinceFold int
-}
-
-// ingestLogFoldEvery is the raw-append count after which a table's log
-// refolds. Folding is O(appends since last fold + live entries), so the
-// amortized cost per append is O(1) while the retained length stays within
-// one threshold of the net change.
-const ingestLogFoldEvery = 64
-
-// fold compacts the table's log to its net effect via the shuffle
-// compactor's same-key rules.
-func (tl *tableLog) fold() {
-	key := tl.keyCol
-	c := cluster.NewCompactor(func(t types.Tuple) types.Value {
-		if key < len(t) {
-			return t[key]
-		}
-		return nil
-	}, nil)
-	for _, d := range tl.deltas {
-		c.Add(d)
-	}
-	tl.deltas = c.Drain()
-	tl.sinceFold = 0
-}
-
-// appendIngestLog records an accepted change for replay into future jobs,
-// refolding the table's slice whenever the fold threshold of raw appends
-// accumulates so the retained log tracks the net change, not the churn.
+// appendIngestLog records an accepted change for replay into future jobs;
+// the table's log refolds as it goes, so it tracks the net change, not
+// the churn.
 func (b *tcpBackend) appendIngestLog(table string, deltas []Delta) {
 	b.logMu.Lock()
 	defer b.logMu.Unlock()
 	if b.ingestLog == nil {
-		b.ingestLog = map[string]*tableLog{}
+		b.ingestLog = map[string]*cluster.ChangeLog{}
 	}
 	tl := b.ingestLog[table]
 	if tl == nil {
@@ -307,15 +277,11 @@ func (b *tcpBackend) appendIngestLog(table string, deltas []Delta) {
 				keyCol = tab.PartitionKey
 			}
 		}
-		tl = &tableLog{keyCol: keyCol}
+		tl = cluster.NewChangeLog(keyCol)
 		b.ingestLog[table] = tl
 		b.logOrder = append(b.logOrder, table)
 	}
-	tl.deltas = append(tl.deltas, deltas...)
-	tl.sinceFold += len(deltas)
-	if tl.sinceFold >= ingestLogFoldEvery {
-		tl.fold()
-	}
+	tl.Append(deltas)
 }
 
 // ingestSnapshot folds and encodes the change log for a job spec: at most
@@ -326,14 +292,11 @@ func (b *tcpBackend) ingestSnapshot() []job.IngestedTable {
 	defer b.logMu.Unlock()
 	var out []job.IngestedTable
 	for _, table := range b.logOrder {
-		tl := b.ingestLog[table]
-		if tl.sinceFold > 0 {
-			tl.fold()
-		}
-		if len(tl.deltas) == 0 {
+		net := b.ingestLog[table].Net()
+		if len(net) == 0 {
 			continue
 		}
-		out = append(out, job.IngestedTable{Table: table, Deltas: cluster.EncodeDeltas(tl.deltas)})
+		out = append(out, job.IngestedTable{Table: table, Deltas: cluster.EncodeDeltas(net)})
 	}
 	return out
 }
@@ -345,7 +308,7 @@ func (b *tcpBackend) ingestLogLen() int {
 	defer b.logMu.Unlock()
 	n := 0
 	for _, tl := range b.ingestLog {
-		n += len(tl.deltas)
+		n += tl.Len()
 	}
 	return n
 }
