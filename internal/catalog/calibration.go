@@ -1,7 +1,5 @@
 package catalog
 
-import "time"
-
 // Calibration is the per-cluster resource profile of §5 ("we assume that
 // each node has run an initial calibration that provides the optimizer with
 // information about its relative CPU and disk speeds, and all pairwise
@@ -42,23 +40,4 @@ func (c Calibration) SlowestCPU() float64 {
 		}
 	}
 	return slowest
-}
-
-// CalibrationQuery measures the supplied functions against a micro
-// workload, mirroring REX's "set of calibration queries plus runtime
-// monitoring" (§5.1). It returns the measured per-invocation cost (in cost
-// units normalized to CPUTuplesPerUnit).
-func (c Calibration) CalibrationQuery(fn func(), iters int) float64 {
-	if iters <= 0 {
-		iters = 1000
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		fn()
-	}
-	elapsed := time.Since(start).Seconds() / float64(iters)
-	// Normalize: one cost unit ≈ the time to process CPUTuplesPerUnit
-	// trivial tuples, taken as 1ms of wall clock on the baseline node.
-	const unitSeconds = 1e-3
-	return elapsed / unitSeconds
 }

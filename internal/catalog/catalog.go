@@ -290,13 +290,6 @@ func (c *Catalog) Calibration() Calibration {
 	return c.calibration
 }
 
-// SetCalibration installs a calibration profile.
-func (c *Catalog) SetCalibration(cal Calibration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.calibration = cal
-}
-
 // TVFDef is a registered table-valued function: one input delta in, any
 // number of deltas out. REX's dependent join passes inputs to table-valued
 // functions and combines the results (§4.2); the Hadoop MapWrap wrappers

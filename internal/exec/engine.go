@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,7 +29,7 @@ const (
 	RecoveryIncremental
 )
 
-// Option defaults shared by Engine.Run and NewWorker (a remote worker
+// Option defaults shared by Engine.start and NewWorker (a remote worker
 // must normalize the same way the engine does, or the two sides of a
 // query would batch differently).
 const (
@@ -253,325 +251,14 @@ func (e *Engine) Run(spec *PlanSpec, opts Options) (*Result, error) {
 // broadcasts an abort punctuation so workers drop per-query state and
 // drain their mailboxes, and tears the run down with stores and
 // checkpoints consistent — the next query on the same engine works. The
-// returned error is ctx.Err().
+// returned error is ctx.Err(). Setup and teardown are the ones every query
+// shares (see Engine.start).
 func (e *Engine) RunCtx(ctx context.Context, spec *PlanSpec, opts Options) (*Result, error) {
-	return e.run(ctx, spec, opts, nil)
-}
-
-// run is the shared body of RunCtx and Stream; sink, when non-nil, receives
-// each completed stratum's result-delta batch (streaming mode).
-func (e *Engine) run(ctx context.Context, spec *PlanSpec, opts Options, sink func(stratum int, batch []types.Delta)) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Stream && opts.Recovery != RecoveryNone {
-		return nil, fmt.Errorf("exec: streaming runs do not support failure recovery")
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = defaultBatchSize
-	}
-	if opts.CompactionHighWater <= 0 {
-		opts.CompactionHighWater = defaultHighWater
-	}
-	maxStrata := spec.MaxStrata
-	if opts.MaxStrata > 0 {
-		maxStrata = opts.MaxStrata
-	}
-	queryID := fmt.Sprintf("q%d", e.queryCounter.Add(1))
-
-	alive := e.Transport.AliveNodes()
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("exec: no alive nodes")
-	}
-	bytesBefore := e.Transport.Metrics().TotalBytesSent()
-	compactInBefore, compactOutBefore := e.Transport.Metrics().TotalCompaction()
-	start := time.Now()
-
-	// Spawn one worker loop per alive node hosted in this process;
-	// remote nodes run their loops in their own daemons. In-process
-	// inboxes persist across queries on one transport, so drain the
-	// debris of any abandoned prior run first: its frames carry the same
-	// epoch numbering as this query's and would otherwise be held by the
-	// fresh worker as "early" frames and replayed into the wrong plan.
-	// No frame of THIS query can exist yet — MsgStart has not been
-	// broadcast — and TCP daemons get a fresh inbox from Configure, so
-	// the drain only ever removes dead frames.
-	var wg sync.WaitGroup
-	for _, n := range alive {
-		if e.Stores[n] == nil {
-			continue
-		}
-		if ib := e.Transport.Inbox(n); ib != nil {
-			ib.Drain()
-		}
-		w := NewWorker(WorkerConfig{
-			Node: n, Transport: e.Transport, Store: e.Stores[n],
-			Checkpoints: e.Ckpts[n], Catalog: e.Catalog, Ring: e.Ring,
-			Plan: spec, QueryID: queryID, Options: opts,
-		})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Loop()
-		}()
-	}
-
-	// Cancellation watcher: a context expiry unblocks the coordinate loop
-	// by injecting the local MsgCancel sentinel into the requestor
-	// mailbox. The sentinel never crosses the wire; coordinate verifies
-	// ctx.Err() before acting on it, so a stale sentinel (context
-	// cancelled just as the query finished) is ignored by the next run.
-	stopWatch := make(chan struct{})
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-ctx.Done():
-			e.Transport.Requestor().Put(cluster.Message{Kind: cluster.MsgCancel})
-		case <-stopWatch:
-		}
-	}()
-
-	res, err := e.coordinate(ctx, spec, opts, queryID, maxStrata, sink)
-	// Join the watcher before the teardown drain below: its sentinel (if
-	// any) must be in the mailbox by then, or it would leak into the next
-	// run's requestor traffic.
-	close(stopWatch)
-	<-watchDone
-
-	// Teardown: on an abort, punctuate it so workers discard per-query
-	// operator state and drain cheaply; then stop workers and drop the
-	// query's checkpoints.
-	if err != nil && ctx.Err() != nil {
-		e.Transport.Broadcast(cluster.Message{From: -1, Kind: cluster.MsgAbort})
-	}
-	e.Transport.Broadcast(cluster.Message{From: -1, Kind: cluster.MsgShutdown})
-	wg.Wait()
-	// Every local producer has exited; clear requestor debris (stale
-	// votes and result frames of an aborted run) so the next query on
-	// this engine starts from an empty queue. Multi-process stragglers
-	// are handled by the transport's job-generation stamping instead.
-	e.Transport.Requestor().Drain()
-	for _, c := range e.Ckpts {
-		if c != nil {
-			c.Drop(queryID)
-		}
-	}
+	r, err := e.start(ctx, spec, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Multi-process transports count wire bytes where they are sent;
-	// pull the remote counters over before reading totals.
-	if ms, ok := e.Transport.(cluster.MetricsSyncer); ok {
-		if serr := ms.SyncMetrics(); serr != nil {
-			return nil, serr
-		}
-	}
-	res.Duration = time.Since(start)
-	res.BytesSent = e.Transport.Metrics().TotalBytesSent() - bytesBefore
-	compactIn, compactOut := e.Transport.Metrics().TotalCompaction()
-	res.CompactIn = compactIn - compactInBefore
-	res.CompactOut = compactOut - compactOutBefore
-	return res, nil
-}
-
-// coordinate is the query-requestor loop of §4.2: it aggregates fixpoint
-// votes, decides stratum advancement or termination, collects results, and
-// orchestrates recovery (§4.3). In streaming mode (sink non-nil) result
-// deltas are not accumulated; each stratum's batch is handed to the sink
-// when the stratum's votes complete, and non-recursive result batches are
-// forwarded as they arrive.
-func (e *Engine) coordinate(ctx context.Context, spec *PlanSpec, opts Options, queryID string, maxStrata int, sink func(stratum int, batch []types.Delta)) (*Result, error) {
-	res := &Result{}
-	acc := newResultSet()
-	// sbuf holds streaming batches per not-yet-closed stratum.
-	sbuf := map[int][]types.Delta{}
-	epoch := 0
-	resume := 0
-	incremental := false
-	completed := -1 // last globally completed stratum
-	emitted := -1   // last stratum handed to the sink
-
-	alive := e.Transport.AliveNodes()
-	broadcastStart := func() {
-		mode := startFresh
-		if incremental {
-			mode = startIncremental
-		}
-		payload := encodeNodeList(alive)
-		for _, n := range alive {
-			e.Transport.Send(cluster.Message{
-				From: -1, To: n, Kind: cluster.MsgStart,
-				Epoch: epoch, Stratum: resume, Count: mode, Payload: payload,
-			})
-		}
-	}
-	broadcastStart()
-
-	votes := map[int]map[cluster.NodeID]int{}
-	done := map[cluster.NodeID]bool{}
-	stratumStart := time.Now()
-	req := e.Transport.Requestor()
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		msg, ok := req.Get()
-		if !ok {
-			return nil, fmt.Errorf("exec: requestor mailbox closed")
-		}
-		switch msg.Kind {
-		case cluster.MsgCancel:
-			// Injected by the cancellation watcher (or a stale sentinel
-			// from a prior timed wait — ignore unless our context really
-			// expired).
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		case cluster.MsgError:
-			if msg.Epoch != epoch {
-				continue // stale epoch: the failed attempt's debris
-			}
-			return nil, fmt.Errorf("exec: node %d: %s", msg.From, msg.Table)
-		case cluster.MsgFailure:
-			if opts.Recovery == RecoveryNone {
-				return nil, fmt.Errorf("exec: node %d failed and recovery is disabled", msg.From)
-			}
-			res.Recoveries++
-			epoch++
-			alive = e.Transport.AliveNodes()
-			if len(alive) == 0 {
-				return nil, fmt.Errorf("exec: all nodes failed")
-			}
-			votes = map[int]map[cluster.NodeID]int{}
-			done = map[cluster.NodeID]bool{}
-			acc = newResultSet()
-			// Resume one stratum behind the last completed one. A worker
-			// replicates stratum s's checkpoints before voting, but the
-			// replicas travel peer to peer while the vote, and then this
-			// MsgStart, travel through the requestor: a survivor can start
-			// the new epoch before the last stratum's replicas reach it and
-			// drop them as stale. Stratum s-1's replicas cannot be missing:
-			// each node sent them ahead of its stratum-s punctuation on the
-			// same FIFO link, and every survivor processed that punctuation
-			// before voting s.
-			if opts.Recovery == RecoveryIncremental && spec.Recursive() && opts.Checkpoint && completed >= 1 {
-				incremental = true
-				resume = completed - 1
-				for len(res.Strata) > 0 && res.Strata[len(res.Strata)-1].Stratum > resume {
-					res.Strata = res.Strata[:len(res.Strata)-1]
-				}
-			} else {
-				incremental = false
-				resume = 0
-				completed = -1
-				res.Strata = nil
-			}
-			stratumStart = time.Now()
-			broadcastStart()
-		case cluster.MsgVote:
-			if msg.Epoch != epoch {
-				continue
-			}
-			s := msg.Stratum
-			if votes[s] == nil {
-				votes[s] = map[cluster.NodeID]int{}
-			}
-			votes[s][msg.From] = msg.Count
-			if len(votes[s]) < len(alive) {
-				continue
-			}
-			total := 0
-			for _, c := range votes[s] {
-				total += c
-			}
-			completed = s
-			if !(incremental && s == resume) {
-				// A re-voted restored stratum keeps its original stats.
-				res.Strata = append(res.Strata, StratumStats{
-					Stratum: s, NewTuples: total, Duration: time.Since(stratumStart),
-				})
-			}
-			stratumStart = time.Now()
-			if opts.OnStratum != nil {
-				opts.OnStratum(s, total)
-			}
-			if sink != nil {
-				// Every node ships its stream batch before its vote on the
-				// same ordered channel, so vote completion means stratum
-				// s's deltas are all buffered: the stratum is closed, emit.
-				// A stratum re-run after recovery was emitted already.
-				if batch := sbuf[s]; len(batch) > 0 && s > emitted {
-					sink(s, batch)
-				}
-				emitted = max(emitted, s)
-				delete(sbuf, s)
-			}
-			terminate := total == 0 || s+1 >= maxStrata
-			if opts.TermFn != nil && opts.TermFn(s, total) {
-				terminate = true
-			}
-			e.broadcastDecision(alive, epoch, s+1, terminate)
-		case cluster.MsgData:
-			if msg.Epoch != epoch || msg.Edge != resultEdge {
-				continue
-			}
-			batch, err := cluster.DecodeDeltas(msg.Payload)
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case sink == nil:
-				acc.apply(batch)
-			case spec.Recursive():
-				sbuf[msg.Stratum] = append(sbuf[msg.Stratum], batch...)
-			default:
-				// Non-recursive plans have no strata to align on: forward
-				// result batches as they arrive, all under stratum 0.
-				sink(0, batch)
-			}
-		case cluster.MsgPunct:
-			if msg.Epoch != epoch || msg.Edge != resultEdge {
-				continue
-			}
-			done[msg.From] = true
-			if len(done) == len(alive) {
-				if sink != nil {
-					// Flush any strata still buffered (a terminal stratum
-					// whose decision carried Terminate votes no follow-up),
-					// in stratum order.
-					flushStreamBuf(sbuf, sink)
-					return res, nil
-				}
-				res.Tuples = acc.materialize()
-				return res, nil
-			}
-		}
-	}
-}
-
-// flushStreamBuf emits leftover buffered stream batches in stratum order.
-func flushStreamBuf(sbuf map[int][]types.Delta, sink func(int, []types.Delta)) {
-	strata := make([]int, 0, len(sbuf))
-	for s := range sbuf {
-		strata = append(strata, s)
-	}
-	sort.Ints(strata)
-	for _, s := range strata {
-		if batch := sbuf[s]; len(batch) > 0 {
-			sink(s, batch)
-		}
-	}
-}
-
-func (e *Engine) broadcastDecision(alive []cluster.NodeID, epoch, next int, terminate bool) {
-	for _, n := range alive {
-		e.Transport.Send(cluster.Message{
-			From: -1, To: n, Kind: cluster.MsgDecision,
-			Epoch: epoch, Stratum: next, Terminate: terminate,
-		})
-	}
+	return r.run(nil)
 }
 
 // resultSet accumulates result deltas. Final flushes are insert-only, so

@@ -169,17 +169,11 @@ type ingestReq struct {
 // StandingQuery owns its engine's workers until Close — the session layer
 // serializes it against other queries.
 type StandingQuery struct {
-	eng  *Engine
-	spec *PlanSpec
-	opts Options
-
-	ctx    context.Context
+	*requestor
 	cancel context.CancelCauseFunc
 
 	stream *ResultStream
 	spool  *spool
-
-	maxStrata int
 
 	// mu guards the ingest queue, accumulated round stats, the applied
 	// hook, and terminal state.
@@ -190,9 +184,6 @@ type StandingQuery struct {
 	closed    bool
 	err       error
 
-	// epoch is the current execution attempt, bumped by each crash
-	// recovery; pump-goroutine state (only the pump reads or writes it).
-	epoch int
 	// recoveries counts crash recoveries survived.
 	recoveries int
 
@@ -207,39 +198,16 @@ func (sq *StandingQuery) Recoveries() int {
 	return sq.recoveries
 }
 
-// nodeFailureErr signals a node failure to the pump's recovery loop
-// (only produced when Options.Recover is installed).
-type nodeFailureErr struct{ node cluster.NodeID }
-
-func (e nodeFailureErr) Error() string {
-	return fmt.Sprintf("exec: node %d failed", e.node)
-}
-
-// failureErr converts a MsgFailure into either a recoverable sentinel or
-// the terminal error, depending on whether recovery is enabled.
-func (sq *StandingQuery) failureErr(n cluster.NodeID) error {
-	if sq.opts.Recover != nil {
-		return nodeFailureErr{node: n}
-	}
-	return fmt.Errorf("exec: node %d failed (standing-query recovery not enabled; set Options.Recover)", n)
-}
-
-// roundRun is one ingestion round's full context, kept so a crash
-// recovery can replay it: the covered requests, the folded and routed
-// frames (re-staged verbatim on retry), the round's buffered output, and
-// whether its fixpoint had closed when the failure hit. completed decides
-// the retry's output handling — a completed round's output was already
-// captured (the re-run, over a partially committed base, would emit
-// deltas relative to the wrong view), while an incomplete round's output
-// comes from the re-run itself.
+// roundRun is one ingestion round's context, kept so a crash recovery can
+// replay it: the routed frames (re-staged verbatim on retry), the round's
+// buffered output, and whether its fixpoint had closed when the failure
+// hit. completed decides the retry's output handling — a completed
+// round's output was already captured (the re-run, over a partially
+// committed base, would emit deltas relative to the wrong view), while an
+// incomplete round's output comes from the re-run itself.
 type roundRun struct {
 	round     int
-	reqs      []*ingestReq
-	folded    map[string][]types.Delta
 	frames    []cluster.Message
-	staged    int
-	nDeltas   int
-	nBytes    int64
 	stats     *RoundStats
 	buf       []StreamBatch
 	completed bool
@@ -249,12 +217,11 @@ type roundRun struct {
 // engine in streaming mode, waits for the initial fixpoint to complete
 // (its per-stratum batches are already buffered on the stream when Standing
 // returns), and keeps the whole dataflow resident for incremental rounds.
-// Standing queries reject failure recovery and checkpointing — a resident
-// dataflow has no epochs to replay.
+// Setup and teardown are the ones every query shares (see Engine.start).
+// Standing queries reject epoch-restart recovery and checkpointing — a
+// resident dataflow has no epochs to replay; Options.Recover enables crash
+// recovery instead.
 func (e *Engine) Standing(ctx context.Context, spec *PlanSpec, opts Options) (*StandingQuery, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	if opts.Recovery != RecoveryNone {
 		return nil, fmt.Errorf("exec: standing queries do not support epoch-restart recovery (use Options.Recover)")
 	}
@@ -271,76 +238,25 @@ func (e *Engine) Standing(ctx context.Context, spec *PlanSpec, opts Options) (*S
 			}
 		}
 	}
+	if alive := len(e.Transport.AliveNodes()); alive != e.Transport.N() {
+		return nil, fmt.Errorf("exec: standing queries need every node alive (%d of %d)", alive, e.Transport.N())
+	}
 	opts.Stream = true
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = defaultBatchSize
-	}
-	if opts.CompactionHighWater <= 0 {
-		opts.CompactionHighWater = defaultHighWater
-	}
-	maxStrata := spec.MaxStrata
-	if opts.MaxStrata > 0 {
-		maxStrata = opts.MaxStrata
-	}
-	alive := e.Transport.AliveNodes()
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("exec: no alive nodes")
-	}
-	if len(alive) != e.Transport.N() {
-		return nil, fmt.Errorf("exec: standing queries need every node alive (%d of %d)", len(alive), e.Transport.N())
-	}
-	queryID := fmt.Sprintf("q%d", e.queryCounter.Add(1))
-
 	sctx, cancel := context.WithCancelCause(ctx)
+	r, err := e.start(sctx, spec, opts)
+	if err != nil {
+		cancel(nil)
+		return nil, err
+	}
 	sq := &StandingQuery{
-		eng: e, spec: spec, opts: opts,
-		ctx: sctx, cancel: cancel,
-		spool:     newSpool(),
-		maxStrata: maxStrata,
-		done:      make(chan struct{}),
+		requestor: r, cancel: cancel,
+		spool: newSpool(),
+		done:  make(chan struct{}),
 	}
 	sq.stream = &ResultStream{src: sq.spool, done: sq.done, ctx: sctx, cancel: cancel}
 
-	// Spawn one worker loop per node hosted in this process; remote nodes
-	// run theirs inside their daemons. The loops stay alive across rounds
-	// until teardown broadcasts MsgShutdown. Drain each persistent
-	// in-process inbox first (see Engine.run): debris of an abandoned
-	// prior query must not be replayed into this plan as early frames.
-	var wg sync.WaitGroup
-	for _, n := range alive {
-		if e.Stores[n] == nil {
-			continue
-		}
-		if ib := e.Transport.Inbox(n); ib != nil {
-			ib.Drain()
-		}
-		w := NewWorker(WorkerConfig{
-			Node: n, Transport: e.Transport, Store: e.Stores[n],
-			Checkpoints: e.Ckpts[n], Catalog: e.Catalog, Ring: e.Ring,
-			Plan: spec, QueryID: queryID, Options: opts,
-		})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Loop()
-		}()
-	}
-
-	// Cancellation watcher, same contract as Engine.run: a ctx expiry (or
-	// Close) unblocks the pump by injecting the local MsgCancel sentinel.
-	stopWatch := make(chan struct{})
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-sctx.Done():
-			e.Transport.Requestor().Put(cluster.Message{Kind: cluster.MsgCancel})
-		case <-stopWatch:
-		}
-	}()
-
 	initErr := make(chan error, 1)
-	go sq.pump(queryID, alive, &wg, stopWatch, watchDone, initErr)
+	go sq.pump(initErr)
 
 	if err := <-initErr; err != nil {
 		<-sq.done
@@ -444,7 +360,7 @@ func (sq *StandingQuery) enqueue(tables map[string][]types.Delta) (*ingestReq, e
 	}
 	sq.queue = append(sq.queue, req)
 	sq.mu.Unlock()
-	sq.eng.Transport.Requestor().Put(cluster.Message{Kind: cluster.MsgRoundReq})
+	sq.e.Transport.Requestor().Put(cluster.Message{Kind: cluster.MsgRoundReq})
 	return req, nil
 }
 
@@ -468,7 +384,7 @@ func (sq *StandingQuery) withdraw(req *ingestReq) bool {
 func (sq *StandingQuery) validate(tables map[string][]types.Delta) error {
 	total := 0
 	for table, deltas := range tables {
-		tab, err := sq.eng.Catalog.Table(table)
+		tab, err := sq.e.Catalog.Table(table)
 		if err != nil {
 			return fmt.Errorf("exec: ingest: %w", err)
 		}
@@ -543,7 +459,7 @@ func (sq *StandingQuery) fold(reqs []*ingestReq) (map[string][]types.Delta, int)
 			staged += len(deltas)
 			c := comps[table]
 			if c == nil {
-				tab, err := sq.eng.Catalog.Table(table)
+				tab, err := sq.e.Catalog.Table(table)
 				if err != nil {
 					// Validated at enqueue; an unknown table here means the
 					// catalog changed under a live subscription — fold
@@ -589,191 +505,160 @@ const maxRecoveryAttempts = 5
 // staging, mid fixpoint, mid commit — is survived by rebuilding the
 // dataflow from committed store state and replaying the interrupted
 // round.
-func (sq *StandingQuery) pump(queryID string, alive []cluster.NodeID, wg *sync.WaitGroup, stopWatch chan struct{}, watchDone <-chan struct{}, initErr chan<- error) {
-	e := sq.eng
+func (sq *StandingQuery) pump(initErr chan<- error) {
+	e := sq.e
 	start := time.Now()
-	last := 0 // highest stratum started, shared with workers via decisions
+	bytesBefore := e.Transport.Metrics().TotalBytesSent()
 
-	// With recovery on, a round's output is buffered pump-side until its
+	discard := func(StreamBatch) {}
+	hold := func(rr *roundRun) func(StreamBatch) {
+		return func(b StreamBatch) { rr.buf = append(rr.buf, b) }
+	}
+	// With recovery on, a round's output is held pump-side until its
 	// commit barrier lands: a crash mid-round must be able to discard or
 	// replace it without the subscriber seeing a partial round.
-	buffered := sq.opts.Recover != nil
-
-	broadcastStart := func(mode int) {
-		payload := encodeNodeList(alive)
-		for _, n := range alive {
-			e.Transport.Send(cluster.Message{
-				From: -1, To: n, Kind: cluster.MsgStart,
-				Epoch: sq.epoch, Stratum: 0, Count: mode, Payload: payload,
-			})
+	out := func(rr *roundRun) func(StreamBatch) {
+		if sq.opts.Recover != nil {
+			return hold(rr)
 		}
+		return sq.spool.push
 	}
 
-	// recoverFrom brings the cluster back after victim died and re-runs
-	// the interrupted round (rr; nil when the crash hit between rounds).
-	// On return the cluster is whole, every store is at rr's committed
-	// round, and rr.buf/rr.stats hold the round's output.
-	recoverFrom := func(victim cluster.NodeID, rr *roundRun) error {
-		for attempt := 1; ; attempt++ {
-			if attempt > maxRecoveryAttempts {
-				return fmt.Errorf("exec: giving up after %d crash-recovery attempts", maxRecoveryAttempts)
-			}
-			if err := sq.ctx.Err(); err != nil {
-				return err
-			}
-			// Drop per-query state everywhere. Mailboxes are FIFO, so any
-			// staged frames still in flight are consumed before the abort
-			// clears the workers' pending buffers — nothing stale survives
-			// into the rebuilt epoch.
-			e.Transport.Broadcast(cluster.Message{From: -1, Kind: cluster.MsgAbort})
-			if err := sq.opts.Recover(victim); err != nil {
-				return fmt.Errorf("exec: recovering node %d: %w", victim, err)
-			}
-			// An in-process victim needs a fresh worker loop over its
-			// recovered store; a daemon victim's respawned process runs its
-			// own.
-			if int(victim) < len(e.Stores) && e.Stores[victim] != nil {
-				w := NewWorker(WorkerConfig{
-					Node: victim, Transport: e.Transport, Store: e.Stores[victim],
-					Checkpoints: e.Ckpts[victim], Catalog: e.Catalog, Ring: e.Ring,
-					Plan: sq.spec, QueryID: queryID, Options: sq.opts,
-				})
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w.Loop()
-				}()
-			}
-			sq.epoch++
-			sq.mu.Lock()
-			sq.recoveries++
-			sq.mu.Unlock()
-			alive = e.Transport.AliveNodes()
-			if len(alive) != e.Transport.N() {
-				return fmt.Errorf("exec: recovery left %d of %d nodes alive", len(alive), e.Transport.N())
-			}
-			// Fresh epoch, fresh strata: MsgStart rebuilds every worker's
-			// port trackers, so the monotonic-stratum clock restarts at 0.
-			last = 0
-			broadcastStart(startRecover)
+	// runRound stages rr's routed frames and runs its fixpoint. The round
+	// starts at the stratum after the last one started, mirroring the
+	// workers' startRound exactly, so non-recursive rounds — which have no
+	// decisions — stay in sync too.
+	runRound := func(rr *roundRun, out func(StreamBatch)) (*RoundStats, error) {
+		// Snapshot the wire counter before any round traffic: workers start
+		// shipping the moment MsgRound lands. (MsgIngest staging frames are
+		// driver control-plane and never counted.)
+		bytesBefore := e.Transport.Metrics().TotalBytesSent()
+		if err := sq.sendStaged(rr.frames, rr.round); err != nil {
+			return nil, err
+		}
+		for _, n := range sq.alive {
+			e.Transport.Send(cluster.Message{From: -1, To: n, Kind: cluster.MsgRound, Epoch: sq.epoch})
+		}
+		sq.last++
+		return sq.collect(rr.round, sq.last, bytesBefore, out)
+	}
 
-			// Recovery fixpoint: every node rebuilds its operator state
-			// from its committed store. Some nodes may have committed the
-			// interrupted round and some not — that partial base is a
-			// legitimate state; the replay below injects only the missing
-			// partitions and converges it. The fixpoint's output re-derives
-			// rounds already delivered and is discarded — unless the
-			// interrupted round IS round 0 (initial fixpoint), in which
-			// case this run's output is the round's output.
-			initialRerun := rr != nil && rr.round == 0 && !rr.completed
-			emit := func(StreamBatch) {}
-			if initialRerun {
+	// rebuild brings the cluster back after victim died and re-runs the
+	// interrupted round (rr; nil when the crash hit between rounds). On
+	// return the cluster is whole, every store is at rr's committed round,
+	// and rr.buf/rr.stats hold the round's output.
+	rebuild := func(victim cluster.NodeID, rr *roundRun) error {
+		if err := sq.ctx.Err(); err != nil {
+			return err
+		}
+		// Drop per-query state everywhere. Mailboxes are FIFO, so any
+		// staged frames still in flight are consumed before the abort
+		// clears the workers' pending buffers — nothing stale survives
+		// into the rebuilt epoch.
+		e.Transport.Broadcast(cluster.Message{From: -1, Kind: cluster.MsgAbort})
+		if err := sq.opts.Recover(victim); err != nil {
+			return fmt.Errorf("exec: recovering node %d: %w", victim, err)
+		}
+		// An in-process victim needs a fresh worker loop over its
+		// recovered store; a daemon victim's respawned process runs its
+		// own.
+		if int(victim) < len(e.Stores) && e.Stores[victim] != nil {
+			sq.spawn(victim)
+		}
+		sq.epoch++
+		sq.mu.Lock()
+		sq.recoveries++
+		sq.mu.Unlock()
+		sq.alive = e.Transport.AliveNodes()
+		if len(sq.alive) != e.Transport.N() {
+			return fmt.Errorf("exec: recovery left %d of %d nodes alive", len(sq.alive), e.Transport.N())
+		}
+		// Fresh epoch, fresh strata: MsgStart rebuilds every worker's
+		// port trackers, so the monotonic-stratum clock restarts at 0.
+		sq.broadcastStart(startRecover, 0)
+
+		// Recovery fixpoint: every node rebuilds its operator state from
+		// its committed store. Some nodes may have committed the
+		// interrupted round and some not — that partial base is a
+		// legitimate state; the replay below injects only the missing
+		// partitions and converges it. The fixpoint's output re-derives
+		// rounds already delivered and is discarded — unless the
+		// interrupted round IS round 0 (initial fixpoint), in which case
+		// this run's output is the round's output.
+		initialRerun := rr != nil && rr.round == 0 && !rr.completed
+		emit := discard
+		if initialRerun {
+			rr.buf = nil
+			emit = hold(rr)
+		}
+		stats, err := sq.collect(0, 0, e.Transport.Metrics().TotalBytesSent(), emit)
+		if err != nil {
+			return err
+		}
+		if initialRerun {
+			rr.stats, rr.completed = stats, true
+		}
+
+		// Replay an interrupted ingestion round: re-stage its routed frames
+		// verbatim (nodes whose durable watermark covers the round skip
+		// them; the rest buffer them again) and re-run. A round whose
+		// fixpoint had closed keeps its original output — the re-run
+		// executes over a partially committed base, so its emitted deltas
+		// would be relative to the wrong view.
+		if rr != nil && rr.round > 0 {
+			emit := discard
+			if !rr.completed {
 				rr.buf = nil
-				emit = func(b StreamBatch) { rr.buf = append(rr.buf, b) }
+				emit = hold(rr)
 			}
-			stats, err := sq.collectRound(0, 0, alive, &last, e.Transport.Metrics().TotalBytesSent(), emit)
-			if nf, ok := errAsNodeFailure(err); ok {
-				victim = nf.node
-				continue
-			}
+			stats, err := runRound(rr, emit)
 			if err != nil {
 				return err
 			}
-			if initialRerun {
-				rr.stats = stats
-				rr.completed = true
+			if !rr.completed {
+				rr.stats, rr.completed = stats, true
 			}
+		}
 
-			// Replay an interrupted ingestion round: re-stage its routed
-			// frames verbatim (nodes whose durable watermark covers the
-			// round skip them; the rest buffer them again) and re-run. A
-			// round whose fixpoint had closed keeps its original output —
-			// the re-run executes over a partially committed base, so its
-			// emitted deltas would be relative to the wrong view.
-			if rr != nil && rr.round > 0 {
-				if !rr.completed {
-					rr.buf = nil
-				}
-				bytesBefore := e.Transport.Metrics().TotalBytesSent()
-				if err := sq.sendStaged(rr.frames, rr.round); err != nil {
-					if nf, ok := errAsNodeFailure(err); ok {
-						victim = nf.node
-						continue
-					}
-					return err
-				}
-				for _, n := range alive {
-					e.Transport.Send(cluster.Message{From: -1, To: n, Kind: cluster.MsgRound, Epoch: sq.epoch})
-				}
-				base := last + 1
-				last = base
-				remit := func(StreamBatch) {}
-				if !rr.completed {
-					remit = func(b StreamBatch) { rr.buf = append(rr.buf, b) }
-				}
-				stats, err := sq.collectRound(rr.round, base, alive, &last, bytesBefore, remit)
-				if nf, ok := errAsNodeFailure(err); ok {
-					victim = nf.node
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				if !rr.completed {
-					rr.stats = stats
-					rr.completed = true
-				}
-			}
-
-			// Commit barrier for the replayed round. A between-rounds crash
-			// (rr nil) changed no store state and needs no commit.
-			if rr != nil {
-				if err := sq.waitCommits(rr.round, alive); err != nil {
-					if nf, ok := errAsNodeFailure(err); ok {
-						victim = nf.node
-						continue
-					}
-					return err
-				}
-			}
+		// Commit barrier for the replayed round. A between-rounds crash
+		// (rr nil) changed no store state and needs no commit.
+		if rr == nil {
 			return nil
 		}
+		return sq.waitCommits(rr.round)
 	}
 
-	// runRetrying executes one round attempt and loops through crash
-	// recovery until the round is durable or the error is terminal.
-	runRetrying := func(rr *roundRun, attempt func() error) error {
-		err := attempt()
-		for {
+	// recovered passes err through unless it is a node failure, which it
+	// survives by rebuilding the dataflow and re-running rr — again for
+	// every failure the rebuild itself meets, up to maxRecoveryAttempts.
+	recovered := func(err error, rr *roundRun) error {
+		for attempt := 1; ; attempt++ {
 			nf, ok := errAsNodeFailure(err)
 			if !ok {
 				return err
 			}
-			err = recoverFrom(nf.node, rr)
+			if sq.opts.Recover == nil {
+				return fmt.Errorf("%v (standing-query recovery not enabled; set Options.Recover)", nf)
+			}
+			if attempt > maxRecoveryAttempts {
+				return fmt.Errorf("exec: giving up after %d crash-recovery attempts", maxRecoveryAttempts)
+			}
+			err = rebuild(nf.node, rr)
 		}
 	}
 
-	broadcastStart(startFresh)
+	sq.broadcastStart(startFresh, 0)
 
 	runErr := func() error {
 		rr0 := &roundRun{round: 0}
-		err := runRetrying(rr0, func() error {
-			rr0.buf = nil
-			emit := func(b StreamBatch) { sq.spool.push(b) }
-			if buffered {
-				emit = func(b StreamBatch) { rr0.buf = append(rr0.buf, b) }
-			}
-			stats, err := sq.collectRound(0, 0, alive, &last, e.Transport.Metrics().TotalBytesSent(), emit)
-			if err != nil {
-				return err
-			}
-			rr0.stats = stats
-			rr0.completed = true
+		stats, err := sq.collect(0, 0, bytesBefore, out(rr0))
+		if err == nil {
+			rr0.stats, rr0.completed = stats, true
 			// Round 0's commit seals every store's loaded base (and, on
 			// durable backends, resets watermarks left by prior queries).
-			return sq.waitCommits(0, alive)
-		})
-		if err != nil {
+			err = sq.waitCommits(0)
+		}
+		if err := recovered(err, rr0); err != nil {
 			initErr <- err
 			return err
 		}
@@ -802,42 +687,13 @@ func (sq *StandingQuery) pump(queryID string, alive []cluster.NodeID, wg *sync.W
 				return err
 			}
 			round++
-			rr := &roundRun{
-				round: round, reqs: reqs, folded: folded, frames: frames,
-				staged: staged, nDeltas: nDeltas, nBytes: nBytes,
+			rr := &roundRun{round: round, frames: frames}
+			stats, err := runRound(rr, out(rr))
+			if err == nil {
+				rr.stats, rr.completed = stats, true
+				err = sq.waitCommits(rr.round)
 			}
-			err = runRetrying(rr, func() error {
-				// Snapshot the wire counter before any round traffic:
-				// workers start shipping the moment MsgRound lands, possibly
-				// before collectRound would read it. (MsgIngest staging
-				// frames are driver control-plane and never counted.)
-				bytesBefore := e.Transport.Metrics().TotalBytesSent()
-				if err := sq.sendStaged(rr.frames, rr.round); err != nil {
-					return err
-				}
-				for _, n := range alive {
-					e.Transport.Send(cluster.Message{From: -1, To: n, Kind: cluster.MsgRound, Epoch: sq.epoch})
-				}
-				// Mirror the workers' startRound exactly: the round's base
-				// stratum is counted as started on both sides (decisions
-				// advance both further), so non-recursive rounds — which
-				// have no decisions — stay in sync too.
-				base := last + 1
-				last = base
-				rr.buf = nil
-				emit := func(b StreamBatch) { sq.spool.push(b) }
-				if buffered {
-					emit = func(b StreamBatch) { rr.buf = append(rr.buf, b) }
-				}
-				stats, err := sq.collectRound(rr.round, base, alive, &last, bytesBefore, emit)
-				if err != nil {
-					return err
-				}
-				rr.stats = stats
-				rr.completed = true
-				return sq.waitCommits(rr.round, alive)
-			})
-			if err != nil {
+			if err := recovered(err, rr); err != nil {
 				for _, r := range reqs {
 					r.ack.resolve(nil, err)
 				}
@@ -848,7 +704,7 @@ func (sq *StandingQuery) pump(queryID string, alive []cluster.NodeID, wg *sync.W
 			for _, b := range rr.buf {
 				sq.spool.push(b)
 			}
-			stats := rr.stats
+			stats = rr.stats
 			stats.Ingests = len(reqs)
 			stats.IngestedDeltas = staged
 			stats.CoalescedDeltas = nDeltas
@@ -865,14 +721,13 @@ func (sq *StandingQuery) pump(queryID string, alive []cluster.NodeID, wg *sync.W
 			}
 			return nil
 		}
-		req := e.Transport.Requestor()
 		for {
 			if err := sq.ctx.Err(); err != nil {
 				return err
 			}
 			// Claim everything queued, including requests that arrived while
 			// a round was running: their sentinels were consumed (and
-			// dropped) by that round's collectRound, so waiting for another
+			// dropped) by that round's mailbox reads, so waiting for another
 			// would lose the wakeup — and the sweep is what coalesces a
 			// write burst into one round.
 			if reqs := sq.takeQueued(); len(reqs) > 0 {
@@ -881,48 +736,17 @@ func (sq *StandingQuery) pump(queryID string, alive []cluster.NodeID, wg *sync.W
 				}
 				continue
 			}
-			msg, ok := req.Get()
-			if !ok {
-				return fmt.Errorf("exec: requestor mailbox closed")
-			}
-			switch msg.Kind {
-			case cluster.MsgCancel:
-				if err := sq.ctx.Err(); err != nil {
-					return err
-				}
-			case cluster.MsgRoundReq:
-				// The request itself is claimed at the top of the loop.
-			case cluster.MsgError:
-				return fmt.Errorf("exec: node %d: %s", msg.From, msg.Table)
-			case cluster.MsgFailure:
-				if sq.opts.Recover != nil && e.Transport.Alive(msg.From) {
-					continue // duplicate failure frame for an already-recovered node
-				}
-				ferr := sq.failureErr(msg.From)
-				if nf, ok := errAsNodeFailure(ferr); ok {
-					// Idle crash: no round in flight, nothing to replay —
-					// rebuild the dataflow and keep serving.
-					if rerr := recoverFrom(nf.node, nil); rerr != nil {
-						return rerr
-					}
-					continue
-				}
-				return ferr
+			// A MsgRoundReq wakes the sweep above. A failure with no round
+			// in flight has nothing to replay: the dataflow is rebuilt and
+			// the pump keeps serving.
+			_, err := sq.next()
+			if err := recovered(err, nil); err != nil {
+				return err
 			}
 		}
 	}()
 
-	close(stopWatch)
-	<-watchDone
-	e.Transport.Broadcast(cluster.Message{From: -1, Kind: cluster.MsgAbort})
-	e.Transport.Broadcast(cluster.Message{From: -1, Kind: cluster.MsgShutdown})
-	wg.Wait()
-	e.Transport.Requestor().Drain()
-	for _, c := range e.Ckpts {
-		if c != nil {
-			c.Drop(queryID)
-		}
-	}
+	sq.teardown(true)
 
 	err := runErr
 	if errors.Is(err, context.Canceled) {
@@ -965,144 +789,6 @@ func (sq *StandingQuery) pump(queryID string, alive []cluster.NodeID, wg *sync.W
 	sq.cancel(nil)
 }
 
-// collectRound drives one round's vote/advance/terminate loop and feeds
-// its output batches to emit, returning when every node's final
-// punctuation has arrived. base is the round's base stratum; last tracks
-// the highest stratum started so the next round's base continues the
-// monotonic numbering exactly as the workers compute it. Frames from
-// other epochs (pre-recovery stragglers) are filtered out.
-func (sq *StandingQuery) collectRound(round, base int, alive []cluster.NodeID, last *int, bytesBefore int64, out func(StreamBatch)) (*RoundStats, error) {
-	e := sq.eng
-	req := e.Transport.Requestor()
-	stats := &RoundStats{Round: round}
-	start := time.Now()
-	votes := map[int]map[cluster.NodeID]int{}
-	done := map[cluster.NodeID]bool{}
-	sbuf := map[int][]types.Delta{}
-	emit := func(stratum int, batch []types.Delta) {
-		stats.Batches++
-		stats.Deltas += len(batch)
-		out(StreamBatch{Round: round, Stratum: stratum - base, Deltas: batch})
-	}
-	for {
-		if err := sq.ctx.Err(); err != nil {
-			return nil, err
-		}
-		msg, ok := req.Get()
-		if !ok {
-			return nil, fmt.Errorf("exec: requestor mailbox closed")
-		}
-		switch msg.Kind {
-		case cluster.MsgCancel:
-			if err := sq.ctx.Err(); err != nil {
-				return nil, err
-			}
-		case cluster.MsgError:
-			return nil, fmt.Errorf("exec: node %d: %s", msg.From, msg.Table)
-		case cluster.MsgFailure:
-			if sq.opts.Recover != nil && e.Transport.Alive(msg.From) {
-				continue // duplicate failure frame for an already-recovered node
-			}
-			return nil, sq.failureErr(msg.From)
-		case cluster.MsgVote:
-			if msg.Epoch != sq.epoch {
-				continue
-			}
-			s := msg.Stratum
-			if votes[s] == nil {
-				votes[s] = map[cluster.NodeID]int{}
-			}
-			votes[s][msg.From] = msg.Count
-			if len(votes[s]) < len(alive) {
-				continue
-			}
-			total := 0
-			for _, c := range votes[s] {
-				total += c
-			}
-			stats.Strata++
-			stats.NewTuples += total
-			rel := s - base
-			if sq.opts.OnStratum != nil {
-				sq.opts.OnStratum(rel, total)
-			}
-			if batch := sbuf[s]; len(batch) > 0 {
-				emit(s, batch)
-			}
-			delete(sbuf, s)
-			// An ingestion round must advance past its base stratum — on a
-			// zero vote, a MaxStrata of 1, or a TermFn verdict alike:
-			// deltas that entered through join paths are still buffered in
-			// shuffle senders and only flush behind the next advance's
-			// punctuation, so terminating at the base discards them. If
-			// they amount to nothing, the next stratum votes zero and
-			// terminates the round.
-			atIngestBase := round > 0 && s == base
-			terminate := total == 0 && !atIngestBase
-			if !atIngestBase {
-				if rel+1 >= sq.maxStrata {
-					terminate = true
-				}
-				if sq.opts.TermFn != nil && sq.opts.TermFn(rel, total) {
-					terminate = true
-				}
-			}
-			for _, n := range alive {
-				e.Transport.Send(cluster.Message{
-					From: -1, To: n, Kind: cluster.MsgDecision,
-					Epoch: sq.epoch, Stratum: s + 1, Terminate: terminate,
-				})
-			}
-			if !terminate {
-				*last = s + 1
-			}
-		case cluster.MsgData:
-			if msg.Epoch != sq.epoch || msg.Edge != resultEdge {
-				continue
-			}
-			batch, err := cluster.DecodeDeltas(msg.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if sq.spec.Recursive() {
-				sbuf[msg.Stratum] = append(sbuf[msg.Stratum], batch...)
-			} else {
-				emit(base, batch)
-			}
-		case cluster.MsgPunct:
-			if msg.Epoch != sq.epoch || msg.Edge != resultEdge {
-				continue
-			}
-			done[msg.From] = true
-			if len(done) < len(alive) {
-				continue
-			}
-			strata := make([]int, 0, len(sbuf))
-			for s := range sbuf {
-				strata = append(strata, s)
-			}
-			sort.Ints(strata)
-			for _, s := range strata {
-				if batch := sbuf[s]; len(batch) > 0 {
-					emit(s, batch)
-				}
-			}
-			// Per-round byte accounting: multi-process transports count
-			// wire bytes where they are sent, so pull the remote counters
-			// over before reading the delta. The pump is the requestor
-			// mailbox's only reader, so the sync's collector cannot race it.
-			if ms, ok := e.Transport.(cluster.MetricsSyncer); ok {
-				if err := ms.SyncMetrics(); err != nil {
-					return nil, err
-				}
-			}
-			stats.BytesSent = e.Transport.Metrics().TotalBytesSent() - bytesBefore
-			stats.Duration = time.Since(start)
-			return stats, nil
-		}
-	}
-}
-
 // routeAll turns a round's folded per-table delta sets into MsgIngest
 // frames addressed to the ring owners of each delta's key (input was
 // validated at enqueue; route re-checks arity as defense in depth).
@@ -1131,9 +817,6 @@ func (sq *StandingQuery) routeAll(tables map[string][]types.Delta) (frames []clu
 		// the credit window gating them counts comparable units (a window
 		// slot is one batch on the shuffle path too).
 		bs := sq.opts.BatchSize
-		if bs <= 0 {
-			bs = defaultBatchSize
-		}
 		for _, n := range nodes {
 			batch := byNode[cluster.NodeID(n)]
 			for len(batch) > 0 {
@@ -1167,41 +850,19 @@ func (sq *StandingQuery) routeAll(tables map[string][]types.Delta) (frames []clu
 // the round stamp is the watermark workers compare against their durable
 // committed round to skip frames they already applied.
 func (sq *StandingQuery) sendStaged(frames []cluster.Message, round int) error {
-	e := sq.eng
-	req := e.Transport.Requestor()
+	e := sq.e
 	for i := range frames {
 		frames[i].Epoch = sq.epoch
 		frames[i].Stratum = round
 	}
 	for _, f := range frames {
+		// The transport installs a MsgCreditAck grant on delivery, so any
+		// frame re-probes the window. A MsgRoundReq is harmless to
+		// consume: the staged batches behind it are already queued for the
+		// pump's sweep after the current round.
 		for e.Transport.Credits(-1, f.To) <= 0 {
-			if err := sq.ctx.Err(); err != nil {
+			if _, err := sq.next(); err != nil {
 				return err
-			}
-			msg, ok := req.Get()
-			if !ok {
-				return fmt.Errorf("exec: requestor mailbox closed")
-			}
-			switch msg.Kind {
-			case cluster.MsgCancel:
-				if err := sq.ctx.Err(); err != nil {
-					return err
-				}
-			case cluster.MsgError:
-				return fmt.Errorf("exec: node %d: %s", msg.From, msg.Table)
-			case cluster.MsgFailure:
-				if sq.opts.Recover != nil && e.Transport.Alive(msg.From) {
-					continue // duplicate failure frame for an already-recovered node
-				}
-				return sq.failureErr(msg.From)
-			case cluster.MsgRoundReq:
-				// Harmless to consume: round requests are claimed from the
-				// queue at the top of the pump loop, and the staged batches
-				// behind this sentinel are already queued for the sweep
-				// after the current round.
-			case cluster.MsgCreditAck:
-				// The transport installed the grant on delivery; the loop
-				// re-probes the window.
 			}
 		}
 		e.Transport.SpendCredits(-1, f.To, 1)
@@ -1216,56 +877,28 @@ func (sq *StandingQuery) sendStaged(frames []cluster.Message, round int) error {
 // the round mark before acking, so once this returns the round is applied
 // — and, with spill stores, durable — cluster-wide. Output release,
 // stats, and ingest acks all wait behind it.
-func (sq *StandingQuery) waitCommits(round int, alive []cluster.NodeID) error {
-	e := sq.eng
-	e.Transport.Broadcast(cluster.Message{
+func (sq *StandingQuery) waitCommits(round int) error {
+	sq.e.Transport.Broadcast(cluster.Message{
 		From: -1, Kind: cluster.MsgCommit, Stratum: round, Epoch: sq.epoch,
 	})
-	req := e.Transport.Requestor()
 	acked := map[cluster.NodeID]bool{}
-	for len(acked) < len(alive) {
-		if err := sq.ctx.Err(); err != nil {
+	for len(acked) < len(sq.alive) {
+		msg, err := sq.next()
+		if err != nil {
 			return err
 		}
-		msg, ok := req.Get()
-		if !ok {
-			return fmt.Errorf("exec: requestor mailbox closed")
-		}
-		switch msg.Kind {
-		case cluster.MsgCancel:
-			if err := sq.ctx.Err(); err != nil {
-				return err
-			}
-		case cluster.MsgError:
-			return fmt.Errorf("exec: node %d: %s", msg.From, msg.Table)
-		case cluster.MsgFailure:
-			if sq.opts.Recover != nil && e.Transport.Alive(msg.From) {
-				continue // duplicate failure frame for an already-recovered node
-			}
-			return sq.failureErr(msg.From)
-		case cluster.MsgCommit:
-			if msg.Epoch == sq.epoch && msg.Stratum == round {
-				acked[msg.From] = true
-			}
+		if msg.Kind == cluster.MsgCommit && msg.Epoch == sq.epoch && msg.Stratum == round {
+			acked[msg.From] = true
 		}
 	}
 	return nil
-}
-
-// errAsNodeFailure unwraps err as a recoverable node failure.
-func errAsNodeFailure(err error) (nodeFailureErr, bool) {
-	var nf nodeFailureErr
-	if errors.As(err, &nf) {
-		return nf, true
-	}
-	return nodeFailureErr{}, false
 }
 
 // routeIngest partitions one table's deltas by ring owner (primary plus
 // replicas — workers store every copy and inject only primarily-owned
 // keys).
 func (sq *StandingQuery) routeIngest(table string, deltas []types.Delta) (map[cluster.NodeID][]types.Delta, error) {
-	tab, err := sq.eng.Catalog.Table(table)
+	tab, err := sq.e.Catalog.Table(table)
 	if err != nil {
 		return nil, fmt.Errorf("exec: ingest: %w", err)
 	}
@@ -1277,7 +910,7 @@ func (sq *StandingQuery) routeIngest(table string, deltas []types.Delta) (map[cl
 	}
 	out := map[cluster.NodeID][]types.Delta{}
 	err = types.RouteByKey(deltas, tab.PartitionKey, func(h uint64, d types.Delta) error {
-		for _, owner := range sq.eng.Ring.Owners(h) {
+		for _, owner := range sq.e.Ring.Owners(h) {
 			out[owner] = append(out[owner], d)
 		}
 		return nil

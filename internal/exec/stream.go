@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"iter"
 
 	"github.com/rex-data/rex/internal/types"
@@ -52,18 +51,18 @@ type ResultStream struct {
 var errStreamClosed = errors.New("exec: stream closed")
 
 // Stream executes the plan in streaming mode and returns the result
-// stream. The run honors ctx like RunCtx; Close cancels it. Streaming
-// runs reject failure-recovery options — a mid-stream recovery would
-// re-emit deltas the consumer already saw.
+// stream. The run honors ctx like RunCtx; Close cancels it. Setup,
+// validation and teardown are the ones every query shares (see
+// Engine.start), which rejects failure-recovery options on a stream — a
+// mid-stream recovery would re-emit deltas the consumer already saw.
 func (e *Engine) Stream(ctx context.Context, spec *PlanSpec, opts Options) (*ResultStream, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Recovery != RecoveryNone {
-		return nil, fmt.Errorf("exec: streaming runs do not support failure recovery")
-	}
 	opts.Stream = true
 	ctx, cancel := context.WithCancelCause(ctx)
+	r, err := e.start(ctx, spec, opts)
+	if err != nil {
+		cancel(nil)
+		return nil, err
+	}
 	s := &ResultStream{
 		batches: make(chan StreamBatch, 16),
 		done:    make(chan struct{}),
@@ -72,15 +71,14 @@ func (e *Engine) Stream(ctx context.Context, spec *PlanSpec, opts Options) (*Res
 	}
 	go func() {
 		defer cancel(nil)
-		res, err := e.run(ctx, spec, opts, func(stratum int, batch []types.Delta) {
+		s.res, s.err = r.run(func(b StreamBatch) {
 			select {
-			case s.batches <- StreamBatch{Stratum: stratum, Deltas: batch}:
+			case s.batches <- b:
 			case <-ctx.Done():
 				// Consumer gone (Close) or deadline hit: drop the batch;
 				// the run is unwinding with ctx.Err().
 			}
 		})
-		s.res, s.err = res, err
 		// done must close before batches: a consumer unblocked by the
 		// batches close may immediately call Err/Result, which are only
 		// valid once done is observable.

@@ -106,7 +106,7 @@ type WorkerConfig struct {
 }
 
 // NewWorker builds a worker over the given runtime, normalizing option
-// defaults the same way Engine.Run does.
+// defaults the same way Engine.start does.
 func NewWorker(cfg WorkerConfig) *Worker {
 	opts := cfg.Options
 	if opts.BatchSize <= 0 {

@@ -169,31 +169,3 @@ func (m *Model) PreAggDecision(inRows, distinctKeys float64, composable bool) bo
 	// (perNodeRows - distinctKeys) tuples from the wire per node.
 	return distinctKeys < perNodeRows*0.8
 }
-
-// RecursiveEstimate implements §5.3: simulate strata, capping each
-// stratum's input at the previous stratum's (convergence assumption) and
-// capping runaway growth caused by bad hints. Returns total estimated
-// resources and the number of strata simulated.
-func (m *Model) RecursiveEstimate(base Estimate, perStratum func(in Estimate) Estimate, maxStrata int) (Estimate, int) {
-	total := base.Res
-	in := base
-	strata := 0
-	for s := 0; s < maxStrata; s++ {
-		out := perStratum(in)
-		// Monotone caps: cardinality and cost may not exceed the
-		// previous stratum's (§5.3 divergence guard).
-		if out.Rows > in.Rows {
-			out.Rows = in.Rows
-		}
-		if rt := out.Res.Runtime(); rt > in.Res.Runtime() && s > 0 {
-			out.Res = in.Res
-		}
-		total = total.Add(out.Res)
-		strata++
-		if out.Rows < 0.5 {
-			break
-		}
-		in = out
-	}
-	return Estimate{Rows: in.Rows, Res: total}, strata
-}

@@ -119,38 +119,3 @@ func TestPreAggDecision(t *testing.T) {
 		t.Fatal("non-composable must not pre-agg")
 	}
 }
-
-func TestRecursiveEstimateConverges(t *testing.T) {
-	m := model(4)
-	base := Estimate{Rows: 1000, Res: Resources{CPU: 1}}
-	// Each stratum touches 60% of the previous one.
-	est, strata := m.RecursiveEstimate(base, func(in Estimate) Estimate {
-		return Estimate{Rows: in.Rows * 0.6, Res: Resources{CPU: in.Res.CPU * 0.6}}
-	}, 100)
-	if strata < 5 || strata > 30 {
-		t.Fatalf("strata = %d", strata)
-	}
-	// Geometric series: total ≈ base / (1-0.6) = 2.5 CPU units.
-	if est.Res.CPU < 2 || est.Res.CPU > 3 {
-		t.Fatalf("total CPU = %v", est.Res.CPU)
-	}
-}
-
-func TestRecursiveEstimateCapsDivergence(t *testing.T) {
-	m := model(2)
-	base := Estimate{Rows: 100, Res: Resources{CPU: 1}}
-	// A hostile hint doubles cardinality every stratum; the §5.3 cap must
-	// keep the estimate bounded by maxStrata × base.
-	est, strata := m.RecursiveEstimate(base, func(in Estimate) Estimate {
-		return Estimate{Rows: in.Rows * 2, Res: Resources{CPU: in.Res.CPU * 2}}
-	}, 10)
-	if strata != 10 {
-		t.Fatalf("strata = %d", strata)
-	}
-	if est.Rows > base.Rows {
-		t.Fatalf("cardinality must be capped: %v", est.Rows)
-	}
-	if est.Res.CPU > 21 {
-		t.Fatalf("cost must be capped near linear growth: %v", est.Res.CPU)
-	}
-}
