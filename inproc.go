@@ -87,8 +87,13 @@ func (b *inprocBackend) local(string) (*inprocBackend, error) { return b, nil }
 
 func (b *inprocBackend) transport(string) (cluster.Transport, error) { return b.eng.Transport, nil }
 
+// createTable declares the table in the catalog and in every local store,
+// so it scans as empty before its first load or ingest.
 func (b *inprocBackend) createTable(name string, schema *types.Schema, partitionKey int) error {
-	return b.cat.AddTable(&catalog.Table{Name: name, Schema: schema, PartitionKey: partitionKey})
+	if err := b.cat.AddTable(&catalog.Table{Name: name, Schema: schema, PartitionKey: partitionKey}); err != nil {
+		return err
+	}
+	return b.eng.Load(name, partitionKey, nil)
 }
 
 func (b *inprocBackend) load(table string, tuples []Tuple, locked lockFunc) error {

@@ -2,8 +2,7 @@
 // definitions (schema, partitioning key, statistics), the registries of
 // user-defined scalar functions, aggregators, and delta handlers (the Go
 // analogue of the paper's directly-loaded Java classes, §3), plus the
-// per-node calibration profile and programmer cost hints the optimizer
-// uses for cost estimation (§5).
+// programmer cost hints the optimizer uses for cost estimation (§5).
 package catalog
 
 import (
@@ -58,8 +57,7 @@ type FuncDef struct {
 	Fn       expr.ScalarFn
 	// Deterministic functions are cached by applyFunction (§5.1).
 	Deterministic bool
-	// CostPerTuple is the calibrated per-invocation CPU cost (abstract
-	// units; filled by Calibrate or set manually).
+	// CostPerTuple is the per-invocation CPU cost (abstract units).
 	CostPerTuple float64
 	// Selectivity in (0,1] for predicates; 1 for non-filtering functions.
 	Selectivity float64
@@ -103,7 +101,6 @@ type Catalog struct {
 	joinHandlers  map[string]uda.JoinHandler
 	whileHandlers map[string]uda.WhileHandler
 	tvfs          map[string]*TVFDef
-	calibration   Calibration
 	// version counts schema-shaping registrations (tables, routines,
 	// handlers). Statistics updates do not bump it: they steer costing,
 	// never plan validity, so a plan cache keyed on the version survives
@@ -111,7 +108,7 @@ type Catalog struct {
 	version int64
 }
 
-// New creates an empty catalog with default calibration.
+// New creates an empty catalog.
 func New() *Catalog {
 	return &Catalog{
 		tables:        map[string]*Table{},
@@ -119,7 +116,6 @@ func New() *Catalog {
 		aggs:          map[string]*AggDef{},
 		joinHandlers:  map[string]uda.JoinHandler{},
 		whileHandlers: map[string]uda.WhileHandler{},
-		calibration:   DefaultCalibration(),
 		version:       1,
 	}
 }
@@ -281,13 +277,6 @@ func (c *Catalog) WhileHandler(name string) (uda.WhileHandler, error) {
 		return nil, fmt.Errorf("catalog: unknown while handler %q", name)
 	}
 	return h, nil
-}
-
-// Calibration returns the current calibration profile.
-func (c *Catalog) Calibration() Calibration {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.calibration
 }
 
 // TVFDef is a registered table-valued function: one input delta in, any

@@ -130,14 +130,3 @@ func TestAggRegistry(t *testing.T) {
 		t.Fatal("unknown agg must fail")
 	}
 }
-
-func TestCalibration(t *testing.T) {
-	cal := DefaultCalibration()
-	if cal.SlowestCPU() != 1.0 {
-		t.Fatal("homogeneous slowest must be 1")
-	}
-	cal.NodeCPURelative = []float64{1.0, 0.5, 2.0}
-	if cal.SlowestCPU() != 0.5 {
-		t.Fatal("slowest CPU wrong")
-	}
-}

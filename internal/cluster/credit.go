@@ -171,14 +171,6 @@ func (m *DrainMeter) Mark(now time.Time) {
 	m.applied = 0
 }
 
-// Rate reports the current EWMA drain rate in deltas per second (zero
-// before the first complete sample).
-func (m *DrainMeter) Rate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rate
-}
-
 // Window sizes a credit grant from the measured drain rate: the number
 // of batchSize-delta batches this worker expects to absorb over the
 // drain horizon, clamped to [MinCreditWindow, MaxCreditWindow]. Before

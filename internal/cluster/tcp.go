@@ -145,13 +145,6 @@ func (t *TCPTransport) Self() NodeID {
 // MsgKill, MsgRevive, MsgStatsReq, and MsgQuit land here.
 func (t *TCPTransport) Control() *Mailbox { return t.control }
 
-// Generation reports the current job generation.
-func (t *TCPTransport) Generation() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.gen
-}
-
 // Configure assigns the node its identity for a new job generation: its
 // NodeID, the full peer address list, and the generation whose frames it
 // should accept. Any previous inbox is closed (stopping a stale worker

@@ -139,9 +139,6 @@ func wipeDir(dir string) error {
 // Node reports the owning node.
 func (s *Store) Node() cluster.NodeID { return s.node }
 
-// Dir reports the store's data directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Restored reports whether Open found durable state to recover.
 func (s *Store) Restored() bool { return s.restored }
 

@@ -93,7 +93,7 @@ func CompileStmt(src string, cat *catalog.Catalog, nodes int) (*exec.PlanSpec, *
 		return nil, nil, err
 	}
 	prep := &Prepared{Set: &expr.ParamSet{}}
-	b := &binder{cat: cat, model: plan.NewModel(cat.Calibration(), nodes), prep: prep}
+	b := &binder{cat: cat, model: plan.NewModel(nodes), prep: prep}
 	p, err := b.bindQuery(q)
 	if err != nil {
 		return nil, nil, err

@@ -38,6 +38,13 @@ var keywords = map[string]bool{
 	"TRUE": true, "FALSE": true, "NULL": true,
 }
 
+// IsIdent reports whether name lexes as one identifier, so a query can
+// name it: not empty, not a keyword, no punctuation.
+func IsIdent(name string) bool {
+	toks, err := lex(name)
+	return err == nil && len(toks) == 2 && toks[0].kind == tokIdent && toks[0].text == name
+}
+
 // lex tokenizes an RQL query.
 func lex(src string) ([]token, error) {
 	var toks []token

@@ -7,7 +7,8 @@ import (
 	"sync"
 
 	rex "github.com/rex-data/rex"
-	"github.com/rex-data/rex/internal/cluster"
+	"github.com/rex-data/rex/internal/catalog"
+	"github.com/rex-data/rex/internal/job"
 	"github.com/rex-data/rex/internal/types"
 )
 
@@ -22,30 +23,27 @@ import (
 // ones. With Peers the pool is a single TCP session (the daemons are the
 // parallelism budget) and SubPools is forced to 1.
 //
-// The backend also keeps a replay log — catalog declarations plus the
-// folded net effect of every ingest — so a standing-query flow session
-// created later (see srvSub) boots to the exact current state: dataset
-// staging re-derives the base data and the log replays the server-side
-// mutations in their original order.
+// The pools' tables are the served state; nothing else records it. A
+// standing-query flow session created later (see srvSub) boots from a
+// copy of those tables, captured when the flow registers.
 type backend struct {
 	cfg   Config
 	pools []*rex.Session
 
 	// mu serializes staging (creates, ingests) across the pools and makes
-	// ingest fan-out atomic with replay-log appends and flow registration,
-	// so a flow session never misses or double-applies a batch.
-	mu      sync.Mutex
-	creates []createOp
-	ingests map[string]*cluster.ChangeLog
-	logOrd  []string
-	subs    map[*srvSub]struct{}
+	// ingest fan-out atomic with flow registration, so a flow session
+	// never misses or double-applies a batch.
+	mu   sync.Mutex
+	subs map[*srvSub]struct{}
 }
 
-// createOp is one recorded CreateTable declaration.
-type createOp struct {
+// servedTable is one table as a pool serves it: its declaration and its
+// current rows.
+type servedTable struct {
 	name   string
 	schema *types.Schema
 	key    int
+	rows   []types.Tuple
 }
 
 // subTarget pairs a standing flow with the staged sequence number an
@@ -57,7 +55,7 @@ type subTarget struct {
 
 // newBackend boots the sub-pools.
 func newBackend(ctx context.Context, cfg Config) (*backend, error) {
-	b := &backend{cfg: cfg, ingests: map[string]*cluster.ChangeLog{}, subs: map[*srvSub]struct{}{}}
+	b := &backend{cfg: cfg, subs: map[*srvSub]struct{}{}}
 	for i := 0; i < cfg.SubPools; i++ {
 		var opts []rex.Option
 		if len(cfg.Peers) > 0 {
@@ -104,8 +102,7 @@ func (b *backend) size() int { return len(b.pools) }
 // lockstep: identical staging at open, identical declaration order after).
 func (b *backend) catalogVersion() int64 { return b.pools[0].CatalogVersion() }
 
-// createTable declares a table on every sub-pool and records the op for
-// flow replay.
+// createTable declares a table on every sub-pool.
 func (b *backend) createTable(name string, schema *types.Schema, key int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -120,15 +117,14 @@ func (b *backend) createTable(name string, schema *types.Schema, key int) error 
 			return err
 		}
 	}
-	b.creates = append(b.creates, createOp{name: name, schema: schema, key: key})
 	return nil
 }
 
-// ingest applies the batches to every sub-pool in one serialized order,
-// records them for flow replay, and stages them on every live standing
-// flow — all atomically, so a concurrently registering flow sees each
-// batch exactly once (in its replay snapshot or its staging buffer,
-// never both or neither). Returns the per-flow await targets.
+// ingest applies the batches to every sub-pool in one serialized order
+// and stages them on every live standing flow — atomically, so a
+// concurrently registering flow sees each batch exactly once (in its
+// captured tables or its staging buffer, never both or neither). Returns
+// the per-flow await targets.
 func (b *backend) ingest(batches map[string][]rex.Delta) ([]subTarget, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -140,15 +136,6 @@ func (b *backend) ingest(batches map[string][]rex.Delta) ([]subTarget, error) {
 			return nil, err
 		}
 	}
-	for table, deltas := range batches {
-		rl := b.ingests[table]
-		if rl == nil {
-			rl = cluster.NewChangeLog(b.partitionKeyLocked(table))
-			b.ingests[table] = rl
-			b.logOrd = append(b.logOrd, table)
-		}
-		rl.Append(deltas)
-	}
 	targets := make([]subTarget, 0, len(b.subs))
 	for sub := range b.subs {
 		if t := sub.stage(batches); t > 0 {
@@ -158,53 +145,40 @@ func (b *backend) ingest(batches map[string][]rex.Delta) ([]subTarget, error) {
 	return targets, nil
 }
 
-// partitionKeyLocked resolves a table's partition column for log folding
-// (0 when unknown — folding stays correct, just groups less finely).
-func (b *backend) partitionKeyLocked(table string) int {
-	for _, op := range b.creates {
-		if op.name == table {
-			return op.key
-		}
-	}
-	if cat := b.pools[0].Catalog(); cat != nil {
-		if tab, err := cat.Table(table); err == nil {
-			return tab.PartitionKey
-		}
-	}
-	return 0
-}
-
-// replaySnapshot is the state a new flow session replays on top of its
-// dataset staging.
-type replaySnapshot struct {
-	creates []createOp
-	ingests []struct {
-		table  string
-		deltas []types.Delta
-	}
-}
-
-// register adds a standing flow to the ingest fan-out set and returns
-// the replay snapshot its session must boot from. The two happen under
-// one critical section — every ingest is either in the snapshot or will
-// be staged on the flow, exactly one of the two.
-func (b *backend) register(sub *srvSub) replaySnapshot {
+// register adds a standing flow to the ingest fan-out set and captures
+// the tables its session must boot from. The two happen under one
+// critical section — every ingest is either in the capture or will be
+// staged on the flow, exactly one of the two. The capture reads sub-pool
+// pool, the calling runner's own: runners are pinned one per pool, so
+// nothing else queries it meanwhile.
+func (b *backend) register(ctx context.Context, pool int, sub *srvSub) ([]servedTable, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var snap replaySnapshot
-	snap.creates = append(snap.creates, b.creates...)
-	for _, table := range b.logOrd {
-		net := b.ingests[table].Net()
-		if len(net) == 0 {
-			continue
+	p := b.pools[pool]
+	cat := p.Catalog()
+	if cat == nil {
+		// A TCP pool serves exactly its dataset's tables.
+		cat = catalog.New()
+		if b.cfg.Dataset != "" {
+			if err := job.StageSchemas(cat, b.cfg.Dataset, b.cfg.Size); err != nil {
+				return nil, err
+			}
 		}
-		snap.ingests = append(snap.ingests, struct {
-			table  string
-			deltas []types.Delta
-		}{table, append([]types.Delta(nil), net...)})
+	}
+	var tables []servedTable
+	for _, name := range cat.Tables() {
+		tab, err := cat.Table(name)
+		if err != nil {
+			return nil, err
+		}
+		res, err := p.QueryCtx(ctx, "SELECT * FROM "+name)
+		if err != nil {
+			return nil, fmt.Errorf("server: capture %s: %w", name, err)
+		}
+		tables = append(tables, servedTable{name, tab.Schema, tab.PartitionKey, res.Tuples})
 	}
 	b.subs[sub] = struct{}{}
-	return snap
+	return tables, nil
 }
 
 // unregister removes a flow from the fan-out set.
@@ -223,13 +197,10 @@ func (b *backend) flows() int {
 
 // newFlowSession boots a dedicated in-process session for one standing
 // query — always in-process, even when the pools front TCP daemons: the
-// deterministic dataset plus the replay snapshot reproduce the exact
-// served state, and a resident dataflow needs a session it can own.
-func (b *backend) newFlowSession(ctx context.Context, snap replaySnapshot) (*rex.Session, error) {
+// captured tables are the exact served state, and a resident dataflow
+// needs a session it can own.
+func (b *backend) newFlowSession(ctx context.Context, tables []servedTable) (*rex.Session, error) {
 	opts := []rex.Option{rex.WithInProc(b.cfg.Nodes)}
-	if b.cfg.Dataset != "" {
-		opts = append(opts, rex.WithDataset(b.cfg.Dataset, b.cfg.Size, b.cfg.Seed))
-	}
 	if b.cfg.Handlers != "" {
 		opts = append(opts, rex.WithHandlers(b.cfg.Handlers))
 	}
@@ -240,16 +211,14 @@ func (b *backend) newFlowSession(ctx context.Context, snap replaySnapshot) (*rex
 	if err != nil {
 		return nil, fmt.Errorf("server: open flow session: %w", err)
 	}
-	for _, op := range snap.creates {
-		if err := flow.CreateTable(op.name, op.schema, op.key); err != nil {
-			flow.Close()
-			return nil, fmt.Errorf("server: flow replay create %s: %w", op.name, err)
+	for _, t := range tables {
+		err := flow.CreateTable(t.name, t.schema, t.key)
+		if err == nil {
+			err = flow.Load(t.name, t.rows)
 		}
-	}
-	for _, ing := range snap.ingests {
-		if err := flow.LoadDeltas(ing.table, ing.deltas); err != nil {
+		if err != nil {
 			flow.Close()
-			return nil, fmt.Errorf("server: flow replay ingest %s: %w", ing.table, err)
+			return nil, fmt.Errorf("server: flow load %s: %w", t.name, err)
 		}
 	}
 	return flow, nil

@@ -173,13 +173,6 @@ func (q *sched) run(pool int) {
 	}
 }
 
-// queueDepth reports the queued interactive + round task count.
-func (q *sched) queueDepth() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return int64(q.nQueued + len(q.rounds))
-}
-
 // close stops intake and waits for every runner to drain.
 func (q *sched) close() {
 	q.mu.Lock()

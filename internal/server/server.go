@@ -14,7 +14,9 @@
 // bounded global admission window sheds overload with ErrServerBusy.
 // Each distinct query text compiles once into a cross-session plan
 // cache, and every subscription runs as a resident standing dataflow
-// whose rounds cost the net change, not a recompute.
+// whose rounds cost the net change, not a recompute. The pools' tables
+// are the only record of the served state: a new subscription's flow
+// boots from a copy of them.
 package server
 
 import (
@@ -33,6 +35,7 @@ import (
 	rex "github.com/rex-data/rex"
 	"github.com/rex-data/rex/internal/cluster"
 	"github.com/rex-data/rex/internal/exec"
+	"github.com/rex-data/rex/internal/rql"
 	"github.com/rex-data/rex/internal/srvproto"
 	"github.com/rex-data/rex/internal/types"
 )
@@ -132,7 +135,7 @@ const maxRowsPayload = srvproto.MaxFrame - 64*1024
 // Server is a running rexd instance.
 type Server struct {
 	cfg   Config
-	be    *backend // the partitioned engine: sub-pools + replay log
+	be    *backend // the partitioned engine: sub-pools + standing flows
 	cache *planCache
 	sched *sched
 	gate  *gate
@@ -178,11 +181,6 @@ func New(cfg Config) (*Server, error) {
 	s.cache = newPlanCache(be, cfg.PlanCacheCap)
 	return s, nil
 }
-
-// Session exposes sub-pool 0's session (rexd main uses it for staging
-// checks; mutations must go through client connections so every pool and
-// flow sees them).
-func (s *Server) Session() *rex.Session { return s.be.pool(0) }
 
 // Listen starts accepting client sessions on addr, returning the bound
 // listener (addr may use port 0). Serve runs on a background goroutine.
@@ -535,28 +533,24 @@ func (s *Server) doStream(c *srvConn, ctx context.Context, id int, req srvproto.
 }
 
 // doSubscribe installs a standing query as a resident dataflow: a
-// dedicated flow session boots from the replay snapshot, its initial
-// fixpoint streams as round 0, and the pump stays live until cancelled
-// (or its connection drops), fed staged deltas by covering ingests.
+// dedicated flow session boots from the tables the runner's sub-pool
+// serves, its initial fixpoint streams as round 0, and the pump stays
+// live until cancelled (or its connection drops), fed staged deltas by
+// covering ingests.
 func (s *Server) doSubscribe(c *srvConn, ctx context.Context, id int, req srvproto.Request, tenant string, prio int) {
-	s.admit(c, ctx, id, tenant, prio, func(int) (*srvproto.Trailer, error) {
+	s.admit(c, ctx, id, tenant, prio, func(pool int) (*srvproto.Trailer, error) {
 		opts := execOpts(req.Opts)
 		sub := newSrvSub(s, c, id, req.Src, opts)
-		snap := s.be.register(sub)
-		// Bridge the request context into the flow's lifetime during
-		// bring-up only: a client cancel aborts the initial fixpoint, but
-		// once resident the flow outlives the subscribe request.
-		bootDone := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				sub.cancel()
-			case <-bootDone:
-			}
-		}()
-		flow, err := s.be.newFlowSession(sub.ctx, snap)
+		// A client cancel during bring-up aborts the flow; once resident
+		// the flow outlives the subscribe request.
+		stop := context.AfterFunc(ctx, sub.cancel)
+		tables, err := s.be.register(sub.ctx, pool, sub)
 		if err != nil {
-			close(bootDone)
+			sub.kill()
+			return nil, err
+		}
+		flow, err := s.be.newFlowSession(sub.ctx, tables)
+		if err != nil {
 			sub.kill()
 			return nil, err
 		}
@@ -565,7 +559,10 @@ func (s *Server) doSubscribe(c *srvConn, ctx context.Context, id int, req srvpro
 		sub.mu.Unlock()
 		s.stQueries.Add(1)
 		fsub, err := flow.Subscribe(sub.ctx, req.Src, rex.WithOptions(opts))
-		close(bootDone)
+		if err == nil && !stop() {
+			fsub.Close()
+			err = ctx.Err() // cancelled during bring-up
+		}
 		if err != nil {
 			sub.kill()
 			return nil, err
@@ -666,6 +663,11 @@ func (s *Server) doIngest(c *srvConn, ctx context.Context, id int, req srvproto.
 // doCreateTable declares a table on every sub-pool's catalog, bumping
 // the shared version (stranding every cached plan compiled before it).
 func (s *Server) doCreateTable(c *srvConn, id int, req srvproto.Request) {
+	if !rql.IsIdent(req.Table) {
+		// A standing query's flow captures every table by name in RQL.
+		c.writeErr(id, fmt.Errorf("%w: table name %q is not an RQL identifier", srvproto.ErrBadRequest, req.Table))
+		return
+	}
 	schema := &types.Schema{}
 	for _, spec := range req.Fields {
 		name, typ, ok := cutField(spec)

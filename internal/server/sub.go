@@ -22,10 +22,10 @@ import (
 // single shared engine could not host resident dataflows; the sub-pool
 // backend removes that constraint.)
 //
-// The flow session boots from the same deterministic dataset staging as
-// the serving pools plus the backend's replay log, registered atomically
-// with the log snapshot so no ingest is missed or double-applied. It is
-// always in-process, even when the serving pools front TCP daemons.
+// The flow session boots from a copy of the tables a serving pool holds,
+// captured atomically with its registration for ingest fan-out, so no
+// ingest is missed or double-applied. It is always in-process, even when
+// the serving pools front TCP daemons.
 //
 // Ingestion requests coalesce: every covering ingest bumps seq, staged
 // deltas accumulate, and at most one round task is queued at a time — a
@@ -42,8 +42,8 @@ type srvSub struct {
 
 	// ctx bounds the resident dataflow's lifetime: derived from the
 	// server's base context, cancelled at teardown (and, during bring-up
-	// only, bridged to the subscribe request's context so a client cancel
-	// aborts the initial fixpoint).
+	// only, by the subscribe request's context, so a client cancel aborts
+	// the capture and the initial fixpoint).
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -69,7 +69,7 @@ func newSrvSub(srv *Server, conn *srvConn, id int, src string, opts rex.Options)
 
 // stage records one covering ingest's deltas and schedules a round task
 // if the flow is ready and none is pending. Called under backend.mu (the
-// atomicity that keeps staging consistent with the replay log). Returns
+// atomicity that keeps staging consistent with the flow's capture). Returns
 // the sequence number await must reach, 0 if the sub is dead.
 func (sub *srvSub) stage(batches map[string][]types.Delta) int64 {
 	sub.mu.Lock()

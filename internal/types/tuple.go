@@ -135,9 +135,6 @@ type Schema struct {
 	Fields []Field
 }
 
-// NewSchema builds a schema from alternating name/kind pairs.
-func NewSchema(fields ...Field) *Schema { return &Schema{Fields: fields} }
-
 // MustSchema builds a schema from "name:Type" specs, panicking on bad specs.
 // It mirrors the paper's inTypes/outTypes declarations ("nbr:Integer").
 func MustSchema(specs ...string) *Schema {

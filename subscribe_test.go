@@ -290,3 +290,49 @@ func TestSubscriptionLifecycleLeaks(t *testing.T) {
 		t.Fatal("ingest after close must error")
 	}
 }
+
+// TestEmptyDeclaredTable: a declared table scans as empty before its first
+// load, and a subscription over it folds to the from-scratch answer once
+// rows arrive.
+func TestEmptyDeclaredTable(t *testing.T) {
+	ctx := context.Background()
+	sess := openTest(t, WithInProc(2))
+	if err := sess.CreateTable("e", Schema("k:Integer", "v:Integer"), 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.QueryCtx(ctx, `SELECT * FROM e`)
+	if err != nil {
+		t.Fatalf("query of an empty declared table: %v", err)
+	}
+	if len(res.Tuples) != 0 {
+		t.Fatalf("empty table returned %d rows", len(res.Tuples))
+	}
+
+	const q = `SELECT k, count(*) FROM e GROUP BY k`
+	sub, err := sess.Subscribe(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := &streamFold{}
+	st := sub.Stream()
+	foldStream(t, st, sub.Rounds()[0].Batches, view)
+	if err := sess.Insert("e", NewTuple(int64(1), int64(10)), NewTuple(int64(1), int64(11)), NewTuple(int64(2), int64(20))); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sub.Rounds()[1:] {
+		foldStream(t, st, r.Batches, view)
+	}
+	if err := sub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err = sess.QueryCtx(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != 2 {
+		t.Fatalf("recomputed query returned %d groups, want 2", len(res.Tuples))
+	}
+	if got, want := bench.ResultHash(view.live), bench.ResultHash(res.Tuples); got != want {
+		t.Fatalf("folded view %s != recomputed query %s", got, want)
+	}
+}
