@@ -2,8 +2,8 @@
 // worker node of a multi-process cluster. Start one per node, then point
 // a driver (rexbench or rexsql with -transport tcp) at the listen
 // addresses; the driver ships each daemon a job description from which it
-// rebuilds the plan and loads its data partition, and queries run over
-// real TCP links.
+// builds the plan and loads its data partition (kept for later jobs over
+// the same data), and queries run over real TCP links.
 //
 // Usage:
 //

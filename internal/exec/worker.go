@@ -81,6 +81,9 @@ type Worker struct {
 	// skip the replayed frames by this watermark.
 	pending      []pendingIngest
 	appliedRound int
+	// revised records that a commit applied a base delta to the store, so
+	// its tables no longer match what was loaded into it.
+	revised bool
 }
 
 // pendingIngest is one staged MsgIngest frame awaiting the round's commit
@@ -165,6 +168,10 @@ func (w *Worker) Loop() bool {
 		}
 	}
 }
+
+// Revised reports whether a round commit applied a base delta to the
+// worker's store. Read it only after Loop has returned.
+func (w *Worker) Revised() bool { return w.revised }
 
 // DropQuery discards this worker's checkpoints for its query; daemons
 // call it at job teardown (the engine does the equivalent for local
@@ -459,6 +466,7 @@ func (w *Worker) handleCommit(msg cluster.Message) error {
 			break
 		}
 		w.store.CreateTable(pb.table, pb.keyCol)
+		w.revised = w.revised || len(pb.deltas) > 0
 		for _, d := range pb.deltas {
 			if err := w.store.ApplyDelta(pb.table, d); err != nil {
 				return err

@@ -18,8 +18,9 @@ import (
 	"github.com/rex-data/rex/internal/exec"
 )
 
-// readyTimeout bounds the wait for every daemon to build a job: dataset
-// generation is the slow part and scales with Spec.Size.
+// readyTimeout bounds the wait for every daemon to ready a job. A daemon
+// that must build its tables is the slow case: dataset generation scales
+// with Spec.Size. One that reuses its loaded tables only compiles.
 const readyTimeout = 120 * time.Second
 
 // SpawnPrefix is the line a worker daemon prints once its listener is
@@ -48,8 +49,8 @@ type Cluster struct {
 	// deterministic from the encoded spec, so identical consecutive jobs
 	// (a prepared statement re-executed, a server replaying cached RQL)
 	// reuse the driver's catalog and plan instead of recompiling per run.
-	// The daemons still rebuild per job — that is inherent to shipping
-	// specs, not text — but the driver-side reparse/replan disappears.
+	// The daemons keep their own loaded tables between jobs over the same
+	// data (see internal/noded), so neither side regenerates the dataset.
 	buildMu sync.Mutex
 	builds  map[uint64]*builtJob
 }

@@ -2,9 +2,11 @@
 // multi-process execution possible without shipping compiled plans: a
 // Spec names a workload, its deterministic dataset parameters, and the
 // execution options, and every process — the driver and each rexnode
-// worker daemon — rebuilds the identical catalog, physical plan, and
+// worker daemon — can rebuild the identical catalog, physical plan, and
 // dataset from it. Only the spec crosses the wire (as a MsgJob payload);
-// plans, delta handlers (Go closures), and data never do.
+// plans, delta handlers (Go closures), and data never do. A daemon whose
+// loaded tables came from a spec with the same dataset fields keeps them
+// and only compiles the new job's query (see internal/noded).
 package job
 
 import (
@@ -65,7 +67,7 @@ type Spec struct {
 	// arrival order. Every process folds the log into its generated tables
 	// before loading, so a job sees the same revised base data everywhere —
 	// this is what lets TCP sessions accept loads at all (their daemons
-	// regenerate data per job from the spec).
+	// build their tables from the spec, and rebuild when the log changes).
 	Ingest []IngestedTable `json:"ingest,omitempty"`
 
 	// Execution options that must agree on both sides of the wire.
@@ -225,9 +227,8 @@ func (s *Spec) Build() (*catalog.Catalog, *exec.PlanSpec, []Table, error) {
 		if err = setStats(cat, tables); err != nil {
 			return nil, nil, nil, err
 		}
-		plan, err = rql.Compile(s.Query, cat, s.Nodes)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("job: compile %q: %w", s.Query, err)
+		if plan, err = s.CompileQuery(cat); err != nil {
+			return nil, nil, nil, err
 		}
 		return cat, plan, tables, nil
 	default:
@@ -242,6 +243,16 @@ func (s *Spec) Build() (*catalog.Catalog, *exec.PlanSpec, []Table, error) {
 	return cat, plan, tables, nil
 }
 
+// CompileQuery compiles an RQL spec's query against cat, a catalog that
+// Build staged for a spec with the same dataset fields.
+func (s *Spec) CompileQuery(cat *catalog.Catalog) (*exec.PlanSpec, error) {
+	plan, err := rql.Compile(s.Query, cat, s.Nodes)
+	if err != nil {
+		return nil, fmt.Errorf("job: compile %q: %w", s.Query, err)
+	}
+	return plan, nil
+}
+
 // applyIngest folds the spec's base-table change log into the generated
 // tables, in log order, so every process loads identically revised data.
 func (s *Spec) applyIngest(tables []Table) ([]Table, error) {
@@ -252,14 +263,7 @@ func (s *Spec) applyIngest(tables []Table) ([]Table, error) {
 	for i, tb := range tables {
 		idx[tb.Name] = i
 	}
-	remove := func(ts []types.Tuple, t types.Tuple) []types.Tuple {
-		for i, x := range ts {
-			if x.Equal(t) {
-				return append(ts[:i], ts[i+1:]...)
-			}
-		}
-		return ts
-	}
+	logs := make([][]types.Delta, len(tables))
 	for _, entry := range s.Ingest {
 		i, ok := idx[entry.Table]
 		if !ok {
@@ -269,19 +273,106 @@ func (s *Spec) applyIngest(tables []Table) ([]Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job: ingest log for %s: %w", entry.Table, err)
 		}
-		tb := &tables[i]
-		for _, d := range deltas {
-			switch d.Op {
-			case types.OpInsert, types.OpUpdate:
-				tb.Tuples = append(tb.Tuples, d.Tup)
-			case types.OpDelete:
-				tb.Tuples = remove(tb.Tuples, d.Tup)
-			case types.OpReplace:
-				tb.Tuples = append(remove(tb.Tuples, d.Old), d.Tup)
-			}
-		}
+		logs[i] = append(logs[i], deltas...)
+	}
+	for i, log := range logs {
+		tables[i].Tuples = foldLog(tables[i].Tuples, log)
 	}
 	return tables, nil
+}
+
+// foldLog applies a change log to rows: inserts and updates append, a
+// delete removes the first equal row still present (none: no-op), a
+// replace does both. Appends go to the end, so the rows a value loses are
+// always the first ones equal to it, in row order: one pass counts the
+// losses per value and a second drops them, keeping the survivors in order.
+// (This groups rows by Equal, which is transitive while a column holds one
+// kind of value, as a schema-checked table does.)
+func foldLog(rows []types.Tuple, log []types.Delta) []types.Tuple {
+	type tally struct {
+		tup           types.Tuple
+		seen, removed int
+	}
+	tallies := map[uint64][]*tally{}
+	find := func(t types.Tuple) *tally {
+		for _, c := range tallies[eqHash(t)] {
+			if c.tup.Equal(t) {
+				return c
+			}
+		}
+		return nil
+	}
+	// Only values the log removes need counting.
+	for _, d := range log {
+		var t types.Tuple
+		switch d.Op {
+		case types.OpDelete:
+			t = d.Tup
+		case types.OpReplace:
+			t = d.Old
+		default:
+			continue
+		}
+		if find(t) == nil {
+			h := eqHash(t)
+			tallies[h] = append(tallies[h], &tally{tup: t})
+		}
+	}
+	see := func(t types.Tuple) {
+		if len(tallies) == 0 {
+			return // an insert-only log: nothing to count
+		}
+		if c := find(t); c != nil {
+			c.seen++
+		}
+	}
+	remove := func(t types.Tuple) {
+		if c := find(t); c.seen > c.removed {
+			c.removed++
+		}
+	}
+	for _, t := range rows {
+		see(t)
+	}
+	for _, d := range log {
+		switch d.Op {
+		case types.OpInsert, types.OpUpdate:
+			rows = append(rows, d.Tup)
+			see(d.Tup)
+		case types.OpDelete:
+			remove(d.Tup)
+		case types.OpReplace:
+			remove(d.Old)
+			rows = append(rows, d.Tup)
+			see(d.Tup)
+		}
+	}
+	if len(tallies) == 0 {
+		return rows
+	}
+	out := rows[:0]
+	for _, t := range rows {
+		if c := find(t); c != nil && c.removed > 0 {
+			c.removed--
+			continue
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// eqHash hashes a tuple so that Equal tuples collide: types.ValueEq
+// compares a float against any value types.AsFloat reads as the same
+// number, so every such value hashes as that float.
+func eqHash(t types.Tuple) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range t {
+		if f, ok := types.AsFloat(v); ok {
+			v = f
+		}
+		h = h*1099511628211 ^ types.HashValue(v)
+	}
+	return h
 }
 
 // rqlTables stages the named dataset for an RQL job.

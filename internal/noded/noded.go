@@ -1,10 +1,17 @@
 // Package noded implements the rexnode worker daemon: one OS process
 // hosting one REX worker node over the TCP transport. The daemon serves a
-// sequence of jobs — for each MsgJob it rebuilds the catalog, plan, and
-// its data partition from the job spec, runs the worker event loop until
-// the driver tears the query down, and then waits for the next job. It
-// also answers daemon-level control traffic (stats requests, kill/revive
+// sequence of jobs — for each MsgJob it readies the catalog, plan, and its
+// data partition from the job spec, runs the worker event loop until the
+// driver tears the query down, and then waits for the next job. It also
+// answers daemon-level control traffic (stats requests, kill/revive
 // failure injection, quit).
+//
+// The loaded tables outlive the job. A later job whose spec describes the
+// same data (same dataset fields, ingest log, cluster shape and node id)
+// reuses the store, ring and catalog and only compiles its query, as long
+// as no standing round has revised the store since the load. Anything
+// else — another dataset, a revised store, a failed build, a restore —
+// rebuilds from the spec.
 //
 // With a data directory configured, the daemon becomes crash-durable: its
 // store is a paged spill-to-disk store, the active job description is
@@ -15,13 +22,17 @@
 package noded
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
+	"time"
 
+	"github.com/rex-data/rex/internal/catalog"
 	"github.com/rex-data/rex/internal/cluster"
 	"github.com/rex-data/rex/internal/exec"
 	"github.com/rex-data/rex/internal/job"
@@ -54,6 +65,18 @@ type Node struct {
 	closedPool storage.PoolStats
 	store      storage.Durable // nil when running in-memory
 	ckpts      *storage.CheckpointStore
+
+	// The loaded data, kept across jobs: tables is the store the worker
+	// runs over (the durable store, or a RAM one), loaded under ring and
+	// cat from a spec whose data key is loadedKey. loadedKey is nil when a
+	// job must rebuild; plan is kept for the built-in workloads, whose
+	// plan depends on keyed fields only. builds counts full builds.
+	loadedKey []byte
+	tables    storage.Backend
+	ring      *cluster.Ring
+	cat       *catalog.Catalog
+	plan      *exec.PlanSpec
+	builds    atomic.Int64
 
 	// current job state, kept across kill/revive so a revived node can
 	// rejoin the next run of the same job.
@@ -207,6 +230,9 @@ func (n *Node) startJob(msg cluster.Message) error {
 		return err
 	}
 	if n.worker != nil {
+		if n.worker.Revised() {
+			n.loadedKey = nil // a standing round changed the loaded tables
+		}
 		n.worker.DropQuery()
 		n.worker = nil
 	}
@@ -217,13 +243,19 @@ func (n *Node) startJob(msg cluster.Message) error {
 			return err
 		}
 	}
-	if err := n.buildJob(spec, self, false); err != nil {
+	start := time.Now()
+	rows, err := n.buildJob(spec, self, false)
+	if err != nil {
 		return err
 	}
 	n.spawnLoop()
 	n.tr.SendControl(cluster.Message{From: self, Kind: cluster.MsgJobReady})
-	fmt.Fprintf(n.logw, "rexnode: node %d ready for %s job (gen %d, %d peers)\n",
-		self, spec.Workload, msg.Job, len(spec.Peers))
+	how := "reused its tables"
+	if rows >= 0 {
+		how = fmt.Sprintf("built %d rows in %d ms", rows, time.Since(start).Milliseconds())
+	}
+	fmt.Fprintf(n.logw, "rexnode: node %d ready for %s job (gen %d, %d peers, %s)\n",
+		self, spec.Workload, msg.Job, len(spec.Peers), how)
 	return nil
 }
 
@@ -252,7 +284,7 @@ func (n *Node) Restore() (bool, error) {
 	if err := n.tr.Configure(self, spec.Peers, gen); err != nil {
 		return false, err
 	}
-	if err := n.buildJob(spec, self, true); err != nil {
+	if _, err := n.buildJob(spec, self, true); err != nil {
 		return false, err
 	}
 	n.spawnLoop()
@@ -267,27 +299,76 @@ func (n *Node) Restore() (bool, error) {
 	return true, nil
 }
 
-// buildJob constructs the job's catalog, plan, store, and worker.
-// restore=true reuses the store's committed on-disk state instead of
-// loading the spec's generated partition; if the store turns out to hold
-// no committed data (the crash hit before the initial load was sealed),
-// it falls back to a fresh load.
-func (n *Node) buildJob(spec *job.Spec, self cluster.NodeID, restore bool) error {
+// buildJob readies the job's catalog, plan, store, and worker. It reuses
+// the loaded tables when the spec's data key matches theirs (restore
+// never does) and reports the rows loaded, or -1 on reuse. A query that
+// fails to compile on reuse leaves the tables reusable; any other failure
+// leaves nothing to reuse.
+func (n *Node) buildJob(spec *job.Spec, self cluster.NodeID, restore bool) (int, error) {
+	key, err := dataKey(spec, self)
+	if err != nil {
+		return 0, err
+	}
+	hit := !restore && n.loadedKey != nil && bytes.Equal(key, n.loadedKey)
+	rows := -1
+	if !hit {
+		n.loadedKey = nil
+		if rows, err = n.load(spec, self, restore); err != nil {
+			return 0, err
+		}
+		if !restore {
+			n.loadedKey = key
+		}
+	}
+	plan := n.plan
+	if hit && spec.Workload == "rql" {
+		if plan, err = spec.CompileQuery(n.cat); err != nil {
+			return 0, err
+		}
+	}
+	// A fresh checkpoint store per job: the §4.3 Δ-set checkpoints belong
+	// to one query and persist next to the page files (surviving a
+	// respawn alongside the store image, which is why restore keeps them).
+	ckpts := storage.NewCheckpointStore()
+	if n.dataDir != "" {
+		if err := n.useCheckpoints(ckpts, restore); err != nil {
+			n.loadedKey = nil
+			return 0, err
+		}
+	}
+	n.jobs++
+	n.worker = exec.NewWorker(exec.WorkerConfig{
+		Node: self, Transport: n.tr, Store: n.tables,
+		Checkpoints: ckpts, Catalog: n.cat, Ring: n.ring,
+		Plan: plan, QueryID: fmt.Sprintf("node%d-job%d", self, n.jobs),
+		Options: spec.Options(),
+	})
+	return rows, nil
+}
+
+// load builds the job's catalog, plan, ring, and store from the spec and
+// loads this node's partition of the generated tables, reporting the rows
+// stored. restore=true reuses the store's committed on-disk state instead
+// of loading; if the store turns out to hold no committed data (the crash
+// hit before the initial load was sealed), it falls back to a fresh load.
+func (n *Node) load(spec *job.Spec, self cluster.NodeID, restore bool) (int, error) {
 	cat, plan, tables, err := spec.Build()
 	if err != nil {
-		return err
+		return 0, err
 	}
+	n.builds.Add(1)
 	ring := cluster.NewRing(len(spec.Peers), spec.VNodes, spec.Replication)
 	var store storage.Backend
 	var durable storage.Durable
 	n.closeStore()
+	n.tables = nil
 	if n.dataDir != "" {
 		storeDir := filepath.Join(n.dataDir, "store")
 		if !restore {
 			// A new job's data replaces the previous job's: wipe before
 			// opening so stale durable state cannot leak across jobs.
 			if err := os.RemoveAll(storeDir); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		pool := spec.BufferPoolPages
@@ -296,7 +377,7 @@ func (n *Node) buildJob(spec *job.Spec, self cluster.NodeID, restore bool) error
 		}
 		ps, err := pagestore.Open(storeDir, self, pool)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if restore && ps.CommittedRound() < 0 {
 			restore = false // nothing durable: crashed before the base commit
@@ -308,42 +389,75 @@ func (n *Node) buildJob(spec *job.Spec, self cluster.NodeID, restore bool) error
 	} else {
 		store = storage.NewStore(self)
 	}
-	ckpts := storage.NewCheckpointStore()
-	if n.dataDir != "" {
-		// The §4.3 Δ-set checkpoints persist next to the page files and
-		// survive a respawn alongside the store image.
-		if err := ckpts.UseDir(filepath.Join(n.dataDir, "store", "ckpt")); err != nil {
-			return err
-		}
-		n.storeMu.Lock()
-		n.ckpts = ckpts
-		n.storeMu.Unlock()
-	}
+	rows := 0
 	if !restore {
 		stores := make([]storage.Backend, len(spec.Peers))
 		stores[self] = store
 		loader := &storage.Loader{Ring: ring, Stores: stores}
 		for _, tb := range tables {
 			if err := loader.Load(tb.Name, tb.KeyCol, tb.Tuples); err != nil {
-				return err
+				return 0, err
 			}
+			rows += store.CountLocal(tb.Name)
 		}
 		if durable != nil {
 			// Seal the loaded base as committed round 0 so a crash at any
 			// later point recovers to it (and a respawn can skip the load).
 			if err := durable.Commit(0); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
-	n.jobs++
-	n.worker = exec.NewWorker(exec.WorkerConfig{
-		Node: self, Transport: n.tr, Store: store,
-		Checkpoints: ckpts, Catalog: cat, Ring: ring,
-		Plan: plan, QueryID: fmt.Sprintf("node%d-job%d", self, n.jobs),
-		Options: spec.Options(),
-	})
+	n.tables, n.ring, n.cat, n.plan = store, ring, cat, plan
+	return rows, nil
+}
+
+// useCheckpoints closes the previous job's checkpoint store and roots
+// ckpts under the data directory, dropping the files the previous job
+// left there unless keep is set.
+func (n *Node) useCheckpoints(ckpts *storage.CheckpointStore, keep bool) error {
+	n.storeMu.Lock()
+	old := n.ckpts
+	n.ckpts = nil
+	n.storeMu.Unlock()
+	if old != nil {
+		if err := old.Close(); err != nil {
+			fmt.Fprintf(n.logw, "rexnode: checkpoint close: %v\n", err)
+		}
+	}
+	dir := filepath.Join(n.dataDir, "store", "ckpt")
+	if !keep {
+		if err := os.RemoveAll(dir); err != nil {
+			return err
+		}
+	}
+	if err := ckpts.UseDir(dir); err != nil {
+		return err
+	}
+	n.storeMu.Lock()
+	n.ckpts = ckpts
+	n.storeMu.Unlock()
 	return nil
+}
+
+// dataKey identifies the data a spec loads on node self: the encoded spec
+// with its execution-only fields cleared. Clearing rather than listing
+// the fields that count keeps any field added later in the key.
+func dataKey(spec *job.Spec, self cluster.NodeID) ([]byte, error) {
+	s := *spec
+	s.Query = ""
+	s.BatchSize = 0
+	s.Compaction = false
+	s.Checkpoint = false
+	s.CompactionHighWater = 0
+	s.MaxStrata = 0
+	s.Stream = false
+	s.NoVectorize = false
+	key, err := s.Encode()
+	if err != nil {
+		return nil, err
+	}
+	return binary.AppendVarint(key, int64(self)), nil
 }
 
 // writeJobFile atomically persists the active job (generation, node id,

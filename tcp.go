@@ -14,10 +14,10 @@ import (
 	"github.com/rex-data/rex/internal/types"
 )
 
-// tcpBackend drives rexnode worker daemons over sockets. Daemons rebuild
-// catalog, plan and data partition from every job spec, so the session
-// keeps what a spec must carry: the staged dataset's parameters and the
-// base-table change log.
+// tcpBackend drives rexnode worker daemons over sockets. Daemons build
+// catalog, plan and data partition from the job spec, and keep them for
+// later jobs over the same data, so the session keeps what a spec must
+// carry: the staged dataset's parameters and the base-table change log.
 type tcpBackend struct {
 	jc  *job.Cluster
 	cfg config
@@ -27,9 +27,9 @@ type tcpBackend struct {
 
 	// logMu guards ingestLog, the base-table change log: every accepted
 	// Insert/Delete/LoadDeltas is appended and replayed into each
-	// subsequent job spec, so daemons — which regenerate data per job —
-	// rebuild the revised tables. The log is kept compacted: each table's
-	// deltas fold to their net effect (insert+delete annihilation,
+	// subsequent job spec, so daemons — which build their tables from the
+	// spec — rebuild the revised tables. The log is kept compacted: each
+	// table's deltas fold to their net effect (insert+delete annihilation,
 	// replace-chain folding) whenever a fold threshold of raw appends
 	// accumulates, and again at snapshot time, so the log — and with it
 	// every job spec — stays bounded by the net change under churn.
@@ -136,8 +136,9 @@ func (b *tcpBackend) ingest(tables map[string][]Delta, locked lockFunc) (*Ingest
 	return exec.ResolvedAck(nil, nil), nil
 }
 
-// roundApplied is a standing query's applied hook: the daemons' stores die
-// with the job, so the net change of every round joins the change log.
+// roundApplied is a standing query's applied hook: a daemon whose store a
+// round revised rebuilds its tables from the next job's spec, so the net
+// change of every round joins the change log.
 func (b *tcpBackend) roundApplied(tables map[string][]Delta) {
 	for _, table := range sortedTables(tables) {
 		b.appendIngestLog(table, tables[table])
