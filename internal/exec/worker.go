@@ -81,9 +81,6 @@ type Worker struct {
 	// skip the replayed frames by this watermark.
 	pending      []pendingIngest
 	appliedRound int
-	// revised records that a commit applied a base delta to the store, so
-	// its tables no longer match what was loaded into it.
-	revised bool
 }
 
 // pendingIngest is one staged MsgIngest frame awaiting the round's commit
@@ -169,9 +166,11 @@ func (w *Worker) Loop() bool {
 	}
 }
 
-// Revised reports whether a round commit applied a base delta to the
-// worker's store. Read it only after Loop has returned.
-func (w *Worker) Revised() bool { return w.revised }
+// Committed reports whether the worker committed an ingestion round, so
+// its store may have moved past the state it was built over (a node that
+// held no deltas for the round still advanced its durable watermark).
+// Read it only after Loop has returned.
+func (w *Worker) Committed() bool { return w.appliedRound > 0 }
 
 // DropQuery discards this worker's checkpoints for its query; daemons
 // call it at job teardown (the engine does the equivalent for local
@@ -466,7 +465,6 @@ func (w *Worker) handleCommit(msg cluster.Message) error {
 			break
 		}
 		w.store.CreateTable(pb.table, pb.keyCol)
-		w.revised = w.revised || len(pb.deltas) > 0
 		for _, d := range pb.deltas {
 			if err := w.store.ApplyDelta(pb.table, d); err != nil {
 				return err

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -35,7 +36,9 @@ func foldByScan(rows []types.Tuple, log []types.Delta) []types.Tuple {
 
 // TestFoldLogMatchesScan checks the one-pass fold against the scan on
 // random logs over a small value domain, so duplicates, repeated
-// deletes, deletes of absent rows and replace chains are all common. Every
+// deletes, deletes of absent rows and replace chains are all common; a NaN
+// value equals nothing, itself included, so its deletes remove nothing.
+// Every
 // row and logged tuple is its own allocation, and the results must hold
 // the same allocations in the same order: which copy of a duplicate
 // survives, and where, is checked too.
@@ -43,8 +46,11 @@ func TestFoldLogMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	value := func() types.Tuple {
 		k := rng.Int63n(5)
-		if rng.Intn(4) == 0 {
+		switch rng.Intn(8) {
+		case 0, 1:
 			return types.NewTuple(float64(k), "x") // Equal to the int key
+		case 2:
+			return types.NewTuple(math.NaN(), "x")
 		}
 		return types.NewTuple(k, "x")
 	}

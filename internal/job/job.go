@@ -287,7 +287,8 @@ func (s *Spec) applyIngest(tables []Table) ([]Table, error) {
 // always the first ones equal to it, in row order: one pass counts the
 // losses per value and a second drops them, keeping the survivors in order.
 // (This groups rows by Equal, which is transitive while a column holds one
-// kind of value, as a schema-checked table does.)
+// kind of value, as a schema-checked table does. A tuple holding a NaN
+// equals nothing, so deleting it is a no-op and its rows all survive.)
 func foldLog(rows []types.Tuple, log []types.Delta) []types.Tuple {
 	type tally struct {
 		tup           types.Tuple
@@ -327,7 +328,9 @@ func foldLog(rows []types.Tuple, log []types.Delta) []types.Tuple {
 		}
 	}
 	remove := func(t types.Tuple) {
-		if c := find(t); c.seen > c.removed {
+		// No tally: a value not Equal to itself (a NaN), as absent as the
+		// scan would find it.
+		if c := find(t); c != nil && c.seen > c.removed {
 			c.removed++
 		}
 	}

@@ -12,8 +12,10 @@ import (
 // FuzzReadJobFile feeds arbitrary job.bin contents through what Restore
 // reads them with: readJobFile, then job.Decode. Any input must come back
 // as an error or a spec, never a panic; a file that parses must round-trip
-// through writeJobFile, and its spec must give a data key. Seeds live in
-// testdata/fuzz/FuzzReadJobFile.
+// through writeJobFile, and its spec must give a data key. A spec small
+// enough to generate is built too, so its ingest log gets folded into its
+// dataset as Restore would (without its query: the fold is the target, not
+// the RQL compiler). Seeds live in testdata/fuzz/FuzzReadJobFile.
 func FuzzReadJobFile(f *testing.F) {
 	dir := f.TempDir()
 	path := filepath.Join(dir, jobFile)
@@ -31,6 +33,11 @@ func FuzzReadJobFile(f *testing.F) {
 		}
 		if _, err := dataKey(spec, self); err != nil {
 			t.Fatalf("decoded spec has no data key: %v", err)
+		}
+		if spec.Size <= 64 && spec.K <= 16 {
+			small := *spec
+			small.Query = ""
+			_, _, _, _ = small.Build()
 		}
 		if err := writeJobFile(dir, gen, self, payload); err != nil {
 			t.Fatal(err)

@@ -9,9 +9,9 @@
 // The loaded tables outlive the job. A later job whose spec describes the
 // same data (same dataset fields, ingest log, cluster shape and node id)
 // reuses the store, ring and catalog and only compiles its query, as long
-// as no standing round has revised the store since the load. Anything
-// else — another dataset, a revised store, a failed build, a restore —
-// rebuilds from the spec.
+// as no standing round has committed on this node since the load.
+// Anything else — another dataset, a committed round, a failed build, a
+// restore — rebuilds from the spec.
 //
 // With a data directory configured, the daemon becomes crash-durable: its
 // store is a paged spill-to-disk store, the active job description is
@@ -230,8 +230,10 @@ func (n *Node) startJob(msg cluster.Message) error {
 		return err
 	}
 	if n.worker != nil {
-		if n.worker.Revised() {
-			n.loadedKey = nil // a standing round changed the loaded tables
+		if n.worker.Committed() {
+			// A standing round moved the store past its load: its tables
+			// or its durable watermark no longer match a fresh build.
+			n.loadedKey = nil
 		}
 		n.worker.DropQuery()
 		n.worker = nil

@@ -42,14 +42,19 @@ func newRig(t *testing.T, n int, durable bool) *rig {
 		}
 	})
 	for i := 0; i < n; i++ {
-		dir := ""
-		if durable {
-			dir = t.TempDir()
-		}
-		r.dirs = append(r.dirs, dir)
-		r.nodes = append(r.nodes, r.start("127.0.0.1:0", dir, false))
+		r.add(durable)
 	}
 	return r
+}
+
+// add starts one more daemon, with its own data directory when durable.
+func (r *rig) add(durable bool) {
+	dir := ""
+	if durable {
+		dir = r.t.TempDir()
+	}
+	r.dirs = append(r.dirs, dir)
+	r.nodes = append(r.nodes, r.start("127.0.0.1:0", dir, false))
 }
 
 // start runs a daemon on addr over dir, restoring its persisted job first
@@ -199,6 +204,55 @@ func ingestLog(deltas ...types.Delta) []job.IngestedTable {
 
 func edge(src, dst int64) types.Delta { return types.Insert(types.NewTuple(src, dst)) }
 
+// subscribe opens a standing query for spec on cl, ingests each batch as
+// one round, closes it, and returns the relation its stream describes.
+func subscribe(t *testing.T, cl *job.Cluster, spec *job.Spec, batches ...[]types.Delta) []types.Tuple {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	sq, err := cl.StandingCtx(ctx, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view []types.Tuple
+	remove := func(t types.Tuple) {
+		if i := slices.IndexFunc(view, t.Equal); i >= 0 {
+			view = slices.Delete(view, i, i+1)
+		}
+	}
+	fold := func(rs *exec.RoundStats) {
+		for i := 0; i < rs.Batches; i++ {
+			b, ok := sq.Stream().Next()
+			if !ok {
+				t.Fatalf("stream ended early on round %d: %v", rs.Round, sq.Stream().Err())
+			}
+			for _, d := range b.Deltas {
+				switch d.Op {
+				case types.OpInsert, types.OpUpdate:
+					view = append(view, d.Tup)
+				case types.OpDelete:
+					remove(d.Tup)
+				case types.OpReplace:
+					remove(d.Old)
+					view = append(view, d.Tup)
+				}
+			}
+		}
+	}
+	fold(&sq.Rounds()[0])
+	for _, batch := range batches {
+		rs, err := sq.Ingest(ctx, map[string][]types.Delta{"graph": batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold(rs)
+	}
+	if err := sq.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
 // TestTablesReused runs each case over RAM daemons and over daemons with a
 // data directory (paged, durable stores).
 func TestTablesReused(t *testing.T) {
@@ -284,6 +338,35 @@ func TestTablesReused(t *testing.T) {
 			revised.Ingest = ingestLog(batch...)
 			run(t, cl, revised, nil)
 			r.wantBuilds("job with the ingest log", 3, 3, 0)
+		}},
+		{"a round that held no deltas for a node still forces its rebuild", func(t *testing.T, r *rig) {
+			// Four nodes at replication 3: the one edge below reaches three
+			// of them, yet all four commit its round and move their round
+			// watermarks, so all four rebuild: no reused store carries a
+			// watermark past its load into the next job.
+			r.add(r.dirs[0] != "")
+			cl := r.connect(4)
+			spec := graphSpec(countEdges)
+			subscribe(t, cl, spec, []types.Delta{edge(0, 171)})
+			r.wantBuilds("first subscription", 1, 1, 1, 1)
+			var batch []types.Delta
+			for src := int64(1); src <= 24; src++ {
+				batch = append(batch, edge(src, 300-src))
+			}
+			got := subscribe(t, cl, spec, batch)
+			r.wantBuilds("second subscription", 2, 2, 2, 2)
+			// The daemons rebuilt from a spec without the first round's
+			// edge, so the fold is the dataset plus the second batch.
+			ref := *spec
+			ref.Nodes = 4
+			ref.Ingest = ingestLog(batch...)
+			want, err := job.RunInProc(&ref, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := bench.ResultHash(got), bench.ResultHash(want.Tuples); g != w {
+				t.Fatalf("folded stream %v (hash %s), in-process %v (hash %s)", got, g, want.Tuples, w)
+			}
 		}},
 		{"a failed build forces a rebuild", func(t *testing.T, r *rig) {
 			cl := r.connect(2)
