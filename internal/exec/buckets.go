@@ -14,12 +14,30 @@ import (
 type keyedBuckets struct {
 	tag     types.Value
 	buckets map[types.Value]*uda.TupleSet
-	dirty   map[types.Value]bool
+	// dirty is nil when nothing reads the dirty keys (no checkpoint and no
+	// stream changelog): touched then records nothing.
+	dirty map[types.Value]bool
 }
 
-func newKeyedBuckets(tag types.Value) *keyedBuckets {
-	return &keyedBuckets{tag: tag, buckets: map[types.Value]*uda.TupleSet{}, dirty: map[types.Value]bool{}}
+// newKeyedBuckets builds an empty store that records dirty keys if track.
+func newKeyedBuckets(tag types.Value, track bool) *keyedBuckets {
+	k := &keyedBuckets{tag: tag, buckets: map[types.Value]*uda.TupleSet{}}
+	if track {
+		k.dirty = map[types.Value]bool{}
+	}
+	return k
 }
+
+// reset empties the store, keeping its dirty tracking on or off.
+func (k *keyedBuckets) reset() {
+	k.buckets = map[types.Value]*uda.TupleSet{}
+	if k.dirty != nil {
+		k.dirty = map[types.Value]bool{}
+	}
+}
+
+// untrack stops recording dirty keys.
+func (k *keyedBuckets) untrack() { k.dirty = nil }
 
 // get returns key's bucket, creating an empty one.
 func (k *keyedBuckets) get(key types.Value) *uda.TupleSet {
@@ -33,7 +51,7 @@ func (k *keyedBuckets) get(key types.Value) *uda.TupleSet {
 
 // touched marks key dirty when its bucket b moved from version v0.
 func (k *keyedBuckets) touched(key types.Value, b *uda.TupleSet, v0 int) {
-	if b.Version() != v0 {
+	if k.dirty != nil && b.Version() != v0 {
 		k.dirty[key] = true
 	}
 }

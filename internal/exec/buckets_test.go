@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/rex-data/rex/internal/cluster"
+	"github.com/rex-data/rex/internal/storage"
 	"github.com/rex-data/rex/internal/types"
 	"github.com/rex-data/rex/internal/uda"
 )
@@ -285,6 +287,40 @@ func TestSetSemanticsMatchesModel(t *testing.T) {
 		}
 		if !slices.Equal(rendered(fin.deltas), rendered(state)) {
 			t.Fatalf("seed %d: final state %v, model %v", seed, fin.deltas, state)
+		}
+	}
+}
+
+// TestDirtyKeysOnlyWhereRead checks a worker's keyed state records dirty
+// keys only for a reader: the fixpoint's for its checkpoints or its
+// stream changelog, the join's mutable side for its checkpoints. The
+// join's immutable side never records them.
+func TestDirtyKeysOnlyWhereRead(t *testing.T) {
+	for _, c := range []struct {
+		checkpoint, stream      bool
+		fixpoint, mutable, base bool // tracking wanted
+	}{
+		{false, false, false, false, false},
+		{false, true, true, false, false},
+		{true, false, true, true, false},
+	} {
+		ring := cluster.NewRing(1, 8, 1)
+		w := NewWorker(WorkerConfig{
+			Node: 0, Transport: cluster.NewInProcTransport(1), Store: storage.NewStore(0),
+			Checkpoints: storage.NewCheckpointStore(), Catalog: newTestCatalog(t),
+			Ring: ring, Plan: ssspPlan(), QueryID: "q1",
+			Options: Options{Checkpoint: c.checkpoint, Stream: c.stream},
+		})
+		must(t, w.build(cluster.NewSnapshot(ring, ring.Nodes())))
+		var join *hashJoinOp
+		for _, op := range w.ops {
+			if j, ok := op.(*hashJoinOp); ok {
+				join = j
+			}
+		}
+		got := [3]bool{w.fixpoint.state.dirty != nil, join.sides[1].dirty != nil, join.sides[0].dirty != nil}
+		if want := [3]bool{c.fixpoint, c.mutable, c.base}; got != want {
+			t.Errorf("checkpoint=%v stream=%v: fixpoint/mutable/immutable tracking %v, want %v", c.checkpoint, c.stream, got, want)
 		}
 	}
 }

@@ -67,8 +67,11 @@ type Options struct {
 	// stratum's state changes are shipped to the requestor as a delta
 	// batch when that stratum closes, and the final flush is suppressed
 	// (the concatenated per-stratum batches fold to the same relation).
-	// Both sides of a multi-process run must agree on this field — it
-	// changes worker behavior — so it travels in the job spec.
+	// The entry point sets it: on for Engine.Stream and Engine.Standing,
+	// whose consumers watch the fixpoint converge; off for RunCtx, the
+	// buffered run under a drained one-shot query, which only needs the
+	// final relation. Both sides of a multi-process run must agree on this
+	// field — it changes worker behavior — so it travels in the job spec.
 	// Streaming runs do not support failure recovery.
 	Stream bool
 	// NoVectorize turns the compiled expression kernels off: filter,
@@ -252,8 +255,11 @@ func (e *Engine) Run(spec *PlanSpec, opts Options) (*Result, error) {
 // drain their mailboxes, and tears the run down with stores and
 // checkpoints consistent — the next query on the same engine works. The
 // returned error is ctx.Err(). Setup and teardown are the ones every query
-// shares (see Engine.start).
+// shares (see Engine.start). The run is not streamed: a recursive query's
+// fixpoint ships its final relation to the requestor once, at
+// termination.
 func (e *Engine) RunCtx(ctx context.Context, spec *PlanSpec, opts Options) (*Result, error) {
+	opts.Stream = false
 	r, err := e.start(ctx, spec, opts)
 	if err != nil {
 		return nil, err

@@ -754,3 +754,39 @@ func TestPlanValidation(t *testing.T) {
 		t.Fatal("fixpoint without recursive out must fail")
 	}
 }
+
+// TestStreamDeltaClonesOnce gates the changelog's copies: a stratum's
+// batch shares the emitted ledger's clones, so a stream or subscription
+// round allocates one copy per changed tuple (plus the batch itself).
+func TestStreamDeltaClonesOnce(t *testing.T) {
+	const n = 512
+	f := newTestFixpoint(nil)
+	f.stream = true
+	keys := make([]types.Value, n)
+	images := make([][2]types.Tuple, n)
+	var in []types.Delta
+	for k := range keys {
+		keys[k] = int64(k)
+		images[k] = [2]types.Tuple{types.NewTuple(int64(k), int64(1)), types.NewTuple(int64(k), int64(2))}
+		in = append(in, types.Insert(types.NewTuple(int64(k), int64(0))))
+	}
+	must(t, push(f, 0, in))
+	if got := len(f.StreamDelta()); got != n {
+		t.Fatalf("first changelog has %d deltas, want %d", got, n)
+	}
+	// Every run revises every key to the image it does not hold; the
+	// keys stay dirty, so each run's changelog replaces all n tuples.
+	round := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		round++
+		for k, key := range keys {
+			f.state.buckets[key].Tuples[0] = images[k][round%2]
+		}
+		if got := len(f.StreamDelta()); got != n {
+			t.Fatalf("changelog has %d deltas, want %d", got, n)
+		}
+	})
+	if allocs > n+1 {
+		t.Fatalf("StreamDelta allocated %.0f times for %d changed tuples, want at most %d", allocs, n, n+1)
+	}
+}

@@ -53,7 +53,7 @@ func newFixpointOp(spec *OpSpec, ctx *Context, handler uda.WhileHandler) *fixpoi
 	if spec.WhileHandlerName == "" {
 		handler = setSemantics{}
 	}
-	f := &fixpointOp{spec: spec, ctx: ctx, handler: handler, state: newKeyedBuckets("S")}
+	f := &fixpointOp{spec: spec, ctx: ctx, handler: handler, state: newKeyedBuckets("S", true)}
 	f.pending = uda.NewEmitter(0) // the relation's first row sets the width
 	f.pending.FlushEvery(0, func(b *types.DeltaBatch) error { return f.recursiveOuts.sendBatch(b) })
 	return f
@@ -174,12 +174,14 @@ func (f *fixpointOp) PendingCount() int { return f.pending.Batch().Len() }
 // so far into the key's current state. It reads (never clears) the dirty
 // set — checkpointing still needs it; the worker clears it afterwards via
 // ClearDirty. Tuples are cloned into the emitted ledger because handler
-// buckets may revise them in place in later strata.
+// buckets may revise them in place in later strata; the batch shares the
+// ledger's clones, which is safe because the ledger only ever replaces
+// its tuples and the worker encodes the batch before the next stratum.
 func (f *fixpointOp) StreamDelta() []types.Delta {
 	if f.emitted == nil {
 		f.emitted = map[types.Value][]types.Tuple{}
 	}
-	var out []types.Delta
+	out := make([]types.Delta, 0, len(f.state.dirty))
 	for key := range f.state.dirty {
 		var cur []types.Tuple
 		if b := f.state.buckets[key]; b != nil {
@@ -189,26 +191,25 @@ func (f *fixpointOp) StreamDelta() []types.Delta {
 		if tuplesEqual(prev, cur) {
 			continue // dirtied but settled back to what was emitted
 		}
-		switch {
-		case len(prev) == 1 && len(cur) == 1:
-			out = append(out, types.Replace(prev[0], cur[0].Clone()))
-		default:
-			for _, t := range prev {
-				out = append(out, types.Delete(t))
-			}
-			for _, t := range cur {
-				out = append(out, types.Insert(t.Clone()))
-			}
+		if len(prev) == 1 && len(cur) == 1 {
+			next := cur[0].Clone()
+			out = append(out, types.Replace(prev[0], next))
+			prev[0] = next // the ledger slice is reused in place
+			continue
+		}
+		for _, t := range prev {
+			out = append(out, types.Delete(t))
 		}
 		if len(cur) == 0 {
 			delete(f.emitted, key)
-		} else {
-			next := make([]types.Tuple, len(cur))
-			for i, t := range cur {
-				next[i] = t.Clone()
-			}
-			f.emitted[key] = next
+			continue
 		}
+		next := make([]types.Tuple, len(cur))
+		for i, t := range cur {
+			next[i] = t.Clone()
+			out = append(out, types.Insert(next[i]))
+		}
+		f.emitted[key] = next
 	}
 	return out
 }
@@ -230,7 +231,7 @@ func tuplesEqual(a, b []types.Tuple) bool {
 }
 
 func (f *fixpointOp) Reset() {
-	f.state = newKeyedBuckets("S")
+	f.state.reset()
 	f.pending.Batch().Reset()
 	f.emitted = nil
 }

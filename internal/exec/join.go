@@ -41,7 +41,12 @@ func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler, batchSize int) *hashJo
 		handler = guptaMumick{}
 	}
 	j := &hashJoinOp{spec: spec, tracker: newPortTracker(2), handler: handler}
-	j.resetBuckets()
+	// DirtyState skips the immutable side, so only the other side records
+	// dirty keys.
+	j.sides = [2]*keyedBuckets{
+		newKeyedBuckets(int64(0), spec.ImmutablePort != 0),
+		newKeyedBuckets(int64(1), spec.ImmutablePort != 1),
+	}
 	width := 0 // no schema: the first row sets the width
 	if handler.OutSchema() != nil {
 		width = handler.OutSchema().Len()
@@ -49,10 +54,6 @@ func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler, batchSize int) *hashJo
 	j.out = uda.NewEmitter(width)
 	j.out.FlushEvery(batchSize, func(b *types.DeltaBatch) error { return j.outs.sendBatch(b) })
 	return j
-}
-
-func (j *hashJoinOp) resetBuckets() {
-	j.sides = [2]*keyedBuckets{newKeyedBuckets(int64(0)), newKeyedBuckets(int64(1))}
 }
 
 func (j *hashJoinOp) keyOf(port int, t types.Tuple) types.Value {
@@ -170,20 +171,27 @@ func (j *hashJoinOp) Punct(port, stratum int, closed bool) error {
 func (j *hashJoinOp) ReopenRound() { j.tracker.reopen() }
 
 func (j *hashJoinOp) Reset() {
-	j.resetBuckets()
+	for _, b := range j.sides {
+		b.reset()
+	}
 	j.tracker.reset()
+}
+
+// untrack stops both sides recording dirty keys: with checkpointing off
+// nothing calls DirtyState.
+func (j *hashJoinOp) untrack() {
+	for _, b := range j.sides {
+		b.untrack()
+	}
 }
 
 // DirtyState checkpoints the buckets mutated this stratum, tagged with
 // their side (int64 0 or 1). Buckets on a purely immutable input (rebuilt
-// from base scans during recovery) are skipped.
+// from base scans during recovery) record no dirty keys, so they are
+// skipped.
 func (j *hashJoinOp) DirtyState() []types.Tuple {
 	var out []types.Tuple
-	for side, b := range j.sides {
-		if j.spec.ImmutablePort == side {
-			b.clearDirty()
-			continue
-		}
+	for _, b := range j.sides {
 		out = b.appendDirty(out)
 	}
 	return out

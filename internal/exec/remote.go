@@ -5,11 +5,14 @@ import (
 	"sync"
 )
 
-// StreamFeeder is the producer half of a remotely-fed ResultStream: the
-// consumer half behaves exactly like an engine-produced stream (Next,
-// Seq, Drain, Close), while the batches arrive from outside the engine —
-// the client side of a server-routed query, where frames decoded off a
-// socket are pushed in and the run's terminal result follows them.
+// StreamFeeder is the producer half of a ResultStream not fed by
+// Engine.Stream: the consumer half behaves exactly like an
+// engine-produced stream (Next, Seq, Drain, Close), while the batches
+// arrive from outside the engine — the client side of a server-routed
+// query, where frames decoded off a socket are pushed in and the run's
+// terminal result follows them. A session's drained one-shot query uses
+// one with no batches at all: the handle only lets Close cancel the
+// buffered run, and Finish reports it.
 type StreamFeeder struct {
 	s    *ResultStream
 	once sync.Once

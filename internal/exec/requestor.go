@@ -8,6 +8,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/rex-data/rex/internal/cluster"
@@ -161,6 +162,11 @@ func (r *requestor) teardown(abort bool) {
 	}
 }
 
+// resultRows counts the result deltas every requestor in this process has
+// received from its workers: a buffered recursive run's final relation,
+// or a stream's per-stratum changelogs.
+var resultRows atomic.Int64
+
 // nodeFailureErr reports a node failure to the caller's recovery loop.
 type nodeFailureErr struct{ node cluster.NodeID }
 
@@ -306,6 +312,7 @@ func (r *requestor) collect(round, base int, bytesBefore int64, out func(StreamB
 			if err != nil {
 				return nil, err
 			}
+			resultRows.Add(int64(len(batch)))
 			if r.spec.Recursive() && msg.Stratum > closed {
 				held[msg.Stratum] = append(held[msg.Stratum], batch...)
 			} else {

@@ -648,6 +648,13 @@ func (w *Worker) build(snap *cluster.Snapshot) error {
 			o.onStratumEnd = func(stratum, count int) {
 				w.stratumEnd(stratum, count, true)
 			}
+			if !w.checkpoints && !w.stream {
+				o.state.untrack() // neither DirtyState nor StreamDelta runs
+			}
+		case *hashJoinOp:
+			if !w.checkpoints || !w.spec.Recursive() {
+				o.untrack() // only a recursive plan's checkpoints read it
+			}
 		}
 		if ck, ok := inst.(checkpointer); ok && w.spec.Recursive() {
 			w.ckptOps[spec.ID] = ck

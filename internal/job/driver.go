@@ -170,7 +170,8 @@ func (c *Cluster) Run(spec *Spec, tune func(*exec.Options)) (*exec.Result, error
 
 // RunCtx is Run honoring a context: cancellation aborts the query between
 // strata (see exec.Engine.RunCtx) and the cluster stays usable for the
-// next run.
+// next run. The daemons run it unstreamed: a recursive query's fixpoint
+// ships its final relation once.
 func (c *Cluster) RunCtx(ctx context.Context, spec *Spec, tune func(*exec.Options)) (*exec.Result, error) {
 	eng, plan, opts, err := c.prepare(ctx, spec, tune, false)
 	if err != nil {
@@ -210,13 +211,15 @@ func (c *Cluster) StandingCtx(ctx context.Context, spec *Spec, tune func(*exec.O
 }
 
 // prepare ships the job, waits for every daemon to build it, and returns
-// the driver-side engine, plan, and options for the run.
+// the driver-side engine, plan, and options for the run. The entry point
+// decides whether the daemons stream per-stratum changelogs (stream) or
+// ship the final relation once, whatever spec.Stream says.
 func (c *Cluster) prepare(ctx context.Context, spec *Spec, tune func(*exec.Options), stream bool) (*exec.Engine, *exec.PlanSpec, exec.Options, error) {
 	var none exec.Options
 	s := *spec
 	s.Peers = c.addrs
 	s.Nodes = len(c.addrs)
-	s.Stream = s.Stream || stream
+	s.Stream = stream
 	s.Normalize()
 	payload, err := s.Encode()
 	if err != nil {

@@ -78,7 +78,9 @@ type Spec struct {
 	MaxStrata           int  `json:"max_strata,omitempty"`
 	// Stream selects streaming-result mode: workers emit each stratum's
 	// state changes as it closes instead of flushing the final relation
-	// (both sides must agree — it changes fixpoint behavior).
+	// (both sides must agree — it changes fixpoint behavior). The
+	// driver's entry point sets it: on for StreamCtx and StandingCtx, off
+	// for RunCtx.
 	Stream bool `json:"stream,omitempty"`
 	// NoVectorize turns the compiled expression kernels off, so workers
 	// run the interpreter (both sides must agree — it changes how every
@@ -548,8 +550,7 @@ func RunInProcCtx(ctx context.Context, s *Spec, tune func(*exec.Options)) (*exec
 // StreamInProc executes the spec on a fresh in-process engine in
 // streaming-result mode.
 func StreamInProc(ctx context.Context, s *Spec, tune func(*exec.Options)) (*exec.ResultStream, error) {
-	clone := *s // Stream + Normalize mutate; keep the caller's spec pristine
-	clone.Stream = true
+	clone := *s // Normalize mutates; keep the caller's spec pristine
 	s = &clone
 	eng, plan, opts, err := InProcEngine(s)
 	if err != nil {

@@ -276,6 +276,26 @@ func TestTablesReused(t *testing.T) {
 			run(t, cl, graphSpec(algos.IncSSSPQuery), nil)
 			r.wantBuilds("second query", 1, 1, 0)
 		}},
+		{"a drained query after a stream over the same dataset", func(t *testing.T, r *rig) {
+			// Stream is an execution option, outside the data key: the
+			// drained run after a streamed one reuses the tables.
+			cl := r.connect(2)
+			spec := *graphSpec(algos.IncSSSPQuery)
+			st, err := cl.StreamCtx(context.Background(), &spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := st.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.wantBuilds("stream", 1, 1, 0)
+			got := run(t, cl, graphSpec(algos.IncSSSPQuery), nil)
+			r.wantBuilds("drained query after the stream", 1, 1, 0)
+			if g, w := bench.ResultHash(got.Tuples), bench.ResultHash(streamed.Tuples); g != w || len(got.Tuples) != len(streamed.Tuples) {
+				t.Fatalf("drained query: %d rows (hash %s), stream folded to %d rows (hash %s)", len(got.Tuples), g, len(streamed.Tuples), w)
+			}
+		}},
 		{"a data field change rebuilds", func(t *testing.T, r *rig) {
 			changes := []struct {
 				field  string

@@ -235,10 +235,10 @@ func Open(ctx context.Context, opts ...Option) (*Session, error) {
 
 // Close tears the session down: in-process mailboxes are closed; TCP
 // connections are shut and daemons the session spawned are terminated and
-// reaped. A live DeltaStream (consumed, abandoned, or one QueryCtx is
-// draining) or Subscription is cancelled first, so Close never deadlocks
-// behind a stream nobody is draining; a buffered run (RunPlan,
-// RunWorkload, a query with a recovery strategy) is waited out.
+// reaped. A live DeltaStream (consumed or abandoned), a running QueryCtx
+// or a Subscription is cancelled first, so Close never deadlocks behind a
+// stream nobody is draining; a buffered run (RunPlan, RunWorkload, a
+// query with a recovery strategy) is waited out.
 func (s *Session) Close() error {
 	// Win s.mu without ever parking on it: the lock is held for a
 	// stream's whole life, and a Stream call racing us registers its
@@ -471,12 +471,13 @@ func (s *Session) WhileHandler(name string,
 // QueryCtx compiles and executes an RQL query under a context: cancelling
 // it (or hitting its deadline) aborts the query between strata with
 // context.Canceled / DeadlineExceeded, and the session stays usable for
-// the next query. When no failure recovery is requested the execution
-// streams internally — per-stratum delta batches are folded as they
-// arrive instead of the full result set buffering in the requestor. It is
-// the canonical query entry point on every transport; on a server session
-// the text ships to the rexd server, which executes it from its shared
-// plan cache. Per-query knobs are QueryOptions:
+// the next query. Only the answer travels to the session: a recursive
+// query's workers ship the relation at fixpoint once, not the per-stratum
+// changelogs Stream delivers, and Close cancels the query in flight (one
+// with a recovery strategy is waited out instead). It is the canonical
+// query entry point on every transport; on a server session the text
+// ships to the rexd server, which executes it from its shared plan cache
+// and streams the result back. Per-query knobs are QueryOptions:
 //
 //	s.QueryCtx(ctx, src, rex.WithTenant("acme"), rex.WithPriority(rex.PriorityHigh))
 func (s *Session) QueryCtx(ctx context.Context, src string, qopts ...QueryOption) (*Result, error) {
@@ -500,9 +501,11 @@ func (s *Session) RunPlan(ctx context.Context, plan *exec.PlanSpec, opts Options
 
 // Stream compiles src and executes it in streaming-result mode: the
 // returned DeltaStream yields each stratum's state-change batch as
-// punctuation closes the stratum on every node, instead of buffering the
-// full result set. Works on every transport. The stream must be consumed
-// or Closed; QueryCtx is the convenience wrapper that drains it.
+// punctuation closes the stratum on every node, so the consumer watches
+// the fixpoint converge; folding every batch gives QueryCtx's answer.
+// Works on every transport. The stream must be consumed or Closed. Use
+// QueryCtx when only the answer matters: it ships the final relation
+// once instead of every stratum's changelog.
 func (s *Session) Stream(ctx context.Context, src string, qopts ...QueryOption) (*DeltaStream, error) {
 	q, err := s.be.query(src, buildOptions(qopts))
 	if err != nil {
@@ -587,13 +590,25 @@ func (s *Session) BytesShipped() int64 {
 	return tr.Metrics().TotalBytesSent()
 }
 
-// execute runs x to completion: streamed and folded, or buffered when a
-// recovery strategy needs the buffered requestor path.
+// execute runs x to completion as a drained one-shot query: the buffered
+// run, under a stream handle so Close cancels it in flight. A recursive
+// query's fixpoint ships its final relation once instead of a changelog
+// per stratum that would only be folded away. A recovery strategy makes it
+// a plain buffered run, which Close waits out.
 func (s *Session) execute(ctx context.Context, x execution, opts Options) (*Result, error) {
 	if opts.Recovery != RecoveryNone {
 		return s.run(ctx, x)
 	}
-	return drain(s.startStream(ctx, x))
+	if err := s.lock(); err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	st, feed := exec.NewRemoteStream(cancel)
+	s.handOff(st, st.Done())
+	res, err := x.run(ctx)
+	feed.Finish(res, err)
+	return res, err
 }
 
 // drain folds a started stream into its Result.
