@@ -352,19 +352,17 @@ func serverUnsupported(opts Options) error {
 
 // wireOpts extracts the wire-travelling option subset.
 func wireOpts(opts Options) *srvproto.QueryOpts {
-	if opts.BatchSize == 0 && opts.MaxStrata == 0 && !opts.Compaction && opts.CompactionHighWater == 0 &&
-		!opts.Checkpoint && !opts.NoVectorize && opts.Tenant == "" && opts.Priority == 0 {
+	if opts.BatchSize == 0 && opts.MaxStrata == 0 && !opts.Checkpoint && !opts.NoVectorize &&
+		opts.Tenant == "" && opts.Priority == 0 {
 		return nil
 	}
 	return &srvproto.QueryOpts{
-		BatchSize:           opts.BatchSize,
-		MaxStrata:           opts.MaxStrata,
-		Compaction:          opts.Compaction,
-		CompactionHighWater: opts.CompactionHighWater,
-		Checkpoint:          opts.Checkpoint,
-		NoVectorize:         opts.NoVectorize,
-		Tenant:              opts.Tenant,
-		Priority:            opts.Priority,
+		BatchSize:   opts.BatchSize,
+		MaxStrata:   opts.MaxStrata,
+		Checkpoint:  opts.Checkpoint,
+		NoVectorize: opts.NoVectorize,
+		Tenant:      opts.Tenant,
+		Priority:    opts.Priority,
 	}
 }
 

@@ -79,7 +79,7 @@ func standingSuite(w io.Writer, sc bench.Scale, transport, peers string) ([]benc
 	defer sess.Close()
 
 	start := time.Now()
-	sub, err := sess.Subscribe(ctx, algos.IncSSSPQuery, rex.WithMaxStrata(300), rex.WithCompaction(0))
+	sub, err := sess.Subscribe(ctx, algos.IncSSSPQuery, rex.WithMaxStrata(300))
 	if err != nil {
 		return nil, fmt.Errorf("bench: subscribe on %s: %w", transport, err)
 	}
@@ -191,7 +191,7 @@ func standingChurnSuite(w io.Writer, sc bench.Scale, transport, peers string, si
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		sub, err := sess.Subscribe(ctx, algos.IncSSSPQuery, rex.WithMaxStrata(300), rex.WithCompaction(0))
+		sub, err := sess.Subscribe(ctx, algos.IncSSSPQuery, rex.WithMaxStrata(300))
 		if err != nil {
 			sess.Close()
 			return nil, nil, nil, err

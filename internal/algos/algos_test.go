@@ -248,8 +248,18 @@ func TestReferenceBFS(t *testing.T) {
 	}
 }
 
-// runSSSPOpts executes SSSP on a fresh engine with the given options.
-func runSSSPOpts(t *testing.T, g *datagen.Graph, opts exec.Options) *exec.Result {
+// shipAs overwrites the plan's decision on every shuffle edge: fold or
+// only append.
+func shipAs(p *exec.PlanSpec, fold bool) *exec.PlanSpec {
+	for _, op := range p.Ops {
+		op.Fold = fold
+	}
+	return p
+}
+
+// runSSSPFold executes SSSP on a fresh engine, every shuffle edge folding
+// or only appending.
+func runSSSPFold(t *testing.T, g *datagen.Graph, fold bool) *exec.Result {
 	t.Helper()
 	cat := graphCatalog(t)
 	cfg := SSSPConfig{Source: 0, Delta: true, MaxIterations: 500}
@@ -258,18 +268,18 @@ func runSSSPOpts(t *testing.T, g *datagen.Graph, opts exec.Options) *exec.Result
 	eng := exec.NewEngine(4, 32, 2, cat)
 	must(t, eng.Load("graph", 0, g.Edges))
 	must(t, eng.Load("spseed", 0, SSSPSeed(cfg)))
-	res, err := eng.Run(SSSPPlan(cfg, jn, wn), opts)
+	res, err := eng.Run(shipAs(SSSPPlan(cfg, jn, wn), fold), exec.Options{})
 	must(t, err)
 	return res
 }
 
-// Delta-batch compaction must not change query results, and it must
+// Folding the shuffle must not change query results, and it must
 // measurably shrink the wire volume: SSSP fans many same-destination
 // distance updates into the shuffle, which min-merge collapses.
 func TestSSSPCompactionEquivalence(t *testing.T) {
 	g := datagen.DBPediaGraph(600, 21)
-	off := runSSSPOpts(t, g, exec.Options{})
-	on := runSSSPOpts(t, g, exec.Options{Compaction: true})
+	off := runSSSPFold(t, g, false)
+	on := runSSSPFold(t, g, true)
 
 	wantDist := prMap(off)
 	gotDist := prMap(on)
@@ -292,23 +302,23 @@ func TestSSSPCompactionEquivalence(t *testing.T) {
 	}
 }
 
-// PageRank with sum-merge compaction must converge to the same ranks
+// PageRank with a sum-merging fold must converge to the same ranks
 // (floating-point addition order may differ, hence a tolerance).
 func TestPageRankCompactionEquivalence(t *testing.T) {
 	g := datagen.DBPediaGraph(400, 23)
 	cfg := PageRankConfig{Epsilon: 1e-4, Delta: true, MaxIterations: 200}
-	run := func(opts exec.Options) *exec.Result {
+	run := func(fold bool) *exec.Result {
 		cat := graphCatalog(t)
 		jn, wn, err := RegisterPageRank(cat, cfg)
 		must(t, err)
 		eng := exec.NewEngine(4, 32, 2, cat)
 		must(t, eng.Load("graph", 0, g.Edges))
-		res, err := eng.Run(PageRankPlan(cfg, jn, wn), opts)
+		res, err := eng.Run(shipAs(PageRankPlan(cfg, jn, wn), fold), exec.Options{})
 		must(t, err)
 		return res
 	}
-	off := prMap(run(exec.Options{}))
-	onRes := run(exec.Options{Compaction: true})
+	off := prMap(run(false))
+	onRes := run(true)
 	on := prMap(onRes)
 	if len(on) != len(off) {
 		t.Fatalf("compaction changed result size: %d vs %d", len(on), len(off))

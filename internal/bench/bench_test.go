@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -77,5 +79,35 @@ func TestReportPrint(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "== t ==") || !strings.Contains(out, "xxxxx") {
 		t.Fatalf("bad report:\n%s", out)
+	}
+}
+
+// TestFig11WireBytesOrdering is Fig 11's count gate: on both Twitter
+// workloads REX ships fewer wire bytes than HaLoop LB, which ships fewer
+// than Hadoop LB. The graph is the one `rexbench -scale 0.25` uses; wire
+// bytes repeat exactly from run to run, so the ordering is not noise.
+func TestFig11WireBytesOrdering(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Fig11(&buf, Scale{Nodes: 4, Workers: 4, TwitterVertices: 1500, Epsilon: 0.001}); err != nil {
+		t.Fatal(err)
+	}
+	// Report cells are separated by at least two spaces; a strategy
+	// name holds one.
+	wire := map[string]int64{}
+	for _, l := range strings.Split(buf.String(), "\n") {
+		cells := regexp.MustCompile(`\s{2,}`).Split(l, -1)
+		if len(cells) < 3 {
+			continue
+		}
+		if n, err := strconv.ParseInt(cells[2], 10, 64); err == nil {
+			wire[cells[0]+"/"+cells[1]] = n
+		}
+	}
+	for _, workload := range []string{"shortest-path", "pagerank"} {
+		rex, haloop, hadoop := wire[workload+"/REX Δ"], wire[workload+"/HaLoop LB"], wire[workload+"/Hadoop LB"]
+		t.Logf("%s: REX %d, HaLoop LB %d, Hadoop LB %d wire bytes", workload, rex, haloop, hadoop)
+		if rex <= 0 || rex >= haloop || haloop >= hadoop {
+			t.Errorf("%s: want REX (%d) < HaLoop LB (%d) < Hadoop LB (%d) wire bytes\n%s", workload, rex, haloop, hadoop, buf.String())
+		}
 	}
 }

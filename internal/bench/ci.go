@@ -27,8 +27,10 @@ import (
 // 6 = adds the kernel section (filter microloop: compiled column kernel
 // vs scratch-tuple bridge, speedup_vs_bridged) and the filter-heavy rql
 // suite workload; 7 drops the inner loop's row mode (its mode and
-// speedup_vs_row fields) with the row-dictionary codec it measured.
-const CISchemaVersion = 7
+// speedup_vs_row fields) with the row-dictionary codec it measured; 8
+// drops the wire rows' compaction field: the plan decides where the
+// shuffle folds, so the wire benchmark runs each workload once.
+const CISchemaVersion = 8
 
 // CIRecord is the top-level JSON document.
 type CIRecord struct {
@@ -113,11 +115,10 @@ type CIExperiment struct {
 }
 
 // CIWire records one wire-traffic measurement: measured frame bytes and
-// the shuffle compactor's delta counts for a workload at this scale.
+// the shuffle's fold counts for a workload at this scale.
 type CIWire struct {
 	Workload   string `json:"workload"`
 	Transport  string `json:"transport,omitempty"`
-	Compaction bool   `json:"compaction"`
 	WireBytes  int64  `json:"wire_bytes"`
 	DeltasIn   int64  `json:"deltas_in"`
 	DeltasOut  int64  `json:"deltas_out"`
@@ -136,30 +137,24 @@ type CIWire struct {
 }
 
 // WireBench measures SSSP and PageRank wire traffic on the DBPedia-like
-// graph with compaction off and on.
+// graph.
 func WireBench(sc Scale) ([]CIWire, error) {
 	g := datagenDBPedia(sc)
-	var out []CIWire
-	for _, compaction := range []bool{false, true} {
-		opts := exec.Options{Compaction: compaction}
-		res, _, err := runRexSSSP(g, sc.Nodes, algos.SSSPConfig{Source: 0, Delta: true, MaxIterations: 300}, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ciWire("sssp", compaction, res))
-		res, _, err = runRexPageRank(g, sc.Nodes, algos.PageRankConfig{Epsilon: sc.Epsilon, Delta: true, MaxIterations: 60}, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ciWire("pagerank", compaction, res))
+	res, _, err := runRexSSSP(g, sc.Nodes, algos.SSSPConfig{Source: 0, Delta: true, MaxIterations: 300}, exec.Options{})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	out := []CIWire{ciWire("sssp", res)}
+	res, _, err = runRexPageRank(g, sc.Nodes, algos.PageRankConfig{Epsilon: sc.Epsilon, Delta: true, MaxIterations: 60}, exec.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return append(out, ciWire("pagerank", res)), nil
 }
 
-func ciWire(workload string, compaction bool, res *exec.Result) CIWire {
+func ciWire(workload string, res *exec.Result) CIWire {
 	return CIWire{
 		Workload:   workload,
-		Compaction: compaction,
 		WireBytes:  res.BytesSent,
 		DeltasIn:   res.CompactIn,
 		DeltasOut:  res.CompactOut,

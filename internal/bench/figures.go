@@ -511,46 +511,36 @@ func Fig10(w io.Writer, sc Scale) error {
 
 // Fig11 measures average per-node bandwidth for the Twitter experiments.
 // REX rows report measured wire bytes (encoded frame volume on the
-// simulated link), once with and once without delta-batch compaction; the
-// compaction column is the shuffle's delta-count ratio out/in.
+// simulated link) of recursive plans, whose shuffle edges fold; the fold
+// column is the shuffle's delta-count ratio out/in.
 func Fig11(w io.Writer, sc Scale) error {
 	g := datagenTwitter(sc)
 	rep := &Report{
 		Title:   "Fig 11: average bandwidth per node (Twitter)",
 		Notes:   "iteration counts matched across strategies; REX bytes are measured wire frames, not estimates",
-		Headers: []string{"workload", "strategy", "wire bytes", "KB/iter per node", "KB/s per node", "compaction"},
+		Headers: []string{"workload", "strategy", "wire bytes", "KB/iter per node", "KB/s per node", "fold"},
 	}
-	add := func(workload, strategy string, bytes int64, iters int, dur time.Duration, nodes int, compact string) {
+	add := func(workload, strategy string, bytes int64, iters int, dur time.Duration, nodes int, fold string) {
 		rate := float64(bytes) / 1024 / dur.Seconds() / float64(nodes)
 		perIter := float64(bytes) / 1024 / float64(max(1, iters)) / float64(nodes)
 		rep.Rows = append(rep.Rows, []string{workload, strategy,
-			fmt.Sprintf("%d", bytes), fmt.Sprintf("%.1f", perIter), fmt.Sprintf("%.1f", rate), compact})
+			fmt.Sprintf("%d", bytes), fmt.Sprintf("%.1f", perIter), fmt.Sprintf("%.1f", rate), fold})
 	}
 
 	for _, workload := range []string{"shortest-path", "pagerank"} {
 		pagerank := workload == "pagerank"
-		// REX Δ with compaction off, then on.
-		for _, compaction := range []bool{false, true} {
-			opts := exec.Options{Compaction: compaction}
-			var res *exec.Result
-			var err error
-			if pagerank {
-				res, _, err = runRexPageRank(g, sc.Nodes, algos.PageRankConfig{Epsilon: sc.Epsilon, Delta: true, MaxIterations: 26}, opts)
-			} else {
-				res, _, err = runRexSSSP(g, sc.Nodes, algos.SSSPConfig{Source: 0, Delta: true, MaxIterations: 11}, opts)
-			}
-			if err != nil {
-				return err
-			}
-			name, ratio := "REX Δ", "-"
-			if compaction {
-				name = "REX Δ compact"
-				ratio = compactionRatio(res)
-			}
-			add(workload, name, res.BytesSent, len(res.Strata), res.Duration, sc.Nodes, ratio)
-		}
-
+		var res *exec.Result
 		var err error
+		if pagerank {
+			res, _, err = runRexPageRank(g, sc.Nodes, algos.PageRankConfig{Epsilon: sc.Epsilon, Delta: true, MaxIterations: 26}, exec.Options{})
+		} else {
+			res, _, err = runRexSSSP(g, sc.Nodes, algos.SSSPConfig{Source: 0, Delta: true, MaxIterations: 11}, exec.Options{})
+		}
+		if err != nil {
+			return err
+		}
+		add(workload, "REX Δ", res.BytesSent, len(res.Strata), res.Duration, sc.Nodes, foldRatio(res))
+
 		for _, strat := range []string{"HaLoop LB", "Hadoop LB"} {
 			meng, metrics := mrEngine(sc)
 			start := time.Now()
@@ -583,8 +573,8 @@ func Fig11(w io.Writer, sc Scale) error {
 	return nil
 }
 
-// compactionRatio renders the shuffle compactor's out/in delta ratio.
-func compactionRatio(res *exec.Result) string {
+// foldRatio renders the shuffle's out/in delta ratio.
+func foldRatio(res *exec.Result) string {
 	if res.CompactIn == 0 {
 		return "-"
 	}

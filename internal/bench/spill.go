@@ -49,7 +49,7 @@ const spillPoolPages = 8
 func SpillBench(w io.Writer, sc Scale) ([]CISpill, error) {
 	spec := &job.Spec{
 		Workload: "sssp", Nodes: sc.Nodes, Seed: 1, Size: sc.DBPediaVertices,
-		Source: 0, Delta: true, MaxIterations: 300, Compaction: true,
+		Source: 0, Delta: true, MaxIterations: 300,
 	}
 
 	ramStart := time.Now()

@@ -21,29 +21,29 @@ type Runner func(spec *job.Spec, tune func(*exec.Options)) (*exec.Result, error)
 
 // SuiteSpecs are the transport-comparison workloads: the paper's three
 // recursive algorithms plus a filter-heavy TPC-H-style aggregation, at
-// benchmark scale, with compaction on. Every parameter is pinned so an
-// inproc run and a TCP run (or two runs on different machines) execute
-// the identical query on identical data. The rql workload's scan→filter→
-// pre-agg chain is where the compiled column kernels live, so its
-// row_path_ms column is the end-to-end kernels-vs-interpreter A/B.
+// benchmark scale. Every parameter is pinned so an inproc run and a TCP
+// run (or two runs on different machines) execute the identical query on
+// identical data. The rql workload's scan→filter→pre-agg chain is where
+// the compiled column kernels live, so its row_path_ms column is the
+// end-to-end kernels-vs-interpreter A/B.
 func SuiteSpecs(sc Scale) []*job.Spec {
 	return []*job.Spec{
 		{
 			Workload: "pagerank", Nodes: sc.Nodes, Seed: 1, Size: sc.DBPediaVertices,
-			Epsilon: sc.Epsilon, Delta: true, MaxIterations: 60, Compaction: true,
+			Epsilon: sc.Epsilon, Delta: true, MaxIterations: 60,
 		},
 		{
 			Workload: "sssp", Nodes: sc.Nodes, Seed: 1, Size: sc.DBPediaVertices,
-			Source: 0, Delta: true, MaxIterations: 300, Compaction: true,
+			Source: 0, Delta: true, MaxIterations: 300,
 		},
 		{
 			Workload: "kmeans", Nodes: sc.Nodes, Seed: 3, Size: sc.GeoBasePoints,
-			K: 8, MaxIterations: 100, Compaction: true,
+			K: 8, MaxIterations: 100,
 		},
 		{
 			Workload: "rql", Nodes: sc.Nodes, Seed: 5, Size: sc.LineItemRows,
-			Dataset: "lineitem", Compaction: true,
-			Query: `SELECT returnflag, sum(extendedprice), count(*) FROM lineitem WHERE quantity < 30.0 AND linenumber > 1 GROUP BY returnflag`,
+			Dataset: "lineitem",
+			Query:   `SELECT returnflag, sum(extendedprice), count(*) FROM lineitem WHERE quantity < 30.0 AND linenumber > 1 GROUP BY returnflag`,
 		},
 	}
 }
@@ -66,7 +66,7 @@ func TransportSuite(w io.Writer, sc Scale, transport string, run Runner) ([]CIWi
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s on %s: %w", spec.Workload, transport, err)
 		}
-		row := ciWire(spec.Workload, spec.Compaction, res)
+		row := ciWire(spec.Workload, res)
 		row.Transport = transport
 		row.Strata = len(res.Strata)
 		row.ResultHash = ResultHash(res.Tuples)

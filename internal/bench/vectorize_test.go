@@ -1,16 +1,16 @@
 package bench
 
-// Kernel-vs-interpreter equivalence over the {compaction} × {kernels}
-// matrix: every workload of the transport suite must produce the
-// identical result hash with compiled expression kernels on and off
-// (NoVectorize runs every expression through the interpreter), with and
-// without the shuffle compactor. Kernels change throughput, never results.
+// Kernel-vs-interpreter equivalence over the {fold} × {kernels} matrix:
+// every workload of the transport suite must produce the identical result
+// hash with compiled expression kernels on and off (NoVectorize runs
+// every expression through the interpreter), with every shuffle edge
+// folding and with every edge only appending — whatever the plan decided.
+// Kernels change throughput, never results.
 
 import (
 	"fmt"
 	"testing"
 
-	"github.com/rex-data/rex/internal/exec"
 	"github.com/rex-data/rex/internal/job"
 )
 
@@ -18,19 +18,25 @@ func TestVectorizeModesHashIdentical(t *testing.T) {
 	sc := Scale{Nodes: 4, DBPediaVertices: 800, GeoBasePoints: 150, LineItemRows: 3000, Epsilon: 0.001}
 	for _, spec := range SuiteSpecs(sc) {
 		hashes := map[string]string{}
-		for _, compaction := range []bool{false, true} {
+		for _, fold := range []bool{false, true} {
 			for _, novec := range []bool{false, true} {
 				s := *spec
-				s.Compaction = compaction
 				s.NoVectorize = novec
-				res, err := job.RunInProc(&s, func(o *exec.Options) {})
+				eng, plan, opts, err := job.InProcEngine(&s)
 				if err != nil {
-					t.Fatalf("%s compaction=%v novec=%v: %v", spec.Workload, compaction, novec, err)
+					t.Fatalf("%s: %v", spec.Workload, err)
 				}
-				hashes[fmt.Sprintf("compaction=%v novec=%v", compaction, novec)] = ResultHash(res.Tuples)
+				for _, op := range plan.Ops {
+					op.Fold = fold
+				}
+				res, err := eng.Run(plan, opts)
+				if err != nil {
+					t.Fatalf("%s fold=%v novec=%v: %v", spec.Workload, fold, novec, err)
+				}
+				hashes[fmt.Sprintf("fold=%v novec=%v", fold, novec)] = ResultHash(res.Tuples)
 			}
 		}
-		want := hashes["compaction=true novec=true"]
+		want := hashes["fold=true novec=true"]
 		for mode, h := range hashes {
 			if h != want {
 				t.Errorf("%s: %s hashed %s, want %s", spec.Workload, mode, h, want)

@@ -20,7 +20,8 @@ import "github.com/rex-data/rex/internal/types"
 // delta, so the relative order of deltas with *different* keys can change.
 // That is sound for REX's keyed consumers (fixpoint, group-by, join
 // buckets keyed by the same columns the rehash partitions on), which is
-// why compaction is an exec.Options opt-in rather than always-on.
+// why the shuffle folds only where the plan decides it may
+// (exec.OpSpec.Fold).
 type Compactor struct {
 	key   KeyFunc
 	merge MergeFunc

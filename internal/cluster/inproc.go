@@ -158,7 +158,7 @@ func (t *InProcTransport) Send(msg Message) {
 }
 
 // InboxLen reports the queue depth of worker n's mailbox (0 for dead or
-// out-of-range nodes). Compacting senders use it as the backpressure
+// out-of-range nodes). Folding senders use it as the backpressure
 // high-water signal: rather than flooding a backlogged peer they hold
 // deltas back for further coalescing.
 func (t *InProcTransport) InboxLen(n NodeID) int {

@@ -7,7 +7,7 @@ import "sync/atomic"
 // BytesSent counts encoded frame bytes — the measured wire volume, not an
 // estimate (on TCP, including the length prefix the socket actually
 // carries). CompactIn/CompactOut count deltas entering and leaving the
-// shuffle's compacting stores, so callers can report the compaction ratio.
+// shuffle's folding stores, so callers can report the fold ratio.
 type Metrics struct {
 	BytesSent     []atomic.Int64
 	BytesReceived []atomic.Int64

@@ -205,7 +205,7 @@ type Transport interface {
 	// signal works identically in-process and across sockets.
 	Credits(from, to NodeID) int
 	// SpendCredits consumes n send credits from `from`'s window to `to`,
-	// flooring at zero. Compacting senders spend one per shipped batch;
+	// flooring at zero. Folding senders spend one per shipped batch;
 	// an exhausted window defers flushing (coalescing more) until the
 	// next grant or the sender's hard overflow cap.
 	SpendCredits(from, to NodeID, n int)

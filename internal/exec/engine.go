@@ -29,9 +29,10 @@ const (
 	RecoveryIncremental
 )
 
-// Option defaults shared by Engine.start and NewWorker (a remote worker
-// must normalize the same way the engine does, or the two sides of a
-// query would batch differently).
+// Defaults shared by Engine.start and NewWorker (a remote worker must
+// normalize the same way the engine does, or the two sides of a query
+// would batch differently). defaultHighWater is the credit window a
+// worker grants before its drain meter has a measurement.
 const (
 	defaultBatchSize = 1024
 	defaultHighWater = 64
@@ -48,20 +49,6 @@ type Options struct {
 	// Checkpoint enables per-stratum Δᵢ replication (required for
 	// RecoveryIncremental; adds measurable but small overhead otherwise).
 	Checkpoint bool
-	// Compaction enables delta-batch compaction in the shuffle path:
-	// the per-(edge, destination) columnar stores fold same-key deltas
-	// in place (insert+delete annihilation, replace-chain folding, and
-	// aggregate-delta merging where the plan declares merge functions —
-	// the RQL binder derives them for sum/min/max recursions) before
-	// encoding, shrinking wire volume and the downstream group-by's
-	// input at the cost of cross-key reordering inside a batch (sound
-	// for keyed consumers).
-	Compaction bool
-	// CompactionHighWater is the destination-mailbox depth above which a
-	// compacting sender defers its flush — holding deltas back for
-	// further coalescing instead of flooding a backlogged peer
-	// (default 64; soft backpressure, punctuation always flushes).
-	CompactionHighWater int
 	// Stream switches the run to streaming-result mode: instead of the
 	// fixpoint flushing its entire final relation at termination, every
 	// stratum's state changes are shipped to the requestor as a delta
@@ -128,8 +115,8 @@ type Result struct {
 	// is measured socket bytes, length prefixes included.
 	BytesSent int64
 	// CompactIn/CompactOut count deltas entering and leaving the shuffle's
-	// compacting stores (both zero when Options.Compaction is off); their
-	// ratio is the compaction win.
+	// folding stores (zero for plans without a recursion, whose edges only
+	// append; see OpSpec.Fold); their ratio is the fold's win.
 	CompactIn, CompactOut int64
 	// Recoveries counts failures survived during the run.
 	Recoveries int

@@ -82,17 +82,10 @@ type Context struct {
 	// BatchSize is the rehash message batching granularity (§4.1:
 	// "query processing passes batched messages").
 	BatchSize int
-	// Compaction enables delta-batch compaction in rehash send buffers.
-	Compaction bool
-	// CompactionHighWater is the destination-mailbox depth above which
-	// compacting senders defer flushes (soft backpressure). It is also the
-	// cold-start fallback for adaptive credit windows before the drain
-	// meter has a measurement.
-	CompactionHighWater int
 	// Stratum is the stratum currently executing on this node.
 	Stratum int
 	// Drain is this node's delta drain-rate meter; credit grants are sized
-	// from it (Drain.Window) instead of the static high-water constant.
+	// from it (Drain.Window) instead of the static defaultHighWater.
 	Drain *cluster.DrainMeter
 }
 

@@ -15,8 +15,9 @@ import (
 // is fed by the worker loop from the transport and aligns punctuation
 // from all alive senders before forwarding downstream (§4.2).
 //
-// With Options.Compaction on, the stores fold same-key deltas in place
-// before encoding (see cluster.DeltaStore), and flushes follow two rules.
+// Where the plan decided the edge folds (OpSpec.Fold: every shuffle of a
+// recursive plan), the stores fold same-key deltas in place before
+// encoding (see cluster.DeltaStore), and flushes follow two rules.
 // While a window has folded nothing, a full store flushes under
 // credit-based flow control: every shipped batch spends one credit from
 // the sender's window to that destination, and a flush with an exhausted
@@ -26,7 +27,8 @@ import (
 // inbox depth and piggyback the grants on the punctuation frames they
 // already send every stratum, so the same signal works in-process and
 // across sockets (where a peer's queue depth is unobservable). Punctuation
-// always flushes.
+// always flushes. An edge that only appends flushes every full batch and
+// never consults credits.
 //
 // OpBroadcast is the same operator with every batch delivered to every
 // node (used when one side of a computation — e.g. K-means centroids —
@@ -46,7 +48,7 @@ type rehashOp struct {
 	nSenders    int
 }
 
-// compactionOverflow bounds how long a compacting store stays open: once
+// compactionOverflow bounds how long a folding store stays open: once
 // it holds this many batches' worth of rows it flushes regardless of
 // folding or the destination's credit window.
 const compactionOverflow = 8
@@ -128,7 +130,7 @@ func (r *rehashOp) routeBatch(b *types.DeltaBatch) error {
 func (r *rehashOp) store(dest cluster.NodeID) *cluster.DeltaStore {
 	st := r.stores[dest]
 	if st == nil {
-		st = cluster.NewDeltaStore(r.spec.HashKey, r.spec.CompactMerge, r.ctx.Compaction)
+		st = cluster.NewDeltaStore(r.spec.HashKey, r.spec.CompactMerge, r.spec.Fold)
 		r.stores[dest] = st
 	}
 	return st
@@ -173,13 +175,13 @@ func (r *rehashOp) appended(dest cluster.NodeID, st *cluster.DeltaStore, before 
 	if n == before || n%r.ctx.BatchSize != 0 {
 		return nil
 	}
-	if r.ctx.Compaction && !r.shouldFlush(dest, st) {
+	if r.spec.Fold && !r.shouldFlush(dest, st) {
 		return nil
 	}
 	return r.flush(dest)
 }
 
-// shouldFlush is the compacting sender's rule at a batch boundary: the
+// shouldFlush is the folding sender's rule at a batch boundary: the
 // hard cap always flushes; below it a window that is folding stays open,
 // and one that is not flushes while the sender still holds send credits
 // for the destination (loopback needs none).
@@ -204,7 +206,7 @@ func (r *rehashOp) flush(dest cluster.NodeID) error {
 	}
 	b := st.Drain()
 	defer st.Reset()
-	if r.ctx.Compaction {
+	if r.spec.Fold {
 		m := r.ctx.Transport.Metrics()
 		m.CompactIn[r.ctx.Node].Add(int64(st.Pending()))
 		m.CompactOut[r.ctx.Node].Add(int64(b.Len()))
@@ -215,10 +217,10 @@ func (r *rehashOp) flush(dest cluster.NodeID) error {
 	if dest == r.ctx.Node {
 		return r.outs.sendBatch(b)
 	}
-	if r.ctx.Compaction {
+	if r.spec.Fold {
 		// Every shipped batch spends one credit from this sender's window
 		// to the destination (a cap-forced flush may overdraw to zero).
-		// Only compacting senders gate on credits, so the plain path
+		// Only folding senders gate on credits, so an appending edge
 		// skips the book entirely.
 		r.ctx.Transport.SpendCredits(r.ctx.Node, dest, 1)
 	}
@@ -246,9 +248,9 @@ func (r *rehashOp) Punct(port, stratum int, closed bool) error {
 	switch port {
 	case 0:
 		// Local upstream finished the stratum: flush everything, then tell
-		// every peer (and ourselves) so receivers can align. When
-		// compaction is on — the only mode whose senders consult credits —
-		// each outgoing punctuation piggybacks a grant sized from this
+		// every peer (and ourselves) so receivers can align. On a folding
+		// edge — the only kind whose senders consult credits — each
+		// outgoing punctuation piggybacks a grant sized from this
 		// node's OWN inbox depth: a drained inbox re-arms the peer's full
 		// window, a backlogged one shrinks it toward zero, and the peer's
 		// sender defers flushes (coalescing more) until the window
@@ -257,15 +259,15 @@ func (r *rehashOp) Punct(port, stratum int, closed bool) error {
 			return err
 		}
 		grant := 0
-		if r.ctx.Compaction {
+		if r.spec.Fold {
 			// Adaptive window: size the grant from this node's measured
 			// drain rate (how many batches it expects to absorb over the
-			// next horizon), falling back to the static high-water constant
-			// until the meter has a sample, then subtract the backlog
-			// already sitting in the inbox.
-			window := r.ctx.CompactionHighWater
+			// next horizon), falling back to defaultHighWater until the
+			// meter has a sample, then subtract the backlog already
+			// sitting in the inbox.
+			window := defaultHighWater
 			if r.ctx.Drain != nil {
-				window = r.ctx.Drain.Window(r.ctx.BatchSize, r.ctx.CompactionHighWater)
+				window = r.ctx.Drain.Window(r.ctx.BatchSize, defaultHighWater)
 			}
 			grant = window - r.ctx.Transport.InboxLen(r.ctx.Node)
 			if grant < 0 {
@@ -283,7 +285,7 @@ func (r *rehashOp) Punct(port, stratum int, closed bool) error {
 				From: r.ctx.Node, To: n,
 				Edge: edgeID(r.spec.ID, 1), Kind: cluster.MsgPunct,
 				Stratum: stratum, Closed: closed, Epoch: r.ctx.Epoch,
-				CreditGrant: r.ctx.Compaction, Credits: grant,
+				CreditGrant: r.spec.Fold, Credits: grant,
 			})
 		}
 		return nil

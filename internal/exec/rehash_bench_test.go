@@ -1,7 +1,7 @@
 package exec
 
 // The combining shuffle's send side in isolation: one stratum's worth of
-// δ() deltas pushed into a compacting rehash over a two-node in-process
+// δ() deltas pushed into a folding rehash over a two-node in-process
 // transport, then punctuated (which flushes). Run with
 //
 //	go test -run '^$' -bench RehashCombine -benchmem ./internal/exec
@@ -31,7 +31,7 @@ func combineStream(keys int) []types.Delta {
 	return ds
 }
 
-// newCombineRehash wires a compacting sum-merging rehash on node 0 of a
+// newCombineRehash wires a folding sum-merging rehash on node 0 of a
 // two-node in-process cluster, its loopback output feeding a counting
 // sink.
 func newCombineRehash(tb testing.TB) (*rehashOp, *cluster.InProcTransport) {
@@ -39,10 +39,9 @@ func newCombineRehash(tb testing.TB) (*rehashOp, *cluster.InProcTransport) {
 	ring := cluster.NewRing(2, 64, 1)
 	ctx := &Context{
 		Node: 0, Snap: cluster.NewSnapshot(ring, ring.Nodes()), Transport: tr,
-		BatchSize: defaultBatchSize, Compaction: true, CompactionHighWater: defaultHighWater,
-		Drain: &cluster.DrainMeter{},
+		BatchSize: defaultBatchSize, Drain: &cluster.DrainMeter{},
 	}
-	r := newRehashOp(&OpSpec{ID: 1, Kind: OpRehash, HashKey: []int{0}, CompactMerge: map[int]string{1: "sum"}}, ctx, false)
+	r := newRehashOp(&OpSpec{ID: 1, Kind: OpRehash, HashKey: []int{0}, Fold: true, CompactMerge: map[int]string{1: "sum"}}, ctx, false)
 	r.outs = outputs{{op: &batchCountSink{}, port: 0}}
 	tb.Cleanup(func() { _ = tr.Close() })
 	return r, tr

@@ -61,9 +61,6 @@ func (e *Engine) start(ctx context.Context, spec *PlanSpec, opts Options) (*requ
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = defaultBatchSize
 	}
-	if opts.CompactionHighWater <= 0 {
-		opts.CompactionHighWater = defaultHighWater
-	}
 	r := &requestor{
 		e: e, ctx: ctx, spec: spec, opts: opts,
 		queryID:   fmt.Sprintf("q%d", e.queryCounter.Add(1)),

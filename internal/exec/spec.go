@@ -108,15 +108,21 @@ type OpSpec struct {
 
 	// Rehash / Broadcast
 	HashKey []int
-	// CompactMerge declares, per non-key column index, how the shuffle's
-	// compacting store may merge two same-key δ() deltas ("sum", "min",
+	// Fold is the plan's decision for this shuffle edge: its send stores
+	// fold same-key deltas before the wire (§3.2's combining shuffle)
+	// instead of only appending. PlanSpec.Add sets it on every shuffle of
+	// a recursive plan. Both sides of a multi-process run compile the same
+	// plan, so it never travels; tests overwrite it to force the other leg.
+	Fold bool
+	// CompactMerge declares, per non-key column index, how a folding
+	// shuffle store may merge two same-key δ() deltas ("sum", "min",
 	// "max"). Columns absent from the map must be value-equal for a merge
 	// to apply. Declaring a function is only sound when the downstream
 	// consumer folds that column with the same function (e.g. a rehash
 	// feeding a group-by's sum) — the plan builder asserts that, not the
 	// executor: the RQL binder derives it from the group-by (see
-	// rql.compactMergeFor), hand-built plans state it. Ignored unless
-	// Options.Compaction is on.
+	// rql.compactMergeFor), hand-built plans state it. Ignored on an edge
+	// that does not fold.
 	CompactMerge map[int]string
 
 	// Fixpoint
@@ -134,9 +140,14 @@ type OpSpec struct {
 
 // String describes the operator for plan listings. A scan with a pushed
 // key equality reads `Scan lineitem [key = $1]`, "key" being the table's
-// partition key.
+// partition key; a shuffle edge names how it ships and why, as in
+// `Rehash [fold: recursive plan]`.
 func (o *OpSpec) String() string {
 	switch {
+	case o.shuffles() && o.Fold:
+		return o.Kind.String() + " [fold: recursive plan]"
+	case o.shuffles():
+		return o.Kind.String() + " [append: non-recursive plan]"
 	case o.Kind != OpScan:
 		return o.Kind.String()
 	case o.KeyEq != nil:
@@ -144,6 +155,9 @@ func (o *OpSpec) String() string {
 	}
 	return "Scan " + o.Table
 }
+
+// shuffles reports whether the op is a shuffle edge (rehash or broadcast).
+func (o *OpSpec) shuffles() bool { return o.Kind == OpRehash || o.Kind == OpBroadcast }
 
 // PlanSpec is a complete physical plan: a DAG of OpSpecs (plus one cycle
 // through the fixpoint operator for recursive queries).
@@ -162,12 +176,21 @@ func NewPlanSpec() *PlanSpec {
 	return &PlanSpec{FixpointID: -1, RootID: -1, MaxStrata: 1000}
 }
 
-// Add appends an op, assigning its ID.
+// Add appends an op, assigning its ID. Adding the fixpoint makes every
+// shuffle, before it or after, fold (OpSpec.Fold).
 func (p *PlanSpec) Add(op *OpSpec) *OpSpec {
 	op.ID = len(p.Ops)
 	p.Ops = append(p.Ops, op)
-	if op.Kind == OpFixpoint {
+	switch {
+	case op.Kind == OpFixpoint:
 		p.FixpointID = op.ID
+		for _, o := range p.Ops {
+			if o.shuffles() {
+				o.Fold = true
+			}
+		}
+	case op.shuffles():
+		op.Fold = p.Recursive()
 	}
 	return op
 }

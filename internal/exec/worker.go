@@ -27,8 +27,6 @@ type Worker struct {
 	queryID     string
 	batchSize   int
 	checkpoints bool
-	compaction  bool
-	highWater   int
 	stream      bool
 	// kernels compiles expression kernels for filter, project, group-by
 	// and pre-aggregation; off (Options.NoVectorize) every expression runs
@@ -112,9 +110,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = defaultBatchSize
 	}
-	if opts.CompactionHighWater <= 0 {
-		opts.CompactionHighWater = defaultHighWater
-	}
 	var durable storage.Durable
 	if d, ok := cfg.Store.(storage.Durable); ok {
 		durable = d
@@ -133,9 +128,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		durable: durable, appliedRound: applied,
 		ckpt: cfg.Checkpoints, cat: cfg.Catalog, ring: cfg.Ring,
 		spec: cfg.Plan, queryID: cfg.QueryID, batchSize: opts.BatchSize,
-		checkpoints: opts.Checkpoint,
-		compaction:  opts.Compaction, highWater: opts.CompactionHighWater,
-		stream: opts.Stream, kernels: !opts.NoVectorize,
+		checkpoints: opts.Checkpoint, stream: opts.Stream, kernels: !opts.NoVectorize,
 		drain: &cluster.DrainMeter{},
 	}
 }
@@ -428,7 +421,7 @@ func (w *Worker) handleIngest(msg cluster.Message) error {
 		// requestor pair in the credit book.
 		w.transport.SendToRequestor(cluster.Message{
 			From: w.node, To: -1, Kind: cluster.MsgCreditAck, Epoch: w.epoch,
-			CreditGrant: true, Credits: w.drain.Window(w.batchSize, w.highWater),
+			CreditGrant: true, Credits: w.drain.Window(w.batchSize, defaultHighWater),
 		})
 	}
 	if msg.Stratum > 0 && msg.Stratum <= w.appliedRound {
@@ -621,7 +614,6 @@ func (w *Worker) build(snap *cluster.Snapshot) error {
 		Node: w.node, Snap: snap, Transport: w.transport,
 		Store: w.store, Catalog: w.cat, QueryID: w.queryID,
 		Epoch: w.epoch, BatchSize: w.batchSize,
-		Compaction: w.compaction, CompactionHighWater: w.highWater,
 		Drain: w.drain,
 	}
 	w.ctx = ctx

@@ -57,11 +57,11 @@ func startCluster(t *testing.T, n int) *job.Cluster {
 func equivSpecs(nodes int, seed int64) []*job.Spec {
 	return []*job.Spec{
 		{Workload: "sssp", Nodes: nodes, Seed: seed, Size: 300, Source: 0,
-			Delta: true, MaxIterations: 300, Compaction: true, BatchSize: 1 << 20},
+			Delta: true, MaxIterations: 300, BatchSize: 1 << 20},
 		{Workload: "pagerank", Nodes: nodes, Seed: seed, Size: 250, Epsilon: 0.001,
-			Delta: true, MaxIterations: 60, Compaction: true, BatchSize: 1 << 20},
+			Delta: true, MaxIterations: 60, BatchSize: 1 << 20},
 		{Workload: "kmeans", Nodes: nodes, Seed: seed, Size: 120, K: 4,
-			MaxIterations: 100, Compaction: true, BatchSize: 1 << 20},
+			MaxIterations: 100, BatchSize: 1 << 20},
 	}
 }
 

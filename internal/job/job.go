@@ -71,11 +71,9 @@ type Spec struct {
 	Ingest []IngestedTable `json:"ingest,omitempty"`
 
 	// Execution options that must agree on both sides of the wire.
-	BatchSize           int  `json:"batch_size,omitempty"`
-	Compaction          bool `json:"compaction"`
-	Checkpoint          bool `json:"checkpoint"`
-	CompactionHighWater int  `json:"compaction_high_water,omitempty"`
-	MaxStrata           int  `json:"max_strata,omitempty"`
+	BatchSize  int  `json:"batch_size,omitempty"`
+	Checkpoint bool `json:"checkpoint"`
+	MaxStrata  int  `json:"max_strata,omitempty"`
 	// Stream selects streaming-result mode: workers emit each stratum's
 	// state changes as it closes instead of flushing the final relation
 	// (both sides must agree — it changes fixpoint behavior). The
@@ -91,6 +89,9 @@ type Spec struct {
 	// with a data directory (0 = the daemon's own default). It crosses the
 	// wire so one spec can pin the working-set budget cluster-wide.
 	BufferPoolPages int `json:"buffer_pool_pages,omitempty"`
+	// Deprecated: Compaction does nothing and never travels; the plan
+	// decides where the shuffle folds (exec.OpSpec.Fold).
+	Compaction bool `json:"-"`
 	// SpillDir, when set, backs the in-process engine's stores with paged
 	// spill-to-disk files under this directory. Local-only: daemons place
 	// their stores under their own -data-dir, never a driver path.
@@ -132,13 +133,11 @@ func (s *Spec) Normalize() {
 // the caller — they never cross the wire.
 func (s *Spec) Options() exec.Options {
 	return exec.Options{
-		BatchSize:           s.BatchSize,
-		Compaction:          s.Compaction,
-		Checkpoint:          s.Checkpoint,
-		CompactionHighWater: s.CompactionHighWater,
-		MaxStrata:           s.MaxStrata,
-		Stream:              s.Stream,
-		NoVectorize:         s.NoVectorize,
+		BatchSize:   s.BatchSize,
+		Checkpoint:  s.Checkpoint,
+		MaxStrata:   s.MaxStrata,
+		Stream:      s.Stream,
+		NoVectorize: s.NoVectorize,
 	}
 }
 

@@ -1,8 +1,8 @@
 package job_test
 
-// Kernel equivalence over real sockets: with compaction off the shuffle
-// ships every delta as a columnar frame, so these runs exercise the
-// near-zero-copy wire path end to end across OS-process boundaries. The
+// Kernel equivalence over real sockets: the shuffle ships every flush as
+// a columnar frame, so these runs exercise the near-zero-copy wire path
+// end to end across OS-process boundaries. The
 // result hash must be identical with compiled kernels on and off
 // (NoVectorize travels in the spec and runs the interpreter on every
 // daemon), and both must match the in-process run of the same spec.

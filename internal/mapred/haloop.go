@@ -1,7 +1,7 @@
 package mapred
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/rex-data/rex/internal/types"
@@ -125,8 +125,8 @@ func (h *HaLoopEngine) Run(job *Job, variant []KV, cacheName string) ([]KV, erro
 				// partition (free: not shuffled, not counted).
 				part = append(append([]KV{}, part...), cache.parts[i]...)
 			}
-			sort.SliceStable(part, func(a, b int) bool {
-				return types.ValueCompare(part[a].K, part[b].K) < 0
+			slices.SortStableFunc(part, func(a, b KV) int {
+				return types.ValueCompare(a.K, b.K)
 			})
 			var out []KV
 			emit := func(k, v types.Value) { out = append(out, KV{k, v}) }

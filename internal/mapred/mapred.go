@@ -17,7 +17,7 @@ package mapred
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -197,8 +197,8 @@ func (e *Engine) Run(job *Job, input []KV) ([]KV, error) {
 		go func(i int) {
 			defer wg.Done()
 			part := parts[i]
-			sort.SliceStable(part, func(a, b int) bool {
-				return types.ValueCompare(part[a].K, part[b].K) < 0
+			slices.SortStableFunc(part, func(a, b KV) int {
+				return types.ValueCompare(a.K, b.K)
 			})
 			var out []KV
 			emit := func(k, v types.Value) { out = append(out, KV{k, v}) }
@@ -235,8 +235,8 @@ func (e *Engine) Run(job *Job, input []KV) ([]KV, error) {
 
 // combine groups a single map task's output and applies the combiner.
 func combine(c Reducer, out []KV) ([]KV, error) {
-	sort.SliceStable(out, func(a, b int) bool {
-		return types.ValueCompare(out[a].K, out[b].K) < 0
+	slices.SortStableFunc(out, func(a, b KV) int {
+		return types.ValueCompare(a.K, b.K)
 	})
 	var combined []KV
 	emit := func(k, v types.Value) { combined = append(combined, KV{k, v}) }

@@ -449,9 +449,7 @@ func dataKey(spec *job.Spec, self cluster.NodeID) ([]byte, error) {
 	s := *spec
 	s.Query = ""
 	s.BatchSize = 0
-	s.Compaction = false
 	s.Checkpoint = false
-	s.CompactionHighWater = 0
 	s.MaxStrata = 0
 	s.Stream = false
 	s.NoVectorize = false

@@ -457,8 +457,8 @@ func TestDataKey(t *testing.T) {
 		return string(k)
 	}
 	same := base
-	same.Query, same.BatchSize, same.Compaction, same.Checkpoint = "SELECT 2", 7, true, true
-	same.CompactionHighWater, same.MaxStrata, same.Stream, same.NoVectorize = 9, 11, true, true
+	same.Query, same.BatchSize, same.Checkpoint = "SELECT 2", 7, true
+	same.MaxStrata, same.Stream, same.NoVectorize = 11, true, true
 	if key(base, 0) != key(same, 0) {
 		t.Error("execution-only fields changed the data key")
 	}

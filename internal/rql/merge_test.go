@@ -151,7 +151,7 @@ func graphCatalog(t *testing.T) *catalog.Catalog {
 
 // runGraphQuery runs an RQL recursion over a two-node engine staged with
 // the "sssp" dataset, after edit (if any) revises the compiled plan.
-func runGraphQuery(t *testing.T, g *datagen.Graph, register func(*catalog.Catalog) string, opts exec.Options, edit func(*exec.PlanSpec)) *exec.Result {
+func runGraphQuery(t *testing.T, g *datagen.Graph, register func(*catalog.Catalog) string, edit func(*exec.PlanSpec)) *exec.Result {
 	t.Helper()
 	cat := graphCatalog(t)
 	text := register(cat)
@@ -163,8 +163,7 @@ func runGraphQuery(t *testing.T, g *datagen.Graph, register func(*catalog.Catalo
 	eng := exec.NewEngine(2, 64, 1, cat)
 	must(t, eng.Load("graph", 0, g.Edges))
 	must(t, eng.Load("spseed", 0, []types.Tuple{types.NewTuple(int64(0), 0.0)}))
-	opts.MaxStrata = 500
-	res, err := eng.Run(spec, opts)
+	res, err := eng.Run(spec, exec.Options{MaxStrata: 500})
 	must(t, err)
 	return res
 }
@@ -205,6 +204,13 @@ func stripMerges(p *exec.PlanSpec) {
 	}
 }
 
+// appendOnly overwrites the plan's decision so no shuffle edge folds.
+func appendOnly(p *exec.PlanSpec) {
+	for _, op := range p.Ops {
+		op.Fold = false
+	}
+}
+
 // sameResult fails t unless two runs hold the same rows, vertex for
 // vertex, with values within 1e-9 relative: delta PageRank's float sums
 // are never bit-identical between runs.
@@ -224,11 +230,11 @@ func sameResult(t *testing.T, got, want *exec.Result, what string) {
 }
 
 // Listing 1 and the incremental SSSP query, written in RQL, actually fold
-// in the shuffle: with compaction on, the deltas entering the shuffle are
-// exactly those of a run whose merges were stripped from the plan
-// (declaring a merge changes what leaves the store, never what enters),
-// at most a quarter of them leave it, and strata and result equal a
-// compaction-off run's.
+// in the shuffle: as compiled (every edge of a recursion folds), the
+// deltas entering the shuffle are exactly those of a run whose merges
+// were stripped from the plan (declaring a merge changes what leaves the
+// store, never what enters), at most a quarter of them leave it, and
+// strata and result equal those of a run whose edges only append.
 
 func TestRecursiveRQLFoldsInShuffle(t *testing.T) {
 	g := datagen.DBPediaGraph(1500, 1)
@@ -241,9 +247,9 @@ func TestRecursiveRQLFoldsInShuffle(t *testing.T) {
 	}
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			off := runGraphQuery(t, g, q.register, exec.Options{}, nil)
-			stripped := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, stripMerges)
-			on := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, nil)
+			off := runGraphQuery(t, g, q.register, appendOnly)
+			stripped := runGraphQuery(t, g, q.register, stripMerges)
+			on := runGraphQuery(t, g, q.register, nil)
 
 			if off.CompactIn != 0 || off.CompactOut != 0 {
 				t.Fatalf("compaction-off run counted compactor traffic %d/%d", off.CompactIn, off.CompactOut)
@@ -321,8 +327,8 @@ func TestBinderDropsIdentityPreGroupByProjection(t *testing.T) {
 	}
 	g := datagen.DBPediaGraph(1500, 1)
 	for _, q := range queries {
-		without := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, nil)
-		with := runGraphQuery(t, g, q.register, exec.Options{Compaction: true}, spliceIdentity)
+		without := runGraphQuery(t, g, q.register, nil)
+		with := runGraphQuery(t, g, q.register, spliceIdentity)
 		if len(without.Strata) != len(with.Strata) {
 			t.Errorf("%s: %d strata without the identity projection, %d with it", q.name, len(without.Strata), len(with.Strata))
 		}

@@ -706,12 +706,10 @@ func execOpts(o *srvproto.QueryOpts) rex.Options {
 		return rex.Options{}
 	}
 	return rex.Options{
-		BatchSize:           o.BatchSize,
-		MaxStrata:           o.MaxStrata,
-		Compaction:          o.Compaction,
-		CompactionHighWater: o.CompactionHighWater,
-		Checkpoint:          o.Checkpoint,
-		NoVectorize:         o.NoVectorize,
+		BatchSize:   o.BatchSize,
+		MaxStrata:   o.MaxStrata,
+		Checkpoint:  o.Checkpoint,
+		NoVectorize: o.NoVectorize,
 	}
 }
 

@@ -91,12 +91,10 @@ const (
 // driver-side hooks (recovery, termination callbacks) stay client-side
 // and are rejected before a request is sent.
 type QueryOpts struct {
-	BatchSize           int  `json:"batch,omitempty"`
-	MaxStrata           int  `json:"max_strata,omitempty"`
-	Compaction          bool `json:"compaction,omitempty"`
-	CompactionHighWater int  `json:"compaction_hw,omitempty"`
-	Checkpoint          bool `json:"checkpoint,omitempty"`
-	NoVectorize         bool `json:"no_vectorize,omitempty"`
+	BatchSize   int  `json:"batch,omitempty"`
+	MaxStrata   int  `json:"max_strata,omitempty"`
+	Checkpoint  bool `json:"checkpoint,omitempty"`
+	NoVectorize bool `json:"no_vectorize,omitempty"`
 	// Tenant overrides the session's Hello tenant for this request;
 	// Priority (-1 low / 0 normal / +1 high) orders the scheduler's
 	// runnable queue. Priority also rides the frame header (see

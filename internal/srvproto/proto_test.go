@@ -3,6 +3,7 @@ package srvproto
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -84,5 +85,19 @@ func TestReadMsgFrameLimits(t *testing.T) {
 	out, err := ReadMsg(&buf)
 	if err != nil || out.Kind != in.Kind || out.Edge != in.Edge || string(out.Payload) != string(in.Payload) {
 		t.Fatalf("round trip: %+v, %v", out, err)
+	}
+}
+
+// A request from a client that still sends the retired compaction
+// options decodes: the server ignores the two fields and keeps the rest.
+func TestRequestWithRetiredCompactionDecodes(t *testing.T) {
+	body := `{"op":"stream","src":"SELECT 1","opts":{"batch":64,"compaction":true,"compaction_hw":9,"checkpoint":true}}`
+	var req Request
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	want := QueryOpts{BatchSize: 64, Checkpoint: true}
+	if req.Op != OpStream || req.Src != "SELECT 1" || req.Opts == nil || *req.Opts != want {
+		t.Fatalf("decoded %+v with opts %+v, want opts %+v", req, req.Opts, want)
 	}
 }

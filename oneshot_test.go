@@ -43,21 +43,20 @@ type oneShotCase struct {
 	name  string
 	build func(s *Session, opts Options) (execution, error)
 	// arrivalOrdered marks k-means: its join handler is stateful across
-	// arrivals, so its per-stratum Δ sizes, wire bytes and compactor
-	// traffic vary with cross-peer arrival order from one buffered run to
+	// arrivals, so its per-stratum Δ sizes, wire bytes and fold traffic
+	// vary with cross-peer arrival order from one buffered run to
 	// the next (see TestTransportEquivalence). Its answer and its number
 	// of strata do not.
 	arrivalOrdered bool
 }
 
-// workloadCase runs w with opts' compaction and kernel settings. The huge
-// batch size makes shuffle flushes punctuation-aligned, so wire bytes and
-// compaction counters repeat exactly from run to run.
+// workloadCase runs w with opts' kernel setting. The huge batch size
+// makes shuffle flushes punctuation-aligned, so wire bytes and fold
+// counters repeat exactly from run to run.
 func workloadCase(w Workload) oneShotCase {
 	return oneShotCase{name: w.Workload, build: func(s *Session, opts Options) (execution, error) {
 		w := w
 		w.Nodes = s.Nodes()
-		w.Compaction = opts.Compaction
 		w.NoVectorize = opts.NoVectorize
 		w.BatchSize = 1 << 20
 		return s.be.workload("test", &w, nil)
@@ -107,7 +106,7 @@ func canonical(res *Result) []string {
 }
 
 // sameOneShot reports how got differs from want: tuples, per-stratum Δ
-// sizes, wire bytes and compaction counters must all be identical; an
+// sizes, wire bytes and fold counters must all be identical; an
 // arrival-ordered case is held to its tuples and number of strata.
 func sameOneShot(got, want *Result, arrivalOrdered bool) error {
 	if g, w := canonical(got), canonical(want); !slices.Equal(g, w) {
@@ -128,40 +127,40 @@ func sameOneShot(got, want *Result, arrivalOrdered bool) error {
 		return fmt.Errorf("BytesSent %d, want %d", got.BytesSent, want.BytesSent)
 	}
 	if got.CompactIn != want.CompactIn || got.CompactOut != want.CompactOut {
-		return fmt.Errorf("compaction %d/%d, want %d/%d", got.CompactIn, got.CompactOut, want.CompactIn, want.CompactOut)
+		return fmt.Errorf("fold %d/%d, want %d/%d", got.CompactIn, got.CompactOut, want.CompactIn, want.CompactOut)
 	}
 	return nil
 }
 
 // testOneShotEquivalence runs every case on sess through every path, with
-// compaction on and off and kernels on and off, against the buffered run.
+// kernels on and off, against the buffered run. Every case is recursive,
+// so its shuffle edges fold; the append leg of the same equivalence runs
+// in-process in internal/bench's TestVectorizeModesHashIdentical.
 func testOneShotEquivalence(t *testing.T, sess *Session) {
 	ctx := context.Background()
 	for _, c := range oneShotCases() {
-		for _, compaction := range []bool{false, true} {
-			for _, kernels := range []bool{true, false} {
-				opts := Options{Compaction: compaction, NoVectorize: !kernels}
-				name := fmt.Sprintf("%s/compaction=%v/kernels=%v", c.name, compaction, kernels)
-				var want *Result
-				for _, p := range slices.Backward(oneShotPaths) {
-					x, err := c.build(sess, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+		for _, kernels := range []bool{true, false} {
+			opts := Options{NoVectorize: !kernels}
+			name := fmt.Sprintf("%s/kernels=%v", c.name, kernels)
+			var want *Result
+			for _, p := range slices.Backward(oneShotPaths) {
+				x, err := c.build(sess, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := p.run(ctx, sess, x)
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, p.name, err)
+				}
+				if want == nil {
+					want = got // RunCtx, the buffered reference
+					if len(want.Tuples) == 0 || len(want.Strata) < 3 {
+						t.Fatalf("%s: %d tuples over %d strata is no recursion", name, len(want.Tuples), len(want.Strata))
 					}
-					got, err := p.run(ctx, sess, x)
-					if err != nil {
-						t.Fatalf("%s %s: %v", name, p.name, err)
-					}
-					if want == nil {
-						want = got // RunCtx, the buffered reference
-						if len(want.Tuples) == 0 || len(want.Strata) < 3 {
-							t.Fatalf("%s: %d tuples over %d strata is no recursion", name, len(want.Tuples), len(want.Strata))
-						}
-						continue
-					}
-					if err := sameOneShot(got, want, c.arrivalOrdered); err != nil {
-						t.Errorf("%s: %s against RunCtx: %v", name, p.name, err)
-					}
+					continue
+				}
+				if err := sameOneShot(got, want, c.arrivalOrdered); err != nil {
+					t.Errorf("%s: %s against RunCtx: %v", name, p.name, err)
 				}
 			}
 		}

@@ -51,10 +51,11 @@ func WithMaxStrata(n int) QueryOption {
 	return func(o *Options) { o.MaxStrata = n }
 }
 
-// WithCompaction enables delta-batch compaction in the shuffle path;
-// the optional high-water mark tunes flush deferral (0 = default).
+// Deprecated: WithCompaction does nothing. Every shuffle edge of a
+// recursive plan folds same-key deltas before the wire, and no other
+// edge does.
 func WithCompaction(highWater int) QueryOption {
-	return func(o *Options) { o.Compaction = true; o.CompactionHighWater = highWater }
+	return func(*Options) {}
 }
 
 // WithCheckpoint enables per-stratum Δᵢ replication (required for

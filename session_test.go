@@ -55,11 +55,11 @@ func startDaemons(t *testing.T, n int) []string {
 func equivWorkloads(nodes int, seed int64) []*Workload {
 	return []*Workload{
 		{Workload: "sssp", Nodes: nodes, Seed: seed, Size: 300, Source: 0,
-			Delta: true, MaxIterations: 300, Compaction: true, BatchSize: 1 << 20},
+			Delta: true, MaxIterations: 300, BatchSize: 1 << 20},
 		{Workload: "pagerank", Nodes: nodes, Seed: seed, Size: 250, Epsilon: 0.001,
-			Delta: true, MaxIterations: 60, Compaction: true, BatchSize: 1 << 20},
+			Delta: true, MaxIterations: 60, BatchSize: 1 << 20},
 		{Workload: "kmeans", Nodes: nodes, Seed: seed, Size: 120, K: 4,
-			MaxIterations: 100, Compaction: true, BatchSize: 1 << 20},
+			MaxIterations: 100, BatchSize: 1 << 20},
 	}
 }
 

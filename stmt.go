@@ -50,8 +50,7 @@ func (st *Stmt) effOpts(opts Options) Options {
 // func fields, so it is not comparable with ==).
 func isZeroOpts(o Options) bool {
 	return o.BatchSize == 0 && o.MaxStrata == 0 && o.Recovery == RecoveryNone &&
-		!o.Checkpoint && !o.Compaction && o.CompactionHighWater == 0 &&
-		!o.Stream && !o.NoVectorize && o.TermFn == nil && o.OnStratum == nil &&
+		!o.Checkpoint && !o.Stream && !o.NoVectorize && o.TermFn == nil && o.OnStratum == nil &&
 		o.Recover == nil && o.SpillDir == "" && o.BufferPoolPages == 0 &&
 		o.Tenant == "" && o.Priority == 0
 }

@@ -136,9 +136,10 @@ func (b *tcpBackend) ingest(tables map[string][]Delta, locked lockFunc) (*Ingest
 	return exec.ResolvedAck(nil, nil), nil
 }
 
-// roundApplied is a standing query's applied hook: a daemon whose store a
-// round revised rebuilds its tables from the next job's spec, so the net
-// change of every round joins the change log.
+// roundApplied is a standing query's applied hook: a daemon on which a
+// round committed rebuilds its tables from the next job's spec, whether
+// or not the round revised its store, so the net change of every round
+// joins the change log.
 func (b *tcpBackend) roundApplied(tables map[string][]Delta) {
 	for _, table := range sortedTables(tables) {
 		b.appendIngestLog(table, tables[table])
@@ -193,8 +194,7 @@ func (b *tcpBackend) rqlSpec(src string, opts Options) (*job.Spec, error) {
 		Dataset:  cfg.dataset, Size: cfg.datasetSize, Seed: cfg.datasetSeed,
 		Query:  src,
 		VNodes: cfg.vnodes, Replication: cfg.replication,
-		BatchSize: opts.BatchSize, Compaction: opts.Compaction,
-		Checkpoint: opts.Checkpoint, CompactionHighWater: opts.CompactionHighWater,
+		BatchSize: opts.BatchSize, Checkpoint: opts.Checkpoint,
 		MaxStrata: opts.MaxStrata, NoVectorize: opts.NoVectorize,
 		Handlers:        cfg.handlers,
 		Ingest:          b.ingestSnapshot(),
