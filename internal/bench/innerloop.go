@@ -74,7 +74,7 @@ var innerLoopKey = []int{0}
 // innerRound is one inner loop: near-zero-copy decode of a columnar frame,
 // vectorized key hashing into pooled per-destination batches, lazy
 // re-encode through the pooled payload buffers.
-func innerRound(frame []byte, dests []*types.DeltaBatch, scratch types.Tuple, sink *int64, sum *uint64) error {
+func innerRound(frame []byte, dests []*types.DeltaBatch, hashes *[]uint64, sink *int64, sum *uint64) error {
 	_, cb, err := cluster.DecodeDeltasAny(frame)
 	if err != nil {
 		return err
@@ -86,8 +86,8 @@ func innerRound(frame []byte, dests []*types.DeltaBatch, scratch types.Tuple, si
 		cluster.PutPayloadBuf(payload)
 		dests[n].Reset()
 	}
-	for i := 0; i < cb.Len(); i++ {
-		h := cb.HashKeyAt(i, innerLoopKey, scratch)
+	*hashes = cb.HashKeys(innerLoopKey, *hashes)
+	for i, h := range *hashes {
 		n := int(h % innerLoopNodes)
 		*sum = (*sum ^ (h + uint64(n))) * 1099511628211
 		if !dests[n].CanAppendRowFrom(cb, i) || dests[n].Len() >= innerLoopFlush {
@@ -133,9 +133,9 @@ func InnerLoopBench(w io.Writer) ([]CIInnerLoop, error) {
 		for n := range dests {
 			dests[n] = types.GetBatch()
 		}
-		scratch := make(types.Tuple, 0, 8)
+		var hashes []uint64
 		rec, err := timeInnerLoop(shape.name, func(r int, sink *int64, sum *uint64) error {
-			return innerRound(frames[r%innerLoopRounds], dests, scratch, sink, sum)
+			return innerRound(frames[r%innerLoopRounds], dests, &hashes, sink, sum)
 		})
 		if err != nil {
 			return nil, err
@@ -146,7 +146,7 @@ func InnerLoopBench(w io.Writer) ([]CIInnerLoop, error) {
 		var sink int64
 		var sum uint64
 		for r := 0; r < 10; r++ {
-			if err := innerRound(frames[r%innerLoopRounds], dests, scratch, &sink, &sum); err != nil {
+			if err := innerRound(frames[r%innerLoopRounds], dests, &hashes, &sink, &sum); err != nil {
 				return nil, err
 			}
 		}
@@ -154,7 +154,7 @@ func InnerLoopBench(w io.Writer) ([]CIInnerLoop, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for r := 0; r < 50; r++ {
-			if err := innerRound(frames[r%innerLoopRounds], dests, scratch, &sink, &sum); err != nil {
+			if err := innerRound(frames[r%innerLoopRounds], dests, &hashes, &sink, &sum); err != nil {
 				return nil, err
 			}
 		}

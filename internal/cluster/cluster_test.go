@@ -181,15 +181,98 @@ func TestRingOwnersProperty(t *testing.T) {
 	}
 }
 
-// Owners runs per loaded row and per ingested delta: its only allocation
-// is the result slice.
-func TestRingOwnersAllocatesOnlyItsResult(t *testing.T) {
+// Owners runs per loaded row and per ingested delta: it answers from the
+// ring's precomputed table without allocating.
+func TestRingOwnersDoesNotAllocate(t *testing.T) {
 	r := NewRing(5, 16, 3)
 	var sink int
 	if allocs := testing.AllocsPerRun(200, func() {
 		sink += len(r.Owners(0x9e3779b97f4a7c15))
-	}); allocs > 1 {
-		t.Fatalf("Owners allocates %v times per call, want at most 1", allocs)
+	}); allocs != 0 {
+		t.Fatalf("Owners allocates %v times per call, want 0", allocs)
+	}
+}
+
+// walkOwners0 is Owners as it was before the per-segment table: a fresh
+// walk of the ring from h's segment, found by binary search.
+func walkOwners0(r *Ring, h uint64) []NodeID {
+	idx := binarySegmentOf(r, h)
+	owners := make([]NodeID, 0, r.replication)
+	for i := 0; len(owners) < r.replication && i < len(r.entries); i++ {
+		j := idx + i
+		if j >= len(r.entries) {
+			j -= len(r.entries)
+		}
+		if n := r.entries[j].node; !slices.Contains(owners, n) {
+			owners = append(owners, n)
+		}
+	}
+	return owners
+}
+
+// binarySegmentOf is SegmentOf as it was before the top-bits table: a
+// binary search of the sorted entries.
+func binarySegmentOf(r *Ring, h uint64) int {
+	lo, hi := 0, len(r.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.entries[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(r.entries) {
+		return 0
+	}
+	return lo
+}
+
+// probeHashes lists the hashes where a segment lookup can go wrong: every
+// entry's hash and its neighbours, both ends of the hash space, and
+// random hashes.
+func probeHashes(r *Ring, rng *rand.Rand, random int) []uint64 {
+	hs := []uint64{0, 1, ^uint64(0), ^uint64(0) - 1}
+	for _, e := range r.entries {
+		hs = append(hs, e.hash-1, e.hash, e.hash+1)
+	}
+	for k := 0; k < random; k++ {
+		hs = append(hs, rng.Uint64())
+	}
+	return hs
+}
+
+// The table-backed SegmentOf answers exactly what a binary search of the
+// entries does, over rings of 1–8 nodes × {1, 7, 64} virtual nodes.
+func TestSegmentOfMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= 8; n++ {
+		for _, vnodes := range []int{1, 7, 64} {
+			r := NewRing(n, vnodes, 1)
+			for _, h := range probeHashes(r, rng, 10000) {
+				if got, want := r.SegmentOf(h), binarySegmentOf(r, h); got != want {
+					t.Fatalf("%d nodes × %d vnodes, hash %#x: SegmentOf = %d, binary search = %d", n, vnodes, h, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The precomputed owner lists answer exactly what a fresh walk of the
+// ring does, over rings of 1–8 nodes × replication 1–3.
+func TestRingOwnersMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for n := 1; n <= 8; n++ {
+		for rep := 1; rep <= 3; rep++ {
+			for _, vnodes := range []int{1, 7, 64} {
+				r := NewRing(n, vnodes, rep)
+				for _, h := range probeHashes(r, rng, 500) {
+					if got, want := r.Owners(h), walkOwners0(r, h); !slices.Equal(got, want) {
+						t.Fatalf("%d nodes rep %d × %d vnodes, hash %#x: Owners = %v, walk = %v", n, rep, vnodes, h, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

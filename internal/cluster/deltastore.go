@@ -10,7 +10,11 @@ import "github.com/rex-data/rex/internal/types"
 // every arriving delta meet its key's previous delta, and the Compactor's
 // five rules (annihilation, upsert fold, chain fold, retraction, δ-merge)
 // are applied in place in the typed lanes — no row is boxed, keyed into a
-// map, or cloned to be folded.
+// map, or cloned to be folded. AppendRows takes a batch's rows a
+// selection at a time and probes each row's key before copying anything:
+// a δ() row that merges into its key's live δ() row folds lane to lane
+// from the source batch and is never appended; every other row is copied
+// and then settled.
 //
 // The same soundness condition as Compactor applies: folding moves a
 // delta's effect to its key's previous position, so deltas of different
@@ -95,15 +99,53 @@ func (s *DeltaStore) Append(d types.Delta, h uint64) bool {
 	return true
 }
 
-// AppendRowFrom is Append for row i of a columnar batch (routing hash off
-// HashKeyAt, or HashAt on keyless edges), copied lane to lane.
-func (s *DeltaStore) AppendRowFrom(src *types.DeltaBatch, i int, h uint64) bool {
-	if !s.b.CanAppendRowFrom(src, i) {
-		return false
+// AppendRows adds the rows sel of src, in order. hashes holds every src
+// row's routing hash, indexed by row (DeltaBatch.HashKeys over the key
+// columns, HashRows on keyless edges). Each row meets its key's previous
+// live delta as Append's row would, with one shortcut: a δ() row that
+// merges into its key's live δ() row folds lane to lane straight out of
+// src and is never copied into the store. Every other row is copied lane
+// to lane and then settled.
+//
+// It stops early so the caller can apply its flush rule: after a row that
+// grew the store to a multiple of every rows (every ≤ 0: never), reporting
+// full, and before a row whose arity diverges from the pending rows'
+// (drain and retry). n is how many rows of sel it took.
+func (s *DeltaStore) AppendRows(src *types.DeltaBatch, sel []int32, hashes []uint64, every int) (n int, full bool) {
+	for k, i := range sel {
+		j := int(i)
+		if !s.b.CanAppendRowFrom(src, j) {
+			return k, false
+		}
+		before := s.b.Len()
+		s.addFrom(src, j, hashes[j])
+		if l := s.b.Len(); l > before && every > 0 && l%every == 0 {
+			return k + 1, true
+		}
 	}
-	s.b.AppendRowFrom(src, i)
-	s.settle(h)
-	return true
+	return len(sel), false
+}
+
+// addFrom adds row j of src. A δ() row (with merges declared) whose lanes
+// read alike in src and in the store probes its key first: if it merges,
+// that is the whole of its cost. Otherwise — and for every other row — the
+// outcome is settle's after the copy; the probe's slot is reused, since
+// an unmerged δ() row meets no other rule.
+func (s *DeltaStore) addFrom(src *types.DeltaBatch, j int, h uint64) {
+	if !s.compact || s.folds == nil || src.Op(j) != types.OpUpdate || !s.b.KeepsLanes(src, j) {
+		s.b.AppendRowFrom(src, j)
+		s.settle(h)
+		return
+	}
+	s.added++
+	s.reserve()
+	p, r := s.probe(h, src, j)
+	if r >= 0 && !s.dead[r] && s.b.Op(r) == types.OpUpdate && s.merge(r, src, j) {
+		s.folded++
+		return
+	}
+	s.b.AppendRowFrom(src, j)
+	s.seat(p, r, h)
 }
 
 // settle runs the compaction rules for the row just appended against its
@@ -116,26 +158,43 @@ func (s *DeltaStore) settle(h uint64) {
 		return
 	}
 	n := s.b.Len() - 1
+	s.reserve()
+	p, r := s.probe(h, s.b, n)
+	if r >= 0 && !s.dead[r] && s.fold(r, n) {
+		s.b.Truncate(n)
+		return
+	}
+	s.seat(p, r, h)
+}
+
+// reserve grows the index ahead of a probe that may seat a new key.
+func (s *DeltaStore) reserve() {
 	if 2*(s.keys+1) > len(s.slots) {
 		s.grow()
 	}
+}
+
+// probe finds the key of row j of src (hash h) in the index: the slot
+// holding the key's latest row r, or the empty slot that ends the key's
+// probe run with r = -1.
+func (s *DeltaStore) probe(h uint64, src *types.DeltaBatch, j int) (p, r int) {
 	mask := len(s.slots) - 1
-	p := int(h) & mask
-	for ; s.slots[p] != 0; p = (p + 1) & mask {
-		r := int(s.slots[p]) - 1
-		if s.hashes[r] != h || !s.b.ColsEqual(r, n, s.key) {
-			continue
+	for p = int(h) & mask; s.slots[p] != 0; p = (p + 1) & mask {
+		r = int(s.slots[p]) - 1
+		if s.hashes[r] == h && s.b.ColsEqualFrom(r, src, j, s.key) {
+			return p, r
 		}
-		if !s.dead[r] && s.fold(r, n) {
-			s.b.Truncate(n)
-			return
-		}
-		break
 	}
-	if s.slots[p] == 0 {
+	return p, -1
+}
+
+// seat makes the store's last row its key's latest in slot p (which held
+// row r, or was empty for r < 0).
+func (s *DeltaStore) seat(p, r int, h uint64) {
+	if r < 0 {
 		s.keys++
 	}
-	s.slots[p] = int32(n + 1)
+	s.slots[p] = int32(s.b.Len())
 	s.hashes = append(s.hashes, h)
 	s.dead = append(s.dead, false)
 }
@@ -146,7 +205,7 @@ func (s *DeltaStore) fold(p, n int) bool {
 	b := s.b
 	switch pop, op := b.Op(p), b.Op(n); {
 	case pop == types.OpUpdate && op == types.OpUpdate && s.folds != nil:
-		if s.merge(p, n) {
+		if s.merge(p, b, n) {
 			s.folded++
 			return true
 		}
@@ -169,22 +228,23 @@ func (s *DeltaStore) fold(p, n int) bool {
 	return false
 }
 
-// merge δ-merges row n into row p: declared columns fold, key columns are
+// merge δ-merges row j of src (the store's own batch, or a batch whose
+// row KeepsLanes) into row p: declared columns fold, key columns are
 // equal by construction, every other column must already be equal.
-func (s *DeltaStore) merge(p, n int) bool {
+func (s *DeltaStore) merge(p int, src *types.DeltaBatch, j int) bool {
 	b := s.b
 	for c := 0; c < b.NumCols(); c++ {
 		if f := s.foldOf(c); f != types.FoldNone {
-			if !b.CanFoldAt(c, p, n, f) {
+			if !b.CanFoldFrom(c, p, src, j, f) {
 				return false
 			}
-		} else if !s.isKey(c) && !b.ColsEqual(p, n, []int{c}) {
+		} else if col := [1]int{c}; !s.isKey(c) && !b.ColsEqualFrom(p, src, j, col[:]) {
 			return false
 		}
 	}
 	for c := 0; c < b.NumCols(); c++ {
 		if f := s.foldOf(c); f != types.FoldNone {
-			b.FoldAt(c, p, n, f)
+			b.FoldFrom(c, p, src, j, f)
 		}
 	}
 	return true

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -237,9 +238,9 @@ func randomStream(r *rand.Rand, gen func(*rand.Rand) types.Tuple, n int) []types
 // The columnar store against the row Compactor as oracle: randomized
 // streams of all four ops (NULLs, mixed-kind and string lanes,
 // multi-column and broadcast keys, merges declared or not), entered row-form
-// or batch-form, drained at random points. Folding each side's drains into
-// a keyed view must give equal views (equal, too, to the uncompacted
-// stream's), and the store's accounting must balance:
+// or batch-form (one-row selections), drained at random points. Folding
+// each side's drains into a keyed view must give equal views (equal, too,
+// to the uncompacted stream's), and the store's accounting must balance:
 // in = out + annihilated + folded.
 func TestDeltaStoreMatchesCompactor(t *testing.T) {
 	for _, tc := range storeCases {
@@ -281,15 +282,18 @@ func TestDeltaStoreMatchesCompactor(t *testing.T) {
 					if r.Intn(2) == 0 {
 						src, _ = types.FromDeltas(chunk)
 					}
+					hashes := make([]uint64, len(chunk))
 					for i, d := range chunk {
 						oracle.Add(d)
 						h := d.Tup.Hash()
 						if tc.key != nil {
 							h = d.Tup.HashKey(tc.key)
 						}
+						hashes[i] = h
 						ok := false
 						if src != nil {
-							ok = store.AppendRowFrom(src, i, h)
+							n, _ := store.AppendRows(src, []int32{int32(i)}, hashes, 0)
+							ok = n == 1
 						} else {
 							ok = store.Append(d, h)
 						}
@@ -392,4 +396,263 @@ func TestDeltaStoreAnnihilationReclaimedAtDrain(t *testing.T) {
 	if len(got) != 1 || got[0].Op != types.OpInsert || got[0].Tup[1] != "z" {
 		t.Fatalf("drain = %v, want +(3, z)", got)
 	}
+}
+
+// appendRowRef is the store's per-row append before AppendRows: copy row
+// i of src lane to lane, then settle it against its key's previous live
+// delta in one probe loop. FuzzDeltaStoreFold holds the batch path to it.
+func (s *DeltaStore) appendRowRef(src *types.DeltaBatch, i int, h uint64) bool {
+	if !s.b.CanAppendRowFrom(src, i) {
+		return false
+	}
+	s.b.AppendRowFrom(src, i)
+	s.added++
+	if !s.compact {
+		return true
+	}
+	n := s.b.Len() - 1
+	if 2*(s.keys+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := len(s.slots) - 1
+	p := int(h) & mask
+	for ; s.slots[p] != 0; p = (p + 1) & mask {
+		r := int(s.slots[p]) - 1
+		if s.hashes[r] != h || !s.b.ColsEqual(r, n, s.key) {
+			continue
+		}
+		if !s.dead[r] && s.fold(r, n) {
+			s.b.Truncate(n)
+			return true
+		}
+		break
+	}
+	if s.slots[p] == 0 {
+		s.keys++
+	}
+	s.slots[p] = int32(n + 1)
+	s.hashes = append(s.hashes, h)
+	s.dead = append(s.dead, false)
+	return true
+}
+
+// fuzzStream turns fuzz bytes into a store configuration and a delta
+// stream. Header: arity (1–4), routing key (column 0, columns 0–1, or
+// keyless), a declared merge per non-key column, a lane kind per column
+// (int, float, int-or-float, or int-float-or-string), and the flush
+// granularity. Then, per delta, one control byte — its op, whether a
+// chunk ends (or the stores drain) before it, whether its chunk arrives
+// as a decoded frame — and one byte per value (and per old-image value of
+// a replace), drawn from a few values per kind so keys repeat.
+type fuzzStream struct {
+	key    []int
+	merge  map[int]string
+	every  int
+	deltas []types.Delta
+	ctl    []byte
+	odd    bool // a NaN or −0.0 was drawn
+}
+
+func newFuzzStream(data []byte) (*fuzzStream, bool) {
+	if len(data) < 5 {
+		return nil, false
+	}
+	arity := 1 + int(data[0]%4)
+	fs := &fuzzStream{merge: map[int]string{}, every: 1 + int(data[4]%12)}
+	switch data[1] % 3 {
+	case 0:
+		fs.key = []int{0}
+	case 1:
+		fs.key = []int{0, 1}[:min(2, arity)]
+	}
+	lanes := make([]byte, arity)
+	for c := range lanes {
+		lanes[c] = data[3] >> (2 * (c % 4)) & 3
+	}
+	for c := 0; c < arity; c++ {
+		// Merges go on numeric lanes only: the keyed view counts a
+		// non-numeric δ() value as a row, which folding changes.
+		if name := [4]string{"", "sum", "min", "max"}[data[2]>>(2*(c%4))&3]; name != "" && lanes[c] < 3 && (fs.key == nil || c >= len(fs.key)) {
+			fs.merge[c] = name
+		}
+	}
+	data = data[5:]
+	value := func(lane, v byte) types.Value {
+		if v%8 == 0 {
+			return nil
+		}
+		switch lane {
+		case 2: // mixed numeric
+			lane = v >> 6 % 2
+		case 3: // mixed
+			lane = v >> 6 % 3
+			if lane == 2 {
+				return [3]string{"a", "b", "c"}[v>>3%3]
+			}
+		}
+		x := int64(v>>3) % 5
+		if lane == 0 {
+			return x
+		}
+		switch v >> 3 % 8 {
+		case 6:
+			fs.odd = true
+			return math.Copysign(0, -1)
+		case 7:
+			fs.odd = true
+			return math.NaN()
+		}
+		return float64(x) / 2
+	}
+	tuple := func() types.Tuple {
+		t := make(types.Tuple, arity)
+		for c := range t {
+			if len(data) > 0 {
+				t[c] = value(lanes[c], data[0])
+				data = data[1:]
+			}
+		}
+		return t
+	}
+	for len(data) > 0 && len(fs.deltas) < 512 {
+		ctl := data[0]
+		data = data[1:]
+		var d types.Delta
+		switch ctl % 4 {
+		case 0:
+			d = types.Insert(tuple())
+		case 1:
+			d = types.Delete(tuple())
+		case 2:
+			d = types.Update(tuple())
+		default:
+			d = types.Replace(tuple(), tuple())
+		}
+		fs.deltas = append(fs.deltas, d)
+		fs.ctl = append(fs.ctl, ctl)
+	}
+	return fs, len(fs.deltas) > 0
+}
+
+func (fs *fuzzStream) hash(t types.Tuple) uint64 {
+	if fs.key == nil {
+		return t.Hash()
+	}
+	return t.HashKey(fs.key)
+}
+
+// Property: a delta stream folded through AppendRows — chunks of rows at
+// a time, stopping at every flush boundary, straight from built or
+// decoded batches — drains byte for byte what the per-row append drains
+// at the same points, with the same accounting. Both fold to the same
+// keyed view as the row Compactor (NaN and −0.0 aside: they make a view's
+// float folds order-dependent).
+func FuzzDeltaStoreFold(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs, ok := newFuzzStream(data)
+		if !ok {
+			return
+		}
+		keyFn := func(tup types.Tuple) types.Value {
+			if fs.key != nil {
+				return tup.Key(fs.key)
+			}
+			all := make([]int, len(tup))
+			for i := range all {
+				all[i] = i
+			}
+			return tup.Key(all)
+		}
+		oracle := NewCompactor(keyFn, rowMerge(fs.key, fs.merge))
+		got := NewDeltaStore(fs.key, fs.merge, true)
+		ref := NewDeltaStore(fs.key, fs.merge, true)
+		defer got.Release()
+		defer ref.Release()
+		gotView, wantView := newKeyedView(fs.merge), newKeyedView(fs.merge)
+		drain := func() {
+			g, r := got.Drain(), ref.Drain()
+			// An empty drain ships nothing (its pooled batch may keep a
+			// stale column count); a non-empty one ships its encoding.
+			if g.Len() != r.Len() || g.Len() > 0 && string(EncodeDeltaBatch(nil, g)) != string(EncodeDeltaBatch(nil, r)) {
+				t.Fatalf("drains differ:\nbatch path: %v\nper row:    %v", g.Deltas(), r.Deltas())
+			}
+			gotView.apply(g.Deltas())
+			wantView.apply(oracle.Drain())
+			got.Reset()
+			ref.Reset()
+		}
+		same := func(at string) {
+			ga, gn, gf := got.Stats()
+			ra, rn, rf := ref.Stats()
+			if got.Len() != ref.Len() || got.Pending() != ref.Pending() || got.Folded() != ref.Folded() || ga != ra || gn != rn || gf != rf {
+				t.Fatalf("%s: batch path len %d pending %d folded %v stats %d/%d/%d; per row len %d pending %d folded %v stats %d/%d/%d",
+					at, got.Len(), got.Pending(), got.Folded(), ga, gn, gf, ref.Len(), ref.Pending(), ref.Folded(), ra, rn, rf)
+			}
+		}
+		for lo := 0; lo < len(fs.deltas); {
+			hi := lo + 1
+			for hi < len(fs.deltas) && fs.ctl[hi]&0x40 == 0 && hi-lo < 64 {
+				hi++
+			}
+			chunk := fs.deltas[lo:hi]
+			if fs.ctl[lo]&0x80 != 0 {
+				drain()
+			}
+			src, ok := types.FromDeltas(chunk)
+			if !ok {
+				t.Fatal("uniform-arity chunk refused")
+			}
+			if fs.ctl[lo]&0x20 != 0 {
+				var err error
+				if _, src, err = DecodeDeltasAny(EncodeDeltaBatch(nil, src)); err != nil {
+					t.Fatalf("chunk does not decode: %v", err)
+				}
+			}
+			var hashes []uint64
+			if fs.key == nil {
+				hashes = src.HashRows(nil)
+			} else {
+				hashes = src.HashKeys(fs.key, nil)
+			}
+			sel := make([]int32, len(chunk))
+			for i := range sel {
+				sel[i] = int32(i)
+			}
+			for i, d := range chunk {
+				if hashes[i] != fs.hash(d.Tup) {
+					t.Fatalf("row %v: batch hash %#x, tuple hash %#x", d.Tup, hashes[i], fs.hash(d.Tup))
+				}
+			}
+			for done := 0; done < len(sel); {
+				n, full := got.AppendRows(src, sel[done:], hashes, fs.every)
+				if n == 0 {
+					t.Fatal("AppendRows took no row of a uniform chunk")
+				}
+				if !full && n != len(sel)-done {
+					t.Fatalf("rows %d..%d: AppendRows stopped after %d rows short of a boundary", lo, hi, n)
+				}
+				for k, i := range sel[done : done+n] {
+					before := ref.Len()
+					if !ref.appendRowRef(src, int(i), hashes[i]) {
+						t.Fatal("per-row append refused a uniform row")
+					}
+					oracle.Add(chunk[i])
+					l := ref.Len()
+					if boundary, last := l > before && l%fs.every == 0, k == n-1; boundary && !last || last && boundary != full {
+						t.Fatalf("row %d: per-row len %d → %d (every %d), AppendRows full=%v after %d rows", lo+done+k, before, l, fs.every, full, n)
+					}
+				}
+				done += n
+				same(fmt.Sprintf("rows %d..%d", lo, lo+done))
+				if full && fs.ctl[lo]&0x10 != 0 {
+					drain()
+				}
+			}
+			lo = hi
+		}
+		drain()
+		if !fs.odd && !gotView.equal(wantView) {
+			t.Fatalf("store view differs from compactor view\nstore:     %v\ncompactor: %v", gotView, wantView)
+		}
+	})
 }

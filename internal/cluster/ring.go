@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -34,6 +35,15 @@ type Ring struct {
 	entries     []ringEntry
 	nodes       []NodeID
 	replication int
+
+	// lookup maps the top bits of a hash to the first entry at or after
+	// the start of that bucket of the hash space, so SegmentOf reads the
+	// table and then steps over the few entries inside the bucket.
+	lookup []int32
+	shift  uint
+	// owners holds every segment's replication-many owners back to back
+	// (Owners' answer for any hash in the segment).
+	owners []NodeID
 }
 
 // NewRing builds a ring over n nodes with the given virtual nodes per
@@ -60,7 +70,45 @@ func NewRing(n, vnodesPerNode, replication int) *Ring {
 		}
 	}
 	sort.Slice(r.entries, func(i, j int) bool { return r.entries[i].hash < r.entries[j].hash })
+	r.buildLookup()
+	r.owners = make([]NodeID, 0, len(r.entries)*replication)
+	for seg := range r.entries {
+		r.owners = append(r.owners, r.walkOwners(seg)...)
+	}
 	return r
+}
+
+// buildLookup sizes the top-bits table at about two buckets per entry,
+// so a bucket holds on average half an entry.
+func (r *Ring) buildLookup() {
+	b := min(bits.Len(uint(len(r.entries)))+1, 20)
+	r.shift = uint(64 - b)
+	r.lookup = make([]int32, 1<<b)
+	e := 0
+	for t := range r.lookup {
+		start := uint64(t) << r.shift
+		for e < len(r.entries) && r.entries[e].hash < start {
+			e++
+		}
+		r.lookup[t] = int32(e)
+	}
+}
+
+// walkOwners returns the replication-many distinct nodes met walking the
+// ring from entry seg. The distinctness check is a scan of the owners
+// found so far: there are at most replication of them.
+func (r *Ring) walkOwners(seg int) []NodeID {
+	owners := make([]NodeID, 0, r.replication)
+	for i := 0; len(owners) < r.replication && i < len(r.entries); i++ {
+		j := seg + i
+		if j >= len(r.entries) {
+			j -= len(r.entries)
+		}
+		if n := r.entries[j].node; !slices.Contains(owners, n) {
+			owners = append(owners, n)
+		}
+	}
+	return owners
 }
 
 // splitmix64 scrambles virtual-node positions uniformly around the circle.
@@ -83,39 +131,27 @@ func (r *Ring) Nodes() []NodeID { return r.nodes }
 func (r *Ring) Segments() int { return len(r.entries) }
 
 // SegmentOf returns the segment holding hash h: the index of the first
-// ring entry at or after h, wrapping to 0 past the last.
+// ring entry at or after h, wrapping to 0 past the last. It reads the
+// top-bits table for the first entry of h's bucket and steps over the
+// entries of the bucket that lie below h.
 func (r *Ring) SegmentOf(h uint64) int {
-	lo, hi := 0, len(r.entries)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.entries[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(r.lookup[h>>r.shift])
+	for i < len(r.entries) && r.entries[i].hash < h {
+		i++
 	}
-	if lo == len(r.entries) {
+	if i == len(r.entries) {
 		return 0
 	}
-	return lo
+	return i
 }
 
 // Owners returns the replication-many distinct nodes responsible for hash h,
-// in ring order (the first is the primary owner). The distinctness check is
-// a scan of the owners found so far: there are at most replication of them.
+// in ring order (the first is the primary owner). The slice is the ring's
+// own table, computed once by NewRing and shared by every caller: it must
+// not be modified.
 func (r *Ring) Owners(h uint64) []NodeID {
-	idx := r.SegmentOf(h)
-	owners := make([]NodeID, 0, r.replication)
-	for i := 0; len(owners) < r.replication && i < len(r.entries); i++ {
-		j := idx + i
-		if j >= len(r.entries) {
-			j -= len(r.entries)
-		}
-		if n := r.entries[j].node; !slices.Contains(owners, n) {
-			owners = append(owners, n)
-		}
-	}
-	return owners
+	i := r.SegmentOf(h) * r.replication
+	return r.owners[i : i+r.replication : i+r.replication]
 }
 
 // Snapshot is the partition snapshot distributed with every query (§4.1):

@@ -10,14 +10,20 @@ import (
 // rehashOp re-partitions a delta stream across worker nodes by key hash
 // (§3.2: "a physical level operator called rehash that is responsible for
 // shipping state from one node to another by key"). The send side (port 0)
-// accumulates deltas per destination in one columnar cluster.DeltaStore
-// and every flush ships a columnar wire frame; the receive side (port 1)
-// is fed by the worker loop from the transport and aligns punctuation
-// from all alive senders before forwarding downstream (§4.2).
+// routes a batch at a time: it hashes every row's routing key in one typed
+// loop per key column (DeltaBatch.HashKeys), finds each row's destination
+// with a table read (Snapshot.Primary over Ring.SegmentOf's top-bits
+// table), and hands each destination its rows as one selection. Rows
+// accumulate per destination in one columnar cluster.DeltaStore, and
+// every flush ships a columnar wire frame; the receive side (port 1) is
+// fed by the worker loop from the transport and aligns punctuation from
+// all alive senders before forwarding downstream (§4.2).
 //
 // Where the plan decided the edge folds (OpSpec.Fold: every shuffle of a
 // recursive plan), the stores fold same-key deltas in place before
-// encoding (see cluster.DeltaStore), and flushes follow two rules.
+// encoding (see cluster.DeltaStore); a δ() delta that merges into its
+// key's pending δ() row folds straight from the source batch's lanes
+// without being copied. Flushes follow two rules.
 // While a window has folded nothing, a full store flushes under
 // credit-based flow control: every shipped batch spends one credit from
 // the sender's window to that destination, and a flush with an exhausted
@@ -39,8 +45,12 @@ type rehashOp struct {
 	outs outputs
 
 	broadcast bool
-	stores    map[cluster.NodeID]*cluster.DeltaStore
-	scratch   types.Tuple // reused by multi-column HashKeyAt calls
+	stores    []*cluster.DeltaStore // per destination, indexed by NodeID
+
+	// Scratch for routing one batch: every row's routing hash (and
+	// old-image hash), and per destination the rows bound there.
+	hashes, oldHashes []uint64
+	sels              [][]int32
 
 	// receive-side punctuation alignment
 	punctCount  map[int]int
@@ -54,21 +64,23 @@ type rehashOp struct {
 const compactionOverflow = 8
 
 func newRehashOp(spec *OpSpec, ctx *Context, broadcast bool) *rehashOp {
+	nodes := len(ctx.Snap.Ring().Nodes())
 	return &rehashOp{
 		spec:        spec,
 		ctx:         ctx,
 		broadcast:   broadcast,
-		stores:      map[cluster.NodeID]*cluster.DeltaStore{},
+		stores:      make([]*cluster.DeltaStore, nodes),
+		sels:        make([][]int32, nodes),
 		punctCount:  map[int]int{},
 		closedCount: map[int]int{},
 		nSenders:    len(ctx.Snap.AliveNodes()),
 	}
 }
 
-// Push routes or delivers a batch. Send side: rows are routed by key hash
-// computed straight off the typed vectors (no boxing) and copied lane to
-// lane into the per-destination stores. Receive side: the batch passes
-// downstream as-is.
+// Push routes or delivers a batch. Send side: the batch's routing hashes
+// are computed a column at a time straight off the typed vectors (no
+// boxing), and each destination's rows go to its store as one selection.
+// Receive side: the batch passes downstream as-is.
 func (r *rehashOp) Push(port int, b *types.DeltaBatch) error {
 	switch port {
 	case 0:
@@ -80,47 +92,72 @@ func (r *rehashOp) Push(port int, b *types.DeltaBatch) error {
 	}
 }
 
+// routeBatch hands every destination its rows in batch order. Each
+// destination sees the same sequence of rows, and so folds and flushes at
+// the same points, as if the rows arrived one at a time.
 func (r *rehashOp) routeBatch(b *types.DeltaBatch) error {
-	if cap(r.scratch) < b.NumCols() {
-		r.scratch = make(types.Tuple, 0, b.NumCols())
+	for n := range r.sels {
+		r.sels[n] = r.sels[n][:0] // rows an earlier batch left behind when it failed
 	}
-	for i := 0; i < b.Len(); i++ {
-		if r.broadcast {
-			h := b.HashAt(i)
-			for _, n := range r.ctx.Snap.AliveNodes() {
-				if err := r.enqueueRow(n, b, i, h); err != nil {
-					return err
-				}
+	if b.Len() == 0 {
+		return nil
+	}
+	if r.broadcast {
+		r.hashes = b.HashRows(r.hashes)
+		for _, n := range r.ctx.Snap.AliveNodes() {
+			for i := range b.Len() {
+				r.sels[n] = append(r.sels[n], int32(i))
 			}
-			continue
 		}
-		h := b.HashKeyAt(i, r.spec.HashKey, r.scratch)
+		return r.enqueueSels(b)
+	}
+	r.hashes = b.HashKeys(r.spec.HashKey, r.hashes)
+	var old []uint64
+	if b.HasOld() {
+		r.oldHashes = b.OldHashKeys(r.spec.HashKey, r.oldHashes)
+		old = r.oldHashes
+	}
+	for i, h := range r.hashes {
 		dest, err := r.ctx.Snap.Primary(h)
 		if err != nil {
 			return err
 		}
-		if b.Op(i) == types.OpReplace && b.HasOld() {
-			oh := b.OldHashKeyAt(i, r.spec.HashKey, r.scratch)
-			oldDest, err := r.ctx.Snap.Primary(oh)
+		if old != nil && b.Op(i) == types.OpReplace {
+			oldDest, err := r.ctx.Snap.Primary(old[i])
 			if err != nil {
 				return err
 			}
 			if oldDest != dest {
 				// Cross-partition replace: split into a deletion at the
-				// old home and an insertion at the new one. The scratch
-				// rows are copied value-wise by the store, never retained.
-				r.scratch = b.OldRow(i, r.scratch)
-				if err := r.enqueue(oldDest, types.Delete(r.scratch), oh); err != nil {
+				// old home and an insertion at the new one, behind the
+				// rows routed so far.
+				if err := r.enqueueSels(b); err != nil {
 					return err
 				}
-				r.scratch = b.Row(i, r.scratch)
-				if err := r.enqueue(dest, types.Insert(r.scratch), h); err != nil {
+				d := b.Delta(i)
+				if err := r.enqueue(oldDest, types.Delete(d.Old), old[i]); err != nil {
+					return err
+				}
+				if err := r.enqueue(dest, types.Insert(d.Tup), h); err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		if err := r.enqueueRow(dest, b, i, h); err != nil {
+		r.sels[dest] = append(r.sels[dest], int32(i))
+	}
+	return r.enqueueSels(b)
+}
+
+// enqueueSels appends every destination's selected rows of src to its
+// store, in node order, and empties the selections.
+func (r *rehashOp) enqueueSels(src *types.DeltaBatch) error {
+	for n, sel := range r.sels {
+		if len(sel) == 0 {
+			continue
+		}
+		r.sels[n] = sel[:0]
+		if err := r.enqueueRows(cluster.NodeID(n), src, sel); err != nil {
 			return err
 		}
 	}
@@ -136,22 +173,29 @@ func (r *rehashOp) store(dest cluster.NodeID) *cluster.DeltaStore {
 	return st
 }
 
-// enqueueRow appends row i of src (routing hash h) to dest's store,
-// flushing first when the row's arity diverges from the pending rows'.
-func (r *rehashOp) enqueueRow(dest cluster.NodeID, src *types.DeltaBatch, i int, h uint64) error {
+// enqueueRows appends the rows sel of src to dest's store, applying the
+// flush rule wherever the store stops: at a batch boundary, or before a
+// row whose arity diverges from the pending rows' (flush, then retry).
+func (r *rehashOp) enqueueRows(dest cluster.NodeID, src *types.DeltaBatch, sel []int32) error {
 	st := r.store(dest)
-	before := st.Len()
-	if !st.AppendRowFrom(src, i, h) {
-		if err := r.flush(dest); err != nil {
+	for len(sel) > 0 {
+		n, full := st.AppendRows(src, sel, r.hashes, r.ctx.BatchSize)
+		sel = sel[n:]
+		var err error
+		switch {
+		case full:
+			err = r.atBoundary(dest, st)
+		case len(sel) > 0:
+			err = r.flush(dest)
+		}
+		if err != nil {
 			return err
 		}
-		before = 0
-		st.AppendRowFrom(src, i, h)
 	}
-	return r.appended(dest, st, before)
+	return nil
 }
 
-// enqueue is enqueueRow for a row-form delta (the halves of a split
+// enqueue is enqueueRows for a row-form delta (the halves of a split
 // cross-partition replace).
 func (r *rehashOp) enqueue(dest cluster.NodeID, d types.Delta, h uint64) error {
 	st := r.store(dest)
@@ -163,18 +207,18 @@ func (r *rehashOp) enqueue(dest cluster.NodeID, d types.Delta, h uint64) error {
 		before = 0
 		st.Append(d, h)
 	}
-	return r.appended(dest, st, before)
-}
-
-// appended applies the flush rule after an append. Only an append that
-// grew the store crosses a batch boundary, so a folding stream (and a
-// store deferred above BatchSize) does not probe the credit book — whose
-// mutex every sender shares — once per delta.
-func (r *rehashOp) appended(dest cluster.NodeID, st *cluster.DeltaStore, before int) error {
-	n := st.Len()
-	if n == before || n%r.ctx.BatchSize != 0 {
+	if n := st.Len(); n == before || n%r.ctx.BatchSize != 0 {
 		return nil
 	}
+	return r.atBoundary(dest, st)
+}
+
+// atBoundary applies the flush rule once an append has grown the store to
+// a multiple of BatchSize. Only such an append crosses a batch boundary,
+// so a folding stream (and a store deferred above BatchSize) does not
+// probe the credit book — whose mutex every sender shares — once per
+// delta.
+func (r *rehashOp) atBoundary(dest cluster.NodeID, st *cluster.DeltaStore) error {
 	if r.spec.Fold && !r.shouldFlush(dest, st) {
 		return nil
 	}
@@ -235,9 +279,10 @@ func (r *rehashOp) flush(dest cluster.NodeID) error {
 	return nil
 }
 
+// flushAll flushes every destination, in node order.
 func (r *rehashOp) flushAll() error {
 	for dest := range r.stores {
-		if err := r.flush(dest); err != nil {
+		if err := r.flush(cluster.NodeID(dest)); err != nil {
 			return err
 		}
 	}
@@ -307,10 +352,12 @@ func (r *rehashOp) Punct(port, stratum int, closed bool) error {
 }
 
 func (r *rehashOp) Reset() {
-	for _, st := range r.stores {
-		st.Release()
+	for n, st := range r.stores {
+		if st != nil {
+			st.Release()
+			r.stores[n] = nil
+		}
 	}
-	r.stores = map[cluster.NodeID]*cluster.DeltaStore{}
 	r.punctCount = map[int]int{}
 	r.closedCount = map[int]int{}
 	r.nSenders = len(r.ctx.Snap.AliveNodes())

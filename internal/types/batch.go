@@ -872,30 +872,6 @@ func (c *Column) boxInto(rows []Delta, j int) {
 	}
 }
 
-// HashKeyAt returns Tuple.HashKey(key) for row i without materializing
-// the row when the key is a single column (the rehash routing hot path).
-// Multi-column keys fall back through scratch.
-func (b *DeltaBatch) HashKeyAt(i int, key []int, scratch Tuple) uint64 {
-	if len(key) == 1 {
-		// Tuple.HashKey is HashValue(normKey(v)); normKey only folds
-		// integral floats onto int64, which HashValue does anyway.
-		return b.cols[key[0]].hashAt(i)
-	}
-	return b.Row(i, scratch).HashKey(key)
-}
-
-// OldHashKeyAt is HashKeyAt over the old-image group of a replace row.
-func (b *DeltaBatch) OldHashKeyAt(i int, key []int, scratch Tuple) uint64 {
-	if len(key) == 1 {
-		return b.old[key[0]].hashAt(i)
-	}
-	scratch = scratch[:0]
-	for j := range b.old {
-		scratch = append(scratch, b.old[j].Value(i))
-	}
-	return scratch.HashKey(key)
-}
-
 // UniformRun reports the length of the longest prefix of ds that one
 // DeltaBatch can hold: rows of one arity whose replaces share one old
 // arity. The wire codec splits ragged row batches into such runs.

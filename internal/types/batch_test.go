@@ -205,11 +205,11 @@ func TestBatchHashKeyAt(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	rows := randBatch(r, 50, 3)
 	b, _ := FromDeltas(rows)
-	scratch := make(Tuple, 0, 3)
 	for _, key := range [][]int{{0}, {1}, {2}, {0, 2}, {2, 1, 0}} {
+		hs := b.HashKeys(key, nil)
 		for i, d := range rows {
-			if got, want := b.HashKeyAt(i, key, scratch), d.Tup.HashKey(key); got != want {
-				t.Fatalf("key %v row %d: HashKeyAt %#x != HashKey %#x", key, i, got, want)
+			if got, want := hs[i], d.Tup.HashKey(key); got != want {
+				t.Fatalf("key %v row %d: HashKeys %#x != HashKey %#x", key, i, got, want)
 			}
 		}
 	}

@@ -5,7 +5,9 @@ package types
 // same-key deltas with: compare two rows, overwrite one row's image with
 // another's, fold one value into another, drop rows — all directly in the
 // typed lanes, boxing a value only when a lane is mixed-kind. None of
-// them is valid on a decoded (borrowed) batch.
+// them is valid on a decoded (borrowed) batch; the *From forms read their
+// second row out of any batch, decoded ones included, so a row can fold
+// into the store without being copied there first.
 
 // Fold names how two same-key δ() values combine into one — the
 // aggregate-delta merge ⊕ of §3.2.
@@ -32,7 +34,7 @@ func ParseFold(name string) (Fold, bool) {
 }
 
 // FoldValues folds two boxed values: the reference semantics the typed
-// lanes of FoldAt reproduce. NULLs, non-numeric sums, and min/max across
+// lanes of FoldFrom reproduce. NULLs, non-numeric sums, and min/max across
 // incomparable kinds do not fold.
 func FoldValues(f Fold, a, b Value) (Value, bool) {
 	ka, kb := KindOf(a), KindOf(b)
@@ -139,7 +141,7 @@ func colEq(x *Column, i int, y *Column, j int) bool {
 	if xn || yn {
 		return xn && yn
 	}
-	if x.typed() && y.typed() && x.kind == y.kind {
+	if alike(x, y) {
 		switch x.kind {
 		case KindInt:
 			return x.ints[i] == y.ints[j]
@@ -180,29 +182,47 @@ func (c *Column) truncate(n int) {
 // SetOp overwrites the annotation of row i.
 func (b *DeltaBatch) SetOp(i int, op Op) { b.ops[i] = byte(op) }
 
-// HashAt returns Row(i).Hash() — the whole-tuple hash — straight off the
-// typed lanes.
-func (b *DeltaBatch) HashAt(i int) uint64 {
-	h := uint64(1469598103934665603)
-	for j := range b.cols {
-		h = h*1099511628211 ^ b.cols[j].hashAt(i)
-	}
-	return h
-}
-
 // ColsEqual reports whether rows i and j agree (ValueEq) on cols — on
 // every column when cols is nil, which is Tuple.Equal.
-func (b *DeltaBatch) ColsEqual(i, j int, cols []int) bool {
+func (b *DeltaBatch) ColsEqual(i, j int, cols []int) bool { return b.ColsEqualFrom(i, b, j, cols) }
+
+// ColsEqualFrom is ColsEqual between row i of b and row j of src (which
+// has b's arity).
+func (b *DeltaBatch) ColsEqualFrom(i int, src *DeltaBatch, j int, cols []int) bool {
 	if cols == nil {
 		for k := range b.cols {
-			if !colEq(&b.cols[k], i, &b.cols[k], j) {
+			if !colEq(&b.cols[k], i, &src.cols[k], j) {
 				return false
 			}
 		}
 		return true
 	}
 	for _, k := range cols {
-		if !colEq(&b.cols[k], i, &b.cols[k], j) {
+		if !colEq(&b.cols[k], i, &src.cols[k], j) {
+			return false
+		}
+	}
+	return true
+}
+
+// KeepsLanes reports whether AppendRowFrom(src, j) would leave every
+// lane of b as it is and hold row j's values as src's lanes read them:
+// per column, src's row j is NULL, or b's lane is mixed, or both lanes
+// are typed alike. Then comparing or folding row j straight out of src
+// (ColsEqualFrom, CanFoldFrom, FoldFrom) answers exactly what appending
+// it and comparing or folding in place would, and skipping the append
+// changes nothing a drain or an encoder can see.
+func (b *DeltaBatch) KeepsLanes(src *DeltaBatch, j int) bool {
+	if len(b.cols) != len(src.cols) {
+		return false
+	}
+	for k := range b.cols {
+		c, s := &b.cols[k], &src.cols[k]
+		s.mat()
+		if s.IsNull(j) || c.anys != nil {
+			continue
+		}
+		if !alike(c, s) {
 			return false
 		}
 	}
@@ -240,32 +260,32 @@ func (b *DeltaBatch) RetractRow(i int) {
 	b.ops[i] = byte(OpDelete)
 }
 
-// CanFoldAt reports whether FoldAt(col, dst, src, f) would fold; it lets
-// a multi-column merge decide before it mutates anything.
-func (b *DeltaBatch) CanFoldAt(col, dst, src int, f Fold) bool {
-	c := &b.cols[col]
-	if c.IsNull(dst) || c.IsNull(src) {
+// CanFoldFrom reports whether FoldFrom(col, dst, src, j, f) would fold;
+// it lets a multi-column merge decide before it mutates anything.
+func (b *DeltaBatch) CanFoldFrom(col, dst int, src *DeltaBatch, j int, f Fold) bool {
+	c, s := &b.cols[col], &src.cols[col]
+	if c.IsNull(dst) || s.IsNull(j) {
 		return false
 	}
-	if c.typed() && (c.kind == KindInt || c.kind == KindFloat) {
+	if alike(c, s) && (c.kind == KindInt || c.kind == KindFloat) {
 		return f != FoldNone
 	}
-	_, ok := FoldValues(f, c.Value(dst), c.Value(src))
+	_, ok := FoldValues(f, c.Value(dst), s.Value(j))
 	return ok
 }
 
-// FoldAt folds row src of column col into row dst with f, in the typed
-// lane when the column is numeric. It reports false, leaving dst
-// untouched, exactly when FoldValues would.
-func (b *DeltaBatch) FoldAt(col, dst, src int, f Fold) bool {
-	c := &b.cols[col]
-	if c.IsNull(dst) || c.IsNull(src) {
+// FoldFrom folds row j of src (src may be b) into row dst of column col
+// with f, in the typed lane when both lanes are numeric alike. It reports
+// false, leaving dst untouched, exactly when FoldValues would.
+func (b *DeltaBatch) FoldFrom(col, dst int, src *DeltaBatch, j int, f Fold) bool {
+	c, s := &b.cols[col], &src.cols[col]
+	if c.IsNull(dst) || s.IsNull(j) {
 		return false
 	}
-	if c.typed() {
+	if alike(c, s) {
 		switch c.kind {
 		case KindInt:
-			x, y := c.ints[dst], c.ints[src]
+			x, y := c.ints[dst], s.ints[j]
 			switch f {
 			case FoldSum:
 				c.ints[dst] = x + y
@@ -278,7 +298,7 @@ func (b *DeltaBatch) FoldAt(col, dst, src int, f Fold) bool {
 			}
 			return true
 		case KindFloat:
-			x, y := c.floats[dst], c.floats[src]
+			x, y := c.floats[dst], s.floats[j]
 			switch f {
 			case FoldSum:
 				c.floats[dst] = x + y
@@ -296,12 +316,15 @@ func (b *DeltaBatch) FoldAt(col, dst, src int, f Fold) bool {
 			return true
 		}
 	}
-	v, ok := FoldValues(f, c.Value(dst), c.Value(src))
+	v, ok := FoldValues(f, c.Value(dst), s.Value(j))
 	if ok {
 		c.set(dst, v)
 	}
 	return ok
 }
+
+// alike reports whether typed reads of s can stand in for c's lane.
+func alike(c, s *Column) bool { return c.typed() && s.typed() && c.kind == s.kind }
 
 // Truncate drops rows n and beyond.
 func (b *DeltaBatch) Truncate(n int) {

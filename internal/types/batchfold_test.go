@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// foldLaneValues covers every lane shape FoldAt meets: typed ints, typed
+// foldLaneValues covers every lane shape FoldFrom meets: typed ints, typed
 // floats (with NaN), NULLs, strings, bools.
 func foldLaneValue(r *rand.Rand, lane int) Value {
 	if r.Intn(7) == 0 {
@@ -38,8 +38,10 @@ func sameValue(a, b Value) bool {
 	return a == b
 }
 
-// FoldAt in the typed lanes is FoldValues over the boxed values: same
-// verdict, same result, and a refused fold leaves the row untouched.
+// FoldFrom in the typed lanes is FoldValues over the boxed values: same
+// verdict, same result, and a refused fold leaves the row untouched —
+// folding within one batch, or from a second batch holding the source
+// value in a lane of its own.
 func TestFoldAtMirrorsFoldValues(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4000; trial++ {
@@ -53,12 +55,19 @@ func TestFoldAtMirrorsFoldValues(t *testing.T) {
 		}
 		f := Fold(1 + r.Intn(3))
 		dst, src := r.Intn(rows), r.Intn(rows)
-		want, ok := FoldValues(f, vals[dst], vals[src])
-		if can := b.CanFoldAt(1, dst, src, f); can != ok {
-			t.Fatalf("lane %d fold %d (%v, %v): CanFoldAt = %v, FoldValues ok = %v", lane, f, vals[dst], vals[src], can, ok)
+		from, j := b, src
+		if r.Intn(2) == 0 {
+			from = &DeltaBatch{}
+			from.Append(Update(NewTuple(int64(0), foldLaneValue(r, r.Intn(5)))))
+			from.Append(Update(NewTuple(int64(src), vals[src])))
+			j = 1
 		}
-		if got := b.FoldAt(1, dst, src, f); got != ok {
-			t.Fatalf("lane %d fold %d (%v, %v): FoldAt = %v, FoldValues ok = %v", lane, f, vals[dst], vals[src], got, ok)
+		want, ok := FoldValues(f, vals[dst], vals[src])
+		if can := b.CanFoldFrom(1, dst, from, j, f); can != ok {
+			t.Fatalf("lane %d fold %d (%v, %v): CanFoldFrom = %v, FoldValues ok = %v", lane, f, vals[dst], vals[src], can, ok)
+		}
+		if got := b.FoldFrom(1, dst, from, j, f); got != ok {
+			t.Fatalf("lane %d fold %d (%v, %v): FoldFrom = %v, FoldValues ok = %v", lane, f, vals[dst], vals[src], got, ok)
 		}
 		if !ok {
 			want = vals[dst]
@@ -159,8 +168,8 @@ func TestBatchInPlaceEditsMatchRowModel(t *testing.T) {
 			if got := dec.Delta(i); !deltasMatch(got, want) {
 				t.Fatalf("trial %d row %d: decoded %v, model %v", trial, i, got, want)
 			}
-			if h := b.HashAt(i); h != want.Tup.Hash() {
-				t.Fatalf("trial %d row %d: HashAt %x, Tuple.Hash %x", trial, i, h, want.Tup.Hash())
+			if h := b.HashRows(nil)[i]; h != want.Tup.Hash() {
+				t.Fatalf("trial %d row %d: HashRows %x, Tuple.Hash %x", trial, i, h, want.Tup.Hash())
 			}
 		}
 	}

@@ -258,11 +258,16 @@ func checkPayload(repr byte, raw []byte, rows int) error {
 // mat materializes a lazy column: decodes raw into the typed vector and
 // drops the alias. Materialized values (including strings, which copy
 // out of the payload) own their storage. DecodeDeltaBatch checked the
-// payload, so the loops below read it without error paths.
+// payload, so the loops below read it without error paths. The check is
+// kept apart from the decode so that it inlines: hot loops call mat once
+// per row on columns that are long materialized.
 func (c *Column) mat() {
-	if c.raw == nil {
-		return
+	if c.raw != nil {
+		c.decodeRaw()
 	}
+}
+
+func (c *Column) decodeRaw() {
 	raw := c.raw
 	c.raw = nil
 	switch c.rawRepr {

@@ -334,7 +334,7 @@ func randString(r *rand.Rand) string {
 }
 
 // Property: over multi-column rows full of NULLs, empty strings, separator
-// bytes and 1 vs 1.0, the columnar KeyAt equals Tuple.Key, HashKeyAt
+// bytes and 1 vs 1.0, the columnar KeyAt equals Tuple.Key, HashKeys
 // equals the row's HashKey, and two rows share a composite key exactly
 // when their key columns are Equal.
 func TestCompositeKeyProperty(t *testing.T) {
@@ -366,6 +366,7 @@ func TestCompositeKeyProperty(t *testing.T) {
 		// hash is the key's.
 		tab := NewGroupTable(len(key), nil)
 		gids := tab.Groups(b, key, false, nil, nil)
+		hs := b.HashKeys(key, nil)
 		group := map[Value]int32{}
 		for i, d := range rows {
 			k := d.Tup.Key(key)
@@ -376,8 +377,8 @@ func TestCompositeKeyProperty(t *testing.T) {
 			if got, want := tab.KeyHash(gids[i]), HashValue(k); got != want {
 				t.Fatalf("row %v key %v: group hash %#x != HashValue(Key) %#x", d.Tup, key, got, want)
 			}
-			if got, want := b.HashKeyAt(i, key, nil), b.Row(i, nil).HashKey(key); got != want {
-				t.Fatalf("row %v key %v: HashKeyAt %#x != Row().HashKey %#x", d.Tup, key, got, want)
+			if got, want := hs[i], b.Row(i, nil).HashKey(key); got != want {
+				t.Fatalf("row %v key %v: HashKeys %#x != Row().HashKey %#x", d.Tup, key, got, want)
 			}
 			cols := d.Tup.Project(key)
 			if prev, ok := owner[k]; ok && !prev.Equal(cols) {
