@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	rex "github.com/rex-data/rex"
 	"github.com/rex-data/rex/internal/bench"
@@ -201,5 +202,38 @@ func TestCreateTableRejectsUnscannableName(t *testing.T) {
 	}
 	if err := s.CreateTable("ok_name2", rex.Schema("x:Integer"), 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseRightAfterSubscribe: a subscription closed as soon as
+// Subscribe returns still ends. The client returns on the round-0
+// boundary, so the server must have registered the sub for cancellation
+// before writing it; a cancel that found no sub was dropped, and Close
+// waited forever for a final frame.
+func TestCloseRightAfterSubscribe(t *testing.T) {
+	ctx := context.Background()
+	_, addr := startServer(t, Config{Nodes: 2})
+	s := dial(t, addr)
+	if err := s.CreateTable("t", rex.Schema("k:Integer", "v:Integer"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load("t", []rex.Tuple{rex.NewTuple(int64(1), int64(2))}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		sub, err := s.Subscribe(ctx, `SELECT k, count(*) FROM t GROUP BY k`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- sub.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatalf("subscription %d: Close: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("subscription %d: Close did not return", i)
+		}
 	}
 }

@@ -570,6 +570,10 @@ func (s *Server) doSubscribe(c *srvConn, ctx context.Context, id int, req srvpro
 		sub.mu.Lock()
 		sub.fsub = fsub
 		sub.mu.Unlock()
+		// Register before the round-0 boundary is written: the client may
+		// Close as soon as it reads the boundary, and its cancel must find
+		// the sub (the request context no longer reaches a resident flow).
+		c.addSub(id, sub)
 		// Forward the initial fixpoint's buffered batches as round 0.
 		st := fsub.Stream()
 		var sent int64
@@ -595,10 +599,10 @@ func (s *Server) doSubscribe(c *srvConn, ctx context.Context, id int, req srvpro
 		}
 		if werr != nil {
 			sub.kill() // connection gone; silent teardown
+			c.removeSub(id)
 			return nil, nil
 		}
 		sub.activate(flow, fsub, &rs)
-		c.addSub(id, sub)
 		s.stSubs.Add(1)
 		return nil, nil // resident: the round-0 boundary was its reply
 	})
