@@ -22,8 +22,9 @@ func churnEdges(n, size int) []Tuple {
 }
 
 // sequentialIngestSSSP subscribes and feeds every edge as its own awaited
-// round, returning the folded-view hash and the round count.
-func sequentialIngestSSSP(t *testing.T, edges []Tuple, opts ...Option) (string, int) {
+// round, returning the folded-view hash, the round count and the rounds'
+// wire bytes.
+func sequentialIngestSSSP(t *testing.T, edges []Tuple, opts ...Option) (string, int, int64) {
 	t.Helper()
 	ctx := context.Background()
 	sess, err := Open(ctx, opts...)
@@ -45,16 +46,17 @@ func sequentialIngestSSSP(t *testing.T, edges []Tuple, opts ...Option) (string, 
 		rs := sub.Rounds()
 		foldStream(t, st, rs[len(rs)-1].Batches, view)
 	}
-	rounds := len(sub.Rounds()) - 1
+	rounds := sub.Rounds()
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return bench.ResultHash(view.live), rounds
+	return bench.ResultHash(view.live), len(rounds) - 1, incrementalBytes(rounds)
 }
 
 // coalescedIngestSSSP subscribes and fires the same edges as concurrent
-// IngestAsync calls, waits for every ack, and folds the whole stream.
-func coalescedIngestSSSP(t *testing.T, edges []Tuple, opts ...Option) (string, int) {
+// IngestAsync calls, waits for every ack, and folds the whole stream. It
+// returns what sequentialIngestSSSP does.
+func coalescedIngestSSSP(t *testing.T, edges []Tuple, opts ...Option) (string, int, int64) {
 	t.Helper()
 	ctx := context.Background()
 	sess, err := Open(ctx, opts...)
@@ -123,38 +125,48 @@ func coalescedIngestSSSP(t *testing.T, edges []Tuple, opts ...Option) (string, i
 	if h := bench.ResultHash(res.Tuples); h != hash {
 		t.Fatalf("folded coalesced stream %s != post-subscription query %s", hash, h)
 	}
-	return hash, len(rounds) - 1
+	return hash, len(rounds) - 1, incrementalBytes(rounds)
 }
 
 // TestIngestAsyncCoalescingEquivalence is the coalescing acceptance
 // property on both transports: a burst of concurrent IngestAsync calls
 // must hash-match the same edges ingested one awaited round at a time, in
-// (typically far) fewer rounds than ingests, with concurrent callers
+// no more rounds than ingests and for no more wire bytes than the
+// sequential rounds on the same transport, with concurrent callers
 // exercised under -race.
 func TestIngestAsyncCoalescingEquivalence(t *testing.T) {
 	const size = 300
 	edges := churnEdges(40, size)
 	ds := []Option{WithDataset("sssp", size, 1), WithHandlers("sssp-inc")}
 
-	seqHash, seqRounds := sequentialIngestSSSP(t, edges, append([]Option{WithInProc(3)}, ds...)...)
-	if seqRounds != len(edges) {
-		t.Fatalf("sequential ingestion ran %d rounds, want %d", seqRounds, len(edges))
-	}
-	coHash, coRounds := coalescedIngestSSSP(t, edges, append([]Option{WithInProc(3)}, ds...)...)
-	if coHash != seqHash {
-		t.Fatalf("inproc coalesced %s != sequential %s", coHash, seqHash)
-	}
-	if coRounds > len(edges) {
-		t.Fatalf("coalesced ingestion ran %d rounds for %d ingests", coRounds, len(edges))
-	}
-
-	addrs := startDaemons(t, 3)
-	tcpHash, tcpRounds := coalescedIngestSSSP(t, edges, append([]Option{WithTCPPeers(addrs...)}, ds...)...)
-	if tcpHash != seqHash {
-		t.Fatalf("tcp coalesced %s != inproc sequential %s", tcpHash, seqHash)
-	}
-	if tcpRounds > len(edges) {
-		t.Fatalf("tcp coalesced ingestion ran %d rounds for %d ingests", tcpRounds, len(edges))
+	var seqHash string
+	for _, transport := range []string{"inproc", "tcp"} {
+		deploy := func() Option {
+			if transport == "tcp" {
+				return WithTCPPeers(startDaemons(t, 3)...)
+			}
+			return WithInProc(3)
+		}
+		hash, seqRounds, seqBytes := sequentialIngestSSSP(t, edges, append([]Option{deploy()}, ds...)...)
+		if seqRounds != len(edges) {
+			t.Fatalf("%s: sequential ingestion ran %d rounds, want %d", transport, seqRounds, len(edges))
+		}
+		if seqHash == "" {
+			seqHash = hash
+		} else if hash != seqHash {
+			t.Fatalf("%s sequential %s != inproc sequential %s", transport, hash, seqHash)
+		}
+		coHash, coRounds, coBytes := coalescedIngestSSSP(t, edges, append([]Option{deploy()}, ds...)...)
+		t.Logf("%s: %d ingests: sequential %d bytes, coalesced %d rounds %d bytes", transport, len(edges), seqBytes, coRounds, coBytes)
+		if coHash != seqHash {
+			t.Fatalf("%s coalesced %s != inproc sequential %s", transport, coHash, seqHash)
+		}
+		if coRounds > len(edges) {
+			t.Fatalf("%s: coalesced ingestion ran %d rounds for %d ingests", transport, coRounds, len(edges))
+		}
+		if coBytes > seqBytes {
+			t.Fatalf("%s: coalesced rounds shipped %d bytes, sequential rounds %d", transport, coBytes, seqBytes)
+		}
 	}
 }
 

@@ -111,3 +111,22 @@ func TestFig11WireBytesOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestFig3DeltaSeriesReachZero is Fig 3's count gate: the Δi series of
+// PageRank, shortest path and K-means each reaches 0 — the fixpoint
+// closes on an empty stratum — before the plan's stratum cap would stop
+// it. A Δ set that keeps re-propagating what did not change runs into
+// the cap instead.
+func TestFig3DeltaSeriesReachZero(t *testing.T) {
+	runs, err := fig3Runs(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		strata := r.res.Strata
+		t.Logf("%s: Δi %s over %d strata (cap %d)", r.name, deltaSeries(r.res), len(strata), r.maxStrata)
+		if len(strata) == 0 || len(strata) >= r.maxStrata || strata[len(strata)-1].NewTuples != 0 {
+			t.Errorf("%s: Δi series %s did not reach 0 within %d strata", r.name, deltaSeries(r.res), r.maxStrata)
+		}
+	}
+}

@@ -56,41 +56,54 @@ func Fig2(w io.Writer, sc Scale) error {
 // Fig3 reproduces the "types of recursive data" table with measured set
 // sizes: immutable set, mutable set, and the Δᵢ series actually observed.
 func Fig3(w io.Writer, sc Scale) error {
-	g := datagenDBPedia(sc)
+	runs, err := fig3Runs(sc)
+	if err != nil {
+		return err
+	}
 	rep := &Report{
 		Title:   "Fig 3: immutable / mutable / Δi sets (measured)",
 		Headers: []string{"algorithm", "immutable set", "mutable set", "Δi per iteration"},
 	}
-
-	prRes, _, err := runRexPageRank(g, sc.Nodes, algos.PageRankConfig{Epsilon: sc.Epsilon, Delta: true, MaxIterations: 60}, exec.Options{})
-	if err != nil {
-		return err
+	for _, r := range runs {
+		rep.Rows = append(rep.Rows, []string{r.name, r.immutable, r.mutable, deltaSeries(r.res)})
 	}
-	rep.Rows = append(rep.Rows, []string{"PageRank",
-		fmt.Sprintf("%d graph edges", len(g.Edges)),
-		fmt.Sprintf("%d PageRank values", g.NumVertices),
-		deltaSeries(prRes)})
-
-	spRes, _, err := runRexSSSP(g, sc.Nodes, algos.SSSPConfig{Source: 0, Delta: true, MaxIterations: 300}, exec.Options{})
-	if err != nil {
-		return err
-	}
-	rep.Rows = append(rep.Rows, []string{"Shortest path",
-		fmt.Sprintf("%d graph edges", len(g.Edges)),
-		fmt.Sprintf("%d distances", len(spRes.Tuples)),
-		deltaSeries(spRes)})
-
-	points := datagenGeo(sc, 1)
-	kmRes, err := runRexKMeans(points, sc.Nodes, 8, 100)
-	if err != nil {
-		return err
-	}
-	rep.Rows = append(rep.Rows, []string{"K-means",
-		fmt.Sprintf("%d coordinates", len(points)),
-		"assignment of points to centroids",
-		deltaSeries(kmRes)})
 	rep.Print(w)
 	return nil
+}
+
+// fig3Run is one row of Fig 3: an algorithm's Δ run and the stratum cap
+// its plan ran under.
+type fig3Run struct {
+	name, immutable, mutable string
+	res                      *exec.Result
+	maxStrata                int
+}
+
+// fig3Runs runs PageRank, shortest path and K-means with Δ on.
+func fig3Runs(sc Scale) ([]fig3Run, error) {
+	g := datagenDBPedia(sc)
+	pr := algos.PageRankConfig{Epsilon: sc.Epsilon, Delta: true, MaxIterations: 60}
+	prRes, _, err := runRexPageRank(g, sc.Nodes, pr, exec.Options{})
+	if err != nil {
+		return nil, err
+	}
+	sp := algos.SSSPConfig{Source: 0, Delta: true, MaxIterations: 300}
+	spRes, _, err := runRexSSSP(g, sc.Nodes, sp, exec.Options{})
+	if err != nil {
+		return nil, err
+	}
+	const kmIters = 100
+	points := datagenGeo(sc, 1)
+	kmRes, err := runRexKMeans(points, sc.Nodes, 8, kmIters)
+	if err != nil {
+		return nil, err
+	}
+	edges := fmt.Sprintf("%d graph edges", len(g.Edges))
+	return []fig3Run{
+		{"PageRank", edges, fmt.Sprintf("%d PageRank values", g.NumVertices), prRes, pr.MaxIterations},
+		{"Shortest path", edges, fmt.Sprintf("%d distances", len(spRes.Tuples)), spRes, sp.MaxIterations},
+		{"K-means", fmt.Sprintf("%d coordinates", len(points)), "assignment of points to centroids", kmRes, kmIters},
+	}, nil
 }
 
 func deltaSeries(res *exec.Result) string {

@@ -15,7 +15,7 @@ import (
 
 // Runner executes one job spec — either in-process (job.RunInProc) or on
 // a multi-process TCP cluster (job.Cluster.Run). The suite below is
-// runner-agnostic, so the same workloads produce comparable records on
+// runner-agnostic, so the same workloads produce comparable hashes on
 // both transports.
 type Runner func(spec *job.Spec, tune func(*exec.Options)) (*exec.Result, error)
 
@@ -48,29 +48,25 @@ func SuiteSpecs(sc Scale) []*job.Spec {
 	}
 }
 
-// TransportSuite runs the comparison workloads through the given runner,
-// prints a report, and returns the CI rows (result hashes included, so
-// artifacts from different transports can be diffed for identical
-// results).
-func TransportSuite(w io.Writer, sc Scale, transport string, run Runner) ([]CIWire, error) {
+// TransportSuite runs the comparison workloads through the given runner
+// and prints their table. Each workload runs twice, with compiled kernels
+// on and off, and the two result hashes must agree; the printed hashes
+// are what an inproc run and a tcp run are compared by.
+func TransportSuite(w io.Writer, sc Scale, transport string, run Runner) error {
 	rep := &Report{
 		Title: fmt.Sprintf("Transport suite (%s)", transport),
 		Notes: "same plans + seeds on every transport; result_hash must match across backends and with compiled kernels off",
 		Headers: []string{"workload", "rows", "strata", "wire_bytes", "deltas_in", "deltas_out",
 			"result_hash", "row_path_hash", "ms", "row_path_ms"},
 	}
-	var rows []CIWire
 	for _, spec := range SuiteSpecs(sc) {
 		start := time.Now()
 		res, err := run(spec, nil)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s on %s: %w", spec.Workload, transport, err)
+			return fmt.Errorf("bench: %s on %s: %w", spec.Workload, transport, err)
 		}
-		row := ciWire(spec.Workload, res)
-		row.Transport = transport
-		row.Strata = len(res.Strata)
-		row.ResultHash = ResultHash(res.Tuples)
-		row.Millis = float64(time.Since(start)) / float64(time.Millisecond)
+		elapsed := time.Since(start)
+		hash := ResultHash(res.Tuples)
 
 		// Re-run the identical spec with compiled kernels off: the
 		// interpreter must produce the same result set. NoVectorize
@@ -81,31 +77,29 @@ func TransportSuite(w io.Writer, sc Scale, transport string, run Runner) ([]CIWi
 		rowStart := time.Now()
 		rowRes, err := run(&rowSpec, nil)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s (kernels off) on %s: %w", spec.Workload, transport, err)
+			return fmt.Errorf("bench: %s (kernels off) on %s: %w", spec.Workload, transport, err)
 		}
-		row.RowPathMillis = float64(time.Since(rowStart)) / float64(time.Millisecond)
-		row.RowPathHash = ResultHash(rowRes.Tuples)
-		if row.RowPathHash != row.ResultHash {
-			return nil, fmt.Errorf("bench: %s on %s: kernel hash %s != interpreter hash %s",
-				spec.Workload, transport, row.ResultHash, row.RowPathHash)
+		rowElapsed := time.Since(rowStart)
+		rowHash := ResultHash(rowRes.Tuples)
+		if rowHash != hash {
+			return fmt.Errorf("bench: %s on %s: kernel hash %s != interpreter hash %s",
+				spec.Workload, transport, hash, rowHash)
 		}
 
-		rows = append(rows, row)
 		rep.Rows = append(rep.Rows, []string{
-			spec.Workload, fmt.Sprint(row.ResultRows), fmt.Sprint(row.Strata),
-			fmt.Sprint(row.WireBytes), fmt.Sprint(row.DeltasIn), fmt.Sprint(row.DeltasOut),
-			row.ResultHash, row.RowPathHash, fmt.Sprintf("%.1f", row.Millis),
-			fmt.Sprintf("%.1f", row.RowPathMillis),
+			spec.Workload, fmt.Sprint(len(res.Tuples)), fmt.Sprint(len(res.Strata)),
+			fmt.Sprint(res.BytesSent), fmt.Sprint(res.CompactIn), fmt.Sprint(res.CompactOut),
+			hash, rowHash, ms(elapsed), ms(rowElapsed),
 		})
 	}
 	rep.Print(w)
-	return rows, nil
+	return nil
 }
 
 // ResultHash canonicalizes a result set — order-independent, floats
 // rounded past the bits where summation order can wiggle — and hashes it,
-// so two runs of one workload can be compared across transports (and CI
-// artifacts across commits) without shipping the tuples.
+// so two runs of one workload can be compared across transports without
+// shipping the tuples.
 func ResultHash(tuples []types.Tuple) string {
 	lines := make([]string, len(tuples))
 	for i, t := range tuples {

@@ -101,12 +101,6 @@ func TestSnapshotFailover(t *testing.T) {
 	if _, err := s.Primary(h); err != nil {
 		t.Fatalf("fallback primary: %v", err)
 	}
-	reps := snap2.Replicas(h)
-	for _, n := range reps {
-		if !snap2.Alive(n) {
-			t.Fatal("replicas must be alive")
-		}
-	}
 }
 
 // Primary runs once per shuffled delta and once per scanned row: it must

@@ -220,18 +220,6 @@ func (s *Snapshot) Primary(h uint64) (NodeID, error) {
 	return 0, fmt.Errorf("cluster: no alive node for hash %d", h)
 }
 
-// Replicas returns the alive replica owners for hash h (primary first).
-func (s *Snapshot) Replicas(h uint64) []NodeID {
-	owners := s.ring.Owners(h)
-	out := make([]NodeID, 0, len(owners))
-	for _, n := range owners {
-		if s.alive[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Without derives a new snapshot excluding the given node — the updated
 // partition snapshot installed during recovery (§4.1: "During each recovery
 // process, the data partition snapshot gets updated").

@@ -120,11 +120,12 @@ func subscribeSSSP(t *testing.T, opts ...Option) (string, []RoundStats) {
 	return gotHash, allRounds
 }
 
-// recomputeSSSP is the from-scratch reference: a fresh session whose base
-// tables had the same changes applied BEFORE the (single) query ran.
-func recomputeSSSP(t *testing.T) (string, int64) {
+// recomputeSSSP is the from-scratch reference: a fresh session on the
+// given deployment whose base tables had the same changes applied BEFORE
+// the (single) query ran.
+func recomputeSSSP(t *testing.T, deploy Option) (string, int64) {
 	t.Helper()
-	sess, err := Open(context.Background(), WithInProc(3),
+	sess, err := Open(context.Background(), deploy,
 		WithDataset("sssp", 300, 1), WithHandlers("sssp-inc"))
 	if err != nil {
 		t.Fatal(err)
@@ -142,34 +143,44 @@ func recomputeSSSP(t *testing.T) (string, int64) {
 	return bench.ResultHash(res.Tuples), res.BytesSent
 }
 
+// incrementalBytes sums the wire bytes of the ingestion rounds (the
+// initial fixpoint excluded).
+func incrementalBytes(rounds []RoundStats) int64 {
+	var n int64
+	for _, r := range rounds[1:] {
+		n += r.BytesSent
+	}
+	return n
+}
+
 // TestSubscribeIncrementalEquivalenceInProc is the acceptance property on
 // the in-process transport: incremental ingestion through a Subscription
 // equals a from-scratch Query after the same base-table changes, for fewer
 // shipped bytes.
 func TestSubscribeIncrementalEquivalenceInProc(t *testing.T) {
-	wantHash, recomputeBytes := recomputeSSSP(t)
+	wantHash, recomputeBytes := recomputeSSSP(t, WithInProc(3))
 	gotHash, rounds := subscribeSSSP(t, WithInProc(3),
 		WithDataset("sssp", 300, 1), WithHandlers("sssp-inc"))
 	if gotHash != wantHash {
 		t.Fatalf("incremental %s != recompute %s", gotHash, wantHash)
 	}
-	var incBytes int64
-	for _, r := range rounds[1:] {
-		incBytes += r.BytesSent
-	}
-	if incBytes <= 0 || incBytes >= recomputeBytes {
-		t.Fatalf("incremental rounds shipped %d bytes, recompute %d — standing must ship fewer", incBytes, recomputeBytes)
+	if inc := incrementalBytes(rounds); inc <= 0 || inc >= recomputeBytes {
+		t.Fatalf("incremental rounds shipped %d bytes, recompute %d — standing must ship fewer", inc, recomputeBytes)
 	}
 }
 
 // TestSubscribeIncrementalEquivalenceTCP is the same property across real
 // worker processes: MsgIngest frames over sockets, daemons' stores revised
 // in place, and the post-subscription query rebuilt from the replayed
-// change log.
+// change log. The incremental rounds must ship fewer socket bytes than a
+// from-scratch query over TCP.
 func TestSubscribeIncrementalEquivalenceTCP(t *testing.T) {
-	wantHash, _ := recomputeSSSP(t)
-	addrs := startDaemons(t, 3)
-	gotHash, rounds := subscribeSSSP(t, WithTCPPeers(addrs...),
+	wantHash, _ := recomputeSSSP(t, WithInProc(3))
+	tcpHash, recomputeBytes := recomputeSSSP(t, WithTCPPeers(startDaemons(t, 3)...))
+	if tcpHash != wantHash {
+		t.Fatalf("tcp recompute %s != inproc recompute %s", tcpHash, wantHash)
+	}
+	gotHash, rounds := subscribeSSSP(t, WithTCPPeers(startDaemons(t, 3)...),
 		WithDataset("sssp", 300, 1), WithHandlers("sssp-inc"))
 	if gotHash != wantHash {
 		t.Fatalf("tcp incremental %s != inproc recompute %s", gotHash, wantHash)
@@ -178,6 +189,11 @@ func TestSubscribeIncrementalEquivalenceTCP(t *testing.T) {
 		if r.BytesSent <= 0 {
 			t.Fatalf("round %d reported no socket bytes", r.Round)
 		}
+	}
+	inc := incrementalBytes(rounds)
+	t.Logf("tcp: incremental rounds %d bytes, recompute %d", inc, recomputeBytes)
+	if inc >= recomputeBytes {
+		t.Fatalf("tcp incremental rounds shipped %d bytes, tcp recompute %d — standing must ship fewer", inc, recomputeBytes)
 	}
 }
 
