@@ -57,11 +57,11 @@ func RegisterKMeans(cat *catalog.Catalog, cfg KMeansConfig) (joinName, whileName
 			})
 			centrBucket.Put(0, cid, 2, cy, nil)
 
-			for i, p := range nodeBucket.Tuples {
-				px, _ := types.AsFloat(p[kmX])
-				py, _ := types.AsFloat(p[kmY])
-				curCid, _ := types.AsInt(p[kmCid])
-				curDist, _ := types.AsFloat(p[kmDist])
+			for i := 0; i < nodeBucket.Len(); i++ {
+				px, _ := nodeBucket.Float(i, kmX)
+				py, _ := nodeBucket.Float(i, kmY)
+				curCid, _ := nodeBucket.Int(i, kmCid)
+				curDist, _ := nodeBucket.Float(i, kmDist)
 				newCid, newDist := curCid, curDist
 				if curCid == cid {
 					// The point's own centroid moved: full re-check
@@ -76,15 +76,13 @@ func RegisterKMeans(cat *catalog.Catalog, cfg KMeansConfig) (joinName, whileName
 				}
 				if newCid == curCid {
 					if newDist != curDist {
-						np := p.Clone()
-						np[kmDist] = newDist
-						nodeBucket.Set(i, np)
+						nodeBucket.SetFloat(i, kmDist, newDist)
 					}
 					continue
 				}
 				// The point switched centroids: Listing 3's
 				// resBag.add({cid,nx,ny},{oldCid,-nx,-ny}).
-				np := p.Clone()
+				np := nodeBucket.Row(i)
 				np[kmCid] = newCid
 				np[kmDist] = newDist
 				nodeBucket.Set(i, np)
@@ -118,12 +116,12 @@ func RegisterKMeans(cat *catalog.Catalog, cfg KMeansConfig) (joinName, whileName
 			if rel.Len() == 0 {
 				rel.Add(types.NewTuple(cid, cx, cy))
 			} else {
-				ox, _ := types.AsFloat(rel.Tuples[0][1])
-				oy, _ := types.AsFloat(rel.Tuples[0][2])
+				ox, _ := rel.Float(0, 1)
+				oy, _ := rel.Float(0, 2)
 				if ox == cx && oy == cy {
 					return nil
 				}
-				rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(cid, cx, cy))
+				rel.Set(0, types.NewTuple(cid, cx, cy))
 			}
 			out.Begin(types.OpUpdate)
 			out.Value(cid)
@@ -151,10 +149,10 @@ func emitMove(out *uda.Emitter, cid int64, x, y float64, n int64) error {
 func nearestCentroid(centroids *uda.TupleSet, px, py float64) (int64, float64) {
 	best := int64(-1)
 	bestD := math.Inf(1)
-	for _, c := range centroids.Tuples {
-		cid, _ := types.AsInt(c[0])
-		cx, _ := types.AsFloat(c[1])
-		cy, _ := types.AsFloat(c[2])
+	for i := 0; i < centroids.Len(); i++ {
+		cid, _ := centroids.Int(i, 0)
+		cx, _ := centroids.Float(i, 1)
+		cy, _ := centroids.Float(i, 2)
 		if d := dist2(px, py, cx, cy); d < bestD || (d == bestD && cid < best) {
 			best, bestD = cid, d
 		}

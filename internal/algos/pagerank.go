@@ -80,10 +80,10 @@ func RegisterPageRank(cat *catalog.Catalog, cfg PageRankConfig) (joinName, while
 				return nil
 			}
 			if rel.Len() == 0 {
-				rel.Add(types.NewTuple(d.Tup[0], newPr))
+				addKeyed(rel, d, newPr)
 				return emitUpdate(out, d.Tup[0], newPr)
 			}
-			old, _ := types.AsFloat(rel.Tuples[0][1])
+			old, _ := rel.Float(0, 1)
 			diff := newPr - old
 			if !delta {
 				// No-delta mode: always refine the state; the fixpoint
@@ -92,7 +92,7 @@ func RegisterPageRank(cat *catalog.Catalog, cfg PageRankConfig) (joinName, while
 				if diff == 0 {
 					return nil
 				}
-				rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], newPr))
+				rel.SetFloat(0, 1, newPr)
 				if math.Abs(diff) > eps {
 					return emitUpdate(out, d.Tup[0], newPr)
 				}
@@ -105,7 +105,7 @@ func RegisterPageRank(cat *catalog.Catalog, cfg PageRankConfig) (joinName, while
 			if math.Abs(diff) <= eps {
 				return nil
 			}
-			rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], newPr))
+			rel.SetFloat(0, 1, newPr)
 			return emitUpdate(out, d.Tup[0], diff)
 		},
 	}
@@ -123,10 +123,21 @@ func emitUpdate(out *uda.Emitter, key types.Value, v float64) error {
 	return out.End()
 }
 
-// emitNeighbors writes δ(nbr, v) for every out-edge (src, nbr) in edges.
+// addKeyed stores the tuple (d's key field, v) in rel: a while handler's
+// one tuple per key.
+func addKeyed(rel *uda.TupleSet, d types.Delta, v float64) {
+	rel.Add(d.Tup[:2])
+	rel.SetFloat(rel.Len()-1, 1, v)
+}
+
+// emitNeighbors writes δ(nbr, v) for every out-edge (src, nbr) in edges,
+// straight from the bucket's lanes.
 func emitNeighbors(out *uda.Emitter, edges *uda.TupleSet, v float64) error {
-	for _, e := range edges.Tuples {
-		if err := emitUpdate(out, e[1], v); err != nil {
+	for i := 0; i < edges.Len(); i++ {
+		out.Begin(types.OpUpdate)
+		out.Field(edges, i, 1)
+		out.Float(v)
+		if err := out.End(); err != nil {
 			return err
 		}
 	}

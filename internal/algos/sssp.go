@@ -67,13 +67,13 @@ func keepMin(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) error {
 		return nil
 	}
 	if rel.Len() > 0 {
-		cur, _ := types.AsFloat(rel.Tuples[0][1])
+		cur, _ := rel.Float(0, 1)
 		if nd >= cur {
 			return nil
 		}
-		rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], nd))
+		rel.SetFloat(0, 1, nd)
 	} else {
-		rel.Add(types.NewTuple(d.Tup[0], nd))
+		addKeyed(rel, d, nd)
 	}
 	return emitUpdate(out, d.Tup[0], nd)
 }
@@ -105,7 +105,7 @@ func RegisterIncSSSP(cat *catalog.Catalog) error {
 					if right.Len() == 0 {
 						return nil // source unreached so far
 					}
-					dist, ok := types.AsFloat(right.Tuples[0][1])
+					dist, ok := right.Float(0, 1)
 					if !ok {
 						return nil
 					}
@@ -119,12 +119,12 @@ func RegisterIncSSSP(cat *catalog.Catalog) error {
 				return nil
 			}
 			if right.Len() > 0 {
-				cur, _ := types.AsFloat(right.Tuples[0][1])
+				cur, _ := right.Float(0, 1)
 				if dist < cur {
-					right.ReplaceFirst(right.Tuples[0], d.Tup.Clone())
+					right.Set(0, d.Tup)
 				}
 			} else {
-				right.Add(d.Tup.Clone())
+				right.Add(d.Tup)
 			}
 			return emitNeighbors(out, left, dist+1)
 		},

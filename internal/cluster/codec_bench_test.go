@@ -48,11 +48,11 @@ func BenchmarkEncodeColumnar(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := GetPayloadBuf()
-		payload := EncodeDeltaBatch(buf, cb)
-		if len(payload) == 0 {
+		*buf = EncodeDeltaBatch(*buf, cb)
+		if len(*buf) == 0 {
 			b.Fatal("empty payload")
 		}
-		PutPayloadBuf(payload)
+		PutPayloadBuf(buf)
 	}
 }
 

@@ -203,20 +203,20 @@ var payloadBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// GetPayloadBuf returns an empty pooled byte buffer for payload encoding.
-func GetPayloadBuf() []byte {
-	return (*(payloadBufPool.Get().(*[]byte)))[:0]
+// GetPayloadBuf returns a pooled payload buffer, empty. The caller encodes
+// into *buf, keeps the pointer, and hands the same pointer back to
+// PutPayloadBuf, so a round trip through the pool allocates nothing.
+func GetPayloadBuf() *[]byte {
+	buf := payloadBufPool.Get().(*[]byte)
+	*buf = (*buf)[:0]
+	return buf
 }
 
 // PutPayloadBuf returns a payload buffer to the pool. Callers must be
 // done with every alias into it (Send has returned; the frame layer owns
 // its own copy).
-func PutPayloadBuf(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:0]
-	payloadBufPool.Put(&buf)
+func PutPayloadBuf(buf *[]byte) {
+	payloadBufPool.Put(buf)
 }
 
 // EncodeDeltaBatch appends the one-run payload encoding of b to buf.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,8 +16,8 @@ import (
 // distinctWhile is a while handler whose buckets hold several tuples: it
 // keeps every distinct tuple of a key, propagating arrivals and removals.
 var distinctWhile = &uda.FuncWhileHandler{HName: "distinct", Fn: func(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) error {
-	for i, t := range rel.Tuples {
-		if t.Equal(d.Tup) {
+	for i := 0; i < rel.Len(); i++ {
+		if rel.RowEqual(i, d.Tup) {
 			if d.Op == types.OpDelete {
 				rel.RemoveAt(i)
 				return out.Emit(d)
@@ -318,9 +319,115 @@ func TestDirtyKeysOnlyWhereRead(t *testing.T) {
 				join = j
 			}
 		}
-		got := [3]bool{w.fixpoint.state.dirty != nil, join.sides[1].dirty != nil, join.sides[0].dirty != nil}
+		got := [3]bool{w.fixpoint.state.sides[0].dirty != nil, join.state.sides[1].dirty != nil, join.state.sides[0].dirty != nil}
 		if want := [3]bool{c.fixpoint, c.mutable, c.base}; got != want {
 			t.Errorf("checkpoint=%v stream=%v: fixpoint/mutable/immutable tracking %v, want %v", c.checkpoint, c.stream, got, want)
 		}
 	}
+}
+
+// Keys meet as Tuple.Key has them: an integral float and −0 meet the int,
+// while a single-column NaN meets no earlier key (each NaN row gets a
+// bucket of its own, as under a Go map keyed by the value). Stored fields
+// keep their kinds, and a checkpoint entry's key field is the normalized
+// Tuple.Key, whichever row created the key.
+func TestKeyedStoreKeySemantics(t *testing.T) {
+	nan := math.NaN()
+	sameKind := func(a, b types.Value) bool { return fmt.Sprintf("%T %v", a, a) == fmt.Sprintf("%T %v", b, b) }
+	checkEntries := func(t *testing.T, entries []types.Tuple, nanEntries int) {
+		t.Helper()
+		nans := 0
+		for _, e := range entries {
+			if e[1] == "P" {
+				continue // the fixpoint's pending Δ
+			}
+			if f, ok := e[2].(float64); ok && f != f {
+				nans++
+				if len(e) < 4 {
+					t.Errorf("a NaN key checkpointed the tombstone %v, not its tuple", e)
+				}
+				continue
+			}
+			if _, ok := e[2].(int64); !ok {
+				t.Errorf("key field %#v is not the normalized int64 in %v", e[2], e)
+			}
+			if e[0] != int64(types.HashValue(e[2])) {
+				t.Errorf("entry %v is placed by %v, want the key's hash", e, e[0])
+			}
+		}
+		if nans != nanEntries {
+			t.Errorf("%d NaN-key entries in %v, want %d", nans, entries, nanEntries)
+		}
+	}
+
+	t.Run("join", func(t *testing.T) {
+		j := newHashJoinOp(joinSpec(-1), nil, 0)
+		c := &collector{}
+		j.outs = outputs{{op: c, port: 0}}
+		must(t, push(j, 0, []types.Delta{
+			types.Insert(types.NewTuple(3.0, "a")),
+			types.Insert(types.NewTuple(math.Copysign(0, -1), "z")),
+			types.Insert(types.NewTuple(nan, "n")),
+		}))
+		must(t, push(j, 1, []types.Delta{
+			types.Insert(types.NewTuple(int64(3), "b")),
+			types.Insert(types.NewTuple(int64(0), "y")),
+			types.Insert(types.NewTuple(nan, "m")),
+		}))
+		if len(c.deltas) != 2 {
+			t.Fatalf("join emitted %v, want the 3 and the 0 rows only", c.deltas)
+		}
+		if got := c.deltas[0].Tup; !sameKind(got[0], 3.0) || !sameKind(got[2], int64(3)) {
+			t.Errorf("joined row %#v lost a stored kind", got)
+		}
+		checkEntries(t, j.DirtyState(), 2)
+	})
+
+	t.Run("fixpoint", func(t *testing.T) {
+		f := newTestFixpoint(nil)
+		must(t, push(f, 0, []types.Delta{
+			types.Insert(types.NewTuple(nan, "a")),
+			types.Insert(types.NewTuple(nan, "a")),
+			types.Insert(types.NewTuple(2.0, "x")),
+			types.Insert(types.NewTuple(int64(2), "x")), // a duplicate of (2.0, x)
+			types.Insert(types.NewTuple(int64(2), "y")),
+		}))
+		want := []string{
+			fmt.Sprint(types.Insert(types.NewTuple(nan, "a"))),
+			fmt.Sprint(types.Insert(types.NewTuple(nan, "a"))),
+			fmt.Sprint(types.Insert(types.NewTuple(2.0, "x"))),
+			fmt.Sprint(types.Replace(types.NewTuple(2.0, "x"), types.NewTuple(int64(2), "y"))),
+		}
+		slices.Sort(want)
+		if got := rendered(f.pending.Batch().Deltas()); !slices.Equal(got, want) {
+			t.Fatalf("Δ %v, want %v", got, want)
+		}
+		checkEntries(t, f.DirtyState(), 2)
+		fin := &collector{}
+		f.finalOuts = outputs{{op: fin, port: 0}}
+		must(t, f.Finish())
+		if len(fin.deltas) != 3 {
+			t.Fatalf("final relation %v, want two NaN rows and (2, y)", fin.deltas)
+		}
+	})
+
+	t.Run("composite key", func(t *testing.T) {
+		spec := &OpSpec{Kind: OpHashJoin, LeftKey: []int{0, 1}, RightKey: []int{0, 1}, ImmutablePort: -1}
+		j := newHashJoinOp(spec, nil, 0)
+		j.outs = outputs{{op: &collector{}, port: 0}}
+		must(t, push(j, 0, []types.Delta{types.Insert(types.NewTuple(int64(1), 2.0, "a"))}))
+		entries := j.DirtyState()
+		key := types.NewTuple(int64(1), int64(2)).Key([]int{0, 1})
+		if len(entries) != 1 || entries[0][2] != key || entries[0][0] != int64(types.HashValue(key)) {
+			t.Fatalf("composite key checkpointed as %v, want key %q", entries, key)
+		}
+		g := newHashJoinOp(spec, nil, 0)
+		must(t, g.Restore([][]types.Tuple{entries}))
+		c := &collector{}
+		g.outs = outputs{{op: c, port: 0}}
+		must(t, push(g, 1, []types.Delta{types.Insert(types.NewTuple(int64(1), int64(2), "b"))}))
+		if len(c.deltas) != 1 || !c.deltas[0].Tup.Equal(types.NewTuple(int64(1), 2.0, "a", int64(1), int64(2), "b")) {
+			t.Fatalf("restored composite key joined %v", c.deltas)
+		}
+	})
 }

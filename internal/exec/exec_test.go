@@ -403,9 +403,9 @@ func newTestCatalog(t *testing.T) *catalog.Catalog {
 				return nil
 			}
 			dist, _ := types.AsFloat(d.Tup[1])
-			for _, e := range left.Tuples {
+			for i := 0; i < left.Len(); i++ {
 				out.Begin(types.OpUpdate)
-				out.Value(e[1])
+				out.Field(left, i, 1)
 				out.Float(dist + 1)
 				if err := out.End(); err != nil {
 					return err
@@ -421,11 +421,11 @@ func newTestCatalog(t *testing.T) *catalog.Catalog {
 		Fn: func(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) error {
 			nd, _ := types.AsFloat(d.Tup[1])
 			if rel.Len() > 0 {
-				cur, _ := types.AsFloat(rel.Tuples[0][1])
+				cur, _ := rel.Float(0, 1)
 				if nd >= cur {
 					return nil
 				}
-				rel.ReplaceFirst(rel.Tuples[0], types.NewTuple(d.Tup[0], nd))
+				rel.Set(0, types.NewTuple(d.Tup[0], nd))
 			} else {
 				rel.Add(types.NewTuple(d.Tup[0], nd))
 			}
@@ -776,11 +776,15 @@ func TestStreamDeltaClonesOnce(t *testing.T) {
 	}
 	// Every run revises every key to the image it does not hold; the
 	// keys stay dirty, so each run's changelog replaces all n tuples.
+	sets := make([]*uda.TupleSet, n)
+	for k, key := range keys {
+		sets[k] = f.state.set(0, f.state.tab.Group(types.Tuple{key}))
+	}
 	round := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		round++
-		for k, key := range keys {
-			f.state.buckets[key].Tuples[0] = images[k][round%2]
+		for k, set := range sets {
+			set.Set(0, images[k][round%2])
 		}
 		if got := len(f.StreamDelta()); got != n {
 			t.Fatalf("changelog has %d deltas, want %d", got, n)

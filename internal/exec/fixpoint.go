@@ -26,22 +26,24 @@ type fixpointOp struct {
 	finalOuts     outputs
 
 	handler uda.WhileHandler
-	state   *keyedBuckets
+	// state holds the mutable relation, one side keyed by the FIXPOINT BY
+	// columns.
+	state *keyedStore
 
 	// pending is the next stratum's Δ set: the handler emits into its
 	// builder-owned batch, and its row count is the stratum's vote.
 	// Advance flushes it into the recursive sub-plan.
 	pending *uda.Emitter
-	// rows is eachRow's scratch.
-	rows []types.Delta
+	// rows is eachRow's buffer.
+	rows rowBuf
 
 	// stream enables per-stratum state-change emission: StreamDelta
-	// produces each stratum's changelog against emitted (the per-key
+	// produces each stratum's changelog against emitted (by group id, the
 	// tuples the stream has asserted so far), and Finish suppresses the
 	// final full-state flush — the concatenated stratum batches already
 	// fold to it.
 	stream  bool
-	emitted map[types.Value][]types.Tuple
+	emitted [][]types.Tuple
 
 	// onStratumEnd is the worker callback: checkpoint then vote.
 	onStratumEnd func(stratum, newCount int)
@@ -53,30 +55,27 @@ func newFixpointOp(spec *OpSpec, ctx *Context, handler uda.WhileHandler) *fixpoi
 	if spec.WhileHandlerName == "" {
 		handler = setSemantics{}
 	}
-	f := &fixpointOp{spec: spec, ctx: ctx, handler: handler, state: newKeyedBuckets("S", true)}
+	f := &fixpointOp{spec: spec, ctx: ctx, handler: handler, state: newKeyedStore(len(spec.FixpointKey), "S")}
 	f.pending = uda.NewEmitter(0) // the relation's first row sets the width
 	f.pending.FlushEvery(0, func(b *types.DeltaBatch) error { return f.recursiveOuts.sendBatch(b) })
 	return f
 }
 
-// Push folds the batch row by row into the mutable relation, which keeps
-// the rows' tuples.
+// Push finds the batch's keys once, then folds its rows one by one into
+// the mutable relation.
 func (f *fixpointOp) Push(port int, b *types.DeltaBatch) error {
-	return eachRow(b, &f.rows, f.update)
-}
-
-func (f *fixpointOp) update(d types.Delta) error {
-	key := d.Tup.Key(f.spec.FixpointKey)
-	b := f.state.get(key)
-	v0 := b.Version()
-	if err := f.handler.Update(b, d, f.pending); err != nil {
-		return fmt.Errorf("exec: while handler %s: %w", f.handler.Name(), err)
-	}
-	f.state.touched(key, b, v0)
-	if b.Len() == 0 {
-		delete(f.state.buckets, key) // a deleted key holds no memory
-	}
-	return nil
+	gids, _ := f.state.groupsOf(b, f.spec.FixpointKey, false)
+	err := eachRow(b, &f.rows, func(i int, d types.Delta) error {
+		set := f.state.set(0, gids[i])
+		v0 := f.state.version(0, set)
+		if err := f.handler.Update(set, d, f.pending); err != nil {
+			return fmt.Errorf("exec: while handler %s: %w", f.handler.Name(), err)
+		}
+		f.state.touched(0, gids[i], set, v0)
+		return nil
+	})
+	f.state.release(gids, nil)
+	return err
 }
 
 // setSemantics is the while-state handler of a plan that names none: the
@@ -97,13 +96,13 @@ func (setSemantics) Update(rel *uda.TupleSet, d types.Delta, out *uda.Emitter) e
 		rel.Add(d.Tup)
 		return out.Emit(types.Insert(d.Tup))
 	}
-	cur := rel.Tuples[0]
-	switch {
-	case d.Op == types.OpDelete:
+	if d.Op != types.OpDelete && rel.RowEqual(0, d.Tup) {
+		return nil // duplicate derivation
+	}
+	cur := rel.Row(0)
+	if d.Op == types.OpDelete {
 		rel.RemoveAt(0)
 		return out.Emit(types.Delete(cur))
-	case cur.Equal(d.Tup):
-		return nil // duplicate derivation
 	}
 	rel.Set(0, d.Tup)
 	return out.Emit(types.Replace(cur, d.Tup))
@@ -130,9 +129,15 @@ func (f *fixpointOp) Punct(port, stratum int, closed bool) error {
 func (f *fixpointOp) Advance(next int) error {
 	if f.spec.NoDelta {
 		f.pending.Batch().Reset()
-		for t := range f.state.all {
-			if err := f.pending.Emit(types.Update(t)); err != nil {
-				return err
+		for set := range f.state.all(0) {
+			for i := 0; i < set.Len(); i++ {
+				f.pending.Begin(types.OpUpdate)
+				for c := 0; c < set.Width(i); c++ {
+					f.pending.Field(set, i, c)
+				}
+				if err := f.pending.End(); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -147,22 +152,35 @@ func (f *fixpointOp) Advance(next int) error {
 // streaming mode the relation already reached the requestor as per-stratum
 // changelogs, so only the closing punctuation is sent.
 func (f *fixpointOp) Finish() error {
-	if f.stream {
-		return f.finalOuts.punct(f.ctx.Stratum, true)
-	}
-	var out []types.Delta
-	for t := range f.state.all {
-		out = append(out, types.Insert(t))
-	}
-	const flushChunk = 4096
-	for len(out) > 0 {
-		n := min(flushChunk, len(out))
-		if err := f.finalOuts.send(out[:n]); err != nil {
+	if !f.stream {
+		if err := f.sendRelation(); err != nil {
 			return err
 		}
-		out = out[n:]
 	}
 	return f.finalOuts.punct(f.ctx.Stratum, true)
+}
+
+// sendRelation sends the relation's tuples as insertions straight from
+// the sets' lanes, in batches of at most flushChunk rows, each of one
+// width.
+func (f *fixpointOp) sendRelation() error {
+	const flushChunk = 4096
+	b := types.GetBatch()
+	defer types.PutBatch(b)
+	var row []types.Scalar
+	for set := range f.state.all(0) {
+		for i := 0; i < set.Len(); i++ {
+			row = set.Scalars(i, row[:0])
+			if b.Len() > 0 && (b.Len() == flushChunk || b.NumCols() != len(row)) {
+				if err := f.finalOuts.sendBatch(b); err != nil {
+					return err
+				}
+				b.Reset()
+			}
+			b.AppendScalars(types.OpInsert, row, nil)
+		}
+	}
+	return f.finalOuts.sendBatch(b)
 }
 
 // PendingCount reports the buffered Δ set size (the restored vote count
@@ -173,26 +191,23 @@ func (f *fixpointOp) PendingCount() int { return f.pending.Batch().Len() }
 // dirtied this stratum, the deltas that revise what the stream has emitted
 // so far into the key's current state. It reads (never clears) the dirty
 // set — checkpointing still needs it; the worker clears it afterwards via
-// ClearDirty. Tuples are cloned into the emitted ledger because handler
-// buckets may revise them in place in later strata; the batch shares the
-// ledger's clones, which is safe because the ledger only ever replaces
-// its tuples and the worker encodes the batch before the next stratum.
+// ClearDirty. The ledger keeps fresh tuples, which the batch shares: the
+// ledger only ever replaces its tuples, and the worker encodes the batch
+// before the next stratum.
 func (f *fixpointOp) StreamDelta() []types.Delta {
-	if f.emitted == nil {
-		f.emitted = map[types.Value][]types.Tuple{}
-	}
-	out := make([]types.Delta, 0, len(f.state.dirty))
-	for key := range f.state.dirty {
-		var cur []types.Tuple
-		if b := f.state.buckets[key]; b != nil {
-			cur = b.Tuples
+	dirty := f.state.dirty(0)
+	out := make([]types.Delta, 0, len(dirty))
+	for _, g := range dirty {
+		cur := f.state.set(0, g)
+		if int(g) >= len(f.emitted) {
+			f.emitted = append(f.emitted, make([][]types.Tuple, int(g)+1-len(f.emitted))...)
 		}
-		prev := f.emitted[key]
-		if tuplesEqual(prev, cur) {
+		prev := f.emitted[g]
+		if setEqual(cur, prev) {
 			continue // dirtied but settled back to what was emitted
 		}
-		if len(prev) == 1 && len(cur) == 1 {
-			next := cur[0].Clone()
+		if len(prev) == 1 && cur.Len() == 1 {
+			next := cur.RowLike(0, prev[0])
 			out = append(out, types.Replace(prev[0], next))
 			prev[0] = next // the ledger slice is reused in place
 			continue
@@ -200,30 +215,27 @@ func (f *fixpointOp) StreamDelta() []types.Delta {
 		for _, t := range prev {
 			out = append(out, types.Delete(t))
 		}
-		if len(cur) == 0 {
-			delete(f.emitted, key)
-			continue
-		}
-		next := make([]types.Tuple, len(cur))
-		for i, t := range cur {
-			next[i] = t.Clone()
+		next := make([]types.Tuple, cur.Len())
+		for i := range next {
+			next[i] = cur.Row(i)
 			out = append(out, types.Insert(next[i]))
 		}
-		f.emitted[key] = next
+		f.emitted[g] = next
 	}
 	return out
 }
 
 // ClearDirty resets the per-stratum dirty-key set (streaming path; the
 // checkpoint path clears it through DirtyState).
-func (f *fixpointOp) ClearDirty() { f.state.clearDirty() }
+func (f *fixpointOp) ClearDirty() { f.state.clearDirty(0) }
 
-func tuplesEqual(a, b []types.Tuple) bool {
-	if len(a) != len(b) {
+// setEqual reports whether set holds exactly the tuples ts, in order.
+func setEqual(set *uda.TupleSet, ts []types.Tuple) bool {
+	if set.Len() != len(ts) {
 		return false
 	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
+	for i, t := range ts {
+		if !set.RowEqual(i, t) {
 			return false
 		}
 	}
@@ -246,7 +258,7 @@ func (f *fixpointOp) Reset() {
 // A pending replace carries its old image after the new one; downstream
 // operators index it.
 func (f *fixpointOp) DirtyState() []types.Tuple {
-	out := f.state.appendDirty(nil)
+	out := f.state.appendDirty(0, nil)
 	pb := f.pending.Batch()
 	var row types.Tuple
 	for i := 0; i < pb.Len(); i++ {
@@ -267,7 +279,7 @@ func (f *fixpointOp) DirtyState() []types.Tuple {
 func (f *fixpointOp) Restore(strata [][]types.Tuple) error {
 	for si, entries := range strata {
 		last := si == len(strata)-1
-		fresh := map[types.Value]bool{}
+		fresh := map[int32]bool{}
 		for _, e := range entries {
 			if len(e) < 3 {
 				return fmt.Errorf("exec: fixpoint restore: bad entry %v", e)
@@ -275,7 +287,9 @@ func (f *fixpointOp) Restore(strata [][]types.Tuple) error {
 			tag, _ := e[1].(string)
 			switch tag {
 			case "S":
-				f.state.restore(e, fresh)
+				if err := f.state.restore(0, e, fresh); err != nil {
+					return fmt.Errorf("exec: fixpoint restore: %w", err)
+				}
 			case "P":
 				if !last {
 					continue

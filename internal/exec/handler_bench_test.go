@@ -31,9 +31,9 @@ func prAgg(left, right *uda.TupleSet, d types.Delta, fromLeft bool, out *uda.Emi
 	if !ok {
 		return fmt.Errorf("PRAgg delta with non-numeric value %v", d.Tup[1])
 	}
-	for _, e := range left.Tuples {
+	for i := 0; i < left.Len(); i++ {
 		out.Begin(types.OpUpdate)
-		out.Value(e[1])
+		out.Field(left, i, 1)
 		out.Float(v / float64(left.Len()))
 		if err := out.End(); err != nil {
 			return err

@@ -20,8 +20,10 @@ type hashJoinOp struct {
 	tracker *portTracker
 	handler uda.JoinHandler
 
-	// sides holds the left (port 0) and right (port 1) buckets.
-	sides [2]*keyedBuckets
+	// state holds the left (port 0, side 0) and right (port 1, side 1)
+	// buckets under one key index; keys are each port's key columns.
+	state *keyedStore
+	keys  [2][]int
 
 	// out is where the handler writes results: a pooled batch that goes
 	// downstream every batchSize rows (0: once per input batch) —
@@ -30,8 +32,8 @@ type hashJoinOp struct {
 	// materializes its entire join result. The batch is detached while it
 	// goes downstream.
 	out *uda.Emitter
-	// rows is eachRow's scratch.
-	rows []types.Delta
+	// rows is eachRow's buffer.
+	rows rowBuf
 }
 
 // newHashJoinOp builds a join that runs handler, the plan's named join
@@ -40,12 +42,15 @@ func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler, batchSize int) *hashJo
 	if spec.JoinHandlerName == "" {
 		handler = guptaMumick{}
 	}
-	j := &hashJoinOp{spec: spec, tracker: newPortTracker(2), handler: handler}
+	j := &hashJoinOp{
+		spec: spec, tracker: newPortTracker(2), handler: handler,
+		state: newKeyedStore(len(spec.LeftKey), int64(0), int64(1)),
+		keys:  [2][]int{spec.LeftKey, spec.RightKey},
+	}
 	// DirtyState skips the immutable side, so only the other side records
 	// dirty keys.
-	j.sides = [2]*keyedBuckets{
-		newKeyedBuckets(int64(0), spec.ImmutablePort != 0),
-		newKeyedBuckets(int64(1), spec.ImmutablePort != 1),
+	if spec.ImmutablePort == 0 || spec.ImmutablePort == 1 {
+		j.state.untrack(spec.ImmutablePort)
 	}
 	width := 0 // no schema: the first row sets the width
 	if handler.OutSchema() != nil {
@@ -56,45 +61,40 @@ func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler, batchSize int) *hashJo
 	return j
 }
 
-func (j *hashJoinOp) keyOf(port int, t types.Tuple) types.Value {
-	if port == 0 {
-		return t.Key(j.spec.LeftKey)
-	}
-	return t.Key(j.spec.RightKey)
-}
-
-// Push processes the batch row by row; handlers retain the rows' tuples.
+// Push finds the batch's keys once, then hands the handler its rows, one
+// by one, with the key's buckets.
 func (j *hashJoinOp) Push(port int, b *types.DeltaBatch) error {
 	if port != 0 && port != 1 {
 		return fmt.Errorf("exec: join port %d out of range", port)
 	}
-	if err := eachRow(b, &j.rows, func(d types.Delta) error { return j.processDelta(port, d) }); err != nil {
+	gids, olds := j.state.groupsOf(b, j.keys[port], true)
+	err := eachRow(b, &j.rows, func(i int, d types.Delta) error {
+		if d.Op == types.OpReplace && olds != nil && olds[i] != gids[i] {
+			// A replacement whose key changed is a deletion at the old
+			// key and an insertion at the new key.
+			if err := j.update(port, olds[i], types.Delete(d.Old)); err != nil {
+				return err
+			}
+			return j.update(port, gids[i], types.Insert(d.Tup))
+		}
+		return j.update(port, gids[i], d)
+	})
+	j.state.release(gids, olds)
+	if err != nil {
 		return err
 	}
 	return j.out.Flush()
 }
 
-func (j *hashJoinOp) processDelta(port int, d types.Delta) error {
-	key := j.keyOf(port, d.Tup)
-	if d.Op == types.OpReplace {
-		// A replacement whose key changed must be split into a deletion at
-		// the old key and an insertion at the new key.
-		oldKey := j.keyOf(port, d.Old)
-		if !types.ValueEq(key, oldKey) {
-			if err := j.processDelta(port, types.Delete(d.Old)); err != nil {
-				return err
-			}
-			return j.processDelta(port, types.Insert(d.Tup))
-		}
-	}
-	left, right := j.sides[0], j.sides[1]
-	lb, rb := left.get(key), right.get(key)
-	lv, rv := lb.Version(), rb.Version()
+// update runs the handler on d with group g's buckets.
+func (j *hashJoinOp) update(port int, g int32, d types.Delta) error {
+	lb, rb := j.state.set(0, g), j.state.set(1, g)
+	lv, rv := j.state.version(0, lb), j.state.version(1, rb)
 	if err := j.handler.Update(lb, rb, d, port == 0, j.out); err != nil {
 		return fmt.Errorf("exec: join handler %s: %w", j.handler.Name(), err)
 	}
-	left.touched(key, lb, lv)
-	right.touched(key, rb, rv)
+	j.state.touched(0, g, lb, lv)
+	j.state.touched(1, g, rb, rv)
 	return nil
 }
 
@@ -127,11 +127,11 @@ func (guptaMumick) Update(left, right *uda.TupleSet, d types.Delta, fromLeft boo
 			mine.Add(d.Tup)
 		}
 	}
-	for _, o := range opp.Tuples {
+	for i := 0; i < opp.Len(); i++ {
 		out.Begin(d.Op)
-		joined(out, fromLeft, d.Tup, o)
+		joined(out, fromLeft, d.Tup, opp, i)
 		if d.Op == types.OpReplace {
-			joined(out, fromLeft, d.Old, o)
+			joined(out, fromLeft, d.Old, opp, i)
 		}
 		if err := out.End(); err != nil {
 			return err
@@ -141,17 +141,21 @@ func (guptaMumick) Update(left, right *uda.TupleSet, d types.Delta, fromLeft boo
 }
 
 // joined supplies the open output row's columns: left fields then right
-// fields, whichever side the delta arrived on.
-func joined(out *uda.Emitter, fromLeft bool, mine, opposite types.Tuple) {
-	left, right := mine, opposite
+// fields, whichever side the delta arrived on; the opposite side's are
+// tuple i of opp.
+func joined(out *uda.Emitter, fromLeft bool, mine types.Tuple, opp *uda.TupleSet, i int) {
 	if !fromLeft {
-		left, right = opposite, mine
+		for c := 0; c < opp.Width(i); c++ {
+			out.Field(opp, i, c)
+		}
 	}
-	for _, v := range left {
+	for _, v := range mine {
 		out.Value(v)
 	}
-	for _, v := range right {
-		out.Value(v)
+	if fromLeft {
+		for c := 0; c < opp.Width(i); c++ {
+			out.Field(opp, i, c)
+		}
 	}
 }
 
@@ -171,18 +175,15 @@ func (j *hashJoinOp) Punct(port, stratum int, closed bool) error {
 func (j *hashJoinOp) ReopenRound() { j.tracker.reopen() }
 
 func (j *hashJoinOp) Reset() {
-	for _, b := range j.sides {
-		b.reset()
-	}
+	j.state.reset()
 	j.tracker.reset()
 }
 
 // untrack stops both sides recording dirty keys: with checkpointing off
 // nothing calls DirtyState.
 func (j *hashJoinOp) untrack() {
-	for _, b := range j.sides {
-		b.untrack()
-	}
+	j.state.untrack(0)
+	j.state.untrack(1)
 }
 
 // DirtyState checkpoints the buckets mutated this stratum, tagged with
@@ -190,11 +191,7 @@ func (j *hashJoinOp) untrack() {
 // from base scans during recovery) record no dirty keys, so they are
 // skipped.
 func (j *hashJoinOp) DirtyState() []types.Tuple {
-	var out []types.Tuple
-	for _, b := range j.sides {
-		out = b.appendDirty(out)
-	}
-	return out
+	return j.state.appendDirty(1, j.state.appendDirty(0, nil))
 }
 
 // Restore rebuilds the mutable buckets from checkpoints, applying strata in
@@ -202,7 +199,7 @@ func (j *hashJoinOp) DirtyState() []types.Tuple {
 // bucket.
 func (j *hashJoinOp) Restore(strata [][]types.Tuple) error {
 	for _, entries := range strata {
-		fresh := [2]map[types.Value]bool{{}, {}}
+		fresh := [2]map[int32]bool{{}, {}}
 		for _, e := range entries {
 			if len(e) < 3 {
 				return fmt.Errorf("exec: join restore: short entry %v", e)
@@ -211,7 +208,9 @@ func (j *hashJoinOp) Restore(strata [][]types.Tuple) error {
 			if !ok || side < 0 || side > 1 {
 				return fmt.Errorf("exec: join restore: bad side in %v", e)
 			}
-			j.sides[side].restore(e, fresh[side])
+			if err := j.state.restore(int(side), e, fresh[side]); err != nil {
+				return fmt.Errorf("exec: join restore: %w", err)
+			}
 		}
 	}
 	return nil

@@ -17,8 +17,8 @@ type Operator interface {
 	// The batch is borrowed for the duration of the call: an operator must
 	// not retain it or any slice derived from it (decoded batches alias
 	// transport frame buffers, built ones return to a pool). Anything kept
-	// past the call is materialized via Delta/AppendDeltas/Value, which
-	// yield fresh tuples.
+	// past the call is materialized via Delta/Deltas/Value, which yield
+	// fresh tuples, or copied into a uda.TupleSet.
 	Push(port int, b *types.DeltaBatch) error
 	// Punct signals the end of the current stratum on the given port.
 	// closed marks the port's final punctuation: no data will ever arrive
@@ -139,26 +139,37 @@ func (o outputs) sendBatch(b *types.DeltaBatch) error {
 }
 
 // rowChunk is how many rows eachRow materializes at a time: it bounds
-// both the reused row slice and what one retained value can keep alive
-// (AppendDeltas shares arrays across the rows of a call).
+// the operator's reused row buffer.
 const rowChunk = 1024
 
-// eachRow calls fn on every row of b, materialized fresh (AppendDeltas)
-// rowChunk rows at a time into *scratch, whose storage is reused across
-// calls. The rows stay safe to retain. The slice is detached while fn
-// runs, so a re-entrant push cannot overwrite it.
-func eachRow(b *types.DeltaBatch, scratch *[]types.Delta, fn func(types.Delta) error) error {
+// rowBuf is an operator's handler rows: eachRow's reused deltas and the
+// values their tuples are slices of.
+type rowBuf struct {
+	rows []types.Delta
+	vals []types.Value
+}
+
+// eachRow calls fn on every row of b, with its index, materialized
+// rowChunk rows at a time (AppendDeltas) into buf. The rows are borrowed:
+// the []Value behind d.Tup and d.Old is valid only during fn's call, so a
+// handler that keeps a tuple copies it (TupleSet and Emitter copy what
+// they store). The values themselves are fresh and stay valid. buf is
+// detached while fn runs, so a re-entrant push cannot overwrite it. Under
+// the pooldebug tag each row's slots are scribbled once fn returns.
+func eachRow(b *types.DeltaBatch, buf *rowBuf, fn func(int, types.Delta) error) error {
 	for lo := 0; lo < b.Len(); lo += rowChunk {
-		rows := b.AppendDeltas((*scratch)[:0], lo, min(lo+rowChunk, b.Len()))
-		*scratch = nil
+		rows, vals := b.AppendDeltas(buf.rows[:0], buf.vals, lo, min(lo+rowChunk, b.Len()))
+		*buf = rowBuf{}
 		var err error
-		for _, d := range rows {
-			if err = fn(d); err != nil {
+		for k, d := range rows {
+			if err = fn(lo+k, d); err != nil {
 				break
 			}
+			types.PoisonValues(d.Tup)
+			types.PoisonValues(d.Old)
 		}
-		clear(rows)
-		*scratch = rows[:0]
+		clear(vals) // each value pins its column's lane copy
+		*buf = rowBuf{rows: rows[:0], vals: vals[:0]}
 		if err != nil {
 			return err
 		}

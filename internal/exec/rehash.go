@@ -269,13 +269,13 @@ func (r *rehashOp) flush(dest cluster.NodeID) error {
 		r.ctx.Transport.SpendCredits(r.ctx.Node, dest, 1)
 	}
 	buf := cluster.GetPayloadBuf()
-	payload := cluster.EncodeDeltaBatch(buf, b)
+	*buf = cluster.EncodeDeltaBatch(*buf, b)
 	r.ctx.Transport.Send(cluster.Message{
 		From: r.ctx.Node, To: dest, Edge: edgeID(r.spec.ID, 1),
 		Stratum: r.ctx.Stratum, Kind: cluster.MsgData,
-		Payload: payload, Count: b.Len(), Epoch: r.ctx.Epoch,
+		Payload: *buf, Count: b.Len(), Epoch: r.ctx.Epoch,
 	})
-	cluster.PutPayloadBuf(payload)
+	cluster.PutPayloadBuf(buf)
 	return nil
 }
 

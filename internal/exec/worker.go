@@ -641,7 +641,7 @@ func (w *Worker) build(snap *cluster.Snapshot) error {
 				w.stratumEnd(stratum, count, true)
 			}
 			if !w.checkpoints && !w.stream {
-				o.state.untrack() // neither DirtyState nor StreamDelta runs
+				o.state.untrack(0) // neither DirtyState nor StreamDelta runs
 			}
 		case *hashJoinOp:
 			if !w.checkpoints || !w.spec.Recursive() {

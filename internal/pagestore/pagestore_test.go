@@ -153,6 +153,45 @@ func TestEvictionUnderTinyPool(t *testing.T) {
 	}
 }
 
+// A miss reuses an evicted frame and its page buffer: once the pool is
+// full, paging a table through it allocates nothing.
+func TestPoolMissAllocs(t *testing.T) {
+	s, err := Open(t.TempDir(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.CreateTable("big", 0)
+	for i := 0; i < 2000; i++ {
+		if err := s.Insert("big", tup(i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab := s.tables["big"]
+	if len(tab.pages) < 8 {
+		t.Fatalf("%d pages is too few to page through a 2-frame pool", len(tab.pages))
+	}
+	next := 0
+	miss := func() {
+		f, err := s.pool.get(tab, tab.pages[next%len(tab.pages)], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.pool.unpin(f, false)
+		next++
+	}
+	for range tab.pages { // write every dirty page back once
+		miss()
+	}
+	misses := s.stats.Misses
+	if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
+		t.Errorf("%.1f allocations per pool miss, want 0", allocs)
+	}
+	if got := s.stats.Misses - misses; got != 101 {
+		t.Fatalf("%d misses in 101 gets, want every get to miss", got)
+	}
+}
+
 func hashTable(t *testing.T, s *Store, table string, snap *cluster.Snapshot) string {
 	t.Helper()
 	var rows []string

@@ -35,6 +35,9 @@ type pool struct {
 	clock  []*frame
 	hand   int
 	stats  *storage.PoolStats
+	// free holds evicted frames, whose page buffers the next misses
+	// reuse: no caller holds a frame past its unpin.
+	free []*frame
 }
 
 func newPool(capPages int, stats *storage.PoolStats) *pool {
@@ -59,21 +62,34 @@ func (p *pool) get(t *table, no uint32, load bool) (*frame, error) {
 	if err := p.evictTo(p.cap - 1); err != nil {
 		return nil, err
 	}
-	f := &frame{table: t, no: no, buf: make([]byte, PageSize), pins: 1, ref: true}
+	f := p.frame()
+	*f = frame{table: t, no: no, buf: f.buf, pins: 1, ref: true}
 	if load {
 		// A page absent from the pool was necessarily written by a prior
 		// eviction (pages are born in the pool and only leave through
 		// evictTo), so the read cannot hit a hole.
 		if err := t.file.read(no, f.buf); err != nil {
+			p.free = append(p.free, f)
 			return nil, err
 		}
 	} else {
+		clear(f.buf)
 		initPage(f.buf)
 		f.dirty = true
 	}
 	p.frames[key] = f
 	p.clock = append(p.clock, f)
 	return f, nil
+}
+
+// frame returns an evicted frame to reuse, or a new one.
+func (p *pool) frame() *frame {
+	if n := len(p.free); n > 0 {
+		f := p.free[n-1]
+		p.free = p.free[:n-1]
+		return f
+	}
+	return &frame{buf: make([]byte, PageSize)}
 }
 
 func (p *pool) unpin(f *frame, dirty bool) {
@@ -110,6 +126,8 @@ func (p *pool) evictTo(n int) error {
 		delete(p.frames, frameKey{f.table.name, f.no})
 		p.clock[p.hand] = p.clock[len(p.clock)-1]
 		p.clock = p.clock[:len(p.clock)-1]
+		f.table = nil
+		p.free = append(p.free, f)
 		p.stats.Evictions++
 	}
 	return nil
@@ -127,10 +145,14 @@ func (p *pool) writeBack(f *frame) error {
 	return nil
 }
 
-// dropTable discards a table's frames without write-back (used when the
-// whole store reloads).
+// reset discards every frame without write-back (used when the whole
+// store reloads), keeping the frames for reuse.
 func (p *pool) reset() {
+	for _, f := range p.clock {
+		f.table = nil
+		p.free = append(p.free, f)
+	}
 	p.frames = make(map[frameKey]*frame)
-	p.clock = nil
+	p.clock = p.clock[:0]
 	p.hand = 0
 }

@@ -232,9 +232,9 @@ func (s *Store) insertTab(tab *table, t types.Tuple) error {
 			return err
 		}
 		pageInsert(f.buf, rec)
-		s.pool.unpin(f, true)
 		tab.pages = append(tab.pages, no)
 		tab.free = append(tab.free, pageFree(f.buf))
+		s.pool.unpin(f, true)
 		tab.count++
 		return nil
 	}

@@ -31,7 +31,8 @@ type GroupTable struct {
 	last    []scalars // per aggregate: last emitted result
 	emitted []bool    // per group: last holds an emitted result
 
-	dirty, ckpt dirtySet
+	dirty, ckpt GroupSet
+	fresh       GroupSet // the groups Fresh made, which the index omits
 
 	kbuf []byte // composite key encoding scratch
 }
@@ -85,13 +86,30 @@ func (t *GroupTable) Groups(b *DeltaBatch, key []int, old bool, sel []int32, gid
 // Group finds or creates the group of a boxed key tuple (one value per
 // key column) — the checkpoint-restore lookup.
 func (t *GroupTable) Group(key Tuple) int32 {
+	cols, idx := keyColumns(key)
+	return t.find(cols, idx, 0)
+}
+
+// Fresh adds a group for a boxed key tuple (one value per key column)
+// that no lookup finds: a keyed store gives each NaN key a group of its
+// own this way, as a Go map keyed by the boxed value does.
+func (t *GroupTable) Fresh(key Tuple) int32 {
+	cols, idx := keyColumns(key)
+	g := t.add(HashValue(key.Key(idx)), cols, idx, 0)
+	t.fresh.Mark(g)
+	return g
+}
+
+// keyColumns is a boxed key tuple as one row of columns, with the
+// columns' indexes.
+func keyColumns(key Tuple) ([]Column, []int) {
 	b := &DeltaBatch{}
 	b.AppendInsert(key)
 	idx := make([]int, len(key))
 	for i := range idx {
 		idx[i] = i
 	}
-	return t.find(b.cols, idx, 0)
+	return b.cols, idx
 }
 
 // find returns row i's group, creating it if new.
@@ -156,6 +174,9 @@ func (t *GroupTable) grow() {
 	t.slots = make([]int32, max(64, 2*len(t.slots)))
 	mask := len(t.slots) - 1
 	for g := 0; g < t.n; g++ {
+		if t.fresh.Has(int32(g)) {
+			continue
+		}
 		p := int(t.hashes[g]) & mask
 		for t.slots[p] != 0 {
 			p = (p + 1) & mask
@@ -179,8 +200,9 @@ func (t *GroupTable) Reset() {
 	t.emitted = t.emitted[:0]
 	clear(t.slots)
 	t.n = 0
-	t.dirty.reset()
-	t.ckpt.reset()
+	t.dirty.Reset()
+	t.ckpt.Reset()
+	t.fresh.Reset()
 }
 
 // KeyHash reports HashValue of group g's Tuple.Key.
@@ -236,33 +258,34 @@ func (t *GroupTable) ClearLast(g int32) {
 // checkpoint.
 func (t *GroupTable) Touch(gids []int32) {
 	for _, g := range gids {
-		t.dirty.mark(g)
-		t.ckpt.mark(g)
+		t.dirty.Mark(g)
+		t.ckpt.Mark(g)
 	}
 }
 
 // Dirty lists the groups revised since the last ClearDirty, in the order
 // they were first revised.
-func (t *GroupTable) Dirty() []int32 { return t.dirty.list }
+func (t *GroupTable) Dirty() []int32 { return t.dirty.List() }
 
 // ClearDirty empties the flush dirty set.
-func (t *GroupTable) ClearDirty() { t.dirty.reset() }
+func (t *GroupTable) ClearDirty() { t.dirty.Reset() }
 
 // CkptDirty lists the groups revised since the last ClearCkptDirty, in
 // the order they were first revised.
-func (t *GroupTable) CkptDirty() []int32 { return t.ckpt.list }
+func (t *GroupTable) CkptDirty() []int32 { return t.ckpt.List() }
 
 // ClearCkptDirty empties the checkpoint dirty set.
-func (t *GroupTable) ClearCkptDirty() { t.ckpt.reset() }
+func (t *GroupTable) ClearCkptDirty() { t.ckpt.Reset() }
 
-// dirtySet is a set of group ids: a bitmap for membership and a list for
-// first-marked order.
-type dirtySet struct {
+// GroupSet is a set of group ids: a bitmap for membership and a list for
+// first-marked order. Dirty tracking marks groups in it.
+type GroupSet struct {
 	list []int32
 	bits []uint64
 }
 
-func (d *dirtySet) mark(g int32) {
+// Mark adds group g.
+func (d *GroupSet) Mark(g int32) {
 	w := int(g) >> 6
 	for w >= len(d.bits) {
 		d.bits = append(d.bits, 0)
@@ -273,7 +296,17 @@ func (d *dirtySet) mark(g int32) {
 	}
 }
 
-func (d *dirtySet) reset() {
+// Has reports whether group g is marked.
+func (d *GroupSet) Has(g int32) bool {
+	w := int(g) >> 6
+	return w < len(d.bits) && d.bits[w]&(uint64(1)<<(uint(g)&63)) != 0
+}
+
+// List returns the marked groups in the order they were first marked.
+func (d *GroupSet) List() []int32 { return d.list }
+
+// Reset empties the set, keeping its capacity.
+func (d *GroupSet) Reset() {
 	if len(d.list) > len(d.bits) {
 		clear(d.bits)
 	} else {

@@ -39,3 +39,11 @@ func poisonBatch(b *DeltaBatch) {
 		}
 	}
 }
+
+// PoisonValues scribbles over a borrowed row's reused value slots once
+// its borrower returns, so a borrower that kept the row reads poison.
+func PoisonValues(vals []Value) {
+	for i := range vals {
+		vals[i] = "«row-poison»"
+	}
+}

@@ -3,35 +3,35 @@ package types
 import "unsafe"
 
 // AppendDeltas appends rows [lo, hi) of b to dst as row-form deltas and
-// returns the extended slice. It is Deltas for operators that hand rows to
-// user code (delta handlers): instead of one allocation per tuple and per
-// boxed value, the tuples of one call share one backing array and each
-// column's values are boxed over one private copy of its vector, so a
-// call costs a few allocations whatever its length. The deltas are safe
-// to retain, but a retained tuple or value keeps its call's arrays alive:
-// it suits consumers that keep all of a range's rows or none of them, and
-// ranges short enough that one kept value pins little.
-func (b *DeltaBatch) AppendDeltas(dst []Delta, lo, hi int) []Delta {
+// returns the extended slice, with vals. It is Deltas for operators that
+// hand rows to user code (delta handlers): the tuples and old images are
+// slices of vals, which is grown as needed and overwritten, so a caller
+// that passes the vals of its previous call allocates no row storage; the
+// rows are valid until the caller reuses vals. Each column's values are
+// boxed over one private copy of its vector, so the values themselves
+// stay valid, and a call costs a few allocations whatever its length.
+func (b *DeltaBatch) AppendDeltas(dst []Delta, vals []Value, lo, hi int) ([]Delta, []Value) {
 	n, w, ow := hi-lo, len(b.cols), len(b.old)
-	vals := make([]Value, n*w)
-	for j := range b.cols {
-		b.cols[j].boxShared(vals, w, j, lo, hi)
+	if need := n * (w + ow); cap(vals) < need {
+		vals = make([]Value, need)
+	} else {
+		vals = vals[:need]
 	}
-	var olds []Value
-	if ow > 0 {
-		olds = make([]Value, n*ow)
-		for j := range b.old {
-			b.old[j].boxShared(olds, ow, j, lo, hi)
-		}
+	news, olds := vals[:n*w], vals[n*w:]
+	for j := range b.cols {
+		b.cols[j].boxShared(news, w, j, lo, hi)
+	}
+	for j := range b.old {
+		b.old[j].boxShared(olds, ow, j, lo, hi)
 	}
 	for i := 0; i < n; i++ {
-		d := Delta{Op: b.Op(lo + i), Tup: vals[i*w : (i+1)*w : (i+1)*w]}
+		d := Delta{Op: b.Op(lo + i), Tup: news[i*w : (i+1)*w : (i+1)*w]}
 		if d.Op == OpReplace && ow > 0 {
 			d.Old = olds[i*ow : (i+1)*ow : (i+1)*ow]
 		}
 		dst = append(dst, d)
 	}
-	return dst
+	return dst, vals
 }
 
 // boxShared writes the value of row lo+i to vals[i*stride+off] for every

@@ -24,7 +24,7 @@ func TestAppendDeltasMatchesDeltas(t *testing.T) {
 		}
 		hi := lo + r.Intn(len(rows)-lo+1)
 		for _, src := range []*DeltaBatch{b, dec} {
-			got := src.AppendDeltas(append([]Delta(nil), prefix...), lo, hi)
+			got, _ := src.AppendDeltas(append([]Delta(nil), prefix...), nil, lo, hi)
 			if !deltasEqual(got[:1], prefix) || !deltasEqual(got[1:], rows[lo:hi]) {
 				t.Fatalf("trial %d: AppendDeltas(%d, %d) mismatch:\n got %v\nwant %v", trial, lo, hi, got[1:], rows[lo:hi])
 			}
@@ -41,7 +41,7 @@ func TestAppendDeltasRowsAreIndependent(t *testing.T) {
 	for _, d := range want {
 		b.Append(d)
 	}
-	got := b.AppendDeltas(nil, 0, b.Len())
+	got, _ := b.AppendDeltas(nil, nil, 0, b.Len())
 	PutBatch(b)
 	for k := 0; k < 4; k++ { // churn the pool and the heap
 		o := GetBatch()
@@ -60,15 +60,37 @@ func TestAppendDeltasRowsAreIndependent(t *testing.T) {
 	}
 }
 
-// A batch costs a handful of allocations whatever its length: one tuple
-// arena plus one copy of each typed lane.
+// A batch costs a handful of allocations whatever its length: one copy
+// of each typed lane, once the caller reuses its row values.
 func TestAppendDeltasAllocsPerBatch(t *testing.T) {
 	b := GetBatch()
 	for i := 0; i < 1024; i++ {
 		b.Append(Update(NewTuple(int64(1000+i), float64(i)/7, "s")))
 	}
 	dst := make([]Delta, 0, b.Len())
-	if n := testing.AllocsPerRun(20, func() { dst = b.AppendDeltas(dst[:0], 0, b.Len()) }); n > 4 {
-		t.Errorf("AppendDeltas: %.0f allocations for a 1024-row batch, want ≤ 4", n)
+	var vals []Value
+	if n := testing.AllocsPerRun(20, func() { dst, vals = b.AppendDeltas(dst[:0], vals, 0, b.Len()) }); n > 3 {
+		t.Errorf("AppendDeltas: %.0f allocations for a 1024-row batch, want ≤ 3", n)
+	}
+}
+
+// Reused row values are overwritten, NULL columns included, so no row
+// reads what the previous call left.
+func TestAppendDeltasReusedValues(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	var vals []Value
+	for trial := 0; trial < 100; trial++ {
+		rows := randBatch(r, 1+r.Intn(40), 1+r.Intn(4))
+		if trial%3 == 0 {
+			for i := range rows {
+				rows[i].Tup[0] = nil
+			}
+		}
+		b, _ := FromDeltas(rows)
+		var got []Delta
+		got, vals = b.AppendDeltas(nil, vals, 0, b.Len())
+		if !deltasEqual(got, rows) {
+			t.Fatalf("trial %d: reused values gave %v, want %v", trial, got, rows)
+		}
 	}
 }

@@ -76,6 +76,57 @@ func (t Tuple) Key(cols []int) Value {
 	return string(buf)
 }
 
+// SplitKey is Key's inverse for a key of n columns: the column values it
+// renders, with integral floats as int64. ok is false when key is no
+// composite Key of n columns (a single-column key is its own value).
+func SplitKey(key Value, n int) (t Tuple, ok bool) {
+	if n == 1 {
+		return Tuple{key}, true
+	}
+	s, ok := key.(string)
+	if !ok {
+		return nil, false
+	}
+	for len(t) < n {
+		if len(s) == 0 {
+			return nil, false
+		}
+		tag := s[0]
+		s = s[1:]
+		switch tag {
+		case 0:
+			t = append(t, nil)
+		case 1, 2:
+			if len(s) < 8 {
+				return nil, false
+			}
+			w := binary.LittleEndian.Uint64([]byte(s[:8]))
+			s = s[8:]
+			if tag == 1 {
+				t = append(t, int64(w))
+			} else {
+				t = append(t, math.Float64frombits(w))
+			}
+		case 3:
+			l, m := binary.Uvarint([]byte(s[:min(len(s), binary.MaxVarintLen64)]))
+			if m <= 0 || l > uint64(len(s)-m) {
+				return nil, false
+			}
+			t = append(t, s[m:m+int(l)])
+			s = s[m+int(l):]
+		case 4:
+			if len(s) < 1 || s[0] > 1 {
+				return nil, false
+			}
+			t = append(t, s[0] == 1)
+			s = s[1:]
+		default: // 5, a value of no engine kind, has no inverse
+			return nil, false
+		}
+	}
+	return t, len(s) == 0
+}
+
 // normKey folds integral floats onto int64 so keys compare consistently.
 func normKey(v Value) Value {
 	if f, ok := v.(float64); ok {

@@ -66,6 +66,10 @@ func (e *Emitter) Str(v string) { e.row = append(e.row, types.Scalar{K: types.Ki
 // NULL); an int64, float64 or string still lands in a typed lane.
 func (e *Emitter) Value(v types.Value) { e.row = append(e.row, types.Scalar{V: v}) }
 
+// Field supplies the open row's next column: field c of tuple i of s,
+// unboxed and of its stored kind.
+func (e *Emitter) Field(s *TupleSet, i, c int) { e.row = append(e.row, s.scalar(s.at(i, c))) }
+
 // End checks the open row's column count and appends it.
 func (e *Emitter) End() error {
 	if !e.open {

@@ -59,111 +59,14 @@ type Multiplier interface {
 	Multiply(d types.Delta, oppositeCard int) (types.Delta, error)
 }
 
-// TupleSet is a mutable bucket of tuples sharing one key — the LEFTBUCKET /
-// RIGHTBUCKET arguments of the paper's join-state handler and the
-// WHILERELATION of the while-state handler. Handlers freely read and revise
-// it; the owning operator persists it between strata.
-type TupleSet struct {
-	Tuples []types.Tuple
-	// version increments on every mutation; the owning operator compares
-	// versions around handler calls to track dirty state for incremental
-	// checkpointing (§4.3).
-	version int
-}
-
-// Version reports the mutation counter.
-func (s *TupleSet) Version() int { return s.version }
-
-// Len reports the number of tuples in the set.
-func (s *TupleSet) Len() int { return len(s.Tuples) }
-
-// Add appends a tuple.
-func (s *TupleSet) Add(t types.Tuple) {
-	s.Tuples = append(s.Tuples, t)
-	s.version++
-}
-
-// Remove deletes the first tuple equal to t, reporting whether one existed.
-func (s *TupleSet) Remove(t types.Tuple) bool {
-	for i, x := range s.Tuples {
-		if x.Equal(t) {
-			s.RemoveAt(i)
-			return true
-		}
-	}
-	return false
-}
-
-// RemoveAt deletes the tuple at index i.
-func (s *TupleSet) RemoveAt(i int) {
-	s.Tuples = append(s.Tuples[:i], s.Tuples[i+1:]...)
-	s.version++
-}
-
-// Set overwrites the tuple at index i (bumping the mutation counter, so
-// dirty-state tracking sees in-place revisions).
-func (s *TupleSet) Set(i int, t types.Tuple) {
-	s.Tuples[i] = t
-	s.version++
-}
-
-// ReplaceFirst swaps old for new, reporting whether old existed.
-func (s *TupleSet) ReplaceFirst(old, new types.Tuple) bool {
-	for i, x := range s.Tuples {
-		if x.Equal(old) {
-			s.Tuples[i] = new
-			s.version++
-			return true
-		}
-	}
-	return false
-}
-
-// Get returns the value at column col of the first tuple whose column
-// keyCol equals key, mirroring the bucket.get(id) idiom of the paper's
-// PRAgg listing. ok is false when no tuple matches.
-func (s *TupleSet) Get(keyCol int, key types.Value, col int) (types.Value, bool) {
-	for _, t := range s.Tuples {
-		if types.ValueEq(t[keyCol], key) {
-			return t[col], true
-		}
-	}
-	return nil, false
-}
-
-// Put updates column col of the first tuple whose keyCol matches key, or
-// appends a fresh tuple build(key) when absent (bucket.put of the paper).
-func (s *TupleSet) Put(keyCol int, key types.Value, col int, v types.Value, build func() types.Tuple) {
-	for i, t := range s.Tuples {
-		if types.ValueEq(t[keyCol], key) {
-			nt := t.Clone()
-			nt[col] = v
-			s.Tuples[i] = nt
-			s.version++
-			return
-		}
-	}
-	nt := build()
-	nt[col] = v
-	s.Tuples = append(s.Tuples, nt)
-	s.version++
-}
-
-// Clone deep-copies the set (used when checkpointing state).
-func (s *TupleSet) Clone() *TupleSet {
-	out := &TupleSet{Tuples: make([]types.Tuple, len(s.Tuples))}
-	for i, t := range s.Tuples {
-		out.Tuples[i] = t.Clone()
-	}
-	return out
-}
-
 // JoinHandler is the paper's join-state delta handler:
 // DELTA[] UPDATE(TUPLESET LEFTBUCKET, TUPLESET RIGHTBUCKET, DELTA D).
 // It is invoked by the join operator with the buckets for the delta's join
 // key; fromLeft reports which input produced d. The handler may revise the
-// buckets (d's tuples are its to keep) and writes the deltas to propagate,
-// rows of OutSchema's width, to out.
+// buckets and writes the deltas to propagate, rows of OutSchema's width,
+// to out. d is borrowed: the []Value behind d.Tup and d.Old is valid only
+// during the call (the buckets and the emitter keep copies), while the
+// values themselves stay valid.
 type JoinHandler interface {
 	Name() string
 	// OutSchema declares the fields of emitted deltas.
@@ -175,7 +78,7 @@ type JoinHandler interface {
 // DELTA[] UPDATE(TUPLESET WHILERELATION, DELTA D).
 // It is invoked by the while/fixpoint operator with the state bucket for the
 // delta's fixpoint key and writes the (possibly empty) set of new deltas to
-// feed to the next stratum to out.
+// feed to the next stratum to out. d is borrowed, as for JoinHandler.
 type WhileHandler interface {
 	Name() string
 	Update(rel *TupleSet, d types.Delta, out *Emitter) error

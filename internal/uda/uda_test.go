@@ -204,8 +204,8 @@ func TestTupleSet(t *testing.T) {
 		t.Fatal("ReplaceFirst")
 	}
 	cl := s.Clone()
-	cl.Tuples[0][0] = int64(99)
-	if s.Tuples[0][0].(int64) == 99 {
+	cl.Set(0, types.NewTuple(int64(99), 0.0))
+	if s.Value(0, 0).(int64) == 99 {
 		t.Fatal("Clone must deep-copy")
 	}
 }

@@ -37,11 +37,11 @@ func IterativeJobPlan(cat *catalog.Catalog, job *mapred.Job, stateTable string, 
 				return fmt.Errorf("wrap: state tuples must be (k, v)")
 			}
 			if rel.Len() == 0 {
-				rel.Add(d.Tup.Clone())
-			} else if rel.Tuples[0].Equal(d.Tup) {
+				rel.Add(d.Tup)
+			} else if rel.RowEqual(0, d.Tup) {
 				return nil
 			} else {
-				rel.ReplaceFirst(rel.Tuples[0], d.Tup.Clone())
+				rel.Set(0, d.Tup)
 			}
 			return out.Emit(d)
 		},

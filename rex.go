@@ -82,9 +82,9 @@
 //	s.WhileHandler("keepmin", func(rel *rex.TupleSet, d rex.Delta, out *rex.Emitter) error {
 //		dist, _ := d.Tup[1].(float64)
 //		if rel.Len() == 0 {
-//			rel.Add(d.Tup)
-//		} else if rel.Tuples[0][1].(float64) > dist {
-//			rel.Set(0, d.Tup)
+//			rel.Add(d.Tup) // the bucket keeps a copy: d's tuple is borrowed
+//		} else if cur, _ := rel.Float(0, 1); cur > dist {
+//			rel.SetFloat(0, 1, dist)
 //		} else {
 //			return nil // no improvement: nothing to propagate
 //		}
@@ -98,7 +98,8 @@
 // operators as typed column vectors, travel the wire in a near-zero-copy
 // frame layout, and recycle through per-round allocation pools; per-row
 // operators (handlers, UDAs, TVFs) read rows off the batch, and handlers
-// emit into one. This is
+// emit into one. A handler's delta is borrowed: d.Tup and d.Old are valid
+// only during the call, and the buckets keep copies. This is
 // transparent — results are bit-identical with Options.NoVectorize, which
 // evaluates expressions through the interpreter instead of compiled
 // column kernels.
@@ -127,7 +128,9 @@ type (
 	Value = types.Value
 	// Delta is an annotated tuple: the unit of incremental dataflow.
 	Delta = types.Delta
-	// TupleSet is a mutable bucket of tuples passed to delta handlers.
+	// TupleSet is a mutable bucket of tuples passed to delta handlers. It
+	// holds its tuples unboxed and copies what it stores; read it with
+	// Len, Row, Value, Int and Float.
 	TupleSet = uda.TupleSet
 	// Emitter is where a delta handler writes its output deltas: straight
 	// into the operator's output batch, one typed column at a time

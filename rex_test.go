@@ -91,9 +91,9 @@ func TestClusterCustomHandlersRecursive(t *testing.T) {
 				return nil
 			}
 			dist, _ := types.AsFloat(d.Tup[1])
-			for _, e := range left.Tuples {
+			for i := 0; i < left.Len(); i++ {
 				out.Begin(OpUpdate)
-				out.Value(e[1])
+				out.Field(left, i, 1)
 				out.Float(dist + 1)
 				if err := out.End(); err != nil {
 					return err
@@ -107,11 +107,11 @@ func TestClusterCustomHandlersRecursive(t *testing.T) {
 	err = c.WhileHandler("keepmin", func(rel *TupleSet, d Delta, out *Emitter) error {
 		nd, _ := types.AsFloat(d.Tup[1])
 		if rel.Len() > 0 {
-			cur, _ := types.AsFloat(rel.Tuples[0][1])
+			cur, _ := rel.Float(0, 1)
 			if nd >= cur {
 				return nil
 			}
-			rel.ReplaceFirst(rel.Tuples[0], NewTuple(d.Tup[0], nd))
+			rel.Set(0, NewTuple(d.Tup[0], nd))
 		} else {
 			rel.Add(NewTuple(d.Tup[0], nd))
 		}

@@ -424,9 +424,9 @@ func (s *Session) RegisterFunc(name string, argKinds []types.Kind, ret types.Kin
 //			return nil
 //		}
 //		diff, _ := d.Tup[1].(float64)
-//		for _, e := range left.Tuples {
+//		for i := 0; i < left.Len(); i++ {
 //			out.Begin(rex.OpUpdate)
-//			out.Value(e[1])
+//			out.Field(left, i, 1) // destId, read off the bucket's lanes
 //			out.Float(diff / float64(left.Len()))
 //			if err := out.End(); err != nil {
 //				return err
@@ -452,7 +452,7 @@ func (s *Session) JoinHandler(name string, out *types.Schema,
 //		switch {
 //		case rel.Len() == 0:
 //			rel.Add(d.Tup)
-//		case rel.Tuples[0].Equal(d.Tup):
+//		case rel.RowEqual(0, d.Tup):
 //			return nil // no change: nothing to propagate
 //		default:
 //			rel.Set(0, d.Tup)

@@ -410,11 +410,11 @@ func openChainSession(t *testing.T) (*Session, string) {
 	if err := sess.WhileHandler("keepmin", func(rel *TupleSet, d Delta, out *Emitter) error {
 		nd, _ := types.AsFloat(d.Tup[1])
 		if rel.Len() > 0 {
-			cur, _ := types.AsFloat(rel.Tuples[0][1])
+			cur, _ := rel.Float(0, 1)
 			if nd >= cur {
 				return nil
 			}
-			rel.ReplaceFirst(rel.Tuples[0], NewTuple(d.Tup[0], nd))
+			rel.Set(0, NewTuple(d.Tup[0], nd))
 		} else {
 			rel.Add(NewTuple(d.Tup[0], nd))
 		}
@@ -429,8 +429,8 @@ func openChainSession(t *testing.T) (*Session, string) {
 				return nil
 			}
 			dist, _ := types.AsFloat(d.Tup[1])
-			for _, e := range left.Tuples {
-				if err := out.Emit(Update(NewTuple(e[1], dist+1))); err != nil {
+			for i := 0; i < left.Len(); i++ {
+				if err := out.Emit(Update(NewTuple(left.Value(i, 1), dist+1))); err != nil {
 					return err
 				}
 			}
