@@ -81,13 +81,18 @@ func (s *scanOp) Punct(int, int, bool) error        { return fmt.Errorf("exec: s
 // filterOp applies a predicate with proper delta semantics: a replacement
 // whose old and new tuples fall on different sides of the predicate
 // degrades into a bare insertion or deletion. When the predicate compiles
-// to a column kernel, whole batches are evaluated with typed loops and
-// survivors copied via the selection vector; batches the kernel declines
-// (and predicates that never compiled) bridge through scratch tuples.
+// to a column kernel, whole batches are evaluated with typed loops into a
+// selection of survivors. A kernel filter whose only consumer is another
+// kernel stage (next) hands that selection on over the same batch, so a
+// chain of kernel filters ending in a kernel filter or project copies
+// its rows once, at the last stage; otherwise the survivors are gathered
+// into one batch. Batches with replace rows, batches the kernel declines
+// and predicates that never compiled take the row paths below.
 type filterOp struct {
 	pred expr.Expr
 	kern *expr.Kernel
 	outs outputs
+	next selStage // see link
 
 	// kernel scratch: per-row verdicts over new and old images, the
 	// replace-row selection and the survivor selection, reused across
@@ -96,6 +101,37 @@ type filterOp struct {
 	selOld  []bool
 	oldRows []int32
 	sel     []int32
+}
+
+// selStage is a kernel stage that takes a batch with a selection of its
+// rows, none of them a replace: the filter ahead of it hands its
+// survivors on this way instead of copying them. pushSel evaluates only
+// the selected rows. done=false declines, having emitted nothing; the
+// caller then gathers the selection and calls Push, where the
+// interpreter decides.
+type selStage interface {
+	Operator
+	pushSel(b *types.DeltaBatch, sel []int32) (done bool, err error)
+}
+
+// link points f.next at f's consumer when the consumer is f's only one,
+// on port 0, and a kernel filter or a kernel project. The worker calls it
+// once its edges are wired.
+func (f *filterOp) link() {
+	f.next = nil
+	if f.kern == nil || len(f.outs) != 1 || f.outs[0].port != 0 {
+		return
+	}
+	switch c := f.outs[0].op.(type) {
+	case *filterOp:
+		if c.kern != nil {
+			f.next = c
+		}
+	case *projectOp:
+		if c.kerns != nil {
+			f.next = c
+		}
+	}
 }
 
 // newFilterOp builds the operator and, with kernels on, compiles the
@@ -132,49 +168,34 @@ func (f *filterOp) Push(port int, b *types.DeltaBatch) error {
 	return f.pushBridged(b)
 }
 
-// pushKernel evaluates the predicate kernel over the batch and emits
-// survivors via selection-vector copy — no per-row scratch tuples except
-// for degraded replaces. done=false declines to the bridged path without
-// having emitted anything.
+// pushKernel evaluates the predicate kernel over the batch: a batch
+// without replace rows goes through pushSel over all its rows; one with
+// them is copied row by row, with scratch tuples only for degraded
+// replaces. done=false declines to the bridged path without having
+// emitted anything.
 func (f *filterOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 	n := b.Len()
-	rows := f.kern.AllRows(n)
+	f.oldRows = appendReplaceRows(f.oldRows[:0], b)
+	if len(f.oldRows) == 0 {
+		return f.pushSel(b, f.kern.AllRows(n))
+	}
+	if !b.HasOld() {
+		return false, nil // replaces without old images: the interpreter arbitrates
+	}
 	f.selNew = growBools(f.selNew, n)
-	if !f.kern.EvalBools(b, false, rows, f.selNew) {
+	if !f.kern.EvalBools(b, false, f.kern.AllRows(n), f.selNew) {
 		return false, nil
 	}
-	hasOld := b.HasOld()
-	if hasOld {
-		f.oldRows = f.oldRows[:0]
-		for i := 0; i < n; i++ {
-			if b.Op(i) == types.OpReplace {
-				f.oldRows = append(f.oldRows, int32(i))
-			}
-		}
-		if len(f.oldRows) > 0 {
-			f.selOld = growBools(f.selOld, n)
-			if !f.kern.EvalBools(b, true, f.oldRows, f.selOld) {
-				return false, nil
-			}
-		}
+	f.selOld = growBools(f.selOld, n)
+	if !f.kern.EvalBools(b, true, f.oldRows, f.selOld) {
+		return false, nil
 	}
 	kernelVectorBatches.Add(1)
 	out := types.GetBatch()
 	defer types.PutBatch(out)
-	if !hasOld || len(f.oldRows) == 0 {
-		// No replace rows: the survivors are one gather over the selection.
-		f.sel = f.sel[:0]
-		for i, ok := range f.selNew[:n] {
-			if ok {
-				f.sel = append(f.sel, int32(i))
-			}
-		}
-		out.Gather(b, f.sel)
-		return true, f.outs.sendBatch(out)
-	}
 	var scratch types.Tuple
 	for i := 0; i < n; i++ {
-		if b.Op(i) == types.OpReplace && hasOld {
+		if b.Op(i) == types.OpReplace {
 			oldOK, newOK := f.selOld[i], f.selNew[i]
 			switch {
 			case oldOK && newOK:
@@ -215,6 +236,41 @@ func (f *filterOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 		}
 	}
 	return true, f.outs.sendBatch(out)
+}
+
+// pushSel evaluates the predicate kernel over the selected rows of b,
+// which holds no replace among them, and hands the survivors on: as a
+// selection to next, or gathered into one batch when there is no next or
+// it declines.
+func (f *filterOp) pushSel(b *types.DeltaBatch, rows []int32) (bool, error) {
+	sel, ok := f.kern.Select(b, rows, f.sel[:0])
+	f.sel = sel
+	if !ok {
+		return false, nil
+	}
+	kernelVectorBatches.Add(1)
+	if len(sel) == 0 {
+		return true, nil
+	}
+	if f.next != nil {
+		if done, err := f.next.pushSel(b, sel); done {
+			return true, err
+		}
+	}
+	out := types.GetBatch()
+	defer types.PutBatch(out)
+	out.Gather(b, sel)
+	return true, f.outs.sendBatch(out)
+}
+
+// appendReplaceRows appends the indexes of b's replace rows to dst.
+func appendReplaceRows(dst []int32, b *types.DeltaBatch) []int32 {
+	for i := 0; i < b.Len(); i++ {
+		if b.Op(i) == types.OpReplace {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
 }
 
 func growBools(s []bool, n int) []bool {
@@ -319,6 +375,7 @@ type projectOp struct {
 	// every expression compiled and no per-batch UDF machinery (memo,
 	// typecheck) needs the interpreter.
 	kerns   []*expr.Kernel
+	res     []*types.Vec // pushSel's borrowed kernel results
 	newVecs []*types.Vec
 	oldVecs []*types.Vec
 	oldRows []int32
@@ -415,11 +472,12 @@ func (p *projectOp) typecheck(t types.Tuple) error {
 }
 
 // Push projects a batch. With compiled kernels, output batches are built
-// column-at-a-time from kernel result vectors (new images in one pass,
-// old images of replace rows in a second), with no-op replacements
-// dropped by a typed row-equality check. Batches the kernels decline —
-// and operators whose expressions never compiled — run the interpreter
-// path, the semantic ground truth.
+// from the kernel result vectors: a batch without replace rows one
+// column at a time over its rows (pushSel), one with them row by row,
+// new images in one pass and old images of replace rows in a second,
+// with no-op replacements dropped by a typed row-equality check. Batches
+// the kernels decline — and operators whose expressions never compiled —
+// run the interpreter path, the semantic ground truth.
 func (p *projectOp) Push(port int, b *types.DeltaBatch) error {
 	if b.Len() > 0 {
 		if p.kerns != nil {
@@ -482,13 +540,11 @@ func (p *projectOp) pushBridged(b *types.DeltaBatch) error {
 
 func (p *projectOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 	n := b.Len()
-	p.oldRows = p.oldRows[:0]
-	for i := 0; i < n; i++ {
-		if b.Op(i) == types.OpReplace {
-			p.oldRows = append(p.oldRows, int32(i))
-		}
+	p.oldRows = appendReplaceRows(p.oldRows[:0], b)
+	if len(p.oldRows) == 0 {
+		return p.pushSel(b, p.kerns[0].AllRows(n))
 	}
-	if len(p.oldRows) > 0 && !b.HasOld() {
+	if !b.HasOld() {
 		return false, nil // degenerate replace without old images: the interpreter arbitrates
 	}
 	if p.newVecs == nil {
@@ -505,11 +561,9 @@ func (p *projectOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 			return false, nil
 		}
 	}
-	if len(p.oldRows) > 0 {
-		for j, k := range p.kerns {
-			if !k.EvalInto(b, true, p.oldRows, p.oldVecs[j]) {
-				return false, nil
-			}
+	for j, k := range p.kerns {
+		if !k.EvalInto(b, true, p.oldRows, p.oldVecs[j]) {
+			return false, nil
 		}
 	}
 	kernelVectorBatches.Add(1)
@@ -526,6 +580,27 @@ func (p *projectOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 		}
 		out.AppendVecRow(op, p.newVecs, nil, i)
 	}
+	return true, p.outs.sendBatch(out)
+}
+
+// pushSel projects the selected rows of b, none of them a replace: each
+// kernel's borrowed result vector is written into the output batch with
+// one loop per column.
+func (p *projectOp) pushSel(b *types.DeltaBatch, rows []int32) (bool, error) {
+	if p.res == nil {
+		p.res = make([]*types.Vec, len(p.kerns))
+	}
+	for j, k := range p.kerns {
+		v, ok := k.EvalVec(b, false, rows)
+		if !ok {
+			return false, nil
+		}
+		p.res[j] = v
+	}
+	kernelVectorBatches.Add(1)
+	out := types.GetBatch()
+	defer types.PutBatch(out)
+	out.GatherVecs(b, p.res, rows)
 	return true, p.outs.sendBatch(out)
 }
 

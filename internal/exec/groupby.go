@@ -142,16 +142,6 @@ func vecGrid(exprs [][]expr.Expr) [][]*types.Vec {
 	return out
 }
 
-// replaceRows lists the batch's replacement rows in a.oldRows.
-func (a *aggArgs) replaceRows(b *types.DeltaBatch) {
-	a.oldRows = a.oldRows[:0]
-	for i := 0; i < b.Len(); i++ {
-		if b.Op(i) == types.OpReplace {
-			a.oldRows = append(a.oldRows, int32(i))
-		}
-	}
-}
-
 // kernels evaluates the argument grid through the compiled kernels,
 // declining as a unit (false) — including for replacement rows without
 // an old image, whose arguments only the interpreter defines.
@@ -258,7 +248,7 @@ func (g *groupByOp) Push(port int, b *types.DeltaBatch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	g.replaceRows(b)
+	g.oldRows = appendReplaceRows(g.oldRows[:0], b)
 	if g.argKerns != nil {
 		if done, err := g.pushKernel(b); done {
 			return err

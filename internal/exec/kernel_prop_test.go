@@ -300,3 +300,110 @@ func TestPreAggKernelMatchesBridge(t *testing.T) {
 		t.Fatalf("only %d of 300 pre-aggs compiled arg kernels", kernelled)
 	}
 }
+
+// kpChainBatch is a kpBatch, or one without replace rows (the batches a
+// kernel filter hands on as a selection), with NaN and −0 mixed into the
+// float column.
+func kpChainBatch(r *rand.Rand, n int) *types.DeltaBatch {
+	ds := kpBatch(r, n).Deltas()
+	noReplace := r.Intn(2) == 0
+	for i := range ds {
+		if noReplace && ds[i].Op == types.OpReplace {
+			ds[i] = types.Insert(ds[i].Tup)
+		}
+		for _, t := range []types.Tuple{ds[i].Tup, ds[i].Old} {
+			if t == nil {
+				continue
+			}
+			switch r.Intn(6) {
+			case 0:
+				t[1] = math.NaN()
+			case 1:
+				t[1] = math.Copysign(0, -1)
+			}
+		}
+	}
+	b, ok := types.FromDeltas(ds)
+	if !ok {
+		panic("uniform-arity deltas must batch")
+	}
+	return b
+}
+
+// kpChain builds filters → project over kpSchema, wired as a worker wires
+// them (link runs once every edge is set), and returns its head.
+func kpChain(preds, exprs []expr.Expr, kernels bool, sink Operator) (Operator, *projectOp, []*filterOp) {
+	var schema []types.Kind
+	if kernels {
+		schema = kpSchema
+	}
+	p := newProjectOp(exprs, nil, schema, kernels)
+	p.outs = outputs{{op: sink, port: 0}}
+	fs := make([]*filterOp, len(preds))
+	for i, pred := range preds {
+		fs[i] = newFilterOp(pred, schema, kernels)
+	}
+	for i, f := range fs {
+		if i+1 < len(fs) {
+			f.outs = outputs{{op: fs[i+1], port: 0}}
+		} else {
+			f.outs = outputs{{op: p, port: 0}}
+		}
+	}
+	for _, f := range fs {
+		f.link()
+	}
+	return fs[0], p, fs
+}
+
+// TestKernelChainMatchesBridge: a chain of 1–3 kernel filters feeding a
+// kernel project, where each filter hands its survivors on as a
+// selection, emits exactly the deltas — or the error — of the same chain
+// with kernels off. A later conjunct must never see a row an earlier one
+// dropped: the guard pair c0 <> 0, 10 / c0 > 1 runs every fourth chain.
+func TestKernelChainMatchesBridge(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	c0 := expr.NewCol(0, types.KindInt, "c0")
+	handedOn := 0
+	for iter := 0; iter < 1200; iter++ {
+		var preds []expr.Expr
+		if iter%4 == 0 {
+			preds = []expr.Expr{
+				expr.NewCmp(expr.OpNe, c0, expr.NewConst(int64(0))),
+				expr.NewCmp(expr.OpGt, expr.NewArith(expr.OpDiv, expr.NewConst(int64(10)), c0), expr.NewConst(int64(1))),
+			}
+		} else {
+			preds = make([]expr.Expr, 1+r.Intn(3))
+			for i := range preds {
+				preds[i] = kpPred(r, 1)
+			}
+		}
+		exprs := make([]expr.Expr, 1+r.Intn(3))
+		for i := range exprs {
+			exprs[i] = kpExpr(r, r.Intn(2))
+		}
+		ck, cb := &collector{}, &collector{}
+		khead, kp, kfs := kpChain(preds, exprs, true, ck)
+		bhead, _, _ := kpChain(preds, exprs, false, cb)
+		b := kpChainBatch(r, 1+r.Intn(24))
+		kerr := khead.Push(0, b)
+		berr := bhead.Push(0, b)
+		label := ""
+		for _, p := range preds {
+			label += p.String() + " → "
+		}
+		for _, e := range exprs {
+			label += e.String() + "; "
+		}
+		kpSameErr(t, label, kerr, berr)
+		if kerr == nil {
+			kpSameDeltas(t, label, ck.deltas, cb.deltas)
+		}
+		if kfs[len(kfs)-1].next == kp && !b.HasOld() {
+			handedOn++
+		}
+	}
+	if handedOn < 100 {
+		t.Fatalf("only %d of 1200 chains handed a selection on to the project", handedOn)
+	}
+}

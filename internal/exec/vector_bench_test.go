@@ -6,13 +6,15 @@ package exec
 //
 //	go test -run '^$' -bench 'Vector|Row' -benchmem ./internal/exec
 //
-// and compare B/op and allocs/op between the pairs; CI's bench-micro step
-// uploads the output in benchstat-compatible form.
+// and compare B/op and allocs/op between the pairs. CI's bench-micro job
+// runs every benchmark once (-benchtime 1x) as a compile-and-run check;
+// timings come from local runs against a parent checkout.
 
 import (
 	"testing"
 
 	"github.com/rex-data/rex/internal/cluster"
+	"github.com/rex-data/rex/internal/datagen"
 	"github.com/rex-data/rex/internal/expr"
 	"github.com/rex-data/rex/internal/types"
 )
@@ -137,9 +139,9 @@ func BenchmarkFilter4kBridged(b *testing.B) {
 }
 
 // The survivor-copy pair isolates the filter kernel's output assembly:
-// the rows passing dist < 25 gathered a column at a time (what
-// pushKernel does for batches without replace rows) vs copied row by row
-// with AppendRowFrom.
+// the rows passing dist < 25 gathered a column at a time (what a kernel
+// filter with no kernel stage after it does for batches without replace
+// rows) vs copied row by row with AppendRowFrom.
 func benchSurvivors(b *testing.B) (*types.DeltaBatch, []int32) {
 	cb := benchBatch4k(b)
 	var sel []int32
@@ -210,4 +212,42 @@ func BenchmarkProject4kKernel(b *testing.B) {
 func BenchmarkProject4kBridged(b *testing.B) {
 	p := newProjectOp(benchProjectExprs(), nil, nil, false)
 	benchProject4k(b, p)
+}
+
+// BenchmarkFilterChainProject4k is the read path of serve-mixed's
+// aggregate query: the two conjunct filters quantity < 30 and
+// linenumber > 1, then a project of (returnflag, extendedprice), over
+// one 4096-row lineitem batch, wired as a worker wires them.
+func BenchmarkFilterChainProject4k(b *testing.B) {
+	schema := []types.Kind{types.KindInt, types.KindInt, types.KindFloat, types.KindFloat,
+		types.KindFloat, types.KindFloat, types.KindString, types.KindString}
+	col := func(i int, name string) expr.Expr { return expr.NewCol(i, schema[i], name) }
+	qty := newFilterOp(expr.NewCmp(expr.OpLt, col(2, "quantity"), expr.NewConst(30.0)), schema, true)
+	line := newFilterOp(expr.NewCmp(expr.OpGt, col(1, "linenumber"), expr.NewConst(int64(1))), schema, true)
+	proj := newProjectOp([]expr.Expr{col(6, "returnflag"), col(3, "extendedprice")}, nil, schema, true)
+	if qty.kern == nil || line.kern == nil || proj.kerns == nil {
+		b.Fatal("chain must compile")
+	}
+	sink := &batchCountSink{}
+	qty.outs = outputs{{op: line, port: 0}}
+	line.outs = outputs{{op: proj, port: 0}}
+	proj.outs = outputs{{op: sink, port: 0}}
+	qty.link()
+	line.link()
+	ds := make([]types.Delta, 0, 4096)
+	for _, t := range datagen.LineItems(4096, 1) {
+		ds = append(ds, types.Insert(t))
+	}
+	cb, ok := types.FromDeltas(ds)
+	if !ok {
+		b.Fatal("lineitem not batchable")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := qty.Push(0, cb); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sink.rows)/float64(b.N), "rows/op")
 }

@@ -666,6 +666,13 @@ func (w *Worker) build(snap *cluster.Snapshot) error {
 		}
 		w.setOuts(inst, outs)
 	}
+	// Kernel chains: with every edge wired, a kernel filter feeding only
+	// a kernel stage hands its survivors on as a selection.
+	for _, inst := range w.ops {
+		if f, ok := inst.(*filterOp); ok {
+			f.link()
+		}
+	}
 	if w.spec.Recursive() {
 		fx := w.ops[w.spec.FixpointID].(*fixpointOp)
 		fx.finalOuts = outputs{{op: outOp, port: 0}}

@@ -68,12 +68,8 @@ func (k *Kernel) Kind() types.Kind { return k.k }
 // the row interpreter. Like EvalBool, predicates are strict — a NULL
 // result is not a bool, so any NULL verdict declines.
 func (k *Kernel) EvalBools(b *types.DeltaBatch, old bool, rows []int32, out []bool) bool {
-	if k.k != types.KindBool {
-		return false
-	}
-	v, ok := k.root.eval(k.begin(b, old), rows)
-	k.kc.b = nil
-	if !ok || v.K != types.KindBool || hasNullAt(v, rows) {
+	v, ok := k.verdicts(b, old, rows)
+	if !ok {
 		return false
 	}
 	for _, i := range rows {
@@ -82,13 +78,51 @@ func (k *Kernel) EvalBools(b *types.DeltaBatch, old bool, rows []int32, out []bo
 	return true
 }
 
+// Select evaluates a predicate kernel over the selected rows of b's new
+// images and appends the rows whose verdict is true to dst, in order.
+// ok=false declines, as for EvalBools.
+func (k *Kernel) Select(b *types.DeltaBatch, rows []int32, dst []int32) ([]int32, bool) {
+	v, ok := k.verdicts(b, false, rows)
+	if !ok {
+		return dst, false
+	}
+	vb := v.Bools
+	for _, i := range rows {
+		if vb[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst, true
+}
+
+// verdicts evaluates a predicate kernel, declining a NULL verdict.
+func (k *Kernel) verdicts(b *types.DeltaBatch, old bool, rows []int32) (*types.Vec, bool) {
+	if k.k != types.KindBool {
+		return nil, false
+	}
+	v, ok := k.EvalVec(b, old, rows)
+	if !ok || v.K != types.KindBool || hasNullAt(v, rows) {
+		return nil, false
+	}
+	return v, true
+}
+
+// EvalVec evaluates the kernel over the selected rows of b and returns its
+// result vector, indexed by absolute row number. The vector is borrowed:
+// it belongs to the kernel (or aliases a column of b) and is valid only
+// until the kernel's next Eval* call. ok=false declines the batch.
+func (k *Kernel) EvalVec(b *types.DeltaBatch, old bool, rows []int32) (*types.Vec, bool) {
+	v, ok := k.root.eval(k.begin(b, old), rows)
+	k.kc.b = nil
+	return v, ok
+}
+
 // EvalInto evaluates a projection kernel over the selected rows of b
 // into dst (indexed by absolute row number). dst is caller-owned, so two
 // passes of one kernel (new images, then old images) can coexist.
 // ok=false declines the batch.
 func (k *Kernel) EvalInto(b *types.DeltaBatch, old bool, rows []int32, dst *types.Vec) bool {
-	v, ok := k.root.eval(k.begin(b, old), rows)
-	k.kc.b = nil
+	v, ok := k.EvalVec(b, old, rows)
 	if !ok {
 		return false
 	}
@@ -261,6 +295,8 @@ func (n *scalarNode) eval(kc *kctx, rows []int32) (*types.Vec, bool) {
 	return splat(kc, rows, n.v)
 }
 
+func (n *scalarNode) value() (types.Value, bool) { return n.v, true }
+
 // paramNode broadcasts a bound parameter value. The value is read once
 // per batch — the per-row resolution of the interpreter collapses to one
 // splat, since parameters cannot change mid-batch.
@@ -269,10 +305,26 @@ type paramNode struct {
 }
 
 func (n *paramNode) eval(kc *kctx, rows []int32) (*types.Vec, bool) {
-	if n.p.Set == nil || n.p.Idx < 0 || n.p.Idx >= len(n.p.Set.Values) {
-		return nil, false // unbound: the row path raises the real error
+	v, ok := n.value()
+	if !ok {
+		return nil, false
 	}
-	return splat(kc, rows, n.p.Set.Values[n.p.Idx])
+	return splat(kc, rows, v)
+}
+
+// value reads the bound value; an unbound parameter declines, so the row
+// path raises the real error.
+func (n *paramNode) value() (types.Value, bool) {
+	if n.p.Set == nil || n.p.Idx < 0 || n.p.Idx >= len(n.p.Set.Values) {
+		return nil, false
+	}
+	return n.p.Set.Values[n.p.Idx], true
+}
+
+// scalar is a node whose value is one constant for the whole batch: a
+// literal or a parameter. value reports false when it has none.
+type scalar interface {
+	value() (types.Value, bool)
 }
 
 func splat(kc *kctx, rows []int32, val types.Value) (*types.Vec, bool) {
@@ -464,13 +516,20 @@ func (n *arithNode) eval(kc *kctx, rows []int32) (*types.Vec, bool) {
 // NULL-tolerant (nil equals only nil and sorts before everything),
 // mixed numeric kinds compare as floats, NaN sorts before non-NaN.
 // Kind combinations outside the typed fast paths run a boxed generic
-// loop — still exact, just slower — rather than declining.
+// loop — still exact, just slower — rather than declining. A side that
+// is a literal or a parameter is read once, not broadcast (cmpConst).
 type cmpNode struct {
 	op   CmpOp
 	l, r knode
 }
 
 func (n *cmpNode) eval(kc *kctx, rows []int32) (*types.Vec, bool) {
+	if s, ok := n.r.(scalar); ok {
+		return n.evalScalar(kc, rows, n.l, s, false)
+	}
+	if s, ok := n.l.(scalar); ok {
+		return n.evalScalar(kc, rows, n.r, s, true)
+	}
 	lv, ok := n.l.eval(kc, rows)
 	if !ok {
 		return nil, false
@@ -479,6 +538,128 @@ func (n *cmpNode) eval(kc *kctx, rows []int32) (*types.Vec, bool) {
 	if !ok {
 		return nil, false
 	}
+	return n.cmpVecs(kc, rows, lv, rv), true
+}
+
+// evalScalar compares x with the scalar s (on the left when left is
+// set): one typed loop when cmpConst takes the pair, else the scalar is
+// broadcast and the general loops decide.
+func (n *cmpNode) evalScalar(kc *kctx, rows []int32, x knode, s scalar, left bool) (*types.Vec, bool) {
+	xv, ok := x.eval(kc, rows)
+	if !ok {
+		return nil, false
+	}
+	c, ok := s.value()
+	if !ok {
+		return nil, false
+	}
+	op := n.op
+	if left {
+		op = op.flip()
+	}
+	if out := cmpConst(kc, rows, op, xv, c); out != nil {
+		return out, true
+	}
+	cv, ok := splat(kc, rows, c)
+	if !ok {
+		return nil, false
+	}
+	if left {
+		return n.cmpVecs(kc, rows, cv, xv), true
+	}
+	return n.cmpVecs(kc, rows, xv, cv), true
+}
+
+// flip mirrors the operator for swapped operands: c op x is x op.flip() c.
+// ValueCompare is antisymmetric, NaN included.
+func (o CmpOp) flip() CmpOp {
+	switch o {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return o
+}
+
+// cmpConst compares a numeric vector with a numeric constant in one typed
+// loop, the operator chosen outside it: int against int, float against
+// float, an int vector against a float constant through AsFloat, a float
+// vector against an int constant converted once. It returns nil, leaving
+// the pair to the general loops, for a NULL among the rows, any other
+// kind and a NaN constant.
+func cmpConst(kc *kctx, rows []int32, op CmpOp, xv *types.Vec, c types.Value) *types.Vec {
+	if xv.Anys != nil || hasNullAt(xv, rows) {
+		return nil
+	}
+	var cf float64
+	switch c := c.(type) {
+	case int64:
+		if xv.K == types.KindInt {
+			out := kc.kern.getVec()
+			out.Reset(types.KindBool, kc.n)
+			cmpConstLoop(op, rows, xv.Ints, c, out.Bools)
+			return out
+		}
+		cf = float64(c)
+	case float64:
+		if math.IsNaN(c) {
+			return nil
+		}
+		cf = c
+	default:
+		return nil
+	}
+	xf, ok := asFloats(kc, xv, rows)
+	if !ok {
+		return nil
+	}
+	out := kc.kern.getVec()
+	out.Reset(types.KindBool, kc.n)
+	cmpConstLoop(op, rows, xf, cf, out.Bools)
+	return out
+}
+
+// cmpConstLoop writes x op c for the selected rows, c not NaN. A NaN x
+// sorts below every number (floatCmp), so it is < and <= c and unequal
+// to it; x != x is false for every int.
+func cmpConstLoop[T int64 | float64](op CmpOp, rows []int32, xs []T, c T, ob []bool) {
+	switch op {
+	case OpEq:
+		for _, i := range rows {
+			ob[i] = xs[i] == c
+		}
+	case OpNe:
+		for _, i := range rows {
+			ob[i] = xs[i] != c
+		}
+	case OpLt:
+		for _, i := range rows {
+			x := xs[i]
+			ob[i] = x < c || x != x
+		}
+	case OpLe:
+		for _, i := range rows {
+			x := xs[i]
+			ob[i] = x <= c || x != x
+		}
+	case OpGt:
+		for _, i := range rows {
+			ob[i] = xs[i] > c
+		}
+	case OpGe:
+		for _, i := range rows {
+			ob[i] = xs[i] >= c
+		}
+	}
+}
+
+// cmpVecs compares two evaluated vectors row by row.
+func (n *cmpNode) cmpVecs(kc *kctx, rows []int32, lv, rv *types.Vec) *types.Vec {
 	out := kc.kern.getVec()
 	out.Reset(types.KindBool, kc.n)
 	ob := out.Bools
@@ -520,7 +701,7 @@ func (n *cmpNode) eval(kc *kctx, rows []int32) (*types.Vec, bool) {
 			}
 		}
 	}
-	return out, true
+	return out
 }
 
 // nullCmp mirrors ValueCompare's nil ordering: nil == nil, nil < any.

@@ -533,57 +533,17 @@ func (b *DeltaBatch) Gather(src *DeltaBatch, sel []int32) {
 	b.n += len(sel)
 }
 
-// gather appends rows sel of src (see DeltaBatch.Gather).
+// gather appends rows sel of src (see DeltaBatch.Gather): a typed lane
+// through gatherVec, a mixed or untyped one row by row.
 func (c *Column) gather(src *Column, sel []int32) {
-	src.mat()
-	c.mat()
-	typed := c.anys == nil && src.anys == nil && src.kind != KindNull &&
-		(c.kind == KindNull || c.kind == src.kind)
-	if typed && src.HasNulls() {
-		// Adopting the lane's kind is right only once a selected row is
-		// valid, as it is for appendFrom.
-		typed = false
-		for _, i := range sel {
-			if !src.IsNull(int(i)) {
-				typed = true
-				break
-			}
-		}
-	}
-	if !typed {
+	var v Vec
+	if !v.BorrowColumn(src) {
 		for _, i := range sel {
 			c.appendFrom(src, int(i))
 		}
 		return
 	}
-	base := c.n
-	c.adopt(src.kind)
-	switch src.kind {
-	case KindInt:
-		for _, i := range sel {
-			c.ints = append(c.ints, src.ints[i])
-		}
-	case KindFloat:
-		for _, i := range sel {
-			c.floats = append(c.floats, src.floats[i])
-		}
-	case KindString:
-		for _, i := range sel {
-			c.strs = append(c.strs, src.strs[i])
-		}
-	case KindBool:
-		for _, i := range sel {
-			c.bools = append(c.bools, src.bools[i])
-		}
-	}
-	c.n += len(sel)
-	if len(src.nulls) > 0 {
-		for k, i := range sel {
-			if src.IsNull(int(i)) {
-				c.setNull(base + k)
-			}
-		}
-	}
+	c.gatherVec(&v, sel)
 }
 
 // CopyRowFrom overwrites row i of b with row j of src, op and new image.

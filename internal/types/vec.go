@@ -29,7 +29,9 @@ type Vec struct {
 
 // Reset re-types the vector to kind k with owned storage covering n rows
 // (all valid). Kernels write only the rows they evaluate; unevaluated
-// slots hold stale data the consumer never reads.
+// slots hold stale data the consumer never reads, so the int, float and
+// bool lanes are not re-zeroed (the string lane is, so it pins no stale
+// strings). The validity bitmap is always cleared.
 func (v *Vec) Reset(k Kind, n int) {
 	if v.borrowed {
 		v.Ints, v.Floats, v.Strs, v.Bools, v.nulls = nil, nil, nil, nil, nil
@@ -40,23 +42,30 @@ func (v *Vec) Reset(k Kind, n int) {
 	v.Ints, v.Floats, v.Strs, v.Bools = v.Ints[:0], v.Floats[:0], v.Strs[:0], v.Bools[:0]
 	switch k {
 	case KindInt:
-		v.Ints = growZero(v.Ints, n)
+		v.Ints = grow(v.Ints, n)
 	case KindFloat:
-		v.Floats = growZero(v.Floats, n)
+		v.Floats = grow(v.Floats, n)
 	case KindString:
 		v.Strs = growZero(v.Strs, n)
 	case KindBool:
-		v.Bools = growZero(v.Bools, n)
+		v.Bools = grow(v.Bools, n)
 	}
 	nb := (n + 7) / 8
 	if cap(v.nulls) < nb {
 		v.nulls = make([]byte, nb)
 	} else {
 		v.nulls = v.nulls[:nb]
-		for i := range v.nulls {
-			v.nulls[i] = 0
-		}
+		clear(v.nulls)
 	}
+}
+
+// grow returns s with length n, keeping its contents where the capacity
+// allows.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // BorrowColumn aliases v onto a typed column's storage without copying:
@@ -288,6 +297,103 @@ func (c *Column) appendVecAt(v *Vec, i int) {
 		}
 	}
 	c.AppendValue(v.Value(i))
+}
+
+// gatherVec appends rows sel of a kernel result vector or a borrowed
+// column (see DeltaBatch.GatherVecs and Gather): appendVecAt for each
+// row, with one typed loop when the column can hold the vector's lane.
+func (c *Column) gatherVec(v *Vec, sel []int32) {
+	c.mat()
+	typed := c.anys == nil && v.Anys == nil && v.K != KindNull &&
+		(c.kind == KindNull || c.kind == v.K)
+	nulls := v.AnyNull()
+	if typed && nulls {
+		// As for appendVecAt, the column adopts the lane's kind only once
+		// a selected row is valid.
+		typed = false
+		for _, i := range sel {
+			if !v.Null(int(i)) {
+				typed = true
+				break
+			}
+		}
+	}
+	if !typed {
+		for _, i := range sel {
+			c.appendVecAt(v, int(i))
+		}
+		return
+	}
+	base := c.n
+	c.adopt(v.K)
+	switch v.K {
+	case KindInt:
+		for _, i := range sel {
+			c.ints = append(c.ints, v.Ints[i])
+		}
+	case KindFloat:
+		for _, i := range sel {
+			c.floats = append(c.floats, v.Floats[i])
+		}
+	case KindString:
+		for _, i := range sel {
+			c.strs = append(c.strs, v.Strs[i])
+		}
+	case KindBool:
+		for _, i := range sel {
+			c.bools = append(c.bools, v.Bools[i])
+		}
+	}
+	c.n += len(sel)
+	if nulls {
+		// A NULL slot holds the lane's zero, as appendVecAt leaves it.
+		for k, i := range sel {
+			if v.Null(int(i)) {
+				c.setNull(base + k)
+				c.zeroAt(base + k)
+			}
+		}
+	}
+}
+
+// zeroAt clears lane slot i of a typed column.
+func (c *Column) zeroAt(i int) {
+	switch c.kind {
+	case KindInt:
+		c.ints[i] = 0
+	case KindFloat:
+		c.floats[i] = 0
+	case KindString:
+		c.strs[i] = ""
+	case KindBool:
+		c.bools[i] = false
+	}
+}
+
+// GatherVecs appends the rows of sel assembled from kernel result
+// vectors: for each i of sel, src's op at row i and cols[j] row i as
+// column j. It is AppendVecRow(src.Op(i), cols, nil, i) for each i of
+// sel, built a column at a time. New images only: no row of sel may be a
+// replace.
+func (b *DeltaBatch) GatherVecs(src *DeltaBatch, cols []*Vec, sel []int32) {
+	if len(sel) == 0 {
+		return
+	}
+	if b.n == 0 {
+		b.cols = ensureCols(b.cols, len(cols))
+	} else if len(cols) != len(b.cols) {
+		panic("types: DeltaBatch.GatherVecs: arity mismatch")
+	}
+	for _, i := range sel {
+		b.ops = append(b.ops, src.ops[i])
+	}
+	for j := range b.cols {
+		b.cols[j].gatherVec(cols[j], sel)
+	}
+	if b.old != nil {
+		padCols(b.old, b.n+len(sel))
+	}
+	b.n += len(sel)
 }
 
 // AppendVecRow appends row i assembled from kernel result vectors: op
