@@ -521,7 +521,7 @@ type remoteSub struct {
 	c         *serverConn
 	st        *exec.ResultStream
 	roundsMu  sync.Mutex
-	rounds    []RoundStats
+	rounds    exec.RoundLog
 	ready     chan error
 	readyOnce sync.Once
 }
@@ -530,7 +530,7 @@ type remoteSub struct {
 // round-boundary frames); the first round readies subscribe.
 func (sub *remoteSub) addRound(rs RoundStats) {
 	sub.roundsMu.Lock()
-	sub.rounds = append(sub.rounds, rs)
+	sub.rounds.Add(rs)
 	sub.roundsMu.Unlock()
 	sub.signalReady(nil)
 }
@@ -544,7 +544,7 @@ func (sub *remoteSub) Stream() *exec.ResultStream { return sub.st }
 func (sub *remoteSub) Rounds() []RoundStats {
 	sub.roundsMu.Lock()
 	defer sub.roundsMu.Unlock()
-	return append([]RoundStats(nil), sub.rounds...)
+	return sub.rounds.Rounds()
 }
 
 func (sub *remoteSub) Done() <-chan struct{} { return sub.st.Done() }

@@ -14,15 +14,9 @@
 //
 // With -listen :0 the server picks a free port and announces it on
 // stdout as REXD_LISTEN=<addr>.
-//
-// -client-smoke flips the binary into a self-test client harness: it
-// drives -clients concurrent mixed sessions (ad-hoc, prepared, one
-// subscriber with ingests) against -server, gates on zero errors,
-// identical result hashes across clients, and a warm plan cache.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -53,44 +47,19 @@ func main() {
 	tenantQuota := flag.Int("tenant-quota", 0, "per-tenant inflight request quota (0 = unlimited)")
 	tenantQuotas := flag.String("tenant-quotas", "", "comma-separated tenant=quota overrides (e.g. acme=2,batch=8)")
 	quiet := flag.Bool("quiet", false, "suppress per-session log lines")
-
-	smoke := flag.Bool("client-smoke", false, "run as a smoke-test client harness against -server instead of serving")
-	serverAddr := flag.String("server", "", "rexd address the smoke harness dials")
-	clients := flag.Int("clients", 8, "smoke harness: concurrent client sessions")
-	iters := flag.Int("iters", 5, "smoke harness: query iterations per ad-hoc client")
-	throttle := flag.String("throttle", "", "smoke harness: tenant expected to hit quota rejections (must be quota-limited server-side; empty = skip)")
 	flag.Parse()
 
-	if *smoke {
-		if err := runSmoke(*serverAddr, *clients, *iters, *throttle); err != nil {
-			fmt.Fprintf(os.Stderr, "rexd: smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	quotas, err := parseTenantQuotas(*tenantQuotas)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rexd: %v\n", err)
+		os.Exit(2)
 	}
-
 	cfg := server.Config{
 		Nodes: *nodes, Dataset: *dataset, Size: *size, Seed: *seed,
 		Handlers: *handlers, Replication: *replication,
 		DataDir: *dataDir, BufferPoolPages: *poolPages,
 		MaxSessions: *maxSessions, MaxInflight: *maxInflight, MaxQueue: *maxQueue,
-		SubPools: *subPools, TenantQuota: *tenantQuota,
-	}
-	if *tenantQuotas != "" {
-		cfg.TenantQuotas = map[string]int{}
-		for _, kv := range strings.Split(*tenantQuotas, ",") {
-			name, val, ok := strings.Cut(kv, "=")
-			var q int
-			if ok {
-				_, err := fmt.Sscanf(val, "%d", &q)
-				ok = err == nil && q > 0
-			}
-			if !ok {
-				fmt.Fprintf(os.Stderr, "rexd: bad -tenant-quotas entry %q (want tenant=quota)\n", kv)
-				os.Exit(2)
-			}
-			cfg.TenantQuotas[name] = q
-		}
+		SubPools: *subPools, TenantQuota: *tenantQuota, TenantQuotas: quotas,
 	}
 	if *peers != "" {
 		cfg.Peers = strings.Split(*peers, ",")
@@ -128,40 +97,24 @@ func main() {
 	}
 }
 
-// die is a tiny helper for the smoke harness's error plumbing.
-func die(format string, args ...any) error { return fmt.Errorf(format, args...) }
-
-// runSmoke drives a mixed concurrent workload at a running rexd and
-// gates on correctness: zero errors, identical result hashes across
-// tenants and priorities, a subscriber whose stream folds to the
-// ingested state, measured query overlap on multi-core pools, quota
-// pushback for the throttled tenant, and a plan cache that actually got
-// hit.
-func runSmoke(addr string, clients, iters int, throttle string) error {
-	if addr == "" {
-		return die("-server is required with -client-smoke")
+// parseTenantQuotas parses -tenant-quotas: comma-separated tenant=quota
+// pairs, each quota a positive integer; nil for the empty string.
+func parseTenantQuotas(spec string) (map[string]int, error) {
+	if spec == "" {
+		return nil, nil
 	}
-	if clients < 2 {
-		clients = 2
+	quotas := map[string]int{}
+	for _, kv := range strings.Split(spec, ",") {
+		name, val, ok := strings.Cut(kv, "=")
+		var q int
+		if ok {
+			_, err := fmt.Sscanf(val, "%d", &q)
+			ok = err == nil && q > 0
+		}
+		if !ok {
+			return nil, fmt.Errorf("bad -tenant-quotas entry %q (want tenant=quota)", kv)
+		}
+		quotas[name] = q
 	}
-	ctx := context.Background()
-	r, err := newSmokeRun(ctx, addr, clients, iters, throttle)
-	if err != nil {
-		return err
-	}
-	defer r.close()
-	if err := r.run(); err != nil {
-		return err
-	}
-	snap, err := r.admin.Stats(ctx)
-	if err != nil || snap.Server == nil {
-		return die("server stats unavailable before overlap phase: %v", err)
-	}
-	if err := r.overlap(snap.Server.SubPools); err != nil {
-		return err
-	}
-	if err := r.quotaStorm(); err != nil {
-		return err
-	}
-	return r.gate()
+	return quotas, nil
 }

@@ -175,11 +175,13 @@ type StandingQuery struct {
 	stream *ResultStream
 	spool  *spool
 
-	// mu guards the ingest queue, accumulated round stats, the applied
-	// hook, and terminal state.
+	// mu guards the ingest queue, the round history and its running
+	// totals, the applied hook, and terminal state.
 	mu        sync.Mutex
 	queue     []*ingestReq
-	rounds    []RoundStats
+	rounds    RoundLog
+	bytesSent int64 // summed over every round, kept or dropped
+	strata    int
 	onApplied func(tables map[string][]types.Delta)
 	closed    bool
 	err       error
@@ -272,12 +274,12 @@ func (e *Engine) Standing(ctx context.Context, spec *PlanSpec, opts Options) (*S
 // goroutine cannot deadlock.
 func (sq *StandingQuery) Stream() *ResultStream { return sq.stream }
 
-// Rounds returns the stats of every completed round, initial fixpoint
-// included.
+// Rounds returns the stats of the initial fixpoint (round 0) and of the
+// latest completed rounds; see RoundLog for the bound.
 func (sq *StandingQuery) Rounds() []RoundStats {
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
-	return append([]RoundStats(nil), sq.rounds...)
+	return sq.rounds.Rounds()
 }
 
 // Done is closed when the standing query has fully torn down.
@@ -489,8 +491,45 @@ func (sq *StandingQuery) fold(reqs []*ingestReq) (map[string][]types.Delta, int)
 
 func (sq *StandingQuery) recordRound(st RoundStats) {
 	sq.mu.Lock()
-	sq.rounds = append(sq.rounds, st)
+	sq.rounds.Add(st)
+	sq.bytesSent += st.BytesSent
+	sq.strata += st.Strata
 	sq.mu.Unlock()
+}
+
+// roundHistory bounds a RoundLog: round 0 plus the latest
+// roundHistory-1 rounds.
+const roundHistory = 1024
+
+// RoundLog is a subscription's round history, bounded so a resident
+// subscription's memory does not grow with the rounds it serves: it keeps
+// the first round and the latest ones, roundHistory in all. Each
+// RoundStats carries its Round, so a reader sees where rounds were
+// dropped. The zero value is empty; callers serialize access.
+type RoundLog struct {
+	rounds []RoundStats // rounds[0] is the first round; rounds[1:] turns into a ring once full
+	next   int          // index in rounds[1:] of the oldest kept round once full
+}
+
+// Add records a completed round, dropping the oldest round after the
+// first once the log is full.
+func (l *RoundLog) Add(st RoundStats) {
+	if len(l.rounds) < roundHistory {
+		l.rounds = append(l.rounds, st)
+		return
+	}
+	l.rounds[1+l.next] = st
+	l.next = (l.next + 1) % (roundHistory - 1)
+}
+
+// Rounds returns a copy of the kept rounds, oldest first; nil when empty.
+func (l *RoundLog) Rounds() []RoundStats {
+	if len(l.rounds) == 0 {
+		return nil
+	}
+	out := append(make([]RoundStats, 0, len(l.rounds)), l.rounds[0])
+	out = append(out, l.rounds[1+l.next:]...)
+	return append(out, l.rounds[1:1+l.next]...)
 }
 
 // maxRecoveryAttempts caps consecutive crash-recovery attempts before the
@@ -760,14 +799,11 @@ func (sq *StandingQuery) pump(initErr chan<- error) {
 	sq.err = err
 	pend := sq.queue
 	sq.queue = nil
-	var total Result
-	for _, r := range sq.rounds {
-		total.BytesSent += r.BytesSent
-		for s := 0; s < r.Strata; s++ {
-			// Round boundaries are recoverable from Rounds(); the Result
-			// keeps only the aggregate view.
-			total.Strata = append(total.Strata, StratumStats{Stratum: len(total.Strata)})
-		}
+	// The Result keeps only the aggregate view over every round; round
+	// boundaries are in Rounds().
+	total := Result{BytesSent: sq.bytesSent}
+	for s := 0; s < sq.strata; s++ {
+		total.Strata = append(total.Strata, StratumStats{Stratum: s})
 	}
 	total.Duration = time.Since(start)
 	sq.mu.Unlock()

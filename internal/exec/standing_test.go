@@ -722,3 +722,25 @@ func TestStandingRecoverNeedsDurable(t *testing.T) {
 		t.Fatal("Standing must reject Recover over in-memory stores")
 	}
 }
+
+// TestRoundLogKeepsFirstAndLatest: past its bound the log keeps round 0
+// and the latest rounds in order, across several turns of its ring.
+func TestRoundLogKeepsFirstAndLatest(t *testing.T) {
+	var l RoundLog
+	if l.Rounds() != nil {
+		t.Fatal("empty log returned rounds")
+	}
+	for n := 1; n <= 3*roundHistory; n++ {
+		l.Add(RoundStats{Round: n - 1})
+		got := l.Rounds()
+		want := min(n, roundHistory)
+		if len(got) != want || got[0].Round != 0 {
+			t.Fatalf("after %d rounds: kept %d starting at %d, want %d starting at 0", n, len(got), got[0].Round, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i].Round != n-len(got)+i {
+				t.Fatalf("after %d rounds: entry %d is round %d, want %d", n, i, got[i].Round, n-len(got)+i)
+			}
+		}
+	}
+}

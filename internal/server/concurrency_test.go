@@ -99,8 +99,9 @@ func TestTenantFleetCompileOnce(t *testing.T) {
 // TestTenantQuotaBusyOverWire: a tenant at its inflight quota is rejected
 // with an error that satisfies errors.Is(err, rex.ErrTenantBusy) after a
 // round trip through the wire codec, other tenants are unaffected, and
-// the rejection shows up in the per-tenant stats. The quota slot is held
-// directly on the gate so the rejection is deterministic.
+// the rejection shows up in the per-tenant stats, never as ErrServerBusy.
+// Every admitted query answers as direct execution does. The quota slot
+// is held directly on the gate so the rejection is deterministic.
 func TestTenantQuotaBusyOverWire(t *testing.T) {
 	ctx := context.Background()
 	srv, addr := startServer(t, Config{Nodes: 2, TenantQuotas: map[string]int{"throttled": 1}})
@@ -108,6 +109,26 @@ func TestTenantQuotaBusyOverWire(t *testing.T) {
 	stage(t, admin)
 
 	const q = `SELECT destId FROM graph WHERE srcId > 25`
+	local, err := rex.Open(ctx, rex.WithInProc(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	stage(t, local)
+	res, err := local.QueryCtx(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bench.ResultHash(res.Tuples)
+	admitted := func(who string, res *rex.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", who, err)
+		}
+		if h := bench.ResultHash(res.Tuples); h != want {
+			t.Fatalf("%s: hash %s != direct %s", who, h, want)
+		}
+	}
 
 	held, err := srv.gate.acquire(ctx, "throttled")
 	if err != nil {
@@ -124,14 +145,12 @@ func TestTenantQuotaBusyOverWire(t *testing.T) {
 		t.Fatalf("over-quota query matched ErrServerBusy: %v", err)
 	}
 	// Another tenant is unaffected while "throttled" is pinned.
-	if _, err := s.QueryCtx(ctx, q, rex.WithTenant("calm")); err != nil {
-		t.Fatalf("calm tenant: %v", err)
-	}
+	res, err = s.QueryCtx(ctx, q, rex.WithTenant("calm"))
+	admitted("calm tenant", res, err)
 
 	held.release()
-	if _, err := s.QueryCtx(ctx, q, rex.WithTenant("throttled")); err != nil {
-		t.Fatalf("after release: %v", err)
-	}
+	res, err = s.QueryCtx(ctx, q, rex.WithTenant("throttled"))
+	admitted("after release", res, err)
 
 	st, err := admin.Stats(ctx)
 	if err != nil {
@@ -139,6 +158,9 @@ func TestTenantQuotaBusyOverWire(t *testing.T) {
 	}
 	if st.Server.QuotaRejections < 2 {
 		t.Fatalf("quota rejections = %d, want >= 2", st.Server.QuotaRejections)
+	}
+	if st.Server.Rejected != 0 {
+		t.Fatalf("quota rejections counted as %d ErrServerBusy rejections", st.Server.Rejected)
 	}
 	ts := st.Server.Tenants["throttled"]
 	if ts.QuotaRejections < 2 {
@@ -328,6 +350,44 @@ func TestSchedPriorityAndFairness(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("drain order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestSchedRunnersOverlap: two runners execute two queued interactive
+// tasks at the same time, each on its own sub-pool. Each task waits until
+// both have started, so a scheduler that serializes them fails at the
+// deadline instead of hanging. This counts runners rather than timing
+// them, so it holds on a 2-CPU machine.
+func TestSchedRunnersOverlap(t *testing.T) {
+	q := newSched(2)
+	defer q.close()
+
+	var started sync.WaitGroup
+	started.Add(2)
+	both := make(chan struct{})
+	go func() { started.Wait(); close(both) }()
+	pools := make(chan int, 2)
+	for _, tenant := range []string{"A", "B"} {
+		mustSubmit(t, q.submitQuery(tenant, rex.PriorityNormal, func(pool int) {
+			started.Done()
+			select {
+			case <-both:
+				pools <- pool
+			case <-time.After(10 * time.Second):
+				pools <- -1
+			}
+		}))
+	}
+	seen := map[int]bool{}
+	for range 2 {
+		p := <-pools
+		if p < 0 {
+			t.Fatal("a task waited 10 s for the other to start: the runners did not overlap")
+		}
+		seen[p] = true
+	}
+	if !seen[0] || !seen[1] {
+		t.Fatalf("tasks ran on sub-pools %v, want {0, 1}", seen)
 	}
 }
 

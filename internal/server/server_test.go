@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -72,10 +75,12 @@ func stage(t *testing.T, s *rex.Session) {
 }
 
 // TestServerEightClients is the acceptance property: one rexd serves 8
-// concurrent sessions — 7 ad-hoc, 1 holding a standing subscription and
-// ingesting — over one shared pool, every result hash matching direct
-// in-process execution, with the plan cache compiling each distinct text
-// once.
+// concurrent sessions spread over three tenants — 6 ad-hoc at mixed
+// priorities, 1 executing a prepared $1 statement, 1 holding a
+// high-priority standing subscription and ingesting — over one shared
+// pool. Every result hash matches direct in-process execution, the plan
+// cache compiles each distinct text once, and nothing is refused for
+// capacity.
 func TestServerEightClients(t *testing.T) {
 	ctx := context.Background()
 	srv, addr := startServer(t, Config{Nodes: 3})
@@ -84,11 +89,14 @@ func TestServerEightClients(t *testing.T) {
 	stage(t, admin)
 
 	const (
-		q1   = `SELECT srcId, count(*) FROM graph GROUP BY srcId`
-		q2   = `SELECT destId FROM graph WHERE srcId > 25`
-		subQ = `SELECT k, count(*) FROM feed GROUP BY k`
+		q1       = `SELECT srcId, count(*) FROM graph GROUP BY srcId`
+		q2       = `SELECT destId FROM graph WHERE srcId > 25`
+		prepared = `SELECT count(*) FROM graph WHERE srcId > $1`
+		subQ     = `SELECT k, count(*) FROM feed GROUP BY k`
+		nArgs    = 5
 	)
 	const iters = 3
+	tenants := []string{"red", "green", "blue"}
 
 	// Direct-session references (the serverless ground truth).
 	ref, err := rex.Open(ctx, rex.WithInProc(2))
@@ -106,6 +114,18 @@ func TestServerEightClients(t *testing.T) {
 		return bench.ResultHash(res.Tuples)
 	}
 	want1, want2 := refHash(q1), refHash(q2)
+	refStmt, err := ref.Prepare(prepared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantPrepared [nArgs]string
+	for arg := range wantPrepared {
+		res, err := refStmt.QueryCtx(ctx, rex.Options{}, int64(arg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPrepared[arg] = bench.ResultHash(res.Tuples)
+	}
 	for r := 1; r <= iters; r++ {
 		if err := ref.Load("feed", feedRows(r, 7)); err != nil {
 			t.Fatal(err)
@@ -113,69 +133,80 @@ func TestServerEightClients(t *testing.T) {
 	}
 	wantSub := refHash(subQ)
 
+	// Client i runs as tenant i%3 at priority i%3-1 (low, normal, high).
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
-	for i := 0; i < 7; i++ {
+	client := func(i int, body func(s *rex.Session, prio rex.QueryOption) error) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			s, err := rex.Open(ctx, rex.WithServer(addr))
+			s, err := rex.Open(ctx, rex.WithServer(addr), rex.WithServerTenant(tenants[i%3]))
 			if err != nil {
 				errc <- err
 				return
 			}
 			defer s.Close()
+			if err := body(s, rex.WithPriority(i%3-1)); err != nil {
+				errc <- fmt.Errorf("client %d (tenant %s): %w", i, tenants[i%3], err)
+			}
+		}()
+	}
+	client(0, func(s *rex.Session, prio rex.QueryOption) error {
+		stmt, err := s.Prepare(prepared, prio)
+		if err != nil {
+			return err
+		}
+		for arg := range wantPrepared {
+			res, err := stmt.QueryCtx(ctx, rex.Options{}, int64(arg))
+			if err != nil {
+				return err
+			}
+			if h := bench.ResultHash(res.Tuples); h != wantPrepared[arg] {
+				return fmt.Errorf("prepared($1=%d): hash %s != direct %s", arg, h, wantPrepared[arg])
+			}
+		}
+		return nil
+	})
+	for i := 1; i < 7; i++ {
+		client(i, func(s *rex.Session, prio rex.QueryOption) error {
 			for it := 0; it < iters; it++ {
 				for q, want := range map[string]string{q1: want1, q2: want2} {
-					res, err := s.QueryCtx(ctx, q)
+					res, err := s.QueryCtx(ctx, q, prio)
 					if err != nil {
-						errc <- fmt.Errorf("client %d: %w", i, err)
-						return
+						return err
 					}
 					if h := bench.ResultHash(res.Tuples); h != want {
-						errc <- fmt.Errorf("client %d: hash %s != direct %s for %q", i, h, want, q)
-						return
+						return fmt.Errorf("hash %s != direct %s for %q", h, want, q)
 					}
 				}
 			}
-		}(i)
+			return nil
+		})
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s, err := rex.Open(ctx, rex.WithServer(addr))
+	client(7, func(s *rex.Session, _ rex.QueryOption) error {
+		sub, err := s.Subscribe(ctx, subQ, rex.WithPriority(rex.PriorityHigh))
 		if err != nil {
-			errc <- err
-			return
-		}
-		defer s.Close()
-		sub, err := s.Subscribe(ctx, subQ)
-		if err != nil {
-			errc <- fmt.Errorf("subscribe: %w", err)
-			return
+			return fmt.Errorf("subscribe: %w", err)
 		}
 		for r := 1; r <= iters; r++ {
 			if err := s.Insert("feed", feedRows(r, 7)...); err != nil {
-				errc <- fmt.Errorf("ingest round %d: %w", r, err)
-				return
+				return fmt.Errorf("ingest round %d: %w", r, err)
 			}
 		}
 		if err := sub.Close(); err != nil {
-			errc <- fmt.Errorf("sub close: %w", err)
-			return
+			return fmt.Errorf("sub close: %w", err)
 		}
 		if err := sub.Err(); err != nil {
-			errc <- fmt.Errorf("sub err after clean close: %w", err)
-			return
+			return fmt.Errorf("sub err after clean close: %w", err)
 		}
 		if got := foldStream(sub.Stream()); bench.ResultHash(got) != wantSub {
-			errc <- fmt.Errorf("folded subscription %s != direct %s", bench.ResultHash(got), wantSub)
-			return
+			return fmt.Errorf("folded subscription %s != direct %s", bench.ResultHash(got), wantSub)
 		}
 		if len(sub.Rounds()) < iters {
-			errc <- fmt.Errorf("subscription saw %d rounds, want >= %d", len(sub.Rounds()), iters)
+			return fmt.Errorf("subscription saw %d rounds, want >= %d", len(sub.Rounds()), iters)
 		}
-	}()
+		return nil
+	})
 	wg.Wait()
 	close(errc)
 	for err := range errc {
@@ -191,6 +222,15 @@ func TestServerEightClients(t *testing.T) {
 	}
 	if st.Sessions < 8 {
 		t.Fatalf("sessions = %d, want >= 8", st.Sessions)
+	}
+	if st.Rejected != 0 {
+		t.Fatalf("server refused %d requests with ErrServerBusy under capacity", st.Rejected)
+	}
+	// Each tenant's ad-hoc clients alone were admitted 2*iters queries.
+	for _, tn := range tenants {
+		if ts := st.Tenants[tn]; ts.Admitted < 2*iters {
+			t.Fatalf("tenant %q admitted %d requests, want >= %d (tenants %v)", tn, ts.Admitted, 2*iters, st.Tenants)
+		}
 	}
 }
 
@@ -430,5 +470,34 @@ func TestServerIngestWithoutSubscription(t *testing.T) {
 	}
 	if len(res.Tuples) != 1 {
 		t.Fatalf("ingested row not visible: %d rows", len(res.Tuples))
+	}
+}
+
+// TestStatsHandlerServesJSON: the /stats handler rexd mounts serves the
+// counter snapshot as JSON that decodes back into rex.ServerStats.
+func TestStatsHandlerServesJSON(t *testing.T) {
+	srv, addr := startServer(t, Config{Nodes: 2})
+	s := dial(t, addr)
+	stage(t, s)
+	if _, err := s.QueryCtx(context.Background(), `SELECT count(*) FROM graph`); err != nil {
+		t.Fatal(err)
+	}
+
+	hs := httptest.NewServer(srv.StatsHandler())
+	defer hs.Close()
+	resp, err := http.Get(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	var st rex.ServerStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Sessions == 0 || st.Queries == 0 {
+		t.Fatalf("stats after one query: sessions=%d queries=%d", st.Sessions, st.Queries)
 	}
 }

@@ -38,8 +38,9 @@ type Stats struct {
 	// admission, plan cache, scheduler (sub-pools, inflight, queue
 	// depth), and the per-tenant quota counters. Nil otherwise.
 	Server *ServerStats
-	// SubscriptionRounds is the live subscription's per-round history
-	// (initial fixpoint included); nil when no subscription is live.
+	// SubscriptionRounds is the live subscription's round history as
+	// Subscription.Rounds returns it: round 0 and the latest 1 023
+	// rounds. Nil when no subscription is live.
 	SubscriptionRounds []RoundStats
 }
 

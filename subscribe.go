@@ -85,9 +85,11 @@ func (s *Session) liveSub() *Subscription {
 // ends when the subscription closes.
 func (sub *Subscription) Stream() *DeltaStream { return sub.q.Stream() }
 
-// Rounds returns per-round statistics, the initial fixpoint included:
-// strata run, deltas emitted, and — the serving metric — the round's
-// measured wire bytes, to hold against a from-scratch recompute's.
+// Rounds returns per-round statistics: strata run, deltas emitted, and —
+// the serving metric — the round's measured wire bytes, to hold against a
+// from-scratch recompute's. It keeps the initial fixpoint (round 0) and
+// the latest 1 023 rounds; older rounds are dropped, which RoundStats.Round
+// shows as a gap after round 0.
 func (sub *Subscription) Rounds() []RoundStats { return sub.q.Rounds() }
 
 // Ingest applies base-table deltas and runs (or joins) one incremental
