@@ -517,7 +517,9 @@ func (t *TCPTransport) Close() error {
 // SyncMetrics (driver) asks every alive daemon for its cumulative
 // counters and installs them locally, so Metrics totals reflect measured
 // remote socket traffic. Counters of nodes dead at sync time keep their
-// last synced values.
+// last synced values. A polled node that dies during the sync is no
+// longer waited for, and its failure frame goes back to the requestor
+// mailbox for the next round to recover from.
 func (t *TCPTransport) SyncMetrics() error {
 	alive := t.AliveNodes()
 	for _, n := range alive {
@@ -530,21 +532,35 @@ func (t *TCPTransport) SyncMetrics() error {
 	done := make(chan error, 1)
 	go func() {
 		got := map[NodeID]bool{}
-		for len(got) < len(alive) {
+		var failures []Message
+		finish := func(err error) {
+			for _, m := range failures {
+				t.requestor.Put(m)
+			}
+			done <- err
+		}
+		for len(got) < len(wanted) {
 			msg, ok := t.requestor.Get()
 			if !ok {
-				done <- fmt.Errorf("cluster: transport closed during metrics sync")
+				finish(fmt.Errorf("cluster: transport closed during metrics sync"))
 				return
 			}
-			if msg.Kind == MsgCancel {
-				done <- fmt.Errorf("cluster: metrics sync timed out after %v", tcpSyncTimeout)
+			switch msg.Kind {
+			case MsgCancel:
+				finish(fmt.Errorf("cluster: metrics sync timed out after %v", tcpSyncTimeout))
 				return
-			}
-			if msg.Kind != MsgStats {
+			case MsgFailure:
+				failures = append(failures, msg)
+				if !got[msg.From] {
+					delete(wanted, msg.From)
+				}
+				continue
+			case MsgStats:
+			default:
 				continue // late control debris from the finished run
 			}
 			if err := t.applyStats(msg.From, msg.Payload); err != nil {
-				done <- err
+				finish(err)
 				return
 			}
 			if wanted[msg.From] {
@@ -554,7 +570,7 @@ func (t *TCPTransport) SyncMetrics() error {
 				got[msg.From] = true
 			}
 		}
-		done <- nil
+		finish(nil)
 	}()
 	select {
 	case err := <-done:
@@ -850,9 +866,35 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n == 0 || n > tcpMaxFrame {
 		return nil, fmt.Errorf("cluster: tcp frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	return ReadBody(r, int(n))
+}
+
+// bodyChunk is the buffer a frame body is first read into.
+const bodyChunk = 64 << 10
+
+// ReadBody reads the n-byte body of a length-prefixed frame. A body of at
+// most 64 KiB takes one allocation; a longer one is read into a buffer
+// that, once full, grows to four times the bytes received (or to n, if
+// smaller). A large frame so takes few steps, and a forged length makes
+// the reader allocate no more than a small multiple of what the peer
+// actually sent.
+func ReadBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, bodyChunk))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		next := make([]byte, min(n, 4*got))
+		copy(next, buf)
+		buf = next
 	}
-	return buf, nil
 }

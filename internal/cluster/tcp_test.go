@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -248,6 +250,121 @@ func TestReadFrameHardening(t *testing.T) {
 	if err != nil || msg.Kind != MsgPunct || msg.Stratum != 6 || msg.Job != 3 {
 		t.Fatalf("round trip: %+v %v", msg, err)
 	}
+}
+
+// A daemon that dies while the driver syncs metrics ends the sync instead
+// of running it into its timeout, and its failure frame is still there
+// for the requestor afterwards.
+func TestSyncMetricsNodeDiesMidSync(t *testing.T) {
+	var nodes []*TCPTransport
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		node, err := ListenTCPNode("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = node.Close() })
+		nodes, addrs = append(nodes, node), append(addrs, node.Addr())
+	}
+	drv, err := NewTCPDriver(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = drv.Close() })
+	gen, err := drv.StartJob([]byte("job"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, node := range nodes {
+		getTimeout(t, node.Control(), "job frame")
+		if err := node.Configure(NodeID(i), addrs, gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Node 0 answers; node 1 is found dead with the request unanswered.
+	go func() {
+		if msg, ok := nodes[0].Control().Get(); ok && msg.Kind == MsgStatsReq {
+			nodes[0].SendControl(Message{From: 0, Kind: MsgStats, Payload: nodes[0].StatsPayload()})
+		}
+	}()
+	go func() {
+		if msg, ok := nodes[1].Control().Get(); ok && msg.Kind == MsgStatsReq {
+			drv.Kill(1)
+		}
+	}()
+	start := time.Now()
+	if err := drv.SyncMetrics(); err != nil {
+		t.Fatalf("sync with a node dying: %v", err)
+	}
+	if d := time.Since(start); d > tcpSyncTimeout/2 {
+		t.Fatalf("sync took %v", d)
+	}
+	if msg := getTimeout(t, drv.Requestor(), "failure frame"); msg.Kind != MsgFailure || msg.From != 1 {
+		t.Fatalf("requestor got %+v, want node 1's failure", msg)
+	}
+}
+
+// A lone header claiming the largest legal frame errors, and the reader
+// allocates for the bytes that arrived, not for the 64 MiB claimed.
+func TestReadFrameForgedLengthAllocatesLittle(t *testing.T) {
+	var hdr [tcpFrameHeader]byte
+	binary.BigEndian.PutUint32(hdr[:], tcpMaxFrame)
+	var err error
+	if alloc := allocated(func() { _, err = readFrame(bytes.NewReader(hdr[:])) }); alloc > 1<<20 {
+		t.Fatalf("a forged header allocated %d bytes", alloc)
+	}
+	if err == nil {
+		t.Fatal("a lone header read as a frame")
+	}
+}
+
+// Frames longer than the first read chunk round-trip, and one cut short
+// mid-chunk errors.
+func TestReadFrameBeyondFirstChunk(t *testing.T) {
+	for _, n := range []int{bodyChunk, bodyChunk + 1, 5*bodyChunk + 7} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		var hdr [tcpFrameHeader]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(n))
+		in := append(hdr[:], body...)
+		got, err := readFrame(bytes.NewReader(in))
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%d-byte frame: %d bytes back, %v", n, len(got), err)
+		}
+		if n > bodyChunk {
+			if _, err := readFrame(bytes.NewReader(in[:len(in)-1])); err != io.ErrUnexpectedEOF {
+				t.Fatalf("%d-byte frame cut short: %v", n, err)
+			}
+		}
+	}
+	// A body of up to one chunk takes exactly one allocation.
+	r := bytes.NewReader(make([]byte, bodyChunk))
+	if allocs := testing.AllocsPerRun(1, func() { r.Seek(0, io.SeekStart); ReadBody(r, bodyChunk) }); allocs != 1 {
+		t.Fatalf("a %d-byte body took %v allocations", bodyChunk, allocs)
+	}
+	if alloc := allocated(func() { r.Seek(0, io.SeekStart); ReadBody(r, bodyChunk) }); alloc > bodyChunk+512 {
+		t.Fatalf("a %d-byte body allocated %d bytes", bodyChunk, alloc)
+	}
+	// A large honest body grows in few steps: 64 KiB, 256 KiB, then n.
+	big := 1 << 20
+	r = bytes.NewReader(make([]byte, big))
+	if allocs := testing.AllocsPerRun(1, func() { r.Seek(0, io.SeekStart); ReadBody(r, big) }); allocs > 3 {
+		t.Fatalf("a %d-byte body took %v allocations", big, allocs)
+	}
+	if alloc := allocated(func() { r.Seek(0, io.SeekStart); ReadBody(r, big) }); alloc > uint64(big)*3/2 {
+		t.Fatalf("a %d-byte body allocated %d bytes", big, alloc)
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestTCPMalformedFramePoisonsConn: a frame that fails decode kills the

@@ -84,10 +84,15 @@ type aggArgs struct {
 	// unless the plan carried an input schema and every argument
 	// compiled.
 	argKerns [][]*expr.Kernel
-	argVecs  [][]*types.Vec
-	oldVecs  [][]*types.Vec
-	rows     []int32
-	oldRows  []int32
+	// argVecs and oldVecs are what the fold reads, per aggregate and
+	// argument: the new images' and the replacement rows' old images'
+	// values. An argVecs entry is the kernel's borrowed result, or the
+	// interpreter's owned newVecs vector.
+	argVecs [][]*types.Vec
+	newVecs [][]*types.Vec
+	oldVecs [][]*types.Vec
+	rows    []int32
+	oldRows []int32
 
 	// interpreter scratch
 	vals, oldVals [][][]types.Value
@@ -101,7 +106,11 @@ func newAggArgs(specs []AggSpec, schema []types.Kind) aggArgs {
 		a.nargs += len(as.Args)
 	}
 	a.argKerns = compileArgKernels(a.exprs, schema)
-	a.argVecs, a.oldVecs = vecGrid(a.exprs), vecGrid(a.exprs)
+	a.newVecs, a.oldVecs = vecGrid(a.exprs), vecGrid(a.exprs)
+	a.argVecs = make([][]*types.Vec, len(a.newVecs))
+	for i, vs := range a.newVecs {
+		a.argVecs[i] = append([]*types.Vec(nil), vs...)
+	}
 	return a
 }
 
@@ -144,7 +153,10 @@ func vecGrid(exprs [][]expr.Expr) [][]*types.Vec {
 
 // kernels evaluates the argument grid through the compiled kernels,
 // declining as a unit (false) — including for replacement rows without
-// an old image, whose arguments only the interpreter defines.
+// an old image, whose arguments only the interpreter defines. The old
+// images are copied into oldVecs first; the new images' pass then leaves
+// each kernel's result borrowed in argVecs (each argument has its own
+// kernel, so no later evaluation overwrites it).
 func (a *aggArgs) kernels(b *types.DeltaBatch) bool {
 	if len(a.oldRows) > 0 && !b.HasOld() {
 		return false
@@ -152,12 +164,14 @@ func (a *aggArgs) kernels(b *types.DeltaBatch) bool {
 	a.rows = identityRows(a.rows, b.Len())
 	for i, ks := range a.argKerns {
 		for j, k := range ks {
-			if !k.EvalInto(b, false, a.rows, a.argVecs[i][j]) {
-				return false
-			}
 			if len(a.oldRows) > 0 && !k.EvalInto(b, true, a.oldRows, a.oldVecs[i][j]) {
 				return false
 			}
+			v, ok := k.EvalVec(b, false, a.rows)
+			if !ok {
+				return false
+			}
+			a.argVecs[i][j] = v
 		}
 	}
 	return true
@@ -212,7 +226,8 @@ func (a *aggArgs) interpret(b *types.DeltaBatch) error {
 	}
 	for i := range a.exprs {
 		for j := range a.exprs[i] {
-			a.argVecs[i][j].SetValues(a.vals[i][j])
+			a.argVecs[i][j] = a.newVecs[i][j]
+			a.newVecs[i][j].SetValues(a.vals[i][j])
 			a.oldVecs[i][j].SetValues(a.oldVals[i][j])
 		}
 	}

@@ -251,3 +251,50 @@ func BenchmarkFilterChainProject4k(b *testing.B) {
 	}
 	b.ReportMetric(float64(sink.rows)/float64(b.N), "rows/op")
 }
+
+// The pre-aggregation pair times one 4096-row batch folded into a
+// resident table by count(*) and sum(v): finding each row's group and
+// running both aggregates' folds, with the sum's argument from its
+// kernel.
+func benchPreAgg4k(b *testing.B, key types.Kind, ngroups int) {
+	schema := []types.Kind{key, types.KindFloat}
+	p, err := newPreAggOp(&OpSpec{
+		GroupKey: []int{0},
+		Aggs: []AggSpec{
+			{Fn: "count", OutName: "n", OutKind: types.KindInt},
+			{Fn: "sum", Args: []expr.Expr{expr.NewCol(1, types.KindFloat, "v")}, OutName: "s", OutKind: types.KindFloat},
+		},
+	}, 1, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if p.argKerns == nil {
+		b.Fatal("sum's argument must compile")
+	}
+	cb := types.GetBatch()
+	for i := 0; i < 4096; i++ {
+		var k types.Value = int64(i % ngroups)
+		if key == types.KindString {
+			k = string(rune('A' + i%ngroups))
+		}
+		cb.AppendInsert(types.NewTuple(k, float64(i%31)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Push(0, cb); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if p.tab.Len() != ngroups {
+		b.Fatalf("%d groups, want %d", p.tab.Len(), ngroups)
+	}
+}
+
+// BenchmarkPreAggIntKey4k is standing-churn's ad hoc aggregate: an int
+// key over 64 groups.
+func BenchmarkPreAggIntKey4k(b *testing.B) { benchPreAgg4k(b, types.KindInt, 64) }
+
+// BenchmarkPreAggStringKey4k is serve-mixed's: a one-byte string key
+// (returnflag) over 3 groups.
+func BenchmarkPreAggStringKey4k(b *testing.B) { benchPreAgg4k(b, types.KindString, 3) }

@@ -306,7 +306,8 @@ func WriteMsg(w io.Writer, m cluster.Message) error {
 }
 
 // ReadMsg reads one length-prefixed frame, rejecting forged lengths
-// before buffering.
+// before buffering and allocating as the body's bytes arrive
+// (cluster.ReadBody), not as the header claims.
 func ReadMsg(r io.Reader) (cluster.Message, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -316,8 +317,8 @@ func ReadMsg(r io.Reader) (cluster.Message, error) {
 	if n == 0 || n > MaxFrame {
 		return cluster.Message{}, fmt.Errorf("srvproto: bad frame length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := cluster.ReadBody(r, int(n))
+	if err != nil {
 		return cluster.Message{}, err
 	}
 	return cluster.DecodeFrame(buf)

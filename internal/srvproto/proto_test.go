@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/rex-data/rex/internal/cluster"
@@ -85,6 +86,41 @@ func TestReadMsgFrameLimits(t *testing.T) {
 	out, err := ReadMsg(&buf)
 	if err != nil || out.Kind != in.Kind || out.Edge != in.Edge || string(out.Payload) != string(in.Payload) {
 		t.Fatalf("round trip: %+v, %v", out, err)
+	}
+}
+
+// A lone header claiming MaxFrame errors, and ReadMsg allocates for the
+// bytes that arrived, not for the 64 MiB claimed: the unauthenticated
+// Hello reads through it too.
+func TestReadMsgForgedLengthAllocatesLittle(t *testing.T) {
+	var hdr [frameHeader]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMsg(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a lone header read as a frame")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("a forged header allocated %d bytes", alloc)
+	}
+}
+
+// A frame longer than the first read chunk round-trips.
+func TestReadMsgBeyondFirstChunk(t *testing.T) {
+	payload := make([]byte, 300<<10)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	var buf bytes.Buffer
+	in := cluster.Message{Kind: cluster.MsgData, Edge: 2, Payload: payload}
+	if err := WriteMsg(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReadMsg(&buf)
+	if err != nil || out.Kind != in.Kind || out.Edge != in.Edge || !bytes.Equal(out.Payload, payload) {
+		t.Fatalf("round trip: kind %v edge %d, %d payload bytes, %v", out.Kind, out.Edge, len(out.Payload), err)
 	}
 }
 

@@ -34,7 +34,7 @@ func (b *DeltaBatch) HashRows(dst []uint64) []uint64 {
 		dst[i] = tupleHashSeed
 	}
 	for j := range b.cols {
-		b.cols[j].hashInto(dst, true)
+		b.cols[j].hashInto(dst, 0, true)
 	}
 	return dst
 }
@@ -51,11 +51,18 @@ func sizedHashes(dst []uint64, n int) []uint64 {
 
 func hashKeys(cols []Column, n int, key []int, dst []uint64) []uint64 {
 	dst = sizedHashes(dst, n)
+	hashKeyRange(cols, 0, key, dst)
+	return dst
+}
+
+// hashKeyRange writes Tuple.HashKey(key) of rows lo .. lo+len(dst)-1 to
+// dst, indexed from lo.
+func hashKeyRange(cols []Column, lo int, key []int, dst []uint64) {
 	if len(key) == 1 {
 		// Tuple.HashKey is HashValue(normKey(v)); normKey only folds
 		// integral floats onto int64, which HashValue does anyway.
-		cols[key[0]].hashInto(dst, false)
-		return dst
+		cols[key[0]].hashInto(dst, lo, false)
+		return
 	}
 	// A composite key hashes as the string its parts encode to
 	// (appendKeyPart): the string tag, then every part's bytes.
@@ -64,9 +71,8 @@ func hashKeys(cols []Column, n int, key []int, dst []uint64) []uint64 {
 		dst[i] = h0
 	}
 	for _, c := range key {
-		cols[c].mixKeyParts(dst)
+		cols[c].mixKeyParts(dst, lo)
 	}
-	return dst
 }
 
 // fnv8 mixes the eight little-endian bytes of u into h.
@@ -88,15 +94,16 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// hashInto computes HashValue of every row (hashAt, a column at a time)
-// and xors it into dst. With acc each dst[i] is first multiplied by the
-// FNV prime, which folds the column in as Tuple.Hash does (h*prime ^
-// hash); without, dst is cleared first, so it ends up holding the hash.
-// NULL-free int and float lanes take a typed loop; other lanes go row by
-// row through hashAt, which boxes nothing either.
-func (c *Column) hashInto(dst []uint64, acc bool) {
+// hashInto computes HashValue of rows lo .. lo+len(dst)-1 (hashAt, a
+// column at a time) and xors it into dst, indexed from lo. With acc each
+// dst[i] is first multiplied by the FNV prime, which folds the column in
+// as Tuple.Hash does (h*prime ^ hash); without, dst is cleared first, so
+// it ends up holding the hash. NULL-free int, float and string lanes take
+// a typed loop; other lanes go row by row through hashAt, which boxes
+// nothing either.
+func (c *Column) hashInto(dst []uint64, lo int, acc bool) {
 	c.mat()
-	dst = dst[:c.n]
+	hi := lo + len(dst)
 	if acc {
 		for i := range dst {
 			dst[i] *= fnvPrime
@@ -105,32 +112,39 @@ func (c *Column) hashInto(dst []uint64, acc bool) {
 		clear(dst)
 	}
 	hInt := fnvByte(fnvOffset, 1)
+	typed := len(c.nulls) == 0 && c.anys == nil
 	switch {
-	case len(c.nulls) == 0 && c.anys == nil && c.kind == KindInt:
-		for i, x := range c.ints[:c.n] {
+	case typed && c.kind == KindInt:
+		for i, x := range c.ints[lo:hi] {
 			dst[i] ^= fnv8(hInt, uint64(x))
 		}
-	case len(c.nulls) == 0 && c.anys == nil && c.kind == KindFloat:
+	case typed && c.kind == KindFloat:
 		hFloat := fnvByte(fnvOffset, 2)
-		for i, x := range c.floats[:c.n] {
+		for i, x := range c.floats[lo:hi] {
 			if float64(int64(x)) == x && !math.IsInf(x, 0) {
 				dst[i] ^= fnv8(hInt, uint64(int64(x)))
 			} else {
 				dst[i] ^= fnv8(hFloat, math.Float64bits(x))
 			}
 		}
+	case typed && c.kind == KindString:
+		hStr := fnvByte(fnvOffset, 3)
+		for i, s := range c.strs[lo:hi] {
+			dst[i] ^= fnvString(hStr, s)
+		}
 	default:
 		for i := range dst {
-			dst[i] ^= c.hashAt(i)
+			dst[i] ^= c.hashAt(lo + i)
 		}
 	}
 }
 
-// mixKeyParts mixes every row's composite-key part for this column into
-// dst: the bytes appendKeyBits (appendKeyPart, unboxed) encodes it to.
-func (c *Column) mixKeyParts(dst []uint64) {
-	for i := range dst[:c.n] {
-		k, w, s := c.bitsAt(i)
+// mixKeyParts mixes the composite-key part of rows lo .. lo+len(dst)-1
+// for this column into dst, indexed from lo: the bytes appendKeyPart
+// encodes the row's value to.
+func (c *Column) mixKeyParts(dst []uint64, lo int) {
+	for i := range dst {
+		k, w, s := c.bitsAt(lo + i)
 		switch k, w = normBits(k, w); k {
 		case KindInt:
 			dst[i] = fnv8(fnvByte(dst[i], 1), w)

@@ -8,7 +8,10 @@ package types
 //     representation of the row that created the group.
 //   - An open-addressed index, shaped like the shuffle's DeltaStore,
 //     maps a key to its group. Its hash is HashValue of Tuple.Key, which
-//     is also the key hash checkpoint entries are placed by.
+//     is also the key hash checkpoint entries are placed by. Groups
+//     computes it a column at a time with the shuffle's batch hash
+//     (DeltaBatch.HashKeys), and probes a single int or string key with
+//     a typed compare on its key lane.
 //   - Accs holds each aggregate's accumulator lanes (Acc); the typed
 //     update rules that fold into them live with the aggregates (uda).
 //   - Result lanes keep each aggregate's last emitted value per group, so
@@ -33,8 +36,6 @@ type GroupTable struct {
 
 	dirty, ckpt GroupSet
 	fresh       GroupSet // the groups Fresh made, which the index omits
-
-	kbuf []byte // composite key encoding scratch
 }
 
 // NewGroupTable creates an empty table for a key of nkey columns and one
@@ -58,83 +59,159 @@ func NewGroupTable(nkey int, lanes []AccLanes) *GroupTable {
 func (t *GroupTable) Len() int { return t.n }
 
 // Groups finds each row's group by its key columns — of the old image
-// when old is set — creating groups for new keys, and writes the group
-// ids to gids (grown to the batch length, indexed by row). sel restricts
-// the lookup to the listed rows; nil means every row.
+// when old is set — creating groups for new keys in row order, and
+// writes the group ids to gids (grown to the batch length, indexed by
+// row). sel restricts the lookup to the listed rows; nil means every
+// row.
+//
+// The keys are hashed a chunk of rows at a time by the routing's batch
+// hash (hashKeyRange), into a buffer on the stack. Without sel, a single
+// NULL-free int or string key column is then probed with a typed compare
+// on its key lane (findTyped).
 func (t *GroupTable) Groups(b *DeltaBatch, key []int, old bool, sel []int32, gids []int32) []int32 {
 	n := b.Len()
-	if cap(gids) < n {
-		gids = make([]int32, n)
-	}
-	gids = gids[:n]
+	gids = grow(gids, n)
 	cols := b.cols
 	if old {
 		cols = b.old
 	}
+	var buf [groupChunk]uint64
 	if sel == nil {
-		for i := 0; i < n; i++ {
-			gids[i] = t.find(cols, key, i)
+		for lo := 0; lo < n; lo += groupChunk {
+			hs := buf[:min(groupChunk, n-lo)]
+			hashKeyRange(cols, lo, key, hs)
+			if t.findTyped(hs, cols, key, lo, gids[lo:]) {
+				continue
+			}
+			for r, h := range hs {
+				gids[lo+r] = t.find(h, cols, key, lo+r)
+			}
 		}
 		return gids
 	}
-	for _, i := range sel {
-		gids[i] = t.find(cols, key, int(i))
+	for len(sel) > 0 {
+		// A chunk starts at the next selected row and takes the selected
+		// rows that follow it in ascending order, each at most selGap rows
+		// past the one before, within groupChunk rows. It ends at the last
+		// of them, so at most selGap rows are hashed per selected row.
+		lo := int(sel[0])
+		k := 1
+		for k < len(sel) && sel[k] > sel[k-1] && sel[k]-sel[k-1] <= selGap && int(sel[k]) < lo+groupChunk {
+			k++
+		}
+		hs := buf[:int(sel[k-1])-lo+1]
+		hashKeyRange(cols, lo, key, hs)
+		for _, i := range sel[:k] {
+			gids[i] = t.find(hs[int(i)-lo], cols, key, int(i))
+		}
+		sel = sel[k:]
 	}
 	return gids
+}
+
+// groupChunk is the row count Groups hashes at a time; selGap is the
+// widest gap between two selected rows that one chunk spans.
+const (
+	groupChunk = 256
+	selGap     = 8
+)
+
+// findTyped is find for rows lo .. lo+len(hs)-1 when the key is one
+// NULL-free int or string column; it reports false, doing nothing, for
+// any other key. A group holding the column's kind is matched by its key
+// lane alone. A group made by another kind (the integral float 3.0 that
+// the int 3 meets) takes the hash and keyEq.
+func (t *GroupTable) findTyped(hs []uint64, cols []Column, key []int, lo int, gids []int32) bool {
+	if len(key) != 1 {
+		return false
+	}
+	c := &cols[key[0]]
+	if len(c.nulls) != 0 || c.anys != nil || (c.kind != KindInt && c.kind != KindString) {
+		return false
+	}
+	kind, ints, strs := c.kind, c.ints, c.strs
+	lane := &t.keys[0]
+	for r, h := range hs {
+		i := lo + r
+		g := int32(-1)
+		if len(t.slots) > 0 {
+			mask := len(t.slots) - 1
+			for p := int(h) & mask; t.slots[p] != 0; p = (p + 1) & mask {
+				q := t.slots[p] - 1
+				if lane.k[q] == kind {
+					if kind == KindInt && lane.w[q] == uint64(ints[i]) || kind == KindString && lane.strs[q] == strs[i] {
+						g = q
+						break
+					}
+					continue
+				}
+				if t.hashes[q] == h && t.keyEq(q, cols, key, i) {
+					g = q
+					break
+				}
+			}
+		}
+		if g < 0 {
+			g = t.insert(h, cols, key, i)
+		}
+		gids[r] = g
+	}
+	return true
 }
 
 // Group finds or creates the group of a boxed key tuple (one value per
 // key column) — the checkpoint-restore lookup.
 func (t *GroupTable) Group(key Tuple) int32 {
-	cols, idx := keyColumns(key)
-	return t.find(cols, idx, 0)
+	b, idx := keyBatch(key)
+	return t.Groups(b, idx, false, nil, nil)[0]
 }
 
 // Fresh adds a group for a boxed key tuple (one value per key column)
 // that no lookup finds: a keyed store gives each NaN key a group of its
 // own this way, as a Go map keyed by the boxed value does.
 func (t *GroupTable) Fresh(key Tuple) int32 {
-	cols, idx := keyColumns(key)
-	g := t.add(HashValue(key.Key(idx)), cols, idx, 0)
+	b, idx := keyBatch(key)
+	g := t.add(b.HashKeys(idx, nil)[0], b.cols, idx, 0)
 	t.fresh.Mark(g)
 	return g
 }
 
-// keyColumns is a boxed key tuple as one row of columns, with the
-// columns' indexes.
-func keyColumns(key Tuple) ([]Column, []int) {
+// keyBatch is a boxed key tuple as a one-row batch, with its columns'
+// indexes.
+func keyBatch(key Tuple) (*DeltaBatch, []int) {
 	b := &DeltaBatch{}
 	b.AppendInsert(key)
 	idx := make([]int, len(key))
 	for i := range idx {
 		idx[i] = i
 	}
-	return b.cols, idx
+	return b, idx
 }
 
-// find returns row i's group, creating it if new.
-func (t *GroupTable) find(cols []Column, key []int, i int) int32 {
-	var h uint64
-	if len(key) == 1 {
-		h = cols[key[0]].hashAt(i)
-	} else {
-		t.kbuf = t.kbuf[:0]
-		for _, c := range key {
-			k, w, s := cols[c].bitsAt(i)
-			t.kbuf = appendKeyBits(t.kbuf, k, w, s)
+// find returns row i's group, whose key hashes to h, creating it if new.
+func (t *GroupTable) find(h uint64, cols []Column, key []int, i int) int32 {
+	if len(t.slots) > 0 {
+		mask := len(t.slots) - 1
+		for p := int(h) & mask; t.slots[p] != 0; p = (p + 1) & mask {
+			g := t.slots[p] - 1
+			if t.hashes[g] == h && t.keyEq(g, cols, key, i) {
+				return g
+			}
 		}
-		h = hashKeyBytes(t.kbuf)
 	}
+	return t.insert(h, cols, key, i)
+}
+
+// insert adds a group for row i's key, which hashes to h and which the
+// index lacks.
+func (t *GroupTable) insert(h uint64, cols []Column, key []int, i int) int32 {
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
 	}
 	mask := len(t.slots) - 1
 	p := int(h) & mask
-	for ; t.slots[p] != 0; p = (p + 1) & mask {
-		g := t.slots[p] - 1
-		if t.hashes[g] == h && t.keyEq(g, cols, key, i) {
-			return g
-		}
+	for t.slots[p] != 0 {
+		p = (p + 1) & mask
 	}
 	g := t.add(h, cols, key, i)
 	t.slots[p] = g + 1

@@ -2,7 +2,6 @@ package types
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -228,32 +227,6 @@ const (
 )
 
 func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
-
-// appendKeyBits is appendKeyPart for an unboxed scalar.
-func appendKeyBits(buf []byte, k Kind, w uint64, s string) []byte {
-	k, w = normBits(k, w)
-	switch k {
-	case KindInt:
-		return binary.LittleEndian.AppendUint64(append(buf, 1), w)
-	case KindFloat:
-		return binary.LittleEndian.AppendUint64(append(buf, 2), w)
-	case KindString:
-		buf = binary.AppendUvarint(append(buf, 3), uint64(len(s)))
-		return append(buf, s...)
-	case KindBool:
-		return append(buf, 4, byte(w))
-	}
-	return append(buf, 0)
-}
-
-// hashKeyBytes is HashValue of a composite key's encoding as a string.
-func hashKeyBytes(b []byte) uint64 {
-	h := fnvByte(fnvOffset, 3)
-	for _, c := range b {
-		h = fnvByte(h, c)
-	}
-	return h
-}
 
 // compareBits is ValueCompare over unboxed scalars, with the numeric and
 // same-kind cases unboxed.

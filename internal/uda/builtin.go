@@ -671,8 +671,24 @@ func (sumAgg) LoadAt(a *types.Acc, g int32, t types.Tuple) error {
 
 func (countAgg) Lanes() types.AccLanes { return types.AccN }
 
+// Fold runs count(*) with nothing to split as one typed loop, and every
+// other case through step.
 func (c countAgg) Fold(a *types.Acc, b *types.DeltaBatch, gids, oldGids []int32, args, oldArgs []*types.Vec) error {
-	return foldRows(c, a, b, gids, oldGids, args, oldArgs)
+	if oldGids != nil || len(args) > 0 {
+		return foldRows(c, a, b, gids, oldGids, args, oldArgs)
+	}
+	for i, g := range gids {
+		switch b.Op(i) {
+		case types.OpInsert, types.OpUpdate:
+			a.N[g]++
+		case types.OpDelete:
+			a.N[g]--
+		case types.OpReplace:
+		default:
+			return ErrUnsupportedDelta
+		}
+	}
+	return nil
 }
 
 func (countAgg) step(a *types.Acc, g int32, op types.Op, args, _ []*types.Vec, i int) error {
