@@ -5,8 +5,8 @@ import "github.com/rex-data/rex/internal/types"
 // DeltaStore is the rehash send side's pending store for one destination:
 // a columnar types.DeltaBatch under construction that drains as one
 // columnar wire frame. Without compaction it is a plain append buffer.
-// With compaction it is the combining shuffle of §3.2/§5.2: an
-// open-addressed index from routing key to the key's latest row lets
+// With compaction it is the combining shuffle of §3.2/§5.2: a
+// types.KeyIndex from routing hash to the key's latest row lets
 // every arriving delta meet its key's previous delta, and the Compactor's
 // five rules (annihilation, upsert fold, chain fold, retraction, δ-merge)
 // are applied in place in the typed lanes — no row is boxed, keyed into a
@@ -25,15 +25,13 @@ type DeltaStore struct {
 	folds   []types.Fold // declared δ-merge per column; nil when none
 	compact bool
 
-	// The index: linear-probed slots holding row+1 of the key's latest
-	// row (0 = empty), a power of two sized to keep load ≤ 1/2. A slot
-	// whose row was annihilated stays put — the key just has no live
-	// delta to fold into until its next arrival overwrites the slot.
-	slots  []int32
-	keys   int      // occupied slots
-	hashes []uint64 // index hash per row
-	dead   []bool   // rows annihilated in place, reclaimed by Drain
-	nDead  int
+	// The index: one entry per row, seating each key's latest row. A row
+	// that a later same-key row supersedes leaves it; an annihilated row
+	// stays seated — the key just has no live delta to fold into until
+	// its next arrival takes the slot.
+	index types.KeyIndex
+	dead  []bool // rows annihilated in place, reclaimed by Drain
+	nDead int
 
 	added, annihilated, folded int
 	addedAtReset               int
@@ -138,14 +136,14 @@ func (s *DeltaStore) addFrom(src *types.DeltaBatch, j int, h uint64) {
 		return
 	}
 	s.added++
-	s.reserve()
 	p, r := s.probe(h, src, j)
 	if r >= 0 && !s.dead[r] && s.b.Op(r) == types.OpUpdate && s.merge(r, src, j) {
 		s.folded++
 		return
 	}
 	s.b.AppendRowFrom(src, j)
-	s.seat(p, r, h)
+	s.index.Add(p, h) // the store's last row, now its key's latest
+	s.dead = append(s.dead, false)
 }
 
 // settle runs the compaction rules for the row just appended against its
@@ -158,45 +156,26 @@ func (s *DeltaStore) settle(h uint64) {
 		return
 	}
 	n := s.b.Len() - 1
-	s.reserve()
 	p, r := s.probe(h, s.b, n)
 	if r >= 0 && !s.dead[r] && s.fold(r, n) {
 		s.b.Truncate(n)
 		return
 	}
-	s.seat(p, r, h)
-}
-
-// reserve grows the index ahead of a probe that may seat a new key.
-func (s *DeltaStore) reserve() {
-	if 2*(s.keys+1) > len(s.slots) {
-		s.grow()
-	}
+	s.index.Add(p, h) // the store's last row, now its key's latest
+	s.dead = append(s.dead, false)
 }
 
 // probe finds the key of row j of src (hash h) in the index: the slot
 // holding the key's latest row r, or the empty slot that ends the key's
 // probe run with r = -1.
 func (s *DeltaStore) probe(h uint64, src *types.DeltaBatch, j int) (p, r int) {
-	mask := len(s.slots) - 1
-	for p = int(h) & mask; s.slots[p] != 0; p = (p + 1) & mask {
-		r = int(s.slots[p]) - 1
-		if s.hashes[r] == h && s.b.ColsEqualFrom(r, src, j, s.key) {
-			return p, r
+	p, e := s.index.First(h)
+	for ; e >= 0; p, e = s.index.Next(p) {
+		if s.index.Hash(e) == h && s.b.ColsEqualFrom(int(e), src, j, s.key) {
+			return p, int(e)
 		}
 	}
 	return p, -1
-}
-
-// seat makes the store's last row its key's latest in slot p (which held
-// row r, or was empty for r < 0).
-func (s *DeltaStore) seat(p, r int, h uint64) {
-	if r < 0 {
-		s.keys++
-	}
-	s.slots[p] = int32(s.b.Len())
-	s.hashes = append(s.hashes, h)
-	s.dead = append(s.dead, false)
 }
 
 // fold applies the first matching rule to previous row p and arriving row
@@ -266,23 +245,6 @@ func (s *DeltaStore) isKey(c int) bool {
 	return false
 }
 
-// grow doubles the index and re-seats every occupied slot.
-func (s *DeltaStore) grow() {
-	old := s.slots
-	s.slots = make([]int32, max(64, 2*len(old)))
-	mask := len(s.slots) - 1
-	for _, e := range old {
-		if e == 0 {
-			continue
-		}
-		p := int(s.hashes[e-1]) & mask
-		for s.slots[p] != 0 {
-			p = (p + 1) & mask
-		}
-		s.slots[p] = e
-	}
-}
-
 // Drain reclaims annihilated rows and returns the pending batch. The
 // batch is the store's own: it is valid until the next Append or Reset,
 // and the caller Resets the store once the batch is shipped.
@@ -298,11 +260,7 @@ func (s *DeltaStore) Drain() *types.DeltaBatch {
 // capacity. Cumulative stats survive.
 func (s *DeltaStore) Reset() {
 	s.b.Reset()
-	if s.keys > 0 {
-		clear(s.slots)
-		s.keys = 0
-	}
-	s.hashes = s.hashes[:0]
+	s.index.Reset()
 	s.dead = s.dead[:0]
 	s.nDead = 0
 	s.addedAtReset = s.added

@@ -411,27 +411,18 @@ func (s *DeltaStore) appendRowRef(src *types.DeltaBatch, i int, h uint64) bool {
 		return true
 	}
 	n := s.b.Len() - 1
-	if 2*(s.keys+1) > len(s.slots) {
-		s.grow()
-	}
-	mask := len(s.slots) - 1
-	p := int(h) & mask
-	for ; s.slots[p] != 0; p = (p + 1) & mask {
-		r := int(s.slots[p]) - 1
-		if s.hashes[r] != h || !s.b.ColsEqual(r, n, s.key) {
+	p, r := s.index.First(h)
+	for ; r >= 0; p, r = s.index.Next(p) {
+		if s.index.Hash(r) != h || !s.b.ColsEqual(int(r), n, s.key) {
 			continue
 		}
-		if !s.dead[r] && s.fold(r, n) {
+		if !s.dead[r] && s.fold(int(r), n) {
 			s.b.Truncate(n)
 			return true
 		}
 		break
 	}
-	if s.slots[p] == 0 {
-		s.keys++
-	}
-	s.slots[p] = int32(n + 1)
-	s.hashes = append(s.hashes, h)
+	s.index.Add(p, h)
 	s.dead = append(s.dead, false)
 	return true
 }

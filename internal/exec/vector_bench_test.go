@@ -33,19 +33,18 @@ func benchStream(n int) []types.Delta {
 	return ds
 }
 
-// benchPipeline wires filter(dist < 25) → preAgg(min-free: sum by vertex).
+// benchPipeline wires filter(dist < 25) → preAgg(min-free: sum by vertex),
+// both compiled to kernels over benchSchema.
 func benchPipeline(b *testing.B) (*filterOp, *preAggOp) {
 	agg, err := newPreAggOp(&OpSpec{
 		GroupKey: []int{0},
 		Aggs:     []AggSpec{{Fn: "sum", Args: []expr.Expr{expr.NewCol(1, types.KindFloat, "d")}, OutName: "s", OutKind: types.KindFloat}},
-	}, 1, nil)
+	}, 1, benchSchema)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := &filterOp{
-		pred: expr.NewCmp(expr.OpLt, expr.NewCol(1, types.KindFloat, "d"), expr.NewConst(float64(25))),
-		outs: outputs{{op: agg, port: 0}},
-	}
+	f := newFilterOp(expr.NewCmp(expr.OpLt, expr.NewCol(1, types.KindFloat, "d"), expr.NewConst(float64(25))), benchSchema, true)
+	f.outs = outputs{{op: agg, port: 0}}
 	return f, agg
 }
 
@@ -73,6 +72,7 @@ func BenchmarkDataPathFilterPreAggVector(b *testing.B) {
 		b.Fatal("stream not batchable")
 	}
 	payload := cluster.EncodeDeltaBatch(nil, cb)
+	before := ReadKernelStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,6 +83,12 @@ func BenchmarkDataPathFilterPreAggVector(b *testing.B) {
 		if err := f.Push(0, dec); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	// The leg measures the kernels: a batch the interpreter took would
+	// time the wrong path.
+	if after := ReadKernelStats(); after.BridgedBatches != before.BridgedBatches || after.FallbackEvals != before.FallbackEvals {
+		b.Fatalf("kernel stats moved from %+v to %+v: batches left the kernels", before, after)
 	}
 }
 

@@ -109,8 +109,8 @@ func (c *CheckpointStore) applyRecordLocked(p []byte) {
 		}
 		p = p[m1:]
 		stratum, m2 := binary.Varint(p)
-		if m2 <= 0 {
-			return
+		if m2 <= 0 || stratum < 0 {
+			return // strata count from 0: Restore indexes by them
 		}
 		p = p[m2:]
 		count, m3 := binary.Uvarint(p)
@@ -264,7 +264,7 @@ func ckptAppendString(p []byte, s string) []byte {
 
 func ckptReadString(p []byte) (string, int) {
 	n, m := binary.Uvarint(p)
-	if m <= 0 || len(p) < m+int(n) {
+	if m <= 0 || n > uint64(len(p)-m) {
 		return "", -1
 	}
 	return string(p[m : m+int(n)]), m + int(n)

@@ -6,12 +6,11 @@ package types
 //   - Key lanes keep each key column's value unboxed (int, float, string,
 //     bool, NULL; a composite key is one lane per column), in the
 //     representation of the row that created the group.
-//   - An open-addressed index, shaped like the shuffle's DeltaStore,
-//     maps a key to its group. Its hash is HashValue of Tuple.Key, which
-//     is also the key hash checkpoint entries are placed by. Groups
-//     computes it a column at a time with the shuffle's batch hash
-//     (DeltaBatch.HashKeys), and probes a single int or string key with
-//     a typed compare on its key lane.
+//   - A KeyIndex maps a key to its group. Its hash is HashValue of
+//     Tuple.Key, which is also the key hash checkpoint entries are placed
+//     by. Groups computes it a column at a time with the shuffle's batch
+//     hash (DeltaBatch.HashKeys), and probes a single int or string key
+//     with a typed compare on its key lane.
 //   - Accs holds each aggregate's accumulator lanes (Acc); the typed
 //     update rules that fold into them live with the aggregates (uda).
 //   - Result lanes keep each aggregate's last emitted value per group, so
@@ -23,10 +22,8 @@ package types
 //
 // Group ids are dense row numbers, stable until Reset.
 type GroupTable struct {
-	keys   []scalars // one lane per key column
-	hashes []uint64  // per group: HashValue of its Tuple.Key
-	slots  []int32   // the index: group+1, 0 empty; load ≤ 1/2
-	n      int
+	keys  []scalars // one lane per key column
+	index KeyIndex  // group ids by HashValue of their Tuple.Key
 
 	// Accs holds one accumulator-lane set per aggregate.
 	Accs []Acc
@@ -35,7 +32,6 @@ type GroupTable struct {
 	emitted []bool    // per group: last holds an emitted result
 
 	dirty, ckpt GroupSet
-	fresh       GroupSet // the groups Fresh made, which the index omits
 }
 
 // NewGroupTable creates an empty table for a key of nkey columns and one
@@ -56,7 +52,7 @@ func NewGroupTable(nkey int, lanes []AccLanes) *GroupTable {
 }
 
 // Len reports the group count.
-func (t *GroupTable) Len() int { return t.n }
+func (t *GroupTable) Len() int { return t.index.Len() }
 
 // Groups finds each row's group by its key columns — of the old image
 // when old is set — creating groups for new keys in row order, and
@@ -133,26 +129,20 @@ func (t *GroupTable) findTyped(hs []uint64, cols []Column, key []int, lo int, gi
 	lane := &t.keys[0]
 	for r, h := range hs {
 		i := lo + r
-		g := int32(-1)
-		if len(t.slots) > 0 {
-			mask := len(t.slots) - 1
-			for p := int(h) & mask; t.slots[p] != 0; p = (p + 1) & mask {
-				q := t.slots[p] - 1
-				if lane.k[q] == kind {
-					if kind == KindInt && lane.w[q] == uint64(ints[i]) || kind == KindString && lane.strs[q] == strs[i] {
-						g = q
-						break
-					}
-					continue
-				}
-				if t.hashes[q] == h && t.keyEq(q, cols, key, i) {
-					g = q
+		p, g := t.index.First(h)
+		for ; g >= 0; p, g = t.index.Next(p) {
+			if lane.k[g] == kind {
+				if kind == KindInt && lane.w[g] == uint64(ints[i]) || kind == KindString && lane.strs[g] == strs[i] {
 					break
 				}
+				continue
+			}
+			if t.index.Hash(g) == h && t.keyEq(g, cols, key, i) {
+				break
 			}
 		}
 		if g < 0 {
-			g = t.insert(h, cols, key, i)
+			g = t.add(p, h, cols, key, i)
 		}
 		gids[r] = g
 	}
@@ -171,9 +161,7 @@ func (t *GroupTable) Group(key Tuple) int32 {
 // own this way, as a Go map keyed by the boxed value does.
 func (t *GroupTable) Fresh(key Tuple) int32 {
 	b, idx := keyBatch(key)
-	g := t.add(b.HashKeys(idx, nil)[0], b.cols, idx, 0)
-	t.fresh.Mark(g)
-	return g
+	return t.add(-1, b.HashKeys(idx, nil)[0], b.cols, idx, 0)
 }
 
 // keyBatch is a boxed key tuple as a one-row batch, with its columns'
@@ -190,32 +178,13 @@ func keyBatch(key Tuple) (*DeltaBatch, []int) {
 
 // find returns row i's group, whose key hashes to h, creating it if new.
 func (t *GroupTable) find(h uint64, cols []Column, key []int, i int) int32 {
-	if len(t.slots) > 0 {
-		mask := len(t.slots) - 1
-		for p := int(h) & mask; t.slots[p] != 0; p = (p + 1) & mask {
-			g := t.slots[p] - 1
-			if t.hashes[g] == h && t.keyEq(g, cols, key, i) {
-				return g
-			}
+	p, g := t.index.First(h)
+	for ; g >= 0; p, g = t.index.Next(p) {
+		if t.index.Hash(g) == h && t.keyEq(g, cols, key, i) {
+			return g
 		}
 	}
-	return t.insert(h, cols, key, i)
-}
-
-// insert adds a group for row i's key, which hashes to h and which the
-// index lacks.
-func (t *GroupTable) insert(h uint64, cols []Column, key []int, i int) int32 {
-	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
-	}
-	mask := len(t.slots) - 1
-	p := int(h) & mask
-	for t.slots[p] != 0 {
-		p = (p + 1) & mask
-	}
-	g := t.add(h, cols, key, i)
-	t.slots[p] = g + 1
-	return g
+	return t.add(p, h, cols, key, i)
 }
 
 func (t *GroupTable) keyEq(g int32, cols []Column, key []int, i int) bool {
@@ -228,14 +197,12 @@ func (t *GroupTable) keyEq(g int32, cols []Column, key []int, i int) bool {
 	return true
 }
 
-// add appends a group for row i's key with zeroed accumulators.
-func (t *GroupTable) add(h uint64, cols []Column, key []int, i int) int32 {
-	g := int32(t.n)
-	t.n++
+// add appends a group for row i's key, with zeroed accumulators, and
+// seats it in index slot p (KeyIndex.Add).
+func (t *GroupTable) add(p int, h uint64, cols []Column, key []int, i int) int32 {
 	for j, c := range key {
 		t.keys[j].push(cols[c].bitsAt(i))
 	}
-	t.hashes = append(t.hashes, h)
 	for j := range t.Accs {
 		t.Accs[j].grow()
 	}
@@ -243,23 +210,7 @@ func (t *GroupTable) add(h uint64, cols []Column, key []int, i int) int32 {
 		t.last[j].push(KindNull, 0, "")
 	}
 	t.emitted = append(t.emitted, false)
-	return g
-}
-
-// grow doubles the index and re-seats every group.
-func (t *GroupTable) grow() {
-	t.slots = make([]int32, max(64, 2*len(t.slots)))
-	mask := len(t.slots) - 1
-	for g := 0; g < t.n; g++ {
-		if t.fresh.Has(int32(g)) {
-			continue
-		}
-		p := int(t.hashes[g]) & mask
-		for t.slots[p] != 0 {
-			p = (p + 1) & mask
-		}
-		t.slots[p] = int32(g + 1)
-	}
+	return t.index.Add(p, h)
 }
 
 // Reset empties the table, keeping lane and index capacity.
@@ -273,17 +224,14 @@ func (t *GroupTable) Reset() {
 	for j := range t.last {
 		t.last[j].truncate(0)
 	}
-	t.hashes = t.hashes[:0]
 	t.emitted = t.emitted[:0]
-	clear(t.slots)
-	t.n = 0
+	t.index.Reset()
 	t.dirty.Reset()
 	t.ckpt.Reset()
-	t.fresh.Reset()
 }
 
 // KeyHash reports HashValue of group g's Tuple.Key.
-func (t *GroupTable) KeyHash(g int32) uint64 { return t.hashes[g] }
+func (t *GroupTable) KeyHash(g int32) uint64 { return t.index.Hash(g) }
 
 // Key renders key column j of group g.
 func (t *GroupTable) Key(g int32, j int, out *Scalar) { t.keys[j].scalar(int(g), out) }
@@ -373,12 +321,6 @@ func (d *GroupSet) Mark(g int32) {
 	}
 }
 
-// Has reports whether group g is marked.
-func (d *GroupSet) Has(g int32) bool {
-	w := int(g) >> 6
-	return w < len(d.bits) && d.bits[w]&(uint64(1)<<(uint(g)&63)) != 0
-}
-
 // List returns the marked groups in the order they were first marked.
 func (d *GroupSet) List() []int32 { return d.list }
 
@@ -442,7 +384,7 @@ func (a *Acc) reset() {
 // Bag holds (group, value) rows chained per group, each with a count and
 // a float payload: min and max keep every distinct argument value with
 // its multiplicity, so deleting the extremum exposes the next one
-// (§3.3), and argmin keeps each id's value. An open-addressed index
+// (§3.3), and argmin keeps each id's value. A KeyIndex over bagHash
 // finds a group's row for a value. Values compare by identity as keys of
 // a Go map of boxed values would (1 and 1.0 are distinct rows).
 //
@@ -460,8 +402,7 @@ type Bag struct {
 	head []int32 // per group: first chain row, -1 none
 	best []int32 // per group: cached extreme row, or BagNone / BagStale
 
-	slots  []int32 // row+1, 0 empty; load ≤ 1/2
-	hashes []uint64
+	index KeyIndex // rows by bagHash
 }
 
 // Sentinels of Bag.Best.
@@ -474,8 +415,7 @@ func (b *Bag) reset() {
 	b.vals.truncate(0)
 	b.group, b.next, b.Count, b.Num = b.group[:0], b.next[:0], b.Count[:0], b.Num[:0]
 	b.head, b.best = b.head[:0], b.best[:0]
-	b.hashes = b.hashes[:0]
-	clear(b.slots)
+	b.index.Reset()
 }
 
 // Find returns group g's row for row i of v, creating it (count 0) if
@@ -500,45 +440,23 @@ func (b *Bag) FindValue(g int32, x Value) int32 {
 
 func (b *Bag) find(g int32, k Kind, w uint64, s string, create bool) int32 {
 	h := bagHash(g, k, w, s)
-	if create && 2*(len(b.group)+1) > len(b.slots) {
-		b.grow()
-	}
-	if len(b.slots) == 0 {
-		return -1
-	}
-	mask := len(b.slots) - 1
-	p := int(h) & mask
-	for ; b.slots[p] != 0; p = (p + 1) & mask {
-		r := b.slots[p] - 1
-		if b.hashes[r] == h && b.group[r] == g && rawEq(b.vals.k[r], b.vals.w[r], b.vals.str(int(r)), k, w, s) {
+	p, r := b.index.First(h)
+	for ; r >= 0; p, r = b.index.Next(p) {
+		if b.index.Hash(r) == h && b.group[r] == g && rawEq(b.vals.k[r], b.vals.w[r], b.vals.str(int(r)), k, w, s) {
 			return r
 		}
 	}
 	if !create {
 		return -1
 	}
-	r := int32(len(b.group))
+	r = b.index.Add(p, h)
 	b.vals.push(k, w, s)
 	b.group = append(b.group, g)
 	b.next = append(b.next, b.head[g])
 	b.head[g] = r
 	b.Count = append(b.Count, 0)
 	b.Num = append(b.Num, 0)
-	b.hashes = append(b.hashes, h)
-	b.slots[p] = r + 1
 	return r
-}
-
-func (b *Bag) grow() {
-	b.slots = make([]int32, max(64, 2*len(b.slots)))
-	mask := len(b.slots) - 1
-	for r, h := range b.hashes {
-		p := int(h) & mask
-		for b.slots[p] != 0 {
-			p = (p + 1) & mask
-		}
-		b.slots[p] = int32(r + 1)
-	}
 }
 
 // bagHash mixes a group id with a value's identity (floats hash by

@@ -25,20 +25,13 @@ func (t *GroupTable) findRow(cols []Column, key []int, i int) int32 {
 		}
 		h = hashKeyBytes(buf)
 	}
-	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
-	}
-	mask := len(t.slots) - 1
-	p := int(h) & mask
-	for ; t.slots[p] != 0; p = (p + 1) & mask {
-		g := t.slots[p] - 1
-		if t.hashes[g] == h && t.keyEq(g, cols, key, i) {
+	p, g := t.index.First(h)
+	for ; g >= 0; p, g = t.index.Next(p) {
+		if t.index.Hash(g) == h && t.keyEq(g, cols, key, i) {
 			return g
 		}
 	}
-	g := t.add(h, cols, key, i)
-	t.slots[p] = g + 1
-	return g
+	return t.add(p, h, cols, key, i)
 }
 
 // groupsRow is Groups through findRow.
@@ -57,9 +50,7 @@ func (t *GroupTable) groupsRow(b *DeltaBatch, key []int, old bool, sel []int32, 
 // freshRow is Fresh with the boxed key's HashValue.
 func (t *GroupTable) freshRow(key Tuple) int32 {
 	b, idx := keyBatch(key)
-	g := t.add(HashValue(key.Key(idx)), b.cols, idx, 0)
-	t.fresh.Mark(g)
-	return g
+	return t.add(-1, HashValue(key.Key(idx)), b.cols, idx, 0)
 }
 
 // appendKeyBits is appendKeyPart for an unboxed scalar.
