@@ -175,7 +175,7 @@ func (f *filterOp) Push(port int, b *types.DeltaBatch) error {
 // emitted anything.
 func (f *filterOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 	n := b.Len()
-	f.oldRows = appendReplaceRows(f.oldRows[:0], b)
+	f.oldRows = b.AppendReplaceRows(f.oldRows[:0])
 	if len(f.oldRows) == 0 {
 		return f.pushSel(b, f.kern.AllRows(n))
 	}
@@ -261,16 +261,6 @@ func (f *filterOp) pushSel(b *types.DeltaBatch, rows []int32) (bool, error) {
 	defer types.PutBatch(out)
 	out.Gather(b, sel)
 	return true, f.outs.sendBatch(out)
-}
-
-// appendReplaceRows appends the indexes of b's replace rows to dst.
-func appendReplaceRows(dst []int32, b *types.DeltaBatch) []int32 {
-	for i := 0; i < b.Len(); i++ {
-		if b.Op(i) == types.OpReplace {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
 }
 
 func growBools(s []bool, n int) []bool {
@@ -540,7 +530,7 @@ func (p *projectOp) pushBridged(b *types.DeltaBatch) error {
 
 func (p *projectOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 	n := b.Len()
-	p.oldRows = appendReplaceRows(p.oldRows[:0], b)
+	p.oldRows = b.AppendReplaceRows(p.oldRows[:0])
 	if len(p.oldRows) == 0 {
 		return p.pushSel(b, p.kerns[0].AllRows(n))
 	}

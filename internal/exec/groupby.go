@@ -263,7 +263,7 @@ func (g *groupByOp) Push(port int, b *types.DeltaBatch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	g.oldRows = appendReplaceRows(g.oldRows[:0], b)
+	g.oldRows = b.AppendReplaceRows(g.oldRows[:0])
 	if g.argKerns != nil {
 		if done, err := g.pushKernel(b); done {
 			return err

@@ -17,6 +17,7 @@ package expr
 
 import (
 	"math"
+	"slices"
 
 	"github.com/rex-data/rex/internal/types"
 )
@@ -79,20 +80,48 @@ func (k *Kernel) EvalBools(b *types.DeltaBatch, old bool, rows []int32, out []bo
 }
 
 // Select evaluates a predicate kernel over the selected rows of b's new
-// images and appends the rows whose verdict is true to dst, in order.
-// ok=false declines, as for EvalBools.
+// images and appends the rows whose verdict is true to dst, in order;
+// dst's prefix is left as it was. A compare of a numeric column with a
+// literal or parameter writes the selection straight from its typed loop
+// (selectConst); any other predicate computes its verdicts and compacts
+// them, both without a branch per row. ok=false declines, as for
+// EvalBools.
 func (k *Kernel) Select(b *types.DeltaBatch, rows []int32, dst []int32) ([]int32, bool) {
+	if n, ok := k.root.(*cmpNode); ok {
+		if x, s, left := n.scalarSide(); s != nil {
+			dst, ok = n.selectScalar(k.begin(b, false), rows, x, s, left, dst)
+			k.kc.b = nil
+			return dst, ok
+		}
+	}
 	v, ok := k.verdicts(b, false, rows)
 	if !ok {
 		return dst, false
 	}
-	vb := v.Bools
+	return appendWhere(dst, rows, v.Bools, true), true
+}
+
+// appendWhere appends the rows whose verdict equals want to dst: each row
+// is written and the length advances by the verdict, so the loop carries
+// no branch a verdict could mispredict.
+func appendWhere(dst, rows []int32, vb []bool, want bool) []int32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(rows))
+	out := dst[n : n+len(rows)]
+	m := 0
 	for _, i := range rows {
-		if vb[i] {
-			dst = append(dst, i)
-		}
+		out[m] = i
+		m += b2i(vb[i] == want)
 	}
-	return dst, true
+	return dst[:n+m]
+}
+
+// b2i compiles to a flag-to-register move, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // verdicts evaluates a predicate kernel, declining a NULL verdict.
@@ -524,11 +553,12 @@ type cmpNode struct {
 }
 
 func (n *cmpNode) eval(kc *kctx, rows []int32) (*types.Vec, bool) {
-	if s, ok := n.r.(scalar); ok {
-		return n.evalScalar(kc, rows, n.l, s, false)
-	}
-	if s, ok := n.l.(scalar); ok {
-		return n.evalScalar(kc, rows, n.r, s, true)
+	if x, s, left := n.scalarSide(); s != nil {
+		xv, c, ok := scalarOperands(kc, rows, x, s)
+		if !ok {
+			return nil, false
+		}
+		return n.cmpScalar(kc, rows, xv, c, left)
 	}
 	lv, ok := n.l.eval(kc, rows)
 	if !ok {
@@ -541,18 +571,36 @@ func (n *cmpNode) eval(kc *kctx, rows []int32) (*types.Vec, bool) {
 	return n.cmpVecs(kc, rows, lv, rv), true
 }
 
-// evalScalar compares x with the scalar s (on the left when left is
-// set): one typed loop when cmpConst takes the pair, else the scalar is
-// broadcast and the general loops decide.
-func (n *cmpNode) evalScalar(kc *kctx, rows []int32, x knode, s scalar, left bool) (*types.Vec, bool) {
+// scalarSide splits a compare with a literal or parameter side into the
+// other operand x and the scalar s, which is on the left when left is
+// set. s is nil when neither side is one.
+func (n *cmpNode) scalarSide() (x knode, s scalar, left bool) {
+	if s, ok := n.r.(scalar); ok {
+		return n.l, s, false
+	}
+	if s, ok := n.l.(scalar); ok {
+		return n.r, s, true
+	}
+	return nil, nil, false
+}
+
+// scalarOperands evaluates x and reads the scalar's value.
+func scalarOperands(kc *kctx, rows []int32, x knode, s scalar) (*types.Vec, types.Value, bool) {
 	xv, ok := x.eval(kc, rows)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	c, ok := s.value()
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
+	return xv, c, true
+}
+
+// cmpScalar compares xv with the constant c (on the left when left is
+// set): one typed loop when cmpConst takes the pair, else the constant is
+// broadcast and the general loops decide.
+func (n *cmpNode) cmpScalar(kc *kctx, rows []int32, xv *types.Vec, c types.Value, left bool) (*types.Vec, bool) {
 	op := n.op
 	if left {
 		op = op.flip()
@@ -568,6 +616,28 @@ func (n *cmpNode) evalScalar(kc *kctx, rows []int32, x knode, s scalar, left boo
 		return n.cmpVecs(kc, rows, cv, xv), true
 	}
 	return n.cmpVecs(kc, rows, xv, cv), true
+}
+
+// selectScalar appends to dst the selected rows where x compares true
+// with s: straight from selectConst's loop when it takes the pair, else
+// by compacting cmpScalar's verdicts.
+func (n *cmpNode) selectScalar(kc *kctx, rows []int32, x knode, s scalar, left bool, dst []int32) ([]int32, bool) {
+	xv, c, ok := scalarOperands(kc, rows, x, s)
+	if !ok {
+		return dst, false
+	}
+	op := n.op
+	if left {
+		op = op.flip()
+	}
+	if out, ok := selectConst(rows, op, xv, c, dst); ok {
+		return out, true
+	}
+	v, ok := n.cmpScalar(kc, rows, xv, c, left)
+	if !ok {
+		return dst, false
+	}
+	return appendWhere(dst, rows, v.Bools, true), true
 }
 
 // flip mirrors the operator for swapped operands: c op x is x op.flip() c.
@@ -591,7 +661,9 @@ func (o CmpOp) flip() CmpOp {
 // float, an int vector against a float constant through AsFloat, a float
 // vector against an int constant converted once. It returns nil, leaving
 // the pair to the general loops, for a NULL among the rows, any other
-// kind and a NaN constant.
+// kind and a NaN constant. It writes a verdict per row, for EvalBools and
+// projections; Select takes the same pairs through selectConst, which
+// writes the selection instead.
 func cmpConst(kc *kctx, rows []int32, op CmpOp, xv *types.Vec, c types.Value) *types.Vec {
 	if xv.Anys != nil || hasNullAt(xv, rows) {
 		return nil
@@ -656,6 +728,82 @@ func cmpConstLoop[T int64 | float64](op CmpOp, rows []int32, xs []T, c T, ob []b
 			ob[i] = xs[i] >= c
 		}
 	}
+}
+
+// selectConst appends to dst the selected rows where x op c holds, in
+// one typed loop per operator with no branch per row. It takes exactly
+// the pairs cmpConst takes — an int vector against a float constant is
+// converted per row, as AsFloat does — and returns false, dst untouched,
+// for the rest.
+func selectConst(rows []int32, op CmpOp, xv *types.Vec, c types.Value, dst []int32) ([]int32, bool) {
+	if xv.Anys != nil || hasNullAt(xv, rows) {
+		return dst, false
+	}
+	xk := xv.K
+	if xk != types.KindInt && xk != types.KindFloat {
+		return dst, false
+	}
+	ci, isInt := c.(int64)
+	cf, isFloat := c.(float64)
+	if !isInt && !isFloat || isFloat && math.IsNaN(cf) {
+		return dst, false
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(rows))
+	out := dst[n : n+len(rows)]
+	var m int
+	switch {
+	case isInt && xk == types.KindInt:
+		m = selectConstLoop(op, rows, xv.Ints, ci, out)
+	case isInt:
+		m = selectConstLoop(op, rows, xv.Floats, float64(ci), out)
+	case xk == types.KindInt:
+		m = selectConstLoop(op, rows, xv.Ints, cf, out)
+	default:
+		m = selectConstLoop(op, rows, xv.Floats, cf, out)
+	}
+	return dst[:n+m], true
+}
+
+// selectConstLoop writes each selected row into out and advances past it
+// when C(x) op c holds, c not NaN, returning the count kept. A NaN x
+// sorts below every number (floatCmp): < and <= are written as the
+// negated >= and >, which hold for it; it is unequal to c.
+func selectConstLoop[X, C int64 | float64](op CmpOp, rows []int32, xs []X, c C, out []int32) int {
+	m := 0
+	switch op {
+	case OpEq:
+		for _, i := range rows {
+			out[m] = i
+			m += b2i(C(xs[i]) == c)
+		}
+	case OpNe:
+		for _, i := range rows {
+			out[m] = i
+			m += b2i(C(xs[i]) != c)
+		}
+	case OpLt:
+		for _, i := range rows {
+			out[m] = i
+			m += b2i(!(C(xs[i]) >= c))
+		}
+	case OpLe:
+		for _, i := range rows {
+			out[m] = i
+			m += b2i(!(C(xs[i]) > c))
+		}
+	case OpGt:
+		for _, i := range rows {
+			out[m] = i
+			m += b2i(C(xs[i]) > c)
+		}
+	case OpGe:
+		for _, i := range rows {
+			out[m] = i
+			m += b2i(C(xs[i]) >= c)
+		}
+	}
+	return m
 }
 
 // cmpVecs compares two evaluated vectors row by row.
@@ -878,24 +1026,13 @@ func (n *logicNode) eval(kc *kctx, rows []int32) (*types.Vec, bool) {
 	out := kc.kern.getVec()
 	out.Reset(types.KindBool, kc.n)
 	ob := out.Bools
-	n.sub = n.sub[:0]
-	if n.op == OpAnd {
-		for _, i := range rows {
-			if lb[i] {
-				n.sub = append(n.sub, i)
-			} else {
-				ob[i] = false
-			}
-		}
-	} else {
-		for _, i := range rows {
-			if lb[i] {
-				ob[i] = true
-			} else {
-				n.sub = append(n.sub, i)
-			}
-		}
+	// The left side decides every row to false (AND) or true (OR) but
+	// the ones in sub, whose verdicts the right side then overwrites.
+	and := n.op == OpAnd
+	for _, i := range rows {
+		ob[i] = !and
 	}
+	n.sub = appendWhere(n.sub[:0], rows, lb, and)
 	if len(n.sub) > 0 {
 		rv, ok := n.r.eval(kc, n.sub)
 		if !ok {

@@ -3,11 +3,12 @@ package expr
 // Kernel-vs-interpreter microbenchmarks at the expression layer: the
 // same predicate and projection evaluated over one 4096-row batch by the
 // compiled kernel (EvalBools/EvalInto) and by the row interpreter over
-// scratch tuples. Run with
+// scratch tuples, and Select on a compare with a constant. Run with
 //
-//	go test -run '^$' -bench Kernel -benchmem ./internal/expr
+//	go test -run '^$' -bench 'Kernel|Select' -benchmem ./internal/expr
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/rex-data/rex/internal/types"
@@ -108,5 +109,38 @@ func BenchmarkProjectionInterpreter(b *testing.B) {
 			}
 			out[r] = v
 		}
+	}
+}
+
+// BenchmarkSelectConstHalf4k is serve-mixed's aggregate filter: a
+// whole-valued float column in random order against a float literal
+// that keeps about half of 4096 rows, so a branch on each verdict would
+// mispredict about half the time.
+func BenchmarkSelectConstHalf4k(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	ds := make([]types.Delta, 4096)
+	for i := range ds {
+		ds[i] = types.Insert(types.NewTuple(float64(1 + r.Intn(50))))
+	}
+	cb, ok := types.FromDeltas(ds)
+	if !ok {
+		b.Fatal("stream not batchable")
+	}
+	pred := NewCmp(OpLt, NewCol(0, types.KindFloat, "quantity"), NewConst(25.5))
+	kern, ok := Compile(pred, []types.Kind{types.KindFloat})
+	if !ok {
+		b.Fatal("predicate must compile")
+	}
+	rows := kern.AllRows(cb.Len())
+	sel := make([]int32, 0, cb.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sel, ok = kern.Select(cb, rows, sel[:0]); !ok {
+			b.Fatal("kernel declined")
+		}
+	}
+	if n := len(sel); n < cb.Len()*2/5 || n > cb.Len()*3/5 {
+		b.Fatalf("kept %d of %d rows, want about half", n, cb.Len())
 	}
 }

@@ -3,6 +3,7 @@ package expr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/rex-data/rex/internal/types"
@@ -202,6 +203,41 @@ func checkKernelImage(t *testing.T, e Expr, kern *Kernel, b *types.DeltaBatch, o
 	return false
 }
 
+// checkKernelSelect runs Select over rows, a subset of a batch's new
+// images, behind a dst prefix: it must decline exactly when EvalBools
+// does, and otherwise append exactly the rows where EvalBool is true,
+// leaving the prefix as it was.
+func checkKernelSelect(t *testing.T, e Expr, kern *Kernel, b *types.DeltaBatch, rows []int32) {
+	t.Helper()
+	took := kern.EvalBools(b, false, rows, make([]bool, b.Len()))
+	prefix := []int32{-1, -2}
+	sel, ok := kern.Select(b, rows, slices.Clone(prefix))
+	if len(sel) < len(prefix) || !slices.Equal(sel[:len(prefix)], prefix) {
+		t.Fatalf("%s: Select changed dst's prefix %v into %v", e, prefix, sel)
+	}
+	if ok != took {
+		t.Fatalf("%s: Select ok=%v, EvalBools ok=%v", e, ok, took)
+	}
+	if !ok {
+		return
+	}
+	var want []int32
+	var scratch types.Tuple
+	for _, i := range rows {
+		scratch = b.Row(int(i), scratch)
+		v, err := EvalBool(e, scratch)
+		if err != nil {
+			t.Fatalf("Select took a batch EvalBool rejects: %s: %v", e, err)
+		}
+		if v {
+			want = append(want, i)
+		}
+	}
+	if got := sel[len(prefix):]; !slices.Equal(got, want) {
+		t.Fatalf("%s over rows %v: Select %v, EvalBool passes %v", e, rows, got, want)
+	}
+}
+
 func TestKernelMatchesInterpreter(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	ps := &ParamSet{}
@@ -217,12 +253,16 @@ func TestKernelMatchesInterpreter(t *testing.T) {
 		b := genPropBatch(r, 1+r.Intn(24))
 		rows := kern.AllRows(b.Len())
 		declined := checkKernelImage(t, e, kern, b, false, rows)
-		var oldRows []int32
-		for i := 0; i < b.Len(); i++ {
-			if b.Op(i) == types.OpReplace {
-				oldRows = append(oldRows, int32(i))
+		if e.Kind() == types.KindBool {
+			var sub []int32
+			for i := 0; i < b.Len(); i++ {
+				if r.Intn(2) == 0 {
+					sub = append(sub, int32(i))
+				}
 			}
+			checkKernelSelect(t, e, kern, b, sub)
 		}
+		oldRows := b.AppendReplaceRows(nil)
 		if b.HasOld() {
 			if checkKernelImage(t, e, kern, b, true, oldRows) {
 				declined = true

@@ -20,7 +20,7 @@ import (
 //
 // Record framing matches the page-store WAL: uint32 payload length,
 // uint32 CRC-32 (IEEE), payload. A torn tail (crash mid-append) fails the
-// CRC or length check and is discarded on replay; checkpoints are a
+// CRC or length check and is cut off on replay; checkpoints are a
 // recovery accelerator, so a lost tail only costs re-derivation. When
 // tombstones accumulate, the log compacts by rewriting the live entries
 // to a temp file and renaming over the old log.
@@ -48,14 +48,22 @@ func (c *CheckpointStore) UseDir(dir string) error {
 		return err
 	}
 	path := filepath.Join(dir, ckptLogName)
-	if data, err := os.ReadFile(path); err == nil {
-		c.replayLocked(data)
-	} else if !os.IsNotExist(err) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
+	keep := c.replayLocked(data)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
+	}
+	// Cut a torn tail off before appending: a record written behind it
+	// would be unreachable by the next replay.
+	if keep < len(data) {
+		if err := f.Truncate(int64(keep)); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	c.dir, c.f = dir, f
 	return nil
@@ -74,21 +82,24 @@ func (c *CheckpointStore) Close() error {
 }
 
 // replayLocked folds log records into the in-memory map, stopping at the
-// first torn or corrupt frame.
-func (c *CheckpointStore) replayLocked(data []byte) {
-	for len(data) >= 8 {
-		n := binary.LittleEndian.Uint32(data[0:4])
-		sum := binary.LittleEndian.Uint32(data[4:8])
-		if len(data) < 8+int(n) {
-			return // torn tail
+// first torn or corrupt frame, and returns the length of the prefix it
+// replayed.
+func (c *CheckpointStore) replayLocked(data []byte) int {
+	off := 0
+	for len(data)-off >= 8 {
+		n := binary.LittleEndian.Uint32(data[off : off+4])
+		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
+		if len(data)-off-8 < int(n) {
+			return off // torn tail
 		}
-		payload := data[8 : 8+int(n)]
+		payload := data[off+8 : off+8+int(n)]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return
+			return off
 		}
-		data = data[8+int(n):]
+		off += 8 + int(n)
 		c.applyRecordLocked(payload)
 	}
+	return off
 }
 
 func (c *CheckpointStore) applyRecordLocked(p []byte) {

@@ -57,11 +57,59 @@ func TestCheckpointLogHugeStringLength(t *testing.T) {
 	}
 }
 
+// A record put after reopening a log with a torn tail survives the next
+// reopen: UseDir cuts the tail off instead of appending behind it.
+func TestCheckpointLogAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	cs := NewCheckpointStore()
+	if err := cs.UseDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	cs.Put("a", 1, 0, []uint64{types.HashValue(int64(1))}, []types.Tuple{types.NewTuple(int64(1))})
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A frame header promising 64 payload bytes, and 2 of them.
+	torn := ckptFrame(make([]byte, 64))[:6]
+	f, err := os.OpenFile(filepath.Join(dir, ckptLogName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	cs = NewCheckpointStore()
+	if err := cs.UseDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	cs.Put("b", 1, 0, []uint64{types.HashValue(int64(2))}, []types.Tuple{types.NewTuple(int64(2))})
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := NewCheckpointStore()
+	if err := re.UseDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Size("a"); got != 1 {
+		t.Fatalf("Size(a) = %d, want 1", got)
+	}
+	if got := re.Size("b"); got != 1 {
+		t.Fatalf("Size(b) = %d after reopen, want 1", got)
+	}
+}
+
 // FuzzCheckpointLog replays arbitrary bytes as a checkpoint log. Replay
-// must not panic, what it imports must answer LastStratum and Restore,
-// and the store it rebuilds must survive a compaction and a reopen
-// unchanged. Seeds under testdata/fuzz/FuzzCheckpointLog hold a log of
-// every record kind, a torn tail, and the huge-length record above.
+// must not panic and what it imports must answer LastStratum and
+// Restore. A record put right after that first open — behind whatever
+// tail the log had — must survive a reopen, and the store must then
+// survive a compaction and another reopen unchanged. Seeds under
+// testdata/fuzz/FuzzCheckpointLog hold a log of every record kind, a
+// torn tail, and the huge-length record above.
 func FuzzCheckpointLog(f *testing.F) {
 	ring := cluster.NewRing(2, 8, 1)
 	snap := cluster.NewSnapshot(ring, ring.Nodes())
@@ -82,10 +130,8 @@ func FuzzCheckpointLog(f *testing.F) {
 				c.Restore(k.queryID, k.opID, min(k.stratum, 64), node, snap)
 			}
 		}
+		c.Put("after-open", 1, 0, []uint64{types.HashValue(int64(1))}, []types.Tuple{types.NewTuple(int64(1))})
 		want := ckptDump(c)
-		c.mu.Lock()
-		c.compactLocked()
-		c.mu.Unlock()
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +139,21 @@ func FuzzCheckpointLog(f *testing.F) {
 		if err := re.UseDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		defer re.Close()
 		if got := ckptDump(re); !bytes.Equal(got, want) {
+			t.Fatalf("reopened after a put:\n%x\nwant\n%x", got, want)
+		}
+		re.mu.Lock()
+		re.compactLocked()
+		re.mu.Unlock()
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again := NewCheckpointStore()
+		if err := again.UseDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		defer again.Close()
+		if got := ckptDump(again); !bytes.Equal(got, want) {
 			t.Fatalf("reopened after compaction:\n%x\nwant\n%x", got, want)
 		}
 	})

@@ -1,6 +1,9 @@
 package types
 
-import "math"
+import (
+	"bytes"
+	"math"
+)
 
 // DeltaBatch is the columnar representation of a batch of deltas: one Op
 // vector plus one Column per tuple attribute, with an optional parallel
@@ -392,6 +395,21 @@ func (b *DeltaBatch) NumCols() int { return len(b.cols) }
 
 // Op reports the annotation of row i.
 func (b *DeltaBatch) Op(i int) Op { return Op(b.ops[i]) }
+
+// AppendReplaceRows appends the indexes of the batch's OpReplace rows to
+// dst, in order, jumping from one to the next with bytes.IndexByte over
+// the ops lane instead of reading every row's op.
+func (b *DeltaBatch) AppendReplaceRows(dst []int32) []int32 {
+	ops := b.ops[:b.n]
+	for i := 0; ; i++ {
+		j := bytes.IndexByte(ops[i:], byte(OpReplace))
+		if j < 0 {
+			return dst
+		}
+		i += j
+		dst = append(dst, int32(i))
+	}
+}
 
 // Col returns column j (of the new-image group).
 func (b *DeltaBatch) Col(j int) *Column { return &b.cols[j] }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -130,6 +131,32 @@ func TestBatchWireRoundTrip(t *testing.T) {
 		}
 		if got := dec.Deltas(); !deltasEqual(got, rows) {
 			t.Fatalf("trial %d: wire round trip mismatch:\n got %v\nwant %v", trial, got, rows)
+		}
+	}
+}
+
+// TestAppendReplaceRows: the replace rows found through the ops lane are
+// the rows whose Op is OpReplace, on built and on decoded batches, and
+// they land behind dst's prefix.
+func TestAppendReplaceRows(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		rows := randBatch(r, r.Intn(40), 1+r.Intn(3))
+		built, _ := FromDeltas(rows)
+		dec, _, err := DecodeDeltaBatch(AppendDeltaBatch(nil, built))
+		if err != nil {
+			t.Fatalf("trial %d: decode: %v", trial, err)
+		}
+		want := []int32{-1}
+		for i, d := range rows {
+			if d.Op == OpReplace {
+				want = append(want, int32(i))
+			}
+		}
+		for _, b := range []*DeltaBatch{built, dec} {
+			if got := b.AppendReplaceRows([]int32{-1}); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: AppendReplaceRows = %v, want %v", trial, got, want)
+			}
 		}
 	}
 }
