@@ -80,117 +80,112 @@ func (s *scanOp) Punct(int, int, bool) error        { return fmt.Errorf("exec: s
 
 // filterOp applies a predicate with proper delta semantics: a replacement
 // whose old and new tuples fall on different sides of the predicate
-// degrades into a bare insertion or deletion. When the predicate compiles
-// to a column kernel, whole batches are evaluated with typed loops into a
-// selection of survivors. A kernel filter whose only consumer is another
-// kernel stage (next) hands that selection on over the same batch, so a
-// chain of kernel filters ending in a kernel filter or project copies
-// its rows once, at the last stage; otherwise the survivors are gathered
-// into one batch. Batches with replace rows, batches the kernel declines
-// and predicates that never compiled take the row paths below.
+// degrades into a bare insertion or deletion. The predicate's kernel
+// evaluates whole batches into a selection of survivors. A filter whose
+// only consumer, on port 0, is a filter or a project hands that selection
+// on over the same batch, so a chain of filters ending in a filter or
+// project copies its rows once, at the last stage; otherwise the
+// survivors are gathered into one batch. A batch with replace rows is
+// copied row by row instead, with scratch tuples only for degraded
+// replaces.
 type filterOp struct {
-	pred expr.Expr
 	kern *expr.Kernel
+	ks   kernelSet
 	outs outputs
-	next selStage // see link
 
-	// kernel scratch: per-row verdicts over new and old images, the
-	// replace-row selection and the survivor selection, reused across
-	// batches.
+	// scratch: per-row verdicts over new and old images, the replace-row
+	// selection and the survivor selection, reused across batches.
 	selNew  []bool
 	selOld  []bool
 	oldRows []int32
 	sel     []int32
 }
 
-// selStage is a kernel stage that takes a batch with a selection of its
+// selStage is an operator that takes a batch with a selection of its
 // rows, none of them a replace: the filter ahead of it hands its
 // survivors on this way instead of copying them. pushSel evaluates only
-// the selected rows. done=false declines, having emitted nothing; the
-// caller then gathers the selection and calls Push, where the
-// interpreter decides.
+// the selected rows.
 type selStage interface {
 	Operator
-	pushSel(b *types.DeltaBatch, sel []int32) (done bool, err error)
+	pushSel(b *types.DeltaBatch, sel []int32) error
 }
 
-// link points f.next at f's consumer when the consumer is f's only one,
-// on port 0, and a kernel filter or a kernel project. The worker calls it
-// once its edges are wired.
-func (f *filterOp) link() {
-	f.next = nil
-	if f.kern == nil || len(f.outs) != 1 || f.outs[0].port != 0 {
-		return
-	}
-	switch c := f.outs[0].op.(type) {
-	case *filterOp:
-		if c.kern != nil {
-			f.next = c
-		}
-	case *projectOp:
-		if c.kerns != nil {
-			f.next = c
-		}
-	}
-}
-
-// newFilterOp builds the operator and, with kernels on, compiles the
-// predicate kernel when the expression shape allows it (schema may be nil
-// when the plan did not record the input schema).
-func newFilterOp(pred expr.Expr, schema []types.Kind, kernels bool) *filterOp {
-	f := &filterOp{pred: pred}
-	if !kernels {
-		return f
-	}
-	if k, ok := expr.Compile(pred, schema); ok {
-		f.kern = k
-		kernelCompiled.Add(1)
-	}
+// newFilterOp builds the operator with the predicate's kernel: compiled
+// against schema (nil trusts the declared column kinds), or
+// interpreter-only when compile is off.
+func newFilterOp(pred expr.Expr, schema []types.Kind, compile bool) *filterOp {
+	f := &filterOp{ks: newKernelSet(compile)}
+	f.kern = f.ks.add(pred, schema)
 	return f
 }
 
-// Push filters a batch. With a compiled kernel the predicate runs
-// column-wise over the whole batch (one pass for new images, one over the
-// old images of replace rows); without one — or when the kernel declines
-// the batch — rows go through the scratch-tuple interpreter below, which
-// is the semantic ground truth.
-func (f *filterOp) Push(port int, b *types.DeltaBatch) error {
-	if b.Len() > 0 {
-		if f.kern != nil {
-			if done, err := f.pushKernel(b); done {
-				return err
-			}
-			kernelFallbackEvals.Add(1)
-		} else {
-			kernelBridgedBatches.Add(1)
-		}
+// next returns f's consumer when it is f's only one, on port 0, and
+// takes a selection; nil otherwise.
+func (f *filterOp) next() selStage {
+	if len(f.outs) != 1 || f.outs[0].port != 0 {
+		return nil
 	}
-	return f.pushBridged(b)
+	s, _ := f.outs[0].op.(selStage)
+	return s
 }
 
-// pushKernel evaluates the predicate kernel over the batch: a batch
-// without replace rows goes through pushSel over all its rows; one with
-// them is copied row by row, with scratch tuples only for degraded
-// replaces. done=false declines to the bridged path without having
-// emitted anything.
-func (f *filterOp) pushKernel(b *types.DeltaBatch) (bool, error) {
+// Push filters a batch: one without replace rows through pushSel over all
+// its rows, one with them through pushReplaces.
+func (f *filterOp) Push(port int, b *types.DeltaBatch) error {
 	n := b.Len()
+	if n == 0 {
+		return nil
+	}
 	f.oldRows = b.AppendReplaceRows(f.oldRows[:0])
-	if len(f.oldRows) == 0 {
+	switch {
+	case len(f.oldRows) == 0:
 		return f.pushSel(b, f.kern.AllRows(n))
+	case !b.HasOld():
+		// Replaces without old images are filtered on their new images,
+		// as any other row, and gathered: a selStage takes no replace.
+		return f.emit(b, f.kern.AllRows(n), nil)
 	}
-	if !b.HasOld() {
-		return false, nil // replaces without old images: the interpreter arbitrates
+	return f.pushReplaces(b)
+}
+
+// pushSel evaluates the predicate over the selected rows of b, which
+// holds no replace among them, and hands the survivors on.
+func (f *filterOp) pushSel(b *types.DeltaBatch, rows []int32) error {
+	return f.emit(b, rows, f.next())
+}
+
+// emit selects the rows of b the predicate passes and hands them to next
+// as a selection, or gathers them into one batch when next is nil.
+func (f *filterOp) emit(b *types.DeltaBatch, rows []int32, next selStage) error {
+	sel, err := f.kern.Select(b, rows, f.sel[:0])
+	f.sel = sel
+	f.ks.count()
+	if err != nil || len(sel) == 0 {
+		return err
 	}
+	if next != nil {
+		return next.pushSel(b, sel)
+	}
+	out := types.GetBatch()
+	defer types.PutBatch(out)
+	out.Gather(b, sel)
+	return f.outs.sendBatch(out)
+}
+
+// pushReplaces filters a batch with replace rows and old images: the
+// verdicts over both images, then a copy row by row.
+func (f *filterOp) pushReplaces(b *types.DeltaBatch) error {
+	n := b.Len()
 	f.selNew = growBools(f.selNew, n)
-	if !f.kern.EvalBools(b, false, f.kern.AllRows(n), f.selNew) {
-		return false, nil
-	}
 	f.selOld = growBools(f.selOld, n)
-	if !f.kern.EvalBools(b, true, f.oldRows, f.selOld) {
-		return false, nil
+	// The row interpreter judges a replace's old image before its new one.
+	var first firstErr
+	first.note(f.kern, f.kern.Verdicts(b, true, f.oldRows, f.selOld), 0)
+	first.note(f.kern, f.kern.Verdicts(b, false, f.kern.AllRows(n), f.selNew), 1)
+	f.ks.count()
+	if first.err != nil {
+		return first.err
 	}
-	kernelVectorBatches.Add(1)
 	out := types.GetBatch()
 	defer types.PutBatch(out)
 	var scratch types.Tuple
@@ -201,7 +196,7 @@ func (f *filterOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 			case oldOK && newOK:
 				if !out.CanAppendRowFrom(b, i) {
 					if err := f.flushVec(out); err != nil {
-						return true, err
+						return err
 					}
 				}
 				out.AppendRowFrom(b, i)
@@ -210,7 +205,7 @@ func (f *filterOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 				d := types.Delete(scratch)
 				if !out.CanAppend(d) {
 					if err := f.flushVec(out); err != nil {
-						return true, err
+						return err
 					}
 				}
 				out.Append(d)
@@ -219,7 +214,7 @@ func (f *filterOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 				d := types.Insert(scratch)
 				if !out.CanAppend(d) {
 					if err := f.flushVec(out); err != nil {
-						return true, err
+						return err
 					}
 				}
 				out.Append(d)
@@ -229,104 +224,6 @@ func (f *filterOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 		if f.selNew[i] {
 			if !out.CanAppendRowFrom(b, i) {
 				if err := f.flushVec(out); err != nil {
-					return true, err
-				}
-			}
-			out.AppendRowFrom(b, i)
-		}
-	}
-	return true, f.outs.sendBatch(out)
-}
-
-// pushSel evaluates the predicate kernel over the selected rows of b,
-// which holds no replace among them, and hands the survivors on: as a
-// selection to next, or gathered into one batch when there is no next or
-// it declines.
-func (f *filterOp) pushSel(b *types.DeltaBatch, rows []int32) (bool, error) {
-	sel, ok := f.kern.Select(b, rows, f.sel[:0])
-	f.sel = sel
-	if !ok {
-		return false, nil
-	}
-	kernelVectorBatches.Add(1)
-	if len(sel) == 0 {
-		return true, nil
-	}
-	if f.next != nil {
-		if done, err := f.next.pushSel(b, sel); done {
-			return true, err
-		}
-	}
-	out := types.GetBatch()
-	defer types.PutBatch(out)
-	out.Gather(b, sel)
-	return true, f.outs.sendBatch(out)
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-// pushBridged is the scratch-tuple bridge: rows are evaluated against a
-// reused scratch tuple (no per-row allocation) and survivors are copied
-// column-wise into a pooled output batch, so typed vectors never round-
-// trip through boxed deltas. A replace whose images fall on different
-// sides of the predicate degrades to a bare delete or insert. This is a
-// documented expr.EvalBool fallback site.
-func (f *filterOp) pushBridged(b *types.DeltaBatch) error {
-	out := types.GetBatch()
-	defer types.PutBatch(out)
-	var scratch, oldScratch types.Tuple
-	for i := 0; i < b.Len(); i++ {
-		if b.Op(i) == types.OpReplace && b.HasOld() {
-			oldScratch = b.OldRow(i, oldScratch)
-			scratch = b.Row(i, scratch)
-			oldOK, err := expr.EvalBool(f.pred, oldScratch)
-			if err != nil {
-				return err
-			}
-			newOK, err := expr.EvalBool(f.pred, scratch)
-			if err != nil {
-				return err
-			}
-			switch {
-			case oldOK && newOK:
-				if !out.CanAppendRowFrom(b, i) {
-					if err := f.flushVec(out); err != nil {
-						return err
-					}
-				}
-				out.AppendRowFrom(b, i)
-			case oldOK:
-				d := types.Delete(oldScratch)
-				if !out.CanAppend(d) {
-					if err := f.flushVec(out); err != nil {
-						return err
-					}
-				}
-				out.Append(d)
-			case newOK:
-				d := types.Insert(scratch)
-				if !out.CanAppend(d) {
-					if err := f.flushVec(out); err != nil {
-						return err
-					}
-				}
-				out.Append(d)
-			}
-			continue
-		}
-		scratch = b.Row(i, scratch)
-		ok, err := expr.EvalBool(f.pred, scratch)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if !out.CanAppendRowFrom(b, i) {
-				if err := f.flushVec(out); err != nil {
 					return err
 				}
 			}
@@ -334,6 +231,13 @@ func (f *filterOp) pushBridged(b *types.DeltaBatch) error {
 		}
 	}
 	return f.outs.sendBatch(out)
+}
+
+func growBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	return s[:n]
 }
 
 func (f *filterOp) flushVec(out *types.DeltaBatch) error {
@@ -349,101 +253,52 @@ func (f *filterOp) Punct(port, stratum int, closed bool) error {
 }
 
 // projectOp is applyFunction/projection: one expression per output column,
-// annotations propagated unchanged (§3.3, stateless operators). Replacement
-// deltas map both tuples; no-op replacements are dropped. Deterministic
-// UDF calls are memoized (§5.1 "Caching"), and when UDFArgKinds is set the
-// operator typechecks boxed arguments per batch — the Go stand-in for the
-// paper's Java reflection overhead, amortized by input batching (§4.2).
+// annotations propagated unchanged (§3.3, stateless operators). Each
+// expression has a kernel, and output batches are built from their result
+// vectors: a batch without replace rows one column at a time over its
+// rows (pushSel), one with them row by row, new images in one pass and
+// old images of replace rows in a second, with the replacements the
+// projection makes no-ops dropped by a typed row-equality check. The
+// kernels memoize deterministic UDF calls (§5.1 "Caching"), and when
+// UDFArgKinds is set the operator typechecks boxed arguments once per
+// batch — the Go stand-in for the paper's Java reflection overhead,
+// amortized by input batching (§4.2).
 type projectOp struct {
 	exprs    []expr.Expr
-	outs     outputs
-	memo     map[string]types.Tuple
-	memoable bool
 	argKinds [][]types.Kind
+	outs     outputs
 
-	// kerns holds one compiled kernel per output expression; nil unless
-	// every expression compiled and no per-batch UDF machinery (memo,
-	// typecheck) needs the interpreter.
-	kerns   []*expr.Kernel
+	ks      kernelSet    // one kernel per output expression, in order
+	rows    []int32      // dense selection cache
 	res     []*types.Vec // pushSel's borrowed kernel results
 	newVecs []*types.Vec
 	oldVecs []*types.Vec
 	oldRows []int32
+	tup     types.Tuple // typecheck's row
 }
 
-func newProjectOp(exprs []expr.Expr, argKinds [][]types.Kind, schema []types.Kind, kernels bool) *projectOp {
-	p := &projectOp{exprs: exprs, argKinds: argKinds}
-	p.memoable = true
-	for _, e := range exprs {
-		if c, ok := e.(*expr.Call); ok && !c.Deterministic {
-			p.memoable = false
-		}
-	}
-	hasCall := false
-	for _, e := range exprs {
-		if _, ok := e.(*expr.Call); ok {
-			hasCall = true
-		}
-	}
-	if hasCall && p.memoable {
-		p.memo = map[string]types.Tuple{}
-	}
-	// Kernels apply only to pure column expressions: a UDF anywhere (it
-	// would not compile, and memoization/typechecking live in the
-	// interpreter path) keeps the whole operator bridged.
-	if kernels && p.memo == nil && p.argKinds == nil && !hasCall {
-		kerns := make([]*expr.Kernel, len(exprs))
-		all := true
-		for i, e := range exprs {
-			k, ok := expr.Compile(e, schema)
-			if !ok {
-				all = false
-				break
-			}
-			kerns[i] = k
-		}
-		if all && len(kerns) > 0 {
-			p.kerns = kerns
-			kernelCompiled.Add(int64(len(kerns)))
-		}
+// newProjectOp builds the operator with one kernel per expression, as
+// newFilterOp builds its one.
+func newProjectOp(exprs []expr.Expr, argKinds [][]types.Kind, schema []types.Kind, compile bool) *projectOp {
+	p := &projectOp{exprs: exprs, argKinds: argKinds, ks: newKernelSet(compile)}
+	p.res = make([]*types.Vec, len(exprs))
+	p.newVecs, p.oldVecs = make([]*types.Vec, len(exprs)), make([]*types.Vec, len(exprs))
+	for j, e := range exprs {
+		p.ks.add(e, schema)
+		p.newVecs[j], p.oldVecs[j] = new(types.Vec), new(types.Vec)
 	}
 	return p
 }
 
-func (p *projectOp) apply(t types.Tuple) (types.Tuple, error) {
-	if p.memo != nil {
-		key := t.String()
-		if out, ok := p.memo[key]; ok {
-			return out, nil
-		}
-		out, err := p.eval(t)
-		if err != nil {
-			return nil, err
-		}
-		if len(p.memo) < 1<<16 { // bounded cache
-			p.memo[key] = out
-		}
-		return out, nil
-	}
-	return p.eval(t)
-}
-
-func (p *projectOp) eval(t types.Tuple) (types.Tuple, error) {
-	out := make(types.Tuple, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e.Eval(t)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // typecheck simulates the reflection-driven argument validation REX
-// performs when invoking user code; batching lets the engine do it once
-// per batch rather than per tuple.
-func (p *projectOp) typecheck(t types.Tuple) error {
+// performs when invoking user code, on one row of b; batching lets the
+// engine do it once per batch rather than per tuple.
+func (p *projectOp) typecheck(b *types.DeltaBatch, row int32) error {
+	if p.argKinds == nil {
+		return nil
+	}
+	p.tup = b.Row(int(row), p.tup)
+	t := p.tup
 	for i, kinds := range p.argKinds {
 		if kinds == nil {
 			continue
@@ -461,102 +316,35 @@ func (p *projectOp) typecheck(t types.Tuple) error {
 	return nil
 }
 
-// Push projects a batch. With compiled kernels, output batches are built
-// from the kernel result vectors: a batch without replace rows one
-// column at a time over its rows (pushSel), one with them row by row,
-// new images in one pass and old images of replace rows in a second,
-// with no-op replacements dropped by a typed row-equality check. Batches
-// the kernels decline — and operators whose expressions never compiled —
-// run the interpreter path, the semantic ground truth.
+// Push projects a batch: one without replace rows through pushSel, one
+// with them row by row from both images' result vectors.
 func (p *projectOp) Push(port int, b *types.DeltaBatch) error {
-	if b.Len() > 0 {
-		if p.kerns != nil {
-			if done, err := p.pushKernel(b); done {
-				return err
-			}
-			kernelFallbackEvals.Add(1)
-		} else {
-			kernelBridgedBatches.Add(1)
-		}
-	}
-	return p.pushBridged(b)
-}
-
-// pushBridged interprets the expressions row by row against a reused
-// scratch tuple and appends the projected deltas to a pooled output
-// batch; UDF memoization and argument typechecking happen here. This is
-// a documented expr fallback site.
-func (p *projectOp) pushBridged(b *types.DeltaBatch) error {
-	var scratch types.Tuple
-	if p.argKinds != nil && b.Len() > 0 {
-		if err := p.typecheck(b.Row(0, scratch)); err != nil {
-			return err
-		}
-	}
-	out := types.GetBatch()
-	defer types.PutBatch(out)
-	for i := 0; i < b.Len(); i++ {
-		scratch = b.Row(i, scratch)
-		nt, err := p.apply(scratch)
-		if err != nil {
-			return err
-		}
-		d := types.Delta{Op: b.Op(i), Tup: nt}
-		if d.Op == types.OpReplace {
-			var old types.Tuple
-			if b.HasOld() {
-				scratch = b.OldRow(i, scratch)
-				old = scratch
-			}
-			ot, err := p.apply(old)
-			if err != nil {
-				return err
-			}
-			if nt.Equal(ot) {
-				continue // replacement invisible after projection
-			}
-			d.Old = ot
-		}
-		if !out.CanAppend(d) {
-			if err := p.outs.sendBatch(out); err != nil {
-				return err
-			}
-			out.Reset()
-		}
-		out.Append(d)
-	}
-	return p.outs.sendBatch(out)
-}
-
-func (p *projectOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 	n := b.Len()
+	if n == 0 {
+		return nil
+	}
+	p.rows = identityRows(p.rows, n)
 	p.oldRows = b.AppendReplaceRows(p.oldRows[:0])
 	if len(p.oldRows) == 0 {
-		return p.pushSel(b, p.kerns[0].AllRows(n))
+		return p.pushSel(b, p.rows)
 	}
-	if !b.HasOld() {
-		return false, nil // degenerate replace without old images: the interpreter arbitrates
+	if err := p.typecheck(b, 0); err != nil {
+		return err
 	}
-	if p.newVecs == nil {
-		p.newVecs = make([]*types.Vec, len(p.kerns))
-		p.oldVecs = make([]*types.Vec, len(p.kerns))
-		for j := range p.kerns {
-			p.newVecs[j] = new(types.Vec)
-			p.oldVecs[j] = new(types.Vec)
-		}
+	// The row interpreter evaluates a row's new image, expression by
+	// expression, then a replace's old image.
+	var first firstErr
+	kerns := p.ks.all
+	for j, k := range kerns {
+		first.note(k, k.EvalInto(b, false, p.rows, p.newVecs[j]), j)
 	}
-	rows := p.kerns[0].AllRows(n)
-	for j, k := range p.kerns {
-		if !k.EvalInto(b, false, rows, p.newVecs[j]) {
-			return false, nil
-		}
+	for j, k := range kerns {
+		first.note(k, k.EvalInto(b, true, p.oldRows, p.oldVecs[j]), len(kerns)+j)
 	}
-	for j, k := range p.kerns {
-		if !k.EvalInto(b, true, p.oldRows, p.oldVecs[j]) {
-			return false, nil
-		}
+	p.ks.count()
+	if first.err != nil {
+		return first.err
 	}
-	kernelVectorBatches.Add(1)
 	out := types.GetBatch()
 	defer types.PutBatch(out)
 	for i := 0; i < n; i++ {
@@ -570,28 +358,30 @@ func (p *projectOp) pushKernel(b *types.DeltaBatch) (bool, error) {
 		}
 		out.AppendVecRow(op, p.newVecs, nil, i)
 	}
-	return true, p.outs.sendBatch(out)
+	return p.outs.sendBatch(out)
 }
 
 // pushSel projects the selected rows of b, none of them a replace: each
 // kernel's borrowed result vector is written into the output batch with
 // one loop per column.
-func (p *projectOp) pushSel(b *types.DeltaBatch, rows []int32) (bool, error) {
-	if p.res == nil {
-		p.res = make([]*types.Vec, len(p.kerns))
+func (p *projectOp) pushSel(b *types.DeltaBatch, rows []int32) error {
+	if err := p.typecheck(b, rows[0]); err != nil {
+		return err
 	}
-	for j, k := range p.kerns {
-		v, ok := k.EvalVec(b, false, rows)
-		if !ok {
-			return false, nil
-		}
+	var first firstErr
+	for j, k := range p.ks.all {
+		v, err := k.EvalVec(b, false, rows)
+		first.note(k, err, j)
 		p.res[j] = v
 	}
-	kernelVectorBatches.Add(1)
+	p.ks.count()
+	if first.err != nil {
+		return first.err
+	}
 	out := types.GetBatch()
 	defer types.PutBatch(out)
 	out.GatherVecs(b, p.res, rows)
-	return true, p.outs.sendBatch(out)
+	return p.outs.sendBatch(out)
 }
 
 func (p *projectOp) Punct(port, stratum int, closed bool) error {

@@ -61,12 +61,14 @@ type Options struct {
 	// field — it changes worker behavior — so it travels in the job spec.
 	// Streaming runs do not support failure recovery.
 	Stream bool
-	// NoVectorize turns the compiled expression kernels off: filter,
-	// project, group-by and pre-aggregation evaluate every expression
-	// through the interpreter, the reference implementation the kernels
-	// are tested against. Operators exchange columnar batches either way.
-	// Both sides of a multi-process run must agree on this field — it
-	// changes worker behavior — so it travels in the job spec.
+	// NoVectorize builds the expression kernels of filter, project,
+	// group-by and pre-aggregation interpreter-only: each runs Expr.Eval
+	// row by row, the reference compiled kernels are tested against. The
+	// operators keep their one path either way. It stays as that
+	// reference until benchmark/fixpoint_batch.go, its last benchmark
+	// caller, stops using it (ROADMAP item 15g). Both sides of a
+	// multi-process run must agree on this field — it changes worker
+	// behavior — so it travels in the job spec.
 	NoVectorize bool
 	// TermFn, when set, is an explicit termination condition evaluated by
 	// the requestor after each stratum over the global new-tuple count

@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/rex-data/rex/internal/catalog"
@@ -41,10 +42,8 @@ func (c *collector) Punct(port, stratum int, closed bool) error {
 
 func TestFilterDeltaSemantics(t *testing.T) {
 	c := &collector{}
-	f := &filterOp{
-		pred: expr.NewCmp(expr.OpGt, expr.NewCol(0, types.KindInt, "x"), expr.NewConst(int64(5))),
-		outs: outputs{{op: c, port: 0}},
-	}
+	f := newFilterOp(expr.NewCmp(expr.OpGt, expr.NewCol(0, types.KindInt, "x"), expr.NewConst(int64(5))), nil, true)
+	f.outs = outputs{{op: c, port: 0}}
 	in := []types.Delta{
 		types.Insert(types.NewTuple(int64(10))),                           // passes
 		types.Insert(types.NewTuple(int64(1))),                            // dropped
@@ -185,7 +184,7 @@ func TestGroupByDeltaFlush(t *testing.T) {
 		ID: 0, Kind: OpGroupBy, GroupKey: []int{0},
 		Aggs: []AggSpec{{Fn: "sum", Args: []expr.Expr{expr.NewCol(1, types.KindFloat, "v")}, OutName: "s"}},
 	}
-	g, err := newGroupByOp(spec, 1, nil, nil)
+	g, err := newGroupByOp(spec, 1, nil, nil, true)
 	must(t, err)
 	g.outs = outputs{{op: c, port: 0}}
 
@@ -229,7 +228,7 @@ func TestGroupByCheckpointRoundTrip(t *testing.T) {
 			{Fn: "min", Args: []expr.Expr{expr.NewCol(1, types.KindFloat, "v")}},
 		},
 	}
-	g1, err := newGroupByOp(spec, 1, nil, nil)
+	g1, err := newGroupByOp(spec, 1, nil, nil, true)
 	must(t, err)
 	c1 := &collector{}
 	g1.outs = outputs{{op: c1, port: 0}}
@@ -243,7 +242,7 @@ func TestGroupByCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("dirty entries: %d", len(entries))
 	}
 
-	g2, err := newGroupByOp(spec, 1, nil, nil)
+	g2, err := newGroupByOp(spec, 1, nil, nil, true)
 	must(t, err)
 	c2 := &collector{}
 	g2.outs = outputs{{op: c2, port: 0}}
@@ -284,7 +283,7 @@ func TestGroupByRestoreRejectsTruncatedEntries(t *testing.T) {
 		{"negative state length", types.NewTuple(h, int64(1), int64(7), false, nil, nil, int64(-3))},
 		{"state length past end", types.NewTuple(h, int64(1), int64(7), false, nil, nil, int64(3), 1.0)},
 	} {
-		g, err := newGroupByOp(spec, 1, nil, nil)
+		g, err := newGroupByOp(spec, 1, nil, nil, true)
 		must(t, err)
 		if err := g.Restore([][]types.Tuple{{c.entry}}); err == nil {
 			t.Errorf("%s: Restore(%v) accepted a malformed entry", c.name, c.entry)
@@ -792,5 +791,23 @@ func TestStreamDeltaClonesOnce(t *testing.T) {
 	})
 	if allocs > n+1 {
 		t.Fatalf("StreamDelta allocated %.0f times for %d changed tuples, want at most %d", allocs, n, n+1)
+	}
+}
+
+// A replacement without its old image cannot net out of a partial
+// aggregate: the pre-aggregation refuses the batch instead of reading old
+// key columns that are not there.
+func TestPreAggRefusesReplaceWithoutOld(t *testing.T) {
+	p, err := newPreAggOp(&OpSpec{GroupKey: []int{0}, Aggs: []AggSpec{{Fn: "count", OutName: "n"}}}, 1, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.outs = outputs{{op: &collector{}, port: 0}}
+	b, ok := types.FromDeltas([]types.Delta{{Op: types.OpReplace, Tup: types.NewTuple(int64(1))}})
+	if !ok || b.HasOld() {
+		t.Fatal("want a replace batch without old images")
+	}
+	if err := p.Push(0, b); err == nil || !strings.Contains(err.Error(), "without its old image") {
+		t.Fatalf("Push = %v, want the missing old image refused", err)
 	}
 }

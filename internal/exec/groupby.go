@@ -40,7 +40,9 @@ type groupByOp struct {
 	udaStates map[types.Value]uda.State
 }
 
-func newGroupByOp(spec *OpSpec, nin int, agg uda.Aggregator, schema []types.Kind) (*groupByOp, error) {
+// newGroupByOp builds the operator; its argument kernels compile as
+// newFilterOp's do.
+func newGroupByOp(spec *OpSpec, nin int, agg uda.Aggregator, schema []types.Kind, compile bool) (*groupByOp, error) {
 	g := &groupByOp{spec: spec, tracker: newPortTracker(nin)}
 	if agg != nil {
 		g.udaAgg = agg
@@ -52,7 +54,7 @@ func newGroupByOp(spec *OpSpec, nin int, agg uda.Aggregator, schema []types.Kind
 		return nil, err
 	}
 	g.aggs, g.tab = aggs, tab
-	g.aggArgs = newAggArgs(spec.Aggs, schema)
+	g.aggArgs = newAggArgs(spec.Aggs, schema, compile)
 	width := len(spec.GroupKey) + len(aggs)
 	g.row, g.old = make([]types.Scalar, width), make([]types.Scalar, width)
 	return g, nil
@@ -73,189 +75,74 @@ func newAggTable(spec *OpSpec) ([]uda.TypedAgg, *types.GroupTable, error) {
 	return aggs, types.NewGroupTable(len(spec.GroupKey), lanes), nil
 }
 
-// aggArgs evaluates every aggregate argument of a batch into one result
-// vector per argument — new images for every row, old images for the
-// replacement rows — either through compiled kernels or through the
-// expression interpreter. The fold reads both the same way.
+// aggArgs evaluates every aggregate argument of a batch through its
+// kernel into one result vector per argument: new images for every row,
+// old images for the replacement rows. The fold reads both.
 type aggArgs struct {
-	exprs [][]expr.Expr
-	nargs int
-	// argKerns holds per-aggregate, per-argument compiled kernels; nil
-	// unless the plan carried an input schema and every argument
-	// compiled.
+	ks kernelSet
+	// argKerns holds per-aggregate, per-argument kernels.
 	argKerns [][]*expr.Kernel
 	// argVecs and oldVecs are what the fold reads, per aggregate and
-	// argument: the new images' and the replacement rows' old images'
-	// values. An argVecs entry is the kernel's borrowed result, or the
-	// interpreter's owned newVecs vector.
+	// argument: the new images' values, borrowed from the kernel, and the
+	// replacement rows' old images' values, copied out of it.
 	argVecs [][]*types.Vec
-	newVecs [][]*types.Vec
 	oldVecs [][]*types.Vec
 	rows    []int32
 	oldRows []int32
-
-	// interpreter scratch
-	vals, oldVals [][][]types.Value
-	tup, oldTup   types.Tuple
 }
 
-func newAggArgs(specs []AggSpec, schema []types.Kind) aggArgs {
-	a := aggArgs{exprs: make([][]expr.Expr, len(specs))}
+func newAggArgs(specs []AggSpec, schema []types.Kind, compile bool) aggArgs {
+	a := aggArgs{ks: newKernelSet(compile)}
+	a.argKerns = make([][]*expr.Kernel, len(specs))
+	a.argVecs, a.oldVecs = make([][]*types.Vec, len(specs)), make([][]*types.Vec, len(specs))
 	for i, as := range specs {
-		a.exprs[i] = as.Args
-		a.nargs += len(as.Args)
-	}
-	a.argKerns = compileArgKernels(a.exprs, schema)
-	a.newVecs, a.oldVecs = vecGrid(a.exprs), vecGrid(a.exprs)
-	a.argVecs = make([][]*types.Vec, len(a.newVecs))
-	for i, vs := range a.newVecs {
-		a.argVecs[i] = append([]*types.Vec(nil), vs...)
+		a.argKerns[i] = make([]*expr.Kernel, len(as.Args))
+		a.argVecs[i], a.oldVecs[i] = make([]*types.Vec, len(as.Args)), make([]*types.Vec, len(as.Args))
+		for j, e := range as.Args {
+			a.argKerns[i][j] = a.ks.add(e, schema)
+			a.oldVecs[i][j] = new(types.Vec)
+		}
 	}
 	return a
 }
 
-// compileArgKernels compiles every aggregate argument against the input
-// schema, all-or-nothing: one uncompilable argument keeps the whole
-// operator on the interpreter (mixing kernel and interpreted arguments
-// per row would forfeit the win).
-func compileArgKernels(argExprs [][]expr.Expr, schema []types.Kind) [][]*expr.Kernel {
-	if schema == nil {
-		return nil
-	}
-	kerns := make([][]*expr.Kernel, len(argExprs))
-	total := 0
-	for i, args := range argExprs {
-		kerns[i] = make([]*expr.Kernel, len(args))
-		for j, e := range args {
-			k, ok := expr.Compile(e, schema)
-			if !ok {
-				return nil
-			}
-			kerns[i][j] = k
-			total++
-		}
-	}
-	kernelCompiled.Add(int64(total))
-	return kerns
-}
-
-// vecGrid allocates result vectors shaped like the argument grid.
-func vecGrid(exprs [][]expr.Expr) [][]*types.Vec {
-	out := make([][]*types.Vec, len(exprs))
-	for i, es := range exprs {
-		out[i] = make([]*types.Vec, len(es))
-		for j := range es {
-			out[i][j] = new(types.Vec)
-		}
-	}
-	return out
-}
-
-// kernels evaluates the argument grid through the compiled kernels,
-// declining as a unit (false) — including for replacement rows without
-// an old image, whose arguments only the interpreter defines. The old
-// images are copied into oldVecs first; the new images' pass then leaves
-// each kernel's result borrowed in argVecs (each argument has its own
-// kernel, so no later evaluation overwrites it).
-func (a *aggArgs) kernels(b *types.DeltaBatch) bool {
-	if len(a.oldRows) > 0 && !b.HasOld() {
-		return false
-	}
+// eval evaluates the argument grid over b, whose replacement rows are
+// a.oldRows. Each kernel copies the old images into oldVecs first; its
+// new images' pass then leaves the result borrowed in argVecs (each
+// argument has its own kernel, so no later evaluation overwrites it).
+func (a *aggArgs) eval(b *types.DeltaBatch) error {
 	a.rows = identityRows(a.rows, b.Len())
+	// The row interpreter evaluates a row's arguments aggregate by
+	// aggregate: the new image's, then a replacement's old image's.
+	var first firstErr
+	rank := 0
 	for i, ks := range a.argKerns {
 		for j, k := range ks {
-			if len(a.oldRows) > 0 && !k.EvalInto(b, true, a.oldRows, a.oldVecs[i][j]) {
-				return false
+			if len(a.oldRows) > 0 {
+				first.note(k, k.EvalInto(b, true, a.oldRows, a.oldVecs[i][j]), rank+len(ks)+j)
 			}
-			v, ok := k.EvalVec(b, false, a.rows)
-			if !ok {
-				return false
-			}
+			v, err := k.EvalVec(b, false, a.rows)
+			first.note(k, err, rank+j)
 			a.argVecs[i][j] = v
 		}
+		rank += 2 * len(ks)
 	}
-	return true
+	a.ks.count()
+	return first.err
 }
 
-// interpret evaluates the argument grid row by row through the
-// expression interpreter, boxed, and lays the values out as vectors.
-// This is the documented expr interpreter fallback site of the group-by
-// and pre-aggregation.
-func (a *aggArgs) interpret(b *types.DeltaBatch) error {
-	if a.nargs == 0 {
-		return nil // count(*) only: no row to evaluate against
-	}
-	n := b.Len()
-	if a.vals == nil {
-		a.vals, a.oldVals = make([][][]types.Value, len(a.exprs)), make([][][]types.Value, len(a.exprs))
-		for i, es := range a.exprs {
-			a.vals[i], a.oldVals[i] = make([][]types.Value, len(es)), make([][]types.Value, len(es))
-		}
-	}
-	for i := range a.exprs {
-		for j := range a.exprs[i] {
-			a.vals[i][j] = resize(a.vals[i][j], n)
-			a.oldVals[i][j] = resize(a.oldVals[i][j], n)
-		}
-	}
-	for r := 0; r < n; r++ {
-		a.tup = b.Row(r, a.tup)
-		replace := b.Op(r) == types.OpReplace
-		if replace {
-			a.oldTup = b.OldRow(r, a.oldTup)
-		}
-		for i, es := range a.exprs {
-			for j, e := range es {
-				v, err := e.Eval(a.tup)
-				if err != nil {
-					return err
-				}
-				a.vals[i][j][r] = v
-			}
-			if !replace {
-				continue
-			}
-			for j, e := range es {
-				v, err := e.Eval(a.oldTup)
-				if err != nil {
-					return err
-				}
-				a.oldVals[i][j][r] = v
-			}
-		}
-	}
-	for i := range a.exprs {
-		for j := range a.exprs[i] {
-			a.argVecs[i][j] = a.newVecs[i][j]
-			a.newVecs[i][j].SetValues(a.vals[i][j])
-			a.oldVecs[i][j].SetValues(a.oldVals[i][j])
-		}
-	}
-	return nil
-}
-
-// resize returns s cleared to length n, reusing its capacity.
-func resize(s []types.Value, n int) []types.Value {
-	if cap(s) < n {
-		return make([]types.Value, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// identityRows returns the dense selection [0, n), reusing rows.
+// identityRows returns the dense selection [0, n), extending rows, which
+// holds a prefix of it.
 func identityRows(rows []int32, n int) []int32 {
-	rows = rows[:0]
-	for i := 0; i < n; i++ {
+	for i := len(rows); i < n; i++ {
 		rows = append(rows, int32(i))
 	}
-	return rows
+	return rows[:n]
 }
 
-// Push folds a batch into group state: arguments through the compiled
-// kernels when they take the batch, else through the interpreter, then
-// one fold into the table. UDA mode hands each row to the aggregator.
+// Push folds a batch into group state: its arguments through their
+// kernels, then one fold into the table. UDA mode hands each row to the
+// aggregator.
 func (g *groupByOp) Push(port int, b *types.DeltaBatch) error {
 	if g.udaAgg != nil {
 		return g.pushUDA(b)
@@ -264,29 +151,10 @@ func (g *groupByOp) Push(port int, b *types.DeltaBatch) error {
 		return nil
 	}
 	g.oldRows = b.AppendReplaceRows(g.oldRows[:0])
-	if g.argKerns != nil {
-		if done, err := g.pushKernel(b); done {
-			return err
-		}
-		kernelFallbackEvals.Add(1)
-	} else {
-		kernelBridgedBatches.Add(1)
-	}
-	if err := g.interpret(b); err != nil {
+	if err := g.eval(b); err != nil {
 		return err
 	}
 	return g.fold(b)
-}
-
-// pushKernel folds the batch with its arguments from the compiled
-// kernels. It declines (false) before touching group state, so the
-// interpreter can evaluate the whole batch instead.
-func (g *groupByOp) pushKernel(b *types.DeltaBatch) (bool, error) {
-	if !g.kernels(b) {
-		return false, nil
-	}
-	kernelVectorBatches.Add(1)
-	return true, g.fold(b)
 }
 
 // fold applies the evaluated batch to the table: every row to the group
@@ -537,7 +405,7 @@ type preAggOp struct {
 	row           []types.Scalar
 }
 
-func newPreAggOp(spec *OpSpec, nin int, schema []types.Kind) (*preAggOp, error) {
+func newPreAggOp(spec *OpSpec, nin int, schema []types.Kind, compile bool) (*preAggOp, error) {
 	p := &preAggOp{spec: spec, tracker: newPortTracker(nin), invertible: true}
 	for _, as := range spec.Aggs {
 		if as.Fn == "avg" || as.Fn == "argmin" {
@@ -552,17 +420,30 @@ func newPreAggOp(spec *OpSpec, nin int, schema []types.Kind) (*preAggOp, error) 
 		return nil, err
 	}
 	p.aggs, p.tab = aggs, tab
-	p.aggArgs = newAggArgs(spec.Aggs, schema)
+	p.aggArgs = newAggArgs(spec.Aggs, schema, compile)
 	p.row = make([]types.Scalar, len(spec.GroupKey)+len(aggs))
 	return p, nil
 }
 
 // Push folds a batch into the stratum's partial state, with arguments
-// from the compiled kernels or, when they decline, the interpreter.
+// from their kernels.
 func (p *preAggOp) Push(port int, b *types.DeltaBatch) error {
 	if b.Len() == 0 {
 		return nil
 	}
+	if err := p.admit(b); err != nil {
+		return err
+	}
+	if err := p.eval(b); err != nil {
+		return err
+	}
+	return p.fold(b)
+}
+
+// admit checks that every row's delta op can fold into partial state —
+// a replacement nets its old image out, so it needs one — and collects
+// the replacement rows into p.oldRows.
+func (p *preAggOp) admit(b *types.DeltaBatch) error {
 	p.oldRows = p.oldRows[:0]
 	for i := 0; i < b.Len(); i++ {
 		switch op := b.Op(i); op {
@@ -572,34 +453,16 @@ func (p *preAggOp) Push(port int, b *types.DeltaBatch) error {
 				return fmt.Errorf("exec: pre-aggregation over non-insert delta %v (aggregate is not invertible)", op)
 			}
 			if op == types.OpReplace {
+				if !b.HasOld() {
+					return fmt.Errorf("exec: pre-aggregation over a replacement without its old image")
+				}
 				p.oldRows = append(p.oldRows, int32(i))
 			}
 		default:
 			return fmt.Errorf("exec: pre-aggregation over delta %v", op)
 		}
 	}
-	if p.argKerns != nil {
-		if done, err := p.pushKernel(b); done {
-			return err
-		}
-		kernelFallbackEvals.Add(1)
-	} else {
-		kernelBridgedBatches.Add(1)
-	}
-	if err := p.interpret(b); err != nil {
-		return err
-	}
-	return p.fold(b)
-}
-
-// pushKernel folds the batch with its arguments from the compiled
-// kernels, declining (false) before touching partial state.
-func (p *preAggOp) pushKernel(b *types.DeltaBatch) (bool, error) {
-	if !p.kernels(b) {
-		return false, nil
-	}
-	kernelVectorBatches.Add(1)
-	return true, p.fold(b)
+	return nil
 }
 
 // fold applies the evaluated batch: each row to its new image's group,

@@ -43,7 +43,7 @@ func fuzzEntries(data []byte) []types.Tuple {
 // turn any malformed entry into an error, never a panic; whatever it
 // accepts must flush and checkpoint again.
 func FuzzGroupByRestore(f *testing.F) {
-	g, err := newGroupByOp(fuzzGroupBySpec(), 1, nil, nil)
+	g, err := newGroupByOp(fuzzGroupBySpec(), 1, nil, nil, true)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func FuzzGroupByRestore(f *testing.F) {
 	f.Add(types.AppendTuple(nil, types.NewTuple(int64(0), int64(1), int64(7), true, int64(7))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := newGroupByOp(fuzzGroupBySpec(), 1, nil, nil)
+		g, err := newGroupByOp(fuzzGroupBySpec(), 1, nil, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}

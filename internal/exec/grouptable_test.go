@@ -308,7 +308,7 @@ func TestGroupByTableMatchesModel(t *testing.T) {
 			schema = gmSchema
 		}
 		label := fmt.Sprintf("iter %d key %v aggs %v reset %v kernels %v", iter, spec.GroupKey, spec.Aggs, spec.ResetPerStratum, schema != nil)
-		op, err := newGroupByOp(spec, 1, nil, schema)
+		op, err := newGroupByOp(spec, 1, nil, schema, schema != nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func TestGroupByTableMatchesModel(t *testing.T) {
 			if r.Intn(2) == 0 {
 				from = modelCkpt
 			}
-			if op, err = newGroupByOp(spec, 1, nil, schema); err != nil {
+			if op, err = newGroupByOp(spec, 1, nil, schema, schema != nil); err != nil {
 				t.Fatal(err)
 			}
 			op.outs = outputs{{op: c, port: 0}}
@@ -379,7 +379,7 @@ func TestGroupByFlushDeterministic(t *testing.T) {
 	}
 	run := func() []types.Delta {
 		r := rand.New(rand.NewSource(5))
-		op, err := newGroupByOp(spec, 1, nil, gmSchema)
+		op, err := newGroupByOp(spec, 1, nil, gmSchema, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +422,7 @@ func TestGroupByFoldAllocs(t *testing.T) {
 			{Fn: "min", Args: []expr.Expr{expr.NewCol(1, types.KindFloat, "v")}},
 		},
 	}
-	op, err := newGroupByOp(spec, 1, nil, []types.Kind{types.KindInt, types.KindFloat})
+	op, err := newGroupByOp(spec, 1, nil, []types.Kind{types.KindInt, types.KindFloat}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,14 @@ import (
 	"github.com/rex-data/rex/internal/types"
 )
 
-// Operator-level kernel property: a kernel-equipped filterOp/projectOp
-// must emit exactly the deltas of its scratch-tuple bridge — op for op,
-// tuple for tuple, old image for old image — including the error when a
-// batch contains rows the expression rejects. Both operators only read
-// the input batch, so one batch feeds both sides.
+// Operator-level kernel property: filter, project, group-by and
+// pre-aggregation, built once with compiled kernels and once with
+// interpreter-only ones, must each emit exactly the deltas of a
+// row-at-a-time model that puts every row through the interpreter — op
+// for op, tuple for tuple, old image for old image — including the
+// error, text and all, when a batch contains rows the expression
+// rejects. The operators only read the input batch, so one batch feeds
+// every side.
 
 // kpSchema: 0 int, 1 float, 2 nullable int, 3 declared-int that may
 // drift to boxed-any.
@@ -47,7 +50,10 @@ func kpTuple(r *rand.Rand) types.Tuple {
 	return t
 }
 
+// kpBatch mixes inserts, updates, deletes and replaces; one batch in
+// eight carries its replaces without old images.
 func kpBatch(r *rand.Rand, n int) *types.DeltaBatch {
+	noOld := r.Intn(8) == 0
 	ds := make([]types.Delta, n)
 	for i := range ds {
 		tup := kpTuple(r)
@@ -60,6 +66,9 @@ func kpBatch(r *rand.Rand, n int) *types.DeltaBatch {
 			ds[i] = types.Delete(tup)
 		default:
 			ds[i] = types.Replace(kpTuple(r), tup)
+			if noOld {
+				ds[i].Old = nil
+			}
 		}
 	}
 	b, ok := types.FromDeltas(ds)
@@ -126,7 +135,7 @@ func kpTupEq(a, b types.Tuple) bool {
 func kpSameDeltas(t *testing.T, label string, got, want []types.Delta) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: kernel emitted %d deltas, bridge %d\nkernel: %v\nbridge: %v",
+		t.Fatalf("%s: operator emitted %d deltas, model %d\noperator: %v\nmodel: %v",
 			label, len(got), len(want), got, want)
 	}
 	for i := range got {
@@ -134,7 +143,7 @@ func kpSameDeltas(t *testing.T, label string, got, want []types.Delta) {
 		if g.Op != w.Op || !kpTupEq(g.Tup, w.Tup) ||
 			(g.Old == nil) != (w.Old == nil) ||
 			(g.Old != nil && !kpTupEq(g.Old, w.Old)) {
-			t.Fatalf("%s: delta %d differs\nkernel: %v\nbridge: %v", label, i, g, w)
+			t.Fatalf("%s: delta %d differs\noperator: %v\nmodel: %v", label, i, g, w)
 		}
 	}
 }
@@ -142,11 +151,144 @@ func kpSameDeltas(t *testing.T, label string, got, want []types.Delta) {
 func kpSameErr(t *testing.T, label string, kerr, berr error) {
 	t.Helper()
 	if (kerr == nil) != (berr == nil) {
-		t.Fatalf("%s: kernel err %v, bridge err %v", label, kerr, berr)
+		t.Fatalf("%s: operator err %v, model err %v", label, kerr, berr)
 	}
 	if kerr != nil && kerr.Error() != berr.Error() {
-		t.Fatalf("%s: kernel err %q, bridge err %q", label, kerr, berr)
+		t.Fatalf("%s: operator err %q, model err %q", label, kerr, berr)
 	}
+}
+
+// modelFilter is the row-at-a-time filter: every row's predicate through
+// expr.EvalBool, a replace's old image before its new one, stopping at
+// the first error. A replace whose images fall on different sides
+// degrades to a bare delete or insert; in a batch without old images a
+// replace is judged on its new image alone.
+func modelFilter(pred expr.Expr, b *types.DeltaBatch) ([]types.Delta, error) {
+	var out []types.Delta
+	for i := 0; i < b.Len(); i++ {
+		d := b.Delta(i)
+		if d.Op == types.OpReplace && b.HasOld() {
+			oldOK, err := expr.EvalBool(pred, d.Old)
+			if err != nil {
+				return nil, err
+			}
+			newOK, err := expr.EvalBool(pred, d.Tup)
+			if err != nil {
+				return nil, err
+			}
+			switch {
+			case oldOK && newOK:
+				out = append(out, d)
+			case oldOK:
+				out = append(out, types.Delete(d.Old))
+			case newOK:
+				out = append(out, types.Insert(d.Tup))
+			}
+			continue
+		}
+		ok, err := expr.EvalBool(pred, d.Tup)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, d)
+		}
+	}
+	return out, nil
+}
+
+// modelProject is the row-at-a-time projection: every row's expressions
+// through Expr.Eval, in order, then a replace's over its old image (an
+// empty tuple when the batch has none), stopping at the first error. A
+// replace the projection makes a no-op is dropped.
+func modelProject(exprs []expr.Expr, b *types.DeltaBatch) ([]types.Delta, error) {
+	apply := func(t types.Tuple) (types.Tuple, error) {
+		out := make(types.Tuple, len(exprs))
+		for i, e := range exprs {
+			v, err := e.Eval(t)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+	var out []types.Delta
+	for i := 0; i < b.Len(); i++ {
+		nt, err := apply(b.Row(i, nil))
+		if err != nil {
+			return nil, err
+		}
+		d := types.Delta{Op: b.Op(i), Tup: nt}
+		if d.Op == types.OpReplace {
+			ot, err := apply(b.OldRow(i, nil))
+			if err != nil {
+				return nil, err
+			}
+			if nt.Equal(ot) {
+				continue
+			}
+			d.Old = ot
+		}
+		out = append(out, d)
+	}
+	return out, nil
+}
+
+// modelArgs is the row-at-a-time argument evaluation of group-by and
+// pre-aggregation: row by row, aggregate by aggregate, each argument
+// through Expr.Eval over the new image, then over a replacement's old
+// image, stopping at the first error; the values are laid out as the
+// vectors the fold reads.
+func modelArgs(a *aggArgs, specs []AggSpec, b *types.DeltaBatch) error {
+	n := b.Len()
+	vals := make([][][]types.Value, len(specs))
+	oldVals := make([][][]types.Value, len(specs))
+	for i, as := range specs {
+		vals[i], oldVals[i] = make([][]types.Value, len(as.Args)), make([][]types.Value, len(as.Args))
+		for j := range as.Args {
+			vals[i][j], oldVals[i][j] = make([]types.Value, n), make([]types.Value, n)
+		}
+	}
+	for r := 0; r < n; r++ {
+		tup := b.Row(r, nil)
+		replace := b.Op(r) == types.OpReplace
+		old := b.OldRow(r, nil)
+		for i, as := range specs {
+			for j, e := range as.Args {
+				v, err := e.Eval(tup)
+				if err != nil {
+					return err
+				}
+				vals[i][j][r] = v
+			}
+			if !replace {
+				continue
+			}
+			for j, e := range as.Args {
+				v, err := e.Eval(old)
+				if err != nil {
+					return err
+				}
+				oldVals[i][j][r] = v
+			}
+		}
+	}
+	for i := range specs {
+		for j := range specs[i].Args {
+			a.argVecs[i][j] = new(types.Vec)
+			a.argVecs[i][j].SetValues(vals[i][j])
+			a.oldVecs[i][j].SetValues(oldVals[i][j])
+		}
+	}
+	return nil
+}
+
+// kpModes runs check once with compiled kernels and once with
+// interpreter-only ones.
+func kpModes(check func(compile bool, mode string)) {
+	check(true, "compiled")
+	check(false, "interpreted")
 }
 
 func TestFilterKernelMatchesBridge(t *testing.T) {
@@ -154,21 +296,22 @@ func TestFilterKernelMatchesBridge(t *testing.T) {
 	kernelled := 0
 	for iter := 0; iter < 800; iter++ {
 		pred := kpPred(r, 2)
-		kf := newFilterOp(pred, kpSchema, true)
-		bf := &filterOp{pred: pred} // no kernel: pure bridge
-		if kf.kern != nil {
-			kernelled++
-		}
-		ck, cb := &collector{}, &collector{}
-		kf.outs = outputs{{op: ck, port: 0}}
-		bf.outs = outputs{{op: cb, port: 0}}
 		b := kpBatch(r, 1+r.Intn(20))
-		kerr := kf.Push(0, b)
-		berr := bf.Push(0, b)
-		kpSameErr(t, pred.String(), kerr, berr)
-		if kerr == nil {
-			kpSameDeltas(t, pred.String(), ck.deltas, cb.deltas)
-		}
+		want, merr := modelFilter(pred, b)
+		kpModes(func(compile bool, mode string) {
+			f := newFilterOp(pred, kpSchema, compile)
+			if !f.ks.bridged {
+				kernelled++
+			}
+			c := &collector{}
+			f.outs = outputs{{op: c, port: 0}}
+			err := f.Push(0, b)
+			label := mode + " " + pred.String()
+			kpSameErr(t, label, err, merr)
+			if err == nil {
+				kpSameDeltas(t, label, c.deltas, want)
+			}
+		})
 	}
 	if kernelled < 200 {
 		t.Fatalf("only %d of 800 predicates compiled to kernels", kernelled)
@@ -183,25 +326,25 @@ func TestProjectKernelMatchesBridge(t *testing.T) {
 		for i := range exprs {
 			exprs[i] = kpExpr(r, r.Intn(3))
 		}
-		kp := newProjectOp(exprs, nil, kpSchema, true)
-		bp := newProjectOp(exprs, nil, nil, false) // interpreter only
-		if kp.kerns != nil {
-			kernelled++
-		}
-		ck, cb := &collector{}, &collector{}
-		kp.outs = outputs{{op: ck, port: 0}}
-		bp.outs = outputs{{op: cb, port: 0}}
 		b := kpBatch(r, 1+r.Intn(20))
-		kerr := kp.Push(0, b)
-		berr := bp.Push(0, b)
+		want, merr := modelProject(exprs, b)
 		label := ""
 		for _, e := range exprs {
 			label += e.String() + "; "
 		}
-		kpSameErr(t, label, kerr, berr)
-		if kerr == nil {
-			kpSameDeltas(t, label, ck.deltas, cb.deltas)
-		}
+		kpModes(func(compile bool, mode string) {
+			p := newProjectOp(exprs, nil, kpSchema, compile)
+			if !p.ks.bridged {
+				kernelled++
+			}
+			c := &collector{}
+			p.outs = outputs{{op: c, port: 0}}
+			err := p.Push(0, b)
+			kpSameErr(t, mode+" "+label, err, merr)
+			if err == nil {
+				kpSameDeltas(t, mode+" "+label, c.deltas, want)
+			}
+		})
 	}
 	if kernelled < 200 {
 		t.Fatalf("only %d of 800 projections compiled to kernels", kernelled)
@@ -234,28 +377,39 @@ func TestGroupByKernelMatchesBridge(t *testing.T) {
 		if spec.Aggs[0].Fn == "count" && r.Intn(2) == 0 {
 			spec.Aggs[0].Args = nil // count(*)
 		}
-		kg, err := newGroupByOp(spec, 1, nil, kpSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bg, err := newGroupByOp(spec, 1, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kg.argKerns != nil {
-			kernelled++
-		}
-		ck, cb := &collector{}, &collector{}
-		kg.outs = outputs{{op: ck, port: 0}}
-		bg.outs = outputs{{op: cb, port: 0}}
 		b := kpBatch(r, 1+r.Intn(20))
-		kerr := kg.Push(0, b)
-		berr := bg.Push(0, b)
-		kpSameErr(t, spec.Aggs[0].Fn, kerr, berr)
-		if kerr != nil {
-			continue
+		mg, err := newGroupByOp(spec, 1, nil, nil, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		kpSameDeltas(t, spec.Aggs[0].Fn, kpFlush(t, kg, ck), kpFlush(t, bg, cb))
+		mc := &collector{}
+		mg.outs = outputs{{op: mc, port: 0}}
+		merr := modelArgs(&mg.aggArgs, spec.Aggs, b)
+		if merr == nil {
+			mg.oldRows = b.AppendReplaceRows(nil)
+			merr = mg.fold(b)
+		}
+		var want []types.Delta
+		if merr == nil {
+			want = kpFlush(t, mg, mc)
+		}
+		kpModes(func(compile bool, mode string) {
+			g, err := newGroupByOp(spec, 1, nil, kpSchema, compile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !g.ks.bridged {
+				kernelled++
+			}
+			c := &collector{}
+			g.outs = outputs{{op: c, port: 0}}
+			err = g.Push(0, b)
+			label := mode + " " + spec.Aggs[0].Fn
+			kpSameErr(t, label, err, merr)
+			if err == nil {
+				kpSameDeltas(t, label, kpFlush(t, g, c), want)
+			}
+		})
 	}
 	if kernelled < 100 {
 		t.Fatalf("only %d of 300 group-bys compiled arg kernels", kernelled)
@@ -273,28 +427,41 @@ func TestPreAggKernelMatchesBridge(t *testing.T) {
 					Args: []expr.Expr{kpExpr(r, r.Intn(2))}, OutName: "a"},
 			},
 		}
-		kp, err := newPreAggOp(spec, 1, kpSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bp, err := newPreAggOp(spec, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kp.argKerns != nil {
-			kernelled++
-		}
-		ck, cb := &collector{}, &collector{}
-		kp.outs = outputs{{op: ck, port: 0}}
-		bp.outs = outputs{{op: cb, port: 0}}
 		b := kpBatch(r, 1+r.Intn(20))
-		kerr := kp.Push(0, b)
-		berr := bp.Push(0, b)
-		kpSameErr(t, spec.Aggs[0].Fn, kerr, berr)
-		if kerr != nil {
-			continue
+		mp, err := newPreAggOp(spec, 1, nil, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		kpSameDeltas(t, spec.Aggs[0].Fn, kpFlush(t, kp, ck), kpFlush(t, bp, cb))
+		mc := &collector{}
+		mp.outs = outputs{{op: mc, port: 0}}
+		merr := mp.admit(b)
+		if merr == nil {
+			merr = modelArgs(&mp.aggArgs, spec.Aggs, b)
+		}
+		if merr == nil {
+			merr = mp.fold(b)
+		}
+		var want []types.Delta
+		if merr == nil {
+			want = kpFlush(t, mp, mc)
+		}
+		kpModes(func(compile bool, mode string) {
+			p, err := newPreAggOp(spec, 1, kpSchema, compile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.ks.bridged {
+				kernelled++
+			}
+			c := &collector{}
+			p.outs = outputs{{op: c, port: 0}}
+			err = p.Push(0, b)
+			label := mode + " " + spec.Aggs[0].Fn
+			kpSameErr(t, label, err, merr)
+			if err == nil {
+				kpSameDeltas(t, label, kpFlush(t, p, c), want)
+			}
+		})
 	}
 	if kernelled < 100 {
 		t.Fatalf("only %d of 300 pre-aggs compiled arg kernels", kernelled)
@@ -331,17 +498,13 @@ func kpChainBatch(r *rand.Rand, n int) *types.DeltaBatch {
 }
 
 // kpChain builds filters → project over kpSchema, wired as a worker wires
-// them (link runs once every edge is set), and returns its head.
-func kpChain(preds, exprs []expr.Expr, kernels bool, sink Operator) (Operator, *projectOp, []*filterOp) {
-	var schema []types.Kind
-	if kernels {
-		schema = kpSchema
-	}
-	p := newProjectOp(exprs, nil, schema, kernels)
+// them, and returns its head.
+func kpChain(preds, exprs []expr.Expr, compile bool, sink Operator) (Operator, *projectOp, []*filterOp) {
+	p := newProjectOp(exprs, nil, kpSchema, compile)
 	p.outs = outputs{{op: sink, port: 0}}
 	fs := make([]*filterOp, len(preds))
 	for i, pred := range preds {
-		fs[i] = newFilterOp(pred, schema, kernels)
+		fs[i] = newFilterOp(pred, kpSchema, compile)
 	}
 	for i, f := range fs {
 		if i+1 < len(fs) {
@@ -350,17 +513,31 @@ func kpChain(preds, exprs []expr.Expr, kernels bool, sink Operator) (Operator, *
 			f.outs = outputs{{op: p, port: 0}}
 		}
 	}
-	for _, f := range fs {
-		f.link()
-	}
 	return fs[0], p, fs
 }
 
-// TestKernelChainMatchesBridge: a chain of 1–3 kernel filters feeding a
-// kernel project, where each filter hands its survivors on as a
-// selection, emits exactly the deltas — or the error — of the same chain
-// with kernels off. A later conjunct must never see a row an earlier one
-// dropped: the guard pair c0 <> 0, 10 / c0 > 1 runs every fourth chain.
+// modelChain runs the row-at-a-time models of the filters, then of the
+// project, each over the previous stage's output batch.
+func modelChain(preds, exprs []expr.Expr, b *types.DeltaBatch) ([]types.Delta, error) {
+	for _, pred := range preds {
+		ds, err := modelFilter(pred, b)
+		if err != nil || len(ds) == 0 {
+			return nil, err
+		}
+		var ok bool
+		if b, ok = types.FromDeltas(ds); !ok {
+			panic("a filter's output must batch")
+		}
+	}
+	return modelProject(exprs, b)
+}
+
+// TestKernelChainMatchesBridge: a chain of 1–3 filters feeding a project,
+// where each filter hands its survivors on as a selection, emits exactly
+// the deltas — or the error — of the row-at-a-time models of the same
+// stages, with compiled and with interpreter-only kernels. A later
+// conjunct must never see a row an earlier one dropped: the guard pair
+// c0 <> 0, 10 / c0 > 1 runs every fourth chain.
 func TestKernelChainMatchesBridge(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	c0 := expr.NewCol(0, types.KindInt, "c0")
@@ -382,12 +559,8 @@ func TestKernelChainMatchesBridge(t *testing.T) {
 		for i := range exprs {
 			exprs[i] = kpExpr(r, r.Intn(2))
 		}
-		ck, cb := &collector{}, &collector{}
-		khead, kp, kfs := kpChain(preds, exprs, true, ck)
-		bhead, _, _ := kpChain(preds, exprs, false, cb)
 		b := kpChainBatch(r, 1+r.Intn(24))
-		kerr := khead.Push(0, b)
-		berr := bhead.Push(0, b)
+		want, merr := modelChain(preds, exprs, b)
 		label := ""
 		for _, p := range preds {
 			label += p.String() + " → "
@@ -395,13 +568,18 @@ func TestKernelChainMatchesBridge(t *testing.T) {
 		for _, e := range exprs {
 			label += e.String() + "; "
 		}
-		kpSameErr(t, label, kerr, berr)
-		if kerr == nil {
-			kpSameDeltas(t, label, ck.deltas, cb.deltas)
-		}
-		if kfs[len(kfs)-1].next == kp && !b.HasOld() {
-			handedOn++
-		}
+		kpModes(func(compile bool, mode string) {
+			c := &collector{}
+			head, p, fs := kpChain(preds, exprs, compile, c)
+			err := head.Push(0, b)
+			kpSameErr(t, mode+" "+label, err, merr)
+			if err == nil {
+				kpSameDeltas(t, mode+" "+label, c.deltas, want)
+			}
+			if compile && fs[len(fs)-1].next() == selStage(p) && !b.HasOld() {
+				handedOn++
+			}
+		})
 	}
 	if handedOn < 100 {
 		t.Fatalf("only %d of 1200 chains handed a selection on to the project", handedOn)

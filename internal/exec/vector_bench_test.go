@@ -39,7 +39,7 @@ func benchPipeline(b *testing.B) (*filterOp, *preAggOp) {
 	agg, err := newPreAggOp(&OpSpec{
 		GroupKey: []int{0},
 		Aggs:     []AggSpec{{Fn: "sum", Args: []expr.Expr{expr.NewCol(1, types.KindFloat, "d")}, OutName: "s", OutKind: types.KindFloat}},
-	}, 1, benchSchema)
+	}, 1, benchSchema, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func BenchmarkDataPathFilterPreAggVector(b *testing.B) {
 var benchSchema = []types.Kind{types.KindInt, types.KindFloat}
 
 // batchCountSink consumes batches without materializing rows, so the
-// kernel-vs-bridge pairs measure expression evaluation, not downstream
+// compiled-vs-interpreted pairs measure expression evaluation, not downstream
 // delivery.
 type batchCountSink struct{ rows int }
 
@@ -106,7 +106,8 @@ func (c *batchCountSink) Push(port int, b *types.DeltaBatch) error {
 }
 func (c *batchCountSink) Punct(port, stratum int, closed bool) error { return nil }
 
-// benchBatch4k is the 4096-row batch the kernel-vs-bridge pairs share.
+// benchBatch4k is the 4096-row batch the compiled-vs-interpreted pairs
+// share.
 func benchBatch4k(b *testing.B) *types.DeltaBatch {
 	cb, ok := types.FromDeltas(benchStream(4096))
 	if !ok {
@@ -117,7 +118,7 @@ func benchBatch4k(b *testing.B) *types.DeltaBatch {
 
 // The filter pair isolates predicate evaluation over one resident
 // 4096-row batch: compiled kernel (typed float loop + selection vector)
-// vs the scratch-tuple bridge (box every row, interpret the tree).
+// vs an interpreter-only kernel (box every row, interpret the tree).
 func benchFilter4k(b *testing.B, f *filterOp) {
 	sink := &batchCountSink{}
 	f.outs = outputs{{op: sink, port: 0}}
@@ -133,14 +134,14 @@ func benchFilter4k(b *testing.B, f *filterOp) {
 
 func BenchmarkFilter4kKernel(b *testing.B) {
 	f := newFilterOp(expr.NewCmp(expr.OpLt, expr.NewCol(1, types.KindFloat, "d"), expr.NewConst(float64(25))), benchSchema, true)
-	if f.kern == nil {
+	if f.ks.bridged {
 		b.Fatal("predicate must compile")
 	}
 	benchFilter4k(b, f)
 }
 
 func BenchmarkFilter4kBridged(b *testing.B) {
-	f := &filterOp{pred: expr.NewCmp(expr.OpLt, expr.NewCol(1, types.KindFloat, "d"), expr.NewConst(float64(25)))}
+	f := newFilterOp(expr.NewCmp(expr.OpLt, expr.NewCol(1, types.KindFloat, "d"), expr.NewConst(float64(25))), nil, false)
 	benchFilter4k(b, f)
 }
 
@@ -183,8 +184,8 @@ func BenchmarkFilter4kRowCopy(b *testing.B) {
 	}
 }
 
-// The project pair measures column-at-a-time output assembly vs per-row
-// interpretation: (vertex, dist*0.5+1) over the same 4096-row batch.
+// The project pair measures compiled kernels vs interpreter-only ones:
+// (vertex, dist*0.5+1) over the same 4096-row batch.
 func benchProjectExprs() []expr.Expr {
 	return []expr.Expr{
 		expr.NewCol(0, types.KindInt, "v"),
@@ -209,7 +210,7 @@ func benchProject4k(b *testing.B, p *projectOp) {
 
 func BenchmarkProject4kKernel(b *testing.B) {
 	p := newProjectOp(benchProjectExprs(), nil, benchSchema, true)
-	if p.kerns == nil {
+	if p.ks.bridged {
 		b.Fatal("projection must compile")
 	}
 	benchProject4k(b, p)
@@ -231,15 +232,13 @@ func BenchmarkFilterChainProject4k(b *testing.B) {
 	qty := newFilterOp(expr.NewCmp(expr.OpLt, col(2, "quantity"), expr.NewConst(30.0)), schema, true)
 	line := newFilterOp(expr.NewCmp(expr.OpGt, col(1, "linenumber"), expr.NewConst(int64(1))), schema, true)
 	proj := newProjectOp([]expr.Expr{col(6, "returnflag"), col(3, "extendedprice")}, nil, schema, true)
-	if qty.kern == nil || line.kern == nil || proj.kerns == nil {
+	if qty.ks.bridged || line.ks.bridged || proj.ks.bridged {
 		b.Fatal("chain must compile")
 	}
 	sink := &batchCountSink{}
 	qty.outs = outputs{{op: line, port: 0}}
 	line.outs = outputs{{op: proj, port: 0}}
 	proj.outs = outputs{{op: sink, port: 0}}
-	qty.link()
-	line.link()
 	ds := make([]types.Delta, 0, 4096)
 	for _, t := range datagen.LineItems(4096, 1) {
 		ds = append(ds, types.Insert(t))
@@ -270,11 +269,11 @@ func benchPreAgg4k(b *testing.B, key types.Kind, ngroups int) {
 			{Fn: "count", OutName: "n", OutKind: types.KindInt},
 			{Fn: "sum", Args: []expr.Expr{expr.NewCol(1, types.KindFloat, "v")}, OutName: "s", OutKind: types.KindFloat},
 		},
-	}, 1, schema)
+	}, 1, schema, true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if p.argKerns == nil {
+	if p.ks.bridged {
 		b.Fatal("sum's argument must compile")
 	}
 	cb := types.GetBatch()

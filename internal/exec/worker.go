@@ -28,9 +28,9 @@ type Worker struct {
 	batchSize   int
 	checkpoints bool
 	stream      bool
-	// kernels compiles expression kernels for filter, project, group-by
-	// and pre-aggregation; off (Options.NoVectorize) every expression runs
-	// through the interpreter, the reference the kernels are tested
+	// kernels compiles the expression kernels of filter, project,
+	// group-by and pre-aggregation; off (Options.NoVectorize) they are
+	// built interpreter-only, the reference compiled kernels are tested
 	// against.
 	kernels bool
 
@@ -666,13 +666,6 @@ func (w *Worker) build(snap *cluster.Snapshot) error {
 		}
 		w.setOuts(inst, outs)
 	}
-	// Kernel chains: with every edge wired, a kernel filter feeding only
-	// a kernel stage hands its survivors on as a selection.
-	for _, inst := range w.ops {
-		if f, ok := inst.(*filterOp); ok {
-			f.link()
-		}
-	}
 	if w.spec.Recursive() {
 		fx := w.ops[w.spec.FixpointID].(*fixpointOp)
 		fx.finalOuts = outputs{{op: outOp, port: 0}}
@@ -740,9 +733,8 @@ func (w *Worker) setOuts(inst Operator, outs outputs) {
 // inputKinds resolves the column kinds feeding an expression operator's
 // first input (filter and project are single-input), used to compile
 // typed column kernels. It returns nil when kernels are disabled or the
-// plan carries no upstream schema, as hand-built plans may; group-by and
-// pre-aggregation then interpret their arguments, while filter and
-// project compile against declared column kinds unless kernels are off.
+// plan carries no upstream schema, as hand-built plans may; kernels then
+// compile against the declared column kinds.
 func (w *Worker) inputKinds(spec *OpSpec) []types.Kind {
 	if !w.kernels || len(spec.Inputs) == 0 {
 		return nil
@@ -791,9 +783,9 @@ func (w *Worker) instantiate(spec *OpSpec, ctx *Context) (Operator, error) {
 			}
 			agg = def.Agg
 		}
-		return newGroupByOp(spec, max(1, len(spec.Inputs)), agg, w.inputKinds(spec))
+		return newGroupByOp(spec, max(1, len(spec.Inputs)), agg, w.inputKinds(spec), w.kernels)
 	case OpPreAgg:
-		return newPreAggOp(spec, max(1, len(spec.Inputs)), w.inputKinds(spec))
+		return newPreAggOp(spec, max(1, len(spec.Inputs)), w.inputKinds(spec), w.kernels)
 	case OpRehash:
 		return newRehashOp(spec, ctx, false), nil
 	case OpBroadcast:

@@ -310,8 +310,8 @@ type Call struct {
 	Args   []Expr
 	Ret    types.Kind
 
-	// Deterministic functions are memoized by the applyFunction operator
-	// (§5.1 "Caching").
+	// Deterministic functions are memoized by their argument values in
+	// every kernel that interprets them (§5.1 "Caching").
 	Deterministic bool
 }
 
@@ -333,6 +333,11 @@ func (c *Call) Eval(t types.Tuple) (types.Value, error) {
 		}
 		args[i] = v
 	}
+	return c.invoke(args)
+}
+
+// invoke calls the function on evaluated arguments.
+func (c *Call) invoke(args []types.Value) (types.Value, error) {
 	v, err := c.Fn(args)
 	if err != nil {
 		return nil, fmt.Errorf("expr: UDF %s: %w", c.FnName, err)

@@ -1,18 +1,23 @@
-// Expression kernels: a bound expression compiled once into a tree of
-// typed vector evaluators that process a whole DeltaBatch column-wise —
-// typed loops over int64/float64 vectors with validity-bitmap handling —
-// instead of interpreting the tree per row over boxed scratch tuples.
+// Expression kernels: a bound expression evaluated a whole DeltaBatch at
+// a time. Compile turns it into a tree of typed vector evaluators that
+// process the batch column-wise — typed loops over int64/float64 vectors
+// with validity-bitmap handling — instead of interpreting the tree per row
+// over boxed scratch tuples.
 //
-// The row interpreter (Expr.Eval) stays the ground truth. A kernel never
-// computes a different answer: whenever a batch contains anything the
-// typed loops cannot reproduce exactly — a mixed-kind (boxed-any) column,
-// a column whose runtime kind drifted from its declared kind, a row the
-// interpreter would reject (NULL arithmetic, integer division by zero,
-// non-boolean logic operand), an unbound parameter — the kernel declines
-// the whole batch and the operator re-runs it through the row path, which
-// reproduces the exact result or error. Declining is therefore always
-// safe; it is only ever a performance event, counted by the operator's
-// fallback counters.
+// The row interpreter (Expr.Eval) stays the ground truth, and a kernel is
+// total: it never computes a different answer and never hands a batch
+// back. An expression the compiler does not handle (a UDF call, float
+// modulo, non-numeric arithmetic) gets an interpreter root, which runs
+// Expr.Eval — EvalBool for a predicate — on each requested row and
+// memoizes deterministic calls by their argument values. When a compiled
+// tree meets a batch its typed loops cannot reproduce exactly — a
+// mixed-kind (boxed-any) column, a column whose runtime kind drifted from
+// its declared kind, a row the interpreter would reject (NULL arithmetic,
+// integer division by zero, non-boolean logic operand), an unbound
+// parameter — it declines, and the kernel interprets the same rows of the
+// same image instead: the interpreter's values, or its exact error.
+// Declining is therefore only ever a performance event, which Declined
+// reports to the operator's counters.
 package expr
 
 import (
@@ -22,12 +27,13 @@ import (
 	"github.com/rex-data/rex/internal/types"
 )
 
-// Kernel is a compiled vectorized evaluator for one bound expression.
-// A kernel is owned by a single operator instance on one worker
-// goroutine: its scratch vectors are reused across batches without
-// locking, and results are valid only until the next Eval* call.
+// Kernel evaluates one bound expression over batches. A kernel is owned
+// by a single operator instance on one worker goroutine: its scratch
+// vectors are reused across batches without locking, and results are
+// valid only until the next Eval* call.
 type Kernel struct {
-	root knode
+	e    Expr  // what the interpreter runs: the expression, deterministic calls memoized
+	root knode // the compiled tree; nil interprets every batch
 	k    types.Kind
 
 	vecs []*types.Vec // scratch vector pool, reset per Eval* call
@@ -37,6 +43,11 @@ type Kernel struct {
 	// kc is the current Eval* call's context, kept here so it does not
 	// escape to the heap through the node interface on every call.
 	kc kctx
+
+	tup      types.Tuple   // the interpreter's row
+	vals     []types.Value // the interpreter's results, by row
+	errRow   int32
+	declined bool
 }
 
 // begin sets up an Eval* call's context and scratch.
@@ -46,59 +57,96 @@ func (k *Kernel) begin(b *types.DeltaBatch, old bool) *kctx {
 	return &k.kc
 }
 
-// Compile compiles e against the input schema (column kinds; nil when
-// the plan did not record one — column declarations are trusted then).
-// ok=false means the expression has a shape the kernel compiler does not
-// handle (UDF calls, non-numeric arithmetic operands, float modulo):
-// the operator keeps the row-interpreter bridge for every batch.
+// Compile builds e's kernel against the input schema (column kinds; nil
+// when the plan did not record one — column declarations are trusted
+// then). It never fails: ok reports whether e compiled to typed loops.
+// When it did not (a UDF call, a non-numeric arithmetic operand, float
+// modulo) the kernel has an interpreter root, as Interpret builds.
 func Compile(e Expr, schema []types.Kind) (*Kernel, bool) {
+	k := Interpret(e)
 	root, ok := compileNode(e, schema)
-	if !ok {
-		return nil, false
+	if ok {
+		k.root = root
 	}
-	return &Kernel{root: root, k: e.Kind()}, true
+	return k, ok
+}
+
+// Interpret builds an interpreter-only kernel: every batch runs through
+// Expr.Eval row by row, the reference compiled kernels are held to.
+func Interpret(e Expr) *Kernel {
+	return &Kernel{e: memoize(e), k: e.Kind()}
 }
 
 // Kind reports the expression's static result kind.
 func (k *Kernel) Kind() types.Kind { return k.k }
 
-// EvalBools evaluates a predicate kernel over the selected rows of b
-// (new images, or old images of replace rows when old is true), writing
-// each row's verdict into out (indexed by absolute row number, which
-// must cover b.Len()). ok=false declines the batch: re-run it through
-// the row interpreter. Like EvalBool, predicates are strict — a NULL
-// result is not a bool, so any NULL verdict declines.
+// Declined reports whether the compiled tree declined a batch — which the
+// kernel then interpreted — since the last call, and clears the report.
+func (k *Kernel) Declined() bool {
+	d := k.declined
+	k.declined = false
+	return d
+}
+
+// ErrRow reports the row whose evaluation failed the last Eval* call that
+// returned an error: the first of its rows, in order, the interpreter
+// rejects.
+func (k *Kernel) ErrRow() int32 { return k.errRow }
+
+// Verdicts evaluates a predicate kernel over the selected rows of b (new
+// images, or old images of replace rows when old is true), writing each
+// row's verdict into out (indexed by absolute row number, which must
+// cover b.Len()). Like EvalBool, predicates are strict: a NULL or
+// non-boolean result is the interpreter's error.
+func (k *Kernel) Verdicts(b *types.DeltaBatch, old bool, rows []int32, out []bool) error {
+	if v := k.verdicts(b, old, rows); v != nil {
+		for _, i := range rows {
+			out[i] = v.Bools[i]
+		}
+		return nil
+	}
+	return k.interpretBools(b, old, rows, out)
+}
+
+// EvalBools is Verdicts reporting only whether it succeeded. It is kept
+// for benchmark/layers.go, which times it.
 func (k *Kernel) EvalBools(b *types.DeltaBatch, old bool, rows []int32, out []bool) bool {
-	v, ok := k.verdicts(b, old, rows)
-	if !ok {
-		return false
-	}
-	for _, i := range rows {
-		out[i] = v.Bools[i]
-	}
-	return true
+	return k.Verdicts(b, old, rows, out) == nil
 }
 
 // Select evaluates a predicate kernel over the selected rows of b's new
 // images and appends the rows whose verdict is true to dst, in order;
-// dst's prefix is left as it was. A compare of a numeric column with a
-// literal or parameter writes the selection straight from its typed loop
-// (selectConst); any other predicate computes its verdicts and compacts
-// them, both without a branch per row. ok=false declines, as for
-// EvalBools.
-func (k *Kernel) Select(b *types.DeltaBatch, rows []int32, dst []int32) ([]int32, bool) {
+// dst's prefix is left as it was, also on error. A compare of a numeric
+// column with a literal or parameter writes the selection straight from
+// its typed loop (selectConst); any other predicate computes its verdicts
+// and compacts them, both without a branch per row.
+func (k *Kernel) Select(b *types.DeltaBatch, rows []int32, dst []int32) ([]int32, error) {
 	if n, ok := k.root.(*cmpNode); ok {
 		if x, s, left := n.scalarSide(); s != nil {
-			dst, ok = n.selectScalar(k.begin(b, false), rows, x, s, left, dst)
+			out, ok := n.selectScalar(k.begin(b, false), rows, x, s, left, dst)
 			k.kc.b = nil
-			return dst, ok
+			if ok {
+				return out, nil
+			}
+			k.declined = true
+			return k.selectInterpreted(b, rows, dst)
 		}
 	}
-	v, ok := k.verdicts(b, false, rows)
-	if !ok {
-		return dst, false
+	if v := k.verdicts(b, false, rows); v != nil {
+		return appendWhere(dst, rows, v.Bools, true), nil
 	}
-	return appendWhere(dst, rows, v.Bools, true), true
+	return k.selectInterpreted(b, rows, dst)
+}
+
+// selectInterpreted is Select through the interpreter.
+func (k *Kernel) selectInterpreted(b *types.DeltaBatch, rows []int32, dst []int32) ([]int32, error) {
+	k.used = 0
+	v := k.getVec()
+	v.Reset(types.KindBool, b.Len())
+	if err := k.interpretBools(b, false, rows, v.Bools); err != nil {
+		return dst, err
+	}
+	return appendWhere(dst, rows, v.Bools, true), nil
 }
 
 // appendWhere appends the rows whose verdict equals want to dst: each row
@@ -124,42 +172,109 @@ func b2i(b bool) int {
 	return 0
 }
 
-// verdicts evaluates a predicate kernel, declining a NULL verdict.
-func (k *Kernel) verdicts(b *types.DeltaBatch, old bool, rows []int32) (*types.Vec, bool) {
-	if k.k != types.KindBool {
+// verdicts runs the compiled tree as a predicate. It returns nil when
+// there is no tree or it declined, a NULL or non-boolean verdict
+// included.
+func (k *Kernel) verdicts(b *types.DeltaBatch, old bool, rows []int32) *types.Vec {
+	if k.root == nil {
+		return nil
+	}
+	if k.k == types.KindBool {
+		if v, ok := k.run(b, old, rows); ok && v.K == types.KindBool && !hasNullAt(v, rows) {
+			return v
+		}
+	}
+	k.declined = true
+	return nil
+}
+
+// run evaluates the compiled tree. It reports false when there is no
+// tree or it declined — recording the decline — leaving the scratch
+// vectors to the interpreter.
+func (k *Kernel) run(b *types.DeltaBatch, old bool, rows []int32) (*types.Vec, bool) {
+	k.used = 0
+	if k.root == nil {
 		return nil, false
 	}
-	v, ok := k.EvalVec(b, old, rows)
-	if !ok || v.K != types.KindBool || hasNullAt(v, rows) {
-		return nil, false
+	v, ok := k.root.eval(k.begin(b, old), rows)
+	k.kc.b = nil
+	if !ok {
+		k.declined, k.used = true, 0
 	}
-	return v, true
+	return v, ok
 }
 
 // EvalVec evaluates the kernel over the selected rows of b and returns its
 // result vector, indexed by absolute row number. The vector is borrowed:
 // it belongs to the kernel (or aliases a column of b) and is valid only
-// until the kernel's next Eval* call. ok=false declines the batch.
-func (k *Kernel) EvalVec(b *types.DeltaBatch, old bool, rows []int32) (*types.Vec, bool) {
-	v, ok := k.root.eval(k.begin(b, old), rows)
-	k.kc.b = nil
-	return v, ok
+// until the kernel's next Eval* call.
+func (k *Kernel) EvalVec(b *types.DeltaBatch, old bool, rows []int32) (*types.Vec, error) {
+	if v, ok := k.run(b, old, rows); ok {
+		return v, nil
+	}
+	v := k.getVec()
+	return v, k.interpret(b, old, rows, v)
 }
 
 // EvalInto evaluates a projection kernel over the selected rows of b
 // into dst (indexed by absolute row number). dst is caller-owned, so two
 // passes of one kernel (new images, then old images) can coexist.
-// ok=false declines the batch.
-func (k *Kernel) EvalInto(b *types.DeltaBatch, old bool, rows []int32, dst *types.Vec) bool {
-	v, ok := k.EvalVec(b, old, rows)
+func (k *Kernel) EvalInto(b *types.DeltaBatch, old bool, rows []int32, dst *types.Vec) error {
+	v, ok := k.run(b, old, rows)
 	if !ok {
-		return false
+		return k.interpret(b, old, rows, dst)
 	}
 	dst.Reset(v.K, b.Len())
 	for _, i := range rows {
 		dst.CopyRow(v, int(i))
 	}
-	return true
+	return nil
+}
+
+// interpret evaluates the selected rows of one image with Expr.Eval into
+// dst, stopping at the first error.
+func (k *Kernel) interpret(b *types.DeltaBatch, old bool, rows []int32, dst *types.Vec) error {
+	if n := b.Len(); cap(k.vals) < n {
+		k.vals = make([]types.Value, n)
+	} else {
+		k.vals = k.vals[:n]
+		clear(k.vals)
+	}
+	for _, i := range rows {
+		v, err := k.e.Eval(k.row(b, old, i))
+		if err != nil {
+			k.errRow = i
+			return err
+		}
+		k.vals[i] = v
+	}
+	dst.SetValues(k.vals)
+	return nil
+}
+
+// interpretBools evaluates the selected rows of one image with EvalBool
+// into out, stopping at the first error.
+func (k *Kernel) interpretBools(b *types.DeltaBatch, old bool, rows []int32, out []bool) error {
+	for _, i := range rows {
+		v, err := EvalBool(k.e, k.row(b, old, i))
+		if err != nil {
+			k.errRow = i
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
+
+// row reads row i's new or old image into the interpreter's scratch
+// tuple. A batch without old images gives an empty old image.
+func (k *Kernel) row(b *types.DeltaBatch, old bool, i int32) types.Tuple {
+	if old {
+		k.tup = b.OldRow(int(i), k.tup)
+	} else {
+		k.tup = b.Row(int(i), k.tup)
+	}
+	return k.tup
 }
 
 // AllRows returns the dense identity selection [0, n) — the "evaluate
@@ -191,8 +306,8 @@ type kctx struct {
 
 // knode is one compiled node. eval computes the node over the selected
 // rows (absolute indexes into kc.b) and returns a vector indexed the
-// same way. ok=false declines the whole batch to the row interpreter —
-// the decline contract in the package comment.
+// same way. ok=false declines the whole batch, which the kernel then
+// interprets — the decline in the package comment.
 type knode interface {
 	eval(kc *kctx, rows []int32) (*types.Vec, bool)
 }

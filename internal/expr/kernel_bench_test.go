@@ -51,9 +51,12 @@ func BenchmarkPredicateKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !kern.EvalBools(cb, false, rows, out) {
-			b.Fatal("kernel declined")
+		if err := kern.Verdicts(cb, false, rows, out); err != nil {
+			b.Fatal(err)
 		}
+	}
+	if kern.Declined() {
+		b.Fatal("kernel declined")
 	}
 }
 
@@ -87,9 +90,12 @@ func BenchmarkProjectionKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !kern.EvalInto(cb, false, rows, &dst) {
-			b.Fatal("kernel declined")
+		if err := kern.EvalInto(cb, false, rows, &dst); err != nil {
+			b.Fatal(err)
 		}
+	}
+	if kern.Declined() {
+		b.Fatal("kernel declined")
 	}
 }
 
@@ -135,10 +141,14 @@ func BenchmarkSelectConstHalf4k(b *testing.B) {
 	sel := make([]int32, 0, cb.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
+	var err error
 	for i := 0; i < b.N; i++ {
-		if sel, ok = kern.Select(cb, rows, sel[:0]); !ok {
-			b.Fatal("kernel declined")
+		if sel, err = kern.Select(cb, rows, sel[:0]); err != nil {
+			b.Fatal(err)
 		}
+	}
+	if kern.Declined() {
+		b.Fatal("kernel declined")
 	}
 	if n := len(sel); n < cb.Len()*2/5 || n > cb.Len()*3/5 {
 		b.Fatalf("kept %d of %d rows, want about half", n, cb.Len())

@@ -11,12 +11,12 @@ import (
 
 // FuzzCmpKernel drives the compare fast path: a column against a literal
 // or a bound parameter, int or float on either side, under all six
-// operators, over NaN, ±0, ±Inf, NULL and the int64 extremes. EvalBools
+// operators, over NaN, ±0, ±Inf, NULL and the int64 extremes. Verdicts
 // and Select run over a subset of the rows. On every row of it the
-// kernel's verdict must equal EvalBool's, or the kernel must decline the
-// batch; Select must decline exactly when EvalBools does, else append
-// exactly the rows EvalBool passes behind dst's prefix, which it leaves
-// as it was.
+// kernel's verdict must equal EvalBool's, or both must fail with
+// EvalBool's error on the first row it rejects; Select must fail exactly
+// when Verdicts does, else append exactly the rows EvalBool passes behind
+// dst's prefix, which it leaves as it was either way.
 //
 // form's bits: 1 float column, 2 float scalar, 4 parameter instead of a
 // literal, 8 scalar on the left. data holds the rows, 9 bytes each: a
@@ -67,34 +67,34 @@ func FuzzCmpKernel(f *testing.F) {
 			l, r = r, l
 		}
 		e := NewCmp(CmpOp(op%6), l, r)
-		kern, ok := Compile(e, []types.Kind{kind})
-		if !ok {
+		kern, compiled := Compile(e, []types.Kind{kind})
+		if !compiled {
 			t.Fatalf("%s does not compile", e)
 		}
 
 		out := make([]bool, b.Len())
-		took := kern.EvalBools(b, false, rows, out)
+		err := kern.Verdicts(b, false, rows, out)
 		prefix := []int32{-1, -2, -3}
-		sel, selOK := kern.Select(b, rows, slices.Clone(prefix))
+		sel, selErr := kern.Select(b, rows, slices.Clone(prefix))
 		if len(sel) < len(prefix) || !slices.Equal(sel[:len(prefix)], prefix) {
 			t.Fatalf("%s: Select changed dst's prefix %v into %v", e, prefix, sel)
 		}
 		sel = sel[len(prefix):]
-		if selOK != took {
-			t.Fatalf("%s: Select ok=%v, EvalBools ok=%v", e, selOK, took)
-		}
-		if !took {
-			if len(sel) != 0 {
-				t.Fatalf("%s: declining Select appended %v", e, sel)
-			}
-			return // declining is always allowed
+		if (selErr == nil) != (err == nil) {
+			t.Fatalf("%s: Select error %v, Verdicts error %v", e, selErr, err)
 		}
 		var scratch types.Tuple
 		for _, i := range rows {
 			scratch = b.Row(int(i), scratch)
-			want, err := EvalBool(e, scratch)
+			want, wantErr := EvalBool(e, scratch)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() || selErr.Error() != wantErr.Error() {
+					t.Fatalf("%s on row %v: kernel error %v / %v, EvalBool %v", e, scratch, err, selErr, wantErr)
+				}
+				return
+			}
 			if err != nil {
-				t.Fatalf("%s: kernel took row %v, EvalBool rejects it: %v", e, scratch, err)
+				t.Fatalf("%s: kernel error %v on row %v, which EvalBool takes", e, err, scratch)
 			}
 			if out[i] != want {
 				t.Fatalf("%s on row %v: kernel %v, EvalBool %v", e, scratch, out[i], want)
@@ -105,6 +105,9 @@ func FuzzCmpKernel(f *testing.F) {
 				}
 				sel = sel[1:]
 			}
+		}
+		if err != nil {
+			t.Fatalf("%s: kernel error %v, EvalBool takes every row", e, err)
 		}
 		if len(sel) != 0 {
 			t.Fatalf("%s: Select picked rows %v EvalBool rejects", e, sel)

@@ -10,11 +10,11 @@ import (
 )
 
 // The kernel property: over randomized expressions and batches, a
-// compiled kernel either evaluates a batch to exactly the interpreter's
-// per-row results, or declines it — and it must decline whenever the
-// interpreter would error on any row. Generated batches cover NULLs,
-// boxed-any (mixed-kind) columns, params (bound and unbound), and
-// replace rows with old images.
+// compiled kernel evaluates a batch to exactly the interpreter's per-row
+// results, or to the interpreter's error at the same row — through its
+// typed loops or, when they decline, through the interpreter. Generated
+// batches cover NULLs, boxed-any (mixed-kind) columns, params (bound and
+// unbound), and replace rows with old images.
 
 // propSchema: 0 int, 1 float, 2 nullable int, 3 nullable float,
 // 4 string, 5 bool, 6 declared-int that may drift to mixed at runtime.
@@ -94,8 +94,8 @@ func genPropExpr(r *rand.Rand, depth int, ps *ParamSet) Expr {
 			}
 			return NewConst(r.Intn(2) == 0)
 		case 3:
-			// $3 stays unbound: the kernel must decline to the row
-			// path's "parameter not bound" error.
+			// $3 stays unbound: the kernel must decline to the
+			// interpreter's "parameter not bound" error.
 			idx := r.Intn(3)
 			k := types.KindInt
 			if idx == 1 {
@@ -136,100 +136,116 @@ func samePropValue(a, b types.Value) bool {
 	return a == b
 }
 
+// interpretRows runs the interpreter over the selected rows of one image
+// group, in order, up to the first error: the values by row, or the error
+// and the row that raised it.
+func interpretRows(e Expr, b *types.DeltaBatch, old bool, rows []int32, pred bool) (map[int32]types.Value, error, int32) {
+	var scratch types.Tuple
+	vals := make(map[int32]types.Value, len(rows))
+	for _, i := range rows {
+		if old {
+			scratch = b.OldRow(int(i), scratch)
+		} else {
+			scratch = b.Row(int(i), scratch)
+		}
+		var v types.Value
+		var err error
+		if pred {
+			v, err = EvalBool(e, scratch)
+		} else {
+			v, err = e.Eval(scratch)
+		}
+		if err != nil {
+			return nil, err, i
+		}
+		vals[i] = v
+	}
+	return vals, nil, 0
+}
+
+// sameKernelErr requires the kernel's error to be the interpreter's: the
+// same text, raised at the same row.
+func sameKernelErr(t *testing.T, e Expr, kern *Kernel, got, want error, wantRow int32) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: kernel error %v, interpreter error %v", e, got, want)
+	}
+	if got == nil {
+		return
+	}
+	if got.Error() != want.Error() || kern.ErrRow() != wantRow {
+		t.Fatalf("%s: kernel error %q at row %d, interpreter %q at row %d", e, got, kern.ErrRow(), want, wantRow)
+	}
+}
+
 // checkKernelImage compares one image group (new, or old over the
-// replace rows) of a batch between the kernel and the interpreter.
+// replace rows) of a batch between the kernel and the interpreter: the
+// same value on every row, or the same error at the same row. It reports
+// whether the compiled tree declined, handing the rows to the
+// interpreter.
 func checkKernelImage(t *testing.T, e Expr, kern *Kernel, b *types.DeltaBatch, old bool, rows []int32) (declined bool) {
 	t.Helper()
 	if len(rows) == 0 {
 		return false
 	}
-	row := func(i int32, scratch types.Tuple) types.Tuple {
-		if old {
-			return b.OldRow(int(i), scratch)
-		}
-		return b.Row(int(i), scratch)
-	}
-	var scratch types.Tuple
-	vals := make(map[int32]types.Value, len(rows))
-	rowErr := false
-	for _, i := range rows {
-		scratch = row(i, scratch)
-		v, err := e.Eval(scratch)
-		if err != nil {
-			rowErr = true
-			break
-		}
-		vals[i] = v
-	}
-
+	vals, rowErr, errRow := interpretRows(e, b, old, rows, false)
 	var dst types.Vec
-	if !kern.EvalInto(b, old, rows, &dst) {
-		return true // declining is always allowed
+	err := kern.EvalInto(b, old, rows, &dst)
+	declined = kern.Declined()
+	sameKernelErr(t, e, kern, err, rowErr, errRow)
+	if err == nil {
+		for _, i := range rows {
+			if got, want := dst.Value(int(i)), vals[i]; !samePropValue(got, want) {
+				t.Fatalf("row %d of %s: kernel %#v, interpreter %#v (old=%v)", i, e, got, want, old)
+			}
+		}
 	}
-	if rowErr {
-		t.Fatalf("kernel evaluated a batch the interpreter rejects: %s", e)
-	}
-	for _, i := range rows {
-		if got, want := dst.Value(int(i)), vals[i]; !samePropValue(got, want) {
-			t.Fatalf("row %d of %s: kernel %#v, interpreter %#v (old=%v)", i, e, got, want, old)
+	v, err := kern.EvalVec(b, old, rows)
+	sameKernelErr(t, e, kern, err, rowErr, errRow)
+	if err == nil {
+		for _, i := range rows {
+			if got, want := v.Value(int(i)), vals[i]; !samePropValue(got, want) {
+				t.Fatalf("row %d of %s: EvalVec %#v, interpreter %#v (old=%v)", i, e, got, want, old)
+			}
 		}
 	}
 
 	if e.Kind() == types.KindBool {
-		verdicts := make(map[int32]bool, len(rows))
-		boolErr := false
-		for _, i := range rows {
-			scratch = row(i, scratch)
-			v, err := EvalBool(e, scratch)
-			if err != nil {
-				boolErr = true
-				break
-			}
-			verdicts[i] = v
-		}
+		verdicts, boolErr, errRow := interpretRows(e, b, old, rows, true)
 		out := make([]bool, b.Len())
-		if !kern.EvalBools(b, old, rows, out) {
-			return true
-		}
-		if boolErr {
-			t.Fatalf("EvalBools accepted a batch EvalBool rejects: %s", e)
-		}
-		for _, i := range rows {
-			if out[i] != verdicts[i] {
-				t.Fatalf("row %d of %s: kernel verdict %v, EvalBool %v", i, e, out[i], verdicts[i])
+		err := kern.Verdicts(b, old, rows, out)
+		declined = kern.Declined() || declined
+		sameKernelErr(t, e, kern, err, boolErr, errRow)
+		if err == nil {
+			for _, i := range rows {
+				if out[i] != verdicts[i] {
+					t.Fatalf("row %d of %s: kernel verdict %v, EvalBool %v", i, e, out[i], verdicts[i])
+				}
 			}
 		}
 	}
-	return false
+	return declined
 }
 
 // checkKernelSelect runs Select over rows, a subset of a batch's new
-// images, behind a dst prefix: it must decline exactly when EvalBools
-// does, and otherwise append exactly the rows where EvalBool is true,
-// leaving the prefix as it was.
+// images, behind a dst prefix: it must fail exactly when EvalBool does,
+// with its error, and otherwise append exactly the rows where EvalBool is
+// true, leaving the prefix as it was either way.
 func checkKernelSelect(t *testing.T, e Expr, kern *Kernel, b *types.DeltaBatch, rows []int32) {
 	t.Helper()
-	took := kern.EvalBools(b, false, rows, make([]bool, b.Len()))
+	verdicts, boolErr, errRow := interpretRows(e, b, false, rows, true)
 	prefix := []int32{-1, -2}
-	sel, ok := kern.Select(b, rows, slices.Clone(prefix))
+	sel, err := kern.Select(b, rows, slices.Clone(prefix))
 	if len(sel) < len(prefix) || !slices.Equal(sel[:len(prefix)], prefix) {
 		t.Fatalf("%s: Select changed dst's prefix %v into %v", e, prefix, sel)
 	}
-	if ok != took {
-		t.Fatalf("%s: Select ok=%v, EvalBools ok=%v", e, ok, took)
-	}
-	if !ok {
+	sameKernelErr(t, e, kern, err, boolErr, errRow)
+	if err != nil {
 		return
 	}
 	var want []int32
-	var scratch types.Tuple
 	for _, i := range rows {
-		scratch = b.Row(int(i), scratch)
-		v, err := EvalBool(e, scratch)
-		if err != nil {
-			t.Fatalf("Select took a batch EvalBool rejects: %s: %v", e, err)
-		}
-		if v {
+		if verdicts[i].(bool) {
 			want = append(want, i)
 		}
 	}

@@ -45,9 +45,9 @@ func TestSelectConstWritesSelection(t *testing.T) {
 			}
 		}
 		dst := make([]int32, 0, b.Len())
-		sel, ok := kern.Select(b, rows, dst)
-		if !ok {
-			t.Fatalf("%s: Select declined", e)
+		sel, err := kern.Select(b, rows, dst)
+		if err != nil || kern.Declined() {
+			t.Fatalf("%s: Select declined (%v)", e, err)
 		}
 		if !slices.Equal(sel, want) {
 			t.Fatalf("%s: Select = %v, want %v", e, sel, want)

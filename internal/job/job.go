@@ -80,9 +80,11 @@ type Spec struct {
 	// driver's entry point sets it: on for StreamCtx and StandingCtx, off
 	// for RunCtx.
 	Stream bool `json:"stream,omitempty"`
-	// NoVectorize turns the compiled expression kernels off, so workers
-	// run the interpreter (both sides must agree — it changes how every
-	// worker evaluates expressions).
+	// NoVectorize builds the workers' expression kernels
+	// interpreter-only, the reference compiled kernels are tested against
+	// (both sides must agree — it changes how every worker evaluates
+	// expressions). It stays until benchmark/fixpoint_batch.go stops
+	// using it (ROADMAP item 15g).
 	NoVectorize bool `json:"no_vectorize,omitempty"`
 
 	// BufferPoolPages sizes the page-store buffer pool on daemons running

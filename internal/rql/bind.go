@@ -659,7 +659,7 @@ func keyEquality(conjuncts []expr.Expr, keyCol int) expr.Expr {
 }
 
 // rowFree reports whether e is built only from literals and parameters,
-// so it has one value per execution (-7 parses as 0 - 7).
+// so it has one value per execution (-(7) parses as 0 - 7).
 func rowFree(e expr.Expr) bool {
 	switch v := e.(type) {
 	case *expr.Const, *expr.Param:

@@ -53,7 +53,8 @@ func TestKeyEqualityPushedIntoScan(t *testing.T) {
 		{`SELECT v FROM t WHERE k = 7`, `Scan t [key = 7]`},
 		{`SELECT v FROM t WHERE 7 = k`, `Scan t [key = 7]`},
 		{`SELECT v FROM t WHERE k = $1`, `Scan t [key = $1]`},
-		{`SELECT v FROM t WHERE k = -7`, `Scan t [key = (0 - 7)]`},
+		{`SELECT v FROM t WHERE k = -7`, `Scan t [key = -7]`},
+		{`SELECT v FROM t WHERE k = -(7)`, `Scan t [key = (0 - 7)]`},
 		{`SELECT v FROM t WHERE v > 1.0 AND k = $1 AND name = 'x'`, `Scan t [key = $1]`},
 		{`SELECT x.v FROM t x WHERE x.k = 7`, `Scan t [key = 7]`},
 		{`SELECT a FROM u WHERE s = 'west'`, `Scan u [key = 'west']`},

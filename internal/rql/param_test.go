@@ -105,7 +105,7 @@ func TestBindText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `SELECT k FROM t WHERE v > 2.5 AND name = 'alpha' AND k > 2.5`
+	want := `SELECT k FROM t WHERE v > (2.5) AND name = ('alpha') AND k > (2.5)`
 	if got != want {
 		t.Errorf("got %q, want %q", got, want)
 	}
@@ -125,7 +125,7 @@ func TestBindText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `SELECT k FROM t WHERE name = 'it''s'`; got != want {
+	if want := `SELECT k FROM t WHERE name = ('it''s')`; got != want {
 		t.Errorf("got %q, want %q", got, want)
 	}
 	toks, err := lex(`'it''s' '''' ''`)

@@ -325,6 +325,12 @@ func (p *parser) parseUnary() (Expr, error) {
 		}
 		return &NotExpr{E: e}, nil
 	case p.accept(tokSymbol, "-"):
+		if p.at(tokNumber, "") {
+			// A minus right before a number is a negative literal, so
+			// -9223372036854775808 and -0.0 keep their values.
+			t := p.next()
+			return &NumberLit{Text: "-" + t.text, IsInt: !strings.Contains(t.text, ".")}, nil
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err

@@ -15,7 +15,11 @@ import (
 // for multi-process sessions, where plans cannot ship across the wire and
 // every process recompiles the query text from the job spec: the driver
 // binds values into the text once per execution and the daemons parse the
-// same literals. Placeholders must be numbered contiguously from $1.
+// same literals. Each literal is parenthesised, so it lexes apart from
+// whatever surrounds the placeholder — a minus before a negative number
+// does not become a comment, a keyword before TRUE does not merge into an
+// identifier — and the bound text compiles to the plan in-process binding
+// runs. Placeholders must be numbered contiguously from $1.
 func BindText(src string, args []types.Value) (string, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -47,7 +51,7 @@ func BindText(src string, args []types.Value) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("rql: parameter $%d: %w", i+1, err)
 		}
-		lits[i] = lit
+		lits[i] = "(" + lit + ")"
 	}
 	// Rewrite back to front so earlier token positions stay valid.
 	sort.Slice(params, func(i, j int) bool { return params[i].pos > params[j].pos })
@@ -61,7 +65,8 @@ func BindText(src string, args []types.Value) (string, error) {
 }
 
 // renderLiteral formats a value as RQL literal text that lexes back to the
-// same value.
+// same value: a negative number lexes as a minus and a number, which the
+// parser reads as one negative literal, -0.0 and math.MinInt64 included.
 func renderLiteral(v types.Value) (string, error) {
 	switch x := v.(type) {
 	case int64:

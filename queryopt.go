@@ -34,9 +34,12 @@ func WithTenant(id string) QueryOption {
 	return func(o *Options) { o.Tenant = id }
 }
 
-// WithNoVectorize turns the compiled expression kernels off for this
-// query: every expression runs through the interpreter, the reference
-// implementation the kernels are tested against. Results are identical.
+// WithNoVectorize builds this query's expression kernels
+// interpreter-only: every expression runs through the interpreter row by
+// row, the reference compiled kernels are tested against. Results are
+// identical. It is kept as that reference until
+// benchmark/fixpoint_batch.go, its last benchmark caller, stops using it
+// (ROADMAP item 15g).
 func WithNoVectorize() QueryOption {
 	return func(o *Options) { o.NoVectorize = true }
 }

@@ -25,8 +25,8 @@
 // Per-query knobs are variadic QueryOptions, accepted uniformly by
 // QueryCtx, Stream, Prepare, and Subscribe — WithPriority and WithTenant
 // address the rexd server's tenant-aware scheduler (see below),
-// WithNoVectorize runs the expression interpreter instead of compiled
-// kernels, WithBatchSize,
+// WithNoVectorize builds interpreter-only expression kernels (the
+// reference compiled kernels are tested against), WithBatchSize,
 // WithMaxStrata, and friends tune execution:
 //
 //	res, err := s.QueryCtx(ctx, query,
