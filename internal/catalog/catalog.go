@@ -55,7 +55,8 @@ type FuncDef struct {
 	ArgKinds []types.Kind
 	RetKind  types.Kind
 	Fn       expr.ScalarFn
-	// Deterministic functions are cached by applyFunction (§5.1).
+	// Deterministic functions are memoized by the expression kernels
+	// that call them (§5.1).
 	Deterministic bool
 	// CostPerTuple is the per-invocation CPU cost (abstract units).
 	CostPerTuple float64

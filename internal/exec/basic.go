@@ -160,8 +160,13 @@ func (f *filterOp) emit(b *types.DeltaBatch, rows []int32, next selStage) error 
 	sel, err := f.kern.Select(b, rows, f.sel[:0])
 	f.sel = sel
 	f.ks.count()
-	if err != nil || len(sel) == 0 {
-		return err
+	if err != nil {
+		var first firstErr
+		first.note(err, 0)
+		return first.err
+	}
+	if len(sel) == 0 {
+		return nil
 	}
 	if next != nil {
 		return next.pushSel(b, sel)
@@ -180,8 +185,8 @@ func (f *filterOp) pushReplaces(b *types.DeltaBatch) error {
 	f.selOld = growBools(f.selOld, n)
 	// The row interpreter judges a replace's old image before its new one.
 	var first firstErr
-	first.note(f.kern, f.kern.Verdicts(b, true, f.oldRows, f.selOld), 0)
-	first.note(f.kern, f.kern.Verdicts(b, false, f.kern.AllRows(n), f.selNew), 1)
+	first.note(f.kern.Verdicts(b, true, f.oldRows, f.selOld), 0)
+	first.note(f.kern.Verdicts(b, false, f.kern.AllRows(n), f.selNew), 1)
 	f.ks.count()
 	if first.err != nil {
 		return first.err
@@ -336,10 +341,10 @@ func (p *projectOp) Push(port int, b *types.DeltaBatch) error {
 	var first firstErr
 	kerns := p.ks.all
 	for j, k := range kerns {
-		first.note(k, k.EvalInto(b, false, p.rows, p.newVecs[j]), j)
+		first.note(k.EvalInto(b, false, p.rows, p.newVecs[j]), j)
 	}
 	for j, k := range kerns {
-		first.note(k, k.EvalInto(b, true, p.oldRows, p.oldVecs[j]), len(kerns)+j)
+		first.note(k.EvalInto(b, true, p.oldRows, p.oldVecs[j]), len(kerns)+j)
 	}
 	p.ks.count()
 	if first.err != nil {
@@ -371,7 +376,7 @@ func (p *projectOp) pushSel(b *types.DeltaBatch, rows []int32) error {
 	var first firstErr
 	for j, k := range p.ks.all {
 		v, err := k.EvalVec(b, false, rows)
-		first.note(k, err, j)
+		first.note(err, j)
 		p.res[j] = v
 	}
 	p.ks.count()

@@ -119,10 +119,10 @@ func (a *aggArgs) eval(b *types.DeltaBatch) error {
 	for i, ks := range a.argKerns {
 		for j, k := range ks {
 			if len(a.oldRows) > 0 {
-				first.note(k, k.EvalInto(b, true, a.oldRows, a.oldVecs[i][j]), rank+len(ks)+j)
+				first.note(k.EvalInto(b, true, a.oldRows, a.oldVecs[i][j]), rank+len(ks)+j)
 			}
 			v, err := k.EvalVec(b, false, a.rows)
-			first.note(k, err, rank+j)
+			first.note(err, rank+j)
 			a.argVecs[i][j] = v
 		}
 		rank += 2 * len(ks)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"sync/atomic"
 
 	"github.com/rex-data/rex/internal/expr"
@@ -106,18 +107,21 @@ func (s *kernelSet) count() {
 // firstErr keeps, of the errors an operator's kernels return for one
 // batch, the one the row interpreter meets first: the lowest row and, on
 // one row, the lowest rank — the order in which a row's expressions and
-// images are evaluated.
+// images are evaluated. It keeps the interpreter's own error, unwrapped
+// from the kernel's expr.RowError.
 type firstErr struct {
 	err  error
 	row  int32
 	rank int
 }
 
-func (f *firstErr) note(k *expr.Kernel, err error, rank int) {
+func (f *firstErr) note(err error, rank int) {
 	if err == nil {
 		return
 	}
-	if row := k.ErrRow(); f.err == nil || row < f.row || row == f.row && rank < f.rank {
-		*f = firstErr{err: err, row: row, rank: rank}
+	re := &expr.RowError{Err: err}
+	errors.As(err, &re)
+	if f.err == nil || re.Row < f.row || re.Row == f.row && rank < f.rank {
+		*f = firstErr{err: re.Err, row: re.Row, rank: rank}
 	}
 }

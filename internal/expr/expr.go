@@ -304,6 +304,16 @@ func (n *Not) String() string { return "NOT " + n.E.String() }
 type ScalarFn func(args []types.Value) (types.Value, error)
 
 // Call invokes a user-defined scalar function.
+//
+// Operators evaluate a batch an expression at a time (Kernel), not a row
+// at a time. Within one expression a function sees the requested rows in
+// order and stops at its first failing row; across the expressions of one
+// operator — a projection's columns, an aggregate's arguments, a
+// replace's old and new images — its calls do not interleave by row, and
+// when one row fails, another expression may already have called it on
+// later rows. Only the results and the reported error (the one the row
+// interpreter meets first) are fixed: the number and order of calls are
+// not, and a function must not rely on them.
 type Call struct {
 	FnName string
 	Fn     ScalarFn

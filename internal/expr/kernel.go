@@ -15,9 +15,9 @@
 // its declared kind, a row the interpreter would reject (NULL arithmetic,
 // integer division by zero, non-boolean logic operand), an unbound
 // parameter — it declines, and the kernel interprets the same rows of the
-// same image instead: the interpreter's values, or its exact error.
-// Declining is therefore only ever a performance event, which Declined
-// reports to the operator's counters.
+// same image instead: the interpreter's values, or its exact error on the
+// first row it rejects, as a RowError. Declining is therefore only ever a
+// performance event, which Declined reports to the operator's counters.
 package expr
 
 import (
@@ -46,9 +46,19 @@ type Kernel struct {
 
 	tup      types.Tuple   // the interpreter's row
 	vals     []types.Value // the interpreter's results, by row
-	errRow   int32
 	declined bool
 }
+
+// RowError is the error of an Eval* call: the interpreter's error on Row,
+// the first of the requested rows, in order, it rejects. Its text is the
+// interpreter's, and it unwraps to the interpreter's error.
+type RowError struct {
+	Row int32
+	Err error
+}
+
+func (e *RowError) Error() string { return e.Err.Error() }
+func (e *RowError) Unwrap() error { return e.Err }
 
 // begin sets up an Eval* call's context and scratch.
 func (k *Kernel) begin(b *types.DeltaBatch, old bool) *kctx {
@@ -88,11 +98,6 @@ func (k *Kernel) Declined() bool {
 	return d
 }
 
-// ErrRow reports the row whose evaluation failed the last Eval* call that
-// returned an error: the first of its rows, in order, the interpreter
-// rejects.
-func (k *Kernel) ErrRow() int32 { return k.errRow }
-
 // Verdicts evaluates a predicate kernel over the selected rows of b (new
 // images, or old images of replace rows when old is true), writing each
 // row's verdict into out (indexed by absolute row number, which must
@@ -108,10 +113,19 @@ func (k *Kernel) Verdicts(b *types.DeltaBatch, old bool, rows []int32, out []boo
 	return k.interpretBools(b, old, rows, out)
 }
 
-// EvalBools is Verdicts reporting only whether it succeeded. It is kept
-// for benchmark/layers.go, which times it.
+// EvalBools is Verdicts through the compiled tree alone: it reports false,
+// leaving out undefined, when there is no tree or it declines the batch,
+// and interprets nothing. It is kept for benchmark/layers.go, which times
+// the compiled path with it and must see a batch it would not take.
 func (k *Kernel) EvalBools(b *types.DeltaBatch, old bool, rows []int32, out []bool) bool {
-	return k.Verdicts(b, old, rows, out) == nil
+	v := k.verdicts(b, old, rows)
+	if v == nil {
+		return false
+	}
+	for _, i := range rows {
+		out[i] = v.Bools[i]
+	}
+	return true
 }
 
 // Select evaluates a predicate kernel over the selected rows of b's new
@@ -243,8 +257,7 @@ func (k *Kernel) interpret(b *types.DeltaBatch, old bool, rows []int32, dst *typ
 	for _, i := range rows {
 		v, err := k.e.Eval(k.row(b, old, i))
 		if err != nil {
-			k.errRow = i
-			return err
+			return &RowError{Row: i, Err: err}
 		}
 		k.vals[i] = v
 	}
@@ -258,8 +271,7 @@ func (k *Kernel) interpretBools(b *types.DeltaBatch, old bool, rows []int32, out
 	for _, i := range rows {
 		v, err := EvalBool(k.e, k.row(b, old, i))
 		if err != nil {
-			k.errRow = i
-			return err
+			return &RowError{Row: i, Err: err}
 		}
 		out[i] = v
 	}

@@ -16,7 +16,9 @@ import (
 // kernel's verdict must equal EvalBool's, or both must fail with
 // EvalBool's error on the first row it rejects; Select must fail exactly
 // when Verdicts does, else append exactly the rows EvalBool passes behind
-// dst's prefix, which it leaves as it was either way.
+// dst's prefix, which it leaves as it was either way. Select's compiled
+// loop must decline the batch exactly when Verdicts' does, and EvalBools
+// must take it exactly when that loop does not decline.
 //
 // form's bits: 1 float column, 2 float scalar, 4 parameter instead of a
 // literal, 8 scalar on the left. data holds the rows, 9 bytes each: a
@@ -72,10 +74,18 @@ func FuzzCmpKernel(f *testing.F) {
 			t.Fatalf("%s does not compile", e)
 		}
 
+		took := kern.EvalBools(b, false, rows, make([]bool, b.Len()))
+		if ed := kern.Declined(); took == ed {
+			t.Fatalf("%s: EvalBools took=%v, declined=%v", e, took, ed)
+		}
 		out := make([]bool, b.Len())
 		err := kern.Verdicts(b, false, rows, out)
+		vd := kern.Declined()
 		prefix := []int32{-1, -2, -3}
 		sel, selErr := kern.Select(b, rows, slices.Clone(prefix))
+		if sd := kern.Declined(); sd != vd {
+			t.Fatalf("%s: Select declined=%v, Verdicts declined=%v", e, sd, vd)
+		}
 		if len(sel) < len(prefix) || !slices.Equal(sel[:len(prefix)], prefix) {
 			t.Fatalf("%s: Select changed dst's prefix %v into %v", e, prefix, sel)
 		}

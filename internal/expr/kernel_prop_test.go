@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -163,9 +164,9 @@ func interpretRows(e Expr, b *types.DeltaBatch, old bool, rows []int32, pred boo
 	return vals, nil, 0
 }
 
-// sameKernelErr requires the kernel's error to be the interpreter's: the
-// same text, raised at the same row.
-func sameKernelErr(t *testing.T, e Expr, kern *Kernel, got, want error, wantRow int32) {
+// sameKernelErr requires the kernel's error to be the interpreter's: a
+// RowError with the same text, raised at the same row.
+func sameKernelErr(t *testing.T, e Expr, got, want error, wantRow int32) {
 	t.Helper()
 	if (got == nil) != (want == nil) {
 		t.Fatalf("%s: kernel error %v, interpreter error %v", e, got, want)
@@ -173,8 +174,12 @@ func sameKernelErr(t *testing.T, e Expr, kern *Kernel, got, want error, wantRow 
 	if got == nil {
 		return
 	}
-	if got.Error() != want.Error() || kern.ErrRow() != wantRow {
-		t.Fatalf("%s: kernel error %q at row %d, interpreter %q at row %d", e, got, kern.ErrRow(), want, wantRow)
+	var re *RowError
+	if !errors.As(got, &re) {
+		t.Fatalf("%s: kernel error %q (%T) is not a RowError", e, got, got)
+	}
+	if got.Error() != want.Error() || re.Row != wantRow {
+		t.Fatalf("%s: kernel error %q at row %d, interpreter %q at row %d", e, got, re.Row, want, wantRow)
 	}
 }
 
@@ -192,7 +197,7 @@ func checkKernelImage(t *testing.T, e Expr, kern *Kernel, b *types.DeltaBatch, o
 	var dst types.Vec
 	err := kern.EvalInto(b, old, rows, &dst)
 	declined = kern.Declined()
-	sameKernelErr(t, e, kern, err, rowErr, errRow)
+	sameKernelErr(t, e, err, rowErr, errRow)
 	if err == nil {
 		for _, i := range rows {
 			if got, want := dst.Value(int(i)), vals[i]; !samePropValue(got, want) {
@@ -201,7 +206,7 @@ func checkKernelImage(t *testing.T, e Expr, kern *Kernel, b *types.DeltaBatch, o
 		}
 	}
 	v, err := kern.EvalVec(b, old, rows)
-	sameKernelErr(t, e, kern, err, rowErr, errRow)
+	sameKernelErr(t, e, err, rowErr, errRow)
 	if err == nil {
 		for _, i := range rows {
 			if got, want := v.Value(int(i)), vals[i]; !samePropValue(got, want) {
@@ -215,7 +220,7 @@ func checkKernelImage(t *testing.T, e Expr, kern *Kernel, b *types.DeltaBatch, o
 		out := make([]bool, b.Len())
 		err := kern.Verdicts(b, old, rows, out)
 		declined = kern.Declined() || declined
-		sameKernelErr(t, e, kern, err, boolErr, errRow)
+		sameKernelErr(t, e, err, boolErr, errRow)
 		if err == nil {
 			for _, i := range rows {
 				if out[i] != verdicts[i] {
@@ -230,16 +235,28 @@ func checkKernelImage(t *testing.T, e Expr, kern *Kernel, b *types.DeltaBatch, o
 // checkKernelSelect runs Select over rows, a subset of a batch's new
 // images, behind a dst prefix: it must fail exactly when EvalBool does,
 // with its error, and otherwise append exactly the rows where EvalBool is
-// true, leaving the prefix as it was either way.
+// true, leaving the prefix as it was either way. Its compiled tree must
+// decline exactly when Verdicts' does, and EvalBools must take the batch
+// exactly when that tree does.
 func checkKernelSelect(t *testing.T, e Expr, kern *Kernel, b *types.DeltaBatch, rows []int32) {
 	t.Helper()
 	verdicts, boolErr, errRow := interpretRows(e, b, false, rows, true)
+	kern.Declined() // clear an earlier call's report
+	took := kern.EvalBools(b, false, rows, make([]bool, b.Len()))
+	if ed := kern.Declined(); took != (kern.root != nil && !ed) {
+		t.Fatalf("%s: EvalBools took=%v, compiled=%v, declined=%v", e, took, kern.root != nil, ed)
+	}
+	kern.Verdicts(b, false, rows, make([]bool, b.Len()))
+	vd := kern.Declined()
 	prefix := []int32{-1, -2}
 	sel, err := kern.Select(b, rows, slices.Clone(prefix))
+	if sd := kern.Declined(); sd != vd {
+		t.Fatalf("%s: Select declined=%v, Verdicts declined=%v", e, sd, vd)
+	}
 	if len(sel) < len(prefix) || !slices.Equal(sel[:len(prefix)], prefix) {
 		t.Fatalf("%s: Select changed dst's prefix %v into %v", e, prefix, sel)
 	}
-	sameKernelErr(t, e, kern, err, boolErr, errRow)
+	sameKernelErr(t, e, err, boolErr, errRow)
 	if err != nil {
 		return
 	}

@@ -401,7 +401,9 @@ func (s *Session) Ingests(batches map[string][]Delta) (*IngestAck, error) {
 }
 
 // RegisterFunc registers a scalar UDF callable from RQL (in-process
-// sessions only).
+// sessions only). Operators call it a batch and an expression at a time:
+// the number and order of its calls are not fixed (see expr.Call), and a
+// deterministic function is memoized by its argument values.
 func (s *Session) RegisterFunc(name string, argKinds []types.Kind, ret types.Kind,
 	deterministic bool, fn func(args []Value) (Value, error)) error {
 	b, err := s.be.local("RegisterFunc")
