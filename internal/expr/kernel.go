@@ -194,7 +194,7 @@ func (k *Kernel) verdicts(b *types.DeltaBatch, old bool, rows []int32) *types.Ve
 		return nil
 	}
 	if k.k == types.KindBool {
-		if v, ok := k.run(b, old, rows); ok && v.K == types.KindBool && !hasNullAt(v, rows) {
+		if v := k.run(b, old, rows); v != nil && v.K == types.KindBool && !hasNullAt(v, rows) {
 			return v
 		}
 	}
@@ -202,20 +202,21 @@ func (k *Kernel) verdicts(b *types.DeltaBatch, old bool, rows []int32) *types.Ve
 	return nil
 }
 
-// run evaluates the compiled tree. It reports false when there is no
-// tree or it declined — recording the decline — leaving the scratch
-// vectors to the interpreter.
-func (k *Kernel) run(b *types.DeltaBatch, old bool, rows []int32) (*types.Vec, bool) {
+// run evaluates the compiled tree. It returns nil when there is no tree
+// or it declined — recording the decline — leaving the scratch vectors
+// to the interpreter.
+func (k *Kernel) run(b *types.DeltaBatch, old bool, rows []int32) *types.Vec {
 	k.used = 0
 	if k.root == nil {
-		return nil, false
+		return nil
 	}
 	v, ok := k.root.eval(k.begin(b, old), rows)
 	k.kc.b = nil
 	if !ok {
 		k.declined, k.used = true, 0
+		return nil
 	}
-	return v, ok
+	return v
 }
 
 // EvalVec evaluates the kernel over the selected rows of b and returns its
@@ -223,7 +224,7 @@ func (k *Kernel) run(b *types.DeltaBatch, old bool, rows []int32) (*types.Vec, b
 // it belongs to the kernel (or aliases a column of b) and is valid only
 // until the kernel's next Eval* call.
 func (k *Kernel) EvalVec(b *types.DeltaBatch, old bool, rows []int32) (*types.Vec, error) {
-	if v, ok := k.run(b, old, rows); ok {
+	if v := k.run(b, old, rows); v != nil {
 		return v, nil
 	}
 	v := k.getVec()
@@ -234,8 +235,8 @@ func (k *Kernel) EvalVec(b *types.DeltaBatch, old bool, rows []int32) (*types.Ve
 // into dst (indexed by absolute row number). dst is caller-owned, so two
 // passes of one kernel (new images, then old images) can coexist.
 func (k *Kernel) EvalInto(b *types.DeltaBatch, old bool, rows []int32, dst *types.Vec) error {
-	v, ok := k.run(b, old, rows)
-	if !ok {
+	v := k.run(b, old, rows)
+	if v == nil {
 		return k.interpret(b, old, rows, dst)
 	}
 	dst.Reset(v.K, b.Len())
