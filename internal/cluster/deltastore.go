@@ -10,11 +10,17 @@ import "github.com/rex-data/rex/internal/types"
 // every arriving delta meet its key's previous delta, and the Compactor's
 // five rules (annihilation, upsert fold, chain fold, retraction, δ-merge)
 // are applied in place in the typed lanes — no row is boxed, keyed into a
-// map, or cloned to be folded. AppendRows takes a batch's rows a
-// selection at a time and probes each row's key before copying anything:
-// a δ() row that merges into its key's live δ() row folds lane to lane
-// from the source batch and is never appended; every other row is copied
-// and then settled.
+// map, or cloned to be folded.
+//
+// AppendRows takes a batch's rows a selection at a time. A selection of
+// δ() rows under one int routing key whose lanes are typed alike and
+// NULL-free in the batch and in the store — PageRank's and SSSP's
+// contributions — folds on lanes (types.LaneFold): one loop probes the
+// index by the key lane, merges each row into its key's live δ() row in
+// place, and appends the rest lane to lane. Every other selection goes a
+// row at a time: a δ() row that merges into its key's live δ() row folds
+// lane to lane from the source batch and is never appended; every other
+// row is copied and then settled.
 //
 // The same soundness condition as Compactor applies: folding moves a
 // delta's effect to its key's previous position, so deltas of different
@@ -32,6 +38,9 @@ type DeltaStore struct {
 	index types.KeyIndex
 	dead  []bool // rows annihilated in place, reclaimed by Drain
 	nDead int
+
+	lanes    types.LaneFold // AppendRows' plan for a selection that folds on lanes
+	laneRows int            // rows AppendRows took on lanes
 
 	added, annihilated, folded int
 	addedAtReset               int
@@ -103,13 +112,18 @@ func (s *DeltaStore) Append(d types.Delta, h uint64) bool {
 // live delta as Append's row would, with one shortcut: a δ() row that
 // merges into its key's live δ() row folds lane to lane straight out of
 // src and is never copied into the store. Every other row is copied lane
-// to lane and then settled.
+// to lane and then settled. Whether the selection folds on lanes or a row
+// at a time, the folds, the order, the counters and the stops are the
+// same.
 //
 // It stops early so the caller can apply its flush rule: after a row that
 // grew the store to a multiple of every rows (every ≤ 0: never), reporting
 // full, and before a row whose arity diverges from the pending rows'
 // (drain and retry). n is how many rows of sel it took.
 func (s *DeltaStore) AppendRows(src *types.DeltaBatch, sel []int32, hashes []uint64, every int) (n int, full bool) {
+	if s.compact && s.folds != nil && len(s.key) == 1 && s.lanes.Plan(s.b, src, sel, s.key[0], s.folds) {
+		return s.foldLanes(src, sel, hashes, every)
+	}
 	for k, i := range sel {
 		j := int(i)
 		if !s.b.CanAppendRowFrom(src, j) {
@@ -121,6 +135,36 @@ func (s *DeltaStore) AppendRows(src *types.DeltaBatch, sel []int32, hashes []uin
 			return k + 1, true
 		}
 	}
+	return len(sel), false
+}
+
+// foldLanes is AppendRows for a selection s.lanes is planned for: every
+// row is δ(), so a row merges into its key's latest row if that is a live
+// δ() row (an annihilated row is a + row) and the merge takes, and is
+// appended and seated otherwise.
+func (s *DeltaStore) foldLanes(src *types.DeltaBatch, sel []int32, hashes []uint64, every int) (n int, full bool) {
+	lf := &s.lanes
+	for k, i := range sel {
+		j, h := int(i), hashes[i]
+		key := lf.Key(src, j)
+		s.added++
+		p, r := s.index.First(h)
+		for r >= 0 && lf.KeyAt(int(r)) != key {
+			p, r = s.index.Next(p)
+		}
+		if r >= 0 && s.b.Op(int(r)) == types.OpUpdate && lf.Merge(int(r), src, j) {
+			s.folded++
+			continue
+		}
+		lf.Append(src, j)
+		s.index.Add(p, h)
+		s.dead = append(s.dead, false)
+		if l := s.b.Len(); every > 0 && l%every == 0 {
+			s.laneRows += k + 1
+			return k + 1, true
+		}
+	}
+	s.laneRows += len(sel)
 	return len(sel), false
 }
 

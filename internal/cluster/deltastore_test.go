@@ -647,3 +647,64 @@ func FuzzDeltaStoreFold(f *testing.F) {
 		}
 	})
 }
+
+// PageRank's and SSSP's shuffles (internal/algos: routing key nbr, an int
+// column; rank contributions summed, distances min-folded, both floats)
+// fold every δ() selection on lanes: into an empty store, into one the
+// lanes already fit, from built and from decoded batches, across flush
+// stops. Over 997 keys the index probes step past other keys. The drains
+// are byte for byte the per-row append's.
+func TestAppendRowsFoldsOnLanes(t *testing.T) {
+	for _, merge := range []string{"sum", "min"} {
+		t.Run(merge, func(t *testing.T) {
+			const every = 256
+			got := NewDeltaStore([]int{0}, map[int]string{1: merge}, true)
+			ref := NewDeltaStore([]int{0}, map[int]string{1: merge}, true)
+			defer got.Release()
+			defer ref.Release()
+			r := rand.New(rand.NewSource(7))
+			rows := 0
+			for chunk := 0; chunk < 40; chunk++ {
+				src := types.GetBatch()
+				for i := 0; i < 200; i++ {
+					src.Append(types.Update(types.NewTuple(int64(r.Intn(997)), float64(r.Intn(64))/8)))
+				}
+				if chunk%3 == 0 {
+					var err error
+					if _, src, err = DecodeDeltasAny(EncodeDeltaBatch(nil, src)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				hashes := src.HashKeys([]int{0}, nil)
+				sel := make([]int32, src.Len())
+				for i := range sel {
+					sel[i] = int32(i)
+				}
+				for len(sel) > 0 {
+					n, full := got.AppendRows(src, sel, hashes, every)
+					for _, i := range sel[:n] {
+						ref.appendRowRef(src, int(i), hashes[i])
+					}
+					rows += n
+					sel = sel[n:]
+					if full || chunk%7 == 6 {
+						g, w := got.Drain(), ref.Drain()
+						if g.Len() != w.Len() || g.Len() > 0 && string(EncodeDeltaBatch(nil, g)) != string(EncodeDeltaBatch(nil, w)) {
+							t.Fatalf("chunk %d: lane drain differs from the per-row append's", chunk)
+						}
+						got.Reset()
+						ref.Reset()
+					}
+				}
+			}
+			if got.laneRows != rows {
+				t.Fatalf("%d of %d rows folded on lanes", got.laneRows, rows)
+			}
+			ga, _, gf := got.Stats()
+			ra, _, rf := ref.Stats()
+			if ga != ra || gf != rf || gf == 0 {
+				t.Fatalf("stats: lanes added %d folded %d, per row added %d folded %d", ga, gf, ra, rf)
+			}
+		})
+	}
+}

@@ -181,6 +181,7 @@ func (b *binder) bindSelect(p *exec.PlanSpec, s *SelectStmt) (int, *types.Schema
 			if err != nil {
 				return 0, nil, err
 			}
+			adoptParamKind(e, types.KindBool) // WHERE $1 AND …: a lone parameter is a boolean
 			if e.Kind() != types.KindBool {
 				return 0, nil, fmt.Errorf("rql: WHERE conjunct %s is not boolean", e)
 			}
@@ -532,6 +533,7 @@ func (b *binder) bindExpr(e Expr, schema *types.Schema) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		adoptParamKind(inner, types.KindBool)
 		if inner.Kind() != types.KindBool {
 			return nil, fmt.Errorf("rql: NOT requires a boolean, got %v", inner.Kind())
 		}

@@ -130,8 +130,9 @@ func bindBothWays(cat *catalog.Catalog, src string, args []types.Value) (inproc,
 
 // Text binding must compile to the plan in-process binding runs: a
 // negative value after a minus (once lexed as a comment), one after an
-// operand, the int64 extremes, -0.0, floats far from 1, and strings with
-// quotes and comment markers.
+// operand, the int64 extremes, -0.0, floats far from 1, strings with
+// quotes and comment markers, and a parameter that stands alone as a
+// boolean (under NOT, as the whole WHERE, as one of its conjuncts).
 func TestBindTextMatchesInProcess(t *testing.T) {
 	cat := bindCatalog(t)
 	cases := []struct {
@@ -151,6 +152,9 @@ func TestBindTextMatchesInProcess(t *testing.T) {
 		{`SELECT orderkey FROM lineitem WHERE returnflag=$1AND quantity > 1.0`, "--"},
 		{`SELECT a FROM t WHERE a > 1 OR$1`, true},
 		{`SELECT a FROM t WHERE$1 < a`, int64(3)},
+		{`SELECT a FROM t WHERE NOT $1`, false},
+		{`SELECT a FROM t WHERE $1`, true},
+		{`SELECT a FROM t WHERE a > 0 AND $1`, true},
 	}
 	for _, c := range cases {
 		inproc, text, bound, ok, err := bindBothWays(cat, c.src, []types.Value{c.arg})

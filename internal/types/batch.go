@@ -727,6 +727,95 @@ func (b *DeltaBatch) AppendScalars(op Op, row, old []Scalar) {
 	b.n++
 }
 
+// The open row: a writer that knows a non-empty batch's width appends a
+// row a column at a time, straight into the lanes, then commits it. The
+// Put methods append v to column c of the open row (row Len) and report
+// true when that column's lane already holds v's kind; otherwise they
+// write nothing, and the writer stages the row for AppendScalars, which
+// adopts and demotes. So an open row never changes a lane's kind, and
+// DropOpen takes every lane back to what it was before the row.
+
+// PutInt appends v to column c of the open row if the lane is int-typed.
+func (b *DeltaBatch) PutInt(c int, v int64) bool {
+	col := &b.cols[c]
+	if col.kind != KindInt || col.anys != nil {
+		return false
+	}
+	col.ints = append(col.ints, v)
+	col.n++
+	return true
+}
+
+// PutFloat appends v to column c of the open row if the lane is
+// float-typed.
+func (b *DeltaBatch) PutFloat(c int, v float64) bool {
+	col := &b.cols[c]
+	if col.kind != KindFloat || col.anys != nil {
+		return false
+	}
+	col.floats = append(col.floats, v)
+	col.n++
+	return true
+}
+
+// PutStr appends v to column c of the open row if the lane is
+// string-typed.
+func (b *DeltaBatch) PutStr(c int, v string) bool {
+	col := &b.cols[c]
+	if col.kind != KindString || col.anys != nil {
+		return false
+	}
+	col.strs = append(col.strs, v)
+	col.n++
+	return true
+}
+
+// PutBool appends v to column c of the open row if the lane is
+// bool-typed.
+func (b *DeltaBatch) PutBool(c int, v bool) bool {
+	col := &b.cols[c]
+	if col.kind != KindBool || col.anys != nil {
+		return false
+	}
+	col.bools = append(col.bools, v)
+	col.n++
+	return true
+}
+
+// OpenScalar returns what a Put wrote to column c of the open row, as
+// the scalar AppendScalars would store the same way.
+func (b *DeltaBatch) OpenScalar(c int) Scalar {
+	col := &b.cols[c]
+	switch col.kind {
+	case KindInt:
+		return Scalar{K: KindInt, I: col.ints[b.n]}
+	case KindFloat:
+		return Scalar{K: KindFloat, F: col.floats[b.n]}
+	case KindString:
+		return Scalar{K: KindString, S: col.strs[b.n]}
+	}
+	return Scalar{K: KindBool, V: col.bools[b.n]}
+}
+
+// DropOpen discards what the open row holds.
+func (b *DeltaBatch) DropOpen() {
+	for k := range b.cols {
+		if b.cols[k].n > b.n {
+			b.cols[k].truncate(b.n)
+		}
+	}
+}
+
+// CommitRow closes the open row, which holds every column, with
+// annotation op (not OpReplace: an open row has no old image).
+func (b *DeltaBatch) CommitRow(op Op) {
+	b.ops = append(b.ops, byte(op))
+	if b.old != nil {
+		padCols(b.old, b.n+1)
+	}
+	b.n++
+}
+
 // Row fills scratch with the new-image values of row i and returns it.
 // The scratch tuple is reused by callers across rows; it must not be
 // retained (clone before storing).

@@ -362,3 +362,160 @@ func (b *DeltaBatch) DropRows(dead []bool) {
 	}
 	b.Truncate(w)
 }
+
+// LaneFold δ-merges the rows of a selection of src into a builder-owned
+// batch b a row at a time, straight on typed lanes, for a caller that
+// keeps its own key index over b (cluster.DeltaStore). Plan decides once
+// per selection whether the lanes allow it; then, for rows of that
+// selection, Key and KeyAt read the int key lane for a probe, Merge folds
+// a row into a matched one, and Append copies a row lane to lane. Each
+// answers what the row primitives above (ColsEqualFrom, CanFoldFrom,
+// FoldFrom, AppendRowFrom) answer for the same rows, without their
+// per-row, per-column decisions.
+type LaneFold struct {
+	b     *DeltaBatch
+	key   int
+	eq    []laneCol // undeclared non-key columns: equal, or no merge
+	folds []laneCol // declared columns
+}
+
+// laneCol is one non-key column's part in a merge: its lane kind and its
+// declared fold.
+type laneCol struct {
+	c    int
+	kind Kind
+	f    Fold
+}
+
+// Plan prepares f to fold rows sel of src into b, keyed by column key,
+// with folds[c] declared per column (missing: FoldNone). It reports false
+// when the lanes do not allow it: a selected row that is not δ(); b with
+// an old-image group, or non-empty with another arity; a column of src
+// or of b that holds a NULL or is not a typed lane of one kind alike
+// between the two (an empty b may have untyped lanes yet); a key lane
+// that is not int; a fold declared on a lane that is neither int nor
+// float.
+func (f *LaneFold) Plan(b, src *DeltaBatch, sel []int32, key int, folds []Fold) bool {
+	if b.old != nil || b.n > 0 && len(b.cols) != len(src.cols) || key >= len(src.cols) {
+		return false
+	}
+	for _, i := range sel {
+		if src.ops[i] != byte(OpUpdate) {
+			return false
+		}
+	}
+	f.b, f.key, f.eq, f.folds = b, key, f.eq[:0], f.folds[:0]
+	for c := range src.cols {
+		s := &src.cols[c]
+		if s.HasNulls() || !s.typed() {
+			return false
+		}
+		if c < len(b.cols) {
+			x := &b.cols[c]
+			if x.anys != nil || x.HasNulls() || x.kind != s.kind && !(b.n == 0 && x.kind == KindNull) {
+				return false
+			}
+		}
+		fold := FoldNone
+		if c < len(folds) {
+			fold = folds[c]
+		}
+		switch l := (laneCol{c: c, kind: s.kind, f: fold}); {
+		case c == key:
+			if s.kind != KindInt {
+				return false
+			}
+		case fold == FoldNone:
+			f.eq = append(f.eq, l)
+		case s.kind == KindInt || s.kind == KindFloat:
+			f.folds = append(f.folds, l)
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// Key returns the key of row j of src.
+func (f *LaneFold) Key(src *DeltaBatch, j int) int64 { return src.cols[f.key].ints[j] }
+
+// KeyAt returns the key of row r of b.
+func (f *LaneFold) KeyAt(r int) int64 { return f.b.cols[f.key].ints[r] }
+
+// Merge δ-merges row j of src into row r of b, both keyed alike: declared
+// columns fold (sum, min, max; floats ordered as compareFloat orders
+// them), and every other non-key column must already be equal. It
+// reports false, changing nothing, when one is not.
+func (f *LaneFold) Merge(r int, src *DeltaBatch, j int) bool {
+	b := f.b
+	for _, l := range f.eq {
+		x, y := &b.cols[l.c], &src.cols[l.c]
+		var eq bool
+		switch l.kind {
+		case KindInt:
+			eq = x.ints[r] == y.ints[j]
+		case KindFloat:
+			eq = x.floats[r] == y.floats[j]
+		case KindString:
+			eq = x.strs[r] == y.strs[j]
+		case KindBool:
+			eq = x.bools[r] == y.bools[j]
+		}
+		if !eq {
+			return false
+		}
+	}
+	for _, l := range f.folds {
+		x, y := &b.cols[l.c], &src.cols[l.c]
+		if l.kind == KindInt {
+			switch v := y.ints[j]; l.f {
+			case FoldSum:
+				x.ints[r] += v
+			case FoldMin:
+				x.ints[r] = min(x.ints[r], v)
+			case FoldMax:
+				x.ints[r] = max(x.ints[r], v)
+			}
+			continue
+		}
+		switch v := y.floats[j]; l.f {
+		case FoldSum:
+			x.floats[r] += v
+		case FoldMin:
+			if compareFloat(x.floats[r], v) > 0 {
+				x.floats[r] = v
+			}
+		case FoldMax:
+			if compareFloat(x.floats[r], v) < 0 {
+				x.floats[r] = v
+			}
+		}
+	}
+	return true
+}
+
+// Append appends row j of src to b, lane to lane. The first row of an
+// empty b goes through AppendRowFrom, which gives b src's lanes.
+func (f *LaneFold) Append(src *DeltaBatch, j int) {
+	b := f.b
+	if b.n == 0 {
+		b.AppendRowFrom(src, j)
+		return
+	}
+	b.ops = append(b.ops, byte(OpUpdate))
+	for c := range b.cols {
+		x, y := &b.cols[c], &src.cols[c]
+		switch x.kind {
+		case KindInt:
+			x.ints = append(x.ints, y.ints[j])
+		case KindFloat:
+			x.floats = append(x.floats, y.floats[j])
+		case KindString:
+			x.strs = append(x.strs, y.strs[j])
+		case KindBool:
+			x.bools = append(x.bools, y.bools[j])
+		}
+		x.n++
+	}
+	b.n++
+}

@@ -18,11 +18,21 @@ import (
 //		return err
 //	}
 //
+// Once the batch holds a row, each value of a row whose lane already has
+// the value's kind goes straight into that lane, and End commits the row:
+// it appends the op and counts the row. Any other row — one with a NULL,
+// a value of another kind, the wrong column count, a replace, or the
+// batch's first row — is staged as scalars and appended by
+// DeltaBatch.AppendScalars at End; a row that turns out so midway first
+// moves the values it already wrote back to staging. So a column adopts
+// and demotes kinds exactly as types.Column.AppendValue does, and only a
+// row End accepts ever does either.
+//
 // A replace row takes its new image's columns, then its old image's.
 // Emit copies a row-form delta instead. A row whose column count differs
 // from the emitter's width is an error, and nothing of it is written. The
-// emitter never retains what it is given, and a column adopts and demotes
-// kinds exactly as types.Column.AppendValue does.
+// emitter never retains what it is given, and the batch never shows a
+// row that is still open.
 type Emitter struct {
 	b *types.DeltaBatch // nil until the first row: then a pooled batch
 	// width is the column count of every row; 0 until the first row when
@@ -30,7 +40,10 @@ type Emitter struct {
 	width int
 	op    types.Op
 	open  bool
-	row   []types.Scalar
+	// put counts the open row's values written straight into b's lanes;
+	// -1 while the row is staged in row.
+	put int
+	row []types.Scalar
 
 	flushAt int
 	flush   func(*types.DeltaBatch) error
@@ -39,7 +52,7 @@ type Emitter struct {
 // NewEmitter returns an emitter of rows of width columns (0: the first
 // row sets it) into a batch of its own.
 func NewEmitter(width int) *Emitter {
-	return &Emitter{width: width}
+	return &Emitter{width: width, put: -1}
 }
 
 // FlushEvery hands the batch to flush whenever it holds n rows (n ≤ 0:
@@ -50,25 +63,100 @@ func (e *Emitter) FlushEvery(n int, flush func(*types.DeltaBatch) error) {
 
 // Begin opens a row with annotation op, discarding any row left open.
 func (e *Emitter) Begin(op types.Op) {
-	e.op, e.open, e.row = op, true, e.row[:0]
+	if e.put > 0 {
+		e.b.DropOpen()
+	}
+	e.op, e.open, e.row, e.put = op, true, e.row[:0], -1
+	if op != types.OpReplace && e.width > 0 && e.b != nil && e.b.Len() > 0 {
+		e.put = 0
+	}
 }
 
+// direct reports whether the open row's next value may go straight into
+// its lane.
+func (e *Emitter) direct() bool { return e.put >= 0 && e.put < e.width }
+
 // Int supplies the open row's next column.
-func (e *Emitter) Int(v int64) { e.row = append(e.row, types.Scalar{K: types.KindInt, I: v}) }
+func (e *Emitter) Int(v int64) {
+	if e.direct() && e.b.PutInt(e.put, v) {
+		e.put++
+		return
+	}
+	e.stage(types.Scalar{K: types.KindInt, I: v})
+}
 
 // Float supplies the open row's next column.
-func (e *Emitter) Float(v float64) { e.row = append(e.row, types.Scalar{K: types.KindFloat, F: v}) }
+func (e *Emitter) Float(v float64) {
+	if e.direct() && e.b.PutFloat(e.put, v) {
+		e.put++
+		return
+	}
+	e.stage(types.Scalar{K: types.KindFloat, F: v})
+}
 
 // Str supplies the open row's next column.
-func (e *Emitter) Str(v string) { e.row = append(e.row, types.Scalar{K: types.KindString, S: v}) }
+func (e *Emitter) Str(v string) {
+	if e.direct() && e.b.PutStr(e.put, v) {
+		e.put++
+		return
+	}
+	e.stage(types.Scalar{K: types.KindString, S: v})
+}
 
 // Value supplies the open row's next column as a boxed value (nil for
 // NULL); an int64, float64 or string still lands in a typed lane.
-func (e *Emitter) Value(v types.Value) { e.row = append(e.row, types.Scalar{V: v}) }
+func (e *Emitter) Value(v types.Value) {
+	if e.direct() && putValue(e.b, e.put, v) {
+		e.put++
+		return
+	}
+	e.stage(types.Scalar{V: v})
+}
+
+// putValue is the Put of v's kind; false for NULL and non-scalar values.
+func putValue(b *types.DeltaBatch, c int, v types.Value) bool {
+	switch x := v.(type) {
+	case int64:
+		return b.PutInt(c, x)
+	case float64:
+		return b.PutFloat(c, x)
+	case string:
+		return b.PutStr(c, x)
+	case bool:
+		return b.PutBool(c, x)
+	}
+	return false
+}
 
 // Field supplies the open row's next column: field c of tuple i of s,
 // unboxed and of its stored kind.
-func (e *Emitter) Field(s *TupleSet, i, c int) { e.row = append(e.row, s.scalar(s.at(i, c))) }
+func (e *Emitter) Field(s *TupleSet, i, c int) {
+	p := s.at(i, c)
+	if e.direct() && s.putField(e.b, e.put, p) {
+		e.put++
+		return
+	}
+	e.stage(s.scalar(p))
+}
+
+// stage appends v to the staged row, first moving the values the open
+// row wrote to the lanes back to staging.
+func (e *Emitter) stage(v types.Scalar) {
+	e.unput()
+	e.row = append(e.row, v)
+}
+
+// unput moves the values the open row wrote to the lanes back to
+// staging, leaving every lane as it was before the row.
+func (e *Emitter) unput() {
+	if e.put > 0 {
+		for c := 0; c < e.put; c++ {
+			e.row = append(e.row, e.b.OpenScalar(c))
+		}
+		e.b.DropOpen()
+	}
+	e.put = -1
+}
 
 // End checks the open row's column count and appends it.
 func (e *Emitter) End() error {
@@ -76,6 +164,15 @@ func (e *Emitter) End() error {
 		return fmt.Errorf("uda: Emitter.End without Begin")
 	}
 	e.open = false
+	if n := e.put; n >= 0 {
+		e.put = -1
+		if err := e.fit(n); err != nil {
+			e.b.DropOpen()
+			return err
+		}
+		e.b.CommitRow(e.op)
+		return e.full()
+	}
 	row, old := e.row, []types.Scalar(nil)
 	if e.op == types.OpReplace {
 		half := len(row) / 2
@@ -126,8 +223,10 @@ func (e *Emitter) full() error {
 }
 
 // Batch returns the rows emitted since the last flush. The batch stays
-// the emitter's.
+// the emitter's; a row still open is staged first, so the batch holds
+// none of it.
 func (e *Emitter) Batch() *types.DeltaBatch {
+	e.unput()
 	if e.b == nil {
 		e.b = types.GetBatch()
 	}
@@ -140,6 +239,7 @@ func (e *Emitter) Batch() *types.DeltaBatch {
 // pooled batch, which the emitter keeps from then on; the detached one
 // goes back to the pool unless it grew past types.MaxPooledRows.
 func (e *Emitter) Flush() error {
+	e.unput()
 	b := e.b
 	if b == nil || b.Len() == 0 || e.flush == nil {
 		return nil

@@ -448,3 +448,19 @@ func (s *TupleSet) same(p int, v types.Value) bool {
 	}
 	return false
 }
+
+// putField writes the field at p to column c of b's open row with the Put of
+// its kind, reporting whether the lane took it.
+func (s *TupleSet) putField(b *types.DeltaBatch, c, p int) bool {
+	switch x := s.f[p]; x.k {
+	case types.KindInt:
+		return b.PutInt(c, int64(x.w))
+	case types.KindFloat:
+		return b.PutFloat(c, math.Float64frombits(x.w))
+	case types.KindString:
+		return b.PutStr(c, s.strs[p])
+	case types.KindBool:
+		return b.PutBool(c, x.w != 0)
+	}
+	return false
+}
